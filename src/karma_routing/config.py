@@ -25,15 +25,17 @@ The file format is plain key/value sections readable by `configparser`:
     societal_cost = discomfort   ; or: flow
 
     [pricing]
-    mode = fixed                 ; or: design
+    price_mode = fixed           ; or: design
     p1 = 10
     r2 = 14
-    max_price = 20               ; used when mode = design
+    max_price = 20               ; used when price_mode = design
 
     [run]
     days = 500
 
 Floats are written with `repr` so a written file reloads to identical values.
+A `;` starts a comment, also after a value.  An unknown section or key is an
+error, so a misspelled name cannot silently leave its default in place.
 """
 
 from __future__ import annotations
@@ -152,17 +154,28 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        named = parser.sections()
+        if parser.defaults():
+            named.insert(0, parser.default_section)
         kwargs = {}
         types = cls.__dataclass_fields__
-        for section, keys in cls._SECTIONS.items():
-            if not parser.has_section(section):
-                continue
-            for key in keys:
-                if not parser.has_option(section, key):
-                    continue
+        for section in named:
+            if section not in cls._SECTIONS:
+                raise ValueError(
+                    f"{path}: unknown section [{section}]; "
+                    f"valid sections: {', '.join(cls._SECTIONS)}")
+            valid = cls._SECTIONS[section]
+            for key in parser.options(section):
+                if key not in valid:
+                    raise ValueError(
+                        f"{path}: unknown key {key!r} in [{section}]; "
+                        f"valid keys: {', '.join(valid)}")
                 raw = parser.get(section, key)
                 kind = types[key].type
                 if kind == "float":

@@ -17,10 +17,10 @@ from .agent import ARC1, ARC2
 from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, system_optimum
 from .pricing import PriceVector
-from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
+from .wardrop import UNCONTROLLED, wardrop_equilibrium
 
 RUN_CSV_COLUMNS = ["day", "x1", "x2", "cost", "cost_opt_ratio", "delta_d",
-                   "delta_s", "mean_karma", "regime", "nash_iters"]
+                   "delta_s", "mean_karma", "regime"]
 
 
 @dataclass
@@ -34,7 +34,6 @@ class Population:
     rng: np.random.Generator
     n_clamped_init: int = 0
     day: int = 0
-    last_flows: np.ndarray | None = None
 
 
 @dataclass
@@ -48,7 +47,6 @@ class DayRecord:
     delta_s: float | None
     mean_karma: float
     regime: str
-    nash_iters: int
 
 
 @dataclass
@@ -93,7 +91,6 @@ class RunResult:
             "final_mean_karma": self.records[-1].mean_karma,
             "uncontrolled_days": sum(r.regime == UNCONTROLLED
                                      for r in self.records),
-            "max_nash_iters": max(r.nash_iters for r in self.records),
         }
         return self.summary
 
@@ -107,7 +104,7 @@ class RunResult:
                     repr(r.cost_opt_ratio),
                     "" if r.delta_d is None else repr(r.delta_d),
                     "" if r.delta_s is None else repr(r.delta_s),
-                    repr(r.mean_karma), r.regime, r.nash_iters,
+                    repr(r.mean_karma), r.regime,
                 ])
 
     def write_karma_hist_csv(self, path) -> None:
@@ -178,19 +175,9 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     traveling = ~stay
     s_bar = sc.sensitivity.s_bar
 
-    if pop.last_flows is None:
-        pop.last_flows = system_optimum(model, sc.p_go) if sc.p_go > 0 \
-            else np.zeros(2)
-    if not np.any(traveling):
-        x = np.zeros(2)
-        choices = np.zeros(m, dtype=np.int8)
-        regime, iters = CONTROLLED, 0
-    else:
-        result = wardrop_equilibrium(pop.k, pop.k_ref, s, traveling, model, p,
-                                     sc.horizon, s_bar, x_init=pop.last_flows)
-        x, choices, regime, iters = (result.flows, result.choices,
-                                     result.regime, result.iterations)
-        pop.last_flows = x
+    result = wardrop_equilibrium(pop.k, pop.k_ref, s, traveling, model, p,
+                                 sc.horizon, s_bar)
+    x, choices = result.flows, result.choices
     pop.k = np.where(choices == ARC1, pop.k - p.p1,
                      np.where(choices == ARC2, pop.k + p.r2, pop.k))
 
@@ -199,7 +186,7 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     ratio = cost / cost_star if cost_star else float("nan")
     record = DayRecord(day=pop.day, x1=float(x[0]), x2=float(x[1]), cost=cost,
                        cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,
-                       mean_karma=mean_karma, regime=regime, nash_iters=iters)
+                       mean_karma=mean_karma, regime=result.regime)
     pop.day += 1
     return record
 
@@ -215,7 +202,6 @@ def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
         cost_star = model.societal_cost(x_star)
     else:
         x_star, cost_star = np.zeros(2), 0.0
-    pop.last_flows = x_star.copy()
     records = [simulate_day(pop, model, p, cost_star=cost_star or None)
                for _ in range(days)]
     hist, _ = quantize_population(pop.k, pop.k_ref, p, scenario.horizon)

@@ -1,13 +1,23 @@
 """Daily route equilibrium of a finite population.
 
-The equilibrium flow is the fixed point of the aggregate best response: each
-traveler picks a route assuming today's flows, and the assumed flows must
-reproduce themselves.  Because the individual rule depends on flows only
-through the sign of d1 - d2, the fixed-point iteration settles in one or two
-steps whenever the assumed ordering is confirmed.  When the population is
-wealthy enough that the aggregate response overloads the fast route, the
-equilibrium instead sits at the balanced flow (equal discomforts), realized
-by splitting the indifferent agents deterministically by agent index.
+The individual rule depends on today's flows only through the sign of
+d1 - d2, so the equilibrium is found in closed form rather than by
+iteration:
+
+1. One sweep of the d1 < d2 rule over the travelers.  If d1 < d2 still holds
+   at the resulting flows, they reproduce themselves: the day is
+   ``CONTROLLED``.
+2. Otherwise the equilibrium sits at the balanced flow (equal discomforts),
+   realized by splitting the indifferent travelers deterministically by
+   agent index: the day is ``UNCONTROLLED``.  The split is always feasible,
+   because the travelers the d1 < d2 rule sent fast are a subset of the
+   indifferent ones and already overload the fast route.
+3. If no balanced flow exists (d1 >= d2 even with an empty fast route),
+   every traveler takes the slow route, which is ``CONTROLLED``.
+
+Selection rule: a population can admit both a controlled and a balanced-flow
+equilibrium.  The controlled one is chosen whenever it exists, so the result
+depends only on today's population, never on an initial guess.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from math import floor
 import numpy as np
 
 from .agent import ARC1, ARC2, STAY, D1_LESS, best_response_batch, discomfort_order
-from .errors import ConvergenceError
 from .network import ArcCostModel, balanced_flow
 from .pricing import PriceVector
 
@@ -31,7 +40,6 @@ class WardropResult:
     flows: np.ndarray        # population shares (x1, x2)
     choices: np.ndarray      # per-agent STAY / ARC1 / ARC2
     regime: str
-    iterations: int
 
 
 def _flows_of(choices: np.ndarray) -> np.ndarray:
@@ -40,6 +48,24 @@ def _flows_of(choices: np.ndarray) -> np.ndarray:
         np.count_nonzero(choices == ARC1) / m,
         np.count_nonzero(choices == ARC2) / m,
     ])
+
+
+def _sweep(k, k_ref, s, traveling, order: str, p: PriceVector, horizon: int,
+           s_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the closed-form rule for ``order`` to every traveler.
+
+    Returns (flows, choices) with flows as empirical population shares.
+    """
+    k = np.asarray(k, dtype=float)
+    traveling = np.asarray(traveling, dtype=bool)
+    choices = np.full(k.shape, STAY, dtype=np.int8)
+    idx = np.flatnonzero(traveling)
+    if idx.size:
+        choices[idx] = best_response_batch(
+            k[idx], np.asarray(k_ref, dtype=float)[idx],
+            np.asarray(s, dtype=float)[idx], s_bar, p, horizon, order,
+        )
+    return _flows_of(choices), choices
 
 
 def aggregate_best_response(k, k_ref, s, traveling, x_assumed,
@@ -51,17 +77,8 @@ def aggregate_best_response(k, k_ref, s, traveling, x_assumed,
     closed-form rule to every traveler, and returns (flows, choices) with
     flows as empirical population shares.
     """
-    k = np.asarray(k, dtype=float)
-    traveling = np.asarray(traveling, dtype=bool)
     order = discomfort_order(model.discomfort(x_assumed))
-    choices = np.full(k.shape, STAY, dtype=np.int8)
-    idx = np.flatnonzero(traveling)
-    if idx.size:
-        choices[idx] = best_response_batch(
-            k[idx], np.asarray(k_ref, dtype=float)[idx],
-            np.asarray(s, dtype=float)[idx], s_bar, p, horizon, order,
-        )
-    return _flows_of(choices), choices
+    return _sweep(k, k_ref, s, traveling, order, p, horizon, s_bar)
 
 
 def _balanced_split(k, k_ref, traveling, target_x1: float, p: PriceVector,
@@ -73,7 +90,7 @@ def _balanced_split(k, k_ref, traveling, target_x1: float, p: PriceVector,
     agent-index order up to the target share, the rest go slow.  The fast
     count rounds down so the fast route never ends up the more congested
     one.  If there are too few indifferent travelers to reach the target,
-    the equal-discomfort equilibrium does not exist and the flag is False.
+    the flag is False.
     """
     m = k.size
     t, p1, r2 = horizon, p.p1, p.r2
@@ -88,51 +105,36 @@ def _balanced_split(k, k_ref, traveling, target_x1: float, p: PriceVector,
 
 
 def wardrop_equilibrium(k, k_ref, s, traveling, model: ArcCostModel,
-                        p: PriceVector, horizon: int, s_bar: float,
-                        x_init=None, tol: float = 1e-9, max_iter: int = 50,
-                        damping: float = 1.0) -> WardropResult:
+                        p: PriceVector, horizon: int,
+                        s_bar: float) -> WardropResult:
     """Daily equilibrium flows and per-agent assignments.
 
-    Iterates the aggregate best response from ``x_init`` (previous day's
-    flows, or the system optimum on day 0) until the flow update is below
-    ``tol``.  If an iterate enters the d1 >= d2 regime the equilibrium is the
-    balanced flow of today's realized demand: forced-slow agents are assigned
-    first and the indifferent ones are split to meet it.  ``damping`` in
-    (0, 1] blends successive iterates (1 = undamped).
+    Controlled whenever a d1 < d2 equilibrium exists, otherwise the balanced
+    flow of today's realized demand (see the module docstring).
     """
     k = np.asarray(k, dtype=float)
-    k_ref = np.asarray(k_ref, dtype=float)
-    s = np.asarray(s, dtype=float)
     traveling = np.asarray(traveling, dtype=bool)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     m = k.size
     demand = traveling.sum() / m
     if demand == 0.0:
         return WardropResult(np.zeros(2), np.full(m, STAY, dtype=np.int8),
-                             CONTROLLED, 0)
-    prev = np.asarray(x_init, dtype=float) if x_init is not None \
-        else np.array([0.0, demand])
+                             CONTROLLED)
 
-    for iteration in range(1, max_iter + 1):
-        order = discomfort_order(model.discomfort(prev))
-        if order != D1_LESS:
-            x_bal = balanced_flow(model, demand, tol=1e-9)
-            if x_bal is not None:
-                choices, feasible = _balanced_split(
-                    k, k_ref, traveling, float(x_bal[0]), p, horizon)
-                if feasible:
-                    return WardropResult(_flows_of(choices), choices,
-                                         UNCONTROLLED, iteration)
-            # no crossing, or too few solvent travelers to fill up to it:
-            # keep iterating with this ordering's rule instead
-        flows, choices = aggregate_best_response(
-            k, k_ref, s, traveling, prev, model, p, horizon, s_bar)
-        nxt = prev + damping * (flows - prev)
-        if np.abs(nxt - prev).max() <= tol:
-            return WardropResult(flows, choices, CONTROLLED, iteration)
-        prev = nxt
-    raise ConvergenceError(
-        f"no equilibrium within {max_iter} iterations; "
-        f"last iterates {prev.tolist()} -> {nxt.tolist()}"
-    )
+    flows, choices = _sweep(k, k_ref, s, traveling, D1_LESS, p, horizon, s_bar)
+    if discomfort_order(model.discomfort(flows)) == D1_LESS:
+        return WardropResult(flows, choices, CONTROLLED)
+
+    # a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
+    x_bal = balanced_flow(model, demand, tol=1e-9)
+    if x_bal is None:
+        # d1 >= d2 even on an empty fast route: the slow route dominates
+        choices = np.where(traveling, ARC2, STAY).astype(np.int8)
+        return WardropResult(_flows_of(choices), choices, CONTROLLED)
+    choices, feasible = _balanced_split(k, k_ref, traveling, float(x_bal[0]),
+                                        p, horizon)
+    if not feasible:
+        raise RuntimeError(
+            f"internal error: the d1 < d2 sweep overloads the fast route "
+            f"(x1 = {flows[0]}) but too few travelers are indifferent to "
+            f"reach the balanced share {float(x_bal[0])}")
+    return WardropResult(_flows_of(choices), choices, UNCONTROLLED)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,37 @@ class TestRunConfig:
         path2 = tmp_path / "cfg2.ini"
         again.to_ini(path2)
         assert RunConfig.from_ini(path2) == again
+
+    def test_unknown_section_or_key_rejected(self, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text("[scenario]\np_hom = 0.5\n")
+        with pytest.raises(ValueError, match=r"'p_hom'.*valid keys: p_home"):
+            RunConfig.from_ini(path)
+        path.write_text("[scenario]\np_home = 0.5\n[modle]\nalpha = 0.3\n")
+        with pytest.raises(ValueError,
+                           match=r"\[modle\].*scenario, model, pricing, run"):
+            RunConfig.from_ini(path)
+        path.write_text("[DEFAULT]\nseed = 1\n")
+        with pytest.raises(ValueError, match=r"\[DEFAULT\]"):
+            RunConfig.from_ini(path)
+        path.write_text("p_home = 0.5\n[scenario]\n")
+        with pytest.raises(ValueError, match="no section headers"):
+            RunConfig.from_ini(path)
+
+    def test_cli_reports_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "typo.ini"
+        path.write_text("[scenario]\np_hom = 0.5\n")
+        code = main(["run", "--config", str(path), "--days", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown key 'p_hom' in [scenario]" in capsys.readouterr().err
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert RunConfig.from_ini(path) == RunConfig()
 
     def test_validation_failures(self):
         with pytest.raises(ValueError):

@@ -102,11 +102,10 @@ class TestRunScenario:
             stay = rng.random(sc.n_agents) < sc.p_home
             s = EXP.sample(rng, sc.n_agents)
             res = wardrop_equilibrium(pop.k, pop.k_ref, s, ~stay, BPR, p,
-                                      sc.horizon, 1.0, x_init=pop.last_flows)
+                                      sc.horizon, 1.0)
             assert np.all(pop.k[res.choices == ARC1] >= p.p1)
             pop.k = np.where(res.choices == ARC1, pop.k - p.p1,
                              np.where(res.choices == ARC2, pop.k + p.r2, pop.k))
-            pop.last_flows = res.flows
 
     def test_karma_drains_while_uncontrolled(self):
         sc = scenario(seed=1, n_agents=1000, k_init=(300.0, 500.0))

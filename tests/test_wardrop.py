@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, STAY, ArcCostModel, PriceVector,
-                           SensitivitySpec, aggregate_best_response,
-                           balanced_flow, build_chain, equilibrium_flows,
-                           stationary_distribution, wardrop_equilibrium)
+from karma_routing import (ARC1, ARC2, STAY, AgentState, ArcCostModel,
+                           PriceVector, SensitivitySpec,
+                           aggregate_best_response, balanced_flow, build_chain,
+                           discomfort_order, equilibrium_flows, plan_oracle,
+                           stationary_distribution, thresholds,
+                           wardrop_equilibrium)
+from karma_routing.agent import D1_LESS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
 P = PriceVector(10, 14)
 T = 6
+D1_LESS_FLOWS = [0.5, 0.5]  # assumed flows at which BPR has d1 < d2
 
 
 def population(rng, m, k_low, k_high, ref_low=0.0, ref_high=100.0):
@@ -66,9 +71,8 @@ class TestAggregateBestResponse:
 
 
 class TestWardropEquilibrium:
-    def solve(self, k, k_ref, s, traveling, x_init=None, model=BPR):
-        return wardrop_equilibrium(k, k_ref, s, traveling, model, P, T, 1.0,
-                                   x_init=x_init)
+    def solve(self, k, k_ref, s, traveling, model=BPR):
+        return wardrop_equilibrium(k, k_ref, s, traveling, model, P, T, 1.0)
 
     def test_rich_population_lands_on_balanced_flow(self):
         m = 1000
@@ -76,7 +80,7 @@ class TestWardropEquilibrium:
         k, k_ref = population(rng, m, 300.0, 500.0)  # everyone wealthy
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
-        res = self.solve(k, k_ref, s, traveling, x_init=[0.56, 0.39])
+        res = self.solve(k, k_ref, s, traveling)
         assert res.regime == UNCONTROLLED
         demand = traveling.sum() / m
         xbar = balanced_flow(BPR, demand)
@@ -84,16 +88,20 @@ class TestWardropEquilibrium:
         assert res.flows[0] == pytest.approx(0.80, abs=0.02)
 
     def test_all_poor_immediate(self):
+        # the result is the single d1 < d2 sweep itself
         m = 500
         k_ref = np.full(m, 90.0)
         k = np.full(m, 12.0)
         s = np.random.default_rng(5).exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = self.solve(k, k_ref, s, traveling, x_init=[0.5, 0.5])
+        res = self.solve(k, k_ref, s, traveling)
         assert res.regime == CONTROLLED
         assert res.flows[0] == 0.0
         assert res.flows[1] == 1.0
-        assert res.iterations <= 2
+        x_sweep, choices_sweep = aggregate_best_response(
+            k, k_ref, s, traveling, D1_LESS_FLOWS, BPR, P, T, 1.0)
+        assert np.array_equal(res.flows, x_sweep)
+        assert np.array_equal(res.choices, choices_sweep)
 
     def test_stationary_population_reaches_chain_flows(self):
         chain = build_chain(P, T, 0.05, EXP)
@@ -105,8 +113,7 @@ class TestWardropEquilibrium:
         k = k_ref + chain.deviation_of_cell(cells).astype(float)
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
-        res = self.solve(k, np.full(m, k_ref), s, traveling,
-                         x_init=[0.56, 0.39])
+        res = self.solve(k, np.full(m, k_ref), s, traveling)
         assert res.regime == CONTROLLED
         assert np.allclose(res.flows, equilibrium_flows(chain, pe),
                            atol=6.0 / np.sqrt(m))
@@ -117,7 +124,7 @@ class TestWardropEquilibrium:
         k, k_ref = population(rng, m, 0.0, 200.0)
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
-        res = self.solve(k, k_ref, s, traveling, x_init=[0.56, 0.39])
+        res = self.solve(k, k_ref, s, traveling)
         assert res.regime == CONTROLLED
         x_again, choices_again = aggregate_best_response(
             k, k_ref, s, traveling, res.flows, BPR, P, T, 1.0)
@@ -132,19 +139,44 @@ class TestWardropEquilibrium:
             k, k_ref = population(rng, m, lo, hi)
             s = rng.exponential(1.0, m)
             traveling = rng.random(m) >= 0.05
-            res = self.solve(k, k_ref, s, traveling, x_init=[0.56, 0.39])
+            res = self.solve(k, k_ref, s, traveling)
             d = BPR.discomfort(res.flows)
             assert d[0] <= d[1] + 1e-6
 
-    def test_converges_within_a_few_iterations(self):
+    def test_equals_one_sweep_when_it_keeps_d1_less(self):
+        # controlled days are exactly one d1 < d2 sweep; the others are not
         rng = np.random.default_rng(9)
+        regimes = set()
         for lo, hi in [(0.0, 120.0), (100.0, 500.0)]:
             m = 1000
             k, k_ref = population(rng, m, lo, hi)
             s = rng.exponential(1.0, m)
             traveling = rng.random(m) >= 0.05
-            res = self.solve(k, k_ref, s, traveling, x_init=[0.56, 0.39])
-            assert res.iterations <= 5
+            res = self.solve(k, k_ref, s, traveling)
+            x_sweep, choices_sweep = aggregate_best_response(
+                k, k_ref, s, traveling, D1_LESS_FLOWS, BPR, P, T, 1.0)
+            kept = discomfort_order(BPR.discomfort(x_sweep)) == D1_LESS
+            assert (res.regime == CONTROLLED) == kept
+            if kept:
+                assert np.array_equal(res.flows, x_sweep)
+                assert np.array_equal(res.choices, choices_sweep)
+            regimes.add(res.regime)
+        assert regimes == {CONTROLLED, UNCONTROLLED}
+
+    def test_controlled_selected_whenever_it_exists(self):
+        # k = 80 sits in the middle band, so the d1 < d2 rule sends fast the
+        # travelers with s > s_bar: that split keeps d1 < d2, a controlled
+        # equilibrium.  The balanced flow (0.803, 0.197) is an equilibrium
+        # too (every traveler is above k_poor), but is not selected.
+        m = 1000
+        k = np.full(m, 80.0)
+        k_ref = np.full(m, 50.0)
+        s = np.random.default_rng(0).exponential(1.0, m)
+        traveling = np.ones(m, dtype=bool)
+        res = self.solve(k, k_ref, s, traveling)
+        assert res.regime == CONTROLLED
+        assert res.flows.tolist() == pytest.approx([0.379, 0.621], abs=1e-12)
+        assert balanced_flow(BPR, 1.0)[0] == pytest.approx(0.803, abs=1e-3)
 
     def test_balanced_split_is_deterministic_by_index(self):
         m = 1000
@@ -153,7 +185,7 @@ class TestWardropEquilibrium:
         k_ref = np.full(m, 50.0)
         s = rng.exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = self.solve(k, k_ref, s, traveling, x_init=[0.9, 0.1])
+        res = self.solve(k, k_ref, s, traveling)
         assert res.regime == UNCONTROLLED
         n_fast = int(np.count_nonzero(res.choices == ARC1))
         assert np.all(res.choices[:n_fast] == ARC1)
@@ -180,14 +212,77 @@ class TestWardropEquilibrium:
         k, k_ref = population(rng, m, 0.0, 300.0)
         s = rng.exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = wardrop_equilibrium(k, k_ref, s, traveling, flipped, P, T, 1.0,
-                                  x_init=[0.5, 0.5])
+        res = self.solve(k, k_ref, s, traveling, model=flipped)
         assert res.flows[1] == pytest.approx(1.0)
         assert res.regime == CONTROLLED
 
-    def test_damping_validation(self):
+    def test_solver_knobs_rejected(self):
+        # the closed form has no warm start, tolerance, budget or damping
         m = 4
-        with pytest.raises(ValueError):
-            wardrop_equilibrium(np.full(m, 50.0), np.full(m, 50.0),
-                                np.ones(m), np.ones(m, dtype=bool), BPR, P, T,
-                                1.0, damping=0.0)
+        args = (np.full(m, 50.0), np.full(m, 50.0), np.ones(m),
+                np.ones(m, dtype=bool), BPR, P, T, 1.0)
+        for knob in (dict(x_init=[0.5, 0.5]), dict(tol=1e-9),
+                     dict(max_iter=50), dict(damping=0.5)):
+            with pytest.raises(TypeError):
+                wardrop_equilibrium(*args, **knob)
+        assert not hasattr(wardrop_equilibrium(*args), "iterations")
+
+
+# crossing near x1 = 0.8, a crossing at lower demand, and no crossing
+MODELS = (BPR, ArcCostModel(d0=(1.0, 1.5), kappa=(0.3, 0.7)),
+          ArcCostModel(d0=(5.0, 1.0), alpha=0.0))
+
+
+@st.composite
+def day_inputs(draw):
+    """A random feasible day: population, prices, horizon, model and p_home."""
+    p = PriceVector(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    horizon = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 300))
+    p_home = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    k_high = draw(st.sampled_from([50.0, 200.0, 600.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_ref = rng.uniform(0.0, 100.0, m)
+    k = np.maximum(rng.uniform(0.0, k_high, m),
+                   np.maximum(0.0, k_ref - (horizon + 1) * p.r2))
+    s = rng.exponential(1.0, m)
+    traveling = rng.random(m) >= p_home
+    return k, k_ref, s, traveling, draw(st.sampled_from(MODELS)), p, horizon
+
+
+class TestEquilibriumProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(day=day_inputs())
+    def test_equilibrium_properties(self, day):
+        k, k_ref, s, traveling, model, p, horizon = day
+        m = k.size
+        res = wardrop_equilibrium(k, k_ref, s, traveling, model, p, horizon,
+                                  1.0)
+        # flows are the choice counts over M, and only travelers travel
+        assert res.flows[0] == np.count_nonzero(res.choices == ARC1) / m
+        assert res.flows[1] == np.count_nonzero(res.choices == ARC2) / m
+        assert np.all((res.choices == STAY) == ~traveling)
+        # the fast route, when used, is never the worse one
+        d = model.discomfort(res.flows)
+        assert res.flows[0] == 0.0 or d[0] <= d[1] + 1e-9
+
+        # regime: controlled exactly when the d1 < d2 sweep keeps d1 < d2,
+        # or when no balanced flow exists (the sweep's order comes from BPR)
+        x_sweep, _ = aggregate_best_response(
+            k, k_ref, s, traveling, D1_LESS_FLOWS, BPR, p, horizon, 1.0)
+        kept = discomfort_order(model.discomfort(x_sweep)) == D1_LESS
+        demand = traveling.sum() / m
+        crossing = demand > 0 and balanced_flow(model, demand) is not None
+        assert (res.regime == CONTROLLED) == (kept or not crossing)
+
+        # no traveler strictly improves by switching route
+        for i in np.flatnonzero(traveling):
+            state = AgentState(k[i], k_ref[i], s[i])
+            if res.regime == CONTROLLED:
+                # the two-stage plan at today's discomforts picks the route
+                assert plan_oracle(state, d, p, horizon, 1.0).choice \
+                    == res.choices[i]
+            elif res.choices[i] == ARC1:
+                # equal discomforts: any feasible route is optimal, and the
+                # fast route is feasible exactly from k_poor up
+                assert k[i] >= thresholds(k_ref[i], p, horizon).k_poor
