@@ -35,7 +35,10 @@ class AgentState:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Karma breakpoints of the best-response rule (for one k_ref)."""
+    """Karma breakpoints of the best-response rule.
+
+    Scalars for one k_ref, or per-agent arrays for an array of k_ref.
+    """
 
     k_inf: float
     k_poor: float
@@ -53,17 +56,46 @@ def discomfort_order(d) -> str:
     return D1_EQUAL
 
 
-def thresholds(k_ref: float, p: PriceVector, horizon: int) -> Thresholds:
+# The rule's breakpoints, each for a scalar or a per-agent array of k_ref.
+def k_inf(k_ref, p: PriceVector, horizon: int):
+    """Feasibility floor: below it no plan restores k_ref by the horizon's end."""
+    return np.maximum(0.0, k_ref - (horizon + 1) * p.r2)
+
+
+def k_poor(k_ref, p: PriceVector, horizon: int):
+    """Below it the agent must take the slow route (toll or reference binds)."""
+    return np.maximum(float(p.p1), k_ref + p.p1 - horizon * p.r2)
+
+
+def k_rich(k_ref, p: PriceVector, horizon: int):
+    """Above it the urgency threshold decays from s_bar toward zero."""
+    return k_ref + horizon * p.p1 - p.r2
+
+
+def k_wealthy(k_ref, p: PriceVector, horizon: int):
+    """At or above it the agent always takes the fast route."""
+    return k_ref + (horizon + 1) * p.p1
+
+
+def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
     """The four karma breakpoints for a given reference level and prices."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    t, p1, r2 = horizon, p.p1, p.r2
     return Thresholds(
-        k_inf=max(0.0, k_ref - (t + 1) * r2),
-        k_poor=max(float(p1), k_ref + p1 - t * r2),
-        k_rich=k_ref + t * p1 - r2,
-        k_wealthy=k_ref + (t + 1) * p1,
+        k_inf=k_inf(k_ref, p, horizon),
+        k_poor=k_poor(k_ref, p, horizon),
+        k_rich=k_rich(k_ref, p, horizon),
+        k_wealthy=k_wealthy(k_ref, p, horizon),
     )
+
+
+def urgency_threshold(k, th: Thresholds, s_bar: float, p: PriceVector):
+    """Sensitivity above which an agent in [k_poor, k_wealthy) goes fast.
+
+    s_bar below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which
+    decays linearly to zero at k_wealthy.
+    """
+    return np.where(k < th.k_rich, s_bar, s_bar * (th.k_wealthy - k) / p.total)
 
 
 def best_response(state: AgentState, th: Thresholds, s_bar: float,
@@ -89,11 +121,7 @@ def best_response(state: AgentState, th: Thresholds, s_bar: float,
         return ARC2
     if k >= th.k_wealthy:
         return ARC1
-    if k < th.k_rich:
-        threshold = s_bar
-    else:
-        threshold = s_bar * (th.k_wealthy - k) / p.total
-    return ARC1 if state.s > threshold else ARC2
+    return ARC1 if state.s > urgency_threshold(k, th, s_bar, p) else ARC2
 
 
 def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
@@ -102,20 +130,18 @@ def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
     k = np.asarray(k, dtype=float)
     k_ref = np.asarray(k_ref, dtype=float)
     s = np.asarray(s, dtype=float)
-    t, p1, r2 = horizon, p.p1, p.r2
-    k_inf = np.maximum(0.0, k_ref - (t + 1) * r2)
-    if np.any(k < k_inf):
-        bad = int(np.argmax(k < k_inf))
+    floor = k_inf(k_ref, p, horizon)
+    if np.any(k < floor):
+        bad = int(np.argmax(k < floor))
         raise InfeasibleKarmaError(
-            f"agent {bad}: karma {k[bad]} below feasibility floor {k_inf[bad]}"
+            f"agent {bad}: karma {k[bad]} below feasibility floor {floor[bad]}"
         )
     if order != D1_LESS:
         return np.full(k.shape, ARC2, dtype=np.int8)
-    k_poor = np.maximum(float(p1), k_ref + p1 - t * r2)
-    k_rich = k_ref + t * p1 - r2
-    k_wealthy = k_ref + (t + 1) * p1
-    thr = np.where(k < k_rich, s_bar, s_bar * (k_wealthy - k) / p.total)
-    fast = (k >= k_wealthy) | ((k >= k_poor) & (s > thr))
+    th = Thresholds(floor, k_poor(k_ref, p, horizon), k_rich(k_ref, p, horizon),
+                    k_wealthy(k_ref, p, horizon))
+    thr = urgency_threshold(k, th, s_bar, p)
+    fast = (k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr))
     return np.where(fast, ARC1, ARC2).astype(np.int8)
 
 

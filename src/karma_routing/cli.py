@@ -95,6 +95,11 @@ def cmd_analyze_chain(args) -> int:
     prices = config.prices()
     chain = build_chain(prices, config.horizon, config.p_home,
                         config.sensitivity())
+    if chain.p_home == 0.0 and args.trajectory_only and args.steps < prices.total:
+        print(f"error: --steps {args.steps} is shorter than one period "
+              f"p1 + r2 = {prices.total} of the chain, so its average would "
+              f"not remove the limit cycle", file=sys.stderr)
+        return 1
     out = _out_dir(args)
     save_matrix_coo(chain, out / "a_matrix.txt")
 

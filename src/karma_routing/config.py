@@ -43,7 +43,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field
 
-from .network import SOCIETAL_DISCOMFORT, SOCIETAL_FLOW, ArcCostModel, Scenario, system_optimum
+from .network import SOCIETAL_DISCOMFORT, ArcCostModel, Scenario, system_optimum
 from .pricing import PriceVector, conservation_prices, rationalize_prices
 from .sensitivity import EXPONENTIAL, SensitivitySpec
 
@@ -117,8 +117,6 @@ class RunConfig:
         """Instantiate every derived object so bad values fail early."""
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
-        if self.societal_cost not in (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW):
-            raise ValueError(f"unknown societal cost kind: {self.societal_cost!r}")
         if self.days < 1:
             raise ValueError("days must be >= 1")
         self.scenario()

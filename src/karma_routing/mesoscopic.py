@@ -3,16 +3,21 @@ closed-form best response.
 
 With integer prices, an agent's karma deviation from its reference moves on
 the integer lattice; under the d1 < d2 decision rule the reachable deviations
-span N = (T+1)*(p1+r2) cells, indexed 1-based as
+span N = (T+1)*(p1+r2) cells, indexed 0-based as
 
-    i = (k - k_ref) + T*r2 + 1,      i in [1, N],
+    i = (k - k_ref) + T*r2,      i in [0, N).
 
-partitioned into four bands mirroring the rule's breakpoints:
+The chain is the agent rule of `agent` laid onto that lattice: on the
+reference level k_ref = T*r2, cell i holds karma i, so the band edges are
+the breakpoints `thresholds(T*r2, p, T)` and the per-cell probabilities come
+from `urgency_threshold`:
 
-    poor     i in [1, p1]                          always slow
-    ok       i in [p1+1, T*p1+(T-1)*r2]            slow iff s < s_bar
-    rich     next p1+r2 cells                      slow iff s < decaying threshold
-    wealthy  top r2 cells                          always fast
+    poor     [0, k_poor)            always slow
+    ok       [k_poor, k_rich)       slow iff s <= s_bar
+    rich     [k_rich, k_wealthy)    slow iff s <= decaying threshold
+    wealthy  [k_wealthy, N)         always fast
+
+with widths p1, (T-1)*(p1+r2), p1+r2 and r2.
 
 The population-share vector P over cells evolves as P+ = A P with
 A = p_home*I + p_go*(A_chill + A_rush), where A_chill moves mass up by r2
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .agent import Thresholds, thresholds, urgency_threshold
 from .errors import ConvergenceError
 from .pricing import PriceVector
 from .sensitivity import SensitivitySpec
@@ -55,19 +61,20 @@ class KarmaChain:
 
     def band_slices(self) -> dict[str, slice]:
         """0-based cell ranges of the poor/ok/rich/wealthy bands."""
-        p1, r2, t = self.prices.p1, self.prices.r2, self.horizon
-        ok_hi = t * p1 + (t - 1) * r2
-        rich_hi = t * (p1 + r2) + p1
-        return {
-            "poor": slice(0, p1),
-            "ok": slice(p1, ok_hi),
-            "rich": slice(ok_hi, rich_hi),
-            "wealthy": slice(rich_hi, self.n_states),
-        }
+        th = _lattice_thresholds(self.prices, self.horizon)
+        edges = [int(e) for e in (0, th.k_poor, th.k_rich, th.k_wealthy,
+                                  self.n_states)]
+        return {band: slice(lo, hi) for band, lo, hi in
+                zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
 
     def deviation_of_cell(self, i) -> np.ndarray:
         """Karma deviation k - k_ref at the left edge of 0-based cell i."""
         return np.asarray(i) - self.horizon * self.prices.r2
+
+
+def _lattice_thresholds(p: PriceVector, horizon: int) -> Thresholds:
+    """Breakpoints on the reference level k_ref = T*r2, where cell i holds karma i."""
+    return thresholds(horizon * p.r2, p, horizon)
 
 
 def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
@@ -92,32 +99,24 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
         raise ValueError(
             f"chain requires the canonical orientation r2 >= p1, got ({p.p1}, {p.r2})"
         )
-    p1, r2, t = p.p1, p.r2, horizon
-    n = (t + 1) * (p1 + r2)
-    s_bar = sensitivity.s_bar
+    p1, r2 = p.p1, p.r2
+    n = (horizon + 1) * p.total
 
-    # per-state probability of taking the slow route, by band
-    ok_hi = t * p1 + (t - 1) * r2
-    rich_hi = t * (p1 + r2) + p1
-    cell = np.arange(1, n + 1)
-    chill = np.empty(n)
-    chill[: p1] = 1.0
-    chill[p1:ok_hi] = sensitivity.cdf(s_bar)
-    # distance to the wealthy breakpoint, in karma units, for rich cells
-    gap = t * (p1 + r2) + p1 + 1 - cell[ok_hi:rich_hi]
-    chill[ok_hi:rich_hi] = sensitivity.cdf(s_bar * gap / (p1 + r2))
-    chill[rich_hi:] = 0.0
+    # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
+    th = _lattice_thresholds(p, horizon)
+    cell = np.arange(n)
+    chill = sensitivity.cdf(urgency_threshold(cell, th, sensitivity.s_bar, p))
+    chill[cell < th.k_poor] = 1.0      # poor cells cannot pay the toll
+    chill[cell >= th.k_wealthy] = 0.0  # wealthy cells always go fast
     rush = 1.0 - chill
-    rush[: p1] = 0.0  # poor cells cannot pay the toll
 
-    src = np.arange(n)
     up = chill > 0.0
     a_chill = sp.csr_array(
-        (chill[up], (src[up] + r2, src[up])), shape=(n, n)
+        (chill[up], (cell[up] + r2, cell[up])), shape=(n, n)
     )
     down = rush > 0.0
     a_rush = sp.csr_array(
-        (rush[down], (src[down] - p1, src[down])), shape=(n, n)
+        (rush[down], (cell[down] - p1, cell[down])), shape=(n, n)
     )
     a = (p_home * sp.eye_array(n, format="csr")
          + (1.0 - p_home) * (a_chill + a_rush))
@@ -158,6 +157,8 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
             "be periodic -- use step_distribution trajectories or "
             "stationary_distribution_dense"
         )
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     dist = np.full(chain.n_states, 1.0 / chain.n_states)
     a = chain.a
     for _ in range(max_iter):

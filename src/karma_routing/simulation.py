@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import ARC1, ARC2
+from .agent import ARC1, ARC2, k_inf
 from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, system_optimum
 from .pricing import PriceVector
@@ -131,15 +131,14 @@ def init_population(scenario: Scenario, prices: PriceVector,
     if integer_karma:
         k_ref = np.floor(k_ref)
         k = np.floor(k)
-    k_inf = np.maximum(0.0, k_ref - (scenario.horizon + 1) * prices.r2)
-    n_clamped = int(np.count_nonzero(k < k_inf))
-    k = np.maximum(k, k_inf)
+    floor = k_inf(k_ref, prices, scenario.horizon)
+    n_clamped = int(np.count_nonzero(k < floor))
+    k = np.maximum(k, floor)
     return Population(scenario=scenario, prices=prices, k=k, k_ref=k_ref,
                       rng=rng, n_clamped_init=n_clamped)
 
 
-def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float,
-                    n_agents: int | None = None):
+def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float):
     """Per-day metrics: (delta_d, delta_s, mean_karma, cost).
 
     delta_d compares the realized sensitivity-weighted discomfort against a
@@ -151,7 +150,6 @@ def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float,
     choices = np.asarray(choices)
     s = np.asarray(s, dtype=float)
     k = np.asarray(k, dtype=float)
-    m = n_agents if n_agents is not None else choices.size
     cost = model.societal_cost(x)
     mean_karma = float(k.mean())
     travel = choices != 0
@@ -161,7 +159,7 @@ def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float,
     d_taken = np.where(choices[travel] == ARC1, d[0], d[1])
     s_t = s[travel]
     delta_d = float(((s_t - s_bar) * d_taken).sum() / (s_bar * d_taken).sum())
-    delta_s = float((s_t - s_bar).sum() / (m * s_bar))
+    delta_s = float((s_t - s_bar).sum() / (choices.size * s_bar))
     return delta_d, delta_s, mean_karma, cost
 
 
@@ -182,7 +180,7 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
                      np.where(choices == ARC2, pop.k + p.r2, pop.k))
 
     delta_d, delta_s, mean_karma, cost = compute_metrics(
-        choices, s, x, pop.k, model, s_bar, n_agents=m)
+        choices, s, x, pop.k, model, s_bar)
     ratio = cost / cost_star if cost_star else float("nan")
     record = DayRecord(day=pop.day, x1=float(x[0]), x2=float(x[1]), cost=cost,
                        cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,

@@ -27,7 +27,8 @@ from math import floor
 
 import numpy as np
 
-from .agent import ARC1, ARC2, STAY, D1_LESS, best_response_batch, discomfort_order
+from .agent import (ARC1, ARC2, STAY, D1_LESS, best_response_batch,
+                    discomfort_order, k_poor)
 from .network import ArcCostModel, balanced_flow
 from .pricing import PriceVector
 
@@ -93,11 +94,10 @@ def _balanced_split(k, k_ref, traveling, target_x1: float, p: PriceVector,
     the flag is False.
     """
     m = k.size
-    t, p1, r2 = horizon, p.p1, p.r2
-    k_poor = np.maximum(float(p1), np.asarray(k_ref, float) + p1 - t * r2)
     choices = np.full(m, STAY, dtype=np.int8)
     choices[traveling] = ARC2
-    indifferent = np.flatnonzero(traveling & (np.asarray(k, float) >= k_poor))
+    poor_edge = k_poor(np.asarray(k_ref, float), p, horizon)
+    indifferent = np.flatnonzero(traveling & (np.asarray(k, float) >= poor_edge))
     n_fast = floor(target_x1 * m + 1e-9)
     feasible = n_fast <= indifferent.size
     choices[indifferent[:n_fast]] = ARC1

@@ -65,6 +65,8 @@ class TestRunConfig:
             RunConfig(p_home=1.5).validate()
         with pytest.raises(ValueError):
             RunConfig(p1=0).validate()
+        with pytest.raises(ValueError, match="unknown societal cost kind"):
+            RunConfig(societal_cost="bogus").validate()
 
     def test_designed_prices_from_model(self):
         cfg = RunConfig(price_mode=PRICE_DESIGN, p_home=0.05, max_price=14)
@@ -159,6 +161,17 @@ class TestCli:
         assert (out / "trajectory.csv").exists()
         summary = json.loads((out / "chain_summary.json").read_text())
         assert summary["flow_ratio"] == pytest.approx(1.3, abs=1e-6)
+
+    @pytest.mark.parametrize("steps", ["5", "0"])
+    def test_analyze_chain_rejects_steps_below_period(self, tmp_path, capsys,
+                                                      steps):
+        # fig5 has p1 + r2 = 23: fewer steps cannot average out its cycle
+        out = tmp_path / "c"
+        code = main(["analyze-chain", "--preset", "fig5", "--trajectory-only",
+                     "--steps", steps, "--out", str(out)])
+        assert code == 1
+        assert "p1 + r2 = 23" in capsys.readouterr().err
+        assert not (out / "stationary.csv").exists()
 
     def test_design_prices_output(self, capsys):
         assert main(["design-prices", "--preset", "fig3"]) == 0

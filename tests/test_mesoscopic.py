@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ConvergenceError, PriceVector, SensitivitySpec,
-                           build_chain, equilibrium_flows, karma_cell,
-                           quantize_population, stationary_distribution,
+from karma_routing import (ARC1, AgentState, ConvergenceError, PriceVector,
+                           SensitivitySpec, build_chain, equilibrium_flows,
+                           karma_cell, plan_oracle, quantize_population,
+                           stationary_distribution,
                            stationary_distribution_dense, step_distribution)
 from karma_routing.mesoscopic import save_distribution_csv, save_matrix_coo
 
@@ -74,6 +75,43 @@ class TestBuildChain:
             build_chain(PriceVector(2, 3), 0, 0.05, EXP)
         with pytest.raises(ValueError):
             build_chain(PriceVector(2, 3), 3, 1.5, EXP)
+
+
+def oracle_switch(karma, p, horizon, s_bar, hi, steps=36):
+    """Sensitivity at which `plan_oracle` sends karma ``karma`` (with
+    k_ref = T*r2) from the slow to the fast route under d = (1, 2), by
+    bisection on [0, hi]; inf if it stays slow up to hi."""
+    def fast(s):
+        state = AgentState(float(karma), float(horizon * p.r2), s)
+        return plan_oracle(state, (1.0, 2.0), p, horizon, s_bar).choice == ARC1
+
+    if not fast(hi):
+        return np.inf
+    lo = 0.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fast(mid) else (mid, hi)
+    return hi
+
+
+class TestChainMatchesOracle:
+    @pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
+                                      SensitivitySpec.exponential(1.7),
+                                      SensitivitySpec.uniform(0.5, 2.5)],
+                             ids=["exp1", "exp1.7", "uni"])
+    @pytest.mark.parametrize("p, t", [(PriceVector(2, 3), 3),
+                                      (PriceVector(10, 14), 6),
+                                      (PriceVector(1, 1), 1),
+                                      (PriceVector(3, 7), 4)],
+                             ids=["2-3-T3", "10-14-T6", "1-1-T1", "3-7-T4"])
+    def test_chill_prob_is_cdf_of_oracle_switch(self, sens, p, t):
+        # cell i of the chain holds karma i on the reference level T*r2
+        ch = build_chain(p, t, 0.05, sens)
+        hi = 4.0 * sens.s_bar  # above every threshold of the rule
+        expect = [sens.cdf(oracle_switch(i, p, t, sens.s_bar, hi))
+                  for i in range(ch.n_states)]
+        assert np.abs(ch.chill_prob - np.array(expect)).max() <= 1e-9
+        assert np.array_equal(ch.rush_prob, 1.0 - ch.chill_prob)
 
 
 class TestStepDistribution:
@@ -146,6 +184,15 @@ class TestStationary:
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
         with pytest.raises(ConvergenceError):
             stationary_distribution(ch, tol=1e-13, max_iter=3)
+
+    def test_rejects_negative_or_nan_tol(self):
+        ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol"):
+                stationary_distribution(ch, tol=tol)
+        # an exact fixed point is reachable on fig3
+        pe = stationary_distribution(ch, tol=0.0)
+        assert np.abs(ch.a @ pe - pe).sum() == 0.0
 
     def test_geometric_decay_towards_equilibrium(self):
         # second eigenvalue strictly inside the unit circle when p_home > 0
