@@ -95,25 +95,7 @@ def cmd_analyze_chain(args) -> int:
     prices = config.prices()
     chain = build_chain(prices, config.horizon, config.p_home,
                         config.sensitivity())
-    if chain.p_home == 0.0 and args.trajectory_only and args.steps < prices.total:
-        print(f"error: --steps {args.steps} is shorter than one period "
-              f"p1 + r2 = {prices.total} of the chain, so its average would "
-              f"not remove the limit cycle", file=sys.stderr)
-        return 1
-    out = _out_dir(args)
-    save_matrix_coo(chain, out / "a_matrix.txt")
-
-    if chain.p_home > 0.0:
-        dist = stationary_distribution(chain, tol=args.tol)
-    elif args.trajectory_only:
-        dist = _trajectory_average(chain, out, steps=args.steps)
-    else:
-        print("error: stationary analysis needs p_home > 0 (the chain can be "
-              "periodic at p_home = 0); rerun with --trajectory-only",
-              file=sys.stderr)
-        return 1
-    save_distribution_csv(chain, dist, out / "stationary.csv")
-
+    dist = stationary_distribution(chain, tol=args.tol)
     residual = float(np.abs(step_distribution(chain, dist) - dist).sum())
     flows = equilibrium_flows(chain, dist)
     ratio = float(flows[0] / flows[1]) if flows[1] > 0 else float("nan")
@@ -128,6 +110,10 @@ def cmd_analyze_chain(args) -> int:
         "price_ratio_r2_over_p1": prices.r2 / prices.p1,
         "flow_ratio_error": abs(ratio - prices.r2 / prices.p1),
     }
+
+    out = _out_dir(args)
+    save_matrix_coo(chain, out / "a_matrix.txt")
+    save_distribution_csv(chain, dist, out / "stationary.csv")
     with open(out / "chain_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     print(f"wrote {out / 'a_matrix.txt'}, {out / 'stationary.csv'}, "
@@ -136,29 +122,6 @@ def cmd_analyze_chain(args) -> int:
           f"x1/x2 = {ratio:.9f} vs r2/p1 = {prices.r2 / prices.p1:.9f}; "
           f"residual = {residual:.2e}")
     return 0
-
-
-def _trajectory_average(chain, out: Path, steps: int) -> np.ndarray:
-    """Step from uniform, logging per-step flows; return a period average.
-
-    Averaging the final p1+r2 iterates removes the possible limit cycle of
-    the p_home = 0 chain.
-    """
-    dist = np.full(chain.n_states, 1.0 / chain.n_states)
-    period = chain.prices.total
-    tail = []
-    with open(out / "trajectory.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,x1,x2,residual_l1\n")
-        for step in range(steps):
-            nxt = step_distribution(chain, dist)
-            flows = equilibrium_flows(chain, dist)
-            fh.write(f"{step},{float(flows[0])!r},{float(flows[1])!r},"
-                     f"{float(np.abs(nxt - dist).sum())!r}\n")
-            dist = nxt
-            if step >= steps - period:
-                tail.append(dist)
-    avg = np.mean(tail, axis=0)
-    return avg / avg.sum()
 
 
 def cmd_design_prices(args) -> int:
@@ -228,11 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain = sub.add_parser("analyze-chain",
                              help="karma-distribution chain analysis")
     _add_common(p_chain, out_default="out", tol_default=1e-12)
-    p_chain.add_argument("--trajectory-only", action="store_true",
-                         help="allow p_home = 0 by stepping the chain "
-                              "instead of solving for the fixed point")
-    p_chain.add_argument("--steps", type=int, default=500,
-                         help="steps for --trajectory-only")
     p_chain.set_defaults(func=cmd_analyze_chain)
 
     p_prices = sub.add_parser("design-prices",

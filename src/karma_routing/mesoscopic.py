@@ -22,9 +22,10 @@ with widths p1, (T-1)*(p1+r2), p1+r2 and r2.
 The population-share vector P over cells evolves as P+ = A P with
 A = p_home*I + p_go*(A_chill + A_rush), where A_chill moves mass up by r2
 (slow route, reward) and A_rush moves it down by p1 (fast route, toll).
-A is column-stochastic by construction; for p_home > 0 its stationary
-distribution is the long-run karma distribution and the induced route shares
-split exactly as r2 : p1, which is what makes conservation prices optimal.
+A is column-stochastic by construction; for p_home < 1, independent of
+p_home, its stationary distribution is the long-run karma distribution and
+the induced route shares split exactly as r2 : p1, which is what makes
+conservation prices optimal.
 """
 
 from __future__ import annotations
@@ -147,16 +148,19 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
                             max_iter: int = 200_000) -> np.ndarray:
     """Fixed point of the dynamics by power iteration from uniform.
 
-    Requires p_home > 0 (the chain is then primitive and the fixed point is
-    the unique global attractor).  At p_home = 0 the dynamics can cycle;
-    analyze that case with trajectory stepping or the dense solver instead.
+    Stops once one step changes the distribution by at most `tol` in L1; a
+    chain that does not settle in `max_iter` steps raises ConvergenceError
+    and is never returned half-converged.  A = p_home*I + p_go*B, so for
+    p_home < 1 the fixed point is that of B and does not depend on p_home.
+    At p_home = 0 the chain can be periodic: both moves, +r2 and -p1, shift
+    the cell index by the same residue mod p1 + r2, so they only permute the
+    residue classes.  The uniform start gives every class the same mass,
+    so the periodic modes start at zero and stay there.
+
+    Where the fixed point is not unique, i.e. g = gcd(p1, r2) > 1, the g
+    sublattices of cells with equal index mod g never exchange mass; the
+    answer is the limit from uniform, which gives each sublattice mass 1/g.
     """
-    if chain.p_home <= 0.0:
-        raise ValueError(
-            "stationary analysis needs p_home > 0; at p_home = 0 the chain can "
-            "be periodic -- use step_distribution trajectories or "
-            "stationary_distribution_dense"
-        )
     if not tol >= 0.0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
     dist = np.full(chain.n_states, 1.0 / chain.n_states)
@@ -174,10 +178,9 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
 def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
     """Stationary distribution via a dense least-squares solve of (A - I)P = 0.
 
-    Cross-check for the power iteration; also covers p_home = 0, where the
-    chain may be periodic but (for co-prime prices) still has a unique
-    stationary distribution.  Intended for moderate sizes (a few hundred
-    cells).
+    Independent oracle for `stationary_distribution` in tests, at any
+    p_home.  The solve is unique only where the fixed point is (co-prime
+    prices, p_home < 1).  Intended for moderate sizes (a few hundred cells).
     """
     n = chain.n_states
     m = np.vstack([chain.a.toarray() - np.eye(n), np.ones((1, n))])

@@ -21,6 +21,7 @@ from .wardrop import UNCONTROLLED, wardrop_equilibrium
 
 RUN_CSV_COLUMNS = ["day", "x1", "x2", "cost", "cost_opt_ratio", "delta_d",
                    "delta_s", "mean_karma", "regime"]
+TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
 
 
 @dataclass
@@ -28,7 +29,6 @@ class Population:
     """Mutable state of the simulated agents plus the day loop's bookkeeping."""
 
     scenario: Scenario
-    prices: PriceVector
     k: np.ndarray
     k_ref: np.ndarray
     rng: np.random.Generator
@@ -60,12 +60,10 @@ class RunResult:
     prices: PriceVector
     scenario: Scenario
     n_clamped_init: int = 0
-    tail_fraction: float = 0.2
     summary: dict = field(default_factory=dict)
 
-    def tail_records(self, fraction: float | None = None) -> list[DayRecord]:
-        fraction = self.tail_fraction if fraction is None else fraction
-        n_tail = max(1, int(round(fraction * len(self.records))))
+    def tail_records(self) -> list[DayRecord]:
+        n_tail = max(1, int(round(TAIL_FRACTION * len(self.records))))
         return self.records[-n_tail:]
 
     def compute_summary(self) -> dict:
@@ -134,8 +132,8 @@ def init_population(scenario: Scenario, prices: PriceVector,
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
     k = np.maximum(k, floor)
-    return Population(scenario=scenario, prices=prices, k=k, k_ref=k_ref,
-                      rng=rng, n_clamped_init=n_clamped)
+    return Population(scenario=scenario, k=k, k_ref=k_ref, rng=rng,
+                      n_clamped_init=n_clamped)
 
 
 def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float):

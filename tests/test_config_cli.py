@@ -147,31 +147,28 @@ class TestCli:
         assert (out / "a_matrix.txt").exists()
         assert (out / "stationary.csv").exists()
 
-    def test_analyze_chain_refuses_p_home_zero(self, tmp_path, capsys):
-        code = main(["analyze-chain", "--preset", "fig5",
-                     "--out", str(tmp_path / "c")])
-        assert code == 1
-        assert "trajectory-only" in capsys.readouterr().err
-
-    def test_analyze_chain_trajectory_mode(self, tmp_path):
+    def test_analyze_chain_everyone_traveling(self, tmp_path):
         out = tmp_path / "c"
-        code = main(["analyze-chain", "--preset", "fig5", "--trajectory-only",
-                     "--steps", "600", "--out", str(out)])
+        code = main(["analyze-chain", "--preset", "fig5", "--out", str(out)])
         assert code == 0
-        assert (out / "trajectory.csv").exists()
         summary = json.loads((out / "chain_summary.json").read_text())
-        assert summary["flow_ratio"] == pytest.approx(1.3, abs=1e-6)
+        assert summary["p_home"] == 0.0
+        assert summary["flow_ratio"] == pytest.approx(1.3, abs=1e-9)
+        assert summary["residual_l1"] <= 1e-12
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a_matrix.txt", "chain_summary.json", "stationary.csv"]
 
-    @pytest.mark.parametrize("steps", ["5", "0"])
-    def test_analyze_chain_rejects_steps_below_period(self, tmp_path, capsys,
-                                                      steps):
-        # fig5 has p1 + r2 = 23: fewer steps cannot average out its cycle
+    def test_analyze_chain_solves_before_writing(self, tmp_path, capsys):
         out = tmp_path / "c"
-        code = main(["analyze-chain", "--preset", "fig5", "--trajectory-only",
-                     "--steps", steps, "--out", str(out)])
+        out.mkdir()
+        stale = out / "chain_summary.json"
+        stale.write_text('{"stale": true}')
+        code = main(["analyze-chain", "--preset", "fig3", "--tol", "-1",
+                     "--out", str(out)])
         assert code == 1
-        assert "p1 + r2 = 23" in capsys.readouterr().err
-        assert not (out / "stationary.csv").exists()
+        assert "tol" in capsys.readouterr().err
+        assert not (out / "a_matrix.txt").exists()
+        assert stale.read_text() == '{"stale": true}'
 
     def test_design_prices_output(self, capsys):
         assert main(["design-prices", "--preset", "fig3"]) == 0

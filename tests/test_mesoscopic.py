@@ -172,13 +172,36 @@ class TestStationary:
             pe = stationary_distribution(ch, tol=1e-12)
             assert np.abs(ch.a @ pe - pe).sum() <= 1e-10
 
-    def test_refuses_everyone_traveling(self):
-        ch = build_chain(PriceVector(10, 13), 6, 0.0, EXP)
-        with pytest.raises(ValueError, match="p_home"):
-            stationary_distribution(ch)
-        # the dense path still covers it
-        pe = stationary_distribution_dense(ch)
-        assert np.abs(ch.a @ pe - pe).sum() <= 1e-10
+    @pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
+                                      SensitivitySpec.uniform(0.5, 2.5)],
+                             ids=["exp1", "unif0.5-2.5"])
+    @pytest.mark.parametrize("t", [1, 3, 6], ids="T{}".format)
+    @pytest.mark.parametrize("p", [(1, 1), (2, 3), (3, 7), (10, 13), (7, 19)],
+                             ids="{0[0]}:{0[1]}".format)
+    def test_everyone_traveling_matches_dense(self, p, t, sens):
+        # at p_home = 0 the chain can be periodic; the uniform start has no
+        # periodic component, so the one power iteration still converges
+        ch = build_chain(PriceVector(*p), t, 0.0, sens)
+        pe = stationary_distribution(ch)
+        assert np.abs(pe - stationary_distribution_dense(ch)).sum() <= 1e-10
+
+    @pytest.mark.parametrize("p", [(2, 4), (6, 9), (10, 10)],
+                             ids="{0[0]}:{0[1]}".format)
+    def test_sublattices_share_mass_equally(self, p):
+        # gcd(p1, r2) = g > 1: the fixed point is not unique; the limit from
+        # uniform gives each of the g closed sublattices mass 1/g
+        price = PriceVector(*p)
+        g = np.gcd(price.p1, price.r2)
+        for ph in (0.0, 0.05):
+            pe = stationary_distribution(build_chain(price, 6, ph, EXP))
+            for j in range(g):
+                assert pe[j::g].sum() == pytest.approx(1 / g, abs=1e-12)
+
+    def test_fixed_point_independent_of_p_home(self):
+        p = PriceVector(10, 13)
+        a = stationary_distribution(build_chain(p, 6, 0.0, EXP))
+        b = stationary_distribution(build_chain(p, 6, 0.3, EXP))
+        assert np.abs(a - b).sum() <= 1e-9
 
     def test_nonconvergence_budget(self):
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)

@@ -124,7 +124,7 @@ class TestRunScenario:
     def test_converges_to_price_implied_flows(self):
         cfg = get_preset("fig3")
         res = run_scenario(cfg.scenario(), cfg.model(), cfg.prices(), 400)
-        tail = res.tail_records(0.2)
+        tail = res.tail_records()
         x1 = np.mean([r.x1 for r in tail])
         x2 = np.mean([r.x2 for r in tail])
         assert x1 == pytest.approx(0.95 * 14 / 24, abs=0.01)
