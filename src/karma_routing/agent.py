@@ -98,51 +98,60 @@ def urgency_threshold(k, th: Thresholds, s_bar: float, p: PriceVector):
     return np.where(k < th.k_rich, s_bar, s_bar * (th.k_wealthy - k) / p.total)
 
 
+def check_floor(k: np.ndarray, floor) -> None:
+    """Raise InfeasibleKarmaError naming the first agent below its floor."""
+    below = k < floor
+    if below.any():
+        bad = int(np.argmax(below))
+        raise InfeasibleKarmaError(
+            f"agent {bad}: karma {k[bad]} below feasibility floor "
+            f"{np.broadcast_to(floor, k.shape)[bad]}"
+        )
+
+
+def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
+    """The d1 < d2 rule as a mask: which agents take the fast route.
+
+    A traveler goes fast at or above k_wealthy, and between k_poor and
+    k_wealthy when its sensitivity s exceeds `urgency_threshold`; ties (s
+    equal to its threshold) go to the slow route.  ``th`` holds precomputed
+    breakpoints (scalars or per-agent arrays); k_inf is not read.
+    """
+    thr = urgency_threshold(k, th, s_bar, p)
+    return traveling & ((k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr)))
+
+
 def best_response(state: AgentState, th: Thresholds, s_bar: float,
                   p: PriceVector, order: str) -> int:
     """Closed-form optimal route for a traveling agent.
 
-    For d1 < d2 the rule is piecewise in karma: forced onto the slow route
-    below k_poor, a sensitivity coin-flip against s_bar in the middle band,
-    a linearly decaying sensitivity threshold in [k_rich, k_wealthy), and
-    forced onto the fast route above.  Ties (s equal to its threshold) go to
-    the slow route.  For d1 = d2 any route is optimal above k_poor; the slow
-    route is returned and equilibrium-level splitting is left to the caller.
-    For d1 > d2 the slow route dominates everywhere.
+    For d1 < d2 the rule is piecewise in karma (`fast_mask`): forced onto the
+    slow route below k_poor, a sensitivity coin-flip against s_bar in the
+    middle band, a linearly decaying sensitivity threshold in
+    [k_rich, k_wealthy), and forced onto the fast route above.  For d1 = d2
+    any route is optimal above k_poor; the slow route is returned and
+    equilibrium-level splitting is left to the caller.  For d1 > d2 the slow
+    route dominates everywhere.
     """
-    k = state.k
-    if k < th.k_inf:
+    if state.k < th.k_inf:
         raise InfeasibleKarmaError(
-            f"karma {k} below feasibility floor {th.k_inf}"
+            f"karma {state.k} below feasibility floor {th.k_inf}"
         )
     if order != D1_LESS:
         return ARC2
-    if k < th.k_poor:
-        return ARC2
-    if k >= th.k_wealthy:
-        return ARC1
-    return ARC1 if state.s > urgency_threshold(k, th, s_bar, p) else ARC2
+    return ARC1 if fast_mask(state.k, state.s, True, th, s_bar, p) else ARC2
 
 
 def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
                         horizon: int, order: str) -> np.ndarray:
     """Vectorized `best_response` over per-agent arrays (same tie-breaking)."""
     k = np.asarray(k, dtype=float)
-    k_ref = np.asarray(k_ref, dtype=float)
     s = np.asarray(s, dtype=float)
-    floor = k_inf(k_ref, p, horizon)
-    if np.any(k < floor):
-        bad = int(np.argmax(k < floor))
-        raise InfeasibleKarmaError(
-            f"agent {bad}: karma {k[bad]} below feasibility floor {floor[bad]}"
-        )
+    th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
+    check_floor(k, th.k_inf)
     if order != D1_LESS:
         return np.full(k.shape, ARC2, dtype=np.int8)
-    th = Thresholds(floor, k_poor(k_ref, p, horizon), k_rich(k_ref, p, horizon),
-                    k_wealthy(k_ref, p, horizon))
-    thr = urgency_threshold(k, th, s_bar, p)
-    fast = (k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr))
-    return np.where(fast, ARC1, ARC2).astype(np.int8)
+    return np.where(fast_mask(k, s, True, th, s_bar, p), ARC1, ARC2).astype(np.int8)
 
 
 @dataclass(frozen=True)

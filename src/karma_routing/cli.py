@@ -62,21 +62,26 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _strict_json(summary: dict) -> str:
+    """The summary as JSON; NaN or infinity raises ValueError."""
+    return json.dumps(summary, indent=2, allow_nan=False)
+
+
 def cmd_run(args) -> int:
     config = _resolve_config(args)
     prices = config.prices()
-    out = _out_dir(args)
     log.info("running %d days, M=%d, seed=%d, prices=(%d, -%d)",
              config.days, config.n_agents, config.seed, prices.p1, prices.r2)
     result = run_scenario(config.scenario(), config.model(), prices,
                           config.days)
+    summary = dict(result.summary)
+    summary["preset"] = config.preset
+    text = _strict_json(summary)
+    out = _out_dir(args)
     result.write_run_csv(out / "run.csv")
     result.write_karma_hist_csv(out / "karma_hist.csv")
     config.to_ini(out / "config.ini")
-    summary = dict(result.summary)
-    summary["preset"] = config.preset
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    (out / "summary.json").write_text(text, encoding="utf-8")
     print(f"wrote {out / 'run.csv'}, {out / 'karma_hist.csv'}, "
           f"{out / 'summary.json'}")
     print(f"prices: ({prices.p1}, -{prices.r2});  "
@@ -111,11 +116,12 @@ def cmd_analyze_chain(args) -> int:
         "flow_ratio_error": abs(ratio - prices.r2 / prices.p1),
     }
 
+    text = _strict_json(summary)
+
     out = _out_dir(args)
     save_matrix_coo(chain, out / "a_matrix.txt")
     save_distribution_csv(chain, dist, out / "stationary.csv")
-    with open(out / "chain_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    (out / "chain_summary.json").write_text(text, encoding="utf-8")
     print(f"wrote {out / 'a_matrix.txt'}, {out / 'stationary.csv'}, "
           f"{out / 'chain_summary.json'}")
     print(f"N = {chain.n_states}; flows = ({flows[0]:.6f}, {flows[1]:.6f}); "

@@ -119,6 +119,9 @@ class RunConfig:
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
         if self.days < 1:
             raise ValueError("days must be >= 1")
+        if self.p_home >= 1.0:
+            # nobody ever travels: no cost optimum, no flow ratio, no chain
+            raise ValueError(f"p_home must be < 1 for a run, got {self.p_home}")
         self.scenario()
         self.model()
         if self.price_mode == PRICE_FIXED:

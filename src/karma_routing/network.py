@@ -46,16 +46,23 @@ class ArcCostModel:
 
     def discomfort(self, x) -> np.ndarray:
         """Per-route discomfort d(x) at the flow pair x."""
-        x = as_flow(x)
-        d0 = np.asarray(self.d0)
-        kap = np.asarray(self.kappa)
-        return d0 * (1.0 + self.alpha * (x / kap) ** self.beta)
+        return self._discomfort(as_flow(x))
 
     def societal_cost(self, x) -> float:
         """Aggregate societal cost c(x)^T x."""
         x = as_flow(x)
+        return self._cost(x, self._discomfort(x))
+
+    def _discomfort(self, x: np.ndarray) -> np.ndarray:
+        """d(x) for a flow pair the caller has already validated."""
+        d0 = np.asarray(self.d0)
+        kap = np.asarray(self.kappa)
+        return d0 * (1.0 + self.alpha * (x / kap) ** self.beta)
+
+    def _cost(self, x: np.ndarray, d: np.ndarray) -> float:
+        """c(x)^T x from a validated flow pair x and its discomfort d = d(x)."""
         if self.societal_cost_kind == SOCIETAL_DISCOMFORT:
-            return float(self.discomfort(x) @ x)
+            return float(d @ x)
         return float(x @ x)
 
 
@@ -173,8 +180,8 @@ def balanced_flow(model: ArcCostModel, p_go: float, tol: float = 1e-6) -> np.nda
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def h(x1):
-        d = model.discomfort([x1, p_go - x1])
+    def h(x1):  # 0 <= x1 <= p_go <= 1, so the pair needs no validation
+        d = model._discomfort(np.array([x1, p_go - x1]))
         return float(d[0] - d[1])
 
     lo, hi = 0.0, p_go

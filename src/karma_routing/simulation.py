@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import ARC1, ARC2, k_inf
+from .agent import ARC1, STAY, Thresholds, k_inf, thresholds
 from .mesoscopic import quantize_population
-from .network import ArcCostModel, Scenario, system_optimum
+from .network import ArcCostModel, Scenario, as_flow, system_optimum
 from .pricing import PriceVector
-from .wardrop import UNCONTROLLED, wardrop_equilibrium
+from .wardrop import UNCONTROLLED, _equilibrium
 
 RUN_CSV_COLUMNS = ["day", "x1", "x2", "cost", "cost_opt_ratio", "delta_d",
                    "delta_s", "mean_karma", "regime"]
@@ -26,7 +26,12 @@ TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
 
 @dataclass
 class Population:
-    """Mutable state of the simulated agents plus the day loop's bookkeeping."""
+    """Mutable state of the simulated agents plus the day loop's bookkeeping.
+
+    The per-agent breakpoints of k_ref are cached on the first `simulate_day`
+    and rebuilt when that day's prices differ or ``k_ref`` is rebound to
+    another array; editing ``k_ref`` in place is not detected.
+    """
 
     scenario: Scenario
     k: np.ndarray
@@ -34,6 +39,18 @@ class Population:
     rng: np.random.Generator
     n_clamped_init: int = 0
     day: int = 0
+    _breakpoints: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def breakpoints(self, p: PriceVector) -> Thresholds:
+        """Per-agent breakpoints at prices p, built once and then cached."""
+        horizon = self.scenario.horizon
+        cached = self._breakpoints
+        if (cached is None or cached[0] != p or cached[1] != horizon
+                or cached[2] is not self.k_ref):
+            th = thresholds(np.asarray(self.k_ref, dtype=float), p, horizon)
+            cached = self._breakpoints = (p, horizon, self.k_ref, th)
+        return cached[3]
 
 
 @dataclass
@@ -146,43 +163,61 @@ def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float):
     sum_i (s_i - s_bar) / (M s_bar).  Both are None on days nobody travels.
     """
     choices = np.asarray(choices)
-    s = np.asarray(s, dtype=float)
-    k = np.asarray(k, dtype=float)
-    cost = model.societal_cost(x)
+    x = as_flow(x)
+    return _metrics(choices == ARC1, choices != STAY,
+                    np.asarray(s, dtype=float), x, model._discomfort(x),
+                    np.asarray(k, dtype=float), model, s_bar)
+
+
+def _metrics(fast, traveling, s, x, d, k, model: ArcCostModel, s_bar: float):
+    """`compute_metrics` from the fast and traveling masks and d = d(x)."""
+    cost = model._cost(x, d)
     mean_karma = float(k.mean())
-    travel = choices != 0
-    if not np.any(travel):
+    if not traveling.any():
         return None, None, mean_karma, cost
-    d = model.discomfort(x)
-    d_taken = np.where(choices[travel] == ARC1, d[0], d[1])
-    s_t = s[travel]
-    delta_d = float(((s_t - s_bar) * d_taken).sum() / (s_bar * d_taken).sum())
-    delta_s = float((s_t - s_bar).sum() / (choices.size * s_bar))
+    # summed over the gathered travelers, which fixes the sums' last bits;
+    # d_taken is d1 or d2 per traveler: products with a 0/1 mask are exact,
+    # and np.where branches per element, which is slow on a random mask
+    s_dev = s[traveling]
+    s_dev -= s_bar
+    fast_t = fast[traveling]
+    d_taken = fast_t * d[0]
+    d_taken += ~fast_t * d[1]
+    weight = (s_bar * d_taken).sum()
+    d_taken *= s_dev
+    delta_d = float(d_taken.sum() / weight)
+    delta_s = float(s_dev.sum() / (k.size * s_bar))
     return delta_d, delta_s, mean_karma, cost
 
 
 def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
                  cost_star: float | None = None) -> DayRecord:
-    """Advance the population by one day and record its metrics."""
+    """Advance the population by one day and record its metrics.
+
+    The equilibrium, the settlement and the metrics all read the day's
+    fast-route and traveling masks over all agents.
+    """
     sc = pop.scenario
     m = sc.n_agents
-    stay = pop.rng.random(m) < sc.p_home
+    traveling = pop.rng.random(m) >= sc.p_home
     s = sc.sensitivity.sample(pop.rng, m)  # draws for all agents; travelers use theirs
-    traveling = ~stay
     s_bar = sc.sensitivity.s_bar
 
-    result = wardrop_equilibrium(pop.k, pop.k_ref, s, traveling, model, p,
-                                 sc.horizon, s_bar)
-    x, choices = result.flows, result.choices
-    pop.k = np.where(choices == ARC1, pop.k - p.p1,
-                     np.where(choices == ARC2, pop.k + p.r2, pop.k))
+    fast, n1, n2, regime, d = _equilibrium(pop.k, s, traveling,
+                                           pop.breakpoints(p), model, p, s_bar)
+    # delta is exactly -p1, 0 or r2, so k + delta is k - p1, k or k + r2
+    delta = traveling * float(p.r2)
+    delta -= fast * float(p.total)
+    delta += pop.k
+    pop.k = k = delta
 
-    delta_d, delta_s, mean_karma, cost = compute_metrics(
-        choices, s, x, pop.k, model, s_bar)
+    x = np.array([n1 / m, n2 / m])
+    delta_d, delta_s, mean_karma, cost = _metrics(fast, traveling, s, x, d, k,
+                                                  model, s_bar)
     ratio = cost / cost_star if cost_star else float("nan")
-    record = DayRecord(day=pop.day, x1=float(x[0]), x2=float(x[1]), cost=cost,
+    record = DayRecord(day=pop.day, x1=n1 / m, x2=n2 / m, cost=cost,
                        cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,
-                       mean_karma=mean_karma, regime=result.regime)
+                       mean_karma=mean_karma, regime=regime)
     pop.day += 1
     return record
 

@@ -18,6 +18,11 @@ iteration:
 Selection rule: a population can admit both a controlled and a balanced-flow
 equilibrium.  The controlled one is chosen whenever it exists, so the result
 depends only on today's population, never on an initial guess.
+
+Both `wardrop_equilibrium` and `simulation.simulate_day` run one kernel,
+`_equilibrium`: boolean masks over all agents, read against per-agent
+breakpoints computed beforehand (`simulate_day` caches them on the
+population).
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from math import floor
 
 import numpy as np
 
-from .agent import (ARC1, ARC2, STAY, D1_LESS, best_response_batch,
-                    discomfort_order, k_poor)
+from .agent import (ARC1, ARC2, STAY, Thresholds, best_response_batch,
+                    check_floor, discomfort_order, fast_mask, thresholds)
 from .network import ArcCostModel, balanced_flow
 from .pricing import PriceVector
 
@@ -51,24 +56,6 @@ def _flows_of(choices: np.ndarray) -> np.ndarray:
     ])
 
 
-def _sweep(k, k_ref, s, traveling, order: str, p: PriceVector, horizon: int,
-           s_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the closed-form rule for ``order`` to every traveler.
-
-    Returns (flows, choices) with flows as empirical population shares.
-    """
-    k = np.asarray(k, dtype=float)
-    traveling = np.asarray(traveling, dtype=bool)
-    choices = np.full(k.shape, STAY, dtype=np.int8)
-    idx = np.flatnonzero(traveling)
-    if idx.size:
-        choices[idx] = best_response_batch(
-            k[idx], np.asarray(k_ref, dtype=float)[idx],
-            np.asarray(s, dtype=float)[idx], s_bar, p, horizon, order,
-        )
-    return _flows_of(choices), choices
-
-
 def aggregate_best_response(k, k_ref, s, traveling, x_assumed,
                             model: ArcCostModel, p: PriceVector, horizon: int,
                             s_bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -79,29 +66,66 @@ def aggregate_best_response(k, k_ref, s, traveling, x_assumed,
     flows as empirical population shares.
     """
     order = discomfort_order(model.discomfort(x_assumed))
-    return _sweep(k, k_ref, s, traveling, order, p, horizon, s_bar)
+    rule = best_response_batch(k, k_ref, s, s_bar, p, horizon, order)
+    choices = np.where(np.asarray(traveling, dtype=bool), rule, STAY)
+    choices = choices.astype(np.int8)
+    return _flows_of(choices), choices
 
 
-def _balanced_split(k, k_ref, traveling, target_x1: float, p: PriceVector,
-                    horizon: int) -> tuple[np.ndarray, bool]:
-    """Assignment realizing the balanced flow, plus a feasibility flag.
+def _balanced_split(k, traveling, k_poor, target_x1: float) -> np.ndarray | None:
+    """Fast-route mask realizing the balanced flow, or None if infeasible.
 
     Travelers below their k_poor breakpoint can only take the slow route;
     the remaining (indifferent) travelers are sent to the fast route in
     agent-index order up to the target share, the rest go slow.  The fast
     count rounds down so the fast route never ends up the more congested
-    one.  If there are too few indifferent travelers to reach the target,
-    the flag is False.
+    one.  None means too few indifferent travelers to reach the target.
     """
     m = k.size
-    choices = np.full(m, STAY, dtype=np.int8)
-    choices[traveling] = ARC2
-    poor_edge = k_poor(np.asarray(k_ref, float), p, horizon)
-    indifferent = np.flatnonzero(traveling & (np.asarray(k, float) >= poor_edge))
+    indifferent = np.flatnonzero(traveling & (k >= k_poor))
     n_fast = floor(target_x1 * m + 1e-9)
-    feasible = n_fast <= indifferent.size
-    choices[indifferent[:n_fast]] = ARC1
-    return choices, feasible
+    if n_fast > indifferent.size:
+        return None
+    fast = np.zeros(m, dtype=bool)
+    fast[indifferent[:n_fast]] = True
+    return fast
+
+
+def _equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
+                 th: Thresholds, model: ArcCostModel, p: PriceVector,
+                 s_bar: float) -> tuple[np.ndarray, int, int, str, np.ndarray]:
+    """The day's equilibrium as one pass of masks over all agents.
+
+    ``th`` holds the per-agent breakpoints.  Returns (fast, n1, n2, regime,
+    d): the fast-route mask, the fast and slow counts, the regime, and the
+    discomfort d at the flows (n1 / M, n2 / M).  Raises InfeasibleKarmaError
+    if an agent is below its feasibility floor.
+    """
+    check_floor(k, th.k_inf)
+    m = k.size
+    n_travel = int(np.count_nonzero(traveling))
+    fast = fast_mask(k, s, traveling, th, s_bar, p)
+    n1 = int(np.count_nonzero(fast))
+    d = model._discomfort(np.array([n1 / m, (n_travel - n1) / m]))
+    if n_travel == 0 or d[0] < d[1]:
+        return fast, n1, n_travel - n1, CONTROLLED, d
+
+    # a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
+    x_bal = balanced_flow(model, n_travel / m, tol=1e-9)
+    if x_bal is None:
+        # d1 >= d2 even on an empty fast route: the slow route dominates
+        fast, regime = np.zeros(m, dtype=bool), CONTROLLED
+    else:
+        regime = UNCONTROLLED
+        fast = _balanced_split(k, traveling, th.k_poor, float(x_bal[0]))
+        if fast is None:
+            raise RuntimeError(
+                f"internal error: the d1 < d2 sweep overloads the fast route "
+                f"(x1 = {n1 / m}) but too few travelers are indifferent to "
+                f"reach the balanced share {float(x_bal[0])}")
+    n1 = int(np.count_nonzero(fast))
+    d = model._discomfort(np.array([n1 / m, (n_travel - n1) / m]))
+    return fast, n1, n_travel - n1, regime, d
 
 
 def wardrop_equilibrium(k, k_ref, s, traveling, model: ArcCostModel,
@@ -114,27 +138,10 @@ def wardrop_equilibrium(k, k_ref, s, traveling, model: ArcCostModel,
     """
     k = np.asarray(k, dtype=float)
     traveling = np.asarray(traveling, dtype=bool)
+    th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
+    fast, n1, n2, regime, _ = _equilibrium(
+        k, np.asarray(s, dtype=float), traveling, th, model, p, s_bar)
+    choices = np.where(traveling, ARC2, STAY).astype(np.int8)
+    choices[fast] = ARC1
     m = k.size
-    demand = traveling.sum() / m
-    if demand == 0.0:
-        return WardropResult(np.zeros(2), np.full(m, STAY, dtype=np.int8),
-                             CONTROLLED)
-
-    flows, choices = _sweep(k, k_ref, s, traveling, D1_LESS, p, horizon, s_bar)
-    if discomfort_order(model.discomfort(flows)) == D1_LESS:
-        return WardropResult(flows, choices, CONTROLLED)
-
-    # a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
-    x_bal = balanced_flow(model, demand, tol=1e-9)
-    if x_bal is None:
-        # d1 >= d2 even on an empty fast route: the slow route dominates
-        choices = np.where(traveling, ARC2, STAY).astype(np.int8)
-        return WardropResult(_flows_of(choices), choices, CONTROLLED)
-    choices, feasible = _balanced_split(k, k_ref, traveling, float(x_bal[0]),
-                                        p, horizon)
-    if not feasible:
-        raise RuntimeError(
-            f"internal error: the d1 < d2 sweep overloads the fast route "
-            f"(x1 = {flows[0]}) but too few travelers are indifferent to "
-            f"reach the balanced share {float(x_bal[0])}")
-    return WardropResult(_flows_of(choices), choices, UNCONTROLLED)
+    return WardropResult(np.array([n1 / m, n2 / m]), choices, regime)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from karma_routing import PriceVector, RunConfig, get_preset
-from karma_routing.cli import main
+from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN
 from karma_routing.presets import apply_preset
 
@@ -63,6 +63,8 @@ class TestRunConfig:
             RunConfig(days=0).validate()
         with pytest.raises(ValueError):
             RunConfig(p_home=1.5).validate()
+        with pytest.raises(ValueError, match="p_home"):
+            RunConfig(p_home=1.0).validate()
         with pytest.raises(ValueError):
             RunConfig(p1=0).validate()
         with pytest.raises(ValueError, match="unknown societal cost kind"):
@@ -169,6 +171,24 @@ class TestCli:
         assert "tol" in capsys.readouterr().err
         assert not (out / "a_matrix.txt").exists()
         assert stale.read_text() == '{"stale": true}'
+
+    @pytest.mark.parametrize("command", ["run", "analyze-chain"])
+    def test_everyone_home_rejected(self, command, tmp_path, capsys):
+        # p_home = 1 has no optimum and no flow ratio; it used to write NaN
+        path = tmp_path / "home.ini"
+        path.write_text("[scenario]\np_home = 1.0\n[pricing]\np1 = 2\nr2 = 3\n")
+        out = tmp_path / "o"
+        code = main([command, "--config", str(path), "--days", "3",
+                     "--out", str(out)] if command == "run" else
+                    [command, "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "p_home" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_outputs_are_strict(self):
+        assert _strict_json({"x": 1.5}) == '{\n  "x": 1.5\n}'
+        with pytest.raises(ValueError):
+            _strict_json({"flow_ratio": float("nan")})
 
     def test_design_prices_output(self, capsys):
         assert main(["design-prices", "--preset", "fig3"]) == 0

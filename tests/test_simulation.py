@@ -1,17 +1,20 @@
+import copy
 import csv
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, ArcCostModel, PriceVector, Scenario,
-                           SensitivitySpec, compute_metrics, get_preset,
-                           init_population, run_scenario, simulate_day,
+from karma_routing import (ARC1, ARC2, STAY, AgentState, ArcCostModel,
+                           DayRecord, InfeasibleKarmaError, PriceVector,
+                           Scenario, SensitivitySpec, compute_metrics,
+                           get_preset, init_population, plan_oracle,
+                           run_scenario, simulate_day, thresholds,
                            wardrop_equilibrium)
 from karma_routing.simulation import RUN_CSV_COLUMNS
-from karma_routing.wardrop import UNCONTROLLED
+from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
@@ -154,6 +157,15 @@ GOLDEN_DIGESTS = {
     "fig6": "306d98d81df417c984e1983f8202f03010667e58d33716694aeba96e79844854",
     "fig3-rich": "a6888ad80f73f67397dc17e730fd24fcfe40ba16de11dcd7361ce1d5495feb66",
 }
+# sha256 of the repr of every DayRecord field, one row per day: this also
+# pins cost, cost_opt_ratio, delta_d, delta_s and mean_karma to the last bit,
+# so it depends on the platform's float power and summation as well.
+RECORD_DIGESTS = {
+    "fig3": "8d7708d8916b5d7a124826190e59fa36cb1bcf77dc450c91412a7e71f624ba2b",
+    "fig5": "7ab14b899dff4ff6be45f654f0e16776d3133fed50e7962ea2c9a8d07feb53d8",
+    "fig6": "38c9c9d2bcde6f86a8cd0fbb34dd5da3002b2d62a5206328a679a3dfaf266ced",
+    "fig3-rich": "37cc9dde1185c44d19f094eee9b58f55914d48e19639ac1df774a2f74a0c1014",
+}
 
 
 class TestGoldenDecisions:
@@ -173,6 +185,11 @@ class TestGoldenDecisions:
         h.update(",".join(str(int(c)) for c in res.karma_hist).encode())
         assert res.summary["uncontrolled_days"] == n_uncontrolled
         assert h.hexdigest() == GOLDEN_DIGESTS[case]
+        h = hashlib.sha256()
+        for r in res.records:
+            h.update((",".join(repr(getattr(r, f.name))
+                               for f in fields(DayRecord)) + "\n").encode())
+        assert h.hexdigest() == RECORD_DIGESTS[case]
 
 
 @st.composite
@@ -207,6 +224,88 @@ class TestDayInvariants:
             assert pop.k.sum() - k_before.sum() == p.r2 * n2 - p.p1 * n1
             assert set(np.unique(pop.k - k_before)) <= {-p.p1, 0, p.r2}
             assert np.all(pop.k >= floor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=small_runs())
+    def test_routes_match_oracle(self, run):
+        # each day's routes, read from the karma changes, against plan_oracle
+        sc, model, p, days = run
+        pop = init_population(sc, p)
+        s_bar = sc.sensitivity.s_bar
+        for _ in range(days):
+            k_before = pop.k.copy()
+            draws = copy.deepcopy(pop.rng)  # simulate_day's draws, replayed
+            traveling = draws.random(sc.n_agents) >= sc.p_home
+            s = sc.sensitivity.sample(draws, sc.n_agents)
+            rec = simulate_day(pop, model, p)
+            dk = pop.k - k_before
+            route = np.select([np.abs(dk + p.p1) <= 1e-9,
+                               np.abs(dk - p.r2) <= 1e-9, dk == 0.0],
+                              [ARC1, ARC2, STAY], default=-1)
+            assert np.array_equal(route != STAY, traveling)
+            d = model.discomfort([rec.x1, rec.x2])
+            for i in np.flatnonzero(traveling):
+                state = AgentState(k_before[i], pop.k_ref[i], s[i])
+                if rec.regime == CONTROLLED:
+                    assert plan_oracle(state, d, p, sc.horizon,
+                                       s_bar).choice == route[i]
+                elif route[i] == ARC1:
+                    th = thresholds(pop.k_ref[i], p, sc.horizon)
+                    assert k_before[i] >= th.k_poor
+
+
+def day_by_hand(pop, model, p, cost_star=None):
+    """The expected `simulate_day` record and karma from the public pieces:
+    the same draws, `wardrop_equilibrium`, settlement and `compute_metrics`."""
+    sc = pop.scenario
+    draws = copy.deepcopy(pop.rng)
+    traveling = draws.random(sc.n_agents) >= sc.p_home
+    s = sc.sensitivity.sample(draws, sc.n_agents)
+    res = wardrop_equilibrium(pop.k, pop.k_ref, s, traveling, model, p,
+                              sc.horizon, sc.sensitivity.s_bar)
+    k = np.where(res.choices == ARC1, pop.k - p.p1,
+                 np.where(res.choices == ARC2, pop.k + p.r2, pop.k))
+    dd, ds, mk, cost = compute_metrics(res.choices, s, res.flows, k, model,
+                                       sc.sensitivity.s_bar)
+    ratio = cost / cost_star if cost_star else float("nan")
+    record = DayRecord(pop.day, float(res.flows[0]), float(res.flows[1]),
+                       cost, ratio, dd, ds, mk, res.regime)
+    return record, k
+
+
+class TestBreakpointCache:
+    def run_days(self, pop, p, days, switch):
+        # each day must equal the public pieces with that day's inputs
+        for day in range(days):
+            if day == days // 2:
+                switch(pop)
+            expected, k = day_by_hand(pop, BPR, p(day), cost_star=1.5)
+            assert simulate_day(pop, BPR, p(day), cost_star=1.5) == expected
+            assert np.array_equal(pop.k, k)
+
+    def test_price_switch_mid_run(self):
+        pop = init_population(scenario(seed=21), PriceVector(10, 14))
+        self.run_days(pop, lambda day: PriceVector(10, 14) if day < 5
+                      else PriceVector(4, 30), 10, lambda pop: None)
+
+    def test_k_ref_rebound_mid_run(self):
+        pop = init_population(scenario(seed=22), PriceVector(10, 14))
+
+        def rebind(pop):
+            # a new array with k_ref in [40, 90], whose floor stays at 0
+            pop.k_ref = 0.5 * pop.k_ref + 40.0
+        self.run_days(pop, lambda day: PriceVector(10, 14), 10, rebind)
+
+    def test_karma_below_floor_raises(self):
+        sc = scenario(k_init=(0.0, 5.0), k_ref_init=(150.0, 200.0))
+        p = PriceVector(10, 14)
+        pop = init_population(sc, p)
+        simulate_day(pop, BPR, p)  # builds the cache
+        floor = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
+        pop.k = pop.k.copy()
+        pop.k[7] = floor[7] - 0.5
+        with pytest.raises(InfeasibleKarmaError, match="agent 7"):
+            simulate_day(pop, BPR, p)
 
 
 class TestMetrics:
