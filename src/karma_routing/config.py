@@ -32,6 +32,7 @@ The file format is plain key/value sections readable by `configparser`:
 
     [run]
     days = 500
+    preset = fig3                ; written only for a run from a preset
 
 Floats are written with `repr` so a written file reloads to identical values.
 A `;` starts a comment, also after a value.  An unknown section or key is an
@@ -122,6 +123,11 @@ class RunConfig:
         if self.p_home >= 1.0:
             # nobody ever travels: no cost optimum, no flow ratio, no chain
             raise ValueError(f"p_home must be < 1 for a run, got {self.p_home}")
+        if self.preset is not None:
+            from .presets import PRESETS  # presets is built on RunConfig
+            if self.preset not in PRESETS:
+                raise ValueError(f"unknown preset {self.preset!r}; "
+                                 f"available: {', '.join(sorted(PRESETS))}")
         self.scenario()
         self.model()
         if self.price_mode == PRICE_FIXED:
@@ -140,7 +146,7 @@ class RunConfig:
         "model": ["d0_1", "d0_2", "kappa_1", "kappa_2", "alpha", "beta",
                   "societal_cost"],
         "pricing": ["price_mode", "p1", "r2", "max_price"],
-        "run": ["days"],
+        "run": ["days", "preset"],
     }
 
     def to_ini(self, path) -> None:
@@ -149,7 +155,8 @@ class RunConfig:
         for section, keys in self._SECTIONS.items():
             parser[section] = {key: repr(values[key]) if
                                isinstance(values[key], float)
-                               else str(values[key]) for key in keys}
+                               else str(values[key]) for key in keys
+                               if values[key] is not None}
         with open(path, "w", encoding="utf-8") as fh:
             parser.write(fh)
 

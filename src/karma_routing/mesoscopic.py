@@ -26,10 +26,22 @@ A is column-stochastic by construction; for p_home < 1, independent of
 p_home, its stationary distribution is the long-run karma distribution and
 the induced route shares split exactly as r2 : p1, which is what makes
 conservation prices optimal.
+
+The stationary distribution is solved on the chain's cycles.  Both moves
+shift a cell's index by the same residue mod q = p1 + r2, so B = A_chill +
+A_rush carries residue class c onto class c + r2 through a bidiagonal map of
+its T+1 levels, and the q classes form g = gcd(p1, r2) cycles of q/g
+classes.  The fixed point of each cycle's return map, carried round the
+cycle and scaled to mass 1/q per class, is the stationary distribution; one
+step of power iteration certifies it.  Mass 1/q per class is the selection
+rule where the fixed point is not unique (g > 1: each of the g sublattices
+of cells with equal index mod g holds 1/g), and it leaves no periodic
+component at p_home = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,26 +156,80 @@ def step_distribution(chain: KarmaChain, dist) -> np.ndarray:
     return chain.a @ _check_distribution(chain, dist)
 
 
+def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
+    """Fixed point of B = A_chill + A_rush from its class-cycle return maps.
+
+    Cell i = c + m*q (q = p1 + r2) is level m of residue class c.  Both moves
+    send class c to class c + r2 mod q: +r2 to level m + w and -p1 to level
+    m + w - 1, where w = 1 iff c + r2 >= q.  So B maps the levels of class c
+    onto those of the next class through a bidiagonal step S_c, and the
+    classes form g = gcd(p1, r2) cycles of L = q/g steps.  A cycle's return
+    map S_{L-1}...S_0 gives its first class's vector; the prefix products
+    carry it round the cycle, and each class is scaled to mass 1/q.
+    """
+    p1, r2 = chain.prices.p1, chain.prices.r2
+    q, g = p1 + r2, math.gcd(p1, r2)
+    levels = chain.horizon + 1
+    classes = (np.arange(g)[:, None] + r2 * np.arange(q // g)) % q  # (g, L)
+    climbs = classes + r2 >= q
+    chill = chain.chill_prob.reshape(levels, q).T[classes]  # (g, L, levels)
+    rush = chain.rush_prob.reshape(levels, q).T[classes]
+    # poor cells never pay and wealthy cells never earn, so no mass leaves
+    if chill[climbs, -1].any() or rush[~climbs, 0].any():
+        raise ValueError("chain moves mass off its lattice of cells")
+    # S_c holds chill on its diagonal -w and rush on its diagonal 1 - w
+    w = climbs[..., None]
+    flat = np.zeros(classes.shape + (levels * levels,))
+    flat[..., ::levels + 1] = np.where(w, rush, chill)
+    flat[..., levels::levels + 1] = np.where(w, chill, 0.0)[..., :-1]
+    flat[..., 1::levels + 1] = np.where(w, 0.0, rush)[..., 1:]
+    prefix = flat.reshape(classes.shape + (levels, levels))
+    span = 1
+    while span < classes.shape[1]:  # Hillis-Steele scan: S_k...S_0 at step k
+        prefix[:, span:] = prefix[:, span:] @ prefix[:, :-span]
+        span *= 2
+    # stationary vector of the return map: (C - I) x = 0 with sum(x) = 1
+    system = prefix[:, -1] - np.eye(levels)
+    system[:, -1, :] = 1.0
+    rhs = np.zeros((g, levels, 1))
+    rhs[:, -1] = 1.0
+    start = np.linalg.solve(system, rhs)
+    by_level = np.empty((levels, q))
+    # step k of the cycle carries the start vector to class classes[k + 1]
+    by_level[:, np.roll(classes, -1, axis=1)] = (
+        (prefix @ start[:, None])[..., 0].transpose(2, 0, 1))
+    by_level = np.maximum(by_level, 0.0)
+    return (by_level / (q * by_level.sum(axis=0))).ravel()
+
+
 def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
                             max_iter: int = 200_000) -> np.ndarray:
-    """Fixed point of the dynamics by power iteration from uniform.
+    """Fixed point of the dynamics: solved on the class cycles, then polished.
 
-    Stops once one step changes the distribution by at most `tol` in L1; a
-    chain that does not settle in `max_iter` steps raises ConvergenceError
-    and is never returned half-converged.  A = p_home*I + p_go*B, so for
-    p_home < 1 the fixed point is that of B and does not depend on p_home.
-    At p_home = 0 the chain can be periodic: both moves, +r2 and -p1, shift
-    the cell index by the same residue mod p1 + r2, so they only permute the
-    residue classes.  The uniform start gives every class the same mass,
-    so the periodic modes start at zero and stay there.
+    A = p_home*I + p_go*B, so for p_home < 1 the fixed point is that of B and
+    does not depend on p_home; p_home = 1 makes every distribution fixed and
+    raises ValueError.  Both moves of B, +r2 and -p1, shift the cell index by
+    the same residue mod q = p1 + r2, so B carries each residue class onto
+    the next one along g = gcd(p1, r2) cycles; the start vector is the exact
+    fixed point of each cycle's return map, carried round the cycle (see
+    `_cycle_fixed_point`).  Power iteration from it then certifies the
+    result: it stops once one step changes the distribution by at most `tol`
+    in L1, and a chain that does not settle in `max_iter` steps raises
+    ConvergenceError and is never returned half-converged.
 
-    Where the fixed point is not unique, i.e. g = gcd(p1, r2) > 1, the g
-    sublattices of cells with equal index mod g never exchange mass; the
-    answer is the limit from uniform, which gives each sublattice mass 1/g.
+    Selection rule: every residue class holds mass 1/q, so each of the g
+    sublattices of cells with equal index mod g (which never exchange mass)
+    holds 1/g.  This is the limit of power iteration from uniform, and at
+    p_home = 0, where the chain can be periodic, it has no periodic
+    component.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    dist = np.full(chain.n_states, 1.0 / chain.n_states)
+    if chain.p_home >= 1.0:
+        raise ValueError(
+            f"p_home must be < 1 for a stationary distribution, got "
+            f"{chain.p_home}: A = I makes every distribution stationary")
+    dist = _cycle_fixed_point(chain)
     a = chain.a
     for _ in range(max_iter):
         nxt = a @ dist

@@ -69,6 +69,8 @@ class TestRunConfig:
             RunConfig(p1=0).validate()
         with pytest.raises(ValueError, match="unknown societal cost kind"):
             RunConfig(societal_cost="bogus").validate()
+        with pytest.raises(ValueError, match="unknown preset 'fig7'"):
+            RunConfig(preset="fig7").validate()
 
     def test_designed_prices_from_model(self):
         cfg = RunConfig(price_mode=PRICE_DESIGN, p_home=0.05, max_price=14)
@@ -125,6 +127,18 @@ class TestCli:
         lines = (out / "run.csv").read_text().splitlines()
         assert len(lines) == 7
         assert capsys.readouterr().out.startswith("wrote")
+
+    def test_run_replays_its_own_config(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", "--preset", "fig3", "--days", "6", "--seed", "4",
+                     "--out", str(first)]) == 0
+        assert "preset = fig3" in (first / "config.ini").read_text()
+        assert main(["run", "--config", str(first / "config.ini"),
+                     "--out", str(again)]) == 0
+        summary = json.loads((again / "summary.json").read_text())
+        assert summary["preset"] == "fig3"
+        for name in ("run.csv", "summary.json", "config.ini"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
     def test_run_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,8 +181,8 @@ class TestStationary:
     @pytest.mark.parametrize("p", [(1, 1), (2, 3), (3, 7), (10, 13), (7, 19)],
                              ids="{0[0]}:{0[1]}".format)
     def test_everyone_traveling_matches_dense(self, p, t, sens):
-        # at p_home = 0 the chain can be periodic; the uniform start has no
-        # periodic component, so the one power iteration still converges
+        # at p_home = 0 the chain can be periodic; the start vector gives
+        # every residue class mass 1/q, so it has no periodic component
         ch = build_chain(PriceVector(*p), t, 0.0, sens)
         pe = stationary_distribution(ch)
         assert np.abs(pe - stationary_distribution_dense(ch)).sum() <= 1e-10
@@ -188,8 +190,8 @@ class TestStationary:
     @pytest.mark.parametrize("p", [(2, 4), (6, 9), (10, 10)],
                              ids="{0[0]}:{0[1]}".format)
     def test_sublattices_share_mass_equally(self, p):
-        # gcd(p1, r2) = g > 1: the fixed point is not unique; the limit from
-        # uniform gives each of the g closed sublattices mass 1/g
+        # gcd(p1, r2) = g > 1: the fixed point is not unique; the selection
+        # rule gives each of the g closed sublattices mass 1/g
         price = PriceVector(*p)
         g = np.gcd(price.p1, price.r2)
         for ph in (0.0, 0.05):
@@ -203,10 +205,39 @@ class TestStationary:
         b = stationary_distribution(build_chain(p, 6, 0.3, EXP))
         assert np.abs(a - b).sum() <= 1e-9
 
+    @pytest.mark.parametrize("p, t, ph", [((199, 200), 12, 0.05),
+                                          ((78, 78), 6, 0.05),
+                                          ((10, 14), 6, 0.0)],
+                             ids=["199:200-T12", "78:78-T6", "10:14-T6-periodic"])
+    def test_start_is_the_fixed_point(self, p, t, ph):
+        # the class-cycle solve leaves a single polishing step to certify it
+        price = PriceVector(*p)
+        ch = build_chain(price, t, ph, EXP)
+        pe = stationary_distribution(ch, max_iter=2)
+        assert np.abs(ch.a @ pe - pe).sum() <= 1e-14
+        g = np.gcd(price.p1, price.r2)
+        for j in range(g):
+            assert pe[j::g].sum() == pytest.approx(1 / g, abs=1e-12)
+
     def test_nonconvergence_budget(self):
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
         with pytest.raises(ConvergenceError):
-            stationary_distribution(ch, tol=1e-13, max_iter=3)
+            stationary_distribution(ch, tol=0.0, max_iter=3)
+
+    def test_rejects_everyone_home(self):
+        # A = I: every distribution is stationary, so there is none to pick
+        ch = build_chain(PriceVector(2, 3), 3, 1.0, EXP)
+        with pytest.raises(ValueError, match="p_home"):
+            stationary_distribution(ch)
+
+    def test_rejects_mass_leaving_the_lattice(self):
+        # a top cell that could still earn r2 would step off the lattice
+        ch = build_chain(PriceVector(2, 3), 3, 0.05, EXP)
+        chill = ch.chill_prob.copy()
+        chill[-1] = 0.25
+        leaky = replace(ch, chill_prob=chill, rush_prob=1.0 - chill)
+        with pytest.raises(ValueError, match="lattice"):
+            stationary_distribution(leaky)
 
     def test_rejects_negative_or_nan_tol(self):
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
