@@ -63,8 +63,40 @@ def k_inf(k_ref, p: PriceVector, horizon: int):
 
 
 def k_poor(k_ref, p: PriceVector, horizon: int):
-    """Below it the agent must take the slow route (toll or reference binds)."""
-    return np.maximum(float(p.p1), k_ref + p.p1 - horizon * p.r2)
+    """Below it the agent must take the slow route (toll or reference binds).
+
+    The least float k >= p1 at which the budget constraint
+    k - k_ref - p1 + T*r2 >= 0 holds, evaluated left to right as
+    `plan_oracle` does.  Karma that moves in integer steps from k_inf lands
+    on this boundary exactly, and the closed form k_ref + p1 - T*r2 can miss
+    it by rounding.  Where it does, the boundary is found by bisection over
+    the floats within 4 ulps (at the operands' scale) of the closed form;
+    the constraint's own rounding error is below 2 of them.
+    """
+    k_ref = np.asarray(k_ref, dtype=float)
+    toll = float(p.p1)
+
+    def affordable(k, ref):
+        return k - ref - p.p1 + horizon * p.r2 >= 0
+
+    k = np.maximum(toll, k_ref + (p.p1 - horizon * p.r2)).reshape(-1)
+    ref = k_ref.reshape(-1)
+    below = np.nextafter(k, -np.inf)
+    off = np.flatnonzero(~affordable(k, ref)
+                         | ((below >= toll) & affordable(below, ref)))
+    if off.size:
+        ref = ref[off]
+        ulps = 4 * np.spacing(ref + 2 * p.p1 + horizon * p.r2)
+        # positive floats order like their int64 bit patterns
+        lo = np.maximum(toll, k[off] - ulps).view(np.int64)
+        hi = (k[off] + ulps).view(np.int64)
+        while np.any(lo < hi):
+            mid = lo + (hi - lo) // 2
+            ok = affordable(mid.view(float), ref)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid + 1)
+        k[off] = hi.view(float)
+    return k.reshape(k_ref.shape)[()]
 
 
 def k_rich(k_ref, p: PriceVector, horizon: int):

@@ -37,6 +37,35 @@ class TestThresholds:
         assert th.k_poor == 100 + 2 - 15
         assert th.k_inf == 100 - 18
 
+    def test_poor_breakpoint_rounding(self):
+        # (k_ref + 1) - 1 rounds one ulp above k_ref, where the budget
+        # constraint already holds: the agent at k = k_ref can go fast
+        k_ref, p = 3.651022309110887, PriceVector(1, 1)
+        assert (k_ref + 1) - 1 > k_ref
+        th = thresholds(k_ref, p, 1)
+        assert th.k_poor == k_ref
+        d = [1.06144, 2.19683]
+        state = AgentState(k_ref, k_ref, 1.2858477775042385)
+        assert plan_oracle(state, d, p, 1, SBAR).choice == ARC1
+        assert best_response(state, th, SBAR, p, D1_LESS) == ARC1
+
+    def test_poor_breakpoint_is_least_affordable_karma(self):
+        # k_ref just above T*r2 puts k_poor near p1, where k - k_ref rounds
+        # to the coarser grid of k_ref; scalar and per-agent results agree
+        rng = np.random.default_rng(5)
+        for p, t in ((PriceVector(1, 30), 10), (PriceVector(10, 14), 6),
+                     (PriceVector(19, 20), 11)):
+            k_ref = np.concatenate([t * p.r2 + rng.uniform(0, 3, 40),
+                                    rng.uniform(0, 500, 40)])
+            k_poor = thresholds(k_ref, p, t).k_poor
+            below = np.nextafter(k_poor, -np.inf)
+
+            def affordable(k):
+                return k - k_ref - p.p1 + t * p.r2 >= 0
+            assert np.all(affordable(k_poor) & (k_poor >= p.p1))
+            assert not np.any(affordable(below) & (below >= p.p1))
+            assert [thresholds(r, p, t).k_poor for r in k_ref] == list(k_poor)
+
 
 class TestBestResponse:
     def th(self, k_ref=50.0):
