@@ -22,10 +22,11 @@ with widths p1, (T-1)*(p1+r2), p1+r2 and r2.
 The population-share vector P over cells evolves as P+ = A P with
 A = p_home*I + p_go*(A_chill + A_rush), where A_chill moves mass up by r2
 (slow route, reward) and A_rush moves it down by p1 (fast route, toll).
-A is column-stochastic by construction; for p_home < 1, independent of
-p_home, its stationary distribution is the long-run karma distribution and
-the induced route shares split exactly as r2 : p1, which is what makes
-conservation prices optimal.
+A is stored as its three diagonals (-r2, 0, +p1).  A is column-stochastic
+by construction; for p_home < 1, independent of p_home, its stationary
+distribution is the long-run karma distribution and the induced route
+shares split exactly as r2 : p1, which is what makes conservation prices
+optimal.
 
 The stationary distribution is solved on the chain's cycles.  Both moves
 shift a cell's index by the same residue mod q = p1 + r2, so B = A_chill +
@@ -42,6 +43,7 @@ component at p_home = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +66,9 @@ class KarmaChain:
     n_states: int
     chill_prob: np.ndarray = field(repr=False)  # P(slow | travel, state j)
     rush_prob: np.ndarray = field(repr=False)   # P(fast | travel, state j)
-    a_chill: sp.csr_array = field(repr=False)
-    a_rush: sp.csr_array = field(repr=False)
-    a: sp.csr_array = field(repr=False)
+    a_chill: sp.dia_array = field(repr=False)
+    a_rush: sp.dia_array = field(repr=False)
+    a: sp.dia_array = field(repr=False)
 
     @property
     def p_go(self) -> float:
@@ -104,8 +106,8 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     that is tolled less than the slow route rewards); the opposite case is
     recovered by relabeling the routes.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     if not 0.0 <= p_home <= 1.0:
         raise ValueError("p_home must lie in [0, 1]")
     if p.r2 < p.p1:
@@ -123,20 +125,17 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     chill[cell >= th.k_wealthy] = 0.0  # wealthy cells always go fast
     rush = 1.0 - chill
 
-    up = chill > 0.0
-    a_chill = sp.csr_array(
-        (chill[up], (cell[up] + r2, cell[up])), shape=(n, n)
-    )
-    down = rush > 0.0
-    a_rush = sp.csr_array(
-        (rush[down], (cell[down] - p1, cell[down])), shape=(n, n)
-    )
-    a = (p_home * sp.eye_array(n, format="csr")
-         + (1.0 - p_home) * (a_chill + a_rush))
+    # column j of a diagonal holds the probability of leaving cell j by that
+    # move; ascending offsets make A @ v add each row's terms in column
+    # order, as a CSR product does
+    p_go = 1.0 - p_home
+    a = sp.dia_array((np.stack([p_go * chill, np.full(n, p_home), p_go * rush]),
+                      [-r2, 0, p1]), shape=(n, n))
     return KarmaChain(
         prices=p, horizon=horizon, p_home=p_home, sensitivity=sensitivity,
         n_states=n, chill_prob=chill, rush_prob=rush,
-        a_chill=a_chill, a_rush=a_rush, a=sp.csr_array(a),
+        a_chill=sp.dia_array((chill[None], [-r2]), shape=(n, n)),
+        a_rush=sp.dia_array((rush[None], [p1]), shape=(n, n)), a=a,
     )
 
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ARC1, AgentState, ConvergenceError, PriceVector,
@@ -77,6 +78,48 @@ class TestBuildChain:
             build_chain(PriceVector(2, 3), 0, 0.05, EXP)
         with pytest.raises(ValueError):
             build_chain(PriceVector(2, 3), 3, 1.5, EXP)
+        for horizon in (2.5, 3.0):
+            with pytest.raises(ValueError, match="horizon"):
+                build_chain(PriceVector(2, 3), horizon, 0.05, EXP)
+        assert build_chain(PriceVector(2, 3), np.int64(3), 0.05, EXP).n_states == 20
+
+    @pytest.mark.parametrize("p", [(2, 3), (10, 14), (78, 78)])
+    @pytest.mark.parametrize("t", [1, 6])
+    @pytest.mark.parametrize("ph", [0.0, 0.05])
+    def test_matrices_match_loop_construction(self, p, t, ph, tmp_path):
+        ch = build_chain(PriceVector(*p), t, ph, EXP)
+        p1, r2 = p
+        n = ch.n_states
+        chill = np.zeros((n, n))
+        rush = np.zeros((n, n))
+        a = np.zeros((n, n))
+        for j in range(n):
+            a[j, j] = ph
+            if ch.chill_prob[j] > 0.0:
+                chill[j + r2, j] = ch.chill_prob[j]
+                a[j + r2, j] = (1.0 - ph) * ch.chill_prob[j]
+            if ch.rush_prob[j] > 0.0:
+                rush[j - p1, j] = ch.rush_prob[j]
+                a[j - p1, j] = (1.0 - ph) * ch.rush_prob[j]
+        assert np.array_equal(ch.a_chill.toarray(), chill)
+        assert np.array_equal(ch.a_rush.toarray(), rush)
+        assert np.array_equal(ch.a.toarray(), a)
+
+        # the same products as CSR from the same coordinates, bit for bit
+        rows, cols = np.nonzero(a)
+        csr = sp.csr_array((a[rows, cols], (rows, cols)), shape=(n, n))
+        v = np.random.default_rng(0).random(n)
+        v /= v.sum()
+        assert np.array_equal(ch.a @ v, csr @ v)
+
+        # one line per positive entry in (row, column) order; at p_home = 0
+        # there is no diagonal line although the diagonal is stored
+        path = tmp_path / "a.txt"
+        save_matrix_coo(ch, path)
+        written = [line.split() for line in path.read_text().splitlines()]
+        assert [(int(r) - 1, int(c) - 1) for r, c, _ in written] == list(zip(rows, cols))
+        assert all(float(val) > 0.0 for _, _, val in written)
+        assert any(r == c for r, c, _ in written) == (ph > 0.0)
 
 
 def oracle_switch(karma, p, horizon, s_bar, hi, steps=36):
