@@ -121,13 +121,19 @@ def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
     )
 
 
+def _decaying_threshold(k, k_wealthy, s_bar: float, p: PriceVector):
+    """The rich band's threshold: decays linearly from s_bar to 0 at k_wealthy."""
+    return s_bar * (k_wealthy - k) / p.total
+
+
 def urgency_threshold(k, th: Thresholds, s_bar: float, p: PriceVector):
     """Sensitivity above which an agent in [k_poor, k_wealthy) goes fast.
 
     s_bar below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which
     decays linearly to zero at k_wealthy.
     """
-    return np.where(k < th.k_rich, s_bar, s_bar * (th.k_wealthy - k) / p.total)
+    return np.where(k < th.k_rich, s_bar,
+                    _decaying_threshold(k, th.k_wealthy, s_bar, p))
 
 
 def check_floor(k: np.ndarray, floor) -> None:
@@ -148,9 +154,20 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     k_wealthy when its sensitivity s exceeds `urgency_threshold`; ties (s
     equal to its threshold) go to the slow route.  ``th`` holds precomputed
     breakpoints (scalars or per-agent arrays); k_inf is not read.
+
+    The threshold is split by band rather than selected per agent: each
+    agent's comparison is taken in both bands and the rich mask keeps one,
+    which reads the same as `urgency_threshold` without a per-element
+    branch.  Scalars give a scalar.
     """
-    thr = urgency_threshold(k, th, s_bar, p)
-    return traveling & ((k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr)))
+    rich = k >= th.k_rich
+    go = s > _decaying_threshold(k, th.k_wealthy, s_bar, p)
+    go &= rich
+    go |= np.greater(s > s_bar, rich)  # s > s_bar and not rich
+    go &= k >= th.k_poor
+    go |= k >= th.k_wealthy
+    go &= traveling
+    return go
 
 
 def best_response(state: AgentState, th: Thresholds, s_bar: float,

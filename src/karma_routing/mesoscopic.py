@@ -106,7 +106,8 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     that is tolled less than the slow route rewards); the opposite case is
     recovered by relabeling the routes.
     """
-    if not isinstance(horizon, numbers.Integral) or horizon < 1:
+    if (not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool)
+            or horizon < 1):
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     if not 0.0 <= p_home <= 1.0:
         raise ValueError("p_home must lie in [0, 1]")

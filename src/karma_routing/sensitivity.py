@@ -62,6 +62,11 @@ class SensitivitySpec:
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` i.i.d. draws; the same stream and values as
+        ``rng.exponential(mean, size)`` or ``rng.uniform(low, high, size)``."""
         if self.kind == EXPONENTIAL:
-            return rng.exponential(self.mean, size)
+            # exponential(mean) is mean * standard_exponential, value for value
+            s = rng.standard_exponential(size)
+            s *= self.mean
+            return s
         return rng.uniform(self.low, self.high, size)

@@ -164,25 +164,25 @@ def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float):
     """
     choices = np.asarray(choices)
     x = as_flow(x)
-    return _metrics(choices == ARC1, choices != STAY,
+    traveling = choices != STAY
+    return _metrics(choices == ARC1, traveling, np.count_nonzero(traveling),
                     np.asarray(s, dtype=float), x, model._discomfort(x),
                     np.asarray(k, dtype=float), model, s_bar)
 
 
-def _metrics(fast, traveling, s, x, d, k, model: ArcCostModel, s_bar: float):
-    """`compute_metrics` from the fast and traveling masks and d = d(x)."""
+def _metrics(fast, traveling, n_travel: int, s, x, d, k, model: ArcCostModel,
+             s_bar: float):
+    """`compute_metrics` from the route masks, the traveler count and d(x)."""
     cost = model._cost(x, d)
     mean_karma = float(k.mean())
-    if not traveling.any():
+    if not n_travel:
         return None, None, mean_karma, cost
     # summed over the gathered travelers, which fixes the sums' last bits;
-    # d_taken is d1 or d2 per traveler: products with a 0/1 mask are exact,
-    # and np.where branches per element, which is slow on a random mask
+    # d_taken is d1 or d2 per traveler, looked up in (d2, d1) by the fast
+    # flag as an index
     s_dev = s[traveling]
     s_dev -= s_bar
-    fast_t = fast[traveling]
-    d_taken = fast_t * d[0]
-    d_taken += ~fast_t * d[1]
+    d_taken = d[::-1].take(fast[traveling].view(np.uint8))
     weight = (s_bar * d_taken).sum()
     d_taken *= s_dev
     delta_d = float(d_taken.sum() / weight)
@@ -212,8 +212,8 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     pop.k = k = delta
 
     x = np.array([n1 / m, n2 / m])
-    delta_d, delta_s, mean_karma, cost = _metrics(fast, traveling, s, x, d, k,
-                                                  model, s_bar)
+    delta_d, delta_s, mean_karma, cost = _metrics(fast, traveling, n1 + n2, s,
+                                                  x, d, k, model, s_bar)
     ratio = cost / cost_star if cost_star else float("nan")
     record = DayRecord(day=pop.day, x1=n1 / m, x2=n2 / m, cost=cost,
                        cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from karma_routing import (ARC1, ARC2, STAY, AgentState, InfeasibleKarmaError,
                            InsufficientKarmaError, PriceVector, apply_choice,
                            best_response, best_response_batch, plan_oracle,
                            thresholds)
-from karma_routing.agent import D1_EQUAL, D1_GREATER, D1_LESS, discomfort_order
+from karma_routing.agent import (D1_EQUAL, D1_GREATER, D1_LESS,
+                                 Thresholds, discomfort_order, fast_mask)
 
 P_FIG3 = PriceVector(10, 14)
 SBAR = 1.0
@@ -144,6 +146,74 @@ class TestBestResponse:
     def test_batch_raises_on_infeasible(self):
         with pytest.raises(InfeasibleKarmaError):
             best_response_batch([0.0], [200.0], [1.0], SBAR, P_FIG3, 6, D1_LESS)
+
+
+def neighbours(v):
+    """v and the floats one ulp either side of it, stacked on a new axis 0."""
+    v = np.asarray(v, dtype=float)
+    return np.stack([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+class TestBandEdges:
+    """`fast_mask` against the threshold selected per agent, at the edges.
+
+    The reference is the rule as `urgency_threshold` states it: s against
+    s_bar below k_rich and against the decaying threshold from k_rich on.
+    Off-lattice references make the decaying threshold at k_rich differ from
+    s_bar in its last bits, so either comparison taken on the wrong side of
+    k_rich, or a tie sent fast, shows as a mismatch.
+    """
+
+    S_BAR = 1.3
+    K_REFS = (0.0, 37.3, 101.77, 0.1)
+
+    @staticmethod
+    def reference(k, s, th, s_bar, p):
+        thr = np.where(k < th.k_rich, s_bar, s_bar * (th.k_wealthy - k) / p.total)
+        return (k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr))
+
+    def edge_points(self, p, t):
+        """(k, k_ref, s, th) at every breakpoint and threshold edge, +-1 ulp.
+
+        th holds the breakpoints of each point's k_ref.
+        """
+        k_ref = np.array(self.K_REFS)
+        th = thresholds(k_ref, p, t)
+        k = neighbours([th.k_poor, th.k_rich, th.k_wealthy])
+        k = k.reshape(9, k_ref.size)
+        tail = self.S_BAR * (th.k_wealthy - k) / p.total
+        s = np.stack([neighbours(np.broadcast_to(v, k.shape))
+                      for v in (0.0, self.S_BAR, tail)])
+        s = s.reshape(9, *k.shape)  # (s edge, k edge, k_ref)
+        k, s, *per_point = np.broadcast_arrays(k, s, k_ref, *astuple(th))
+        k_ref, *th = (v.ravel() for v in per_point)
+        return k.ravel(), k_ref, s.ravel(), Thresholds(*th)
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_mask_matches_selected_threshold(self, t):
+        mismatches = 0
+        checked = 0
+        for p1 in range(1, 21):
+            for r2 in range(1, 21):
+                p = PriceVector(p1, r2)
+                k, k_ref, s, th = self.edge_points(p, t)
+                ref = self.reference(k, s, th, self.S_BAR, p)
+                mask = fast_mask(k, s, True, th, self.S_BAR, p)
+                mismatches += np.count_nonzero(mask != ref)
+                feasible = k >= th.k_inf
+                batch = best_response_batch(
+                    k[feasible], k_ref[feasible], s[feasible], self.S_BAR, p,
+                    t, D1_LESS)
+                mismatches += np.count_nonzero((batch == ARC1) != ref[feasible])
+                checked += k.size
+                if (p1 + r2) % 14 == 0:  # scalar calls on 1 pair in 14
+                    th_of = {r: thresholds(r, p, t) for r in self.K_REFS}
+                    for i in range(k.size):
+                        go = fast_mask(k[i], s[i], True, th_of[k_ref[i]],
+                                       self.S_BAR, p)
+                        mismatches += bool(go) != ref[i]
+        assert checked == 400 * len(self.K_REFS) * 81
+        assert mismatches == 0
 
 
 class TestPlanOracle:

@@ -81,6 +81,8 @@ class TestBuildChain:
         for horizon in (2.5, 3.0):
             with pytest.raises(ValueError, match="horizon"):
                 build_chain(PriceVector(2, 3), horizon, 0.05, EXP)
+        with pytest.raises(ValueError, match="horizon"):
+            build_chain(PriceVector(2, 3), True, 0.05, EXP)
         assert build_chain(PriceVector(2, 3), np.int64(3), 0.05, EXP).n_states == 20
 
     @pytest.mark.parametrize("p", [(2, 3), (10, 14), (78, 78)])
@@ -410,3 +412,24 @@ def test_sensitivity_cdf_edges():
     assert uni.cdf(1.0) == 0.5
     assert uni.cdf(5.0) == 1.0
     assert uni.s_bar == 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 10_000])
+@pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
+                                  SensitivitySpec.exponential(1.3),
+                                  SensitivitySpec.exponential(0.7),
+                                  SensitivitySpec.uniform(0.5, 2.5)],
+                         ids=["exp1.0", "exp1.3", "exp0.7", "uni0.5-2.5"])
+def test_sensitivity_sample_stream(sens, n):
+    # the draws and the generator's state after them are numpy's own:
+    # exponential(mean, n) or uniform(low, high, n), bit for bit
+    for seed in (0, 12345):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = sens.sample(rng, n)
+        if sens.kind == "exponential":
+            expect = ref.exponential(sens.mean, n)
+        else:
+            expect = ref.uniform(sens.low, sens.high, n)
+        assert draws.dtype == expect.dtype and draws.shape == (n,)
+        assert draws.tobytes() == expect.tobytes()
+        assert rng.random() == ref.random()

@@ -330,6 +330,26 @@ class TestMetrics:
         assert dd == pytest.approx(expect_dd)
         assert ds == pytest.approx((1.0 - 0.5) / 2.0)
 
+    @pytest.mark.parametrize("route", [ARC1, ARC2])
+    def test_single_route_travelers(self, route):
+        # everyone who travels takes one route, so d_taken is that route's
+        # discomfort for every traveler; the stay-home agent is left out
+        choices = np.array([route, route, STAY, route])
+        s = np.array([2.0, 0.5, 9.0, 1.25])
+        s_bar = 1.1
+        x = [0.75, 0.0] if route == ARC1 else [0.0, 0.75]
+        d = BPR.discomfort(x)[route - 1]
+        travelers = [2.0, 0.5, 1.25]
+        dd, ds, mk, cost = compute_metrics(choices, s, x, np.arange(4.0), BPR,
+                                           s_bar)
+        expect_dd = (sum((v - s_bar) * d for v in travelers)
+                     / sum(s_bar * d for v in travelers))
+        assert dd == pytest.approx(expect_dd, rel=1e-12)
+        assert ds == pytest.approx(sum(v - s_bar for v in travelers)
+                                   / (4 * s_bar), rel=1e-12)
+        assert mk == 1.5
+        assert cost == pytest.approx(0.75 * d, rel=1e-12)
+
     def test_no_travelers_absent_metrics(self):
         dd, ds, _, cost = compute_metrics(np.zeros(3), np.ones(3), [0.0, 0.0],
                                           np.ones(3), BPR, 1.0)
