@@ -7,12 +7,12 @@ populations.
 """
 
 from .agent import (ARC1, ARC2, STAY, AgentState, PlanOutcome, Thresholds,
-                    apply_choice, best_response, best_response_batch,
-                    discomfort_order, plan_oracle, thresholds)
+                    best_response_batch, discomfort_order, plan_oracle, settle,
+                    thresholds)
 from .config import RunConfig
 from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
-                     InsufficientKarmaError, KarmaRoutingError)
+                     KarmaRoutingError)
 from .mesoscopic import (KarmaChain, build_chain, equilibrium_flows,
                          karma_cell, quantize_population,
                          stationary_distribution,
@@ -25,8 +25,7 @@ from .pricing import (PriceVector, best_coprime_ratio, conservation_prices,
 from .sensitivity import SensitivitySpec
 from .simulation import (DayRecord, Population, RunResult, compute_metrics,
                          init_population, run_scenario, simulate_day)
-from .wardrop import (CONTROLLED, UNCONTROLLED, WardropResult,
-                      aggregate_best_response, wardrop_equilibrium)
+from .wardrop import CONTROLLED, UNCONTROLLED, WardropResult, wardrop_equilibrium
 
 __version__ = "0.1.0"
 
@@ -34,15 +33,14 @@ __all__ = [
     "ARC1", "ARC2", "STAY", "CONTROLLED", "UNCONTROLLED",
     "AgentState", "ArcCostModel", "ConvergenceError", "DayRecord",
     "DegenerateOptimumError", "InfeasibleHorizonError", "InfeasibleKarmaError",
-    "InsufficientKarmaError", "KarmaChain", "KarmaRoutingError",
-    "PlanOutcome", "Population", "PriceVector", "PRESETS", "RunConfig",
-    "RunResult", "Scenario", "SensitivitySpec", "Thresholds", "WardropResult",
-    "aggregate_best_response", "apply_choice", "apply_preset", "as_flow",
-    "balanced_flow", "best_coprime_ratio", "best_response",
-    "best_response_batch", "build_chain", "compute_metrics",
-    "conservation_prices", "discomfort_order", "equilibrium_flows",
-    "get_preset", "init_population", "karma_cell", "plan_oracle",
-    "quantize_population", "rationalize_prices", "run_scenario",
-    "simulate_day", "stationary_distribution", "stationary_distribution_dense",
-    "step_distribution", "system_optimum", "thresholds", "wardrop_equilibrium",
+    "KarmaChain", "KarmaRoutingError", "PlanOutcome", "Population",
+    "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
+    "SensitivitySpec", "Thresholds", "WardropResult", "apply_preset",
+    "as_flow", "balanced_flow", "best_coprime_ratio", "best_response_batch",
+    "build_chain", "compute_metrics", "conservation_prices",
+    "discomfort_order", "equilibrium_flows", "get_preset", "init_population",
+    "karma_cell", "plan_oracle", "quantize_population", "rationalize_prices",
+    "run_scenario", "settle", "simulate_day", "stationary_distribution",
+    "stationary_distribution_dense", "step_distribution", "system_optimum",
+    "thresholds", "wardrop_equilibrium",
 ]

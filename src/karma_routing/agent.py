@@ -4,8 +4,9 @@ A traveling agent weighs today's discomfort (scaled by today's sensitivity s)
 against the average discomfort of the remaining T days of the horizon (scaled
 by the mean sensitivity s_bar), subject to ending the horizon no poorer than
 its karma reference.  The resulting optimal rule is piecewise in karma with
-four breakpoints; `plan_oracle` solves the underlying two-stage program by
-direct enumeration and is the independent check on `best_response`.
+four breakpoints.  `best_response_batch` is its one entry point, `settle`
+its one account update, and `plan_oracle` solves the underlying two-stage
+program by direct enumeration as the independent check on both.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleKarmaError, InsufficientKarmaError
+from .errors import InfeasibleKarmaError
 from .pricing import PriceVector
 
 STAY = 0
@@ -110,9 +111,17 @@ def k_wealthy(k_ref, p: PriceVector, horizon: int):
 
 
 def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
-    """The four karma breakpoints for a given reference level and prices."""
+    """The four karma breakpoints for a given reference level and prices.
+
+    Raises ValueError if horizon < 1 or any k_ref is negative or NaN: below
+    a zero reference the rule could send an agent fast that cannot pay p1.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    ref = np.asarray(k_ref, dtype=float)
+    bad = ~(ref >= 0)
+    if bad.any():
+        raise ValueError(f"k_ref must be >= 0, got {ref[bad][0]}")
     return Thresholds(
         k_inf=k_inf(k_ref, p, horizon),
         k_poor=k_poor(k_ref, p, horizon),
@@ -158,7 +167,7 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     The threshold is split by band rather than selected per agent: each
     agent's comparison is taken in both bands and the rich mask keeps one,
     which reads the same as `urgency_threshold` without a per-element
-    branch.  Scalars give a scalar.
+    branch.
     """
     rich = k >= th.k_rich
     go = s > _decaying_threshold(k, th.k_wealthy, s_bar, p)
@@ -170,9 +179,9 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     return go
 
 
-def best_response(state: AgentState, th: Thresholds, s_bar: float,
-                  p: PriceVector, order: str) -> int:
-    """Closed-form optimal route for a traveling agent.
+def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
+                        horizon: int, order: str) -> np.ndarray:
+    """Closed-form optimal route (ARC1 or ARC2, as int8) of each traveler.
 
     For d1 < d2 the rule is piecewise in karma (`fast_mask`): forced onto the
     slow route below k_poor, a sensitivity coin-flip against s_bar in the
@@ -180,20 +189,9 @@ def best_response(state: AgentState, th: Thresholds, s_bar: float,
     [k_rich, k_wealthy), and forced onto the fast route above.  For d1 = d2
     any route is optimal above k_poor; the slow route is returned and
     equilibrium-level splitting is left to the caller.  For d1 > d2 the slow
-    route dominates everywhere.
+    route dominates everywhere.  Raises InfeasibleKarmaError if an agent is
+    below its feasibility floor k_inf.
     """
-    if state.k < th.k_inf:
-        raise InfeasibleKarmaError(
-            f"karma {state.k} below feasibility floor {th.k_inf}"
-        )
-    if order != D1_LESS:
-        return ARC2
-    return ARC1 if fast_mask(state.k, state.s, True, th, s_bar, p) else ARC2
-
-
-def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
-                        horizon: int, order: str) -> np.ndarray:
-    """Vectorized `best_response` over per-agent arrays (same tie-breaking)."""
     k = np.asarray(k, dtype=float)
     s = np.asarray(s, dtype=float)
     th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
@@ -201,6 +199,19 @@ def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
     if order != D1_LESS:
         return np.full(k.shape, ARC2, dtype=np.int8)
     return np.where(fast_mask(k, s, True, th, s_bar, p), ARC1, ARC2).astype(np.int8)
+
+
+def settle(k, fast, traveling, p: PriceVector):
+    """Post-trip karma: k - p1 on the fast route, k + r2 on the slow one.
+
+    ``fast`` and ``traveling`` are route masks, fast a subset of traveling;
+    agents at home keep k.  The delta is exactly -p1, 0 or r2, so the result
+    is k - p1, k or k + r2 to the last bit.
+    """
+    delta = traveling * float(p.r2)
+    delta -= fast * float(p.total)
+    delta += k
+    return delta
 
 
 @dataclass(frozen=True)
@@ -247,16 +258,3 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
             f"karma {k} admits no feasible plan (below k_inf for reference {k_ref})"
         )
     return best
-
-
-def apply_choice(k: float, choice: int, p: PriceVector) -> float:
-    """Post-trip karma: k - p1 on the fast route, k + r2 on the slow one."""
-    if choice == ARC1:
-        if k < p.p1:
-            raise InsufficientKarmaError(f"karma {k} cannot cover toll {p.p1}")
-        return k - p.p1
-    if choice == ARC2:
-        return k + p.r2
-    if choice == STAY:
-        return k
-    raise ValueError(f"unknown route choice: {choice!r}")

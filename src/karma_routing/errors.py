@@ -17,9 +17,5 @@ class InfeasibleKarmaError(KarmaRoutingError):
     """An agent's karma is below the feasibility floor of its planning problem."""
 
 
-class InsufficientKarmaError(KarmaRoutingError):
-    """A route was chosen whose toll exceeds the agent's current karma."""
-
-
 class ConvergenceError(KarmaRoutingError):
     """An iterative solver failed to converge within its iteration budget."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import ARC1, STAY, Thresholds, k_inf, thresholds
+from .agent import ARC1, STAY, Thresholds, k_inf, settle, thresholds
 from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, as_flow, system_optimum
 from .pricing import PriceVector
@@ -205,11 +205,7 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
 
     fast, n1, n2, regime, d = _equilibrium(pop.k, s, traveling,
                                            pop.breakpoints(p), model, p, s_bar)
-    # delta is exactly -p1, 0 or r2, so k + delta is k - p1, k or k + r2
-    delta = traveling * float(p.r2)
-    delta -= fast * float(p.total)
-    delta += pop.k
-    pop.k = k = delta
+    pop.k = k = settle(pop.k, fast, traveling, p)
 
     x = np.array([n1 / m, n2 / m])
     delta_d, delta_s, mean_karma, cost = _metrics(fast, traveling, n1 + n2, s,

@@ -32,8 +32,8 @@ from math import floor
 
 import numpy as np
 
-from .agent import (ARC1, ARC2, STAY, Thresholds, best_response_batch,
-                    check_floor, discomfort_order, fast_mask, thresholds)
+from .agent import (ARC1, ARC2, STAY, Thresholds, check_floor, fast_mask,
+                    thresholds)
 from .network import ArcCostModel, balanced_flow
 from .pricing import PriceVector
 
@@ -46,30 +46,6 @@ class WardropResult:
     flows: np.ndarray        # population shares (x1, x2)
     choices: np.ndarray      # per-agent STAY / ARC1 / ARC2
     regime: str
-
-
-def _flows_of(choices: np.ndarray) -> np.ndarray:
-    m = choices.size
-    return np.array([
-        np.count_nonzero(choices == ARC1) / m,
-        np.count_nonzero(choices == ARC2) / m,
-    ])
-
-
-def aggregate_best_response(k, k_ref, s, traveling, x_assumed,
-                            model: ArcCostModel, p: PriceVector, horizon: int,
-                            s_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """One best-response sweep against assumed flows.
-
-    Classifies the discomfort ordering at ``x_assumed``, applies the
-    closed-form rule to every traveler, and returns (flows, choices) with
-    flows as empirical population shares.
-    """
-    order = discomfort_order(model.discomfort(x_assumed))
-    rule = best_response_batch(k, k_ref, s, s_bar, p, horizon, order)
-    choices = np.where(np.asarray(traveling, dtype=bool), rule, STAY)
-    choices = choices.astype(np.int8)
-    return _flows_of(choices), choices
 
 
 def _balanced_split(k, traveling, k_poor, target_x1: float) -> np.ndarray | None:

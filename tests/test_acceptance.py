@@ -4,20 +4,22 @@ Tolerances are pinned here and nowhere else.
 """
 
 import time
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 
-from karma_routing import (ARC2, AgentState, ArcCostModel, PriceVector,
-                           Scenario, SensitivitySpec, apply_choice,
-                           balanced_flow, best_response, build_chain,
+from karma_routing import (ARC1, ARC2, AgentState, ArcCostModel, PriceVector,
+                           Scenario, SensitivitySpec, balanced_flow,
+                           best_response_batch, build_chain,
                            conservation_prices, equilibrium_flows, get_preset,
                            init_population, plan_oracle,
-                           rationalize_prices, run_scenario, simulate_day,
-                           stationary_distribution,
+                           rationalize_prices, run_scenario, settle,
+                           simulate_day, stationary_distribution,
                            stationary_distribution_dense, system_optimum,
                            thresholds)
-from karma_routing.agent import D1_EQUAL, D1_GREATER, D1_LESS
+from karma_routing.agent import (D1_EQUAL, D1_GREATER, D1_LESS, k_inf, k_rich,
+                                 k_wealthy)
 from karma_routing.wardrop import UNCONTROLLED
 
 EXP = SensitivitySpec.exponential(1.0)
@@ -31,12 +33,14 @@ def report(num, name, ok, detail=""):
 
 
 def test_01_best_response_oracle_equivalence():
+    # the oracle per instance; per (prices, horizon) group, the branches
+    # from one thresholds call and the batch rule once per discomfort order
     t0 = time.time()
     rng = np.random.default_rng(2024)
     n_target = 100_000
-    checked = mismatches = 0
-    branch_counts = {"reference": 0, "toll": 0}
-    order_counts = {D1_LESS: 0, D1_GREATER: 0, D1_EQUAL: 0}
+    orders = (D1_LESS, D1_GREATER, D1_EQUAL)
+    groups = defaultdict(list)  # (p, horizon) -> [(k, k_ref, s, order, plan)]
+    checked = 0
     while checked < n_target:
         p = PriceVector(int(rng.integers(1, 16)), int(rng.integers(1, 16)))
         horizon = int(rng.integers(1, 11))
@@ -48,9 +52,8 @@ def test_01_best_response_oracle_equivalence():
         else:
             k_ref = float(rng.uniform(horizon * p.r2,
                                       2 * horizon * p.r2 + 50))  # reference branch
-        th = thresholds(k_ref, p, horizon)
-        branch = "toll" if th.k_poor == p.p1 else "reference"
-        k = float(rng.uniform(th.k_inf, th.k_wealthy + 2 * p.total))
+        wealthy = k_wealthy(k_ref, p, horizon)
+        k = float(rng.uniform(k_inf(k_ref, p, horizon), wealthy + 2 * p.total))
         s = float(rng.exponential(1.0))
         u = rng.random()
         if u < 0.4:
@@ -65,24 +68,39 @@ def test_01_best_response_oracle_equivalence():
             v = float(rng.uniform(0.5, 3.0))
             d = (v, v)
             order = D1_EQUAL
-        state = AgentState(k, k_ref, s)
-        rule = best_response(state, th, 1.0, p, order)
-        if order == D1_EQUAL:
-            # inside the tie band by construction: the rule must pick the
-            # slow route and the oracle must agree the plan is feasible
-            plan = plan_oracle(state, d, p, horizon, 1.0)
-            if rule != ARC2 or plan.choice not in (1, 2):
-                mismatches += 1
-        else:
-            thr = 1.0 if k < th.k_rich else (th.k_wealthy - k) / p.total
-            if order == D1_LESS and abs(s - thr) < 1e-9:
+        if order == D1_LESS:
+            rich = k >= k_rich(k_ref, p, horizon)
+            thr = (wealthy - k) / p.total if rich else 1.0
+            if abs(s - thr) < 1e-9:
                 continue  # measure-zero tie band
-            plan = plan_oracle(state, d, p, horizon, 1.0)
-            if rule != plan.choice:
-                mismatches += 1
-        branch_counts[branch] += 1
-        order_counts[order] += 1
+        plan = plan_oracle(AgentState(k, k_ref, s), d, p, horizon, 1.0)
+        groups[p, horizon].append((k, k_ref, s, orders.index(order),
+                                   plan.choice))
         checked += 1
+
+    mismatches = 0
+    branch_counts = {"reference": 0, "toll": 0}
+    order_counts = {D1_LESS: 0, D1_GREATER: 0, D1_EQUAL: 0}
+    for (p, horizon), rows in groups.items():
+        k, k_ref, s, order_of, plan = np.array(rows).T
+        toll = int(np.count_nonzero(
+            thresholds(k_ref, p, horizon).k_poor == p.p1))
+        branch_counts["toll"] += toll
+        branch_counts["reference"] += len(rows) - toll
+        for i, order in enumerate(orders):
+            at = order_of == i
+            if not at.any():
+                continue
+            rule = best_response_batch(k[at], k_ref[at], s[at], 1.0, p,
+                                       horizon, order)
+            if order == D1_EQUAL:
+                # inside the tie band by construction: the rule must pick the
+                # slow route and the oracle must agree the plan is feasible
+                bad = (rule != ARC2) | ~np.isin(plan[at], (ARC1, ARC2))
+            else:
+                bad = rule != plan[at]
+            mismatches += int(np.count_nonzero(bad))
+            order_counts[order] += int(np.count_nonzero(at))
     spans = min(branch_counts.values()) > n_target // 10 and \
         min(order_counts.values()) > n_target // 10
     report(1, "best-response oracle equivalence",
@@ -265,15 +283,15 @@ def test_11_property_suite():
         hi = th.k_wealthy + p.r2
         k = float(rng.uniform(th.k_inf, hi))
         above = hi + float(rng.uniform(0, 150))
+        # one agent inside the band and one above it, on the same draws
+        walk = np.array([k, above])
         for step in range(250):
             s = float(rng.exponential(1.0))
-            k = apply_choice(k, best_response(AgentState(k, k_ref, s), th,
-                                              1.0, p, D1_LESS), p)
-            above = apply_choice(above,
-                                 best_response(AgentState(above, k_ref, s),
-                                               th, 1.0, p, D1_LESS), p)
-            ok_band &= th.k_inf <= k < hi
-        ok_band &= th.k_inf <= above < hi  # absorbed from above by now
+            fast = best_response_batch(walk, [k_ref, k_ref], [s, s], 1.0, p,
+                                       horizon, D1_LESS) == ARC1
+            walk = settle(walk, fast, True, p)
+            ok_band &= th.k_inf <= walk[0] < hi
+        ok_band &= th.k_inf <= walk[1] < hi  # absorbed from above by now
     notes.append(f"band invariance {ok_band}")
 
     # karma floor along a full run

@@ -1,15 +1,19 @@
 import inspect
+from collections import defaultdict
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from karma_routing import (ARC1, ARC2, STAY, AgentState, InfeasibleKarmaError,
-                           InsufficientKarmaError, PriceVector, apply_choice,
-                           best_response, best_response_batch, plan_oracle,
-                           thresholds)
-from karma_routing.agent import (D1_EQUAL, D1_GREATER, D1_LESS,
-                                 Thresholds, discomfort_order, fast_mask)
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from karma_routing import (ARC1, ARC2, AgentState, InfeasibleKarmaError,
+                           PriceVector, best_response_batch, plan_oracle,
+                           settle, thresholds)
+from karma_routing.agent import (D1_EQUAL, D1_GREATER, D1_LESS, Thresholds,
+                                 discomfort_order, fast_mask, k_inf, k_rich,
+                                 k_wealthy)
 
 P_FIG3 = PriceVector(10, 14)
 SBAR = 1.0
@@ -49,7 +53,8 @@ class TestThresholds:
         d = [1.06144, 2.19683]
         state = AgentState(k_ref, k_ref, 1.2858477775042385)
         assert plan_oracle(state, d, p, 1, SBAR).choice == ARC1
-        assert best_response(state, th, SBAR, p, D1_LESS) == ARC1
+        assert best_response_batch([k_ref], [k_ref], [state.s], SBAR, p, 1,
+                                   D1_LESS)[0] == ARC1
 
     def test_poor_breakpoint_is_least_affordable_karma(self):
         # k_ref just above T*r2 puts k_poor near p1, where k - k_ref rounds
@@ -70,82 +75,62 @@ class TestThresholds:
 
 
 class TestBestResponse:
-    def th(self, k_ref=50.0):
-        return thresholds(k_ref, P_FIG3, 6)
+    @staticmethod
+    def rule(k, s, order=D1_LESS, k_ref=50.0):
+        """The rule's routes, as a list, for karma k and sensitivity s."""
+        k, s = np.broadcast_arrays(np.atleast_1d(k).astype(float), s)
+        return best_response_batch(k, np.full(k.shape, k_ref), s, SBAR,
+                                   P_FIG3, 6, order).tolist()
 
     def test_poor_band_forced_slow(self):
-        th = self.th()
-        for s in (0.01, 1.0, 50.0):
-            assert best_response(AgentState(5.0, 50.0, s), th, SBAR, P_FIG3,
-                                 D1_LESS) == ARC2
+        assert self.rule(5.0, [0.01, 1.0, 50.0]) == [ARC2] * 3
 
     def test_middle_band_mean_threshold(self):
-        th = self.th()
-        assert best_response(AgentState(50.0, 50.0, 2.0), th, SBAR, P_FIG3,
-                             D1_LESS) == ARC1
-        assert best_response(AgentState(50.0, 50.0, 0.5), th, SBAR, P_FIG3,
-                             D1_LESS) == ARC2
+        assert self.rule(50.0, [2.0, 0.5]) == [ARC1, ARC2]
 
     def test_rich_band_decaying_threshold(self):
-        th = self.th()
         # at k = 110 the threshold is (120 - 110) / 24
-        assert best_response(AgentState(110.0, 50.0, 0.3), th, SBAR, P_FIG3,
-                             D1_LESS) == ARC2
-        assert best_response(AgentState(110.0, 50.0, 0.5), th, SBAR, P_FIG3,
-                             D1_LESS) == ARC1
+        assert self.rule(110.0, [0.3, 0.5]) == [ARC2, ARC1]
 
     def test_wealthy_forced_fast(self):
-        th = self.th()
-        assert best_response(AgentState(130.0, 50.0, 0.001), th, SBAR, P_FIG3,
-                             D1_LESS) == ARC1
+        assert self.rule(130.0, 0.001) == [ARC1]
 
     def test_tie_goes_slow(self):
-        th = self.th()
-        assert best_response(AgentState(50.0, 50.0, SBAR), th, SBAR, P_FIG3,
-                             D1_LESS) == ARC2
+        assert self.rule(50.0, SBAR) == [ARC2]
 
     def test_equal_discomfort_rule(self):
-        th = self.th()
-        assert best_response(AgentState(5.0, 50.0, 3.0), th, SBAR, P_FIG3,
-                             D1_EQUAL) == ARC2
-        assert best_response(AgentState(200.0, 50.0, 3.0), th, SBAR, P_FIG3,
-                             D1_EQUAL) == ARC2
+        assert self.rule([5.0, 200.0], 3.0, D1_EQUAL) == [ARC2, ARC2]
 
     def test_reversed_discomfort_always_slow(self):
-        th = self.th()
-        for k in (5.0, 50.0, 110.0, 500.0):
-            assert best_response(AgentState(k, 50.0, 9.0), th, SBAR, P_FIG3,
-                                 D1_GREATER) == ARC2
+        assert self.rule([5.0, 50.0, 110.0, 500.0], 9.0,
+                         D1_GREATER) == [ARC2] * 4
 
     def test_infeasible_below_floor(self):
         th = thresholds(200.0, P_FIG3, 6)
         assert th.k_inf == 200 - 7 * 14
         with pytest.raises(InfeasibleKarmaError):
-            best_response(AgentState(th.k_inf - 1.0, 200.0, 1.0), th, SBAR,
-                          P_FIG3, D1_LESS)
+            self.rule(th.k_inf - 1.0, 1.0, k_ref=200.0)
 
     def test_rule_never_sees_discomfort_values(self):
         # the decision is independent of discomfort magnitudes by signature
-        params = set(inspect.signature(best_response).parameters)
-        assert params == {"state", "th", "s_bar", "p", "order"}
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        n = 4000
-        k_ref = rng.uniform(0, 150, n)
-        k_inf = np.maximum(0.0, k_ref - 7 * P_FIG3.r2)
-        k = k_inf + rng.uniform(0, 200, n)
-        s = rng.exponential(SBAR, n)
-        for order in (D1_LESS, D1_EQUAL, D1_GREATER):
-            batch = best_response_batch(k, k_ref, s, SBAR, P_FIG3, 6, order)
-            for i in range(0, n, 97):
-                th = thresholds(k_ref[i], P_FIG3, 6)
-                assert batch[i] == best_response(
-                    AgentState(k[i], k_ref[i], s[i]), th, SBAR, P_FIG3, order)
+        params = set(inspect.signature(best_response_batch).parameters)
+        assert params == {"k", "k_ref", "s", "s_bar", "p", "horizon", "order"}
 
     def test_batch_raises_on_infeasible(self):
         with pytest.raises(InfeasibleKarmaError):
             best_response_batch([0.0], [200.0], [1.0], SBAR, P_FIG3, 6, D1_LESS)
+
+    def test_negative_reference_rejected(self):
+        # k_wealthy = -100 + 7*10 < p1: without the check, karma 5 was sent
+        # onto the toll-10 route, which plan_oracle finds unaffordable
+        state = AgentState(5.0, -100.0, 0.5)
+        assert plan_oracle(state, (1.0, 2.0), P_FIG3, 6, SBAR).choice == ARC2
+        for k_ref in (-100.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match="k_ref"):
+                best_response_batch([5.0], [k_ref], [0.5], SBAR, P_FIG3, 6,
+                                    D1_LESS)
+        with pytest.raises(ValueError, match="k_ref"):
+            thresholds([50.0, -0.5], P_FIG3, 6)
 
 
 def neighbours(v):
@@ -206,12 +191,6 @@ class TestBandEdges:
                     t, D1_LESS)
                 mismatches += np.count_nonzero((batch == ARC1) != ref[feasible])
                 checked += k.size
-                if (p1 + r2) % 14 == 0:  # scalar calls on 1 pair in 14
-                    th_of = {r: thresholds(r, p, t) for r in self.K_REFS}
-                    for i in range(k.size):
-                        go = fast_mask(k[i], s[i], True, th_of[k_ref[i]],
-                                       self.S_BAR, p)
-                        mismatches += bool(go) != ref[i]
         assert checked == 400 * len(self.K_REFS) * 81
         assert mismatches == 0
 
@@ -256,8 +235,10 @@ class TestPlanOracle:
                         SBAR)
 
     def test_matches_rule_on_random_instances(self):
-        # compact version of the acceptance sweep
+        # compact version of the acceptance sweep: the oracle per instance,
+        # the rule once per (prices, horizon, order) group
         rng = np.random.default_rng(11)
+        groups = defaultdict(list)  # (p, t, order) -> [(k, k_ref, s, plan)]
         checked = 0
         while checked < 10_000:
             p = PriceVector(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
@@ -265,8 +246,8 @@ class TestPlanOracle:
             if not p.feasible_for_horizon(t):
                 continue
             k_ref = rng.uniform(0, 2 * t * p.r2)
-            th = thresholds(k_ref, p, t)
-            k = rng.uniform(th.k_inf, th.k_wealthy + 2 * p.total)
+            wealthy = k_wealthy(k_ref, p, t)
+            k = rng.uniform(k_inf(k_ref, p, t), wealthy + 2 * p.total)
             s = rng.exponential(SBAR)
             u = rng.random()
             if u < 0.4:
@@ -274,48 +255,58 @@ class TestPlanOracle:
             elif u < 0.7:
                 d, order = (2.0, 1.0), D1_GREATER
             else:
-                d, order = (1.5, 1.5), D1_EQUAL
-            state = AgentState(k, k_ref, s)
-            rule = best_response(state, th, SBAR, p, order)
-            plan = plan_oracle(state, d, p, t, SBAR)
-            if order == D1_EQUAL:
-                continue  # any split is optimal; rule picks slow by design
-            thr = SBAR if k < th.k_rich else SBAR * (th.k_wealthy - k) / p.total
+                continue  # d1 = d2: any split is optimal; rule picks slow
+            rich = k >= k_rich(k_ref, p, t)
+            thr = SBAR * (wealthy - k) / p.total if rich else SBAR
             if order == D1_LESS and abs(s - thr) < 1e-9:
                 continue
-            assert rule == plan.choice, (p, t, k_ref, k, s, order)
+            plan = plan_oracle(AgentState(k, k_ref, s), d, p, t, SBAR)
+            groups[p, t, order].append((k, k_ref, s, plan.choice))
             checked += 1
+        for (p, t, order), rows in groups.items():
+            k, k_ref, s, expected = np.array(rows).T
+            rule = best_response_batch(k, k_ref, s, SBAR, p, t, order)
+            bad = np.flatnonzero(rule != expected)
+            assert bad.size == 0, (p, t, order, np.array(rows)[bad[:5]])
 
 
-class TestApplyChoice:
+class TestSettle:
+    def settle_one(self, fast, traveling):
+        return settle(np.array([50.0]), np.array([fast]),
+                      np.array([traveling]), P_FIG3)[0]
+
     def test_fast_route_pays(self):
-        assert apply_choice(50.0, ARC1, P_FIG3) == 40.0
+        assert self.settle_one(True, True) == 40.0
 
     def test_slow_route_earns(self):
-        assert apply_choice(50.0, ARC2, P_FIG3) == 64.0
+        assert self.settle_one(False, True) == 64.0
 
     def test_stay_unchanged(self):
-        assert apply_choice(50.0, STAY, P_FIG3) == 50.0
+        assert self.settle_one(False, False) == 50.0
 
-    def test_budget_violation(self):
-        with pytest.raises(InsufficientKarmaError):
-            apply_choice(5.0, ARC1, P_FIG3)
-
-    def test_unknown_choice(self):
-        with pytest.raises(ValueError):
-            apply_choice(5.0, 7, P_FIG3)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 50), p1=st.integers(1, 200),
+           r2=st.integers(1, 200))
+    def test_matches_route_reference(self, data, n, p1, r2):
+        # any finite karma, on or off the integer lattice
+        k = data.draw(arrays(np.float64, n, elements=st.floats(
+            min_value=0.0, allow_nan=False, allow_infinity=False)))
+        traveling = data.draw(arrays(np.bool_, n))
+        fast = data.draw(arrays(np.bool_, n)) & traveling
+        ref = np.where(fast, k - p1, np.where(traveling, k + r2, k))
+        assert np.array_equal(settle(k, fast, traveling, PriceVector(p1, r2)),
+                              ref)
 
 
 class TestInvariance:
     def walk(self, k0, k_ref, p, t, seq, order=D1_LESS):
-        th = thresholds(k_ref, p, t)
-        k = k0
-        path = [k]
+        k, ref = np.array([k0]), np.array([k_ref])
+        path = [k0]
         for s in seq:
-            c = best_response(AgentState(k, k_ref, s), th, SBAR, p, order)
-            k = apply_choice(k, c, p)
-            path.append(k)
-        return np.array(path), th
+            fast = best_response_batch(k, ref, [s], SBAR, p, t, order) == ARC1
+            k = settle(k, fast, True, p)
+            path.append(k[0])
+        return np.array(path), thresholds(k_ref, p, t)
 
     def test_band_positively_invariant(self):
         rng = np.random.default_rng(21)

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
                            PriceVector, SensitivitySpec, best_coprime_ratio,
-                           best_response, build_chain, conservation_prices,
-                           equilibrium_flows, rationalize_prices,
-                           stationary_distribution, thresholds)
-from karma_routing.agent import AgentState, D1_LESS
+                           best_response_batch, build_chain,
+                           conservation_prices, equilibrium_flows,
+                           rationalize_prices, stationary_distribution,
+                           thresholds)
+from karma_routing.agent import D1_LESS
 
 
 class TestConservationPrices:
@@ -119,16 +120,17 @@ class TestScalingInvariance:
         horizon = 4
         for lam in (2, 5):
             scaled = PriceVector(base.p1 * lam, base.r2 * lam)
+            rows = []
             for _ in range(500):
                 k_ref = rng.uniform(0, 40)
                 th = thresholds(k_ref, base, horizon)
                 k = rng.uniform(th.k_inf, th.k_wealthy + 2 * base.total)
-                s = rng.exponential(1.0)
-                a = best_response(AgentState(k, k_ref, s), th, 1.0, base, D1_LESS)
-                th_l = thresholds(k_ref * lam, scaled, horizon)
-                b = best_response(AgentState(k * lam, k_ref * lam, s), th_l,
-                                  1.0, scaled, D1_LESS)
-                assert a == b
+                rows.append((k, k_ref, rng.exponential(1.0)))
+            k, k_ref, s = np.array(rows).T
+            a = best_response_batch(k, k_ref, s, 1.0, base, horizon, D1_LESS)
+            b = best_response_batch(k * lam, k_ref * lam, s, 1.0, scaled,
+                                    horizon, D1_LESS)
+            assert np.array_equal(a, b)
 
     def test_chain_flows_invariant_under_common_scale(self):
         sens = SensitivitySpec.exponential(1.0)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ARC1, ARC2, STAY, AgentState, ArcCostModel,
-                           PriceVector, SensitivitySpec,
-                           aggregate_best_response, balanced_flow, build_chain,
-                           discomfort_order, equilibrium_flows, plan_oracle,
+                           PriceVector, SensitivitySpec, balanced_flow,
+                           best_response_batch, build_chain, discomfort_order,
+                           equilibrium_flows, plan_oracle,
                            stationary_distribution, thresholds,
                            wardrop_equilibrium)
 from karma_routing.agent import D1_LESS
@@ -25,7 +25,23 @@ def population(rng, m, k_low, k_high, ref_low=0.0, ref_high=100.0):
     return k, k_ref
 
 
+def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
+    """One best-response sweep against assumed flows: (flows, choices).
+
+    The discomfort order at ``x_assumed`` (under BPR) picks the rule, every
+    traveler takes the rule's route, and flows are population shares.
+    """
+    order = discomfort_order(BPR.discomfort(x_assumed))
+    rule = best_response_batch(k, k_ref, s, 1.0, p, horizon, order)
+    choices = np.where(traveling, rule, STAY).astype(np.int8)
+    flows = np.array([np.count_nonzero(choices == route) / choices.size
+                      for route in (ARC1, ARC2)])
+    return flows, choices
+
+
 class TestAggregateBestResponse:
+    """The population's best response to assumed flows (`sweep`)."""
+
     def test_all_poor_go_slow(self):
         m = 400
         rng = np.random.default_rng(1)
@@ -33,8 +49,7 @@ class TestAggregateBestResponse:
         k = np.full(m, 12.0)
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) < 0.95
-        x, choices = aggregate_best_response(k, k_ref, s, traveling,
-                                             [0.3, 0.65], BPR, P, T, 1.0)
+        x, choices = sweep(k, k_ref, s, traveling, [0.3, 0.65])
         assert x[0] == 0.0
         assert x[1] == pytest.approx(traveling.sum() / m)
         assert np.all(choices[traveling] == ARC2)
@@ -47,8 +62,7 @@ class TestAggregateBestResponse:
         k = np.full(m, 500.0)  # far above k_wealthy = 120
         s = rng.exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        x, choices = aggregate_best_response(k, k_ref, s, traveling,
-                                             [0.3, 0.65], BPR, P, T, 1.0)
+        x, choices = sweep(k, k_ref, s, traveling, [0.3, 0.65])
         assert x[0] == pytest.approx(1.0)
         assert np.all(choices == ARC1)
 
@@ -65,8 +79,7 @@ class TestAggregateBestResponse:
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
         x_e = equilibrium_flows(chain, pe)
-        x, _ = aggregate_best_response(k, np.full(m, k_ref), s, traveling,
-                                       x_e, BPR, P, T, 1.0)
+        x, _ = sweep(k, np.full(m, k_ref), s, traveling, x_e)
         assert np.allclose(x, x_e, atol=5.0 / np.sqrt(m))
 
 
@@ -98,8 +111,7 @@ class TestWardropEquilibrium:
         assert res.regime == CONTROLLED
         assert res.flows[0] == 0.0
         assert res.flows[1] == 1.0
-        x_sweep, choices_sweep = aggregate_best_response(
-            k, k_ref, s, traveling, D1_LESS_FLOWS, BPR, P, T, 1.0)
+        x_sweep, choices_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
         assert np.array_equal(res.flows, x_sweep)
         assert np.array_equal(res.choices, choices_sweep)
 
@@ -126,8 +138,7 @@ class TestWardropEquilibrium:
         traveling = rng.random(m) >= 0.05
         res = self.solve(k, k_ref, s, traveling)
         assert res.regime == CONTROLLED
-        x_again, choices_again = aggregate_best_response(
-            k, k_ref, s, traveling, res.flows, BPR, P, T, 1.0)
+        x_again, choices_again = sweep(k, k_ref, s, traveling, res.flows)
         assert np.array_equal(res.flows, x_again)
         assert np.array_equal(res.choices, choices_again)
 
@@ -153,8 +164,8 @@ class TestWardropEquilibrium:
             s = rng.exponential(1.0, m)
             traveling = rng.random(m) >= 0.05
             res = self.solve(k, k_ref, s, traveling)
-            x_sweep, choices_sweep = aggregate_best_response(
-                k, k_ref, s, traveling, D1_LESS_FLOWS, BPR, P, T, 1.0)
+            x_sweep, choices_sweep = sweep(k, k_ref, s, traveling,
+                                           D1_LESS_FLOWS)
             kept = discomfort_order(BPR.discomfort(x_sweep)) == D1_LESS
             assert (res.regime == CONTROLLED) == kept
             if kept:
@@ -216,6 +227,15 @@ class TestWardropEquilibrium:
         assert res.flows[1] == pytest.approx(1.0)
         assert res.regime == CONTROLLED
 
+    def test_negative_reference_rejected(self):
+        # k_ref = -100 puts k_wealthy at -30, below p1 = 10: the rule sent
+        # karma 5 onto the toll-10 route, which it cannot pay
+        m = 20
+        for k_ref in (-100.0, np.nan):
+            with pytest.raises(ValueError, match="k_ref"):
+                self.solve(np.full(m, 5.0), np.full(m, k_ref), np.full(m, 0.5),
+                           np.ones(m, dtype=bool))
+
     def test_solver_knobs_rejected(self):
         # the closed form has no warm start, tolerance, budget or damping
         m = 4
@@ -268,8 +288,7 @@ class TestEquilibriumProperties:
 
         # regime: controlled exactly when the d1 < d2 sweep keeps d1 < d2,
         # or when no balanced flow exists (the sweep's order comes from BPR)
-        x_sweep, _ = aggregate_best_response(
-            k, k_ref, s, traveling, D1_LESS_FLOWS, BPR, p, horizon, 1.0)
+        x_sweep, _ = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS, p, horizon)
         kept = discomfort_order(model.discomfort(x_sweep)) == D1_LESS
         demand = traveling.sum() / m
         crossing = demand > 0 and balanced_flow(model, demand) is not None
