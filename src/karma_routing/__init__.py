@@ -7,8 +7,7 @@ populations.
 """
 
 from .agent import (ARC1, ARC2, STAY, AgentState, PlanOutcome, Thresholds,
-                    best_response_batch, discomfort_order, plan_oracle, settle,
-                    thresholds)
+                    best_response_batch, plan_oracle, settle, thresholds)
 from .config import RunConfig
 from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
@@ -38,7 +37,7 @@ __all__ = [
     "SensitivitySpec", "Thresholds", "WardropResult", "apply_preset",
     "as_flow", "balanced_flow", "best_coprime_ratio", "best_response_batch",
     "build_chain", "compute_metrics", "conservation_prices",
-    "discomfort_order", "equilibrium_flows", "get_preset", "init_population",
+    "equilibrium_flows", "get_preset", "init_population",
     "karma_cell", "plan_oracle", "quantize_population", "rationalize_prices",
     "run_scenario", "settle", "simulate_day", "stationary_distribution",
     "stationary_distribution_dense", "step_distribution", "system_optimum",

@@ -22,10 +22,6 @@ STAY = 0
 ARC1 = 1  # fast route, pays p1
 ARC2 = 2  # slow route, earns r2
 
-D1_LESS = "d1<d2"
-D1_EQUAL = "d1=d2"
-D1_GREATER = "d1>d2"
-
 
 @dataclass(frozen=True)
 class AgentState:
@@ -45,16 +41,6 @@ class Thresholds:
     k_poor: float
     k_rich: float
     k_wealthy: float
-
-
-def discomfort_order(d) -> str:
-    """Classify the sign relation between the two routes' discomforts."""
-    d1, d2 = float(d[0]), float(d[1])
-    if d1 < d2:
-        return D1_LESS
-    if d1 > d2:
-        return D1_GREATER
-    return D1_EQUAL
 
 
 # The rule's breakpoints, each for a scalar or a per-agent array of k_ref.
@@ -146,13 +132,18 @@ def urgency_threshold(k, th: Thresholds, s_bar: float, p: PriceVector):
 
 
 def check_floor(k: np.ndarray, floor) -> None:
-    """Raise InfeasibleKarmaError naming the first agent below its floor."""
+    """Raise InfeasibleKarmaError naming the first agent below its floor.
+
+    ``k`` is one agent's karma (0-d) or an array of them; ``floor``
+    broadcasts against it.
+    """
     below = k < floor
     if below.any():
         bad = int(np.argmax(below))
+        k, floor = np.broadcast_arrays(k, floor)
         raise InfeasibleKarmaError(
-            f"agent {bad}: karma {k[bad]} below feasibility floor "
-            f"{np.broadcast_to(floor, k.shape)[bad]}"
+            f"agent {bad}: karma {k.flat[bad]} below feasibility floor "
+            f"{floor.flat[bad]}"
         )
 
 
@@ -180,24 +171,21 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
 
 
 def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
-                        horizon: int, order: str) -> np.ndarray:
+                        horizon: int) -> np.ndarray:
     """Closed-form optimal route (ARC1 or ARC2, as int8) of each traveler.
 
-    For d1 < d2 the rule is piecewise in karma (`fast_mask`): forced onto the
-    slow route below k_poor, a sensitivity coin-flip against s_bar in the
-    middle band, a linearly decaying sensitivity threshold in
-    [k_rich, k_wealthy), and forced onto the fast route above.  For d1 = d2
-    any route is optimal above k_poor; the slow route is returned and
-    equilibrium-level splitting is left to the caller.  For d1 > d2 the slow
-    route dominates everywhere.  Raises InfeasibleKarmaError if an agent is
-    below its feasibility floor k_inf.
+    The d1 < d2 rule, piecewise in karma (`fast_mask`): forced onto the slow
+    route below k_poor, a sensitivity coin-flip against s_bar in the middle
+    band, a linearly decaying sensitivity threshold in [k_rich, k_wealthy),
+    and forced onto the fast route above.  For d1 > d2 the slow route
+    dominates everywhere, and for d1 = d2 any route is optimal; callers
+    settle those days without the rule.  Raises InfeasibleKarmaError if an
+    agent is below its feasibility floor k_inf.
     """
     k = np.asarray(k, dtype=float)
     s = np.asarray(s, dtype=float)
     th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
     check_floor(k, th.k_inf)
-    if order != D1_LESS:
-        return np.full(k.shape, ARC2, dtype=np.int8)
     return np.where(fast_mask(k, s, True, th, s_bar, p), ARC1, ARC2).astype(np.int8)
 
 

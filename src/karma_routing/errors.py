@@ -18,4 +18,5 @@ class InfeasibleKarmaError(KarmaRoutingError):
 
 
 class ConvergenceError(KarmaRoutingError):
-    """An iterative solver failed to converge within its iteration budget."""
+    """A solver's result missed its tolerance: a search that did not bracket
+    its optimum, or a fixed point that one chain step moves by more than tol."""

@@ -34,16 +34,15 @@ A_rush carries residue class c onto class c + r2 through a bidiagonal map of
 its T+1 levels, and the q classes form g = gcd(p1, r2) cycles of q/g
 classes.  The fixed point of each cycle's return map, carried round the
 cycle and scaled to mass 1/q per class, is the stationary distribution; one
-step of power iteration certifies it.  Mass 1/q per class is the selection
-rule where the fixed point is not unique (g > 1: each of the g sublattices
-of cells with equal index mod g holds 1/g), and it leaves no periodic
-component at p_home = 0.
+step of A certifies it.  Mass 1/q per class is the selection rule where the
+fixed point is not unique (g > 1: each of the g sublattices of cells with
+equal index mod g holds 1/g), and it leaves no periodic component at
+p_home = 0.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +50,7 @@ import scipy.sparse as sp
 
 from .agent import Thresholds, thresholds, urgency_threshold
 from .errors import ConvergenceError
+from .network import check_horizon
 from .pricing import PriceVector
 from .sensitivity import SensitivitySpec
 
@@ -106,9 +106,7 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     that is tolled less than the slow route rewards); the opposite case is
     recovered by relabeling the routes.
     """
-    if (not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool)
-            or horizon < 1):
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    check_horizon(horizon)
     if not 0.0 <= p_home <= 1.0:
         raise ValueError("p_home must lie in [0, 1]")
     if p.r2 < p.p1:
@@ -202,9 +200,8 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     return (by_level / (q * by_level.sum(axis=0))).ravel()
 
 
-def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
-                            max_iter: int = 200_000) -> np.ndarray:
-    """Fixed point of the dynamics: solved on the class cycles, then polished.
+def stationary_distribution(chain: KarmaChain, tol: float = 1e-12) -> np.ndarray:
+    """Fixed point of the dynamics: solved on the class cycles, then certified.
 
     A = p_home*I + p_go*B, so for p_home < 1 the fixed point is that of B and
     does not depend on p_home; p_home = 1 makes every distribution fixed and
@@ -212,10 +209,10 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
     the same residue mod q = p1 + r2, so B carries each residue class onto
     the next one along g = gcd(p1, r2) cycles; the start vector is the exact
     fixed point of each cycle's return map, carried round the cycle (see
-    `_cycle_fixed_point`).  Power iteration from it then certifies the
-    result: it stops once one step changes the distribution by at most `tol`
-    in L1, and a chain that does not settle in `max_iter` steps raises
-    ConvergenceError and is never returned half-converged.
+    `_cycle_fixed_point`).  One step of A certifies it: A @ start is
+    returned when it differs from the start by at most `tol` in L1, and
+    otherwise ConvergenceError names the residual.  `tol` must be positive,
+    since one float step cannot certify an exact fixed point.
 
     Selection rule: every residue class holds mass 1/q, so each of the g
     sublattices of cells with equal index mod g (which never exchange mass)
@@ -223,22 +220,20 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12,
     p_home = 0, where the chain can be periodic, it has no periodic
     component.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be a positive number, got {tol}")
     if chain.p_home >= 1.0:
         raise ValueError(
             f"p_home must be < 1 for a stationary distribution, got "
             f"{chain.p_home}: A = I makes every distribution stationary")
-    dist = _cycle_fixed_point(chain)
-    a = chain.a
-    for _ in range(max_iter):
-        nxt = a @ dist
-        if np.abs(nxt - dist).sum() <= tol:
-            return nxt
-        dist = nxt
-    raise ConvergenceError(
-        f"power iteration did not reach residual {tol} in {max_iter} steps"
-    )
+    start = _cycle_fixed_point(chain)
+    dist = chain.a @ start
+    residual = float(np.abs(dist - start).sum())
+    if residual > tol:
+        raise ConvergenceError(
+            f"fixed point not certified: one step moves it by {residual} "
+            f"in L1, above tol {tol}")
+    return dist
 
 
 def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:

@@ -30,7 +30,8 @@ class Population:
 
     The per-agent breakpoints of k_ref are cached on the first `simulate_day`
     and rebuilt when that day's prices differ or ``k_ref`` is rebound to
-    another array; editing ``k_ref`` in place is not detected.
+    another array; `init_population` makes ``k_ref`` read-only, so an
+    in-place edit raises instead of leaving the cache stale.
     """
 
     scenario: Scenario
@@ -149,6 +150,7 @@ def init_population(scenario: Scenario, prices: PriceVector,
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
     k = np.maximum(k, floor)
+    k_ref.flags.writeable = False
     return Population(scenario=scenario, k=k, k_ref=k_ref, rng=rng,
                       n_clamped_init=n_clamped)
 

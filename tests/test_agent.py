@@ -11,8 +11,7 @@ from hypothesis.extra.numpy import arrays
 from karma_routing import (ARC1, ARC2, AgentState, InfeasibleKarmaError,
                            PriceVector, best_response_batch, plan_oracle,
                            settle, thresholds)
-from karma_routing.agent import (D1_EQUAL, D1_GREATER, D1_LESS, Thresholds,
-                                 discomfort_order, fast_mask, k_inf, k_rich,
+from karma_routing.agent import (Thresholds, fast_mask, k_inf, k_rich,
                                  k_wealthy)
 
 P_FIG3 = PriceVector(10, 14)
@@ -53,8 +52,8 @@ class TestThresholds:
         d = [1.06144, 2.19683]
         state = AgentState(k_ref, k_ref, 1.2858477775042385)
         assert plan_oracle(state, d, p, 1, SBAR).choice == ARC1
-        assert best_response_batch([k_ref], [k_ref], [state.s], SBAR, p, 1,
-                                   D1_LESS)[0] == ARC1
+        assert best_response_batch([k_ref], [k_ref], [state.s], SBAR, p,
+                                   1)[0] == ARC1
 
     def test_poor_breakpoint_is_least_affordable_karma(self):
         # k_ref just above T*r2 puts k_poor near p1, where k - k_ref rounds
@@ -76,11 +75,11 @@ class TestThresholds:
 
 class TestBestResponse:
     @staticmethod
-    def rule(k, s, order=D1_LESS, k_ref=50.0):
+    def rule(k, s, k_ref=50.0):
         """The rule's routes, as a list, for karma k and sensitivity s."""
         k, s = np.broadcast_arrays(np.atleast_1d(k).astype(float), s)
         return best_response_batch(k, np.full(k.shape, k_ref), s, SBAR,
-                                   P_FIG3, 6, order).tolist()
+                                   P_FIG3, 6).tolist()
 
     def test_poor_band_forced_slow(self):
         assert self.rule(5.0, [0.01, 1.0, 50.0]) == [ARC2] * 3
@@ -98,13 +97,6 @@ class TestBestResponse:
     def test_tie_goes_slow(self):
         assert self.rule(50.0, SBAR) == [ARC2]
 
-    def test_equal_discomfort_rule(self):
-        assert self.rule([5.0, 200.0], 3.0, D1_EQUAL) == [ARC2, ARC2]
-
-    def test_reversed_discomfort_always_slow(self):
-        assert self.rule([5.0, 50.0, 110.0, 500.0], 9.0,
-                         D1_GREATER) == [ARC2] * 4
-
     def test_infeasible_below_floor(self):
         th = thresholds(200.0, P_FIG3, 6)
         assert th.k_inf == 200 - 7 * 14
@@ -114,11 +106,14 @@ class TestBestResponse:
     def test_rule_never_sees_discomfort_values(self):
         # the decision is independent of discomfort magnitudes by signature
         params = set(inspect.signature(best_response_batch).parameters)
-        assert params == {"k", "k_ref", "s", "s_bar", "p", "horizon", "order"}
+        params = list(inspect.signature(best_response_batch).parameters)
+        assert params == ["k", "k_ref", "s", "s_bar", "p", "horizon"]
 
     def test_batch_raises_on_infeasible(self):
-        with pytest.raises(InfeasibleKarmaError):
-            best_response_batch([0.0], [200.0], [1.0], SBAR, P_FIG3, 6, D1_LESS)
+        # the scalar call is one agent, 0-d, below its floor of 102
+        for k, k_ref, s in (([0.0], [200.0], [1.0]), (97.0, 200.0, 1.0)):
+            with pytest.raises(InfeasibleKarmaError, match="agent 0"):
+                best_response_batch(k, k_ref, s, SBAR, P_FIG3, 6)
 
     def test_negative_reference_rejected(self):
         # k_wealthy = -100 + 7*10 < p1: without the check, karma 5 was sent
@@ -127,8 +122,7 @@ class TestBestResponse:
         assert plan_oracle(state, (1.0, 2.0), P_FIG3, 6, SBAR).choice == ARC2
         for k_ref in (-100.0, -1e-300, np.nan):
             with pytest.raises(ValueError, match="k_ref"):
-                best_response_batch([5.0], [k_ref], [0.5], SBAR, P_FIG3, 6,
-                                    D1_LESS)
+                best_response_batch([5.0], [k_ref], [0.5], SBAR, P_FIG3, 6)
         with pytest.raises(ValueError, match="k_ref"):
             thresholds([50.0, -0.5], P_FIG3, 6)
 
@@ -188,7 +182,7 @@ class TestBandEdges:
                 feasible = k >= th.k_inf
                 batch = best_response_batch(
                     k[feasible], k_ref[feasible], s[feasible], self.S_BAR, p,
-                    t, D1_LESS)
+                    t)
                 mismatches += np.count_nonzero((batch == ARC1) != ref[feasible])
                 checked += k.size
         assert checked == 400 * len(self.K_REFS) * 81
@@ -236,9 +230,10 @@ class TestPlanOracle:
 
     def test_matches_rule_on_random_instances(self):
         # compact version of the acceptance sweep: the oracle per instance,
-        # the rule once per (prices, horizon, order) group
+        # the rule once per (prices, horizon) group with d1 < d2; with
+        # d1 > d2 the oracle's plan is the slow route
         rng = np.random.default_rng(11)
-        groups = defaultdict(list)  # (p, t, order) -> [(k, k_ref, s, plan)]
+        groups = defaultdict(list)  # (p, t, d1 < d2) -> [(k, k_ref, s, plan)]
         checked = 0
         while checked < 10_000:
             p = PriceVector(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
@@ -251,23 +246,27 @@ class TestPlanOracle:
             s = rng.exponential(SBAR)
             u = rng.random()
             if u < 0.4:
-                d, order = (1.0, 2.0), D1_LESS
+                d = (1.0, 2.0)
             elif u < 0.7:
-                d, order = (2.0, 1.0), D1_GREATER
+                d = (2.0, 1.0)
             else:
-                continue  # d1 = d2: any split is optimal; rule picks slow
+                continue  # d1 = d2: any split is optimal
+            less = d[0] < d[1]
             rich = k >= k_rich(k_ref, p, t)
             thr = SBAR * (wealthy - k) / p.total if rich else SBAR
-            if order == D1_LESS and abs(s - thr) < 1e-9:
+            if less and abs(s - thr) < 1e-9:
                 continue
             plan = plan_oracle(AgentState(k, k_ref, s), d, p, t, SBAR)
-            groups[p, t, order].append((k, k_ref, s, plan.choice))
+            groups[p, t, less].append((k, k_ref, s, plan.choice))
             checked += 1
-        for (p, t, order), rows in groups.items():
+        for (p, t, less), rows in groups.items():
             k, k_ref, s, expected = np.array(rows).T
-            rule = best_response_batch(k, k_ref, s, SBAR, p, t, order)
+            if less:
+                rule = best_response_batch(k, k_ref, s, SBAR, p, t)
+            else:
+                rule = np.full(k.shape, ARC2)
             bad = np.flatnonzero(rule != expected)
-            assert bad.size == 0, (p, t, order, np.array(rows)[bad[:5]])
+            assert bad.size == 0, (p, t, less, np.array(rows)[bad[:5]])
 
 
 class TestSettle:
@@ -299,11 +298,11 @@ class TestSettle:
 
 
 class TestInvariance:
-    def walk(self, k0, k_ref, p, t, seq, order=D1_LESS):
+    def walk(self, k0, k_ref, p, t, seq):
         k, ref = np.array([k0]), np.array([k_ref])
         path = [k0]
         for s in seq:
-            fast = best_response_batch(k, ref, [s], SBAR, p, t, order) == ARC1
+            fast = best_response_batch(k, ref, [s], SBAR, p, t) == ARC1
             k = settle(k, fast, True, p)
             path.append(k[0])
         return np.array(path), thresholds(k_ref, p, t)
@@ -348,9 +347,3 @@ class TestInvariance:
             base = plan_oracle(state, (1.0, 2.0), P_FIG3, 6, SBAR).choice
             scaled = plan_oracle(state, (10.0, 20.0), P_FIG3, 6, SBAR).choice
             assert base == scaled
-
-
-def test_discomfort_order_classification():
-    assert discomfort_order([1.0, 2.0]) == D1_LESS
-    assert discomfort_order([2.0, 1.0]) == D1_GREATER
-    assert discomfort_order([1.5, 1.5]) == D1_EQUAL

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -255,19 +256,24 @@ class TestStationary:
                                           ((10, 14), 6, 0.0)],
                              ids=["199:200-T12", "78:78-T6", "10:14-T6-periodic"])
     def test_start_is_the_fixed_point(self, p, t, ph):
-        # the class-cycle solve leaves a single polishing step to certify it
+        # the class-cycle solve is certified by its one step at tol 1e-14,
+        # and the returned vector is as close to fixed
         price = PriceVector(*p)
         ch = build_chain(price, t, ph, EXP)
-        pe = stationary_distribution(ch, max_iter=2)
+        pe = stationary_distribution(ch, tol=1e-14)
         assert np.abs(ch.a @ pe - pe).sum() <= 1e-14
         g = np.gcd(price.p1, price.r2)
         for j in range(g):
             assert pe[j::g].sum() == pytest.approx(1 / g, abs=1e-12)
 
     def test_nonconvergence_budget(self):
+        # a tol below the first step's rounding cannot be certified; the
+        # error names the residual that one step left
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
-        with pytest.raises(ConvergenceError):
-            stationary_distribution(ch, tol=0.0, max_iter=3)
+        with pytest.raises(ConvergenceError, match="above tol 1e-30") as err:
+            stationary_distribution(ch, tol=1e-30)
+        residual = re.search(r"moves it by (\S+) in L1", str(err.value))
+        assert 1e-30 < float(residual.group(1)) <= 1e-12
 
     def test_rejects_everyone_home(self):
         # A = I: every distribution is stationary, so there is none to pick
@@ -286,12 +292,10 @@ class TestStationary:
 
     def test_rejects_negative_or_nan_tol(self):
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
-        for tol in (-1.0, float("nan")):
+        # one float step cannot certify an exact fixed point, so 0 is out
+        for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="tol"):
                 stationary_distribution(ch, tol=tol)
-        # an exact fixed point is reachable on fig3
-        pe = stationary_distribution(ch, tol=0.0)
-        assert np.abs(ch.a @ pe - pe).sum() == 0.0
 
     def test_geometric_decay_towards_equilibrium(self):
         # second eigenvalue strictly inside the unit circle when p_home > 0

@@ -161,17 +161,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_flow([-0.2, 0.5])
         with pytest.raises(ValueError):
-            as_flow([0.5, 0.5], demand=0.95)
-        assert np.allclose(as_flow([0.5, 0.45], demand=0.95), [0.5, 0.45])
+            as_flow([0.5, 0.5, 0.0])
+        # rounding just outside [0, 1] passes unchanged
+        assert as_flow([-1e-10, 1.0 + 1e-10]).tolist() == [-1e-10, 1.0 + 1e-10]
 
     def test_scenario_invariants(self):
         sens = SensitivitySpec.exponential(1.0)
         with pytest.raises(ValueError):
             Scenario(p_home=-0.1, horizon=6, n_agents=10, sensitivity=sens,
                      k_init=(0, 10), k_ref_init=(0, 10))
-        with pytest.raises(ValueError):
-            Scenario(p_home=0.1, horizon=0, n_agents=10, sensitivity=sens,
-                     k_init=(0, 10), k_ref_init=(0, 10))
+        for horizon in (0, 2.5, True):
+            with pytest.raises(ValueError, match="horizon"):
+                Scenario(p_home=0.1, horizon=horizon, n_agents=10,
+                         sensitivity=sens, k_init=(0, 10), k_ref_init=(0, 10))
         with pytest.raises(ValueError):
             Scenario(p_home=0.1, horizon=6, n_agents=10, sensitivity=sens,
                      k_init=(10, 5), k_ref_init=(0, 10))

@@ -10,7 +10,6 @@ from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
                            conservation_prices, equilibrium_flows,
                            rationalize_prices, stationary_distribution,
                            thresholds)
-from karma_routing.agent import D1_LESS
 
 
 class TestConservationPrices:
@@ -127,9 +126,9 @@ class TestScalingInvariance:
                 k = rng.uniform(th.k_inf, th.k_wealthy + 2 * base.total)
                 rows.append((k, k_ref, rng.exponential(1.0)))
             k, k_ref, s = np.array(rows).T
-            a = best_response_batch(k, k_ref, s, 1.0, base, horizon, D1_LESS)
+            a = best_response_batch(k, k_ref, s, 1.0, base, horizon)
             b = best_response_batch(k * lam, k_ref * lam, s, 1.0, scaled,
-                                    horizon, D1_LESS)
+                                    horizon)
             assert np.array_equal(a, b)
 
     def test_chain_flows_invariant_under_common_scale(self):

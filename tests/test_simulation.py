@@ -296,6 +296,12 @@ class TestBreakpointCache:
             pop.k_ref = 0.5 * pop.k_ref + 40.0
         self.run_days(pop, lambda day: PriceVector(10, 14), 10, rebind)
 
+    def test_k_ref_is_read_only(self):
+        # an in-place edit would leave the cached breakpoints stale
+        pop = init_population(scenario(seed=23), PriceVector(10, 14))
+        with pytest.raises(ValueError):
+            pop.k_ref[0] = 1.0
+
     def test_karma_below_floor_raises(self):
         sc = scenario(k_init=(0.0, 5.0), k_ref_init=(150.0, 200.0))
         p = PriceVector(10, 14)

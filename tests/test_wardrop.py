@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ARC1, ARC2, STAY, AgentState, ArcCostModel,
                            PriceVector, SensitivitySpec, balanced_flow,
-                           best_response_batch, build_chain, discomfort_order,
+                           best_response_batch, build_chain,
                            equilibrium_flows, plan_oracle,
                            stationary_distribution, thresholds,
                            wardrop_equilibrium)
-from karma_routing.agent import D1_LESS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 BPR = ArcCostModel()
@@ -28,11 +27,14 @@ def population(rng, m, k_low, k_high, ref_low=0.0, ref_high=100.0):
 def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
     """One best-response sweep against assumed flows: (flows, choices).
 
-    The discomfort order at ``x_assumed`` (under BPR) picks the rule, every
-    traveler takes the rule's route, and flows are population shares.
+    With d1 < d2 at ``x_assumed`` (under BPR) every traveler takes the
+    rule's route, otherwise the slow one; flows are population shares.
     """
-    order = discomfort_order(BPR.discomfort(x_assumed))
-    rule = best_response_batch(k, k_ref, s, 1.0, p, horizon, order)
+    d = BPR.discomfort(x_assumed)
+    if d[0] < d[1]:
+        rule = best_response_batch(k, k_ref, s, 1.0, p, horizon)
+    else:
+        rule = np.full(np.shape(k), ARC2)
     choices = np.where(traveling, rule, STAY).astype(np.int8)
     flows = np.array([np.count_nonzero(choices == route) / choices.size
                       for route in (ARC1, ARC2)])
@@ -166,7 +168,8 @@ class TestWardropEquilibrium:
             res = self.solve(k, k_ref, s, traveling)
             x_sweep, choices_sweep = sweep(k, k_ref, s, traveling,
                                            D1_LESS_FLOWS)
-            kept = discomfort_order(BPR.discomfort(x_sweep)) == D1_LESS
+            d = BPR.discomfort(x_sweep)
+            kept = d[0] < d[1]
             assert (res.regime == CONTROLLED) == kept
             if kept:
                 assert np.array_equal(res.flows, x_sweep)
@@ -289,7 +292,8 @@ class TestEquilibriumProperties:
         # regime: controlled exactly when the d1 < d2 sweep keeps d1 < d2,
         # or when no balanced flow exists (the sweep's order comes from BPR)
         x_sweep, _ = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS, p, horizon)
-        kept = discomfort_order(model.discomfort(x_sweep)) == D1_LESS
+        d = model.discomfort(x_sweep)
+        kept = d[0] < d[1]
         demand = traveling.sum() / m
         crossing = demand > 0 and balanced_flow(model, demand) is not None
         assert (res.regime == CONTROLLED) == (kept or not crossing)
