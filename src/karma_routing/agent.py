@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleKarmaError
+from .network import check_count
 from .pricing import PriceVector
 
 STAY = 0
@@ -99,11 +100,11 @@ def k_wealthy(k_ref, p: PriceVector, horizon: int):
 def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
     """The four karma breakpoints for a given reference level and prices.
 
-    Raises ValueError if horizon < 1 or any k_ref is negative or NaN: below
-    a zero reference the rule could send an agent fast that cannot pay p1.
+    Raises ValueError unless horizon is an integer >= 1, or if any k_ref is
+    negative or NaN: below a zero reference the rule could send an agent fast
+    that cannot pay p1.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_count("horizon", horizon)
     ref = np.asarray(k_ref, dtype=float)
     bad = ~(ref >= 0)
     if bad.any():

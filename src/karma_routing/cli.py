@@ -134,7 +134,7 @@ def cmd_design_prices(args) -> int:
     config = _resolve_config(args)
     model = config.model()
     p_go = 1.0 - config.p_home
-    x_star = system_optimum(model, p_go, tol=args.tol)
+    x_star = system_optimum(model, p_go)
     ratio = conservation_prices(x_star)
     prices = rationalize_prices(ratio, config.max_price, config.horizon)
     print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})  "
@@ -152,7 +152,7 @@ def cmd_system_optimum(args) -> int:
     config = _resolve_config(args)
     model = config.model()
     p_go = args.p_go if args.p_go is not None else 1.0 - config.p_home
-    x_star = system_optimum(model, p_go, tol=args.tol)
+    x_star = system_optimum(model, p_go)
     cost = model.societal_cost(x_star)
     print(f"demand: {p_go}")
     print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})")
@@ -165,20 +165,17 @@ def cmd_system_optimum(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, out_default: str | None = None,
-                tol_default: float | None = None):
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
+                max_price: bool = True):
+    """--preset and --config, plus --seed and --max-price where they are read."""
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="built-in scenario preset")
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, help="RNG seed override")
-    parser.add_argument("--max-price", dest="max_price", type=int,
-                        help="price rounding scale for designed prices")
-    if tol_default is not None:
-        parser.add_argument("--tol", type=float, default=tol_default,
-                            help="solver tolerance")
-    if out_default is not None:
-        parser.add_argument("--out", default=out_default,
-                            help="output directory")
+    if seed:
+        parser.add_argument("--seed", type=int, help="RNG seed override")
+    if max_price:
+        parser.add_argument("--max-price", dest="max_price", type=int,
+                            help="price rounding scale for designed prices")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,22 +187,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate the repeated game")
-    _add_common(p_run, out_default="out")
+    _add_common(p_run, seed=True)
+    p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--days", type=int, help="number of simulated days")
     p_run.set_defaults(func=cmd_run)
 
     p_chain = sub.add_parser("analyze-chain",
                              help="karma-distribution chain analysis")
-    _add_common(p_chain, out_default="out", tol_default=1e-12)
+    _add_common(p_chain)
+    p_chain.add_argument("--tol", type=float, default=1e-12,
+                         help="L1 residual bound of the certifying chain step")
+    p_chain.add_argument("--out", default="out", help="output directory")
     p_chain.set_defaults(func=cmd_analyze_chain)
 
     p_prices = sub.add_parser("design-prices",
                               help="conservation prices and their rounding")
-    _add_common(p_prices, tol_default=1e-6)
+    _add_common(p_prices)
     p_prices.set_defaults(func=cmd_design_prices)
 
     p_opt = sub.add_parser("system-optimum", help="optimal demand split")
-    _add_common(p_opt, tol_default=1e-6)
+    _add_common(p_opt, max_price=False)
     p_opt.add_argument("--p-go", dest="p_go", type=float,
                        help="total travel demand (defaults to 1 - p_home)")
     p_opt.set_defaults(func=cmd_system_optimum)

@@ -44,7 +44,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field
 
-from .network import SOCIETAL_DISCOMFORT, ArcCostModel, Scenario, system_optimum
+from .network import (SOCIETAL_DISCOMFORT, ArcCostModel, Scenario, check_count,
+                      system_optimum)
 from .pricing import PriceVector, conservation_prices, rationalize_prices
 from .sensitivity import EXPONENTIAL, SensitivitySpec
 
@@ -118,8 +119,7 @@ class RunConfig:
         """Instantiate every derived object so bad values fail early."""
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
+        check_count("days", self.days)
         if self.p_home >= 1.0:
             # nobody ever travels: no cost optimum, no flow ratio, no chain
             raise ValueError(f"p_home must be < 1 for a run, got {self.p_home}")

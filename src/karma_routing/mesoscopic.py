@@ -50,7 +50,6 @@ import scipy.sparse as sp
 
 from .agent import Thresholds, thresholds, urgency_threshold
 from .errors import ConvergenceError
-from .network import check_horizon
 from .pricing import PriceVector
 from .sensitivity import SensitivitySpec
 
@@ -106,7 +105,6 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     that is tolled less than the slow route rewards); the opposite case is
     recovered by relabeling the routes.
     """
-    check_horizon(horizon)
     if not 0.0 <= p_home <= 1.0:
         raise ValueError("p_home must lie in [0, 1]")
     if p.r2 < p.p1:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .sensitivity import SensitivitySpec
 
 SOCIETAL_DISCOMFORT = "discomfort"  # c(x) = d(x): cost is the sum of user costs
@@ -22,13 +21,16 @@ SOCIETAL_FLOW = "flow"              # c(x) = x:    cost is quadratic in flow
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _FLOW_SLACK = 1e-9  # rounding allowed outside [0, 1] on a flow component
+_OPTIMUM_TOL = 1e-6  # golden-section bracket width and local sweep step
+# a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
+_BALANCE_TOL = 1e-9
 
 
-def check_horizon(horizon) -> None:
-    """Raise ValueError unless horizon is an integer >= 1 (bool excluded)."""
-    if (not isinstance(horizon, numbers.Integral) or isinstance(horizon, bool)
-            or horizon < 1):
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer >= 1 (bool excluded)."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,13 @@ class ArcCostModel:
     def __post_init__(self):
         if len(self.d0) != 2 or len(self.kappa) != 2:
             raise ValueError("d0 and kappa must be pairs (two routes)")
-        if min(self.d0) <= 0 or min(self.kappa) <= 0:
-            raise ValueError("d0 and kappa must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
+        # chained comparisons, so NaN fails each of them
+        if not all(0 < v < np.inf for v in (*self.d0, *self.kappa)):
+            raise ValueError("d0 and kappa must be positive and finite")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and non-negative")
+        if not 1 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and >= 1")
         if self.societal_cost_kind not in (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW):
             raise ValueError(f"unknown societal cost kind: {self.societal_cost_kind!r}")
 
@@ -90,14 +93,12 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 <= self.p_home <= 1.0:
             raise ValueError("p_home must lie in [0, 1]")
-        check_horizon(self.horizon)
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be a positive integer")
+        check_count("horizon", self.horizon)
+        check_count("n_agents", self.n_agents)
         for lo, hi in (self.k_init, self.k_ref_init):
-            if lo < 0 or hi < lo:
-                raise ValueError("karma init ranges must satisfy 0 <= low <= high")
-        if self.sensitivity.s_bar <= 0:
-            raise ValueError("mean sensitivity must be positive")
+            if not 0 <= lo <= hi < np.inf:
+                raise ValueError(
+                    "karma init ranges must satisfy 0 <= low <= high < inf")
 
     @property
     def p_go(self) -> float:
@@ -130,27 +131,23 @@ def _split_objective(model: ArcCostModel, p_go: float):
     return g
 
 
-def system_optimum(model: ArcCostModel, p_go: float, tol: float = 1e-6) -> np.ndarray:
+def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     """Minimize c(x)^T x over splits of the total demand p_go.
 
-    Golden-section search on x1 in [0, p_go], refined by a local grid sweep
-    so flat stretches of the objective cannot hide a better split.  The
-    returned pair conserves demand exactly by construction.
+    Golden-section search on x1 in [0, p_go] down to a 1e-6 bracket, refined
+    by a local grid sweep of that step so flat stretches of the objective
+    cannot hide a better split.  The returned pair conserves demand exactly
+    by construction.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     g = _split_objective(model, p_go)
 
     lo, hi = 0.0, p_go
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     gc, gd = g(c), g(d)
-    max_iter = int(np.ceil(np.log(max(tol / p_go, 1e-300)) / np.log(_GOLDEN))) + 4
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
+    while hi - lo > _OPTIMUM_TOL:
         if gc < gd:
             hi, d, gd = d, c, gc
             c = hi - _GOLDEN * (hi - lo)
@@ -159,29 +156,26 @@ def system_optimum(model: ArcCostModel, p_go: float, tol: float = 1e-6) -> np.nd
             lo, c, gc = c, d, gd
             d = lo + _GOLDEN * (hi - lo)
             gd = g(d)
-    else:
-        raise ConvergenceError("golden-section search failed to bracket the optimum")
 
     # local sweep around the bracket midpoint guards against flat regions
     center = 0.5 * (lo + hi)
-    grid = np.clip(center + tol * np.arange(-5, 6), 0.0, p_go)
+    grid = np.clip(center + _OPTIMUM_TOL * np.arange(-5, 6), 0.0, p_go)
     vals = [g(t) for t in grid]
     x1 = float(grid[int(np.argmin(vals))])
     return np.array([x1, p_go - x1])
 
 
-def balanced_flow(model: ArcCostModel, p_go: float, tol: float = 1e-6) -> np.ndarray | None:
+def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     """Split of p_go where both routes have equal discomfort, or None.
 
     Bisection on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing for
-    monotone costs; stops once |d1 - d2| <= tol at the midpoint.  Returns
+    monotone costs; stops once |d1 - d2| <= 1e-9 at the midpoint.  It is the
+    split every uncontrolled day lands on (see `wardrop`).  Returns
     None when d1 < d2 over the whole range (no crossing), the regime where
     pricing alone dictates the split.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     def h(x1):  # 0 <= x1 <= p_go <= 1, so the pair needs no validation
         d = model._discomfort(np.array([x1, p_go - x1]))
@@ -195,7 +189,7 @@ def balanced_flow(model: ArcCostModel, p_go: float, tol: float = 1e-6) -> np.nda
         return None  # route 1 never becomes the cheaper one
     mid = 0.5 * (lo + hi)
     h_mid = h(mid)
-    while abs(h_mid) > tol and hi - lo > 1e-14:
+    while abs(h_mid) > _BALANCE_TOL and hi - lo > 1e-14:
         if h_mid < 0.0:
             lo = mid
         else:

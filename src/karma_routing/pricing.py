@@ -56,42 +56,42 @@ class PriceVector:
 def conservation_prices(x_star) -> tuple[float, float]:
     """Real (p1, r2) pair with p^T x* = 0, normalized so r2 = 1.
 
-    Unique up to scaling; raises DegenerateOptimumError if either component
-    of x* is non-positive (no finite conserving ratio exists).
+    Unique up to scaling; raises DegenerateOptimumError unless both
+    components of x* are positive and finite (else no conserving ratio exists).
     """
     x = np.asarray(x_star, dtype=float)
     if x.shape != (2,):
         raise ValueError("x_star must be a pair")
-    if x[0] <= 0.0 or x[1] <= 0.0:
+    if not np.all((x > 0.0) & (x < np.inf)):
         raise DegenerateOptimumError(
-            f"target flow {x.tolist()} has a non-positive component; "
-            "conserving prices need x* > 0 on both routes"
+            f"target flow {x.tolist()} has a non-positive or non-finite "
+            "component; conserving prices need finite x* > 0 on both routes"
         )
     return (float(x[1] / x[0]), 1.0)
 
 
-def rationalize_prices(ratio: tuple[float, float], max_price: int = 20,
-                       horizon: int | None = None) -> PriceVector:
+def rationalize_prices(ratio: tuple[float, float], max_price: int,
+                       horizon: int) -> PriceVector:
     """Integer price pair approximating the conserving ratio.
 
     The larger coordinate is pinned to ``max_price`` and the other is rounded,
     which is how the reference scenarios were priced; the result is reduced to
     co-prime form only when the rounding is exact (the ratio, and hence the
-    dynamics, are invariant under common scaling).  With ``horizon`` given,
-    raises InfeasibleHorizonError unless r2/p1 lies in [1/T, T].
+    dynamics, are invariant under common scaling).  Raises
+    InfeasibleHorizonError unless r2/p1 lies in [1/T, T] for T = horizon.
     """
     if max_price < 2:
         raise ValueError("max_price must be >= 2")
     rho = ratio[0] / ratio[1]  # target p1/r2 = x2*/x1*
-    if rho <= 0:
-        raise ValueError("price ratio must be positive")
+    if not rho > 0:
+        raise ValueError(f"price ratio must be positive, got {rho}")
     if rho <= 1.0:
         pair = PriceVector(max(1, round(max_price * rho)), max_price)
     else:
         pair = PriceVector(max_price, max(1, round(max_price / rho)))
     if pair.p1 / pair.r2 == rho:
         pair = pair.reduced()
-    if horizon is not None and not pair.feasible_for_horizon(horizon):
+    if not pair.feasible_for_horizon(horizon):
         raise InfeasibleHorizonError(
             f"prices ({pair.p1}, -{pair.r2}) violate the feasibility band "
             f"r2/p1 in [1/{horizon}, {horizon}]"

@@ -29,11 +29,11 @@ class SensitivitySpec:
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, UNIFORM):
             raise ValueError(f"unknown sensitivity kind: {self.kind!r}")
-        if self.kind == EXPONENTIAL and self.mean <= 0:
-            raise ValueError("exponential sensitivity needs mean > 0")
-        if self.kind == UNIFORM:
-            if not 0 <= self.low < self.high:
-                raise ValueError("uniform sensitivity needs 0 <= low < high")
+        # chained comparisons, so NaN fails each of them
+        if self.kind == EXPONENTIAL and not 0 < self.mean < np.inf:
+            raise ValueError("exponential sensitivity needs a finite mean > 0")
+        if self.kind == UNIFORM and not 0 <= self.low < self.high < np.inf:
+            raise ValueError("uniform sensitivity needs 0 <= low < high < inf")
 
     @classmethod
     def exponential(cls, mean: float = 1.0) -> "SensitivitySpec":

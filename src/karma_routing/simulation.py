@@ -15,7 +15,8 @@ import numpy as np
 
 from .agent import ARC1, STAY, Thresholds, k_inf, settle, thresholds
 from .mesoscopic import quantize_population
-from .network import ArcCostModel, Scenario, as_flow, system_optimum
+from .network import (ArcCostModel, Scenario, as_flow, check_count,
+                      system_optimum)
 from .pricing import PriceVector
 from .wardrop import UNCONTROLLED, _equilibrium
 
@@ -223,8 +224,7 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
 def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
                  days: int, integer_karma: bool = False) -> RunResult:
     """Run the repeated game for the given number of days."""
-    if days < 1:
-        raise ValueError("days must be >= 1")
+    check_count("days", days)
     pop = init_population(scenario, p, integer_karma=integer_karma)
     if scenario.p_go > 0:
         x_star = system_optimum(model, scenario.p_go)

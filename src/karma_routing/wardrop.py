@@ -86,8 +86,7 @@ def _equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     if n_travel == 0 or d[0] < d[1]:
         return fast, n1, n_travel - n1, CONTROLLED, d
 
-    # a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
-    x_bal = balanced_flow(model, n_travel / m, tol=1e-9)
+    x_bal = balanced_flow(model, n_travel / m)
     if x_bal is None:
         # d1 >= d2 even on an empty fast route: the slow route dominates
         fast, regime = np.zeros(m, dtype=bool), CONTROLLED

@@ -28,6 +28,14 @@ class TestThresholds:
         # middle band is empty: k_rich < k_poor
         assert (th.k_inf, th.k_poor, th.k_rich, th.k_wealthy) == (0, 1, 0, 2)
 
+    def test_rejects_non_integer_horizon(self):
+        # at T = 2.5 the breakpoints came out off the karma lattice
+        for horizon in (0, 2.5, True):
+            with pytest.raises(ValueError, match="horizon"):
+                thresholds(50.0, P_FIG3, horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                best_response_batch([50.0], [50.0], [2.0], SBAR, P_FIG3, horizon)
+
     def test_band_widths_match_quantization(self):
         p = PriceVector(2, 3)
         t = 3

@@ -59,8 +59,11 @@ class TestRunConfig:
     def test_validation_failures(self):
         with pytest.raises(ValueError):
             RunConfig(price_mode="bogus").validate()
-        with pytest.raises(ValueError):
-            RunConfig(days=0).validate()
+        for days in (0, 2.5, True):
+            with pytest.raises(ValueError, match="days"):
+                RunConfig(days=days).validate()
+        with pytest.raises(ValueError, match="n_agents"):
+            RunConfig(n_agents=2.5).validate()
         with pytest.raises(ValueError):
             RunConfig(p_home=1.5).validate()
         with pytest.raises(ValueError, match="p_home"):
@@ -213,6 +216,23 @@ class TestCli:
         assert main(["system-optimum", "--preset", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "0.5595" in out or "0.56" in out
+
+    def test_system_optimum_tiny_demand(self, capsys):
+        # a demand below the search's 1e-6 bracket used to raise
+        assert main(["system-optimum", "--preset", "fig3", "--p-go", "1e-8"]) == 0
+        assert "system optimum: (0.000000, 0.000000)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["design-prices", "--preset", "fig3", "--seed", "1"],
+        ["design-prices", "--preset", "fig3", "--tol", "1e-6"],
+        ["system-optimum", "--preset", "fig3", "--max-price", "3"],
+        ["analyze-chain", "--preset", "fig3", "--seed", "1"],
+    ])
+    def test_unread_flags_rejected(self, argv):
+        # each subcommand takes only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_analyze_chain_small_matrix_structure(self, tmp_path):
         cfg = RunConfig(p1=2, r2=3, horizon=3, p_home=0.05)

@@ -99,20 +99,20 @@ class TestSystemOptimum:
 
     @pytest.mark.parametrize("p_go", [0.2, 0.5, 0.95, 1.0])
     def test_beats_brute_force_grid(self, p_go):
-        x = system_optimum(BPR, p_go, tol=1e-6)
+        x = system_optimum(BPR, p_go)
         _, best = grid_minimum(BPR, p_go)
         assert BPR.societal_cost(x) <= best + 1e-9
 
     def test_conserves_demand(self):
-        for p_go in (0.31, 0.95, 1.0):
+        # 1e-8 is narrower than the search's 1e-6 bracket
+        for p_go in (1e-8, 0.31, 0.95, 1.0):
             x = system_optimum(BPR, p_go)
             assert abs(x.sum() - p_go) < 1e-15
+        assert system_optimum(BPR, 1e-8).tolist() == [1e-8, 0.0]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             system_optimum(BPR, 0.0)
-        with pytest.raises(ValueError):
-            system_optimum(BPR, 0.95, tol=-1.0)
 
 
 class TestBalancedFlow:
@@ -144,16 +144,35 @@ class TestBalancedFlow:
 
 class TestValidation:
     def test_model_invariants(self):
-        with pytest.raises(ValueError):
-            ArcCostModel(d0=(0.0, 2.0))
-        with pytest.raises(ValueError):
-            ArcCostModel(kappa=(0.5, -1.0))
-        with pytest.raises(ValueError):
-            ArcCostModel(alpha=-0.1)
-        with pytest.raises(ValueError):
-            ArcCostModel(beta=0.5)
+        nan, inf = float("nan"), float("inf")
+        # min((1.0, nan)) is 1.0: a NaN in either pair must still fail
+        for pair in ((0.0, 2.0), (nan, 2.0), (1.0, nan), (1.0, inf)):
+            with pytest.raises(ValueError):
+                ArcCostModel(d0=pair)
+        for pair in ((0.5, -1.0), (nan, 0.5), (0.5, nan)):
+            with pytest.raises(ValueError):
+                ArcCostModel(kappa=pair)
+        for alpha in (-0.1, nan, inf):
+            with pytest.raises(ValueError):
+                ArcCostModel(alpha=alpha)
+        for beta in (0.5, nan, inf):
+            with pytest.raises(ValueError):
+                ArcCostModel(beta=beta)
         with pytest.raises(ValueError):
             ArcCostModel(societal_cost_kind="mystery")
+
+    def test_sensitivity_invariants(self):
+        nan, inf = float("nan"), float("inf")
+        for mean in (0.0, -1.0, nan, inf):
+            with pytest.raises(ValueError, match="exponential"):
+                SensitivitySpec.exponential(mean)
+        for low, high in ((-0.5, 1.0), (1.0, 1.0), (nan, 1.0), (0.0, nan),
+                          (0.0, inf)):
+            with pytest.raises(ValueError, match="uniform"):
+                SensitivitySpec.uniform(low, high)
+        with pytest.raises(ValueError, match="kind"):
+            SensitivitySpec(kind="lognormal")
+        assert SensitivitySpec.uniform(0.5, 2.5).s_bar == 1.5
 
     def test_flow_validation(self):
         with pytest.raises(ValueError):
@@ -174,9 +193,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="horizon"):
                 Scenario(p_home=0.1, horizon=horizon, n_agents=10,
                          sensitivity=sens, k_init=(0, 10), k_ref_init=(0, 10))
-        with pytest.raises(ValueError):
-            Scenario(p_home=0.1, horizon=6, n_agents=10, sensitivity=sens,
-                     k_init=(10, 5), k_ref_init=(0, 10))
+        for n_agents in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_agents"):
+                Scenario(p_home=0.1, horizon=6, n_agents=n_agents,
+                         sensitivity=sens, k_init=(0, 10), k_ref_init=(0, 10))
+        nan = float("nan")
+        for bounds in ((10, 5), (nan, 10), (0, nan), (-1, 10), (0, float("inf"))):
+            with pytest.raises(ValueError, match="karma init"):
+                Scenario(p_home=0.1, horizon=6, n_agents=10, sensitivity=sens,
+                         k_init=bounds, k_ref_init=(0, 10))
+            with pytest.raises(ValueError, match="karma init"):
+                Scenario(p_home=0.1, horizon=6, n_agents=10, sensitivity=sens,
+                         k_init=(0, 10), k_ref_init=bounds)
         sc = Scenario(p_home=0.05, horizon=6, n_agents=10, sensitivity=sens,
                       k_init=(0, 10), k_ref_init=(0, 10))
         assert sc.p_go == pytest.approx(0.95)

@@ -32,6 +32,10 @@ class TestConservationPrices:
             conservation_prices([0.95, 0.0])
         with pytest.raises(DegenerateOptimumError):
             conservation_prices([0.0, 0.95])
+        for bad in ([float("nan"), 0.5], [0.5, float("nan")],
+                    [float("inf"), 0.5]):
+            with pytest.raises(DegenerateOptimumError):
+                conservation_prices(bad)
 
 
 class TestRationalizePrices:
@@ -63,7 +67,7 @@ class TestRationalizePrices:
 
     def test_max_price_validation(self):
         with pytest.raises(ValueError):
-            rationalize_prices((1.0, 1.0), 1)
+            rationalize_prices((1.0, 1.0), 1, 6)
 
 
 class TestBestCoprimeRatio:

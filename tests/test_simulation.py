@@ -144,8 +144,9 @@ class TestRunScenario:
         assert res.karma_hist.sum() == pytest.approx(100)
 
     def test_rejects_zero_days(self):
-        with pytest.raises(ValueError):
-            run_scenario(scenario(), BPR, PriceVector(10, 14), 0)
+        for days in (0, 2.5, True):
+            with pytest.raises(ValueError, match="days"):
+                run_scenario(scenario(), BPR, PriceVector(10, 14), days)
 
 
 # sha256 of the (day, x1, x2, regime) rows and the final histogram counts.
