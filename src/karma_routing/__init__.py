@@ -6,7 +6,7 @@ karma-distribution dynamics, and simulate the repeated game for finite
 populations.
 """
 
-from .agent import (ARC1, ARC2, STAY, AgentState, PlanOutcome, Thresholds,
+from .agent import (ARC1, ARC2, AgentState, PlanOutcome, Thresholds,
                     best_response_batch, plan_oracle, settle, thresholds)
 from .config import RunConfig
 from .errors import (ConvergenceError, DegenerateOptimumError,
@@ -24,17 +24,17 @@ from .pricing import (PriceVector, best_coprime_ratio, conservation_prices,
 from .sensitivity import SensitivitySpec
 from .simulation import (DayRecord, Population, RunResult, compute_metrics,
                          init_population, run_scenario, simulate_day)
-from .wardrop import CONTROLLED, UNCONTROLLED, WardropResult, wardrop_equilibrium
+from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARC1", "ARC2", "STAY", "CONTROLLED", "UNCONTROLLED",
+    "ARC1", "ARC2", "CONTROLLED", "UNCONTROLLED",
     "AgentState", "ArcCostModel", "ConvergenceError", "DayRecord",
     "DegenerateOptimumError", "InfeasibleHorizonError", "InfeasibleKarmaError",
     "KarmaChain", "KarmaRoutingError", "PlanOutcome", "Population",
     "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
-    "SensitivitySpec", "Thresholds", "WardropResult", "apply_preset",
+    "SensitivitySpec", "Thresholds", "apply_preset",
     "as_flow", "balanced_flow", "best_coprime_ratio", "best_response_batch",
     "build_chain", "compute_metrics", "conservation_prices",
     "equilibrium_flows", "get_preset", "init_population",

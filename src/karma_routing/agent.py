@@ -19,7 +19,6 @@ from .errors import InfeasibleKarmaError
 from .network import check_count
 from .pricing import PriceVector
 
-STAY = 0
 ARC1 = 1  # fast route, pays p1
 ARC2 = 2  # slow route, earns r2
 

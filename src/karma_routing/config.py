@@ -51,6 +51,8 @@ from .sensitivity import EXPONENTIAL, SensitivitySpec
 
 PRICE_FIXED = "fixed"
 PRICE_DESIGN = "design"
+# INI value parser and its name in errors, by the field's annotation
+_PARSERS = {"float": (float, "a float"), "int": (int, "an int")}
 
 
 @dataclass
@@ -186,10 +188,10 @@ class RunConfig:
                         f"valid keys: {', '.join(valid)}")
                 raw = parser.get(section, key)
                 kind = types[key].type
-                if kind == "float":
-                    kwargs[key] = float(raw)
-                elif kind == "int":
-                    kwargs[key] = int(raw)
-                else:
-                    kwargs[key] = raw
+                parse, what = _PARSERS.get(kind, (str, "a string"))
+                try:
+                    kwargs[key] = parse(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: [{section}] {key} = {raw!r} "
+                                     f"is not {what}") from exc
         return cls(**kwargs).validate()

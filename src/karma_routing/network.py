@@ -95,6 +95,9 @@ class Scenario:
             raise ValueError("p_home must lie in [0, 1]")
         check_count("horizon", self.horizon)
         check_count("n_agents", self.n_agents)
+        if (not isinstance(self.seed, numbers.Integral)
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for lo, hi in (self.k_init, self.k_ref_init):
             if not 0 <= lo <= hi < np.inf:
                 raise ValueError(

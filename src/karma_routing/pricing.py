@@ -8,6 +8,7 @@ chain and the simulator work with.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import gcd
 
@@ -24,8 +25,9 @@ class PriceVector:
     r2: int
 
     def __post_init__(self):
-        if int(self.p1) != self.p1 or int(self.r2) != self.r2:
-            raise ValueError("prices must be integers")
+        for v in (self.p1, self.r2):
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"prices must be integers, got {v!r}")
         if self.p1 < 1 or self.r2 < 1:
             raise ValueError("p1 and r2 must be >= 1")
 

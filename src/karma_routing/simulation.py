@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import ARC1, STAY, Thresholds, k_inf, settle, thresholds
+from .agent import Thresholds, k_inf, settle, thresholds
 from .mesoscopic import quantize_population
-from .network import (ArcCostModel, Scenario, as_flow, check_count,
-                      system_optimum)
+from .network import ArcCostModel, Scenario, check_count, system_optimum
 from .pricing import PriceVector
-from .wardrop import UNCONTROLLED, _equilibrium
+from .wardrop import UNCONTROLLED, wardrop_equilibrium
 
 RUN_CSV_COLUMNS = ["day", "x1", "x2", "cost", "cost_opt_ratio", "delta_d",
                    "delta_s", "mean_karma", "regime"]
@@ -156,34 +155,27 @@ def init_population(scenario: Scenario, prices: PriceVector,
                       n_clamped_init=n_clamped)
 
 
-def compute_metrics(choices, s, x, k, model: ArcCostModel, s_bar: float):
+def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
+                    s_bar: float):
     """Per-day metrics: (delta_d, delta_s, mean_karma, cost).
 
-    delta_d compares the realized sensitivity-weighted discomfort against a
-    sensitivity-unaware random assignment to the same flows:
-    sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji over travelers.  delta_s is
-    the relative deviation of the travelers' mean sensitivity,
-    sum_i (s_i - s_bar) / (M s_bar).  Both are None on days nobody travels.
+    ``fast`` and ``traveling`` are the day's route masks over all agents,
+    ``s`` their sensitivities, ``x`` the flow pair, ``d`` = d(x) and ``k``
+    the karma after settlement.  delta_d compares the realized
+    sensitivity-weighted discomfort against a sensitivity-unaware random
+    assignment to the same flows: sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji
+    over travelers.  delta_s is the relative deviation of the travelers' mean
+    sensitivity, sum_i (s_i - s_bar) / (M s_bar).  Both are None on days
+    nobody travels.
     """
-    choices = np.asarray(choices)
-    x = as_flow(x)
-    traveling = choices != STAY
-    return _metrics(choices == ARC1, traveling, np.count_nonzero(traveling),
-                    np.asarray(s, dtype=float), x, model._discomfort(x),
-                    np.asarray(k, dtype=float), model, s_bar)
-
-
-def _metrics(fast, traveling, n_travel: int, s, x, d, k, model: ArcCostModel,
-             s_bar: float):
-    """`compute_metrics` from the route masks, the traveler count and d(x)."""
     cost = model._cost(x, d)
     mean_karma = float(k.mean())
-    if not n_travel:
-        return None, None, mean_karma, cost
     # summed over the gathered travelers, which fixes the sums' last bits;
     # d_taken is d1 or d2 per traveler, looked up in (d2, d1) by the fast
     # flag as an index
     s_dev = s[traveling]
+    if not s_dev.size:
+        return None, None, mean_karma, cost
     s_dev -= s_bar
     d_taken = d[::-1].take(fast[traveling].view(np.uint8))
     weight = (s_bar * d_taken).sum()
@@ -197,8 +189,9 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
                  cost_star: float | None = None) -> DayRecord:
     """Advance the population by one day and record its metrics.
 
-    The equilibrium, the settlement and the metrics all read the day's
-    fast-route and traveling masks over all agents.
+    The day runs the public stages in order: `thresholds` (cached on the
+    population), `wardrop_equilibrium`, `settle` and `compute_metrics`, all
+    reading the day's fast-route and traveling masks over all agents.
     """
     sc = pop.scenario
     m = sc.n_agents
@@ -206,13 +199,13 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     s = sc.sensitivity.sample(pop.rng, m)  # draws for all agents; travelers use theirs
     s_bar = sc.sensitivity.s_bar
 
-    fast, n1, n2, regime, d = _equilibrium(pop.k, s, traveling,
-                                           pop.breakpoints(p), model, p, s_bar)
+    fast, n1, n2, regime, d = wardrop_equilibrium(
+        pop.k, s, traveling, pop.breakpoints(p), model, p, s_bar)
     pop.k = k = settle(pop.k, fast, traveling, p)
 
     x = np.array([n1 / m, n2 / m])
-    delta_d, delta_s, mean_karma, cost = _metrics(fast, traveling, n1 + n2, s,
-                                                  x, d, k, model, s_bar)
+    delta_d, delta_s, mean_karma, cost = compute_metrics(
+        fast, traveling, s, x, d, k, model, s_bar)
     ratio = cost / cost_star if cost_star else float("nan")
     record = DayRecord(day=pop.day, x1=n1 / m, x2=n2 / m, cost=cost,
                        cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,

@@ -19,33 +19,23 @@ Selection rule: a population can admit both a controlled and a balanced-flow
 equilibrium.  The controlled one is chosen whenever it exists, so the result
 depends only on today's population, never on an initial guess.
 
-Both `wardrop_equilibrium` and `simulation.simulate_day` run one kernel,
-`_equilibrium`: boolean masks over all agents, read against per-agent
-breakpoints computed beforehand (`simulate_day` caches them on the
-population).
+`wardrop_equilibrium` computes it as one pass of boolean masks over all
+agents, read against per-agent breakpoints built beforehand by
+`agent.thresholds` (`simulation.simulate_day` caches them on the population).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor
 
 import numpy as np
 
-from .agent import (ARC1, ARC2, STAY, Thresholds, check_floor, fast_mask,
-                    thresholds)
+from .agent import Thresholds, check_floor, fast_mask
 from .network import ArcCostModel, balanced_flow
 from .pricing import PriceVector
 
 CONTROLLED = "controlled"      # best-response fixed point with d1 < d2
 UNCONTROLLED = "uncontrolled"  # balanced-flow equilibrium (equal discomforts)
-
-
-@dataclass
-class WardropResult:
-    flows: np.ndarray        # population shares (x1, x2)
-    choices: np.ndarray      # per-agent STAY / ARC1 / ARC2
-    regime: str
 
 
 def _balanced_split(k, traveling, k_poor, target_x1: float) -> np.ndarray | None:
@@ -67,15 +57,19 @@ def _balanced_split(k, traveling, k_poor, target_x1: float) -> np.ndarray | None
     return fast
 
 
-def _equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
-                 th: Thresholds, model: ArcCostModel, p: PriceVector,
-                 s_bar: float) -> tuple[np.ndarray, int, int, str, np.ndarray]:
+def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
+                        th: Thresholds, model: ArcCostModel, p: PriceVector,
+                        s_bar: float
+                        ) -> tuple[np.ndarray, int, int, str, np.ndarray]:
     """The day's equilibrium as one pass of masks over all agents.
 
-    ``th`` holds the per-agent breakpoints.  Returns (fast, n1, n2, regime,
-    d): the fast-route mask, the fast and slow counts, the regime, and the
-    discomfort d at the flows (n1 / M, n2 / M).  Raises InfeasibleKarmaError
-    if an agent is below its feasibility floor.
+    Controlled whenever a d1 < d2 equilibrium exists, otherwise the balanced
+    flow of today's realized demand (see the module docstring).  ``k`` and
+    ``s`` are float arrays and ``traveling`` a bool mask over all agents;
+    ``th`` holds their breakpoints, ``thresholds(k_ref, p, T)``.  Returns
+    (fast, n1, n2, regime, d): the fast-route mask, the fast and slow counts,
+    the regime, and the discomfort d at the flows (n1 / M, n2 / M).  Raises
+    InfeasibleKarmaError if an agent is below its feasibility floor.
     """
     check_floor(k, th.k_inf)
     m = k.size
@@ -102,21 +96,3 @@ def _equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     d = model._discomfort(np.array([n1 / m, (n_travel - n1) / m]))
     return fast, n1, n_travel - n1, regime, d
 
-
-def wardrop_equilibrium(k, k_ref, s, traveling, model: ArcCostModel,
-                        p: PriceVector, horizon: int,
-                        s_bar: float) -> WardropResult:
-    """Daily equilibrium flows and per-agent assignments.
-
-    Controlled whenever a d1 < d2 equilibrium exists, otherwise the balanced
-    flow of today's realized demand (see the module docstring).
-    """
-    k = np.asarray(k, dtype=float)
-    traveling = np.asarray(traveling, dtype=bool)
-    th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
-    fast, n1, n2, regime, _ = _equilibrium(
-        k, np.asarray(s, dtype=float), traveling, th, model, p, s_bar)
-    choices = np.where(traveling, ARC2, STAY).astype(np.int8)
-    choices[fast] = ARC1
-    m = k.size
-    return WardropResult(np.array([n1 / m, n2 / m]), choices, regime)

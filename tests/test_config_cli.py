@@ -40,6 +40,10 @@ class TestRunConfig:
         path.write_text("p_home = 0.5\n[scenario]\n")
         with pytest.raises(ValueError, match="no section headers"):
             RunConfig.from_ini(path)
+        path.write_text("[scenario]\nhorizon = 2.5\n")
+        with pytest.raises(ValueError) as err:
+            RunConfig.from_ini(path)
+        assert str(err.value) == f"{path}: [scenario] horizon = '2.5' is not an int"
 
     def test_cli_reports_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "typo.ini"
@@ -62,6 +66,8 @@ class TestRunConfig:
         for days in (0, 2.5, True):
             with pytest.raises(ValueError, match="days"):
                 RunConfig(days=days).validate()
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-1).validate()
         with pytest.raises(ValueError, match="n_agents"):
             RunConfig(n_agents=2.5).validate()
         with pytest.raises(ValueError):

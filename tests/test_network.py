@@ -197,6 +197,10 @@ class TestValidation:
             with pytest.raises(ValueError, match="n_agents"):
                 Scenario(p_home=0.1, horizon=6, n_agents=n_agents,
                          sensitivity=sens, k_init=(0, 10), k_ref_init=(0, 10))
+        for seed in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                Scenario(p_home=0.1, horizon=6, n_agents=10, sensitivity=sens,
+                         k_init=(0, 10), k_ref_init=(0, 10), seed=seed)
         nan = float("nan")
         for bounds in ((10, 5), (nan, 10), (0, nan), (-1, 10), (0, float("inf"))):
             with pytest.raises(ValueError, match="karma init"):

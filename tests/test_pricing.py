@@ -101,6 +101,12 @@ class TestPriceVector:
             PriceVector(3, -1)
         with pytest.raises(ValueError):
             PriceVector(2.5, 5)
+        # an integral float or a bool is not an integer price
+        with pytest.raises(ValueError, match="integers"):
+            PriceVector(2.0, 3)
+        with pytest.raises(ValueError, match="integers"):
+            PriceVector(True, 5)
+        assert PriceVector(np.int64(3), 5).total == 8
 
     def test_accessors(self):
         pv = PriceVector(10, 14)

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, STAY, AgentState, ArcCostModel,
-                           DayRecord, InfeasibleKarmaError, PriceVector,
-                           Scenario, SensitivitySpec, compute_metrics,
-                           get_preset, init_population, plan_oracle,
-                           run_scenario, simulate_day, thresholds,
+from karma_routing import (ARC1, ARC2, AgentState, ArcCostModel, DayRecord,
+                           InfeasibleKarmaError, PriceVector, Scenario,
+                           SensitivitySpec, compute_metrics, get_preset,
+                           init_population, plan_oracle, run_scenario,
+                           settle, simulate_day, thresholds,
                            wardrop_equilibrium)
 from karma_routing.simulation import RUN_CSV_COLUMNS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
+HOME = 0  # route code of an agent at home, beside ARC1 and ARC2
 
 
 def scenario(**overrides):
@@ -104,14 +105,14 @@ class TestRunScenario:
         p = PriceVector(10, 14)
         pop = init_population(sc, p)
         rng = np.random.default_rng(99)
+        th = thresholds(pop.k_ref, p, sc.horizon)
         for _ in range(80):
             stay = rng.random(sc.n_agents) < sc.p_home
             s = EXP.sample(rng, sc.n_agents)
-            res = wardrop_equilibrium(pop.k, pop.k_ref, s, ~stay, BPR, p,
-                                      sc.horizon, 1.0)
-            assert np.all(pop.k[res.choices == ARC1] >= p.p1)
-            pop.k = np.where(res.choices == ARC1, pop.k - p.p1,
-                             np.where(res.choices == ARC2, pop.k + p.r2, pop.k))
+            fast = wardrop_equilibrium(pop.k, s, ~stay, th, BPR, p, 1.0)[0]
+            assert np.all(pop.k[fast] >= p.p1)
+            pop.k = np.where(fast, pop.k - p.p1,
+                             np.where(~stay, pop.k + p.r2, pop.k))
 
     def test_karma_drains_while_uncontrolled(self):
         sc = scenario(seed=1, n_agents=1000, k_init=(300.0, 500.0))
@@ -242,8 +243,8 @@ class TestDayInvariants:
             dk = pop.k - k_before
             route = np.select([np.abs(dk + p.p1) <= 1e-9,
                                np.abs(dk - p.r2) <= 1e-9, dk == 0.0],
-                              [ARC1, ARC2, STAY], default=-1)
-            assert np.array_equal(route != STAY, traveling)
+                              [ARC1, ARC2, HOME], default=-1)
+            assert np.array_equal(route != HOME, traveling)
             d = model.discomfort([rec.x1, rec.x2])
             for i in np.flatnonzero(traveling):
                 state = AgentState(k_before[i], pop.k_ref[i], s[i])
@@ -256,21 +257,24 @@ class TestDayInvariants:
 
 
 def day_by_hand(pop, model, p, cost_star=None):
-    """The expected `simulate_day` record and karma from the public pieces:
-    the same draws, `wardrop_equilibrium`, settlement and `compute_metrics`."""
+    """The expected `simulate_day` record and karma from the public stages:
+    the same draws, `thresholds` built fresh (so the cache is checked against
+    a fresh build), `wardrop_equilibrium`, `settle` and `compute_metrics`."""
     sc = pop.scenario
+    m, s_bar = sc.n_agents, sc.sensitivity.s_bar
     draws = copy.deepcopy(pop.rng)
-    traveling = draws.random(sc.n_agents) >= sc.p_home
-    s = sc.sensitivity.sample(draws, sc.n_agents)
-    res = wardrop_equilibrium(pop.k, pop.k_ref, s, traveling, model, p,
-                              sc.horizon, sc.sensitivity.s_bar)
-    k = np.where(res.choices == ARC1, pop.k - p.p1,
-                 np.where(res.choices == ARC2, pop.k + p.r2, pop.k))
-    dd, ds, mk, cost = compute_metrics(res.choices, s, res.flows, k, model,
-                                       sc.sensitivity.s_bar)
+    traveling = draws.random(m) >= sc.p_home
+    s = sc.sensitivity.sample(draws, m)
+    th = thresholds(pop.k_ref, p, sc.horizon)
+    fast, n1, n2, regime, d = wardrop_equilibrium(pop.k, s, traveling, th,
+                                                  model, p, s_bar)
+    k = settle(pop.k, fast, traveling, p)
+    x = np.array([n1 / m, n2 / m])
+    dd, ds, mk, cost = compute_metrics(fast, traveling, s, x, d, k, model,
+                                       s_bar)
     ratio = cost / cost_star if cost_star else float("nan")
-    record = DayRecord(pop.day, float(res.flows[0]), float(res.flows[1]),
-                       cost, ratio, dd, ds, mk, res.regime)
+    record = DayRecord(pop.day, n1 / m, n2 / m, cost, ratio, dd, ds, mk,
+                       regime)
     return record, k
 
 
@@ -317,22 +321,25 @@ class TestBreakpointCache:
 
 class TestMetrics:
     def test_uniform_sensitivity_zeroes_deviations(self):
-        choices = np.array([ARC1, ARC2, ARC1, 0])
+        fast = np.array([True, False, True, False])
+        traveling = np.array([True, True, True, False])
         s = np.full(4, 1.0)
         k = np.full(4, 10.0)
-        dd, ds, mk, cost = compute_metrics(choices, s, [0.5, 0.25], k, BPR,
-                                           1.0)
+        x = np.array([0.5, 0.25])
+        dd, ds, mk, cost = compute_metrics(fast, traveling, s, x,
+                                           BPR.discomfort(x), k, BPR, 1.0)
         assert dd == 0.0 and ds == 0.0
         assert mk == 10.0
         assert cost == pytest.approx(BPR.societal_cost([0.5, 0.25]))
 
     def test_hand_computed_example(self):
         # two travelers, fast/slow, sensitivities 2 and 0.5
-        choices = np.array([ARC1, ARC2])
+        fast = np.array([True, False])
         s = np.array([2.0, 0.5])
-        x = [0.5, 0.5]
+        x = np.array([0.5, 0.5])
         d = BPR.discomfort(x)
-        dd, ds, _, _ = compute_metrics(choices, s, x, np.zeros(2), BPR, 1.0)
+        dd, ds, _, _ = compute_metrics(fast, np.ones(2, dtype=bool), s, x, d,
+                                       np.zeros(2), BPR, 1.0)
         expect_dd = ((2 - 1) * d[0] + (0.5 - 1) * d[1]) / (d[0] + d[1])
         assert dd == pytest.approx(expect_dd)
         assert ds == pytest.approx((1.0 - 0.5) / 2.0)
@@ -341,14 +348,16 @@ class TestMetrics:
     def test_single_route_travelers(self, route):
         # everyone who travels takes one route, so d_taken is that route's
         # discomfort for every traveler; the stay-home agent is left out
-        choices = np.array([route, route, STAY, route])
+        traveling = np.array([True, True, False, True])
+        fast = traveling & (route == ARC1)
         s = np.array([2.0, 0.5, 9.0, 1.25])
         s_bar = 1.1
-        x = [0.75, 0.0] if route == ARC1 else [0.0, 0.75]
-        d = BPR.discomfort(x)[route - 1]
+        x = np.array([0.75, 0.0] if route == ARC1 else [0.0, 0.75])
+        d_all = BPR.discomfort(x)
+        d = d_all[route - 1]
         travelers = [2.0, 0.5, 1.25]
-        dd, ds, mk, cost = compute_metrics(choices, s, x, np.arange(4.0), BPR,
-                                           s_bar)
+        dd, ds, mk, cost = compute_metrics(fast, traveling, s, x, d_all,
+                                           np.arange(4.0), BPR, s_bar)
         expect_dd = (sum((v - s_bar) * d for v in travelers)
                      / sum(s_bar * d for v in travelers))
         assert dd == pytest.approx(expect_dd, rel=1e-12)
@@ -358,8 +367,11 @@ class TestMetrics:
         assert cost == pytest.approx(0.75 * d, rel=1e-12)
 
     def test_no_travelers_absent_metrics(self):
-        dd, ds, _, cost = compute_metrics(np.zeros(3), np.ones(3), [0.0, 0.0],
-                                          np.ones(3), BPR, 1.0)
+        nobody = np.zeros(3, dtype=bool)
+        x = np.zeros(2)
+        dd, ds, _, cost = compute_metrics(nobody, nobody, np.ones(3), x,
+                                          BPR.discomfort(x), np.ones(3), BPR,
+                                          1.0)
         assert dd is None and ds is None and cost == 0.0
 
 

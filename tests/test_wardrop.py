@@ -1,10 +1,11 @@
+import inspect
 from math import floor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, STAY, AgentState, ArcCostModel,
+from karma_routing import (ARC1, ARC2, AgentState, ArcCostModel,
                            PriceVector, SensitivitySpec, balanced_flow,
                            best_response_batch, build_chain,
                            equilibrium_flows, plan_oracle,
@@ -27,20 +28,27 @@ def population(rng, m, k_low, k_high, ref_low=0.0, ref_high=100.0):
 
 
 def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
-    """One best-response sweep against assumed flows: (flows, choices).
+    """One best-response sweep against assumed flows: (flows, fast mask).
 
     With d1 < d2 at ``x_assumed`` (under BPR) every traveler takes the
     rule's route, otherwise the slow one; flows are population shares.
     """
     d = BPR.discomfort(x_assumed)
     if d[0] < d[1]:
-        rule = best_response_batch(k, k_ref, s, 1.0, p, horizon)
+        fast = traveling & (best_response_batch(k, k_ref, s, 1.0, p, horizon)
+                            == ARC1)
     else:
-        rule = np.full(np.shape(k), ARC2)
-    choices = np.where(traveling, rule, STAY).astype(np.int8)
-    flows = np.array([np.count_nonzero(choices == route) / choices.size
-                      for route in (ARC1, ARC2)])
-    return flows, choices
+        fast = np.zeros(np.shape(k), dtype=bool)
+    n1 = np.count_nonzero(fast)
+    flows = np.array([n1, np.count_nonzero(traveling) - n1]) / fast.size
+    return flows, fast
+
+
+def solve(k, k_ref, s, traveling, model=BPR, p=P, horizon=T):
+    """The day's equilibrium from k_ref's breakpoints: (fast, flows, regime)."""
+    fast, n1, n2, regime, _ = wardrop_equilibrium(
+        k, s, traveling, thresholds(k_ref, p, horizon), model, p, 1.0)
+    return fast, np.array([n1, n2]) / k.size, regime
 
 
 class TestAggregateBestResponse:
@@ -53,11 +61,10 @@ class TestAggregateBestResponse:
         k = np.full(m, 12.0)
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) < 0.95
-        x, choices = sweep(k, k_ref, s, traveling, [0.3, 0.65])
+        x, fast = sweep(k, k_ref, s, traveling, [0.3, 0.65])
         assert x[0] == 0.0
         assert x[1] == pytest.approx(traveling.sum() / m)
-        assert np.all(choices[traveling] == ARC2)
-        assert np.all(choices[~traveling] == STAY)
+        assert not fast.any()
 
     def test_all_wealthy_go_fast(self):
         m = 400
@@ -66,9 +73,9 @@ class TestAggregateBestResponse:
         k = np.full(m, 500.0)  # far above k_wealthy = 120
         s = rng.exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        x, choices = sweep(k, k_ref, s, traveling, [0.3, 0.65])
+        x, fast = sweep(k, k_ref, s, traveling, [0.3, 0.65])
         assert x[0] == pytest.approx(1.0)
-        assert np.all(choices == ARC1)
+        assert fast.all()
 
     def test_consistent_with_chain_equilibrium(self):
         # agents sampled from the stationary cell distribution reproduce the
@@ -88,22 +95,19 @@ class TestAggregateBestResponse:
 
 
 class TestWardropEquilibrium:
-    def solve(self, k, k_ref, s, traveling, model=BPR):
-        return wardrop_equilibrium(k, k_ref, s, traveling, model, P, T, 1.0)
-
     def test_rich_population_lands_on_balanced_flow(self):
         m = 1000
         rng = np.random.default_rng(4)
         k, k_ref = population(rng, m, 300.0, 500.0)  # everyone wealthy
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
-        res = self.solve(k, k_ref, s, traveling)
-        assert res.regime == UNCONTROLLED
+        _, x, regime = solve(k, k_ref, s, traveling)
+        assert regime == UNCONTROLLED
         demand = traveling.sum() / m
         # the days split to the same balanced flow, floored to whole agents
         xbar = balanced_flow(BPR, demand)
-        assert res.flows[0] == floor(xbar[0] * m + 1e-9) / m
-        assert res.flows[0] == pytest.approx(0.80, abs=0.02)
+        assert x[0] == floor(xbar[0] * m + 1e-9) / m
+        assert x[0] == pytest.approx(0.80, abs=0.02)
 
     def test_all_poor_immediate(self):
         # the result is the single d1 < d2 sweep itself
@@ -112,13 +116,13 @@ class TestWardropEquilibrium:
         k = np.full(m, 12.0)
         s = np.random.default_rng(5).exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = self.solve(k, k_ref, s, traveling)
-        assert res.regime == CONTROLLED
-        assert res.flows[0] == 0.0
-        assert res.flows[1] == 1.0
-        x_sweep, choices_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
-        assert np.array_equal(res.flows, x_sweep)
-        assert np.array_equal(res.choices, choices_sweep)
+        fast, x, regime = solve(k, k_ref, s, traveling)
+        assert regime == CONTROLLED
+        assert x[0] == 0.0
+        assert x[1] == 1.0
+        x_sweep, fast_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
+        assert np.array_equal(x, x_sweep)
+        assert np.array_equal(fast, fast_sweep)
 
     def test_stationary_population_reaches_chain_flows(self):
         chain = build_chain(P, T, 0.05, EXP)
@@ -130,9 +134,9 @@ class TestWardropEquilibrium:
         k = k_ref + chain.deviation_of_cell(cells).astype(float)
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
-        res = self.solve(k, np.full(m, k_ref), s, traveling)
-        assert res.regime == CONTROLLED
-        assert np.allclose(res.flows, equilibrium_flows(chain, pe),
+        _, x, regime = solve(k, np.full(m, k_ref), s, traveling)
+        assert regime == CONTROLLED
+        assert np.allclose(x, equilibrium_flows(chain, pe),
                            atol=6.0 / np.sqrt(m))
 
     def test_fixed_point_property(self):
@@ -141,11 +145,11 @@ class TestWardropEquilibrium:
         k, k_ref = population(rng, m, 0.0, 200.0)
         s = rng.exponential(1.0, m)
         traveling = rng.random(m) >= 0.05
-        res = self.solve(k, k_ref, s, traveling)
-        assert res.regime == CONTROLLED
-        x_again, choices_again = sweep(k, k_ref, s, traveling, res.flows)
-        assert np.array_equal(res.flows, x_again)
-        assert np.array_equal(res.choices, choices_again)
+        fast, x, regime = solve(k, k_ref, s, traveling)
+        assert regime == CONTROLLED
+        x_again, fast_again = sweep(k, k_ref, s, traveling, x)
+        assert np.array_equal(x, x_again)
+        assert np.array_equal(fast, fast_again)
 
     def test_equilibrium_never_has_fast_route_worse(self):
         # d1(x1) <= d2(x2) + tol over regimes and draws
@@ -155,8 +159,8 @@ class TestWardropEquilibrium:
             k, k_ref = population(rng, m, lo, hi)
             s = rng.exponential(1.0, m)
             traveling = rng.random(m) >= 0.05
-            res = self.solve(k, k_ref, s, traveling)
-            d = BPR.discomfort(res.flows)
+            _, x, _ = solve(k, k_ref, s, traveling)
+            d = BPR.discomfort(x)
             assert d[0] <= d[1] + 1e-6
 
     def test_equals_one_sweep_when_it_keeps_d1_less(self):
@@ -168,16 +172,15 @@ class TestWardropEquilibrium:
             k, k_ref = population(rng, m, lo, hi)
             s = rng.exponential(1.0, m)
             traveling = rng.random(m) >= 0.05
-            res = self.solve(k, k_ref, s, traveling)
-            x_sweep, choices_sweep = sweep(k, k_ref, s, traveling,
-                                           D1_LESS_FLOWS)
+            fast, x, regime = solve(k, k_ref, s, traveling)
+            x_sweep, fast_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
             d = BPR.discomfort(x_sweep)
             kept = d[0] < d[1]
-            assert (res.regime == CONTROLLED) == kept
+            assert (regime == CONTROLLED) == kept
             if kept:
-                assert np.array_equal(res.flows, x_sweep)
-                assert np.array_equal(res.choices, choices_sweep)
-            regimes.add(res.regime)
+                assert np.array_equal(x, x_sweep)
+                assert np.array_equal(fast, fast_sweep)
+            regimes.add(regime)
         assert regimes == {CONTROLLED, UNCONTROLLED}
 
     def test_controlled_selected_whenever_it_exists(self):
@@ -190,9 +193,9 @@ class TestWardropEquilibrium:
         k_ref = np.full(m, 50.0)
         s = np.random.default_rng(0).exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = self.solve(k, k_ref, s, traveling)
-        assert res.regime == CONTROLLED
-        assert res.flows.tolist() == pytest.approx([0.379, 0.621], abs=1e-12)
+        _, x, regime = solve(k, k_ref, s, traveling)
+        assert regime == CONTROLLED
+        assert x.tolist() == pytest.approx([0.379, 0.621], abs=1e-12)
         assert balanced_flow(BPR, 1.0)[0] == pytest.approx(0.803, abs=1e-3)
 
     def test_balanced_split_is_deterministic_by_index(self):
@@ -202,11 +205,12 @@ class TestWardropEquilibrium:
         k_ref = np.full(m, 50.0)
         s = rng.exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = self.solve(k, k_ref, s, traveling)
-        assert res.regime == UNCONTROLLED
-        n_fast = int(np.count_nonzero(res.choices == ARC1))
-        assert np.all(res.choices[:n_fast] == ARC1)
-        assert np.all(res.choices[n_fast:] == ARC2)
+        fast, _, regime = solve(k, k_ref, s, traveling)
+        assert regime == UNCONTROLLED
+        n_fast = int(np.count_nonzero(fast))
+        assert 0 < n_fast < m
+        assert np.all(fast[:n_fast])
+        assert not np.any(fast[n_fast:])
 
     def test_uncontrolled_equilibrium_drains_karma(self):
         # at the balanced flow the population pays more than it earns
@@ -216,10 +220,11 @@ class TestWardropEquilibrium:
 
     def test_nobody_travels(self):
         m = 10
-        res = self.solve(np.full(m, 50.0), np.full(m, 50.0), np.ones(m),
-                         np.zeros(m, dtype=bool))
-        assert np.allclose(res.flows, 0.0)
-        assert np.all(res.choices == STAY)
+        fast, x, regime = solve(np.full(m, 50.0), np.full(m, 50.0),
+                                np.ones(m), np.zeros(m, dtype=bool))
+        assert np.allclose(x, 0.0)
+        assert not fast.any()
+        assert regime == CONTROLLED
 
     def test_no_crossing_model_all_slow_fixed_point(self):
         # constant d1 > d2: everyone heads slow and that is the equilibrium
@@ -229,30 +234,23 @@ class TestWardropEquilibrium:
         k, k_ref = population(rng, m, 0.0, 300.0)
         s = rng.exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        res = self.solve(k, k_ref, s, traveling, model=flipped)
-        assert res.flows[1] == pytest.approx(1.0)
-        assert res.regime == CONTROLLED
-
-    def test_negative_reference_rejected(self):
-        # k_ref = -100 puts k_wealthy at -30, below p1 = 10: the rule sent
-        # karma 5 onto the toll-10 route, which it cannot pay
-        m = 20
-        for k_ref in (-100.0, np.nan):
-            with pytest.raises(ValueError, match="k_ref"):
-                self.solve(np.full(m, 5.0), np.full(m, k_ref), np.full(m, 0.5),
-                           np.ones(m, dtype=bool))
+        _, x, regime = solve(k, k_ref, s, traveling, model=flipped)
+        assert x[1] == pytest.approx(1.0)
+        assert regime == CONTROLLED
 
     def test_solver_knobs_rejected(self):
         # the closed form has no warm start, tolerance, budget or damping
+        params = inspect.signature(wardrop_equilibrium).parameters
+        assert list(params) == ["k", "s", "traveling", "th", "model", "p",
+                                "s_bar"]
         m = 4
-        args = (np.full(m, 50.0), np.full(m, 50.0), np.ones(m),
-                np.ones(m, dtype=bool), BPR, P, T, 1.0)
+        args = (np.full(m, 50.0), np.ones(m), np.ones(m, dtype=bool),
+                thresholds(np.full(m, 50.0), P, T), BPR, P, 1.0)
         for knob in (dict(x_init=[0.5, 0.5]), dict(tol=1e-9),
                      dict(max_iter=50), dict(damping=0.5)):
             with pytest.raises(TypeError):
                 wardrop_equilibrium(*args, **knob)
-        assert not hasattr(wardrop_equilibrium(*args), "iterations")
-
+        assert len(wardrop_equilibrium(*args)) == 5
 
 # crossing near x1 = 0.8, a crossing at lower demand, and no crossing
 MODELS = (BPR, ArcCostModel(d0=(1.0, 1.5), kappa=(0.3, 0.7)),
@@ -282,15 +280,17 @@ class TestEquilibriumProperties:
     def test_equilibrium_properties(self, day):
         k, k_ref, s, traveling, model, p, horizon = day
         m = k.size
-        res = wardrop_equilibrium(k, k_ref, s, traveling, model, p, horizon,
-                                  1.0)
-        # flows are the choice counts over M, and only travelers travel
-        assert res.flows[0] == np.count_nonzero(res.choices == ARC1) / m
-        assert res.flows[1] == np.count_nonzero(res.choices == ARC2) / m
-        assert np.all((res.choices == STAY) == ~traveling)
+        fast, n1, n2, regime, d_eq = wardrop_equilibrium(
+            k, s, traveling, thresholds(k_ref, p, horizon), model, p, 1.0)
+        # the counts are the mask's, and only travelers travel
+        assert n1 == np.count_nonzero(fast)
+        assert n2 == np.count_nonzero(traveling & ~fast)
+        assert not np.any(fast & ~traveling)
         # the fast route, when used, is never the worse one
-        d = model.discomfort(res.flows)
-        assert res.flows[0] == 0.0 or d[0] <= d[1] + 1e-9
+        x = np.array([n1, n2]) / m
+        d = model.discomfort(x)
+        assert np.array_equal(d_eq, d)
+        assert x[0] == 0.0 or d[0] <= d[1] + 1e-9
 
         # regime: controlled exactly when the d1 < d2 sweep keeps d1 < d2,
         # or when no balanced flow exists (the sweep's order comes from BPR)
@@ -299,16 +299,16 @@ class TestEquilibriumProperties:
         kept = d[0] < d[1]
         demand = traveling.sum() / m
         crossing = demand > 0 and balanced_flow(model, demand) is not None
-        assert (res.regime == CONTROLLED) == (kept or not crossing)
+        assert (regime == CONTROLLED) == (kept or not crossing)
 
         # no traveler strictly improves by switching route
         for i in np.flatnonzero(traveling):
             state = AgentState(k[i], k_ref[i], s[i])
-            if res.regime == CONTROLLED:
+            if regime == CONTROLLED:
                 # the two-stage plan at today's discomforts picks the route
                 assert plan_oracle(state, d, p, horizon, 1.0).choice \
-                    == res.choices[i]
-            elif res.choices[i] == ARC1:
+                    == (ARC1 if fast[i] else ARC2)
+            elif fast[i]:
                 # equal discomforts: any feasible route is optimal, and the
                 # fast route is feasible exactly from k_poor up
                 assert k[i] >= thresholds(k_ref[i], p, horizon).k_poor
