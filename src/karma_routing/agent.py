@@ -100,14 +100,14 @@ def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
     """The four karma breakpoints for a given reference level and prices.
 
     Raises ValueError unless horizon is an integer >= 1, or if any k_ref is
-    negative or NaN: below a zero reference the rule could send an agent fast
-    that cannot pay p1.
+    negative, infinite or NaN: below a zero reference the rule could send an
+    agent fast that cannot pay p1, and an infinite one has no breakpoints.
     """
     check_count("horizon", horizon)
     ref = np.asarray(k_ref, dtype=float)
-    bad = ~(ref >= 0)
+    bad = ~((ref >= 0) & (ref < np.inf))
     if bad.any():
-        raise ValueError(f"k_ref must be >= 0, got {ref[bad][0]}")
+        raise ValueError(f"k_ref must be finite and >= 0, got {ref[bad][0]}")
     return Thresholds(
         k_inf=k_inf(k_ref, p, horizon),
         k_poor=k_poor(k_ref, p, horizon),
@@ -119,16 +119,6 @@ def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
 def _decaying_threshold(k, k_wealthy, s_bar: float, p: PriceVector):
     """The rich band's threshold: decays linearly from s_bar to 0 at k_wealthy."""
     return s_bar * (k_wealthy - k) / p.total
-
-
-def urgency_threshold(k, th: Thresholds, s_bar: float, p: PriceVector):
-    """Sensitivity above which an agent in [k_poor, k_wealthy) goes fast.
-
-    s_bar below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which
-    decays linearly to zero at k_wealthy.
-    """
-    return np.where(k < th.k_rich, s_bar,
-                    _decaying_threshold(k, th.k_wealthy, s_bar, p))
 
 
 def check_floor(k: np.ndarray, floor) -> None:
@@ -151,14 +141,15 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     """The d1 < d2 rule as a mask: which agents take the fast route.
 
     A traveler goes fast at or above k_wealthy, and between k_poor and
-    k_wealthy when its sensitivity s exceeds `urgency_threshold`; ties (s
-    equal to its threshold) go to the slow route.  ``th`` holds precomputed
-    breakpoints (scalars or per-agent arrays); k_inf is not read.
+    k_wealthy when its sensitivity s exceeds its urgency threshold: s_bar
+    below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which decays
+    linearly to zero at k_wealthy.  Ties (s equal to its threshold) go to
+    the slow route.  ``th`` holds precomputed breakpoints (scalars or
+    per-agent arrays); k_inf is not read.
 
     The threshold is split by band rather than selected per agent: each
     agent's comparison is taken in both bands and the rich mask keeps one,
-    which reads the same as `urgency_threshold` without a per-element
-    branch.
+    so there is no per-element branch.
     """
     rich = k >= th.k_rich
     go = s > _decaying_threshold(k, th.k_wealthy, s_bar, p)
@@ -179,11 +170,14 @@ def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
     band, a linearly decaying sensitivity threshold in [k_rich, k_wealthy),
     and forced onto the fast route above.  For d1 > d2 the slow route
     dominates everywhere, and for d1 = d2 any route is optimal; callers
-    settle those days without the rule.  Raises InfeasibleKarmaError if an
-    agent is below its feasibility floor k_inf.
+    settle those days without the rule.  Raises ValueError on a non-finite
+    k or s, and InfeasibleKarmaError if an agent is below its feasibility
+    floor k_inf.
     """
     k = np.asarray(k, dtype=float)
     s = np.asarray(s, dtype=float)
+    if not (np.isfinite(k).all() and np.isfinite(s).all()):
+        raise ValueError("karma k and sensitivity s must be finite")
     th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
     check_floor(k, th.k_inf)
     return np.where(fast_mask(k, s, True, th, s_bar, p), ARC1, ARC2).astype(np.int8)

@@ -100,7 +100,7 @@ def cmd_analyze_chain(args) -> int:
     prices = config.prices()
     chain = build_chain(prices, config.horizon, config.p_home,
                         config.sensitivity())
-    dist = stationary_distribution(chain, tol=args.tol)
+    dist = stationary_distribution(chain)
     residual = float(np.abs(step_distribution(chain, dist) - dist).sum())
     flows = equilibrium_flows(chain, dist)
     ratio = float(flows[0] / flows[1]) if flows[1] > 0 else float("nan")
@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain = sub.add_parser("analyze-chain",
                              help="karma-distribution chain analysis")
     _add_common(p_chain)
-    p_chain.add_argument("--tol", type=float, default=1e-12,
-                         help="L1 residual bound of the certifying chain step")
     p_chain.add_argument("--out", default="out", help="output directory")
     p_chain.set_defaults(func=cmd_analyze_chain)
 

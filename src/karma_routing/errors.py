@@ -18,5 +18,5 @@ class InfeasibleKarmaError(KarmaRoutingError):
 
 
 class ConvergenceError(KarmaRoutingError):
-    """A solver's result missed its tolerance: a fixed point that one chain
-    step moves by more than tol."""
+    """A solver's result failed its certification: a stationary distribution
+    that one chain step moves by more than the certification bound."""

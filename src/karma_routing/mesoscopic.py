@@ -9,8 +9,8 @@ span N = (T+1)*(p1+r2) cells, indexed 0-based as
 
 The chain is the agent rule of `agent` laid onto that lattice: on the
 reference level k_ref = T*r2, cell i holds karma i, so the band edges are
-the breakpoints `thresholds(T*r2, p, T)` and the per-cell probabilities come
-from `urgency_threshold`:
+the breakpoints `thresholds(T*r2, p, T)` and each band's probability of the
+slow route is read off the rule's threshold there:
 
     poor     [0, k_poor)            always slow
     ok       [k_poor, k_rich)       slow iff s <= s_bar
@@ -20,18 +20,18 @@ from `urgency_threshold`:
 with widths p1, (T-1)*(p1+r2), p1+r2 and r2.
 
 The population-share vector P over cells evolves as P+ = A P with
-A = p_home*I + p_go*(A_chill + A_rush), where A_chill moves mass up by r2
-(slow route, reward) and A_rush moves it down by p1 (fast route, toll).
-A is stored as its three diagonals (-r2, 0, +p1).  A is column-stochastic
+A = p_home*I + p_go*B, where B moves the slow share of cell j up by r2
+(reward) and the fast share down by p1 (toll).  A is stored as its three
+diagonals (-r2, 0, +p1), the chain's only matrix.  A is column-stochastic
 by construction; for p_home < 1, independent of p_home, its stationary
 distribution is the long-run karma distribution and the induced route
 shares split exactly as r2 : p1, which is what makes conservation prices
 optimal.
 
 The stationary distribution is solved on the chain's cycles.  Both moves
-shift a cell's index by the same residue mod q = p1 + r2, so B = A_chill +
-A_rush carries residue class c onto class c + r2 through a bidiagonal map of
-its T+1 levels, and the q classes form g = gcd(p1, r2) cycles of q/g
+shift a cell's index by the same residue mod q = p1 + r2, so B carries
+residue class c onto class c + r2 through a bidiagonal map of its T+1
+levels, and the q classes form g = gcd(p1, r2) cycles of q/g
 classes.  The fixed point of each cycle's return map, carried round the
 cycle and scaled to mass 1/q per class, is the stationary distribution; one
 step of A certifies it.  Mass 1/q per class is the selection rule where the
@@ -48,10 +48,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .agent import Thresholds, thresholds, urgency_threshold
+from .agent import _decaying_threshold, thresholds
 from .errors import ConvergenceError
 from .pricing import PriceVector
 from .sensitivity import SensitivitySpec
+
+
+# L1 bound on the one chain step that certifies a stationary distribution;
+# the step moves the class-cycle fixed point by about 1e-16
+CERTIFY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,33 +67,39 @@ class KarmaChain:
     horizon: int
     p_home: float
     sensitivity: SensitivitySpec
-    n_states: int
     chill_prob: np.ndarray = field(repr=False)  # P(slow | travel, state j)
-    rush_prob: np.ndarray = field(repr=False)   # P(fast | travel, state j)
-    a_chill: sp.dia_array = field(repr=False)
-    a_rush: sp.dia_array = field(repr=False)
     a: sp.dia_array = field(repr=False)
 
     @property
     def p_go(self) -> float:
         return 1.0 - self.p_home
 
+    @property
+    def n_states(self) -> int:
+        return (self.horizon + 1) * self.prices.total
+
+    @property
+    def rush_prob(self) -> np.ndarray:
+        """P(fast | travel, state j)."""
+        return 1.0 - self.chill_prob
+
     def band_slices(self) -> dict[str, slice]:
         """0-based cell ranges of the poor/ok/rich/wealthy bands."""
-        th = _lattice_thresholds(self.prices, self.horizon)
-        edges = [int(e) for e in (0, th.k_poor, th.k_rich, th.k_wealthy,
-                                  self.n_states)]
-        return {band: slice(lo, hi) for band, lo, hi in
-                zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
+        return _band_slices(self.prices, self.horizon)
 
     def deviation_of_cell(self, i) -> np.ndarray:
         """Karma deviation k - k_ref at the left edge of 0-based cell i."""
         return np.asarray(i) - self.horizon * self.prices.r2
 
 
-def _lattice_thresholds(p: PriceVector, horizon: int) -> Thresholds:
-    """Breakpoints on the reference level k_ref = T*r2, where cell i holds karma i."""
-    return thresholds(horizon * p.r2, p, horizon)
+def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
+    """Bands between the breakpoints on the reference level k_ref = T*r2,
+    where cell i holds karma i."""
+    th = thresholds(horizon * p.r2, p, horizon)
+    edges = [int(e) for e in (0, th.k_poor, th.k_rich, th.k_wealthy,
+                              (horizon + 1) * p.total)]
+    return {band: slice(lo, hi) for band, lo, hi in
+            zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
 
 
 def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
@@ -99,7 +110,7 @@ def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
 
 def build_chain(p: PriceVector, horizon: int, p_home: float,
                 sensitivity: SensitivitySpec) -> KarmaChain:
-    """Assemble the transition matrices for given prices and horizon.
+    """Assemble the transition matrix A for given prices and horizon.
 
     Requires the canonical orientation r2 >= p1 (the fast route is the one
     that is tolled less than the slow route rewards); the opposite case is
@@ -111,29 +122,27 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
         raise ValueError(
             f"chain requires the canonical orientation r2 >= p1, got ({p.p1}, {p.r2})"
         )
-    p1, r2 = p.p1, p.r2
-    n = (horizon + 1) * p.total
-
-    # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
-    th = _lattice_thresholds(p, horizon)
-    cell = np.arange(n)
-    chill = sensitivity.cdf(urgency_threshold(cell, th, sensitivity.s_bar, p))
-    chill[cell < th.k_poor] = 1.0      # poor cells cannot pay the toll
-    chill[cell >= th.k_wealthy] = 0.0  # wealthy cells always go fast
-    rush = 1.0 - chill
+    # P(slow | travel) per cell, band by band: the agent rule at karma i,
+    # which cell i holds
+    poor, ok, rich, wealthy = _band_slices(p, horizon).values()
+    n = wealthy.stop
+    s_bar = sensitivity.s_bar
+    chill = np.zeros(n)  # wealthy cells always go fast
+    chill[poor] = 1.0    # poor cells cannot pay the toll
+    chill[ok] = sensitivity.cdf(s_bar)
+    chill[rich] = sensitivity.cdf(
+        _decaying_threshold(np.arange(rich.start, rich.stop), wealthy.start,
+                            s_bar, p))
 
     # column j of a diagonal holds the probability of leaving cell j by that
     # move; ascending offsets make A @ v add each row's terms in column
     # order, as a CSR product does
     p_go = 1.0 - p_home
-    a = sp.dia_array((np.stack([p_go * chill, np.full(n, p_home), p_go * rush]),
-                      [-r2, 0, p1]), shape=(n, n))
-    return KarmaChain(
-        prices=p, horizon=horizon, p_home=p_home, sensitivity=sensitivity,
-        n_states=n, chill_prob=chill, rush_prob=rush,
-        a_chill=sp.dia_array((chill[None], [-r2]), shape=(n, n)),
-        a_rush=sp.dia_array((rush[None], [p1]), shape=(n, n)), a=a,
-    )
+    a = sp.dia_array((np.stack([p_go * chill, np.full(n, p_home),
+                                p_go * (1.0 - chill)]),
+                      [-p.r2, 0, p.p1]), shape=(n, n))
+    return KarmaChain(prices=p, horizon=horizon, p_home=p_home,
+                      sensitivity=sensitivity, chill_prob=chill, a=a)
 
 
 def _check_distribution(chain: KarmaChain, dist) -> np.ndarray:
@@ -153,7 +162,7 @@ def step_distribution(chain: KarmaChain, dist) -> np.ndarray:
 
 
 def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
-    """Fixed point of B = A_chill + A_rush from its class-cycle return maps.
+    """Fixed point of B, the travel part of A, from its class-cycle return maps.
 
     Cell i = c + m*q (q = p1 + r2) is level m of residue class c.  Both moves
     send class c to class c + r2 mod q: +r2 to level m + w and -p1 to level
@@ -198,7 +207,7 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     return (by_level / (q * by_level.sum(axis=0))).ravel()
 
 
-def stationary_distribution(chain: KarmaChain, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     """Fixed point of the dynamics: solved on the class cycles, then certified.
 
     A = p_home*I + p_go*B, so for p_home < 1 the fixed point is that of B and
@@ -208,9 +217,8 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12) -> np.ndarray
     the next one along g = gcd(p1, r2) cycles; the start vector is the exact
     fixed point of each cycle's return map, carried round the cycle (see
     `_cycle_fixed_point`).  One step of A certifies it: A @ start is
-    returned when it differs from the start by at most `tol` in L1, and
-    otherwise ConvergenceError names the residual.  `tol` must be positive,
-    since one float step cannot certify an exact fixed point.
+    returned when it differs from the start by at most CERTIFY_TOL in L1,
+    and otherwise ConvergenceError names the residual.
 
     Selection rule: every residue class holds mass 1/q, so each of the g
     sublattices of cells with equal index mod g (which never exchange mass)
@@ -218,8 +226,6 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12) -> np.ndarray
     p_home = 0, where the chain can be periodic, it has no periodic
     component.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be a positive number, got {tol}")
     if chain.p_home >= 1.0:
         raise ValueError(
             f"p_home must be < 1 for a stationary distribution, got "
@@ -227,10 +233,10 @@ def stationary_distribution(chain: KarmaChain, tol: float = 1e-12) -> np.ndarray
     start = _cycle_fixed_point(chain)
     dist = chain.a @ start
     residual = float(np.abs(dist - start).sum())
-    if residual > tol:
+    if residual > CERTIFY_TOL:
         raise ConvergenceError(
             f"fixed point not certified: one step moves it by {residual} "
-            f"in L1, above tol {tol}")
+            f"in L1, above {CERTIFY_TOL}")
     return dist
 
 
@@ -253,13 +259,13 @@ def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
 def equilibrium_flows(chain: KarmaChain, dist) -> np.ndarray:
     """Population route shares induced by a karma distribution.
 
-    x1 = p_go * 1^T A_rush P (fast), x2 = p_go * 1^T A_chill P (slow);
-    the pair sums to p_go.
+    x1 = p_go * rush_prob . P (fast), x2 = p_go * chill_prob . P (slow);
+    the pair sums to p_go.  No move leaves the lattice of cells, so these
+    are the masses that A's off-diagonals carry.
     """
     dist = _check_distribution(chain, dist)
-    x1 = chain.p_go * float((chain.a_rush @ dist).sum())
-    x2 = chain.p_go * float((chain.a_chill @ dist).sum())
-    return np.array([x1, x2])
+    return chain.p_go * np.array([chain.rush_prob @ dist,
+                                  chain.chill_prob @ dist])
 
 
 def quantize_population(k, k_ref, p: PriceVector,

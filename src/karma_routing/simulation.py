@@ -128,7 +128,7 @@ class RunResult:
             writer = csv.writer(fh)
             writer.writerow(["index", "count"])
             for i, count in enumerate(self.karma_hist):
-                writer.writerow([i + 1, int(count)])
+                writer.writerow([i + 1, int(round(count))])
 
 
 def init_population(scenario: Scenario, prices: PriceVector,

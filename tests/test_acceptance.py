@@ -144,7 +144,7 @@ def test_04_chain_stochasticity_and_stationarity_sweep():
             for horizon in range(1, 9):
                 chain = build_chain(p, horizon, 0.05, EXP)
                 col_err = float(np.abs(chain.a.sum(axis=0) - 1.0).max())
-                pe = stationary_distribution(chain, tol=1e-12)
+                pe = stationary_distribution(chain)
                 res = float(np.abs(chain.a @ pe - pe).sum())
                 worst_col = max(worst_col, col_err)
                 worst_res = max(worst_res, res)
@@ -159,13 +159,15 @@ def test_04_chain_stochasticity_and_stationarity_sweep():
 def test_05_stationary_flow_optimality_on_presets():
     t0 = time.time()
     worst = 0.0
+    worst_res = 0.0
     details = []
     for name in ("fig3", "fig5", "fig6"):
         cfg = get_preset(name)
         chain = build_chain(cfg.prices(), cfg.horizon, cfg.p_home,
                             cfg.sensitivity())
         if cfg.p_home > 0:
-            pe = stationary_distribution(chain, tol=1e-13)
+            pe = stationary_distribution(chain)
+            worst_res = max(worst_res, float(np.abs(chain.a @ pe - pe).sum()))
         else:
             pe = stationary_distribution_dense(chain)
         x = equilibrium_flows(chain, pe)
@@ -175,8 +177,10 @@ def test_05_stationary_flow_optimality_on_presets():
         worst = max(worst, ratio_err, balance / chain.p_go)
         details.append(f"{name}: ratio err {ratio_err:.1e}, "
                        f"|p.x| {balance:.1e}")
-    report(5, "stationary flows split as r2:p1", worst <= 1e-9,
-           "; ".join(details) + f", {time.time() - t0:.2f}s")
+    report(5, "stationary flows split as r2:p1",
+           worst <= 1e-9 and worst_res <= 1e-13,
+           "; ".join(details) + f", worst residual {worst_res:.1e}, "
+           f"{time.time() - t0:.2f}s")
 
 
 def test_06_balanced_flow_reproduction():
@@ -249,7 +253,8 @@ def test_10_chain_vs_simulation_histogram():
     horizon = 6
     k_ref = 60.0
     chain = build_chain(p, horizon, 0.05, EXP)
-    pe = stationary_distribution(chain, tol=1e-13)
+    pe = stationary_distribution(chain)
+    residual = float(np.abs(chain.a @ pe - pe).sum())
     # constant discomforts keep the fast route cheaper at any flow, so the
     # day loop is exactly the chain's microscopic counterpart
     flat = ArcCostModel(alpha=0.0)
@@ -261,9 +266,10 @@ def test_10_chain_vs_simulation_histogram():
     result = run_scenario(sc, flat, p, 300, integer_karma=True)
     hist = result.karma_hist / result.karma_hist.sum()
     tv = 0.5 * float(np.abs(hist - pe).sum())
-    report(10, "chain vs agent-simulation histogram", tv <= 0.05,
+    report(10, "chain vs agent-simulation histogram",
+           tv <= 0.05 and residual <= 1e-13,
            f"TV distance {tv:.4f} (10^4 agents, 300 days), "
-           f"{time.time() - t0:.1f}s")
+           f"chain residual {residual:.1e}, {time.time() - t0:.1f}s")
 
 
 def test_11_property_suite():

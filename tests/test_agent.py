@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from collections import defaultdict
 from dataclasses import astuple
 
@@ -128,11 +129,30 @@ class TestBestResponse:
         # onto the toll-10 route, which plan_oracle finds unaffordable
         state = AgentState(5.0, -100.0, 0.5)
         assert plan_oracle(state, (1.0, 2.0), P_FIG3, 6, SBAR).choice == ARC2
-        for k_ref in (-100.0, -1e-300, np.nan):
+        for k_ref in (-100.0, -1e-300, np.nan, np.inf):
             with pytest.raises(ValueError, match="k_ref"):
                 best_response_batch([5.0], [k_ref], [0.5], SBAR, P_FIG3, 6)
         with pytest.raises(ValueError, match="k_ref"):
             thresholds([50.0, -0.5], P_FIG3, 6)
+
+    def test_infinite_reference_rejected(self):
+        # it used to give k_poor = nan with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                thresholds(np.inf, P_FIG3, 6)
+            with pytest.raises(ValueError, match="finite"):
+                thresholds([50.0, np.inf], P_FIG3, 6)
+
+    @pytest.mark.parametrize("k, s", [(np.nan, 1.0), (np.inf, 1.0),
+                                      (-np.inf, 1.0), (50.0, np.nan),
+                                      (50.0, np.inf)])
+    def test_non_finite_karma_or_sensitivity_rejected(self, k, s):
+        # NaN karma went slow, infinite karma fast, NaN sensitivity slow
+        with pytest.raises(ValueError, match="finite"):
+            best_response_batch([k], [50.0], [s], SBAR, P_FIG3, 6)
+        with pytest.raises(ValueError, match="finite"):
+            best_response_batch(k, 50.0, s, SBAR, P_FIG3, 6)
 
 
 def neighbours(v):
@@ -144,8 +164,8 @@ def neighbours(v):
 class TestBandEdges:
     """`fast_mask` against the threshold selected per agent, at the edges.
 
-    The reference is the rule as `urgency_threshold` states it: s against
-    s_bar below k_rich and against the decaying threshold from k_rich on.
+    The reference selects each agent's threshold: s against s_bar below
+    k_rich and against the decaying threshold from k_rich on.
     Off-lattice references make the decaying threshold at k_rich differ from
     s_bar in its last bits, so either comparison taken on the wrong side of
     k_rich, or a tie sent fast, shows as a mismatch.

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from karma_routing import PriceVector, RunConfig, get_preset
+from karma_routing import PriceVector, RunConfig, get_preset, mesoscopic
 from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN
 from karma_routing.presets import apply_preset
@@ -183,15 +183,17 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == [
             "a_matrix.txt", "chain_summary.json", "stationary.csv"]
 
-    def test_analyze_chain_solves_before_writing(self, tmp_path, capsys):
+    def test_analyze_chain_solves_before_writing(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a solve that fails its certification exits 1 and writes nothing
+        monkeypatch.setattr(mesoscopic, "CERTIFY_TOL", -1.0)
         out = tmp_path / "c"
         out.mkdir()
         stale = out / "chain_summary.json"
         stale.write_text('{"stale": true}')
-        code = main(["analyze-chain", "--preset", "fig3", "--tol", "-1",
-                     "--out", str(out)])
+        code = main(["analyze-chain", "--preset", "fig3", "--out", str(out)])
         assert code == 1
-        assert "tol" in capsys.readouterr().err
+        assert "not certified" in capsys.readouterr().err
         assert not (out / "a_matrix.txt").exists()
         assert stale.read_text() == '{"stale": true}'
 
@@ -231,6 +233,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["design-prices", "--preset", "fig3", "--seed", "1"],
         ["design-prices", "--preset", "fig3", "--tol", "1e-6"],
+        ["analyze-chain", "--preset", "fig3", "--tol", "1e-12"],
         ["system-optimum", "--preset", "fig3", "--max-price", "3"],
         ["analyze-chain", "--preset", "fig3", "--seed", "1"],
     ])

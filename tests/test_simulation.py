@@ -400,3 +400,16 @@ class TestCsvOutput:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["index", "count"]
         assert sum(int(r["count"]) for r in rows) == 120
+
+    def test_karma_hist_csv_counts_every_agent(self, tmp_path):
+        # the counts are histogram shares times M; truncating them to ints
+        # dropped agents (9 985 of 10 000 on this run)
+        cfg = get_preset("fig3")
+        sc = replace(cfg.scenario(), n_agents=10_000, seed=0)
+        res = run_scenario(sc, cfg.model(), cfg.prices(), 20)
+        path = tmp_path / "hist.csv"
+        res.write_karma_hist_csv(path)
+        with open(path, newline="") as fh:
+            counts = [int(r["count"]) for r in csv.DictReader(fh)]
+        assert sum(counts) == 10_000
+        assert counts == [round(c) for c in res.karma_hist]
