@@ -19,7 +19,7 @@ from .sensitivity import SensitivitySpec
 SOCIETAL_DISCOMFORT = "discomfort"  # c(x) = d(x): cost is the sum of user costs
 SOCIETAL_FLOW = "flow"              # c(x) = x:    cost is quadratic in flow
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)  # a float, so the search stays on floats
 _FLOW_SLACK = 1e-9  # rounding allowed outside [0, 1] on a flow component
 _OPTIMUM_TOL = 1e-6  # golden-section bracket width and local sweep step
 # a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
@@ -71,6 +71,14 @@ class ArcCostModel:
         kap = np.asarray(self.kappa)
         return d0 * (1.0 + self.alpha * (x / kap) ** self.beta)
 
+    def _scalar_discomfort(self):
+        """(d1, d2) on one Python-float flow each: the split solvers' kernel."""
+        a, b = self.alpha, self.beta
+
+        def route(d0, kappa):
+            return lambda x: d0 * (1 + a * (x / kappa) ** b)
+        return tuple(map(route, self.d0, self.kappa))
+
     def _cost(self, x: np.ndarray, d: np.ndarray) -> float:
         """c(x)^T x from a validated flow pair x and its discomfort d = d(x)."""
         if self.societal_cost_kind == SOCIETAL_DISCOMFORT:
@@ -118,22 +126,6 @@ def as_flow(x) -> np.ndarray:
     return x
 
 
-def _split_objective(model: ArcCostModel, p_go: float):
-    d01, d02 = model.d0
-    k1, k2 = model.kappa
-    a, b = model.alpha, model.beta
-    if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
-        def g(x1):
-            x2 = p_go - x1
-            return (d01 * (1 + a * (x1 / k1) ** b) * x1
-                    + d02 * (1 + a * (x2 / k2) ** b) * x2)
-    else:
-        def g(x1):
-            x2 = p_go - x1
-            return x1 * x1 + x2 * x2
-    return g
-
-
 def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     """Minimize c(x)^T x over splits of the total demand p_go.
 
@@ -144,7 +136,16 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    g = _split_objective(model, p_go)
+    if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
+        d1, d2 = model._scalar_discomfort()
+
+        def g(x1):
+            x2 = p_go - x1
+            return d1(x1) * x1 + d2(x2) * x2
+    else:
+        def g(x1):
+            x2 = p_go - x1
+            return x1 * x1 + x2 * x2
 
     lo, hi = 0.0, p_go
     c = hi - _GOLDEN * (hi - lo)
@@ -162,9 +163,8 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
 
     # local sweep around the bracket midpoint guards against flat regions
     center = 0.5 * (lo + hi)
-    grid = np.clip(center + _OPTIMUM_TOL * np.arange(-5, 6), 0.0, p_go)
-    vals = [g(t) for t in grid]
-    x1 = float(grid[int(np.argmin(vals))])
+    grid = np.clip(center + _OPTIMUM_TOL * np.arange(-5, 6), 0.0, p_go).tolist()
+    x1 = grid[int(np.argmin([g(t) for t in grid]))]
     return np.array([x1, p_go - x1])
 
 
@@ -173,30 +173,29 @@ def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
 
     Bisection on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing for
     monotone costs; stops once |d1 - d2| <= 1e-9 at the midpoint.  It is the
-    split every uncontrolled day lands on (see `wardrop`).  Returns
-    None when d1 < d2 over the whole range (no crossing), the regime where
-    pricing alone dictates the split.
+    split every uncontrolled day lands on (see `wardrop`).  Returns None when
+    h keeps one sign over the whole range (no crossing).
+
+    h runs on Python floats through the scalar kernel shared with
+    `system_optimum`, whose libm ``pow`` can differ in the last bit from the
+    SIMD power of `discomfort`.  That reaches a day's outputs only through
+    the floored fast count, which the ``fig3-rich`` golden digest pins.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
+    d1, d2 = model._scalar_discomfort()
 
-    def h(x1):  # 0 <= x1 <= p_go <= 1, so the pair needs no validation
-        d = model._discomfort(np.array([x1, p_go - x1]))
-        return float(d[0] - d[1])
+    def h(x1):
+        return d1(x1) - d2(p_go - x1)
 
     lo, hi = 0.0, p_go
-    h_lo, h_hi = h(lo), h(hi)
-    if h_hi < 0.0:
-        return None  # cheap route stays cheaper even fully loaded
-    if h_lo >= 0.0:
-        return None  # route 1 never becomes the cheaper one
+    # d1 < d2 even fully loaded, or route 1 never the cheaper one
+    if h(hi) < 0.0 or h(lo) >= 0.0:
+        return None
     mid = 0.5 * (lo + hi)
     h_mid = h(mid)
     while abs(h_mid) > _BALANCE_TOL and hi - lo > 1e-14:
-        if h_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if h_mid < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
         h_mid = h(mid)
     return np.array([mid, p_go - mid])

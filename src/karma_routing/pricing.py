@@ -15,6 +15,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DegenerateOptimumError, InfeasibleHorizonError
+from .network import check_count
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class PriceVector:
 
     def feasible_for_horizon(self, horizon: int) -> bool:
         """Whether r2/p1 lies in [1/T, T], so karma-neutral plans exist."""
+        check_count("horizon", horizon)
         ratio = self.r2 / self.p1
         return 1.0 / horizon <= ratio <= horizon
 
@@ -72,6 +74,16 @@ def conservation_prices(x_star) -> tuple[float, float]:
     return (float(x[1] / x[0]), 1.0)
 
 
+def _target_ratio(ratio: tuple[float, float]) -> float:
+    """p1/r2 of a real price pair; ValueError unless positive and finite."""
+    p1, r2 = ratio
+    rho = p1 / r2 if r2 != 0 else np.nan  # a float division by 0 raises
+    if not 0 < rho < np.inf:
+        raise ValueError(
+            f"price ratio p1/r2 must be positive and finite, got {p1!r}/{r2!r}")
+    return rho
+
+
 def rationalize_prices(ratio: tuple[float, float], max_price: int,
                        horizon: int) -> PriceVector:
     """Integer price pair approximating the conserving ratio.
@@ -84,9 +96,7 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
     """
     if max_price < 2:
         raise ValueError("max_price must be >= 2")
-    rho = ratio[0] / ratio[1]  # target p1/r2 = x2*/x1*
-    if not rho > 0:
-        raise ValueError(f"price ratio must be positive, got {rho}")
+    rho = _target_ratio(ratio)  # target p1/r2 = x2*/x1*
     if rho <= 1.0:
         pair = PriceVector(max(1, round(max_price * rho)), max_price)
     else:
@@ -110,7 +120,7 @@ def best_coprime_ratio(ratio: tuple[float, float], max_price: int = 20) -> Price
     """
     if max_price < 1:
         raise ValueError("max_price must be >= 1")
-    rho = ratio[0] / ratio[1]
+    rho = _target_ratio(ratio)
     best = None
     best_err = np.inf
     for r2 in range(1, max_price + 1):

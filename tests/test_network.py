@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from karma_routing import ArcCostModel, Scenario, SensitivitySpec, balanced_flow, system_optimum
 from karma_routing.network import SOCIETAL_FLOW, as_flow
 
 BPR = ArcCostModel()  # d0=(1,2), kappa=(1/2,2/3), alpha=0.15, beta=4
+
+PARAM = st.floats(1.0, 6.0)
+MODELS = st.builds(lambda d01, d02, k1, k2, alpha, beta: ArcCostModel(
+    d0=(d01, d02), kappa=(k1, k2), alpha=alpha, beta=beta),
+    PARAM, PARAM, PARAM, PARAM, PARAM, PARAM)
 
 
 def grid_minimum(model, p_go, n=10_001):
@@ -65,6 +70,15 @@ class TestDiscomfort:
     def test_non_decreasing_when_alpha_zero(self):
         flat = ArcCostModel(alpha=0.0)
         assert np.allclose(flat.discomfort([0.2, 0.9]), flat.discomfort([0.7, 0.1]))
+
+    @given(model=MODELS | st.just(BPR), x1=st.floats(0.0, 1.0),
+           x2=st.floats(0.0, 1.0))
+    def test_scalar_kernel_matches_array_path(self, model, x1, x2):
+        # libm pow against numpy's SIMD power: equal up to a few ulps
+        d = model.discomfort([x1, x2])
+        scalar = [f(x) for f, x in zip(model._scalar_discomfort(), (x1, x2))]
+        assert all(type(v) is float for v in scalar)
+        assert np.all(np.abs(np.array(scalar) - d) <= 4 * np.spacing(d))
 
 
 class TestSocietalCost:
@@ -132,6 +146,19 @@ class TestBalancedFlow:
     def test_reversed_constant_costs_return_none(self):
         m = ArcCostModel(d0=(10.0, 1.0), alpha=0.0)
         assert balanced_flow(m, 0.95) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=MODELS, p_go=st.floats(0.0, 1.0, exclude_min=True))
+    def test_crossing_balances_the_array_path(self, model, p_go):
+        # the scalar bisection's split, checked with the day's array path
+        x = balanced_flow(model, p_go)
+        if x is not None:
+            d = model.discomfort(x)
+            assert abs(d[0] - d[1]) <= 1e-9 + 1e-12
+        else:
+            h = [np.subtract(*model.discomfort([t, p_go - t]))
+                 for t in np.linspace(0.0, p_go, 33)]
+            assert all(v >= 0.0 for v in h) or all(v < 0.0 for v in h)
 
     def test_crossing_right_of_optimum(self):
         # whenever d1 < d2 at the optimum, the crossing lies further right

@@ -11,6 +11,9 @@ from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
                            rationalize_prices, stationary_distribution,
                            thresholds)
 
+BAD_RATIOS = [(float("nan"), 1.0), (-1.0, 2.0), (1.0, 0.0),
+              (float("inf"), 1.0)]  # NaN, negative, zero r2, infinite
+
 
 class TestConservationPrices:
     def test_symmetric_flow_gives_unit_ratio(self):
@@ -69,10 +72,25 @@ class TestRationalizePrices:
         with pytest.raises(ValueError):
             rationalize_prices((1.0, 1.0), 1, 6)
 
+    @pytest.mark.parametrize("ratio", BAD_RATIOS)
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="p1/r2"):
+            rationalize_prices(ratio, 10, 6)
+
+    def test_horizon_validated(self):
+        for horizon in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="horizon"):
+                rationalize_prices((1.0, 1.0), 10, horizon)
+
 
 class TestBestCoprimeRatio:
     def test_unit_ratio(self):
         assert best_coprime_ratio((1.0, 1.0), 10) == PriceVector(1, 1)
+
+    @pytest.mark.parametrize("ratio", BAD_RATIOS)
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="p1/r2"):
+            best_coprime_ratio(ratio, 10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -120,6 +138,9 @@ class TestPriceVector:
         assert PriceVector(10, 14).feasible_for_horizon(6)
         assert not PriceVector(1, 10).feasible_for_horizon(6)
         assert PriceVector(1, 10).feasible_for_horizon(10)
+        for horizon in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="horizon"):
+                PriceVector(10, 14).feasible_for_horizon(horizon)
 
 
 class TestScalingInvariance:

@@ -109,6 +109,26 @@ class TestWardropEquilibrium:
         assert x[0] == floor(xbar[0] * m + 1e-9) / m
         assert x[0] == pytest.approx(0.80, abs=0.02)
 
+    @pytest.mark.parametrize("p_home", [0.0, 0.05, 0.2])
+    def test_floored_balanced_count_brackets_the_crossing(self, p_home):
+        # d1 <= d2 at the floored fast count, d1 >= d2 one agent later, both
+        # on the array path that gives the day's d
+        m = 10_000
+        rng = np.random.default_rng(12)
+        k, k_ref = population(rng, m, 2000.0, 4000.0)
+        s = rng.exponential(1.0, m)
+        traveling = rng.random(m) >= p_home
+        _, n, n_slow, regime, d = wardrop_equilibrium(
+            k, s, traveling, thresholds(k_ref, P, T), BPR, P, 1.0)
+        assert regime == UNCONTROLLED
+        n_travel = n + n_slow
+        assert np.array_equal(d, BPR.discomfort([n / m, n_slow / m]))
+        assert d[0] <= d[1] + 1e-9
+        if n + 1 <= n_travel:
+            d_next = BPR.discomfort([(n + 1) / m, (n_slow - 1) / m])
+            assert d_next[0] >= d_next[1] - 1e-9
+        assert n == floor(balanced_flow(BPR, n_travel / m)[0] * m + 1e-9)
+
     def test_all_poor_immediate(self):
         # the result is the single d1 < d2 sweep itself
         m = 500
