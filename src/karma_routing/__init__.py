@@ -6,21 +6,18 @@ karma-distribution dynamics, and simulate the repeated game for finite
 populations.
 """
 
-from .agent import (ARC1, ARC2, AgentState, PlanOutcome, Thresholds,
-                    best_response_batch, plan_oracle, settle, thresholds)
+from .agent import ARC1, ARC2, Thresholds, best_response_batch, settle, thresholds
 from .config import RunConfig
 from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
                      KarmaRoutingError)
 from .mesoscopic import (KarmaChain, build_chain, equilibrium_flows,
                          karma_cell, quantize_population,
-                         stationary_distribution,
-                         stationary_distribution_dense, step_distribution)
+                         stationary_distribution, step_distribution)
 from .network import (ArcCostModel, Scenario, as_flow, balanced_flow,
                       system_optimum)
 from .presets import PRESETS, apply_preset, get_preset
-from .pricing import (PriceVector, best_coprime_ratio, conservation_prices,
-                      rationalize_prices)
+from .pricing import PriceVector, conservation_prices, rationalize_prices
 from .sensitivity import SensitivitySpec
 from .simulation import (DayRecord, Population, RunResult, compute_metrics,
                          init_population, run_scenario, simulate_day)
@@ -29,17 +26,15 @@ from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARC1", "ARC2", "CONTROLLED", "UNCONTROLLED",
-    "AgentState", "ArcCostModel", "ConvergenceError", "DayRecord",
-    "DegenerateOptimumError", "InfeasibleHorizonError", "InfeasibleKarmaError",
-    "KarmaChain", "KarmaRoutingError", "PlanOutcome", "Population",
-    "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
-    "SensitivitySpec", "Thresholds", "apply_preset",
-    "as_flow", "balanced_flow", "best_coprime_ratio", "best_response_batch",
+    "ARC1", "ARC2", "CONTROLLED", "UNCONTROLLED", "ArcCostModel",
+    "ConvergenceError", "DayRecord", "DegenerateOptimumError",
+    "InfeasibleHorizonError", "InfeasibleKarmaError", "KarmaChain",
+    "KarmaRoutingError", "Population", "PriceVector", "PRESETS",
+    "RunConfig", "RunResult", "Scenario", "SensitivitySpec", "Thresholds",
+    "apply_preset", "as_flow", "balanced_flow", "best_response_batch",
     "build_chain", "compute_metrics", "conservation_prices",
-    "equilibrium_flows", "get_preset", "init_population",
-    "karma_cell", "plan_oracle", "quantize_population", "rationalize_prices",
-    "run_scenario", "settle", "simulate_day", "stationary_distribution",
-    "stationary_distribution_dense", "step_distribution", "system_optimum",
-    "thresholds", "wardrop_equilibrium",
+    "equilibrium_flows", "get_preset", "init_population", "karma_cell",
+    "quantize_population", "rationalize_prices", "run_scenario", "settle",
+    "simulate_day", "stationary_distribution", "step_distribution",
+    "system_optimum", "thresholds", "wardrop_equilibrium",
 ]

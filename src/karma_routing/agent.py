@@ -4,9 +4,9 @@ A traveling agent weighs today's discomfort (scaled by today's sensitivity s)
 against the average discomfort of the remaining T days of the horizon (scaled
 by the mean sensitivity s_bar), subject to ending the horizon no poorer than
 its karma reference.  The resulting optimal rule is piecewise in karma with
-four breakpoints.  `best_response_batch` is its one entry point, `settle`
-its one account update, and `plan_oracle` solves the underlying two-stage
-program by direct enumeration as the independent check on both.
+four breakpoints.  `best_response_batch` is its one entry point and `settle`
+its one account update.  The tests check both against `tests/oracles.py`,
+which solves the underlying two-stage program by direct enumeration.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from .pricing import PriceVector
 
 ARC1 = 1  # fast route, pays p1
 ARC2 = 2  # slow route, earns r2
-
-
-@dataclass(frozen=True)
-class AgentState:
-    k: float       # current karma
-    k_ref: float   # end-of-horizon karma floor
-    s: float       # today's sensitivity draw
 
 
 @dataclass(frozen=True)
@@ -53,12 +46,13 @@ def k_poor(k_ref, p: PriceVector, horizon: int):
     """Below it the agent must take the slow route (toll or reference binds).
 
     The least float k >= p1 at which the budget constraint
-    k - k_ref - p1 + T*r2 >= 0 holds, evaluated left to right as
-    `plan_oracle` does.  Karma that moves in integer steps from k_inf lands
-    on this boundary exactly, and the closed form k_ref + p1 - T*r2 can miss
-    it by rounding.  Where it does, the boundary is found by bisection over
-    the floats within 4 ulps (at the operands' scale) of the closed form;
-    the constraint's own rounding error is below 2 of them.
+    k - k_ref - p1 + T*r2 >= 0 holds, evaluated left to right as the
+    enumeration oracle in `tests/oracles.py` does.  Karma that moves in
+    integer steps from k_inf lands on this boundary exactly, and the closed
+    form k_ref + p1 - T*r2 can miss it by rounding.  Where it does, the
+    boundary is found by bisection over the floats within 4 ulps (at the
+    operands' scale) of the closed form; the constraint's own rounding error
+    is below 2 of them.
     """
     k_ref = np.asarray(k_ref, dtype=float)
     toll = float(p.p1)
@@ -194,49 +188,3 @@ def settle(k, fast, traveling, p: PriceVector):
     delta -= fast * float(p.total)
     delta += k
     return delta
-
-
-@dataclass(frozen=True)
-class PlanOutcome:
-    choice: int
-    future_split: tuple[float, float]  # planned average split over the horizon
-    objective: float
-
-
-def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
-                s_bar: float) -> PlanOutcome:
-    """Solve the two-stage plan by enumerating today's route.
-
-    For each affordable route j, the karma budget caps the planned future
-    share of the fast route at (k - k_ref - p_j + T*r2) / (T*(p1+r2)); the
-    linear objective pushes that share to its cap when d1 < d2, to zero when
-    d1 > d2.  Returns the route minimizing s*d_j + s_bar*T*d^T y_future,
-    breaking exact ties toward the slow route.  Raises InfeasibleKarmaError
-    when no route admits a feasible plan (exactly k < k_inf).
-    """
-    k, k_ref = state.k, state.k_ref
-    d1, d2 = float(d[0]), float(d[1])
-    t, p1, r2 = horizon, p.p1, p.r2
-    denom = t * p.total
-
-    best = None
-    # slow route first so exact objective ties resolve to it
-    for choice, p_today, d_today in ((ARC2, -r2, d2), (ARC1, p1, d1)):
-        if p_today > k or k < 0:
-            continue  # cannot afford today's toll
-        cap = (k - k_ref - p_today + t * r2) / denom
-        if cap < 0:
-            continue  # even an all-slow future cannot restore the reference
-        if d1 > d2:
-            y1 = 0.0
-        else:
-            y1 = min(1.0, cap)  # binding cap is optimal for d1 <= d2
-        objective = state.s * d_today + s_bar * t * (d1 * y1 + d2 * (1.0 - y1))
-        candidate = PlanOutcome(choice, (y1, 1.0 - y1), objective)
-        if best is None or objective < best.objective:
-            best = candidate
-    if best is None:
-        raise InfeasibleKarmaError(
-            f"karma {k} admits no feasible plan (below k_inf for reference {k_ref})"
-        )
-    return best

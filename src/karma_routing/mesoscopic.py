@@ -240,22 +240,6 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     return dist
 
 
-def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
-    """Stationary distribution via a dense least-squares solve of (A - I)P = 0.
-
-    Independent oracle for `stationary_distribution` in tests, at any
-    p_home.  The solve is unique only where the fixed point is (co-prime
-    prices, p_home < 1).  Intended for moderate sizes (a few hundred cells).
-    """
-    n = chain.n_states
-    m = np.vstack([chain.a.toarray() - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    dist, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    dist = np.maximum(dist, 0.0)
-    return dist / dist.sum()
-
-
 def equilibrium_flows(chain: KarmaChain, dist) -> np.ndarray:
     """Population route shares induced by a karma distribution.
 

@@ -37,14 +37,6 @@ class PriceVector:
         """p1 + r2, the karma swing of one fast/slow round trip."""
         return self.p1 + self.r2
 
-    @property
-    def signed(self) -> tuple[int, int]:
-        """(p1, p2) with p2 = -r2, matching the charge convention k -= p_j."""
-        return (self.p1, -self.r2)
-
-    def is_coprime(self) -> bool:
-        return gcd(self.p1, self.r2) == 1
-
     def reduced(self) -> "PriceVector":
         """Canonical co-prime representative of the same price ratio."""
         g = gcd(self.p1, self.r2)
@@ -109,30 +101,3 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
             f"r2/p1 in [1/{horizon}, {horizon}]"
         )
     return pair
-
-
-def best_coprime_ratio(ratio: tuple[float, float], max_price: int = 20) -> PriceVector:
-    """Co-prime (p1, r2) with both <= max_price minimizing |p1/r2 - target|.
-
-    Exhaustive search; ties break toward the smaller max(p1, r2).  This is
-    the canonical best rational approximation of the conserving ratio and
-    serves as the cross-check for `rationalize_prices`.
-    """
-    if max_price < 1:
-        raise ValueError("max_price must be >= 1")
-    rho = _target_ratio(ratio)
-    best = None
-    best_err = np.inf
-    for r2 in range(1, max_price + 1):
-        for p1 in range(1, max_price + 1):
-            if gcd(p1, r2) != 1:
-                continue
-            err = abs(p1 / r2 - rho)
-            if err < best_err - 1e-15 or (
-                abs(err - best_err) <= 1e-15
-                and best is not None
-                and max(p1, r2) < max(best.p1, best.r2)
-            ):
-                best = PriceVector(p1, r2)
-                best_err = err
-    return best

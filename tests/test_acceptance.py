@@ -9,17 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from karma_routing import (ARC1, ARC2, AgentState, ArcCostModel, PriceVector,
-                           Scenario, SensitivitySpec, balanced_flow,
-                           best_response_batch, build_chain,
-                           conservation_prices, equilibrium_flows, get_preset,
-                           init_population, plan_oracle,
-                           rationalize_prices, run_scenario, settle,
-                           simulate_day, stationary_distribution,
-                           stationary_distribution_dense, system_optimum,
-                           thresholds)
+from karma_routing import (ARC1, ARC2, ArcCostModel, PriceVector, Scenario,
+                           SensitivitySpec, balanced_flow, best_response_batch,
+                           build_chain, conservation_prices, equilibrium_flows,
+                           get_preset, init_population, rationalize_prices,
+                           run_scenario, settle, simulate_day,
+                           stationary_distribution, system_optimum, thresholds)
 from karma_routing.agent import k_inf, k_rich, k_wealthy
 from karma_routing.wardrop import UNCONTROLLED
+
+from oracles import AgentState, plan_oracle, stationary_distribution_dense
 
 EXP = SensitivitySpec.exponential(1.0)
 BPR = ArcCostModel()

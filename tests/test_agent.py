@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from karma_routing import (ARC1, ARC2, AgentState, InfeasibleKarmaError,
-                           PriceVector, best_response_batch, plan_oracle,
-                           settle, thresholds)
+from karma_routing import (ARC1, ARC2, InfeasibleKarmaError, PriceVector,
+                           best_response_batch, settle, thresholds)
 from karma_routing.agent import (Thresholds, fast_mask, k_inf, k_rich,
                                  k_wealthy)
+
+from oracles import AgentState, plan_oracle
 
 P_FIG3 = PriceVector(10, 14)
 SBAR = 1.0

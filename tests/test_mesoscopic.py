@@ -6,14 +6,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, AgentState, ConvergenceError, PriceVector,
+from karma_routing import (ARC1, ConvergenceError, PriceVector,
                            SensitivitySpec, build_chain, equilibrium_flows,
-                           karma_cell, plan_oracle, quantize_population,
-                           stationary_distribution,
-                           stationary_distribution_dense, step_distribution,
+                           karma_cell, quantize_population,
+                           stationary_distribution, step_distribution,
                            thresholds)
 from karma_routing import mesoscopic
 from karma_routing.mesoscopic import save_distribution_csv, save_matrix_coo
+
+from oracles import AgentState, plan_oracle, stationary_distribution_dense
 
 EXP = SensitivitySpec.exponential(1.0)
 

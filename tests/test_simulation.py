@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, AgentState, ArcCostModel, DayRecord,
+from karma_routing import (ARC1, ARC2, ArcCostModel, DayRecord,
                            InfeasibleKarmaError, PriceVector, Scenario,
                            SensitivitySpec, compute_metrics, get_preset,
-                           init_population, plan_oracle, run_scenario,
-                           settle, simulate_day, thresholds,
-                           wardrop_equilibrium)
+                           init_population, run_scenario, settle, simulate_day,
+                           thresholds, wardrop_equilibrium)
 from karma_routing.simulation import RUN_CSV_COLUMNS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
+
+from oracles import AgentState, plan_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
@@ -134,6 +135,28 @@ class TestRunScenario:
         assert x1 == pytest.approx(0.95 * 14 / 24, abs=0.01)
         assert x2 == pytest.approx(0.95 * 10 / 24, abs=0.01)
         assert res.summary["tail_mean_cost_opt_ratio"] < 1.01
+
+    def test_uncontrolled_split_is_a_fixed_index_priority(self):
+        # every uncontrolled day of a rich start, routes read from the karma
+        # changes: no indifferent slow traveler precedes a fast one by index
+        cfg = replace(get_preset("fig3"), n_agents=300, k_init_low=2000.0,
+                      k_init_high=4000.0)
+        p = cfg.prices()
+        pop = init_population(cfg.scenario(), p)
+        k_poor = pop.breakpoints(p).k_poor
+        uncontrolled = 0
+        for _ in range(400):
+            k_before = pop.k.copy()
+            rec = simulate_day(pop, cfg.model(), p)
+            if rec.regime != UNCONTROLLED:
+                continue
+            uncontrolled += 1
+            dk = pop.k - k_before
+            fast, slow = np.flatnonzero(dk < 0), np.flatnonzero(dk > 0)
+            indifferent_slow = slow[k_before[slow] >= k_poor[slow]]
+            assert fast.size and indifferent_slow.size
+            assert fast.max() < indifferent_slow.min()
+        assert uncontrolled >= 200
 
     def test_day_count_and_summary(self):
         sc = scenario(n_agents=100)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, AgentState, ArcCostModel,
-                           PriceVector, SensitivitySpec, balanced_flow,
-                           best_response_batch, build_chain,
-                           equilibrium_flows, plan_oracle,
+from karma_routing import (ARC1, ARC2, ArcCostModel, PriceVector,
+                           SensitivitySpec, balanced_flow, best_response_batch,
+                           build_chain, equilibrium_flows,
                            stationary_distribution, thresholds,
                            wardrop_equilibrium)
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
+
+from oracles import AgentState, plan_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
