@@ -159,11 +159,16 @@ def cmd_system_optimum(args) -> int:
     print(f"optimal societal cost: {cost:.9f}")
     x_bal = balanced_flow(model, p_go)
     if x_bal is None:
-        # no crossing: d with all demand on route 1 tells which route wins
-        d = model.discomfort((p_go, 0.0))
-        route, sign = (1, "<") if d[0] < d[1] else (2, ">=")
-        print(f"balanced flow: none (route {route} dominates: d1 {sign} d2 "
-              "over the whole range)")
+        # no crossing: d at both ends of [0, p_go] tells which route wins
+        d_lo = model.discomfort((0.0, p_go))
+        d_hi = model.discomfort((p_go, 0.0))
+        if d_lo[0] == d_lo[1] and d_hi[0] == d_hi[1]:
+            print("balanced flow: none (the routes tie: d1 = d2 over the "
+                  "whole range)")
+        else:
+            route, sign = (1, "<") if d_hi[0] < d_hi[1] else (2, ">=")
+            print(f"balanced flow: none (route {route} dominates: d1 {sign} "
+                  "d2 over the whole range)")
     else:
         print(f"balanced flow: ({x_bal[0]:.6f}, {x_bal[1]:.6f})")
     return 0

@@ -159,29 +159,39 @@ def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
                     s_bar: float):
     """Per-day metrics: (delta_d, delta_s, mean_karma, cost).
 
-    ``fast`` and ``traveling`` are the day's route masks over all agents,
-    ``s`` their sensitivities, ``x`` the flow pair, ``d`` = d(x) and ``k``
-    the karma after settlement.  delta_d compares the realized
-    sensitivity-weighted discomfort against a sensitivity-unaware random
-    assignment to the same flows: sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji
-    over travelers.  delta_s is the relative deviation of the travelers' mean
-    sensitivity, sum_i (s_i - s_bar) / (M s_bar).  Both are None on days
-    nobody travels.
+    ``fast`` and ``traveling`` are the day's route masks over all agents
+    (``fast`` a subset of ``traveling``), ``s`` their sensitivities, ``x``
+    the flow pair, ``d`` = d(x) and ``k`` the karma after settlement.
+    delta_d compares the realized sensitivity-weighted discomfort against a
+    sensitivity-unaware random assignment to the same flows,
+    sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji over travelers; delta_s is
+    the relative deviation of the travelers' mean sensitivity,
+    sum_i (s_i - s_bar) / (M s_bar).  Both are None on days nobody travels.
+
+    Both come from per-route sums: with n_j the count of route j's travelers
+    and S_j the sum of their sensitivities (S = S1 + S2),
+
+        delta_d = (d1 (S1 - s_bar n1) + d2 (S2 - s_bar n2))
+                  / (s_bar (d1 n1 + d2 n2)),
+        delta_s = (S - s_bar (n1 + n2)) / (M s_bar).
+
+    S1 and S are masked products summed by numpy's pairwise ``sum``, so the
+    last bits do not depend on the BLAS build.
     """
     cost = model._cost(x, d)
-    mean_karma = float(k.mean())
-    # summed over the gathered travelers, which fixes the sums' last bits;
-    # d_taken is d1 or d2 per traveler, looked up in (d2, d1) by the fast
-    # flag as an index
-    s_dev = s[traveling]
-    if not s_dev.size:
+    # the bits of k.mean(), without the cost of numpy's wrapper around it
+    mean_karma = float(k.sum()) / k.size
+    n_travel = int(np.count_nonzero(traveling))
+    if not n_travel:
         return None, None, mean_karma, cost
-    s_dev -= s_bar
-    d_taken = d[::-1].take(fast[traveling].view(np.uint8))
-    weight = (s_bar * d_taken).sum()
-    d_taken *= s_dev
-    delta_d = float(d_taken.sum() / weight)
-    delta_s = float(s_dev.sum() / (k.size * s_bar))
+    n1 = int(np.count_nonzero(fast))
+    n2 = n_travel - n1
+    s1 = float((s * fast).sum())
+    s_all = float((s * traveling).sum())
+    d1, d2 = d.tolist()
+    delta_d = ((d1 * (s1 - s_bar * n1) + d2 * (s_all - s1 - s_bar * n2))
+               / (s_bar * (d1 * n1 + d2 * n2)))
+    delta_s = (s_all - s_bar * n_travel) / (k.size * s_bar)
     return delta_d, delta_s, mean_karma, cost
 
 

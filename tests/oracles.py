@@ -1,4 +1,4 @@
-"""Independent oracles for the library's three core computations.
+"""Independent oracles for the library's core computations.
 
 Each solves the same problem as the library by a direct method that shares
 none of its algorithm:
@@ -8,7 +8,9 @@ none of its algorithm:
 - `stationary_distribution_dense` solves (A - I)P = 0 densely, against the
   class-cycle solve of `stationary_distribution`;
 - `best_coprime_ratio` searches every co-prime price pair, against
-  `rationalize_prices`.
+  `rationalize_prices`;
+- `day_metrics_oracle` sums the day's metrics over the gathered travelers,
+  against the per-route sums of `compute_metrics`.
 """
 
 from __future__ import annotations
@@ -122,3 +124,25 @@ def best_coprime_ratio(ratio: tuple[float, float], max_price: int = 20) -> Price
                 best = PriceVector(p1, r2)
                 best_err = err
     return best
+
+
+def day_metrics_oracle(fast, traveling, s, x, d, k, model, s_bar):
+    """(delta_d, delta_s, mean_karma, cost) summed traveler by traveler.
+
+    Gathers each traveler's sensitivity and looks its discomfort up in the
+    (d2, d1) table with its fast flag as the index, then sums the
+    per-traveler terms.  Takes `compute_metrics`' arguments; delta_d and
+    delta_s are None on days nobody travels.
+    """
+    cost = model._cost(x, d)
+    mean_karma = float(k.mean())
+    s_dev = s[traveling]
+    if not s_dev.size:
+        return None, None, mean_karma, cost
+    s_dev -= s_bar
+    d_taken = d[::-1].take(fast[traveling].view(np.uint8))
+    weight = (s_bar * d_taken).sum()
+    d_taken *= s_dev
+    delta_d = float(d_taken.sum() / weight)
+    delta_s = float(s_dev.sum() / (k.size * s_bar))
+    return delta_d, delta_s, mean_karma, cost

@@ -230,18 +230,20 @@ class TestCli:
         assert main(["system-optimum", "--preset", "fig3", "--p-go", "1e-8"]) == 0
         assert "system optimum: (0.000000, 0.000000)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("d0, route", [((5.0, 1.0), 2), ((1.0, 5.0), 1)],
-                             ids=["route2", "route1"])
-    def test_system_optimum_names_the_dominant_route(self, d0, route,
+    @pytest.mark.parametrize("d0, verdict", [
+        ((5.0, 1.0), "route 2 dominates: d1 >= d2"),
+        ((1.0, 5.0), "route 1 dominates: d1 < d2"),
+        ((2.0, 2.0), "the routes tie: d1 = d2"),
+    ], ids=["route2", "route1", "tie"])
+    def test_system_optimum_names_the_dominant_route(self, d0, verdict,
                                                      tmp_path, capsys):
-        # constant costs never cross; the print used to say d1 < d2 for both
+        # constant costs never cross: one route dominates, or the two tie
         path = tmp_path / "flat.ini"
         path.write_text(f"[model]\nd0_1 = {d0[0]}\nd0_2 = {d0[1]}\n"
                         "alpha = 0.0\n")
         assert main(["system-optimum", "--config", str(path)]) == 0
-        sign = "<" if route == 1 else ">="
-        assert (f"balanced flow: none (route {route} dominates: d1 {sign} d2 "
-                "over the whole range)") in capsys.readouterr().out
+        assert (f"balanced flow: none ({verdict} over the whole range)"
+                in capsys.readouterr().out)
 
     @pytest.mark.parametrize("argv", [
         ["design-prices", "--preset", "fig3", "--seed", "1"],

@@ -12,10 +12,11 @@ from karma_routing import (ARC1, ARC2, ArcCostModel, DayRecord,
                            SensitivitySpec, compute_metrics, get_preset,
                            init_population, run_scenario, settle, simulate_day,
                            thresholds, wardrop_equilibrium)
+from karma_routing import simulation
 from karma_routing.simulation import RUN_CSV_COLUMNS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
-from oracles import AgentState, plan_oracle
+from oracles import AgentState, day_metrics_oracle, plan_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
@@ -186,24 +187,29 @@ GOLDEN_DIGESTS = {
 # pins cost, cost_opt_ratio, delta_d, delta_s and mean_karma to the last bit,
 # so it depends on the platform's float power and summation as well.
 RECORD_DIGESTS = {
-    "fig3": "8d7708d8916b5d7a124826190e59fa36cb1bcf77dc450c91412a7e71f624ba2b",
-    "fig5": "7ab14b899dff4ff6be45f654f0e16776d3133fed50e7962ea2c9a8d07feb53d8",
-    "fig6": "38c9c9d2bcde6f86a8cd0fbb34dd5da3002b2d62a5206328a679a3dfaf266ced",
-    "fig3-rich": "37cc9dde1185c44d19f094eee9b58f55914d48e19639ac1df774a2f74a0c1014",
+    "fig3": "a65178a83b9fed1ae1faca90305ee6c59b6f136ac7ece94d58295078fce78862",
+    "fig5": "72e53e9fe1aa77741eec51ac6c280309a269a487f9fedcbe38c765fae5f0ebaa",
+    "fig6": "7782c17d7f65a7358ca473de2c1b99d2984bab84700f464d3d72f868a179ccc9",
+    "fig3-rich": "73c20e45326f1f9715191451a10f808f628800dff37700b4b367a3345c8831b3",
 }
+
+
+def preset_run(case, days):
+    """`run_scenario` on a preset; ``fig3-rich`` is fig3 with k(0) ~
+    U[2000, 4000], which floods the fast route and pins the balanced split."""
+    cfg = get_preset(case.split("-")[0])
+    if case == "fig3-rich":
+        cfg = replace(cfg, k_init_low=2000.0, k_init_high=4000.0)
+    return run_scenario(cfg.scenario(), cfg.model(), cfg.prices(), days)
 
 
 class TestGoldenDecisions:
     @pytest.mark.parametrize("case, days, n_uncontrolled", [
         ("fig3", 500, 0), ("fig5", 500, 0), ("fig6", 500, 0),
-        # k(0) ~ U[2000, 4000] floods the fast route, pinning the balanced split
         ("fig3-rich", 300, 255),
     ])
     def test_decision_digest(self, case, days, n_uncontrolled):
-        cfg = get_preset(case.split("-")[0])
-        if case == "fig3-rich":
-            cfg = replace(cfg, k_init_low=2000.0, k_init_high=4000.0)
-        res = run_scenario(cfg.scenario(), cfg.model(), cfg.prices(), days)
+        res = preset_run(case, days)
         h = hashlib.sha256()
         for r in res.records:
             h.update(f"{r.day},{r.x1!r},{r.x2!r},{r.regime}\n".encode())
@@ -342,7 +348,48 @@ class TestBreakpointCache:
             simulate_day(pop, BPR, p)
 
 
+# absolute bound on delta_d and delta_s against the gathered sums of
+# `day_metrics_oracle`; the largest difference measured over the presets'
+# days is 3.5e-16
+METRICS_TOL = 1e-14
+
+
+def run_checking_metrics(run):
+    """Call ``run()`` with each day's `compute_metrics` checked against
+    `day_metrics_oracle` on the same inputs; returns the number of days."""
+    n_days = 0
+
+    def checked(*args):
+        nonlocal n_days
+        n_days += 1
+        got = compute_metrics(*args)
+        want = day_metrics_oracle(*args)
+        assert got[2:] == want[2:]  # mean_karma and cost to the last bit
+        assert (got[0] is None, got[1] is None) == (want[0] is None,) * 2
+        if want[0] is not None:
+            assert abs(got[0] - want[0]) <= METRICS_TOL, (got, want)
+            assert abs(got[1] - want[1]) <= METRICS_TOL, (got, want)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "compute_metrics", checked)
+        run()
+    return n_days
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("case, days", [
+        ("fig3", 500), ("fig5", 500), ("fig6", 500), ("fig3-rich", 300)])
+    def test_presets_match_gathered_oracle(self, case, days):
+        assert run_checking_metrics(lambda: preset_run(case, days)) == days
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=small_runs())
+    def test_small_runs_match_gathered_oracle(self, run):
+        sc, model, p, days = run
+        assert run_checking_metrics(
+            lambda: run_scenario(sc, model, p, days)) == days
+
     def test_uniform_sensitivity_zeroes_deviations(self):
         fast = np.array([True, False, True, False])
         traveling = np.array([True, True, True, False])
