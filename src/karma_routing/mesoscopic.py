@@ -31,13 +31,15 @@ optimal.
 The stationary distribution is solved on the chain's cycles.  Both moves
 shift a cell's index by the same residue mod q = p1 + r2, so B carries
 residue class c onto class c + r2 through a bidiagonal map of its T+1
-levels, and the q classes form g = gcd(p1, r2) cycles of q/g
-classes.  The fixed point of each cycle's return map, carried round the
-cycle and scaled to mass 1/q per class, is the stationary distribution; one
-step of A certifies it.  Mass 1/q per class is the selection rule where the
-fixed point is not unique (g > 1: each of the g sublattices of cells with
-equal index mod g holds 1/g), and it leaves no periodic component at
-p_home = 0.
+levels, and the q classes form g = gcd(p1, r2) cycles of L = q/g
+classes.  A pairwise product tree over each cycle's L maps gives its return
+map in L - 1 products; the return map's fixed point is the first class's
+vector, and walking back down the tree hands every class its vector in
+L - 1 matrix-vector products.  Each class is scaled to mass 1/q, and one
+step of A certifies the result.  Mass 1/q per class is the selection rule
+where the fixed point is not unique (g > 1: each of the g sublattices of
+cells with equal index mod g holds 1/g), and it leaves no periodic
+component at p_home = 0.
 """
 
 from __future__ import annotations
@@ -149,9 +151,10 @@ def _check_distribution(chain: KarmaChain, dist) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (chain.n_states,):
         raise ValueError(f"distribution must have length {chain.n_states}")
-    if np.any(dist < -1e-12):
-        raise ValueError("distribution has negative mass")
-    if abs(dist.sum() - 1.0) > 1e-9:
+    # written so that NaN fails both checks
+    if not np.all(dist >= -1e-12):
+        raise ValueError("distribution has negative or NaN mass")
+    if not abs(dist.sum() - 1.0) <= 1e-9:
         raise ValueError("distribution must sum to 1")
     return dist
 
@@ -168,9 +171,16 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     send class c to class c + r2 mod q: +r2 to level m + w and -p1 to level
     m + w - 1, where w = 1 iff c + r2 >= q.  So B maps the levels of class c
     onto those of the next class through a bidiagonal step S_c, and the
-    classes form g = gcd(p1, r2) cycles of L = q/g steps.  A cycle's return
-    map S_{L-1}...S_0 gives its first class's vector; the prefix products
-    carry it round the cycle, and each class is scaled to mass 1/q.
+    classes form g = gcd(p1, r2) cycles of L = q/g steps S_0, ..., S_{L-1}.
+
+    The return map S_{L-1}...S_0 is the top of a pairwise product tree: each
+    level multiplies adjacent pairs, and an odd level carries its last node
+    up unchanged, so a cycle costs L - 1 products in ceil(log2 L) batched
+    calls.  Its fixed point is the start vector of the cycle's first class.
+    Walking down, a left child starts where its parent does and a right child
+    where its left sibling's product takes that vector, so the bottom holds
+    the start vector of every class after L - 1 matrix-vector products.
+    Each class is scaled to mass 1/q.
     """
     p1, r2 = chain.prices.p1, chain.prices.r2
     q, g = p1 + r2, math.gcd(p1, r2)
@@ -178,7 +188,7 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     classes = (np.arange(g)[:, None] + r2 * np.arange(q // g)) % q  # (g, L)
     climbs = classes + r2 >= q
     chill = chain.chill_prob.reshape(levels, q).T[classes]  # (g, L, levels)
-    rush = chain.rush_prob.reshape(levels, q).T[classes]
+    rush = 1.0 - chill
     # poor cells never pay and wealthy cells never earn, so no mass leaves
     if chill[climbs, -1].any() or rush[~climbs, 0].any():
         raise ValueError("chain moves mass off its lattice of cells")
@@ -188,21 +198,31 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     flat[..., ::levels + 1] = np.where(w, rush, chill)
     flat[..., levels::levels + 1] = np.where(w, chill, 0.0)[..., :-1]
     flat[..., 1::levels + 1] = np.where(w, 0.0, rush)[..., 1:]
-    prefix = flat.reshape(classes.shape + (levels, levels))
-    span = 1
-    while span < classes.shape[1]:  # Hillis-Steele scan: S_k...S_0 at step k
-        prefix[:, span:] = prefix[:, span:] @ prefix[:, :-span]
-        span *= 2
+    # up-sweep: each node is the product of the steps it spans, last first
+    tree = [flat.reshape(classes.shape + (levels, levels))]
+    while tree[-1].shape[1] > 1:
+        below = tree[-1]
+        n = below.shape[1]
+        up = np.empty((g, (n + 1) // 2, levels, levels))
+        np.matmul(below[:, 1::2], below[:, :n - 1:2], out=up[:, :n // 2])
+        if n % 2:
+            up[:, -1] = below[:, -1]
+        tree.append(up)
     # stationary vector of the return map: (C - I) x = 0 with sum(x) = 1
-    system = prefix[:, -1] - np.eye(levels)
+    system = tree.pop()[:, 0] - np.eye(levels)
     system[:, -1, :] = 1.0
     rhs = np.zeros((g, levels, 1))
     rhs[:, -1] = 1.0
-    start = np.linalg.solve(system, rhs)
+    start = np.linalg.solve(system, rhs)[:, None]  # (g, 1, levels, 1)
+    # down-sweep: each node's start vector is that of the first class it spans
+    for below in reversed(tree):
+        n = below.shape[1]
+        down = np.empty((g, n, levels, 1))
+        down[:, 0::2] = start
+        np.matmul(below[:, :n - 1:2], start[:, :n // 2], out=down[:, 1::2])
+        start = down
     by_level = np.empty((levels, q))
-    # step k of the cycle carries the start vector to class classes[k + 1]
-    by_level[:, np.roll(classes, -1, axis=1)] = (
-        (prefix @ start[:, None])[..., 0].transpose(2, 0, 1))
+    by_level[:, classes] = start[..., 0].transpose(2, 0, 1)
     by_level = np.maximum(by_level, 0.0)
     return (by_level / (q * by_level.sum(axis=0))).ravel()
 
@@ -215,10 +235,11 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     raises ValueError.  Both moves of B, +r2 and -p1, shift the cell index by
     the same residue mod q = p1 + r2, so B carries each residue class onto
     the next one along g = gcd(p1, r2) cycles; the start vector is the exact
-    fixed point of each cycle's return map, carried round the cycle (see
-    `_cycle_fixed_point`).  One step of A certifies it: A @ start is
-    returned when it differs from the start by at most CERTIFY_TOL in L1,
-    and otherwise ConvergenceError names the residual.
+    fixed point of each cycle's return map, handed to every class of the
+    cycle by a pairwise product tree (see `_cycle_fixed_point`).  One step
+    of A certifies it: A @ start is returned when it differs from the start
+    by at most CERTIFY_TOL in L1, and otherwise ConvergenceError names the
+    residual.
 
     Selection rule: every residue class holds mass 1/q, so each of the g
     sublattices of cells with equal index mod g (which never exchange mass)

@@ -82,14 +82,18 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
 def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
     """Stationary distribution via a dense least-squares solve of (A - I)P = 0.
 
-    Valid at any p_home.  The solve is unique only where the fixed point is
-    (co-prime prices, p_home < 1).  Intended for moderate sizes (a few
-    hundred cells).
+    Each of the g = gcd(p1, r2) sublattices of cells with equal index mod g
+    never exchanges mass with the others, and one constraint row per
+    sublattice gives it mass 1/g, the library's selection rule.  Valid at
+    any p_home; the solve is unique for p_home < 1.  Intended for moderate
+    sizes (a few hundred cells).
     """
     n = chain.n_states
-    m = np.vstack([chain.a.toarray() - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
+    g = gcd(chain.prices.p1, chain.prices.r2)
+    mass = (np.arange(n) % g == np.arange(g)[:, None]).astype(float)
+    m = np.vstack([chain.a.toarray() - np.eye(n), mass])
+    rhs = np.zeros(n + g)
+    rhs[n:] = 1.0 / g
     dist, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     dist = np.maximum(dist, 0.0)
     return dist / dist.sum()

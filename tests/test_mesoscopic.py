@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from karma_routing import (ARC1, ConvergenceError, PriceVector,
                            SensitivitySpec, build_chain, equilibrium_flows,
@@ -227,6 +227,21 @@ class TestStepDistribution:
         with pytest.raises(ValueError):
             step_distribution(ch, np.ones(3) / 3)
 
+    @pytest.mark.parametrize("call", ["step", "flows", "csv"])
+    def test_rejects_nan(self, call, tmp_path):
+        # NaN compares False both ways, so each check must be written to fail
+        # it; equilibrium_flows and save_distribution_csv share the check
+        ch = build_chain(PriceVector(2, 3), 3, 0.05, EXP)
+        dist = np.full(ch.n_states, 1 / ch.n_states)
+        dist[4] = np.nan
+        path = tmp_path / "pe.csv"
+        calls = {"step": lambda: step_distribution(ch, dist),
+                 "flows": lambda: equilibrium_flows(ch, dist),
+                 "csv": lambda: save_distribution_csv(ch, dist, path)}
+        with pytest.raises(ValueError, match="NaN"):
+            calls[call]()
+        assert not path.exists()
+
 
 class TestStationary:
     def test_tiny_chain_against_dense_eigensolve(self):
@@ -286,8 +301,10 @@ class TestStationary:
 
     @pytest.mark.parametrize("p, t, ph", [((199, 200), 12, 0.05),
                                           ((78, 78), 6, 0.05),
-                                          ((10, 14), 6, 0.0)],
-                             ids=["199:200-T12", "78:78-T6", "10:14-T6-periodic"])
+                                          ((10, 14), 6, 0.0),
+                                          ((593, 832), 6, 0.05)],
+                             ids=["199:200-T12", "78:78-T6", "10:14-T6-periodic",
+                                  "593:832-T6"])
     def test_start_is_the_fixed_point(self, p, t, ph, monkeypatch):
         # the class-cycle solve is certified by its one step at 1e-14, and
         # the returned vector is as close to fixed
@@ -299,6 +316,27 @@ class TestStationary:
         g = np.gcd(price.p1, price.r2)
         for j in range(g):
             assert pe[j::g].sum() == pytest.approx(1 / g, abs=1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2).map(sorted),
+           t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),
+           sens=st.sampled_from([EXP, SensitivitySpec.uniform(0.5, 2.5)]))
+    # cycle lengths L = 7, 15, 31 make every level of the product tree odd,
+    # and L = 17, 33 carry one node up through every level
+    @example(p=[3, 4], t=3, ph=0.05, sens=EXP)
+    @example(p=[7, 8], t=2, ph=0.05, sens=EXP)
+    @example(p=[15, 16], t=4, ph=0.05, sens=EXP)
+    @example(p=[8, 9], t=3, ph=0.05, sens=EXP)
+    @example(p=[16, 17], t=2, ph=0.05, sens=EXP)
+    def test_product_tree_matches_dense(self, p, t, ph, sens):
+        price = PriceVector(*p)
+        ch = build_chain(price, t, ph, sens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesoscopic, "CERTIFY_TOL", 1e-14)
+            pe = stationary_distribution(ch)
+        assert np.abs(pe - stationary_distribution_dense(ch)).sum() <= 1e-10
+        by_class = pe.reshape(t + 1, price.total).sum(axis=0)
+        assert np.abs(by_class - 1 / price.total).max() <= 1e-12
 
     def test_nonconvergence_budget(self):
         # a matrix that loses half the mass each step has no fixed point the
