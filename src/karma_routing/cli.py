@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import PRICE_DESIGN, RunConfig
 from .errors import KarmaRoutingError
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
                          save_matrix_coo, stationary_distribution,
@@ -56,6 +56,14 @@ def _resolve_config(args) -> RunConfig:
     return config.validate()
 
 
+def _prices(args, config: RunConfig):
+    """The config's prices; only designed prices read --max-price."""
+    if args.max_price is not None and config.price_mode != PRICE_DESIGN:
+        raise ValueError(f"--max-price needs price_mode = design, not "
+                         f"{config.price_mode}")
+    return config.prices()
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -69,7 +77,7 @@ def _strict_json(summary: dict) -> str:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
-    prices = config.prices()
+    prices = _prices(args, config)
     log.info("running %d days, M=%d, seed=%d, prices=(%d, -%d)",
              config.days, config.n_agents, config.seed, prices.p1, prices.r2)
     result = run_scenario(config.scenario(), config.model(), prices,
@@ -97,7 +105,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze_chain(args) -> int:
     config = _resolve_config(args)
-    prices = config.prices()
+    prices = _prices(args, config)
     chain = build_chain(prices, config.horizon, config.p_home,
                         config.sensitivity())
     dist = stationary_distribution(chain)

@@ -26,11 +26,11 @@ _OPTIMUM_TOL = 1e-6  # golden-section bracket width and local sweep step
 _BALANCE_TOL = 1e-9
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless value is an integer >= 1 (bool excluded)."""
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= low (bool excluded)."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,33 +57,29 @@ class ArcCostModel:
             raise ValueError(f"unknown societal cost kind: {self.societal_cost_kind!r}")
 
     def discomfort(self, x) -> np.ndarray:
-        """Per-route discomfort d(x) at the flow pair x."""
-        return self._discomfort(as_flow(x))
+        """d(x) as a float64 pair; a flow in `as_flow`'s slack below 0 is 0."""
+        d1, d2 = self._volume_delay()
+        x1, x2 = np.maximum(as_flow(x), 0.0).tolist()
+        return np.array([d1(x1), d2(x2)])
 
     def societal_cost(self, x) -> float:
-        """Aggregate societal cost c(x)^T x."""
-        x = as_flow(x)
-        return self._cost(x, self._discomfort(x))
+        """Aggregate societal cost c(x)^T x, reading x as `discomfort` does."""
+        x = np.maximum(as_flow(x), 0.0).tolist()
+        return self._cost(x, self.discomfort(x).tolist())
 
-    def _discomfort(self, x: np.ndarray) -> np.ndarray:
-        """d(x) for a flow pair the caller has already validated."""
-        d0 = np.asarray(self.d0)
-        kap = np.asarray(self.kappa)
-        return d0 * (1.0 + self.alpha * (x / kap) ** self.beta)
-
-    def _scalar_discomfort(self):
-        """(d1, d2) on one Python-float flow each: the split solvers' kernel."""
+    def _volume_delay(self):
+        """(d1, d2), each route's d(x) on one Python float x >= 0 (a negative
+        base gives a complex power): the only volume-delay code."""
         a, b = self.alpha, self.beta
 
         def route(d0, kappa):
             return lambda x: d0 * (1 + a * (x / kappa) ** b)
         return tuple(map(route, self.d0, self.kappa))
 
-    def _cost(self, x: np.ndarray, d: np.ndarray) -> float:
-        """c(x)^T x from a validated flow pair x and its discomfort d = d(x)."""
-        if self.societal_cost_kind == SOCIETAL_DISCOMFORT:
-            return float(d @ x)
-        return float(x @ x)
+    def _cost(self, x, d) -> float:
+        """c(x)^T x from the float pairs x and d = d(x)."""
+        c1, c2 = d if self.societal_cost_kind == SOCIETAL_DISCOMFORT else x
+        return c1 * x[0] + c2 * x[1]
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,7 @@ class Scenario:
             raise ValueError("p_home must lie in [0, 1]")
         check_count("horizon", self.horizon)
         check_count("n_agents", self.n_agents)
-        if (not isinstance(self.seed, numbers.Integral)
-                or isinstance(self.seed, bool) or self.seed < 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_count("seed", self.seed, low=0)
         for lo, hi in (self.k_init, self.k_ref_init):
             if not 0 <= lo <= hi < np.inf:
                 raise ValueError(
@@ -121,7 +115,8 @@ def as_flow(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("flow must be a pair (x1, x2)")
-    if np.any(x < -_FLOW_SLACK) or np.any(x > 1.0 + _FLOW_SLACK):
+    # written so that NaN fails the check
+    if not np.all((x >= -_FLOW_SLACK) & (x <= 1.0 + _FLOW_SLACK)):
         raise ValueError(f"flow components must lie in [0, 1], got {x}")
     return x
 
@@ -137,7 +132,7 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
     if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
-        d1, d2 = model._scalar_discomfort()
+        d1, d2 = model._volume_delay()
 
         def g(x1):
             x2 = p_go - x1
@@ -174,16 +169,12 @@ def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     Bisection on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing for
     monotone costs; stops once |d1 - d2| <= 1e-9 at the midpoint.  It is the
     split every uncontrolled day lands on (see `wardrop`).  Returns None when
-    h keeps one sign over the whole range (no crossing).
-
-    h runs on Python floats through the scalar kernel shared with
-    `system_optimum`, whose libm ``pow`` can differ in the last bit from the
-    SIMD power of `discomfort`.  That reaches a day's outputs only through
-    the floored fast count, which the ``fig3-rich`` golden digest pins.
+    h keeps one sign over the whole range (no crossing).  h reads the
+    volume-delay kernel that the day's equilibrium and `discomfort` read.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    d1, d2 = model._scalar_discomfort()
+    d1, d2 = model._volume_delay()
 
     def h(x1):
         return d1(x1) - d2(p_go - x1)

@@ -161,7 +161,7 @@ def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
 
     ``fast`` and ``traveling`` are the day's route masks over all agents
     (``fast`` a subset of ``traveling``), ``s`` their sensitivities, ``x``
-    the flow pair, ``d`` = d(x) and ``k`` the karma after settlement.
+    and ``d`` = d(x) float pairs, and ``k`` the karma after settlement.
     delta_d compares the realized sensitivity-weighted discomfort against a
     sensitivity-unaware random assignment to the same flows,
     sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji over travelers; delta_s is
@@ -188,7 +188,7 @@ def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
     n2 = n_travel - n1
     s1 = float((s * fast).sum())
     s_all = float((s * traveling).sum())
-    d1, d2 = d.tolist()
+    d1, d2 = d
     delta_d = ((d1 * (s1 - s_bar * n1) + d2 * (s_all - s1 - s_bar * n2))
                / (s_bar * (d1 * n1 + d2 * n2)))
     delta_s = (s_all - s_bar * n_travel) / (k.size * s_bar)
@@ -213,11 +213,11 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
         pop.k, s, traveling, pop.breakpoints(p), model, p, s_bar)
     pop.k = k = settle(pop.k, fast, traveling, p)
 
-    x = np.array([n1 / m, n2 / m])
+    x = (n1 / m, n2 / m)
     delta_d, delta_s, mean_karma, cost = compute_metrics(
         fast, traveling, s, x, d, k, model, s_bar)
     ratio = cost / cost_star if cost_star else float("nan")
-    record = DayRecord(day=pop.day, x1=n1 / m, x2=n2 / m, cost=cost,
+    record = DayRecord(day=pop.day, x1=x[0], x2=x[1], cost=cost,
                        cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,
                        mean_karma=mean_karma, regime=regime)
     pop.day += 1

@@ -72,7 +72,7 @@ def _balanced_split(k, traveling, k_poor, target_x1: float) -> np.ndarray | None
 def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
                         th: Thresholds, model: ArcCostModel, p: PriceVector,
                         s_bar: float
-                        ) -> tuple[np.ndarray, int, int, str, np.ndarray]:
+                        ) -> tuple[np.ndarray, int, int, str, tuple]:
     """The day's equilibrium as one pass of masks over all agents.
 
     Controlled whenever a d1 < d2 equilibrium exists, otherwise the balanced
@@ -80,7 +80,7 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     ``s`` are float arrays and ``traveling`` a bool mask over all agents;
     ``th`` holds their breakpoints, ``thresholds(k_ref, p, T)``.  Returns
     (fast, n1, n2, regime, d): the fast-route mask, the fast and slow counts,
-    the regime, and the discomfort d at the flows (n1 / M, n2 / M).  Raises
+    the regime, and the float pair d = d(n1 / M, n2 / M).  Raises
     InfeasibleKarmaError if an agent is below its feasibility floor.
     """
     check_floor(k, th.k_inf)
@@ -88,7 +88,8 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     n_travel = int(np.count_nonzero(traveling))
     fast = fast_mask(k, s, traveling, th, s_bar, p)
     n1 = int(np.count_nonzero(fast))
-    d = model._discomfort(np.array([n1 / m, (n_travel - n1) / m]))
+    d1, d2 = model._volume_delay()
+    d = (d1(n1 / m), d2((n_travel - n1) / m))
     if n_travel == 0 or d[0] < d[1]:
         return fast, n1, n_travel - n1, CONTROLLED, d
 
@@ -105,6 +106,6 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
                 f"(x1 = {n1 / m}) but too few travelers are indifferent to "
                 f"reach the balanced share {float(x_bal[0])}")
     n1 = int(np.count_nonzero(fast))
-    d = model._discomfort(np.array([n1 / m, (n_travel - n1) / m]))
+    d = (d1(n1 / m), d2((n_travel - n1) / m))
     return fast, n1, n_travel - n1, regime, d
 

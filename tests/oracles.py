@@ -22,7 +22,7 @@ import numpy as np
 
 from karma_routing import (ARC1, ARC2, InfeasibleKarmaError, KarmaChain,
                            PriceVector)
-from karma_routing.network import check_count
+from karma_routing.network import SOCIETAL_DISCOMFORT, check_count
 from karma_routing.pricing import _target_ratio
 
 
@@ -136,15 +136,20 @@ def day_metrics_oracle(fast, traveling, s, x, d, k, model, s_bar):
     Gathers each traveler's sensitivity and looks its discomfort up in the
     (d2, d1) table with its fast flag as the index, then sums the
     per-traveler terms.  Takes `compute_metrics`' arguments; delta_d and
-    delta_s are None on days nobody travels.
+    delta_s are None on days nobody travels.  The cost is c(x)^T x from the
+    two societal-cost formulas, c(x) = d(x) or c(x) = x.
     """
-    cost = model._cost(x, d)
+    x1, x2 = x
+    if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
+        cost = float(d[0] * x1 + d[1] * x2)  # c(x) = d(x)
+    else:
+        cost = float(x1 * x1 + x2 * x2)  # c(x) = x
     mean_karma = float(k.mean())
     s_dev = s[traveling]
     if not s_dev.size:
         return None, None, mean_karma, cost
     s_dev -= s_bar
-    d_taken = d[::-1].take(fast[traveling].view(np.uint8))
+    d_taken = np.array(d[::-1]).take(fast[traveling].view(np.uint8))
     weight = (s_bar * d_taken).sum()
     d_taken *= s_dev
     delta_d = float(d_taken.sum() / weight)

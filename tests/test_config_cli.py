@@ -258,6 +258,24 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "analyze-chain"])
+    def test_max_price_needs_designed_prices(self, command, tmp_path, capsys):
+        # fixed prices never read max_price; the flag used to be ignored
+        out = tmp_path / "o"
+        code = main([command, "--preset", "fig3", "--max-price", "50",
+                     "--out", str(out)])
+        assert code == 1
+        assert "--max-price" in capsys.readouterr().err
+        assert not out.exists()
+        path = tmp_path / "design.ini"
+        path.write_text("[pricing]\nprice_mode = design\n[run]\ndays = 3\n")
+        assert main([command, "--config", str(path), "--max-price", "50",
+                     "--out", str(out)]) == 0
+        summary = "summary.json" if command == "run" else "chain_summary.json"
+        # (14, 20) at the default max_price = 20
+        assert json.loads((out / summary).read_text())["prices"] == {
+            "p1": 35, "r2": 50}
+
     def test_analyze_chain_small_matrix_structure(self, tmp_path):
         cfg = RunConfig(p1=2, r2=3, horizon=3, p_home=0.05)
         path = tmp_path / "small.ini"

@@ -1,7 +1,11 @@
 import copy
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from karma_routing import (ARC1, ARC2, ArcCostModel, DayRecord,
                            SensitivitySpec, compute_metrics, get_preset,
                            init_population, run_scenario, settle, simulate_day,
                            thresholds, wardrop_equilibrium)
+import karma_routing
 from karma_routing import simulation
 from karma_routing.simulation import RUN_CSV_COLUMNS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
@@ -184,14 +189,24 @@ GOLDEN_DIGESTS = {
     "fig3-rich": "a6888ad80f73f67397dc17e730fd24fcfe40ba16de11dcd7361ce1d5495feb66",
 }
 # sha256 of the repr of every DayRecord field, one row per day: this also
-# pins cost, cost_opt_ratio, delta_d, delta_s and mean_karma to the last bit,
-# so it depends on the platform's float power and summation as well.
+# pins cost, cost_opt_ratio, delta_d, delta_s and mean_karma to the last bit.
+# Discomfort and cost are Python-float arithmetic, so those bits depend on the
+# C library's ``pow`` and on numpy's pairwise ``sum`` (the masked sensitivity
+# sums and the mean karma), but not on the SIMD loops numpy dispatches to.
 RECORD_DIGESTS = {
-    "fig3": "a65178a83b9fed1ae1faca90305ee6c59b6f136ac7ece94d58295078fce78862",
-    "fig5": "72e53e9fe1aa77741eec51ac6c280309a269a487f9fedcbe38c765fae5f0ebaa",
-    "fig6": "7782c17d7f65a7358ca473de2c1b99d2984bab84700f464d3d72f868a179ccc9",
-    "fig3-rich": "73c20e45326f1f9715191451a10f808f628800dff37700b4b367a3345c8831b3",
+    "fig3": "98a07874674f3304760f6dd43b391c64d3f515021d408fb45704422139e53c0c",
+    "fig5": "c9a4143f00f1df3c025c6a1786eb09499a936801e98a6698da45c3ff868f64d3",
+    "fig6": "e4aebdc6f21f591f0d481aa857bd099b7d3e0b4ece3fc74f5029a15d2ec7025a",
+    "fig3-rich": "ba809527fe2cae99dbcbb26b1826e89aa181c7ab7ff62433f9ef3eaff8d1f533",
 }
+# run with numpy's dispatchable CPU features disabled (the first argument)
+DISPATCH_RUN = """
+import sys
+from test_simulation import numpy_cpu_features, preset_run, record_digest
+features = numpy_cpu_features()[0]
+assert not any(features[f] for f in sys.argv[1].split()), "not disabled"
+print(record_digest(preset_run("fig3-rich", 300)))
+"""
 
 
 def preset_run(case, days):
@@ -201,6 +216,26 @@ def preset_run(case, days):
     if case == "fig3-rich":
         cfg = replace(cfg, k_init_low=2000.0, k_init_high=4000.0)
     return run_scenario(cfg.scenario(), cfg.model(), cfg.prices(), days)
+
+
+def record_digest(res):
+    """sha256 of the repr of every `DayRecord` field of a run, row by row."""
+    h = hashlib.sha256()
+    for r in res.records:
+        h.update((",".join(repr(getattr(r, f.name))
+                           for f in fields(DayRecord)) + "\n").encode())
+    return h.hexdigest()
+
+
+def numpy_cpu_features():
+    """(features, dispatch, baseline): the CPU features numpy found on this
+    machine, and the ones it dispatches to at run time or was built for."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return (umath.__cpu_features__, umath.__cpu_dispatch__,
+            umath.__cpu_baseline__)
 
 
 class TestGoldenDecisions:
@@ -216,11 +251,23 @@ class TestGoldenDecisions:
         h.update(",".join(str(int(c)) for c in res.karma_hist).encode())
         assert res.summary["uncontrolled_days"] == n_uncontrolled
         assert h.hexdigest() == GOLDEN_DIGESTS[case]
-        h = hashlib.sha256()
-        for r in res.records:
-            h.update((",".join(repr(getattr(r, f.name))
-                               for f in fields(DayRecord)) + "\n").encode())
-        assert h.hexdigest() == RECORD_DIGESTS[case]
+        assert record_digest(res) == RECORD_DIGESTS[case]
+
+    def test_record_digest_ignores_simd_dispatch(self):
+        # numpy picks its SIMD loops at import, so a fresh process with every
+        # dispatchable, non-baseline feature disabled must match the pin
+        _, dispatch, baseline = numpy_cpu_features()
+        disabled = " ".join(f for f in dispatch if f not in baseline)
+        here = Path(__file__).parent
+        src = Path(karma_routing.__file__).parents[1]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), str(here), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", DISPATCH_RUN, disabled],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [RECORD_DIGESTS["fig3-rich"]]
 
 
 @st.composite

@@ -113,7 +113,7 @@ class TestWardropEquilibrium:
     @pytest.mark.parametrize("p_home", [0.0, 0.05, 0.2])
     def test_floored_balanced_count_brackets_the_crossing(self, p_home):
         # d1 <= d2 at the floored fast count, d1 >= d2 one agent later, both
-        # on the array path that gives the day's d
+        # from the volume-delay kernel that gives the day's d
         m = 10_000
         rng = np.random.default_rng(12)
         k, k_ref = population(rng, m, 2000.0, 4000.0)
@@ -123,7 +123,8 @@ class TestWardropEquilibrium:
             k, s, traveling, thresholds(k_ref, P, T), BPR, P, 1.0)
         assert regime == UNCONTROLLED
         n_travel = n + n_slow
-        assert np.array_equal(d, BPR.discomfort([n / m, n_slow / m]))
+        assert [type(v) for v in d] == [float, float]
+        assert list(d) == BPR.discomfort([n / m, n_slow / m]).tolist()
         assert d[0] <= d[1] + 1e-9
         if n + 1 <= n_travel:
             d_next = BPR.discomfort([(n + 1) / m, (n_slow - 1) / m])
