@@ -29,7 +29,7 @@ from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
                          save_matrix_coo, stationary_distribution,
                          step_distribution)
 from .network import balanced_flow, system_optimum
-from .pricing import conservation_prices, rationalize_prices
+from .pricing import design_prices
 from .presets import PRESETS, apply_preset
 from .simulation import run_scenario
 
@@ -140,11 +140,9 @@ def cmd_analyze_chain(args) -> int:
 
 def cmd_design_prices(args) -> int:
     config = _resolve_config(args)
-    model = config.model()
     p_go = 1.0 - config.p_home
-    x_star = system_optimum(model, p_go)
-    ratio = conservation_prices(x_star)
-    prices = rationalize_prices(ratio, config.max_price, config.horizon)
+    x_star, ratio, prices = design_prices(config.model(), p_go,
+                                          config.max_price, config.horizon)
     print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})  "
           f"(demand {p_go})")
     print(f"conserving ratio p1/r2 = x2*/x1* = {ratio[0] / ratio[1]:.9f}")

@@ -44,9 +44,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field
 
-from .network import (SOCIETAL_DISCOMFORT, ArcCostModel, Scenario, check_count,
-                      system_optimum)
-from .pricing import PriceVector, conservation_prices, rationalize_prices
+from .network import SOCIETAL_DISCOMFORT, ArcCostModel, Scenario, check_count
+from .pricing import PriceVector, design_prices
 from .sensitivity import EXPONENTIAL, SensitivitySpec
 
 PRICE_FIXED = "fixed"
@@ -113,9 +112,8 @@ class RunConfig:
     def prices(self) -> PriceVector:
         if self.price_mode == PRICE_FIXED:
             return PriceVector(self.p1, self.r2)
-        x_star = system_optimum(self.model(), 1.0 - self.p_home)
-        ratio = conservation_prices(x_star)
-        return rationalize_prices(ratio, self.max_price, self.horizon)
+        return design_prices(self.model(), 1.0 - self.p_home, self.max_price,
+                             self.horizon)[2]
 
     def validate(self) -> "RunConfig":
         """Instantiate every derived object so bad values fail early."""

@@ -32,14 +32,17 @@ The stationary distribution is solved on the chain's cycles.  Both moves
 shift a cell's index by the same residue mod q = p1 + r2, so B carries
 residue class c onto class c + r2 through a bidiagonal map of its T+1
 levels, and the q classes form g = gcd(p1, r2) cycles of L = q/g
-classes.  A pairwise product tree over each cycle's L maps gives its return
-map in L - 1 products; the return map's fixed point is the first class's
-vector, and walking back down the tree hands every class its vector in
-L - 1 matrix-vector products.  Each class is scaled to mass 1/q, and one
-step of A certifies the result.  Mass 1/q per class is the selection rule
-where the fixed point is not unique (g > 1: each of the g sublattices of
-cells with equal index mod g holds 1/g), and it leaves no periodic
-component at p_home = 0.
+classes.  For p1 = r2 (L = 2, as conserving prices are for a symmetric
+optimum) each cycle is a birth-death chain on 2(T+1) cells, and detailed
+balance gives its fixed point as a cumulative product of chill/rush
+ratios.  Otherwise a pairwise product tree over each cycle's L maps gives
+its return map in L - 1 products; the return map's fixed point is the
+first class's vector, and walking back down the tree hands every class its
+vector in L - 1 matrix-vector products.  Each class is scaled to mass 1/q,
+and one step of A certifies the result.  Mass 1/q per class is the
+selection rule where the fixed point is not unique (g > 1: each of the g
+sublattices of cells with equal index mod g holds 1/g), and it leaves no
+periodic component at p_home = 0.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .sensitivity import SensitivitySpec
 # L1 bound on the one chain step that certifies a stationary distribution;
 # the step moves the class-cycle fixed point by about 1e-16
 CERTIFY_TOL = 1e-12
+_LEAK = "chain moves mass off its lattice of cells"
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def step_distribution(chain: KarmaChain, dist) -> np.ndarray:
 
 
 def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
-    """Fixed point of B, the travel part of A, from its class-cycle return maps.
+    """Fixed point of B, the travel part of A, from its class cycles.
 
     Cell i = c + m*q (q = p1 + r2) is level m of residue class c.  Both moves
     send class c to class c + r2 mod q: +r2 to level m + w and -p1 to level
@@ -173,14 +177,54 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     onto those of the next class through a bidiagonal step S_c, and the
     classes form g = gcd(p1, r2) cycles of L = q/g steps S_0, ..., S_{L-1}.
 
-    The return map S_{L-1}...S_0 is the top of a pairwise product tree: each
-    level multiplies adjacent pairs, and an odd level carries its last node
-    up unchanged, so a cycle costs L - 1 products in ceil(log2 L) batched
-    calls.  Its fixed point is the start vector of the cycle's first class.
-    Walking down, a left child starts where its parent does and a right child
-    where its left sibling's product takes that vector, so the bottom holds
-    the start vector of every class after L - 1 matrix-vector products.
-    Each class is scaled to mass 1/q.
+    p1 = r2 = p (L = 2): each of the g = p cycles holds the cells i = c
+    mod p and is a birth-death chain on those 2(T+1) cells, up by p with
+    `chill` and down by p with `rush`.  Detailed balance gives its fixed
+    point in closed form, pi_{j+1} / pi_j = chill_j / rush_{j+1}: a
+    cumulative product down the (2(T+1), p) grid of cells, taken as a
+    cumulative sum of logs so that it cannot overflow.
+
+    Otherwise the return map S_{L-1}...S_0 is the top of a pairwise product
+    tree (`_product_tree_levels`), whose fixed point is the start vector of
+    the cycle's first class.
+
+    Either way each class is scaled to mass 1/q.  A chain that would move
+    mass off its lattice (a top cell that could still earn, or a bottom cell
+    that could still pay) raises ValueError on both paths.
+    """
+    p1, r2 = chain.prices.p1, chain.prices.r2
+    q = p1 + r2
+    levels = chain.horizon + 1
+    if p1 == r2:
+        chill = chain.chill_prob.reshape(2 * levels, p1)
+        rush = 1.0 - chill
+        # poor cells never pay and wealthy cells never earn, so no mass leaves
+        if chill[-1].any() or rush[0].any():
+            raise ValueError(_LEAK)
+        # in logs, since the product grows like (chill/rush)^(2T) and would
+        # overflow for long horizons; a chill of 0 gives a log of -inf and
+        # zero mass above it
+        grid = np.zeros_like(chill)
+        with np.errstate(divide="ignore"):
+            np.cumsum(np.log(chill[:-1] / rush[1:]), axis=0, out=grid[1:])
+        grid -= grid.max(axis=0)
+        by_level = np.exp(grid, out=grid).reshape(levels, q)
+    else:
+        by_level = _product_tree_levels(chain)
+    return (by_level / (q * by_level.sum(axis=0))).ravel()
+
+
+def _product_tree_levels(chain: KarmaChain) -> np.ndarray:
+    """Unscaled fixed point of B as a (T+1, q) grid, by class-cycle products.
+
+    Each level of the tree multiplies adjacent pairs of steps, and an odd
+    level carries its last node up unchanged, so a cycle costs L - 1
+    products in ceil(log2 L) batched calls.  The top is the cycle's return
+    map, and its stationary vector is the start vector of the first class.
+    Walking down, a left child starts where its parent does and a right
+    child where its left sibling's product takes that vector, so the bottom
+    holds the start vector of every class after L - 1 matrix-vector
+    products.
     """
     p1, r2 = chain.prices.p1, chain.prices.r2
     q, g = p1 + r2, math.gcd(p1, r2)
@@ -191,7 +235,7 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     rush = 1.0 - chill
     # poor cells never pay and wealthy cells never earn, so no mass leaves
     if chill[climbs, -1].any() or rush[~climbs, 0].any():
-        raise ValueError("chain moves mass off its lattice of cells")
+        raise ValueError(_LEAK)
     # S_c holds chill on its diagonal -w and rush on its diagonal 1 - w
     w = climbs[..., None]
     flat = np.zeros(classes.shape + (levels * levels,))
@@ -223,8 +267,7 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
         start = down
     by_level = np.empty((levels, q))
     by_level[:, classes] = start[..., 0].transpose(2, 0, 1)
-    by_level = np.maximum(by_level, 0.0)
-    return (by_level / (q * by_level.sum(axis=0))).ravel()
+    return np.maximum(by_level, 0.0)
 
 
 def stationary_distribution(chain: KarmaChain) -> np.ndarray:
@@ -234,11 +277,13 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     does not depend on p_home; p_home = 1 makes every distribution fixed and
     raises ValueError.  Both moves of B, +r2 and -p1, shift the cell index by
     the same residue mod q = p1 + r2, so B carries each residue class onto
-    the next one along g = gcd(p1, r2) cycles; the start vector is the exact
-    fixed point of each cycle's return map, handed to every class of the
-    cycle by a pairwise product tree (see `_cycle_fixed_point`).  One step
-    of A certifies it: A @ start is returned when it differs from the start
-    by at most CERTIFY_TOL in L1, and otherwise ConvergenceError names the
+    the next one along g = gcd(p1, r2) cycles (see `_cycle_fixed_point`).
+    For p1 = r2 each cycle is a birth-death chain and the start vector is
+    its detailed-balance product; otherwise it is the exact fixed point of
+    each cycle's return map, handed to every class of the cycle by a
+    pairwise product tree.  One step of A certifies it: A @ start is
+    returned when it differs from the start by at most CERTIFY_TOL in L1,
+    and otherwise (also when the step gives NaN) ConvergenceError names the
     residual.
 
     Selection rule: every residue class holds mass 1/q, so each of the g
@@ -254,7 +299,7 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     start = _cycle_fixed_point(chain)
     dist = chain.a @ start
     residual = float(np.abs(dist - start).sum())
-    if residual > CERTIFY_TOL:
+    if not residual <= CERTIFY_TOL:  # written so that NaN fails
         raise ConvergenceError(
             f"fixed point not certified: one step moves it by {residual} "
             f"in L1, above {CERTIFY_TOL}")

@@ -3,7 +3,8 @@
 Karma is conserved in steady state only if p^T x* = 0, i.e. the toll/reward
 pair must satisfy p1 / r2 = x2* / x1*.  That fixes prices up to a common
 scale; `rationalize_prices` turns the real ratio into the integer pair the
-chain and the simulator work with.
+chain and the simulator work with, and `design_prices` runs the whole
+design from the cost model.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DegenerateOptimumError, InfeasibleHorizonError
-from .network import check_count
+from .network import ArcCostModel, check_count, system_optimum
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,11 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
 
     The larger coordinate is pinned to ``max_price`` and the other is rounded,
     which is how the reference scenarios were priced; the result is reduced to
-    co-prime form only when the rounding is exact (the ratio, and hence the
-    dynamics, are invariant under common scaling).  Raises
+    co-prime form only when the rounding is exact.  A common scale leaves the
+    price ratio, and hence the stationary flow split, unchanged, but not the
+    rest of the dynamics: it sets the chain's size N = (T+1)(p1+r2) and how
+    finely the rich band's threshold is resolved (fig3's chain Delta-d is
+    -14.230 % at (5, 7) and -14.236 % at (20, 28)).  Raises
     InfeasibleHorizonError unless r2/p1 lies in [1/T, T] for T = horizon.
     """
     if max_price < 2:
@@ -101,3 +105,13 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
             f"r2/p1 in [1/{horizon}, {horizon}]"
         )
     return pair
+
+
+def design_prices(model: ArcCostModel, p_go: float, max_price: int,
+                  horizon: int) -> tuple[np.ndarray, tuple[float, float],
+                                         PriceVector]:
+    """The price design: the system optimum x* of demand p_go, its conserving
+    ratio and that ratio's integer prices (`rationalize_prices`)."""
+    x_star = system_optimum(model, p_go)
+    ratio = conservation_prices(x_star)
+    return x_star, ratio, rationalize_prices(ratio, max_price, horizon)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,17 @@ class TestCli:
         assert main(["design-prices", "--preset", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "(10, -14)" in out
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6"])
+    def test_design_prices_prints_the_run_prices(self, preset, capsys):
+        # design-prices and a designed run share one pipeline
+        cfg = replace(get_preset(preset), price_mode=PRICE_DESIGN,
+                      max_price=177)
+        prices = cfg.prices()
+        assert main(["design-prices", "--preset", preset,
+                     "--max-price", "177"]) == 0
+        assert (f"integer prices (max_price 177): ({prices.p1}, -{prices.r2})"
+                in capsys.readouterr().out)
 
     def test_system_optimum_output(self, capsys):
         assert main(["system-optimum", "--preset", "fig3"]) == 0

@@ -318,6 +318,7 @@ class TestStationary:
             assert pe[j::g].sum() == pytest.approx(1 / g, abs=1e-12)
 
     @settings(max_examples=12, deadline=None)
+    # p1 = r2 takes the closed form, every other pair the product tree
     @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2).map(sorted),
            t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),
            sens=st.sampled_from([EXP, SensitivitySpec.uniform(0.5, 2.5)]))
@@ -328,6 +329,7 @@ class TestStationary:
     @example(p=[15, 16], t=4, ph=0.05, sens=EXP)
     @example(p=[8, 9], t=3, ph=0.05, sens=EXP)
     @example(p=[16, 17], t=2, ph=0.05, sens=EXP)
+    @example(p=[5, 5], t=8, ph=0.5, sens=SensitivitySpec.uniform(0.5, 2.5))
     def test_product_tree_matches_dense(self, p, t, ph, sens):
         price = PriceVector(*p)
         ch = build_chain(price, t, ph, sens)
@@ -337,6 +339,52 @@ class TestStationary:
         assert np.abs(pe - stationary_distribution_dense(ch)).sum() <= 1e-10
         by_class = pe.reshape(t + 1, price.total).sum(axis=0)
         assert np.abs(by_class - 1 / price.total).max() <= 1e-12
+
+    @pytest.mark.parametrize("sens", [EXP, SensitivitySpec.uniform(0.5, 2.5)],
+                             ids=["exp1", "unif0.5-2.5"])
+    @pytest.mark.parametrize("ph", [0.0, 0.05])
+    @pytest.mark.parametrize("p, t", [(1, 6), (10, 6), (25, 6), (12, 12)],
+                             ids=["1:1-T6", "10:10-T6", "25:25-T6", "12:12-T12"])
+    def test_closed_form_matches_dense(self, p, t, ph, sens):
+        # p1 = r2 = p: each of the p sublattices is a birth-death chain,
+        # solved by detailed balance instead of the product tree
+        ch = build_chain(PriceVector(p, p), t, ph, sens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesoscopic, "CERTIFY_TOL", 1e-14)
+            pe = stationary_distribution(ch)
+        assert np.abs(pe - stationary_distribution_dense(ch)).sum() <= 1e-10
+        for j in range(p):
+            assert abs(pe[j::p].sum() - 1 / p) <= 1e-12
+        tree = mesoscopic._product_tree_levels(ch)
+        tree = (tree / (2 * p * tree.sum(axis=0))).ravel()
+        assert np.abs(mesoscopic._cycle_fixed_point(ch) - tree).sum() <= 1e-14
+        # a uniform law leaves the top rich cells of a fine lattice no
+        # chance of the slow route, so the cells above them hold no mass
+        assert (pe == 0).any() == (sens.kind == "uniform" and p > 1)
+
+    def test_closed_form_long_horizon(self):
+        # the detailed-balance product grows like (e - 1)^(2T) under EXP and
+        # would overflow a float near T = 657 if it were not taken in logs
+        ch = build_chain(PriceVector(1, 1), 700, 0.05, EXP)
+        pe = stationary_distribution(ch)
+        tree = mesoscopic._product_tree_levels(ch)
+        tree = (tree / (2 * tree.sum(axis=0))).ravel()
+        assert np.abs(pe - tree).sum() <= 1e-12
+
+    @pytest.mark.parametrize("p", [(10, 14), (10, 10)],
+                             ids="{0[0]}:{0[1]}".format)
+    @pytest.mark.parametrize("nan_in", ["a", "chill_prob"])
+    def test_nan_is_not_certified(self, p, nan_in):
+        # NaN in A or in the chain's rule must fail the certification
+        ch = build_chain(PriceVector(*p), 6, 0.05, EXP)
+        if nan_in == "a":
+            bad = replace(ch, a=ch.a * np.nan)
+        else:
+            chill = ch.chill_prob.copy()
+            chill[ch.n_states // 2] = np.nan
+            bad = replace(ch, chill_prob=chill)
+        with pytest.raises(ConvergenceError, match="moves it by nan"):
+            stationary_distribution(bad)
 
     def test_nonconvergence_budget(self):
         # a matrix that loses half the mass each step has no fixed point the
@@ -354,13 +402,17 @@ class TestStationary:
             stationary_distribution(ch)
 
     def test_rejects_mass_leaving_the_lattice(self):
-        # a top cell that could still earn r2 would step off the lattice
-        ch = build_chain(PriceVector(2, 3), 3, 0.05, EXP)
-        chill = ch.chill_prob.copy()
-        chill[-1] = 0.25
-        leaky = replace(ch, chill_prob=chill)
-        with pytest.raises(ValueError, match="lattice"):
-            stationary_distribution(leaky)
+        # a top cell that could still earn r2, or a bottom cell that could
+        # still pay p1, would step off the lattice; on the product tree
+        # (2, 3) and on the closed form (3, 3)
+        for p in [(2, 3), (3, 3)]:
+            ch = build_chain(PriceVector(*p), 3, 0.05, EXP)
+            for cell, value in [(-1, 0.25), (0, 0.75)]:
+                chill = ch.chill_prob.copy()
+                chill[cell] = value
+                leaky = replace(ch, chill_prob=chill)
+                with pytest.raises(ValueError, match="lattice"):
+                    stationary_distribution(leaky)
 
     def test_geometric_decay_towards_equilibrium(self):
         # second eigenvalue strictly inside the unit circle when p_home > 0

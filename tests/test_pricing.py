@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
                            PriceVector, SensitivitySpec, best_response_batch,
                            build_chain, conservation_prices, equilibrium_flows,
-                           rationalize_prices, stationary_distribution,
-                           thresholds)
+                           get_preset, rationalize_prices,
+                           stationary_distribution, thresholds)
+from karma_routing.pricing import design_prices
 
 from oracles import best_coprime_ratio, is_coprime
 
@@ -144,6 +145,15 @@ class TestPriceVector:
         for horizon in (0, -1, 2.5, True):
             with pytest.raises(ValueError, match="horizon"):
                 PriceVector(10, 14).feasible_for_horizon(horizon)
+
+
+class TestDesignPrices:
+    def test_flow_cost_optimum_is_not_reduced(self):
+        # c(x) = x splits the demand equally, but not to the last bit, so the
+        # rounding is inexact and the designed prices stay (m, m)
+        cfg = get_preset("fig6")
+        _, ratio, prices = design_prices(cfg.model(), 0.95, 177, 12)
+        assert ratio[0] != 1.0 and prices == PriceVector(177, 177)
 
 
 class TestScalingInvariance:
