@@ -6,7 +6,7 @@ karma-distribution dynamics, and simulate the repeated game for finite
 populations.
 """
 
-from .agent import ARC1, ARC2, Thresholds, best_response_batch, settle, thresholds
+from .agent import Thresholds, settle, thresholds
 from .config import RunConfig
 from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
@@ -26,13 +26,12 @@ from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARC1", "ARC2", "CONTROLLED", "UNCONTROLLED", "ArcCostModel",
-    "ConvergenceError", "DayRecord", "DegenerateOptimumError",
-    "InfeasibleHorizonError", "InfeasibleKarmaError", "KarmaChain",
-    "KarmaRoutingError", "Population", "PriceVector", "PRESETS",
-    "RunConfig", "RunResult", "Scenario", "SensitivitySpec", "Thresholds",
-    "apply_preset", "as_flow", "balanced_flow", "best_response_batch",
-    "build_chain", "compute_metrics", "conservation_prices",
+    "CONTROLLED", "UNCONTROLLED", "ArcCostModel", "ConvergenceError",
+    "DayRecord", "DegenerateOptimumError", "InfeasibleHorizonError",
+    "InfeasibleKarmaError", "KarmaChain", "KarmaRoutingError", "Population",
+    "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
+    "SensitivitySpec", "Thresholds", "apply_preset", "as_flow",
+    "balanced_flow", "build_chain", "compute_metrics", "conservation_prices",
     "equilibrium_flows", "get_preset", "init_population", "karma_cell",
     "quantize_population", "rationalize_prices", "run_scenario", "settle",
     "simulate_day", "stationary_distribution", "step_distribution",

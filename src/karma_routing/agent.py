@@ -3,10 +3,16 @@
 A traveling agent weighs today's discomfort (scaled by today's sensitivity s)
 against the average discomfort of the remaining T days of the horizon (scaled
 by the mean sensitivity s_bar), subject to ending the horizon no poorer than
-its karma reference.  The resulting optimal rule is piecewise in karma with
-four breakpoints.  `best_response_batch` is its one entry point and `settle`
-its one account update.  The tests check both against `tests/oracles.py`,
-which solves the underlying two-stage program by direct enumeration.
+its karma reference.  On a d1 < d2 day the optimal rule is one threshold in
+karma: the agent takes the fast route iff s > theta(k), where theta is +inf
+below k_poor, s_bar up to k_rich, decays linearly to 0 at k_wealthy and is
+-inf from there.  On a d1 > d2 day the slow route dominates, and on a
+d1 = d2 day any route is optimal; `wardrop` settles those days without the
+rule.  `thresholds` builds the four breakpoints once per k_ref,
+`check_floor` guards the feasibility floor, `fast_mask` applies the rule and
+`settle` is the one account update.  The tests check them against
+`tests/oracles.py`, which solves the underlying two-stage program by direct
+enumeration.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ import numpy as np
 from .errors import InfeasibleKarmaError
 from .network import check_count
 from .pricing import PriceVector
-
-ARC1 = 1  # fast route, pays p1
-ARC2 = 2  # slow route, earns r2
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,8 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which decays
     linearly to zero at k_wealthy.  Ties (s equal to its threshold) go to
     the slow route.  ``th`` holds precomputed breakpoints (scalars or
-    per-agent arrays); k_inf is not read.
+    per-agent arrays); k_inf is not read (see `check_floor`), and k and s
+    are not checked for finiteness: a NaN karma goes slow.
 
     The threshold is split by band rather than selected per agent: each
     agent's comparison is taken in both bands and the rich mask keeps one,
@@ -153,28 +157,6 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     go |= k >= th.k_wealthy
     go &= traveling
     return go
-
-
-def best_response_batch(k, k_ref, s, s_bar: float, p: PriceVector,
-                        horizon: int) -> np.ndarray:
-    """Closed-form optimal route (ARC1 or ARC2, as int8) of each traveler.
-
-    The d1 < d2 rule, piecewise in karma (`fast_mask`): forced onto the slow
-    route below k_poor, a sensitivity coin-flip against s_bar in the middle
-    band, a linearly decaying sensitivity threshold in [k_rich, k_wealthy),
-    and forced onto the fast route above.  For d1 > d2 the slow route
-    dominates everywhere, and for d1 = d2 any route is optimal; callers
-    settle those days without the rule.  Raises ValueError on a non-finite
-    k or s, and InfeasibleKarmaError if an agent is below its feasibility
-    floor k_inf.
-    """
-    k = np.asarray(k, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if not (np.isfinite(k).all() and np.isfinite(s).all()):
-        raise ValueError("karma k and sensitivity s must be finite")
-    th = thresholds(np.asarray(k_ref, dtype=float), p, horizon)
-    check_floor(k, th.k_inf)
-    return np.where(fast_mask(k, s, True, th, s_bar, p), ARC1, ARC2).astype(np.int8)
 
 
 def settle(k, fast, traveling, p: PriceVector):

@@ -9,13 +9,15 @@ span N = (T+1)*(p1+r2) cells, indexed 0-based as
 
 The chain is the agent rule of `agent` laid onto that lattice: on the
 reference level k_ref = T*r2, cell i holds karma i, so the band edges are
-the breakpoints `thresholds(T*r2, p, T)` and each band's probability of the
-slow route is read off the rule's threshold there:
+the breakpoints `thresholds(T*r2, p, T)`.  A traveler in cell i takes the
+fast route iff its sensitivity s exceeds the cell's threshold theta_i
+(`KarmaChain.theta`), so its probability of the slow route is F(theta_i),
+with F the sensitivity CDF:
 
-    poor     [0, k_poor)            always slow
-    ok       [k_poor, k_rich)       slow iff s <= s_bar
-    rich     [k_rich, k_wealthy)    slow iff s <= decaying threshold
-    wealthy  [k_wealthy, N)         always fast
+    poor     [0, k_poor)            theta = +inf (always slow)
+    ok       [k_poor, k_rich)       theta = s_bar
+    rich     [k_rich, k_wealthy)    theta = s_bar * (k_wealthy - i) / (p1 + r2)
+    wealthy  [k_wealthy, N)         theta = -inf (always fast)
 
 with widths p1, (T-1)*(p1+r2), p1+r2 and r2.
 
@@ -89,6 +91,13 @@ class KarmaChain:
         """P(fast | travel, state j)."""
         return 1.0 - self.chill_prob
 
+    @property
+    def theta(self) -> np.ndarray:
+        """Per-cell urgency threshold: a traveler in cell i goes fast iff
+        s > theta[i], so chill_prob is the sensitivity CDF at theta."""
+        return _cell_thresholds(self.prices, self.horizon,
+                                self.sensitivity.s_bar)
+
     def band_slices(self) -> dict[str, slice]:
         """0-based cell ranges of the poor/ok/rich/wealthy bands."""
         return _band_slices(self.prices, self.horizon)
@@ -106,6 +115,17 @@ def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
                               (horizon + 1) * p.total)]
     return {band: slice(lo, hi) for band, lo, hi in
             zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
+
+
+def _cell_thresholds(p: PriceVector, horizon: int, s_bar: float) -> np.ndarray:
+    """The rule's threshold theta at each cell's karma, band by band."""
+    poor, ok, rich, wealthy = _band_slices(p, horizon).values()
+    theta = np.full(wealthy.stop, -np.inf)  # wealthy cells always go fast
+    theta[poor] = np.inf                    # poor cells cannot pay the toll
+    theta[ok] = s_bar
+    theta[rich] = _decaying_threshold(np.arange(rich.start, rich.stop),
+                                      wealthy.start, s_bar, p)
+    return theta
 
 
 def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
@@ -128,17 +148,9 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
         raise ValueError(
             f"chain requires the canonical orientation r2 >= p1, got ({p.p1}, {p.r2})"
         )
-    # P(slow | travel) per cell, band by band: the agent rule at karma i,
-    # which cell i holds
-    poor, ok, rich, wealthy = _band_slices(p, horizon).values()
-    n = wealthy.stop
-    s_bar = sensitivity.s_bar
-    chill = np.zeros(n)  # wealthy cells always go fast
-    chill[poor] = 1.0    # poor cells cannot pay the toll
-    chill[ok] = sensitivity.cdf(s_bar)
-    chill[rich] = sensitivity.cdf(
-        _decaying_threshold(np.arange(rich.start, rich.stop), wealthy.start,
-                            s_bar, p))
+    # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
+    chill = sensitivity.cdf(_cell_thresholds(p, horizon, sensitivity.s_bar))
+    n = chill.size
 
     # column j of a diagonal holds the probability of leaving cell j by that
     # move; ascending offsets make A @ v add each row's terms in column

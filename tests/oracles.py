@@ -4,7 +4,8 @@ Each solves the same problem as the library by a direct method that shares
 none of its algorithm:
 
 - `plan_oracle` enumerates an agent's two-stage plan, against the
-  closed-form rule of `best_response_batch` and the chain's bands;
+  closed-form threshold rule (`thresholds` and `fast_mask`) and the chain's
+  per-cell threshold theta;
 - `stationary_distribution_dense` solves (A - I)P = 0 densely, against the
   class-cycle solve of `stationary_distribution`;
 - `best_coprime_ratio` searches every co-prime price pair, against
@@ -20,10 +21,13 @@ from math import gcd
 
 import numpy as np
 
-from karma_routing import (ARC1, ARC2, InfeasibleKarmaError, KarmaChain,
-                           PriceVector)
+from karma_routing import InfeasibleKarmaError, KarmaChain, PriceVector
 from karma_routing.network import SOCIETAL_DISCOMFORT, check_count
 from karma_routing.pricing import _target_ratio
+
+# `plan_oracle`'s route codes
+ARC1 = 1  # fast route, pays p1
+ARC2 = 2  # slow route, earns r2
 
 
 @dataclass(frozen=True)

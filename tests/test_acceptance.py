@@ -9,16 +9,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from karma_routing import (ARC1, ARC2, ArcCostModel, PriceVector, Scenario,
-                           SensitivitySpec, balanced_flow, best_response_batch,
-                           build_chain, conservation_prices, equilibrium_flows,
-                           get_preset, init_population, rationalize_prices,
-                           run_scenario, settle, simulate_day,
-                           stationary_distribution, system_optimum, thresholds)
+from karma_routing import (ArcCostModel, PriceVector, Scenario,
+                           SensitivitySpec, balanced_flow, build_chain,
+                           conservation_prices, equilibrium_flows, get_preset,
+                           init_population, rationalize_prices, run_scenario,
+                           settle, simulate_day, stationary_distribution,
+                           system_optimum, thresholds)
 from karma_routing.agent import k_inf, k_rich, k_wealthy
 from karma_routing.wardrop import UNCONTROLLED
 
-from oracles import AgentState, plan_oracle, stationary_distribution_dense
+from day_rule import fast_routes
+from oracles import (ARC1, ARC2, AgentState, plan_oracle,
+                     stationary_distribution_dense)
 
 EXP = SensitivitySpec.exponential(1.0)
 BPR = ArcCostModel()
@@ -31,8 +33,8 @@ def report(num, name, ok, detail=""):
 
 
 def test_01_best_response_oracle_equivalence():
-    # the oracle per instance; per (prices, horizon) group, the branches
-    # from one thresholds call and the batch rule once on the d1 < d2 rows
+    # the oracle per instance; per (prices, horizon) group, one thresholds
+    # call gives the branches and the rule's mask, read on the d1 < d2 rows
     t0 = time.time()
     rng = np.random.default_rng(2024)
     n_target = 100_000
@@ -81,8 +83,8 @@ def test_01_best_response_oracle_equivalence():
     order_counts = dict.fromkeys(orders, 0)
     for (p, horizon), rows in groups.items():
         k, k_ref, s, order_of, plan = np.array(rows).T
-        toll = int(np.count_nonzero(
-            thresholds(k_ref, p, horizon).k_poor == p.p1))
+        th = thresholds(k_ref, p, horizon)
+        toll = int(np.count_nonzero(th.k_poor == p.p1))
         branch_counts["toll"] += toll
         branch_counts["reference"] += len(rows) - toll
         for i, order in enumerate(orders):
@@ -90,8 +92,8 @@ def test_01_best_response_oracle_equivalence():
             if not at.any():
                 continue
             if order == "d1<d2":
-                bad = best_response_batch(k[at], k_ref[at], s[at], 1.0, p,
-                                          horizon) != plan[at]
+                fast = fast_routes(k, s, th, 1.0, p)[at]
+                bad = np.where(fast, ARC1, ARC2) != plan[at]
             elif order == "d1>d2":
                 bad = plan[at] != ARC2  # the slow route dominates
             else:
@@ -288,13 +290,12 @@ def test_11_property_suite():
         hi = th.k_wealthy + p.r2
         k = float(rng.uniform(th.k_inf, hi))
         above = hi + float(rng.uniform(0, 150))
-        # one agent inside the band and one above it, on the same draws
+        # one agent inside the band and one above it, on the same draws,
+        # through the day's steps on the breakpoints built above
         walk = np.array([k, above])
         for step in range(250):
             s = float(rng.exponential(1.0))
-            fast = best_response_batch(walk, [k_ref, k_ref], [s, s], 1.0, p,
-                                       horizon) == ARC1
-            walk = settle(walk, fast, True, p)
+            walk = settle(walk, fast_routes(walk, s, th, 1.0, p), True, p)
             ok_band &= th.k_inf <= walk[0] < hi
         ok_band &= th.k_inf <= walk[1] < hi  # absorbed from above by now
     notes.append(f"band invariance {ok_band}")

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from karma_routing import (ARC1, ARC2, InfeasibleKarmaError, PriceVector,
-                           best_response_batch, settle, thresholds)
-from karma_routing.agent import (Thresholds, fast_mask, k_inf, k_rich,
-                                 k_wealthy)
+from karma_routing import (InfeasibleKarmaError, PriceVector, settle,
+                           thresholds)
+from karma_routing.agent import (Thresholds, check_floor, fast_mask, k_inf,
+                                 k_rich, k_wealthy)
 
-from oracles import AgentState, plan_oracle
+from day_rule import fast_routes
+from oracles import ARC1, ARC2, AgentState, plan_oracle
 
 P_FIG3 = PriceVector(10, 14)
 SBAR = 1.0
@@ -35,8 +36,6 @@ class TestThresholds:
         for horizon in (0, 2.5, True):
             with pytest.raises(ValueError, match="horizon"):
                 thresholds(50.0, P_FIG3, horizon)
-            with pytest.raises(ValueError, match="horizon"):
-                best_response_batch([50.0], [50.0], [2.0], SBAR, P_FIG3, horizon)
 
     def test_band_widths_match_quantization(self):
         p = PriceVector(2, 3)
@@ -62,8 +61,7 @@ class TestThresholds:
         d = [1.06144, 2.19683]
         state = AgentState(k_ref, k_ref, 1.2858477775042385)
         assert plan_oracle(state, d, p, 1, SBAR).choice == ARC1
-        assert best_response_batch([k_ref], [k_ref], [state.s], SBAR, p,
-                                   1)[0] == ARC1
+        assert fast_routes(k_ref, state.s, th, SBAR, p)
 
     def test_poor_breakpoint_is_least_affordable_karma(self):
         # k_ref just above T*r2 puts k_poor near p1, where k - k_ref rounds
@@ -88,8 +86,9 @@ class TestBestResponse:
     def rule(k, s, k_ref=50.0):
         """The rule's routes, as a list, for karma k and sensitivity s."""
         k, s = np.broadcast_arrays(np.atleast_1d(k).astype(float), s)
-        return best_response_batch(k, np.full(k.shape, k_ref), s, SBAR,
-                                   P_FIG3, 6).tolist()
+        th = thresholds(np.full(k.shape, k_ref), P_FIG3, 6)
+        return np.where(fast_routes(k, s, th, SBAR, P_FIG3), ARC1,
+                        ARC2).tolist()
 
     def test_poor_band_forced_slow(self):
         assert self.rule(5.0, [0.01, 1.0, 50.0]) == [ARC2] * 3
@@ -115,15 +114,16 @@ class TestBestResponse:
 
     def test_rule_never_sees_discomfort_values(self):
         # the decision is independent of discomfort magnitudes by signature
-        params = set(inspect.signature(best_response_batch).parameters)
-        params = list(inspect.signature(best_response_batch).parameters)
-        assert params == ["k", "k_ref", "s", "s_bar", "p", "horizon"]
+        params = list(inspect.signature(fast_mask).parameters)
+        assert params == ["k", "s", "traveling", "th", "s_bar", "p"]
 
     def test_batch_raises_on_infeasible(self):
         # the scalar call is one agent, 0-d, below its floor of 102
-        for k, k_ref, s in (([0.0], [200.0], [1.0]), (97.0, 200.0, 1.0)):
+        for k, k_ref in ((np.array([0.0]), np.array([200.0])),
+                         (np.array(97.0), 200.0)):
+            floor = thresholds(k_ref, P_FIG3, 6).k_inf
             with pytest.raises(InfeasibleKarmaError, match="agent 0"):
-                best_response_batch(k, k_ref, s, SBAR, P_FIG3, 6)
+                check_floor(k, floor)
 
     def test_negative_reference_rejected(self):
         # k_wealthy = -100 + 7*10 < p1: without the check, karma 5 was sent
@@ -132,7 +132,7 @@ class TestBestResponse:
         assert plan_oracle(state, (1.0, 2.0), P_FIG3, 6, SBAR).choice == ARC2
         for k_ref in (-100.0, -1e-300, np.nan, np.inf):
             with pytest.raises(ValueError, match="k_ref"):
-                best_response_batch([5.0], [k_ref], [0.5], SBAR, P_FIG3, 6)
+                thresholds([k_ref], P_FIG3, 6)
         with pytest.raises(ValueError, match="k_ref"):
             thresholds([50.0, -0.5], P_FIG3, 6)
 
@@ -144,16 +144,6 @@ class TestBestResponse:
                 thresholds(np.inf, P_FIG3, 6)
             with pytest.raises(ValueError, match="finite"):
                 thresholds([50.0, np.inf], P_FIG3, 6)
-
-    @pytest.mark.parametrize("k, s", [(np.nan, 1.0), (np.inf, 1.0),
-                                      (-np.inf, 1.0), (50.0, np.nan),
-                                      (50.0, np.inf)])
-    def test_non_finite_karma_or_sensitivity_rejected(self, k, s):
-        # NaN karma went slow, infinite karma fast, NaN sensitivity slow
-        with pytest.raises(ValueError, match="finite"):
-            best_response_batch([k], [50.0], [s], SBAR, P_FIG3, 6)
-        with pytest.raises(ValueError, match="finite"):
-            best_response_batch(k, 50.0, s, SBAR, P_FIG3, 6)
 
 
 def neighbours(v):
@@ -181,7 +171,7 @@ class TestBandEdges:
         return (k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr))
 
     def edge_points(self, p, t):
-        """(k, k_ref, s, th) at every breakpoint and threshold edge, +-1 ulp.
+        """(k, s, th) at every breakpoint and threshold edge, +-1 ulp.
 
         th holds the breakpoints of each point's k_ref.
         """
@@ -193,9 +183,8 @@ class TestBandEdges:
         s = np.stack([neighbours(np.broadcast_to(v, k.shape))
                       for v in (0.0, self.S_BAR, tail)])
         s = s.reshape(9, *k.shape)  # (s edge, k edge, k_ref)
-        k, s, *per_point = np.broadcast_arrays(k, s, k_ref, *astuple(th))
-        k_ref, *th = (v.ravel() for v in per_point)
-        return k.ravel(), k_ref, s.ravel(), Thresholds(*th)
+        k, s, *th = np.broadcast_arrays(k, s, *astuple(th))
+        return k.ravel(), s.ravel(), Thresholds(*(v.ravel() for v in th))
 
     @pytest.mark.parametrize("t", range(1, 11))
     def test_mask_matches_selected_threshold(self, t):
@@ -204,15 +193,10 @@ class TestBandEdges:
         for p1 in range(1, 21):
             for r2 in range(1, 21):
                 p = PriceVector(p1, r2)
-                k, k_ref, s, th = self.edge_points(p, t)
+                k, s, th = self.edge_points(p, t)
                 ref = self.reference(k, s, th, self.S_BAR, p)
                 mask = fast_mask(k, s, True, th, self.S_BAR, p)
                 mismatches += np.count_nonzero(mask != ref)
-                feasible = k >= th.k_inf
-                batch = best_response_batch(
-                    k[feasible], k_ref[feasible], s[feasible], self.S_BAR, p,
-                    t)
-                mismatches += np.count_nonzero((batch == ARC1) != ref[feasible])
                 checked += k.size
         assert checked == 400 * len(self.K_REFS) * 81
         assert mismatches == 0
@@ -291,7 +275,8 @@ class TestPlanOracle:
         for (p, t, less), rows in groups.items():
             k, k_ref, s, expected = np.array(rows).T
             if less:
-                rule = best_response_batch(k, k_ref, s, SBAR, p, t)
+                fast = fast_routes(k, s, thresholds(k_ref, p, t), SBAR, p)
+                rule = np.where(fast, ARC1, ARC2)
             else:
                 rule = np.full(k.shape, ARC2)
             bad = np.flatnonzero(rule != expected)
@@ -328,13 +313,15 @@ class TestSettle:
 
 class TestInvariance:
     def walk(self, k0, k_ref, p, t, seq):
-        k, ref = np.array([k0]), np.array([k_ref])
+        """One agent's karma under the day's steps: the breakpoints once,
+        then check_floor, fast_mask and settle per draw in seq."""
+        th = thresholds(k_ref, p, t)
+        k = np.array([k0])
         path = [k0]
         for s in seq:
-            fast = best_response_batch(k, ref, [s], SBAR, p, t) == ARC1
-            k = settle(k, fast, True, p)
+            k = settle(k, fast_routes(k, s, th, SBAR, p), True, p)
             path.append(k[0])
-        return np.array(path), thresholds(k_ref, p, t)
+        return np.array(path), th
 
     def test_band_positively_invariant(self):
         rng = np.random.default_rng(21)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import karma_routing
 from karma_routing import PriceVector, RunConfig, get_preset, mesoscopic
 from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN
@@ -313,3 +314,26 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["days"] == 4
         assert summary["prices"] == {"p1": 2, "r2": 3}
+
+
+# the package's exports; adding or removing one means editing this set
+PUBLIC_NAMES = {
+    "CONTROLLED", "UNCONTROLLED", "ArcCostModel", "ConvergenceError",
+    "DayRecord", "DegenerateOptimumError", "InfeasibleHorizonError",
+    "InfeasibleKarmaError", "KarmaChain", "KarmaRoutingError", "Population",
+    "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
+    "SensitivitySpec", "Thresholds", "apply_preset", "as_flow",
+    "balanced_flow", "build_chain", "compute_metrics", "conservation_prices",
+    "equilibrium_flows", "get_preset", "init_population", "karma_cell",
+    "quantize_population", "rationalize_prices", "run_scenario", "settle",
+    "simulate_day", "stationary_distribution", "step_distribution",
+    "system_optimum", "thresholds", "wardrop_equilibrium",
+}
+
+
+def test_public_surface_is_pinned():
+    names = karma_routing.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(karma_routing, n)]
+    assert missing == []
+    assert set(names) == PUBLIC_NAMES

@@ -6,15 +6,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from karma_routing import (ARC1, ConvergenceError, PriceVector,
-                           SensitivitySpec, build_chain, equilibrium_flows,
-                           karma_cell, quantize_population,
-                           stationary_distribution, step_distribution,
-                           thresholds)
+from karma_routing import (ConvergenceError, PriceVector, SensitivitySpec,
+                           build_chain, equilibrium_flows, karma_cell,
+                           quantize_population, stationary_distribution,
+                           step_distribution, thresholds)
 from karma_routing import mesoscopic
 from karma_routing.mesoscopic import save_distribution_csv, save_matrix_coo
 
-from oracles import AgentState, plan_oracle, stationary_distribution_dense
+from oracles import (ARC1, AgentState, plan_oracle,
+                     stationary_distribution_dense)
 
 EXP = SensitivitySpec.exponential(1.0)
 
@@ -146,14 +146,22 @@ def selected_chill(p, horizon, sens):
                                   SensitivitySpec.uniform(0.5, 2.5)],
                          ids=["exp1", "exp0.3", "uni"])
 def test_chill_prob_band_by_band_matches_selection(sens):
-    # bit for bit, on every canonical price pair up to 20 and T up to 8
+    # bit for bit, on every canonical price pair up to 20 and T up to 8; the
+    # chain's theta is exact on the poor, ok and wealthy bands, and its CDF
+    # is the chain's chill_prob
     checked = 0
     for p1 in range(1, 21):
         for r2 in range(p1, 21):
             p = PriceVector(p1, r2)
             for t in range(1, 9):
-                got = build_chain(p, t, 0.05, sens).chill_prob
+                ch = build_chain(p, t, 0.05, sens)
+                got = ch.chill_prob
                 assert got.tobytes() == selected_chill(p, t, sens).tobytes()
+                theta, bands = ch.theta, ch.band_slices()
+                assert np.all(theta[bands["poor"]] == np.inf)
+                assert np.all(theta[bands["ok"]] == sens.s_bar)
+                assert np.all(theta[bands["wealthy"]] == -np.inf)
+                assert sens.cdf(theta).tobytes() == got.tobytes()
                 checked += 1
     assert checked == 210 * 8
 
@@ -189,10 +197,13 @@ class TestChainMatchesOracle:
         # cell i of the chain holds karma i on the reference level T*r2
         ch = build_chain(p, t, 0.05, sens)
         hi = 4.0 * sens.s_bar  # above every threshold of the rule
-        expect = [sens.cdf(oracle_switch(i, p, t, sens.s_bar, hi))
-                  for i in range(ch.n_states)]
-        assert np.abs(ch.chill_prob - np.array(expect)).max() <= 1e-9
+        switch = np.array([oracle_switch(i, p, t, sens.s_bar, hi)
+                           for i in range(ch.n_states)])
+        assert np.abs(ch.chill_prob - sens.cdf(switch)).max() <= 1e-9
         assert np.array_equal(ch.rush_prob, 1.0 - ch.chill_prob)
+        # the rich band's theta is the oracle's switch itself
+        rich = ch.band_slices()["rich"]
+        assert np.abs(ch.theta[rich] - switch[rich]).max() <= 1e-9
 
 
 class TestStepDistribution:

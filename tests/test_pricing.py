@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
-                           PriceVector, SensitivitySpec, best_response_batch,
-                           build_chain, conservation_prices, equilibrium_flows,
-                           get_preset, rationalize_prices,
-                           stationary_distribution, thresholds)
+                           PriceVector, SensitivitySpec, build_chain,
+                           conservation_prices, equilibrium_flows, get_preset,
+                           rationalize_prices, stationary_distribution,
+                           thresholds)
 from karma_routing.pricing import design_prices
 
+from day_rule import fast_routes
 from oracles import best_coprime_ratio, is_coprime
 
 BAD_RATIOS = [(float("nan"), 1.0), (-1.0, 2.0), (1.0, 0.0),
@@ -170,9 +171,10 @@ class TestScalingInvariance:
                 k = rng.uniform(th.k_inf, th.k_wealthy + 2 * base.total)
                 rows.append((k, k_ref, rng.exponential(1.0)))
             k, k_ref, s = np.array(rows).T
-            a = best_response_batch(k, k_ref, s, 1.0, base, horizon)
-            b = best_response_batch(k * lam, k_ref * lam, s, 1.0, scaled,
-                                    horizon)
+            a = fast_routes(k, s, thresholds(k_ref, base, horizon), 1.0,
+                            base)
+            b = fast_routes(k * lam, s, thresholds(k_ref * lam, scaled,
+                                                   horizon), 1.0, scaled)
             assert np.array_equal(a, b)
 
     def test_chain_flows_invariant_under_common_scale(self):

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, ArcCostModel, DayRecord,
-                           InfeasibleKarmaError, PriceVector, Scenario,
-                           SensitivitySpec, compute_metrics, get_preset,
-                           init_population, run_scenario, settle, simulate_day,
-                           thresholds, wardrop_equilibrium)
+from karma_routing import (ArcCostModel, DayRecord, InfeasibleKarmaError,
+                           PriceVector, Scenario, SensitivitySpec,
+                           compute_metrics, get_preset, init_population,
+                           run_scenario, settle, simulate_day, thresholds,
+                           wardrop_equilibrium)
 import karma_routing
 from karma_routing import simulation
 from karma_routing.simulation import RUN_CSV_COLUMNS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
-from oracles import AgentState, day_metrics_oracle, plan_oracle
+from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import (ARC1, ARC2, ArcCostModel, PriceVector,
-                           SensitivitySpec, balanced_flow, best_response_batch,
-                           build_chain, equilibrium_flows,
+from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
+                           balanced_flow, build_chain, equilibrium_flows,
                            stationary_distribution, thresholds,
                            wardrop_equilibrium)
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
-from oracles import AgentState, plan_oracle
+from day_rule import fast_routes
+from oracles import ARC1, ARC2, AgentState, plan_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
@@ -36,8 +36,8 @@ def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
     """
     d = BPR.discomfort(x_assumed)
     if d[0] < d[1]:
-        fast = traveling & (best_response_batch(k, k_ref, s, 1.0, p, horizon)
-                            == ARC1)
+        fast = traveling & fast_routes(k, s, thresholds(k_ref, p, horizon),
+                                       1.0, p)
     else:
         fast = np.zeros(np.shape(k), dtype=bool)
     n1 = np.count_nonzero(fast)
