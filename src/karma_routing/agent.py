@@ -121,10 +121,11 @@ def _decaying_threshold(k, k_wealthy, s_bar: float, p: PriceVector):
 def check_floor(k: np.ndarray, floor) -> None:
     """Raise InfeasibleKarmaError naming the first agent below its floor.
 
-    ``k`` is one agent's karma (0-d) or an array of them; ``floor``
-    broadcasts against it.
+    ``k`` is one agent's karma (a scalar) or an array of them; ``floor``
+    broadcasts against it.  `np.less` keeps the comparison an array, also
+    for two Python floats.
     """
-    below = k < floor
+    below = np.less(k, floor)
     if below.any():
         bad = int(np.argmax(below))
         k, floor = np.broadcast_arrays(k, floor)

@@ -4,7 +4,9 @@ central operator's optimal split.
 Flows are expressed as fractions of the whole population per day, so a full
 daily assignment satisfies ``x1 + x2 = demand`` with demand <= 1.  Route
 discomfort follows the standard volume-delay form
-``d_j(x) = d0_j * (1 + alpha * (x / kappa_j)**beta)``.
+``d_j(x) = d0_j * (1 + alpha * (x / kappa_j)**beta)``.  Both splits are one
+bisection on a monotone crossing (`_crossing`): the balanced flow where
+d1 = d2, and the system optimum where the marginal costs are equal.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from .sensitivity import SensitivitySpec
 SOCIETAL_DISCOMFORT = "discomfort"  # c(x) = d(x): cost is the sum of user costs
 SOCIETAL_FLOW = "flow"              # c(x) = x:    cost is quadratic in flow
 
-_GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)  # a float, so the search stays on floats
 _FLOW_SLACK = 1e-9  # rounding allowed outside [0, 1] on a flow component
-_OPTIMUM_TOL = 1e-6  # golden-section bracket width and local sweep step
-# a tight crossing, so the floored fast count keeps d1 <= d2 + 1e-9
-_BALANCE_TOL = 1e-9
+# |h| at which a crossing stops: tight, so the floored fast count of a
+# balanced day keeps d1 <= d2 + 1e-9
+_CROSSING_TOL = 1e-9
 
 
 def check_count(name: str, value, low: int = 1) -> None:
@@ -67,10 +68,13 @@ class ArcCostModel:
         x = np.maximum(as_flow(x), 0.0).tolist()
         return self._cost(x, self.discomfort(x).tolist())
 
-    def _volume_delay(self):
+    def _volume_delay(self, marginal: bool = False):
         """(d1, d2), each route's d(x) on one Python float x >= 0 (a negative
-        base gives a complex power): the only volume-delay code."""
-        a, b = self.alpha, self.beta
+        base gives a complex power): the only volume-delay code.  With
+        ``marginal``, the marginal costs d + x * d', which take the same form
+        with alpha * (1 + beta) in place of alpha."""
+        b = self.beta
+        a = self.alpha * (1 + b) if marginal else self.alpha
 
         def route(d0, kappa):
             return lambda x: d0 * (1 + a * (x / kappa) ** b)
@@ -121,72 +125,64 @@ def as_flow(x) -> np.ndarray:
     return x
 
 
-def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
-    """Minimize c(x)^T x over splits of the total demand p_go.
+def _crossing(h, p_go: float) -> float | None:
+    """x1 in [0, p_go] where the non-decreasing h(x1) changes sign, or None.
 
-    Golden-section search on x1 in [0, p_go] down to a 1e-6 bracket, refined
-    by a local grid sweep of that step so flat stretches of the objective
-    cannot hide a better split.  The returned pair conserves demand exactly
-    by construction.
+    Bisection; stops once |h| <= 1e-9 at the midpoint (or the bracket is
+    1e-14 wide).  Returns None when h keeps one sign over the whole range:
+    h(p_go) < 0, or h(0) >= 0, which includes h = 0 throughout.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
-        d1, d2 = model._volume_delay()
-
-        def g(x1):
-            x2 = p_go - x1
-            return d1(x1) * x1 + d2(x2) * x2
-    else:
-        def g(x1):
-            x2 = p_go - x1
-            return x1 * x1 + x2 * x2
-
     lo, hi = 0.0, p_go
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    gc, gd = g(c), g(d)
-    while hi - lo > _OPTIMUM_TOL:
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - _GOLDEN * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _GOLDEN * (hi - lo)
-            gd = g(d)
+    if h(hi) < 0.0 or h(lo) >= 0.0:
+        return None
+    mid = 0.5 * (lo + hi)
+    h_mid = h(mid)
+    while abs(h_mid) > _CROSSING_TOL and hi - lo > 1e-14:
+        lo, hi = (mid, hi) if h_mid < 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+    return mid
 
-    # local sweep around the bracket midpoint guards against flat regions
-    center = 0.5 * (lo + hi)
-    grid = np.clip(center + _OPTIMUM_TOL * np.arange(-5, 6), 0.0, p_go).tolist()
-    x1 = grid[int(np.argmin([g(t) for t in grid]))]
+
+def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
+    """Minimize c(x)^T x over splits of the total demand p_go.
+
+    The objective is convex, so its minimum is where the routes' marginal
+    costs mc_j(x) = c_j(x) + x * c_j'(x) agree: the Wardrop equilibrium
+    under marginal costs.  For the discomfort family mc_j(x) =
+    d0_j * (1 + alpha * (1 + beta) * (x / kappa_j)**beta), the volume-delay
+    form with alpha * (1 + beta); for the flow family mc_j(x) = 2x, so the
+    split is exactly even.  `_crossing` bisects h(x1) = mc1(x1) -
+    mc2(p_go - x1).  With no crossing the optimum is a corner: all demand
+    on route 1 when h(p_go) < 0, else all on route 2 (h(0) >= 0, which
+    includes an exact tie such as equal constant costs).  The returned pair
+    conserves demand exactly by construction.
+    """
+    if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
+        mc1, mc2 = model._volume_delay(marginal=True)
+    else:
+        mc1 = mc2 = lambda x: 2.0 * x
+
+    def h(x1):
+        return mc1(x1) - mc2(p_go - x1)
+
+    x1 = _crossing(h, p_go)
+    if x1 is None:
+        x1 = p_go if h(p_go) < 0.0 else 0.0
     return np.array([x1, p_go - x1])
 
 
 def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     """Split of p_go where both routes have equal discomfort, or None.
 
-    Bisection on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing for
-    monotone costs; stops once |d1 - d2| <= 1e-9 at the midpoint.  It is the
-    split every uncontrolled day lands on (see `wardrop`).  Returns None when
-    h keeps one sign over the whole range (no crossing).  h reads the
-    volume-delay kernel that the day's equilibrium and `discomfort` read.
+    `_crossing` on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing
+    for monotone costs, to |d1 - d2| <= 1e-9.  It is the split every
+    uncontrolled day lands on (see `wardrop`).  Returns None when h keeps
+    one sign over the whole range (no crossing).  h reads the volume-delay
+    kernel that the day's equilibrium and `discomfort` read.
     """
-    if not 0.0 < p_go <= 1.0:
-        raise ValueError("p_go must lie in (0, 1]")
     d1, d2 = model._volume_delay()
-
-    def h(x1):
-        return d1(x1) - d2(p_go - x1)
-
-    lo, hi = 0.0, p_go
-    # d1 < d2 even fully loaded, or route 1 never the cheaper one
-    if h(hi) < 0.0 or h(lo) >= 0.0:
-        return None
-    mid = 0.5 * (lo + hi)
-    h_mid = h(mid)
-    while abs(h_mid) > _BALANCE_TOL and hi - lo > 1e-14:
-        lo, hi = (mid, hi) if h_mid < 0.0 else (lo, mid)
-        mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
-    return np.array([mid, p_go - mid])
+    x1 = _crossing(lambda t: d1(t) - d2(p_go - t), p_go)
+    return None if x1 is None else np.array([x1, p_go - x1])

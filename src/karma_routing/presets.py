@@ -10,36 +10,28 @@ and the (pinned) integer prices:
     fig5  p_home = 0,  cost = discomfort, k(0) ~ U[0,100], p = (10, -13)
     fig6  p_home = 5%, cost = flow,       k(0) ~ U[0,500], p = (10, -10)
 
-k_ref ~ U[0,100] in all presets.
+k_ref ~ U[0,100] in all presets.  Every value the presets share is a
+`RunConfig` default (fixed prices, 500 days, seed 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .config import PRICE_FIXED, RunConfig
+from .config import RunConfig
 from .network import SOCIETAL_DISCOMFORT, SOCIETAL_FLOW
 
-_BASE = RunConfig(
-    horizon=6, n_agents=1000, seed=0,
-    k_ref_low=0.0, k_ref_high=100.0,
-    sensitivity_kind="exponential", sensitivity_mean=1.0,
-    d0_1=1.0, d0_2=2.0, kappa_1=0.5, kappa_2=2.0 / 3.0,
-    alpha=0.15, beta=4.0,
-    price_mode=PRICE_FIXED, days=500,
-)
-
 PRESETS: dict[str, RunConfig] = {
-    "fig3": replace(
-        _BASE, preset="fig3", p_home=0.05, societal_cost=SOCIETAL_DISCOMFORT,
+    "fig3": RunConfig(
+        preset="fig3", p_home=0.05, societal_cost=SOCIETAL_DISCOMFORT,
         k_init_low=0.0, k_init_high=500.0, p1=10, r2=14, max_price=14,
     ),
-    "fig5": replace(
-        _BASE, preset="fig5", p_home=0.0, societal_cost=SOCIETAL_DISCOMFORT,
+    "fig5": RunConfig(
+        preset="fig5", p_home=0.0, societal_cost=SOCIETAL_DISCOMFORT,
         k_init_low=0.0, k_init_high=100.0, p1=10, r2=13, max_price=13,
     ),
-    "fig6": replace(
-        _BASE, preset="fig6", p_home=0.05, societal_cost=SOCIETAL_FLOW,
+    "fig6": RunConfig(
+        preset="fig6", p_home=0.05, societal_cost=SOCIETAL_FLOW,
         k_init_low=0.0, k_init_high=500.0, p1=10, r2=10, max_price=10,
     ),
 }

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -37,11 +36,6 @@ class PriceVector:
     def total(self) -> int:
         """p1 + r2, the karma swing of one fast/slow round trip."""
         return self.p1 + self.r2
-
-    def reduced(self) -> "PriceVector":
-        """Canonical co-prime representative of the same price ratio."""
-        g = gcd(self.p1, self.r2)
-        return PriceVector(self.p1 // g, self.r2 // g)
 
     def feasible_for_horizon(self, horizon: int) -> bool:
         """Whether r2/p1 lies in [1/T, T], so karma-neutral plans exist."""
@@ -81,11 +75,11 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
                        horizon: int) -> PriceVector:
     """Integer price pair approximating the conserving ratio.
 
-    The larger coordinate is pinned to ``max_price`` and the other is rounded,
-    which is how the reference scenarios were priced; the result is reduced to
-    co-prime form only when the rounding is exact.  A common scale leaves the
-    price ratio, and hence the stationary flow split, unchanged, but not the
-    rest of the dynamics: it sets the chain's size N = (T+1)(p1+r2) and how
+    The larger coordinate is pinned to ``max_price`` and the other is rounded
+    (to at least 1); the pair is never reduced, so an even split gives
+    (max_price, max_price).  A common scale leaves the price ratio, and
+    hence the stationary flow split, unchanged, but not the rest of the
+    dynamics: it sets the chain's size N = (T+1)(p1+r2) and how
     finely the rich band's threshold is resolved (fig3's chain Delta-d is
     -14.230 % at (5, 7) and -14.236 % at (20, 28)).  Raises
     InfeasibleHorizonError unless r2/p1 lies in [1/T, T] for T = horizon.
@@ -97,8 +91,6 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
         pair = PriceVector(max(1, round(max_price * rho)), max_price)
     else:
         pair = PriceVector(max_price, max(1, round(max_price / rho)))
-    if pair.p1 / pair.r2 == rho:
-        pair = pair.reduced()
     if not pair.feasible_for_horizon(horizon):
         raise InfeasibleHorizonError(
             f"prices ({pair.p1}, -{pair.r2}) violate the feasibility band "

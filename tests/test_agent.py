@@ -125,6 +125,13 @@ class TestBestResponse:
             with pytest.raises(InfeasibleKarmaError, match="agent 0"):
                 check_floor(k, floor)
 
+    def test_floor_on_python_floats(self):
+        # two plain floats compare to a plain bool, which has no .any()
+        with pytest.raises(InfeasibleKarmaError,
+                           match="karma 97.0 below feasibility floor 102.0"):
+            check_floor(97.0, 102.0)
+        check_floor(102.0, 102.0)
+
     def test_negative_reference_rejected(self):
         # k_wealthy = -100 + 7*10 < p1: without the check, karma 5 was sent
         # onto the toll-10 route, which plan_oracle finds unaffordable

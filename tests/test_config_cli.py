@@ -239,7 +239,7 @@ class TestCli:
         assert "0.5595" in out or "0.56" in out
 
     def test_system_optimum_tiny_demand(self, capsys):
-        # a demand below the search's 1e-6 bracket used to raise
+        # a tiny demand is a corner: all of it on route 1
         assert main(["system-optimum", "--preset", "fig3", "--p-go", "1e-8"]) == 0
         assert "system optimum: (0.000000, 0.000000)" in capsys.readouterr().out
 

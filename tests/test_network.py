@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,15 @@ def grid_minimum(model, p_go, n=10_001):
         obj = d1 * x1 + d2 * x2
     i = int(np.argmin(obj))
     return x1[i], obj[i]
+
+
+def marginal_costs(model, x1, x2):
+    """(mc1, mc2), each route's d/dx (c(x) * x), written out by hand."""
+    if model.societal_cost_kind == SOCIETAL_FLOW:
+        return 2.0 * x1, 2.0 * x2
+    a, b = model.alpha, model.beta
+    return tuple(d0 * (1 + a * (1 + b) * (x / kappa) ** b)
+                 for d0, kappa, x in zip(model.d0, model.kappa, (x1, x2)))
 
 
 class TestDiscomfort:
@@ -125,8 +136,7 @@ class TestSystemOptimum:
     def test_quadratic_cost_splits_evenly(self):
         m = ArcCostModel(societal_cost_kind=SOCIETAL_FLOW)
         for p_go in (0.3, 0.95, 1.0):
-            x = system_optimum(m, p_go)
-            assert x[0] == pytest.approx(p_go / 2, abs=1e-6)
+            assert system_optimum(m, p_go).tolist() == [p_go / 2, p_go / 2]
 
     @pytest.mark.parametrize("p_go", [0.2, 0.5, 0.95, 1.0])
     def test_beats_brute_force_grid(self, p_go):
@@ -135,7 +145,7 @@ class TestSystemOptimum:
         assert BPR.societal_cost(x) <= best + 1e-9
 
     def test_conserves_demand(self):
-        # 1e-8 is narrower than the search's 1e-6 bracket
+        # at 1e-8, route 1 is marginally cheaper even fully loaded: a corner
         for p_go in (1e-8, 0.31, 0.95, 1.0):
             x = system_optimum(BPR, p_go)
             assert abs(x.sum() - p_go) < 1e-15
@@ -144,6 +154,25 @@ class TestSystemOptimum:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             system_optimum(BPR, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=MODELS, flow=st.booleans(),
+           p_go=st.floats(0.0, 1.0, exclude_min=True))
+    def test_marginal_costs_cross_at_the_optimum(self, model, flow, p_go):
+        if flow:
+            model = replace(model, societal_cost_kind=SOCIETAL_FLOW)
+        x1, x2 = system_optimum(model, p_go).tolist()
+        assert model.societal_cost([x1, x2]) <= grid_minimum(model, p_go)[1] + 1e-9
+        mc1, mc2 = marginal_costs(model, x1, x2)
+        if x2 == 0.0:  # route 1 is marginally cheaper even fully loaded
+            assert x1 == p_go and mc1 < mc2
+        elif x1 == 0.0 and mc1 >= mc2:  # route 1 never marginally cheaper, ties included
+            assert x2 == p_go
+        else:
+            assert abs(mc1 - mc2) <= 1e-9
+        # equal constant costs tie everywhere: all on route 2
+        flat = ArcCostModel(d0=(model.d0[0],) * 2, alpha=0.0)
+        assert system_optimum(flat, p_go).tolist() == [0.0, p_go]
 
 
 class TestBalancedFlow:

@@ -51,16 +51,16 @@ class TestRationalizePrices:
         assert rationalize_prices(conservation_prices([0.57, 0.43]), 13, 6) \
             == PriceVector(10, 13)
         assert rationalize_prices(conservation_prices([0.475, 0.475]), 10, 6) \
-            == PriceVector(1, 1)
+            == PriceVector(10, 10)
 
-    def test_exact_ratio_reduces_to_coprime(self):
+    def test_exact_ratio_keeps_the_max_price_scale(self):
         pv = rationalize_prices((1.0, 2.0), 10, 6)  # p1/r2 = 1/2 exactly
-        assert (pv.p1, pv.r2) == (1, 2)
+        assert (pv.p1, pv.r2) == (5, 10)
 
     def test_slow_route_majority_pins_toll(self):
         # more flow on route 2 than route 1 makes the toll the larger price
         pv = rationalize_prices(conservation_prices([0.3, 0.6]), 10, 6)
-        assert (pv.p1, pv.r2) == (2, 1)
+        assert (pv.p1, pv.r2) == (10, 5)
         pv = rationalize_prices(conservation_prices([0.35, 0.6]), 12, 6)
         assert pv.p1 == 12 and pv.r2 == 7
 
@@ -136,7 +136,6 @@ class TestPriceVector:
         pv = PriceVector(10, 14)
         assert pv.total == 24
         assert not is_coprime(pv)
-        assert pv.reduced() == PriceVector(5, 7)
         assert is_coprime(PriceVector(10, 13))
 
     def test_horizon_band(self):
@@ -150,11 +149,17 @@ class TestPriceVector:
 
 class TestDesignPrices:
     def test_flow_cost_optimum_is_not_reduced(self):
-        # c(x) = x splits the demand equally, but not to the last bit, so the
-        # rounding is inexact and the designed prices stay (m, m)
+        # c(x) = x splits the demand exactly evenly; the ratio is exactly 1
+        # and the designed prices stay (m, m)
         cfg = get_preset("fig6")
         _, ratio, prices = design_prices(cfg.model(), 0.95, 177, 12)
-        assert ratio[0] != 1.0 and prices == PriceVector(177, 177)
+        assert ratio == (1.0, 1.0) and prices == PriceVector(177, 177)
+
+    @pytest.mark.parametrize("p_go", [0.4, 0.8, 0.95])
+    def test_flow_cost_design_keeps_max_price(self, p_go):
+        # an exact even split keeps the max_price scale, never (1, 1)
+        _, _, prices = design_prices(get_preset("fig6").model(), p_go, 10, 6)
+        assert prices == PriceVector(10, 10)
 
 
 class TestScalingInvariance:

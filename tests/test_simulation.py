@@ -194,10 +194,10 @@ GOLDEN_DIGESTS = {
 # C library's ``pow`` and on numpy's pairwise ``sum`` (the masked sensitivity
 # sums and the mean karma), but not on the SIMD loops numpy dispatches to.
 RECORD_DIGESTS = {
-    "fig3": "98a07874674f3304760f6dd43b391c64d3f515021d408fb45704422139e53c0c",
-    "fig5": "c9a4143f00f1df3c025c6a1786eb09499a936801e98a6698da45c3ff868f64d3",
-    "fig6": "e4aebdc6f21f591f0d481aa857bd099b7d3e0b4ece3fc74f5029a15d2ec7025a",
-    "fig3-rich": "ba809527fe2cae99dbcbb26b1826e89aa181c7ab7ff62433f9ef3eaff8d1f533",
+    "fig3": "670c33ef4fb02424a7ea97e41c50c30e3585a02b7805e49c61be33c692deae16",
+    "fig5": "26b5e547a5a12d6cc9fb5831505137c3536ce17f415b78ac4431855dc83093bf",
+    "fig6": "a06ade275913d066325c33ab2f2202d605664af0f63b887f6b615d12d80fcb0c",
+    "fig3-rich": "d45d90ebd199e3578389d68af2cd806b65aba1574f52a0f6a2d2dcbf9e03ab67",
 }
 # run with numpy's dispatchable CPU features disabled (the first argument)
 DISPATCH_RUN = """
