@@ -53,7 +53,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .agent import _decaying_threshold, thresholds
 from .errors import ConvergenceError
@@ -68,15 +67,50 @@ _LEAK = "chain moves mass off its lattice of cells"
 
 
 @dataclass(frozen=True)
+class DiagonalMatrix:
+    """Square matrix held as its diagonals, in the DIA layout: data[k, j] is
+    the entry in column j, row j - offsets[k]; an entry whose row falls off
+    the matrix is ignored."""
+
+    data: np.ndarray  # (len(offsets), n)
+    offsets: tuple[int, ...]
+
+    def _spans(self):
+        """(in-range entries, their columns, their rows) of each diagonal."""
+        n = self.data.shape[1]
+        for diagonal, offset in zip(self.data, self.offsets):
+            lo = max(offset, 0)
+            hi = max(lo, min(n + offset, n))
+            yield diagonal[lo:hi], slice(lo, hi), slice(lo - offset, hi - offset)
+
+    def __matmul__(self, v) -> np.ndarray:
+        # each row adds its terms diagonal by diagonal, starting from zero
+        out = np.zeros(self.data.shape[1])
+        for entries, cols, rows in self._spans():
+            out[rows] += entries * v[cols]
+        return out
+
+    def sum(self, axis: int = 0) -> np.ndarray:
+        """Column sums; no other axis is supported."""
+        if axis != 0:
+            raise ValueError("DiagonalMatrix sums its columns only (axis=0)")
+        out = np.zeros(self.data.shape[1])
+        for entries, cols, _ in self._spans():
+            out[cols] += entries
+        return out
+
+
+@dataclass(frozen=True)
 class KarmaChain:
-    """Transition structure of the quantized karma dynamics."""
+    """Transition structure of the quantized karma dynamics; `a` is A as a
+    `DiagonalMatrix` on its diagonals (-r2, 0, +p1)."""
 
     prices: PriceVector
     horizon: int
     p_home: float
     sensitivity: SensitivitySpec
     chill_prob: np.ndarray = field(repr=False)  # P(slow | travel, state j)
-    a: sp.dia_array = field(repr=False)
+    a: DiagonalMatrix = field(repr=False)
 
     @property
     def p_go(self) -> float:
@@ -138,7 +172,8 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
                 sensitivity: SensitivitySpec) -> KarmaChain:
     """Assemble the transition matrix A for given prices and horizon.
 
-    Requires the canonical orientation r2 >= p1 (the fast route is the one
+    A is a `DiagonalMatrix` holding the slow move, the stay and the fast
+    move on its diagonals -r2, 0 and +p1.  Requires the canonical orientation r2 >= p1 (the fast route is the one
     that is tolled less than the slow route rewards); the opposite case is
     recovered by relabeling the routes.
     """
@@ -156,9 +191,8 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     # move; ascending offsets make A @ v add each row's terms in column
     # order, as a CSR product does
     p_go = 1.0 - p_home
-    a = sp.dia_array((np.stack([p_go * chill, np.full(n, p_home),
-                                p_go * (1.0 - chill)]),
-                      [-p.r2, 0, p.p1]), shape=(n, n))
+    a = DiagonalMatrix(np.stack([p_go * chill, np.full(n, p_home),
+                                 p_go * (1.0 - chill)]), (-p.r2, 0, p.p1))
     return KarmaChain(prices=p, horizon=horizon, p_home=p_home,
                       sensitivity=sensitivity, chill_prob=chill, a=a)
 
@@ -347,12 +381,15 @@ def quantize_population(k, k_ref, p: PriceVector,
 
 
 def save_matrix_coo(chain: KarmaChain, path) -> None:
-    """Write A as 'row column value' lines (1-based indices)."""
-    coo = sp.coo_array(chain.a)
-    order = np.lexsort((coo.col, coo.row))
+    """Write A's nonzero entries as 'row column value' lines (1-based)."""
+    spans = [(np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop),
+              entries) for entries, cols, rows in chain.a._spans()]
+    row, col, val = map(np.concatenate, zip(*spans))
+    order = np.lexsort((col, row))
     with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+        for r, c, v in zip(row[order], col[order], val[order]):
+            if v != 0:
+                fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
 def save_distribution_csv(chain: KarmaChain, dist, path) -> None:

@@ -142,6 +142,11 @@ def init_population(scenario: Scenario, prices: PriceVector,
     """
     rng = np.random.default_rng(scenario.seed)
     m = scenario.n_agents
+    # glibc hands the free top of its heap back to the OS once it exceeds
+    # twice the mmap threshold, and each day's m-float arrays then fault in
+    # again; freeing one mapped block of 4m floats raises the threshold to
+    # its size (mallopt(3)).  Under other allocators it is a spare allocation.
+    np.empty(4 * m)
     k_ref = rng.uniform(*scenario.k_ref_init, m)
     k = rng.uniform(*scenario.k_init, m)
     if integer_karma:

@@ -6,10 +6,10 @@ none of its algorithm:
 - `plan_oracle` enumerates an agent's two-stage plan, against the
   closed-form threshold rule (`thresholds` and `fast_mask`) and the chain's
   per-cell threshold theta;
-- `stationary_distribution_dense` solves (A - I)P = 0 densely, against the
-  class-cycle solve of `stationary_distribution`;
-- `best_coprime_ratio` searches every co-prime price pair, against
-  `rationalize_prices`;
+- `dense_transition_matrix` lays the chain's rule out cell by cell as a
+  dense A, against the diagonals `build_chain` stores;
+- `stationary_distribution_dense` solves (A - I)P = 0 densely on that A,
+  against the class-cycle solve of `stationary_distribution`;
 - `day_metrics_oracle` sums the day's metrics over the gathered travelers,
   against the per-route sums of `compute_metrics`.
 """
@@ -22,8 +22,7 @@ from math import gcd
 import numpy as np
 
 from karma_routing import InfeasibleKarmaError, KarmaChain, PriceVector
-from karma_routing.network import SOCIETAL_DISCOMFORT, check_count
-from karma_routing.pricing import _target_ratio
+from karma_routing.network import SOCIETAL_DISCOMFORT
 
 # `plan_oracle`'s route codes
 ARC1 = 1  # fast route, pays p1
@@ -83,6 +82,26 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     return best
 
 
+def dense_transition_matrix(chain: KarmaChain) -> np.ndarray:
+    """A as a dense array, from the chain's rule and never from `chain.a`.
+
+    Column j holds p_home on the diagonal, p_go*chill_prob[j] in row j + r2
+    (slow, earns r2) and p_go*rush_prob[j] in row j - p1 (fast, pays p1);
+    a move of positive probability off the lattice raises ValueError.
+    """
+    p1, r2, n = chain.prices.p1, chain.prices.r2, chain.n_states
+    a = np.zeros((n, n))
+    for j in range(n):
+        a[j, j] = chain.p_home
+        for row, prob in ((j + r2, chain.chill_prob[j]),
+                          (j - p1, chain.rush_prob[j])):
+            if prob > 0.0:
+                if not 0 <= row < n:
+                    raise ValueError(f"cell {j} moves mass off the lattice")
+                a[row, j] = chain.p_go * prob
+    return a
+
+
 def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
     """Stationary distribution via a dense least-squares solve of (A - I)P = 0.
 
@@ -95,43 +114,12 @@ def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
     n = chain.n_states
     g = gcd(chain.prices.p1, chain.prices.r2)
     mass = (np.arange(n) % g == np.arange(g)[:, None]).astype(float)
-    m = np.vstack([chain.a.toarray() - np.eye(n), mass])
+    m = np.vstack([dense_transition_matrix(chain) - np.eye(n), mass])
     rhs = np.zeros(n + g)
     rhs[n:] = 1.0 / g
     dist, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     dist = np.maximum(dist, 0.0)
     return dist / dist.sum()
-
-
-def is_coprime(p: PriceVector) -> bool:
-    return gcd(p.p1, p.r2) == 1
-
-
-def best_coprime_ratio(ratio: tuple[float, float], max_price: int = 20) -> PriceVector:
-    """Co-prime (p1, r2) with both <= max_price minimizing |p1/r2 - target|.
-
-    Exhaustive search; ties break toward the smaller max(p1, r2).  This is
-    the canonical best rational approximation of the conserving ratio.
-    Raises ValueError unless max_price is an integer >= 1, or for a ratio
-    `rationalize_prices` rejects.
-    """
-    check_count("max_price", max_price)
-    rho = _target_ratio(ratio)
-    best = None
-    best_err = np.inf
-    for r2 in range(1, max_price + 1):
-        for p1 in range(1, max_price + 1):
-            if gcd(p1, r2) != 1:
-                continue
-            err = abs(p1 / r2 - rho)
-            if err < best_err - 1e-15 or (
-                abs(err - best_err) <= 1e-15
-                and best is not None
-                and max(p1, r2) < max(best.p1, best.r2)
-            ):
-                best = PriceVector(p1, r2)
-                best_err = err
-    return best
 
 
 def day_metrics_oracle(fast, traveling, s, x, d, k, model, s_bar):

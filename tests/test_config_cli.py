@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,7 +126,29 @@ class TestPresets:
         assert merged.seed == 123
 
 
+# the CLI with scipy blocked: any import of it raises ImportError
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+from karma_routing.cli import main
+out = sys.argv[1]
+assert main(["analyze-chain", "--preset", "fig3", "--out", out + "/chain"]) == 0
+assert main(["run", "--preset", "fig3", "--days", "20", "--out", out + "/run"]) == 0
+"""
+
+
 class TestCli:
+    def test_runs_without_scipy(self, tmp_path):
+        src = Path(karma_routing.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "chain" / "a_matrix.txt").exists()
+        assert (tmp_path / "run" / "summary.json").exists()
+
     def test_run_emits_files(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["run", "--preset", "fig3", "--days", "6", "--seed", "4",

@@ -11,16 +11,19 @@ from karma_routing import (ConvergenceError, PriceVector, SensitivitySpec,
                            quantize_population, stationary_distribution,
                            step_distribution, thresholds)
 from karma_routing import mesoscopic
-from karma_routing.mesoscopic import save_distribution_csv, save_matrix_coo
+from karma_routing.mesoscopic import (DiagonalMatrix, save_distribution_csv,
+                                      save_matrix_coo)
 
-from oracles import (ARC1, AgentState, plan_oracle,
-                     stationary_distribution_dense)
+from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
+                     plan_oracle, stationary_distribution_dense)
 
 EXP = SensitivitySpec.exponential(1.0)
 
 
-def dense(chain):
-    return chain.a.toarray()
+def columns(a, n):
+    """The matrix `a` as a dense array, one product with a unit vector per
+    column."""
+    return np.column_stack([a @ e for e in np.eye(n)])
 
 
 class TestBuildChain:
@@ -35,7 +38,7 @@ class TestBuildChain:
     def test_sparsity_pattern(self):
         # mass moves only up by r2 (slow) or down by p1 (fast)
         ch = build_chain(PriceVector(2, 3), 3, 0.0, EXP)
-        rows, cols = np.nonzero(dense(ch))
+        rows, cols = np.nonzero(columns(ch.a, ch.n_states))
         assert set(rows - cols) == {ch.prices.r2, -ch.prices.p1}
 
     def test_entry_values_by_band(self):
@@ -61,6 +64,7 @@ class TestBuildChain:
                          (PriceVector(1, 1), 1, 0.5)]:
             ch = build_chain(p, t, ph, EXP)
             assert np.abs(dense(ch).sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(p1=st.integers(1, 8), extra=st.integers(0, 8), t=st.integers(1, 8),
@@ -68,10 +72,11 @@ class TestBuildChain:
     def test_columns_sum_to_one_random(self, p1, extra, t, ph):
         ch = build_chain(PriceVector(p1, p1 + extra), t, ph, EXP)
         assert np.abs(dense(ch).sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
     def test_everyone_home_is_identity(self):
         ch = build_chain(PriceVector(2, 3), 3, 1.0, EXP)
-        assert np.allclose(dense(ch), np.eye(ch.n_states))
+        assert np.array_equal(columns(ch.a, ch.n_states), np.eye(ch.n_states))
 
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError):
@@ -92,20 +97,9 @@ class TestBuildChain:
     @pytest.mark.parametrize("ph", [0.0, 0.05])
     def test_matrices_match_loop_construction(self, p, t, ph, tmp_path):
         ch = build_chain(PriceVector(*p), t, ph, EXP)
-        p1, r2 = p
         n = ch.n_states
-        chill = np.zeros((n, n))
-        rush = np.zeros((n, n))
-        a = np.zeros((n, n))
-        for j in range(n):
-            a[j, j] = ph
-            if ch.chill_prob[j] > 0.0:
-                chill[j + r2, j] = ch.chill_prob[j]
-                a[j + r2, j] = (1.0 - ph) * ch.chill_prob[j]
-            if ch.rush_prob[j] > 0.0:
-                rush[j - p1, j] = ch.rush_prob[j]
-                a[j - p1, j] = (1.0 - ph) * ch.rush_prob[j]
-        assert np.array_equal(ch.a.toarray(), a)
+        a = dense(ch)
+        assert np.array_equal(columns(ch.a, n), a)
 
         # the same products as CSR from the same coordinates, bit for bit
         rows, cols = np.nonzero(a)
@@ -114,8 +108,9 @@ class TestBuildChain:
         v /= v.sum()
         assert np.array_equal(ch.a @ v, csr @ v)
 
-        # the route shares are the masses the two moves carry
-        expect = (1.0 - ph) * np.array([(rush @ v).sum(), (chill @ v).sum()])
+        # the route shares are the masses the two moves carry: down by p1
+        # above the diagonal, up by r2 below it
+        expect = np.array([(np.triu(a, 1) @ v).sum(), (np.tril(a, -1) @ v).sum()])
         assert np.abs(equilibrium_flows(ch, v) - expect).max() <= 1e-15
 
         # one line per positive entry in (row, column) order; at p_home = 0
@@ -126,6 +121,42 @@ class TestBuildChain:
         assert [(int(r) - 1, int(c) - 1) for r, c, _ in written] == list(zip(rows, cols))
         assert all(float(val) > 0.0 for _, _, val in written)
         assert any(r == c for r, c, _ in written) == (ph > 0.0)
+
+
+class TestDiagonalMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 6, 13])
+    def test_entries_off_the_matrix_are_ignored(self, n, tmp_path):
+        # every slot is nonzero but one, so each diagonal holds entries whose
+        # row falls off the matrix; offsets -(n+1) and n hold none in range,
+        # and for n <= 3 neither do -2 and 3
+        offsets = (-n - 1, -2, 0, 3, n)
+        data = np.random.default_rng(n).random((len(offsets), n)) + 0.5
+        data[2, n // 2] = 0.0
+        m = DiagonalMatrix(data, offsets)
+        # np.eye(n, k) holds row j - k of column j and drops the others
+        diagonals = [np.eye(n, k=off) * d for d, off in zip(data, offsets)]
+        v = np.random.default_rng(n + 1).random(n)
+        product, sums = np.zeros(n), np.zeros(n)
+        for d in diagonals:  # diagonal by diagonal, from zero
+            product += d @ v
+            sums += d.sum(axis=0)
+        assert np.array_equal(m @ v, product)
+        assert np.array_equal(m.sum(axis=0), sums)
+
+        # the dump writes the nonzero in-range entries in (row, column)
+        # order; it reads nothing of the chain but its matrix
+        ref = sum(diagonals)
+        chain = replace(build_chain(PriceVector(1, 1), 1, 0.0, EXP), a=m)
+        path = tmp_path / "a.txt"
+        save_matrix_coo(chain, path)
+        assert path.read_text().splitlines() == [
+            f"{r + 1} {c + 1} {float(ref[r, c])!r}" for r, c in zip(*np.nonzero(ref))]
+
+    def test_sums_columns_only(self):
+        m = build_chain(PriceVector(2, 3), 3, 0.05, EXP).a
+        for axis in (1, -1, None):
+            with pytest.raises(ValueError, match="axis"):
+                m.sum(axis=axis)
 
 
 def selected_chill(p, horizon, sens):
@@ -389,7 +420,7 @@ class TestStationary:
         # NaN in A or in the chain's rule must fail the certification
         ch = build_chain(PriceVector(*p), 6, 0.05, EXP)
         if nan_in == "a":
-            bad = replace(ch, a=ch.a * np.nan)
+            bad = replace(ch, a=replace(ch.a, data=ch.a.data * np.nan))
         else:
             chill = ch.chill_prob.copy()
             chill[ch.n_states // 2] = np.nan
@@ -402,7 +433,8 @@ class TestStationary:
         # certifying step accepts; the error names the residual it left
         ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
         with pytest.raises(ConvergenceError, match="above 1e-12") as err:
-            stationary_distribution(replace(ch, a=0.5 * ch.a))
+            stationary_distribution(
+                replace(ch, a=replace(ch.a, data=0.5 * ch.a.data)))
         residual = re.search(r"moves it by (\S+) in L1", str(err.value))
         assert float(residual.group(1)) == pytest.approx(0.5)
 
@@ -520,7 +552,7 @@ class TestDumps:
         mpath = tmp_path / "a.txt"
         save_matrix_coo(ch, mpath)
         rows = [line.split() for line in mpath.read_text().splitlines()]
-        assert len(rows) == ch.a.nnz
+        assert len(rows) == np.count_nonzero(dense(ch) > 0)
         rebuilt = np.zeros((ch.n_states, ch.n_states))
         for r, c, v in rows:
             rebuilt[int(r) - 1, int(c) - 1] = float(v)

@@ -1,8 +1,5 @@
-from math import gcd
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
                            PriceVector, SensitivitySpec, build_chain,
@@ -12,7 +9,6 @@ from karma_routing import (DegenerateOptimumError, InfeasibleHorizonError,
 from karma_routing.pricing import design_prices
 
 from day_rule import fast_routes
-from oracles import best_coprime_ratio, is_coprime
 
 BAD_RATIOS = [(float("nan"), 1.0), (-1.0, 2.0), (1.0, 0.0),
               (float("inf"), 1.0)]  # NaN, negative, zero r2, infinite
@@ -86,37 +82,6 @@ class TestRationalizePrices:
                 rationalize_prices((1.0, 1.0), 10, horizon)
 
 
-class TestBestCoprimeRatio:
-    def test_unit_ratio(self):
-        assert best_coprime_ratio((1.0, 1.0), 10) == PriceVector(1, 1)
-        for max_price in (True, 2.5, 0, -1):
-            with pytest.raises(ValueError, match="max_price"):
-                best_coprime_ratio((1.0, 1.0), max_price)
-
-    @pytest.mark.parametrize("ratio", BAD_RATIOS)
-    def test_bad_ratio_rejected(self, ratio):
-        with pytest.raises(ValueError, match="p1/r2"):
-            best_coprime_ratio(ratio, 10)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        x1=st.floats(0.1, 0.9),
-        frac=st.floats(0.2, 0.8),
-        max_price=st.integers(2, 20),
-    )
-    def test_optimal_among_coprime_pairs(self, x1, frac, max_price):
-        x2 = x1 * frac
-        target = x2 / x1
-        pv = best_coprime_ratio((x2, x1), max_price)
-        assert gcd(pv.p1, pv.r2) == 1
-        err = abs(pv.p1 / pv.r2 - target)
-        # independent exhaustive sweep
-        for a in range(1, max_price + 1):
-            for b in range(1, max_price + 1):
-                if gcd(a, b) == 1:
-                    assert err <= abs(a / b - target) + 1e-12
-
-
 class TestPriceVector:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -135,8 +100,6 @@ class TestPriceVector:
     def test_accessors(self):
         pv = PriceVector(10, 14)
         assert pv.total == 24
-        assert not is_coprime(pv)
-        assert is_coprime(PriceVector(10, 13))
 
     def test_horizon_band(self):
         assert PriceVector(10, 14).feasible_for_horizon(6)

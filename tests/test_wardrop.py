@@ -52,7 +52,7 @@ def solve(k, k_ref, s, traveling, model=BPR, p=P, horizon=T):
     return fast, np.array([n1, n2]) / k.size, regime
 
 
-class TestAggregateBestResponse:
+class TestSweep:
     """The population's best response to assumed flows (`sweep`)."""
 
     def test_all_poor_go_slow(self):
