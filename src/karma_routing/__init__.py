@@ -7,7 +7,7 @@ populations.
 """
 
 from .agent import Thresholds, settle, thresholds
-from .config import RunConfig
+from .config import PRESETS, RunConfig, apply_preset, get_preset
 from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
                      KarmaRoutingError)
@@ -16,7 +16,6 @@ from .mesoscopic import (KarmaChain, build_chain, equilibrium_flows,
                          stationary_distribution, step_distribution)
 from .network import (ArcCostModel, Scenario, as_flow, balanced_flow,
                       system_optimum)
-from .presets import PRESETS, apply_preset, get_preset
 from .pricing import PriceVector, conservation_prices, rationalize_prices
 from .sensitivity import SensitivitySpec
 from .simulation import (DayRecord, Population, RunResult, compute_metrics,

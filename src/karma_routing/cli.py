@@ -23,14 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PRICE_DESIGN, RunConfig
+from .config import PRESETS, PRICE_DESIGN, RunConfig, apply_preset
 from .errors import KarmaRoutingError
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
                          save_matrix_coo, stationary_distribution,
                          step_distribution)
 from .network import balanced_flow, system_optimum
 from .pricing import design_prices
-from .presets import PRESETS, apply_preset
 from .simulation import run_scenario
 
 log = logging.getLogger("karma_routing")

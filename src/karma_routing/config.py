@@ -34,6 +34,8 @@ The file format is plain key/value sections readable by `configparser`:
     days = 500
     preset = fig3                ; written only for a run from a preset
 
+The presets `fig3`, `fig5`, `fig6` pin every field but the run's seed and days.
+
 Floats are written with `repr` so a written file reloads to identical values.
 A `;` starts a comment, also after a value.  An unknown section or key is an
 error, so a misspelled name cannot silently leave its default in place.
@@ -42,9 +44,10 @@ error, so a misspelled name cannot silently leave its default in place.
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
-from .network import SOCIETAL_DISCOMFORT, ArcCostModel, Scenario, check_count
+from .network import (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW, ArcCostModel,
+                      Scenario, check_count)
 from .pricing import PriceVector, design_prices
 from .sensitivity import EXPONENTIAL, SensitivitySpec
 
@@ -124,10 +127,7 @@ class RunConfig:
             # nobody ever travels: no cost optimum, no flow ratio, no chain
             raise ValueError(f"p_home must be < 1 for a run, got {self.p_home}")
         if self.preset is not None:
-            from .presets import PRESETS  # presets is built on RunConfig
-            if self.preset not in PRESETS:
-                raise ValueError(f"unknown preset {self.preset!r}; "
-                                 f"available: {', '.join(sorted(PRESETS))}")
+            get_preset(self.preset)
         self.scenario()
         self.model()
         if self.price_mode == PRICE_FIXED:
@@ -193,3 +193,35 @@ class RunConfig:
                     raise ValueError(f"{path}: [{section}] {key} = {raw!r} "
                                      f"is not {what}") from exc
         return cls(**kwargs).validate()
+
+
+# the paper's numerical study (README "Presets"); every value the three
+# share, such as the model, M = 1000 and T = 6, is a RunConfig default
+PRESETS: dict[str, RunConfig] = {
+    "fig3": RunConfig(
+        preset="fig3", p_home=0.05, societal_cost=SOCIETAL_DISCOMFORT,
+        k_init_low=0.0, k_init_high=500.0, p1=10, r2=14, max_price=14,
+    ),
+    "fig5": RunConfig(
+        preset="fig5", p_home=0.0, societal_cost=SOCIETAL_DISCOMFORT,
+        k_init_low=0.0, k_init_high=100.0, p1=10, r2=13, max_price=13,
+    ),
+    "fig6": RunConfig(
+        preset="fig6", p_home=0.05, societal_cost=SOCIETAL_FLOW,
+        k_init_low=0.0, k_init_high=500.0, p1=10, r2=10, max_price=10,
+    ),
+}
+
+
+def get_preset(name: str) -> RunConfig:
+    try:
+        return replace(PRESETS[name])
+    except KeyError:
+        raise ValueError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+        ) from None
+
+
+def apply_preset(config: RunConfig, name: str) -> RunConfig:
+    """Preset ``name`` with the run's own ``seed`` and ``days`` of ``config``."""
+    return replace(get_preset(name), seed=config.seed, days=config.days)

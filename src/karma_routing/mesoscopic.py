@@ -235,18 +235,20 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     the cycle's first class.
 
     Either way each class is scaled to mass 1/q.  A chain that would move
-    mass off its lattice (a top cell that could still earn, or a bottom cell
-    that could still pay) raises ValueError on both paths.
+    mass off its lattice (one of the top r2 cells that could still earn, or
+    of the bottom p1 cells that could still pay) raises ValueError before
+    either path.
     """
     p1, r2 = chain.prices.p1, chain.prices.r2
     q = p1 + r2
     levels = chain.horizon + 1
+    chill = chain.chill_prob
+    # poor cells never pay and wealthy cells never earn, so no mass leaves
+    if chill[-r2:].any() or (chill[:p1] != 1.0).any():
+        raise ValueError(_LEAK)
     if p1 == r2:
-        chill = chain.chill_prob.reshape(2 * levels, p1)
+        chill = chill.reshape(2 * levels, p1)
         rush = 1.0 - chill
-        # poor cells never pay and wealthy cells never earn, so no mass leaves
-        if chill[-1].any() or rush[0].any():
-            raise ValueError(_LEAK)
         # in logs, since the product grows like (chill/rush)^(2T) and would
         # overflow for long horizons; a chill of 0 gives a log of -inf and
         # zero mass above it
@@ -279,9 +281,6 @@ def _product_tree_levels(chain: KarmaChain) -> np.ndarray:
     climbs = classes + r2 >= q
     chill = chain.chill_prob.reshape(levels, q).T[classes]  # (g, L, levels)
     rush = 1.0 - chill
-    # poor cells never pay and wealthy cells never earn, so no mass leaves
-    if chill[climbs, -1].any() or rush[~climbs, 0].any():
-        raise ValueError(_LEAK)
     # S_c holds chill on its diagonal -w and rush on its diagonal 1 - w
     w = climbs[..., None]
     flat = np.zeros(classes.shape + (levels * levels,))

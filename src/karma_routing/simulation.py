@@ -9,7 +9,7 @@ seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .network import ArcCostModel, Scenario, check_count, system_optimum
 from .pricing import PriceVector
 from .wardrop import UNCONTROLLED, wardrop_equilibrium
 
-RUN_CSV_COLUMNS = ["day", "x1", "x2", "cost", "cost_opt_ratio", "delta_d",
-                   "delta_s", "mean_karma", "regime"]
 TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
 
 
@@ -111,17 +109,14 @@ class RunResult:
         return self.summary
 
     def write_run_csv(self, path) -> None:
+        """One column per `DayRecord` field; floats by `repr`, None empty."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(RUN_CSV_COLUMNS)
+            writer.writerow([f.name for f in fields(DayRecord)])
             for r in self.records:
                 writer.writerow([
-                    r.day, repr(r.x1), repr(r.x2), repr(r.cost),
-                    repr(r.cost_opt_ratio),
-                    "" if r.delta_d is None else repr(r.delta_d),
-                    "" if r.delta_s is None else repr(r.delta_s),
-                    repr(r.mean_karma), r.regime,
-                ])
+                    "" if v is None else repr(v) if isinstance(v, float) else v
+                    for v in astuple(r)])
 
     def write_karma_hist_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -49,23 +49,16 @@ CONTROLLED = "controlled"      # best-response fixed point with d1 < d2
 UNCONTROLLED = "uncontrolled"  # balanced-flow equilibrium (equal discomforts)
 
 
-def _balanced_split(k, traveling, k_poor, target_x1: float) -> np.ndarray | None:
-    """Fast-route mask realizing the balanced flow, or None if infeasible.
+def _balanced_split(k, traveling, k_poor, n_fast: int) -> np.ndarray:
+    """Fast-route mask sending ``n_fast`` travelers fast.
 
     Travelers below their k_poor breakpoint can only take the slow route;
-    the remaining (indifferent) travelers are sent to the fast route by a
-    fixed priority by agent index up to the target share, the rest go slow
-    (see the module docstring).  The fast count rounds down so the fast
-    route never ends up the more congested one.  None means too few
-    indifferent travelers to reach the target.
+    the first ``n_fast`` indifferent travelers (k >= k_poor) by agent index
+    go fast and the rest go slow (see the module docstring).  The caller
+    keeps ``n_fast`` at most the sweep's fast count, all of them indifferent.
     """
-    m = k.size
-    indifferent = np.flatnonzero(traveling & (k >= k_poor))
-    n_fast = floor(target_x1 * m + 1e-9)
-    if n_fast > indifferent.size:
-        return None
-    fast = np.zeros(m, dtype=bool)
-    fast[indifferent[:n_fast]] = True
+    fast = np.zeros(k.size, dtype=bool)
+    fast[np.flatnonzero(traveling & (k >= k_poor))[:n_fast]] = True
     return fast
 
 
@@ -99,12 +92,11 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
         fast, regime = np.zeros(m, dtype=bool), CONTROLLED
     else:
         regime = UNCONTROLLED
-        fast = _balanced_split(k, traveling, th.k_poor, float(x_bal[0]))
-        if fast is None:
-            raise RuntimeError(
-                f"internal error: the d1 < d2 sweep overloads the fast route "
-                f"(x1 = {n1 / m}) but too few travelers are indifferent to "
-                f"reach the balanced share {float(x_bal[0])}")
+        # the count rounds down so the fast route never ends up the more
+        # congested one, and stays within the sweep's n1, which overloads it
+        # already: the bisection may stop just past the true crossing
+        n_fast = min(floor(float(x_bal[0]) * m + 1e-9), n1)
+        fast = _balanced_split(k, traveling, th.k_poor, n_fast)
     n1 = int(np.count_nonzero(fast))
     d = (d1(n1 / m), d2((n_travel - n1) / m))
     return fast, n1, n_travel - n1, regime, d

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import karma_routing
-from karma_routing import PriceVector, RunConfig, get_preset, mesoscopic
+from karma_routing import (PriceVector, RunConfig, SensitivitySpec, get_preset,
+                           mesoscopic)
 from karma_routing.cli import _strict_json, main
-from karma_routing.config import PRICE_DESIGN
-from karma_routing.presets import apply_preset
+from karma_routing.config import PRICE_DESIGN, apply_preset
 
 
 class TestRunConfig:
@@ -85,6 +85,16 @@ class TestRunConfig:
             RunConfig(societal_cost="bogus").validate()
         with pytest.raises(ValueError, match="unknown preset 'fig7'"):
             RunConfig(preset="fig7").validate()
+        with pytest.raises(ValueError, match="max_price must be >= 2"):
+            RunConfig(price_mode=PRICE_DESIGN, max_price=1).validate()
+
+    def test_uniform_sensitivity(self):
+        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_mean=7.0,
+                        sensitivity_low=0.5, sensitivity_high=2.5)
+        spec = cfg.sensitivity()
+        assert spec == SensitivitySpec.uniform(0.5, 2.5)
+        assert spec.s_bar == 1.5
+        assert cfg.scenario().sensitivity == spec
 
     def test_designed_prices_from_model(self):
         cfg = RunConfig(price_mode=PRICE_DESIGN, p_home=0.05, max_price=14)
@@ -124,6 +134,15 @@ class TestPresets:
         # non-preset runtime knobs survive
         assert merged.days == 77
         assert merged.seed == 123
+
+    def test_preset_pins_every_field_but_seed_and_days(self):
+        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_low=0.5,
+                        sensitivity_high=2.5, n_agents=5, days=9, seed=3)
+        merged = apply_preset(cfg, "fig3")
+        assert (merged.sensitivity_kind, merged.sensitivity_low,
+                merged.sensitivity_high) == ("exponential", 0.0, 2.0)
+        assert merged == replace(get_preset("fig3"), days=9, seed=3)
+        assert merged.preset == "fig3"
 
 
 # the CLI with scipy blocked: any import of it raises ImportError

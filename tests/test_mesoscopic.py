@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from karma_routing import (ConvergenceError, PriceVector, SensitivitySpec,
@@ -101,12 +100,14 @@ class TestBuildChain:
         a = dense(ch)
         assert np.array_equal(columns(ch.a, n), a)
 
-        # the same products as CSR from the same coordinates, bit for bit
+        # each row's nonzero terms added from 0.0 in column order, bit for bit
         rows, cols = np.nonzero(a)
-        csr = sp.csr_array((a[rows, cols], (rows, cols)), shape=(n, n))
         v = np.random.default_rng(0).random(n)
         v /= v.sum()
-        assert np.array_equal(ch.a @ v, csr @ v)
+        out = np.zeros(n)
+        for r, c in zip(rows, cols):
+            out[r] += a[r, c] * v[c]
+        assert np.array_equal(ch.a @ v, out)
 
         # the route shares are the masses the two moves carry: down by p1
         # above the diagonal, up by r2 below it
@@ -445,12 +446,13 @@ class TestStationary:
             stationary_distribution(ch)
 
     def test_rejects_mass_leaving_the_lattice(self):
-        # a top cell that could still earn r2, or a bottom cell that could
-        # still pay p1, would step off the lattice; on the product tree
-        # (2, 3) and on the closed form (3, 3)
-        for p in [(2, 3), (3, 3)]:
-            ch = build_chain(PriceVector(*p), 3, 0.05, EXP)
-            for cell, value in [(-1, 0.25), (0, 0.75)]:
+        # any of the top r2 cells that could still earn r2, or of the bottom
+        # p1 cells that could still pay p1, would step off the lattice; on
+        # the product tree (2, 3) and on the closed form (3, 3)
+        for p1, r2 in [(2, 3), (3, 3)]:
+            ch = build_chain(PriceVector(p1, r2), 3, 0.05, EXP)
+            top = [(cell, 0.25) for cell in range(-r2, 0)]
+            for cell, value in top + [(cell, 0.75) for cell in range(p1)]:
                 chill = ch.chill_prob.copy()
                 chill[cell] = value
                 leaky = replace(ch, chill_prob=chill)

@@ -18,7 +18,6 @@ from karma_routing import (ArcCostModel, DayRecord, InfeasibleKarmaError,
                            wardrop_equilibrium)
 import karma_routing
 from karma_routing import simulation
-from karma_routing.simulation import RUN_CSV_COLUMNS
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
@@ -172,6 +171,18 @@ class TestRunScenario:
         assert res.summary["days"] == 25
         assert res.summary["tail_days"] == 5
         assert res.karma_hist.sum() == pytest.approx(100)
+
+    def test_everyone_home_run(self):
+        # no demand: no optimum to compare against, and no day's metrics
+        res = run_scenario(scenario(p_home=1.0), BPR, PriceVector(10, 14), 4)
+        assert res.x_star.tolist() == [0.0, 0.0] and res.cost_star == 0.0
+        for rec in res.records:
+            assert rec.regime == CONTROLLED
+            assert (rec.x1, rec.x2, rec.cost) == (0.0, 0.0, 0.0)
+            assert np.isnan(rec.cost_opt_ratio)
+            assert rec.delta_d is None and rec.delta_s is None
+        assert res.summary["x_star"] == [0.0, 0.0]
+        assert res.summary["tail_mean_delta_d"] is None
 
     def test_rejects_zero_days(self):
         for days in (0, 2.5, True):
@@ -500,7 +511,8 @@ class TestCsvOutput:
         res.write_run_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == RUN_CSV_COLUMNS
+        assert list(rows[0]) == ["day", "x1", "x2", "cost", "cost_opt_ratio",
+                                 "delta_d", "delta_s", "mean_karma", "regime"]
         assert len(rows) == 12
         for row, rec in zip(rows, res.records):
             assert int(row["day"]) == rec.day

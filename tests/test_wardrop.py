@@ -234,6 +234,23 @@ class TestWardropEquilibrium:
         assert np.all(fast[:n_fast])
         assert not np.any(fast[n_fast:])
 
+    def test_balanced_count_capped_at_the_sweep(self):
+        # a nearly flat model: the bisection stops at |d1 - d2| <= 1e-9 on a
+        # share of 0.46, right of the true crossing at 0.45, while the
+        # sweep sends only the 460 karma-rich travelers fast
+        model = ArcCostModel(d0=(1.0, 1.0 - 2e-10), kappa=(0.5, 0.5),
+                             alpha=1e-9, beta=1.0)
+        p, m = PriceVector(10, 14), 1000
+        k = np.where(np.arange(m) < 460, 1000.0, 20.0)
+        s = np.random.default_rng(0).exponential(1.0, m)
+        traveling = np.ones(m, dtype=bool)
+        fast, n1, _, regime, d = wardrop_equilibrium(
+            k, s, traveling, thresholds(np.full(m, 100.0), p, 6), model, p,
+            1.0)
+        assert regime == UNCONTROLLED
+        assert n1 == np.count_nonzero(fast[:460]) == 460
+        assert d[0] - d[1] <= 1e-9
+
     def test_uncontrolled_equilibrium_drains_karma(self):
         # at the balanced flow the population pays more than it earns
         for p_go in (0.95, 1.0):
