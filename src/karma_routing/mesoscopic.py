@@ -9,8 +9,10 @@ span N = (T+1)*(p1+r2) cells, indexed 0-based as
 
 The chain is the agent rule of `agent` laid onto that lattice: on the
 reference level k_ref = T*r2, cell i holds karma i, so the band edges are
-the breakpoints `thresholds(T*r2, p, T)`.  A traveler in cell i takes the
-fast route iff its sensitivity s exceeds the cell's threshold theta_i
+the rule's breakpoints on that level.  There they are integers: `agent`'s
+`k_rich` and `k_wealthy` at k_ref = T*r2, and k_poor = p1, because
+max(p1, k_ref + p1 - T*r2) = p1 on that level.  A traveler in cell i takes
+the fast route iff its sensitivity s exceeds the cell's threshold theta_i
 (`KarmaChain.theta`), so its probability of the slow route is F(theta_i),
 with F the sensitivity CDF:
 
@@ -54,8 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import _decaying_threshold, thresholds
+from .agent import _decaying_threshold, k_rich, k_wealthy
 from .errors import ConvergenceError
+from .network import check_count
 from .pricing import PriceVector
 from .sensitivity import SensitivitySpec
 
@@ -143,9 +146,15 @@ class KarmaChain:
 
 def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
     """Bands between the breakpoints on the reference level k_ref = T*r2,
-    where cell i holds karma i."""
-    th = thresholds(horizon * p.r2, p, horizon)
-    edges = [int(e) for e in (0, th.k_poor, th.k_rich, th.k_wealthy,
+    where cell i holds karma i.
+
+    The edges are Python ints: k_rich and k_wealthy from `agent` at that
+    level, and k_poor = max(p1, k_ref + p1 - T*r2) = p1, exact in integers
+    (`agent.k_poor`'s float-boundary search has nothing to find there).
+    """
+    ref = horizon * p.r2
+    edges = [int(e) for e in (0, p.p1, k_rich(ref, p, horizon),
+                              k_wealthy(ref, p, horizon),
                               (horizon + 1) * p.total)]
     return {band: slice(lo, hi) for band, lo, hi in
             zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
@@ -173,9 +182,10 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     """Assemble the transition matrix A for given prices and horizon.
 
     A is a `DiagonalMatrix` holding the slow move, the stay and the fast
-    move on its diagonals -r2, 0 and +p1.  Requires the canonical orientation r2 >= p1 (the fast route is the one
-    that is tolled less than the slow route rewards); the opposite case is
-    recovered by relabeling the routes.
+    move on its diagonals -r2, 0 and +p1, written into one (3, N) block.
+    Requires an integer horizon >= 1 and the canonical orientation r2 >= p1
+    (the fast route is the one that is tolled less than the slow route
+    rewards); the opposite case is recovered by relabeling the routes.
     """
     if not 0.0 <= p_home <= 1.0:
         raise ValueError("p_home must lie in [0, 1]")
@@ -183,16 +193,20 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
         raise ValueError(
             f"chain requires the canonical orientation r2 >= p1, got ({p.p1}, {p.r2})"
         )
+    check_count("horizon", horizon)
     # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
     chill = sensitivity.cdf(_cell_thresholds(p, horizon, sensitivity.s_bar))
-    n = chill.size
 
     # column j of a diagonal holds the probability of leaving cell j by that
     # move; ascending offsets make A @ v add each row's terms in column
     # order, as a CSR product does
     p_go = 1.0 - p_home
-    a = DiagonalMatrix(np.stack([p_go * chill, np.full(n, p_home),
-                                 p_go * (1.0 - chill)]), (-p.r2, 0, p.p1))
+    data = np.empty((3, chill.size))
+    np.multiply(p_go, chill, out=data[0])
+    data[1] = p_home
+    np.subtract(1.0, chill, out=data[2])
+    data[2] *= p_go
+    a = DiagonalMatrix(data, (-p.r2, 0, p.p1))
     return KarmaChain(prices=p, horizon=horizon, p_home=p_home,
                       sensitivity=sensitivity, chill_prob=chill, a=a)
 

@@ -73,6 +73,43 @@ class TestBuildChain:
         assert np.abs(dense(ch).sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
+    def test_band_slices_match_agent_thresholds(self):
+        # the agent rule is the oracle of the bands: its breakpoints on the
+        # reference level T*r2, including T = 1 (empty ok band) and p1 = r2
+        for p1 in range(1, 31):
+            for r2 in range(p1, 31):
+                p = PriceVector(p1, r2)
+                for t in range(1, 13):
+                    th = thresholds(t * p.r2, p, t)
+                    edges = [0, int(th.k_poor), int(th.k_rich),
+                             int(th.k_wealthy), (t + 1) * p.total]
+                    want = dict(zip(("poor", "ok", "rich", "wealthy"),
+                                    map(slice, edges, edges[1:])))
+                    bands = build_chain(p, t, 0.05, EXP).band_slices()
+                    assert bands == want, (p, t)
+                    assert all(type(e) is int for b in bands.values()
+                               for e in (b.start, b.stop))
+        ok = build_chain(PriceVector(5, 5), 1, 0.05, EXP).band_slices()["ok"]
+        assert ok == slice(5, 5)
+
+    def test_diagonals_match_stacked_form(self):
+        # bit for bit against the three rows stacked from temporaries
+        rng = np.random.default_rng(7)
+        sens = [EXP, SensitivitySpec.exponential(0.3),
+                SensitivitySpec.uniform(0.5, 2.5)]
+        for _ in range(40):
+            p1 = int(rng.integers(1, 25))
+            p = PriceVector(p1, p1 + int(rng.integers(0, 25)))
+            t = int(rng.integers(1, 13))
+            spec = sens[rng.integers(len(sens))]
+            for ph in (0.0, 0.05, 0.2, 1.0):
+                ch = build_chain(p, t, ph, spec)
+                chill, n, p_go = ch.chill_prob, ch.n_states, 1.0 - ph
+                assert ch.a.data.shape == (3, n)
+                assert np.array_equal(ch.a.data[0], p_go * chill)
+                assert np.array_equal(ch.a.data[1], np.full(n, ph))
+                assert np.array_equal(ch.a.data[2], p_go * (1.0 - chill))
+
     def test_everyone_home_is_identity(self):
         ch = build_chain(PriceVector(2, 3), 3, 1.0, EXP)
         assert np.array_equal(columns(ch.a, ch.n_states), np.eye(ch.n_states))
