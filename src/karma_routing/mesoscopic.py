@@ -183,16 +183,10 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
 
     A is a `DiagonalMatrix` holding the slow move, the stay and the fast
     move on its diagonals -r2, 0 and +p1, written into one (3, N) block.
-    Requires an integer horizon >= 1 and the canonical orientation r2 >= p1
-    (the fast route is the one that is tolled less than the slow route
-    rewards); the opposite case is recovered by relabeling the routes.
+    Requires an integer horizon >= 1.
     """
     if not 0.0 <= p_home <= 1.0:
         raise ValueError("p_home must lie in [0, 1]")
-    if p.r2 < p.p1:
-        raise ValueError(
-            f"chain requires the canonical orientation r2 >= p1, got ({p.p1}, {p.r2})"
-        )
     check_count("horizon", horizon)
     # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
     chill = sensitivity.cdf(_cell_thresholds(p, horizon, sensitivity.s_bar))

@@ -56,6 +56,19 @@ class ArcCostModel:
             raise ValueError("beta must be finite and >= 1")
         if self.societal_cost_kind not in (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW):
             raise ValueError(f"unknown societal cost kind: {self.societal_cost_kind!r}")
+        # the marginal cost at a full load bounds d and itself on [0, 1], so
+        # one finite value there means no solver's float overflows
+        for route, (d0, kappa, mc) in enumerate(
+                zip(self.d0, self.kappa, self._volume_delay(marginal=True)), 1):
+            try:
+                value = mc(1.0)
+            except OverflowError:
+                value = np.inf
+            if not value < np.inf:
+                raise ValueError(
+                    f"route {route} marginal cost at x = 1 is not finite: "
+                    f"d0 = {d0}, kappa = {kappa}, alpha = {self.alpha}, "
+                    f"beta = {self.beta}")
 
     def discomfort(self, x) -> np.ndarray:
         """d(x) as a float64 pair; a flow in `as_flow`'s slack below 0 is 0."""

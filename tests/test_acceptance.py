@@ -140,7 +140,7 @@ def test_04_chain_stochasticity_and_stationarity_sweep():
     worst_res = 0.0
     n_chains = 0
     for p1 in range(1, 16):
-        for r2 in range(p1, 31 - p1):
+        for r2 in range(1, 31 - p1):
             p = PriceVector(p1, r2)
             for horizon in range(1, 9):
                 chain = build_chain(p, horizon, 0.05, EXP)

@@ -45,7 +45,7 @@ class TestThresholds:
         assert widths == (2, 10, 5, 3)
         assert sum(widths) == (t + 1) * p.total == 20
 
-    def test_canonical_branch(self):
+    def test_reference_branch(self):
         # k_ref >= T*r2 activates the reference-driven poor breakpoint
         th = thresholds(100.0, PriceVector(2, 3), 5)
         assert th.k_poor == 100 + 2 - 15

@@ -88,6 +88,27 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="max_price must be >= 2"):
             RunConfig(price_mode=PRICE_DESIGN, max_price=1).validate()
 
+    @pytest.mark.parametrize("field, value", [("beta", 2000.0),
+                                              ("kappa_1", 1e-300),
+                                              ("alpha", 1e308)])
+    def test_overflowing_cost_model_rejected(self, field, value, tmp_path,
+                                             capsys):
+        # these used to end run, design-prices and system-optimum in an
+        # OverflowError traceback, or run at the JSON step on a NaN
+        with pytest.raises(ValueError, match="route 1 marginal cost"):
+            RunConfig(**{field: value}).validate()
+        path = tmp_path / "steep.ini"
+        path.write_text(f"[model]\n{field} = {value!r}\n")
+        out = tmp_path / "o"
+        for argv in (["run", "--days", "3", "--out", str(out)],
+                     ["analyze-chain", "--out", str(out)],
+                     ["design-prices"], ["system-optimum"]):
+            assert main(argv + ["--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: route 1 marginal cost"), err
+            assert "Traceback" not in err
+        assert not out.exists()
+
     def test_uniform_sensitivity(self):
         cfg = RunConfig(sensitivity_kind="uniform", sensitivity_mean=7.0,
                         sensitivity_low=0.5, sensitivity_high=2.5)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from karma_routing import (ConvergenceError, PriceVector, SensitivitySpec,
-                           build_chain, equilibrium_flows, karma_cell,
-                           quantize_population, stationary_distribution,
+from karma_routing import (ArcCostModel, ConvergenceError, PriceVector,
+                           Scenario, SensitivitySpec, build_chain,
+                           equilibrium_flows, karma_cell, quantize_population,
+                           run_scenario, stationary_distribution,
                            step_distribution, thresholds)
 from karma_routing import mesoscopic
 from karma_routing.mesoscopic import (DiagonalMatrix, save_distribution_csv,
@@ -27,12 +28,15 @@ def columns(a, n):
 
 class TestBuildChain:
     def test_dimension_and_bands(self):
-        ch = build_chain(PriceVector(2, 3), 3, 0.05, EXP)
-        assert ch.n_states == 20
-        bands = ch.band_slices()
-        widths = [bands[b].stop - bands[b].start
-                  for b in ("poor", "ok", "rich", "wealthy")]
-        assert widths == [2, 10, 5, 3]
+        # widths p1, (T-1)(p1+r2), p1+r2 and r2, whichever price is larger
+        for p, n, want in [(PriceVector(2, 3), 20, [2, 10, 5, 3]),
+                           (PriceVector(5, 3), 32, [5, 16, 8, 3])]:
+            ch = build_chain(p, 3, 0.05, EXP)
+            assert ch.n_states == n
+            bands = ch.band_slices()
+            widths = [bands[b].stop - bands[b].start
+                      for b in ("poor", "ok", "rich", "wealthy")]
+            assert widths == want
 
     def test_sparsity_pattern(self):
         # mass moves only up by r2 (slow) or down by p1 (fast)
@@ -66,18 +70,19 @@ class TestBuildChain:
             assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(p1=st.integers(1, 8), extra=st.integers(0, 8), t=st.integers(1, 8),
+    @given(p1=st.integers(1, 16), r2=st.integers(1, 16), t=st.integers(1, 8),
            ph=st.floats(0.0, 1.0))
-    def test_columns_sum_to_one_random(self, p1, extra, t, ph):
-        ch = build_chain(PriceVector(p1, p1 + extra), t, ph, EXP)
+    def test_columns_sum_to_one_random(self, p1, r2, t, ph):
+        ch = build_chain(PriceVector(p1, r2), t, ph, EXP)
         assert np.abs(dense(ch).sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
     def test_band_slices_match_agent_thresholds(self):
         # the agent rule is the oracle of the bands: its breakpoints on the
-        # reference level T*r2, including T = 1 (empty ok band) and p1 = r2
+        # reference level T*r2, including T = 1 (empty ok band), p1 = r2 and
+        # p1 > r2
         for p1 in range(1, 31):
-            for r2 in range(p1, 31):
+            for r2 in range(1, 31):
                 p = PriceVector(p1, r2)
                 for t in range(1, 13):
                     th = thresholds(t * p.r2, p, t)
@@ -98,8 +103,7 @@ class TestBuildChain:
         sens = [EXP, SensitivitySpec.exponential(0.3),
                 SensitivitySpec.uniform(0.5, 2.5)]
         for _ in range(40):
-            p1 = int(rng.integers(1, 25))
-            p = PriceVector(p1, p1 + int(rng.integers(0, 25)))
+            p = PriceVector(int(rng.integers(1, 25)), int(rng.integers(1, 49)))
             t = int(rng.integers(1, 13))
             spec = sens[rng.integers(len(sens))]
             for ph in (0.0, 0.05, 0.2, 1.0):
@@ -114,9 +118,7 @@ class TestBuildChain:
         ch = build_chain(PriceVector(2, 3), 3, 1.0, EXP)
         assert np.array_equal(columns(ch.a, ch.n_states), np.eye(ch.n_states))
 
-    def test_rejects_non_canonical(self):
-        with pytest.raises(ValueError):
-            build_chain(PriceVector(5, 3), 3, 0.05, EXP)
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             build_chain(PriceVector(2, 3), 0, 0.05, EXP)
         with pytest.raises(ValueError):
@@ -215,12 +217,12 @@ def selected_chill(p, horizon, sens):
                                   SensitivitySpec.uniform(0.5, 2.5)],
                          ids=["exp1", "exp0.3", "uni"])
 def test_chill_prob_band_by_band_matches_selection(sens):
-    # bit for bit, on every canonical price pair up to 20 and T up to 8; the
+    # bit for bit, on every price pair up to 20 and T up to 8; the
     # chain's theta is exact on the poor, ok and wealthy bands, and its CDF
     # is the chain's chill_prob
     checked = 0
     for p1 in range(1, 21):
-        for r2 in range(p1, 21):
+        for r2 in range(1, 21):
             p = PriceVector(p1, r2)
             for t in range(1, 9):
                 ch = build_chain(p, t, 0.05, sens)
@@ -232,7 +234,7 @@ def test_chill_prob_band_by_band_matches_selection(sens):
                 assert np.all(theta[bands["wealthy"]] == -np.inf)
                 assert sens.cdf(theta).tobytes() == got.tobytes()
                 checked += 1
-    assert checked == 210 * 8
+    assert checked == 400 * 8
 
 
 def oracle_switch(karma, p, horizon, s_bar, hi, steps=36):
@@ -260,8 +262,11 @@ class TestChainMatchesOracle:
     @pytest.mark.parametrize("p, t", [(PriceVector(2, 3), 3),
                                       (PriceVector(10, 14), 6),
                                       (PriceVector(1, 1), 1),
-                                      (PriceVector(3, 7), 4)],
-                             ids=["2-3-T3", "10-14-T6", "1-1-T1", "3-7-T4"])
+                                      (PriceVector(3, 7), 4),
+                                      (PriceVector(3, 2), 3),
+                                      (PriceVector(14, 7), 6)],
+                             ids=["2-3-T3", "10-14-T6", "1-1-T1", "3-7-T4",
+                                  "3-2-T3", "14-7-T6"])
     def test_chill_prob_is_cdf_of_oracle_switch(self, sens, p, t):
         # cell i of the chain holds karma i on the reference level T*r2
         ch = build_chain(p, t, 0.05, sens)
@@ -273,6 +278,32 @@ class TestChainMatchesOracle:
         # the rich band's theta is the oracle's switch itself
         rich = ch.band_slices()["rich"]
         assert np.abs(ch.theta[rich] - switch[rich]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("p, t", [(PriceVector(14, 10), 6),
+                                  (PriceVector(7, 5), 3)],
+                         ids=["14-10-T6", "7-5-T3"])
+def test_day_loop_histogram_matches_chain_with_toll_above_reward(p, t):
+    # acceptance 10's set-up with p1 > r2: constant discomforts keep the fast
+    # route cheaper at any flow, so the integer day loop is the chain's
+    # microscopic counterpart; at (14, 10), T = 6 (N = 168) the sampling
+    # noise of 10^4 agents alone is near 0.05 TV, so the bound is the 99th
+    # percentile of the TV of 400 i.i.d. multinomial histograms drawn from pi
+    m, k_ref = 10_000, 60.0
+    assert k_ref >= t * p.r2
+    pe = stationary_distribution(build_chain(p, t, 0.05, EXP))
+    draws = np.random.default_rng(0).multinomial(m, pe, size=400) / m
+    iid_p99 = np.percentile(0.5 * np.abs(draws - pe).sum(axis=1), 99)
+    for seed in (7, 8, 9):
+        sc = Scenario(p_home=0.05, horizon=t, n_agents=m, sensitivity=EXP,
+                      seed=seed,
+                      k_init=(k_ref - t * p.r2, k_ref + (t + 1) * p.p1 + p.r2),
+                      k_ref_init=(k_ref, k_ref))
+        result = run_scenario(sc, ArcCostModel(alpha=0.0), p, 300,
+                              integer_karma=True)
+        hist = result.karma_hist / result.karma_hist.sum()
+        tv = 0.5 * np.abs(hist - pe).sum()
+        assert tv <= iid_p99, (seed, tv, iid_p99)
 
 
 class TestStepDistribution:
@@ -399,7 +430,7 @@ class TestStationary:
 
     @settings(max_examples=12, deadline=None)
     # p1 = r2 takes the closed form, every other pair the product tree
-    @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2).map(sorted),
+    @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2),
            t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),
            sens=st.sampled_from([EXP, SensitivitySpec.uniform(0.5, 2.5)]))
     # cycle lengths L = 7, 15, 31 make every level of the product tree odd,
@@ -485,8 +516,8 @@ class TestStationary:
     def test_rejects_mass_leaving_the_lattice(self):
         # any of the top r2 cells that could still earn r2, or of the bottom
         # p1 cells that could still pay p1, would step off the lattice; on
-        # the product tree (2, 3) and on the closed form (3, 3)
-        for p1, r2 in [(2, 3), (3, 3)]:
+        # the product tree (2, 3) and (3, 2) and on the closed form (3, 3)
+        for p1, r2 in [(2, 3), (3, 2), (3, 3)]:
             ch = build_chain(PriceVector(p1, r2), 3, 0.05, EXP)
             top = [(cell, 0.25) for cell in range(-r2, 0)]
             for cell, value in top + [(cell, 0.75) for cell in range(p1)]:

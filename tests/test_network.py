@@ -234,6 +234,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArcCostModel(societal_cost_kind="mystery")
 
+    def test_overflowing_model_names_its_route(self):
+        # (x / kappa)**beta overflows a float at x = 1 (an OverflowError),
+        # or alpha * (1 + beta) does (inf); either is rejected at construction
+        for kwargs, route, params in (
+                ({"beta": 2000.0}, 1,
+                 "d0 = 1.0, kappa = 0.5, alpha = 0.15, beta = 2000.0"),
+                ({"beta": 1100.0}, 1,
+                 "d0 = 1.0, kappa = 0.5, alpha = 0.15, beta = 1100.0"),
+                ({"kappa": (0.5, 1e-300)}, 2,
+                 "d0 = 2.0, kappa = 1e-300, alpha = 0.15, beta = 4.0"),
+                ({"alpha": 1e308}, 1,
+                 "d0 = 1.0, kappa = 0.5, alpha = 1e+308, beta = 4.0"),
+                ({"d0": (1.0, 1e308)}, 2,
+                 "d0 = 1e+308, kappa = 0.6666666666666666, alpha = 0.15, "
+                 "beta = 4.0")):
+            with pytest.raises(ValueError) as err:
+                ArcCostModel(**kwargs)
+            assert str(err.value) == (f"route {route} marginal cost at x = 1 "
+                                      f"is not finite: {params}")
+        # 2**1000 still fits: the marginal cost at a full load is finite
+        steep = ArcCostModel(beta=1000.0)
+        assert np.all(np.isfinite(steep.discomfort([1.0, 0.0])))
+        assert np.all(np.isfinite(system_optimum(steep, 1.0)))
+
     def test_sensitivity_invariants(self):
         nan, inf = float("nan"), float("inf")
         for mean in (0.0, -1.0, nan, inf):
