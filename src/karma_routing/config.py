@@ -57,8 +57,11 @@ PRICE_DESIGN = "design"
 _PARSERS = {"float": (float, "a float"), "int": (int, "an int")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run; frozen, so ``dataclasses.replace`` makes a
+    changed copy and the shared `PRESETS` cannot be edited in place."""
+
     # scenario
     p_home: float = 0.05
     horizon: int = 6
@@ -163,11 +166,12 @@ class RunConfig:
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
-            except configparser.Error as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            # a directory, an unreadable or non-UTF-8 file, or bad syntax
+            raise ValueError(f"{path}: {exc}") from exc
         named = parser.sections()
         if parser.defaults():
             named.insert(0, parser.default_section)
@@ -215,7 +219,7 @@ PRESETS: dict[str, RunConfig] = {
 
 def get_preset(name: str) -> RunConfig:
     try:
-        return replace(PRESETS[name])
+        return PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"

@@ -54,12 +54,8 @@ class SensitivitySpec:
         """P(s < value); exact, vectorized.  cdf(0) is 0 for both families."""
         v = np.asarray(value, dtype=float)
         if self.kind == EXPONENTIAL:
-            out = -np.expm1(-np.maximum(v, 0.0) / self.mean)
-        else:
-            out = np.clip((v - self.low) / (self.high - self.low), 0.0, 1.0)
-        if np.ndim(value) == 0:
-            return float(out)
-        return out
+            return -np.expm1(-np.maximum(v, 0.0) / self.mean)
+        return np.clip((v - self.low) / (self.high - self.low), 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` i.i.d. draws; the same stream and values as

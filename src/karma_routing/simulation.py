@@ -22,6 +22,11 @@ from .wardrop import UNCONTROLLED, wardrop_equilibrium
 TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
 
 
+def _tail_days(days: int) -> int:
+    """How many of ``days`` the summary averages over (at least one)."""
+    return max(1, int(round(TAIL_FRACTION * days)))
+
+
 @dataclass
 class Population:
     """Mutable state of the simulated agents plus the day loop's bookkeeping.
@@ -79,8 +84,7 @@ class RunResult:
     summary: dict = field(default_factory=dict)
 
     def tail_records(self) -> list[DayRecord]:
-        n_tail = max(1, int(round(TAIL_FRACTION * len(self.records))))
-        return self.records[-n_tail:]
+        return self.records[-_tail_days(len(self.records)):]
 
     def compute_summary(self) -> dict:
         tail = self.tail_records()
@@ -126,14 +130,15 @@ class RunResult:
                 writer.writerow([i + 1, int(round(count))])
 
 
-def init_population(scenario: Scenario, prices: PriceVector,
-                    integer_karma: bool = False) -> Population:
+def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     """Draw initial reference levels and karma balances.
 
-    k_ref is drawn first, then k(0); any k(0) below the agent's feasibility
-    floor k_inf is clamped up to it (the clamp count is kept on the returned
-    population).  ``integer_karma`` floors the draws onto the integer lattice
-    used by the quantized chain.
+    k_ref is drawn first, then k(0), both uniform on the scenario's ranges;
+    any k(0) below the agent's feasibility floor k_inf is clamped up to it
+    (the clamp count is kept on the returned population).  Flooring the
+    returned ``k`` and ``k_ref`` puts the agents on the quantized chain's
+    integer lattice; the floored ``k`` stays above the floored k_inf, since
+    (T + 1) * r2 is an integer.
     """
     rng = np.random.default_rng(scenario.seed)
     m = scenario.n_agents
@@ -144,9 +149,6 @@ def init_population(scenario: Scenario, prices: PriceVector,
     np.empty(4 * m)
     k_ref = rng.uniform(*scenario.k_ref_init, m)
     k = rng.uniform(*scenario.k_init, m)
-    if integer_karma:
-        k_ref = np.floor(k_ref)
-        k = np.floor(k)
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
     k = np.maximum(k, floor)
@@ -225,13 +227,28 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
 
 
 def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
-                 days: int, integer_karma: bool = False) -> RunResult:
-    """Run the repeated game for the given number of days."""
+                 days: int) -> RunResult:
+    """Run the repeated game for the given number of days.
+
+    Raises ValueError before day 0 when the optimal cost cost* is so small
+    against the model's largest cost that the tail's sum of daily cost
+    ratios would not be finite (a d0 near the float range's bottom).
+    """
     check_count("days", days)
-    pop = init_population(scenario, p, integer_karma=integer_karma)
+    pop = init_population(scenario, p)
     if scenario.p_go > 0:
         x_star = system_optimum(model, scenario.p_go)
         cost_star = model.societal_cost(x_star)
+        # a convex cost on {x >= 0, x1 + x2 <= 1} peaks at (1, 0) or (0, 1),
+        # so this bounds every day's ratio and the tail's sum of them
+        worst = max(model.societal_cost((1.0, 0.0)),
+                    model.societal_cost((0.0, 1.0)))
+        tail = _tail_days(days)
+        if not (cost_star > 0 and tail * worst / cost_star < np.inf):
+            raise ValueError(
+                f"d0 = {model.d0} puts the optimal cost cost* at "
+                f"{cost_star!r}: the sum of {tail} daily cost ratios, each "
+                f"up to {worst!r} / cost*, overflows")
     else:
         x_star, cost_star = np.zeros(2), 0.0
     records = [simulate_day(pop, model, p, cost_star=cost_star or None)

@@ -1,13 +1,15 @@
-"""The d1 < d2 route rule as the day runs it, for tests that pose agents
-directly.
+"""The day as it runs, for tests that pose agents directly or need them on
+the quantized chain's integer lattice.
 
 `wardrop_equilibrium` checks each agent against its feasibility floor and
 then takes the rule's mask, from breakpoints that `thresholds` built once
 per set of k_ref.  `fast_routes` is those two per-day steps.
+`integer_histogram` runs the day loop on a floored population.
 """
 
 import numpy as np
 
+from karma_routing import init_population, quantize_population, simulate_day
 from karma_routing.agent import check_floor, fast_mask
 
 
@@ -21,3 +23,19 @@ def fast_routes(k, s, th, s_bar, p):
     k = np.asarray(k, dtype=float)
     check_floor(k, th.k_inf)
     return fast_mask(k, np.asarray(s, dtype=float), True, th, s_bar, p)
+
+
+def integer_histogram(scenario, model, p, days):
+    """Terminal karma histogram (shares per chain cell) of ``days`` days run
+    from `init_population` with ``k`` and ``k_ref`` floored onto the
+    integer lattice.
+
+    A day's karma change is -p1, 0 or +r2, so the agents then stay on the
+    chain's cells; the floored k stays above the floored k_inf because
+    (T + 1) * r2 is an integer.
+    """
+    pop = init_population(scenario, p)
+    pop.k, pop.k_ref = np.floor(pop.k), np.floor(pop.k_ref)
+    for _ in range(days):
+        simulate_day(pop, model, p)
+    return quantize_population(pop.k, pop.k_ref, p, scenario.horizon)[0]

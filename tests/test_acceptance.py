@@ -18,7 +18,7 @@ from karma_routing import (ArcCostModel, PriceVector, Scenario,
 from karma_routing.agent import k_inf, k_rich, k_wealthy
 from karma_routing.wardrop import UNCONTROLLED
 
-from day_rule import fast_routes
+from day_rule import fast_routes, integer_histogram
 from oracles import (ARC1, ARC2, AgentState, plan_oracle,
                      stationary_distribution_dense)
 
@@ -264,8 +264,8 @@ def test_10_chain_vs_simulation_histogram():
                   k_init=(k_ref - horizon * p.r2,
                           k_ref + (horizon + 1) * p.p1 + p.r2),
                   k_ref_init=(k_ref, k_ref))
-    result = run_scenario(sc, flat, p, 300, integer_karma=True)
-    hist = result.karma_hist / result.karma_hist.sum()
+    hist = integer_histogram(sc, flat, p, 300)
+    hist = hist / hist.sum()
     tv = 0.5 * float(np.abs(hist - pe).sum())
     report(10, "chain vs agent-simulation histogram",
            tv <= 0.05 and residual <= 1e-13,

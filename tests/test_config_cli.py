@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -109,6 +109,22 @@ class TestRunConfig:
             assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unreadable_config_named(self, tmp_path, capsys):
+        # a directory used to end in an IsADirectoryError traceback, and a
+        # non-UTF-8 file in an error line that did not name the file
+        binary = tmp_path / "latin1.ini"
+        binary.write_bytes("[scenario]\n; caf\xe9\n".encode("latin-1"))
+        for path in (tmp_path, binary):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                RunConfig.from_ini(path)
+            out = tmp_path / "o"
+            assert main(["run", "--config", str(path), "--days", "3",
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: "), err
+            assert "Traceback" not in err
+            assert not out.exists()
+
     def test_uniform_sensitivity(self):
         cfg = RunConfig(sensitivity_kind="uniform", sensitivity_mean=7.0,
                         sensitivity_low=0.5, sensitivity_high=2.5)
@@ -142,6 +158,16 @@ class TestPresets:
         assert fig6.societal_cost == "flow"
         assert (fig6.p1, fig6.r2) == (10, 10)
         assert fig6.p_home == 0.05
+
+    def test_presets_are_frozen(self):
+        # an edit used to change what every later get_preset returned
+        fig3 = get_preset("fig3")
+        with pytest.raises(FrozenInstanceError):
+            fig3.p1 = 3
+        with pytest.raises(FrozenInstanceError):
+            karma_routing.PRESETS["fig3"].p1 = 3
+        assert (get_preset("fig3").p1, get_preset("fig3").r2) == (10, 14)
+        assert replace(fig3, p1=3).p1 == 3 and fig3.p1 == 10
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -276,6 +302,32 @@ class TestCli:
         assert code == 1
         assert "p_home" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("d0, ok", [("1e-300", True), ("1e-306", True),
+                                        ("1e-308", False), ("1e-310", False),
+                                        ("1e-320", False)])
+    def test_tiny_d0_rejected_before_day_0(self, d0, ok, tmp_path, capsys):
+        # at 1e-308 and below, the 100-day tail's sum of cost ratios (up to
+        # 3.5 / cost*, cost* = 2.8 * d0_1) overflows: the run used to end
+        # after 500 days in a JSON error that named no field
+        path = tmp_path / "tiny.ini"
+        path.write_text(f"[model]\nd0_1 = {d0}\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if ok:
+            assert code == 0, err
+            summary = json.loads((out / "summary.json").read_text(),
+                                 parse_constant=pytest.fail)
+            assert summary["days"] == 500
+        else:
+            assert code == 1
+            assert err.startswith("error: d0 = ") and "cost*" in err, err
+            assert not out.exists()
+        # one tail day keeps the sum finite at 1e-308
+        if d0 == "1e-308":
+            assert main(["run", "--config", str(path), "--days", "3",
+                         "--out", str(out)]) == 0
 
     def test_json_outputs_are_strict(self):
         assert _strict_json({"x": 1.5}) == '{\n  "x": 1.5\n}'

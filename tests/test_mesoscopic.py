@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from karma_routing import (ArcCostModel, ConvergenceError, PriceVector,
                            Scenario, SensitivitySpec, build_chain,
                            equilibrium_flows, karma_cell, quantize_population,
-                           run_scenario, stationary_distribution,
-                           step_distribution, thresholds)
+                           stationary_distribution, step_distribution,
+                           thresholds)
 from karma_routing import mesoscopic
 from karma_routing.mesoscopic import (DiagonalMatrix, save_distribution_csv,
                                       save_matrix_coo)
 
+from day_rule import integer_histogram
 from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
                      plan_oracle, stationary_distribution_dense)
 
@@ -299,9 +300,8 @@ def test_day_loop_histogram_matches_chain_with_toll_above_reward(p, t):
                       seed=seed,
                       k_init=(k_ref - t * p.r2, k_ref + (t + 1) * p.p1 + p.r2),
                       k_ref_init=(k_ref, k_ref))
-        result = run_scenario(sc, ArcCostModel(alpha=0.0), p, 300,
-                              integer_karma=True)
-        hist = result.karma_hist / result.karma_hist.sum()
+        hist = integer_histogram(sc, ArcCostModel(alpha=0.0), p, 300)
+        hist = hist / hist.sum()
         tv = 0.5 * np.abs(hist - pe).sum()
         assert tv <= iid_p99, (seed, tv, iid_p99)
 

@@ -50,10 +50,18 @@ class TestInitPopulation:
         assert np.all(pop.k_ref == 30.0)
 
     def test_integer_lattice_option(self):
-        sc = scenario()
-        pop = init_population(sc, PriceVector(10, 14), integer_karma=True)
-        assert np.all(pop.k == np.floor(pop.k))
-        assert np.all(pop.k_ref == np.floor(pop.k_ref))
+        # the integer-lattice set-up floors k and k_ref after the draws; the
+        # floored k stays above the floored k_inf, clamped agents included
+        sc = scenario(k_init=(0.0, 60.0), k_ref_init=(100.0, 200.0))
+        p = PriceVector(10, 14)
+        pop = init_population(sc, p)
+        k, k_ref = np.floor(pop.k), np.floor(pop.k_ref)
+        floor = thresholds(k_ref, p, sc.horizon).k_inf
+        assert np.all(k >= floor)
+        # a clamped agent sits on its floor before flooring and after
+        clamped = pop.k == thresholds(pop.k_ref, p, sc.horizon).k_inf
+        assert np.count_nonzero(clamped) == pop.n_clamped_init > 0
+        assert np.array_equal(k[clamped], floor[clamped])
 
 
 class TestSimulateDay:
@@ -302,7 +310,8 @@ class TestDayInvariants:
     @given(run=small_runs())
     def test_ledger_balances_and_floor_holds(self, run):
         sc, model, p, days = run
-        pop = init_population(sc, p, integer_karma=True)
+        pop = init_population(sc, p)
+        pop.k, pop.k_ref = np.floor(pop.k), np.floor(pop.k_ref)
         floor = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
         m = sc.n_agents
         for _ in range(days):
