@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import PRESETS, PRICE_DESIGN, RunConfig, apply_preset
-from .errors import KarmaRoutingError
+from .errors import (DegenerateOptimumError, InfeasibleHorizonError,
+                     KarmaRoutingError)
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
                          save_matrix_coo, stationary_distribution,
                          step_distribution)
@@ -140,8 +141,13 @@ def cmd_analyze_chain(args) -> int:
 def cmd_design_prices(args) -> int:
     config = _resolve_config(args)
     p_go = 1.0 - config.p_home
-    x_star, ratio, prices = design_prices(config.model(), p_go,
-                                          config.max_price, config.horizon)
+    try:
+        x_star, ratio, prices = design_prices(config.model(), p_go,
+                                              config.max_price, config.horizon)
+    except (DegenerateOptimumError, InfeasibleHorizonError) as exc:
+        # with fixed prices a config validates even when no design exists
+        print(f"integer prices (max_price {config.max_price}): none ({exc})")
+        return 0
     print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})  "
           f"(demand {p_go})")
     print(f"conserving ratio p1/r2 = x2*/x1* = {ratio[0] / ratio[1]:.9f}")

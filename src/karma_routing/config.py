@@ -46,10 +46,12 @@ from __future__ import annotations
 import configparser
 from dataclasses import asdict, dataclass, field, replace
 
+from .errors import KarmaRoutingError
 from .network import (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW, ArcCostModel,
                       Scenario, check_count)
 from .pricing import PriceVector, design_prices
 from .sensitivity import EXPONENTIAL, SensitivitySpec
+from .simulation import run_optimum
 
 PRICE_FIXED = "fixed"
 PRICE_DESIGN = "design"
@@ -131,12 +133,19 @@ class RunConfig:
             raise ValueError(f"p_home must be < 1 for a run, got {self.p_home}")
         if self.preset is not None:
             get_preset(self.preset)
-        self.scenario()
-        self.model()
+        # the run's optimum, which also bounds its daily numbers
+        run_optimum(self.scenario(), self.model(), self.days)
+        # design-prices reads max_price in either price mode
+        if self.max_price < 2:
+            raise ValueError("max_price must be >= 2")
         if self.price_mode == PRICE_FIXED:
             PriceVector(self.p1, self.r2)
-        elif self.max_price < 2:
-            raise ValueError("max_price must be >= 2")
+        else:
+            try:
+                self.prices()
+            except KarmaRoutingError as exc:
+                # a run needs the designed prices to exist
+                raise ValueError(f"price_mode = design: {exc}") from exc
         return self
 
     # -- INI round-trip ----------------------------------------------------
@@ -165,6 +174,8 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
+        """The config ``path`` holds.  Its values are checked by `validate`,
+        which the CLI calls once its own flags (such as ``--days``) apply."""
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         try:
             with open(path, encoding="utf-8") as fh:
@@ -196,7 +207,7 @@ class RunConfig:
                 except ValueError as exc:
                     raise ValueError(f"{path}: [{section}] {key} = {raw!r} "
                                      f"is not {what}") from exc
-        return cls(**kwargs).validate()
+        return cls(**kwargs)
 
 
 # the paper's numerical study (README "Presets"); every value the three

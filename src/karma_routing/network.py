@@ -117,10 +117,14 @@ class Scenario:
         check_count("horizon", self.horizon)
         check_count("n_agents", self.n_agents)
         check_count("seed", self.seed, low=0)
-        for lo, hi in (self.k_init, self.k_ref_init):
-            if not 0 <= lo <= hi < np.inf:
+        for name, (lo, hi) in (("k_init", self.k_init),
+                               ("k_ref_init", self.k_ref_init)):
+            # from 2**53 on floats are 2 apart: a price of 1 moves no karma,
+            # and M such balances can overflow their mean
+            if not 0 <= lo <= hi < 2.0 ** 53:
                 raise ValueError(
-                    "karma init ranges must satisfy 0 <= low <= high < inf")
+                    f"karma init range {name} must satisfy 0 <= low <= high "
+                    f"< 2**53, got ({lo!r}, {hi!r})")
 
     @property
     def p_go(self) -> float:

@@ -17,9 +17,12 @@ from .agent import Thresholds, k_inf, settle, thresholds
 from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, check_count, system_optimum
 from .pricing import PriceVector
+from .sensitivity import UNIFORM
 from .wardrop import UNCONTROLLED, wardrop_equilibrium
 
 TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
+# bound on an exponential sensitivity in means: numpy's draws stay below 45
+_EXP_DRAW_BOUND = 1024.0
 
 
 def _tail_days(days: int) -> int:
@@ -147,8 +150,11 @@ def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     # again; freeing one mapped block of 4m floats raises the threshold to
     # its size (mallopt(3)).  Under other allocators it is a spare allocation.
     np.empty(4 * m)
-    k_ref = rng.uniform(*scenario.k_ref_init, m)
-    k = rng.uniform(*scenario.k_init, m)
+    # high + 0.0 turns -0.0 into 0.0: numpy's uniform rejects a range whose
+    # width high - low is -0.0
+    (ref_lo, ref_hi), (k_lo, k_hi) = scenario.k_ref_init, scenario.k_init
+    k_ref = rng.uniform(ref_lo, ref_hi + 0.0, m)
+    k = rng.uniform(k_lo, k_hi + 0.0, m)
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
     k = np.maximum(k, floor)
@@ -226,31 +232,55 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     return record
 
 
+def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
+    """The system optimum (x*, cost*) that a run of ``days`` days reads its
+    cost ratios against; (0, 0) and 0.0 when nobody travels.
+
+    Raises ValueError when a day's numbers could leave the float range:
+    when cost* is so small against the model's largest cost that the tail's
+    sum of daily cost ratios would not be finite (a d0 near the float
+    range's bottom), or when `compute_metrics`' sums over the agents could
+    overflow, or its delta_d denominator underflow to 0, at the scenario's
+    sensitivity scale.
+    """
+    d1, d2 = model._volume_delay()
+    d_lo, d_hi = min(model.d0), max(d1(1.0), d2(1.0))
+    sens = scenario.sensitivity
+    s_hi = sens.high if sens.kind == UNIFORM else _EXP_DRAW_BOUND * sens.mean
+    # numerator terms reach d_hi * M * s_hi; the denominator is at least
+    # s_bar * d_lo on a day anyone travels
+    if not (2 * scenario.n_agents * s_hi * max(1.0, d_hi) < np.inf
+            and sens.s_bar * d_lo > 0):
+        raise ValueError(
+            f"sensitivities up to {s_hi!r} (s_bar = {sens.s_bar!r}) and "
+            f"discomforts from {d_lo!r} to {d_hi!r} put a day's metric sums "
+            f"over {scenario.n_agents} agents out of the float range")
+    if not scenario.p_go > 0:
+        return np.zeros(2), 0.0
+    x_star = system_optimum(model, scenario.p_go)
+    cost_star = model.societal_cost(x_star)
+    # a convex cost on {x >= 0, x1 + x2 <= 1} peaks at (1, 0) or (0, 1),
+    # so this bounds every day's ratio and the tail's sum of them
+    worst = max(model.societal_cost((1.0, 0.0)),
+                model.societal_cost((0.0, 1.0)))
+    tail = _tail_days(days)
+    if not (cost_star > 0 and tail * worst / cost_star < np.inf):
+        raise ValueError(
+            f"d0 = {model.d0} puts the optimal cost cost* at "
+            f"{cost_star!r}: the sum of {tail} daily cost ratios, each "
+            f"up to {worst!r} / cost*, overflows")
+    return x_star, cost_star
+
+
 def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
                  days: int) -> RunResult:
     """Run the repeated game for the given number of days.
 
-    Raises ValueError before day 0 when the optimal cost cost* is so small
-    against the model's largest cost that the tail's sum of daily cost
-    ratios would not be finite (a d0 near the float range's bottom).
+    Raises ValueError before day 0 when `run_optimum` does.
     """
     check_count("days", days)
     pop = init_population(scenario, p)
-    if scenario.p_go > 0:
-        x_star = system_optimum(model, scenario.p_go)
-        cost_star = model.societal_cost(x_star)
-        # a convex cost on {x >= 0, x1 + x2 <= 1} peaks at (1, 0) or (0, 1),
-        # so this bounds every day's ratio and the tail's sum of them
-        worst = max(model.societal_cost((1.0, 0.0)),
-                    model.societal_cost((0.0, 1.0)))
-        tail = _tail_days(days)
-        if not (cost_star > 0 and tail * worst / cost_star < np.inf):
-            raise ValueError(
-                f"d0 = {model.d0} puts the optimal cost cost* at "
-                f"{cost_star!r}: the sum of {tail} daily cost ratios, each "
-                f"up to {worst!r} / cost*, overflows")
-    else:
-        x_star, cost_star = np.zeros(2), 0.0
+    x_star, cost_star = run_optimum(scenario, model, days)
     records = [simulate_day(pop, model, p, cost_star=cost_star or None)
                for _ in range(days)]
     hist, _ = quantize_population(pop.k, pop.k_ref, p, scenario.horizon)

@@ -50,15 +50,20 @@ UNCONTROLLED = "uncontrolled"  # balanced-flow equilibrium (equal discomforts)
 
 
 def _balanced_split(k, traveling, k_poor, n_fast: int) -> np.ndarray:
-    """Fast-route mask sending ``n_fast`` travelers fast.
+    """Fast-route mask sending exactly ``n_fast`` travelers fast.
 
     Travelers below their k_poor breakpoint can only take the slow route;
     the first ``n_fast`` indifferent travelers (k >= k_poor) by agent index
-    go fast and the rest go slow (see the module docstring).  The caller
-    keeps ``n_fast`` at most the sweep's fast count, all of them indifferent.
+    go fast and the rest go slow (see the module docstring).  The mask of
+    all indifferent travelers is cleared, by one slice fill, from the
+    (n_fast + 1)-th of them on.  The caller keeps ``n_fast`` at most the
+    sweep's fast count, all of them indifferent, so the mask holds exactly
+    ``n_fast`` agents.
     """
-    fast = np.zeros(k.size, dtype=bool)
-    fast[np.flatnonzero(traveling & (k >= k_poor))[:n_fast]] = True
+    fast = traveling & (k >= k_poor)
+    idx = np.flatnonzero(fast)
+    if n_fast < idx.size:
+        fast[idx[n_fast]:] = False
     return fast
 
 
@@ -73,7 +78,9 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     ``s`` are float arrays and ``traveling`` a bool mask over all agents;
     ``th`` holds their breakpoints, ``thresholds(k_ref, p, T)``.  Returns
     (fast, n1, n2, regime, d): the fast-route mask, the fast and slow counts,
-    the regime, and the float pair d = d(n1 / M, n2 / M).  Raises
+    the regime, and the float pair d = d(n1 / M, n2 / M).  On an
+    uncontrolled day n1 is the balanced split's ``n_fast`` by construction,
+    and on the no-crossing day it is 0; neither recounts the mask.  Raises
     InfeasibleKarmaError if an agent is below its feasibility floor.
     """
     check_floor(k, th.k_inf)
@@ -89,15 +96,14 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     x_bal = balanced_flow(model, n_travel / m)
     if x_bal is None:
         # d1 >= d2 even on an empty fast route: the slow route dominates
-        fast, regime = np.zeros(m, dtype=bool), CONTROLLED
+        fast, n1, regime = np.zeros(m, dtype=bool), 0, CONTROLLED
     else:
         regime = UNCONTROLLED
         # the count rounds down so the fast route never ends up the more
         # congested one, and stays within the sweep's n1, which overloads it
         # already: the bisection may stop just past the true crossing
-        n_fast = min(floor(float(x_bal[0]) * m + 1e-9), n1)
-        fast = _balanced_split(k, traveling, th.k_poor, n_fast)
-    n1 = int(np.count_nonzero(fast))
+        n1 = min(floor(float(x_bal[0]) * m + 1e-9), n1)
+        fast = _balanced_split(k, traveling, th.k_poor, n1)
     d = (d1(n1 / m), d2((n_travel - n1) / m))
     return fast, n1, n_travel - n1, regime, d
 

@@ -4,7 +4,6 @@ Tolerances are pinned here and nowhere else.
 """
 
 import time
-from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -33,60 +32,58 @@ def report(num, name, ok, detail=""):
 
 
 def test_01_best_response_oracle_equivalence():
-    # the oracle per instance; per (prices, horizon) group, one thresholds
-    # call gives the branches and the rule's mask, read on the d1 < d2 rows
+    # the oracle per instance; per (prices, horizon) group, the instances are
+    # drawn as arrays and one thresholds call gives the branches and the
+    # rule's mask, read on the d1 < d2 rows
     t0 = time.time()
     rng = np.random.default_rng(2024)
     n_target = 100_000
     orders = ("d1<d2", "d1>d2", "d1=d2")
-    groups = defaultdict(list)  # (p, horizon) -> [(k, k_ref, s, order, plan)]
+    combos = [(p, horizon) for p in (PriceVector(p1, r2)
+                                     for p1 in range(1, 16)
+                                     for r2 in range(1, 16))
+              for horizon in range(1, 11) if p.feasible_for_horizon(horizon)]
+    sizes = np.bincount(rng.integers(len(combos), size=n_target),
+                        minlength=len(combos))
+    groups = {}  # (p, horizon) -> (k, k_ref, s, order index, oracle's plan)
     checked = 0
-    while checked < n_target:
-        p = PriceVector(int(rng.integers(1, 16)), int(rng.integers(1, 16)))
-        horizon = int(rng.integers(1, 11))
-        if not p.feasible_for_horizon(horizon):
+    for (p, horizon), n in zip(combos, sizes.tolist()):
+        if not n:
             continue
-        # both branches of the poor breakpoint
-        if rng.random() < 0.5:
-            k_ref = float(rng.uniform(0, horizon * p.r2))       # k_poor = p1
-        else:
-            k_ref = float(rng.uniform(horizon * p.r2,
-                                      2 * horizon * p.r2 + 50))  # reference branch
+        # both branches of the poor breakpoint: k_poor = p1 below T*r2
+        toll = rng.random(n) < 0.5
+        k_ref = rng.uniform(np.where(toll, 0.0, horizon * p.r2),
+                            np.where(toll, horizon * p.r2,
+                                     2 * horizon * p.r2 + 50))
         wealthy = k_wealthy(k_ref, p, horizon)
-        k = float(rng.uniform(k_inf(k_ref, p, horizon), wealthy + 2 * p.total))
-        s = float(rng.exponential(1.0))
-        u = rng.random()
-        if u < 0.4:
-            d1 = float(rng.uniform(0.5, 2.0))
-            d = (d1, d1 + float(rng.uniform(0.05, 2.0)))
-            order = "d1<d2"
-        elif u < 0.7:
-            d2 = float(rng.uniform(0.5, 2.0))
-            d = (d2 + float(rng.uniform(0.05, 2.0)), d2)
-            order = "d1>d2"
-        else:
-            v = float(rng.uniform(0.5, 3.0))
-            d = (v, v)
-            order = "d1=d2"
-        if order == "d1<d2":
-            rich = k >= k_rich(k_ref, p, horizon)
-            thr = (wealthy - k) / p.total if rich else 1.0
-            if abs(s - thr) < 1e-9:
-                continue  # measure-zero tie band
-        plan = plan_oracle(AgentState(k, k_ref, s), d, p, horizon, 1.0)
-        groups[p, horizon].append((k, k_ref, s, orders.index(order),
-                                   plan.choice))
-        checked += 1
+        k = rng.uniform(k_inf(k_ref, p, horizon), wealthy + 2 * p.total)
+        s = rng.exponential(1.0, n)
+        order_of = np.digitize(rng.random(n), (0.4, 0.7))
+        base = rng.uniform(0.5, 2.0, n)
+        gap = rng.uniform(0.05, 2.0, n)
+        tie = rng.uniform(0.5, 3.0, n)
+        d1 = np.choose(order_of, (base, base + gap, tie))
+        d2 = np.choose(order_of, (base + gap, base, tie))
+        # redraw s off the measure-zero tie band of the d1 < d2 rule
+        thr = np.where(k >= k_rich(k_ref, p, horizon),
+                       (wealthy - k) / p.total, 1.0)
+        while (at := (order_of == 0) & (np.abs(s - thr) < 1e-9)).any():
+            s[at] = rng.exponential(1.0, int(np.count_nonzero(at)))
+        plan = np.array([
+            plan_oracle(AgentState(*row[:3]), row[3:], p, horizon, 1.0).choice
+            for row in zip(k.tolist(), k_ref.tolist(), s.tolist(),
+                           d1.tolist(), d2.tolist())])
+        groups[p, horizon] = (k, k_ref, s, order_of, plan)
+        checked += plan.size
 
     mismatches = 0
     branch_counts = {"reference": 0, "toll": 0}
     order_counts = dict.fromkeys(orders, 0)
-    for (p, horizon), rows in groups.items():
-        k, k_ref, s, order_of, plan = np.array(rows).T
+    for (p, horizon), (k, k_ref, s, order_of, plan) in groups.items():
         th = thresholds(k_ref, p, horizon)
         toll = int(np.count_nonzero(th.k_poor == p.p1))
         branch_counts["toll"] += toll
-        branch_counts["reference"] += len(rows) - toll
+        branch_counts["reference"] += k.size - toll
         for i, order in enumerate(orders):
             at = order_of == i
             if not at.any():
@@ -104,7 +101,7 @@ def test_01_best_response_oracle_equivalence():
     spans = min(branch_counts.values()) > n_target // 10 and \
         min(order_counts.values()) > n_target // 10
     report(1, "best-response oracle equivalence",
-           mismatches == 0 and spans,
+           mismatches == 0 and spans and checked == n_target,
            f"{checked} instances, {mismatches} mismatches, "
            f"branches {branch_counts}, orders {order_counts}, "
            f"{time.time() - t0:.1f}s")

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, replace
+import tempfile
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import karma_routing
 from karma_routing import (PriceVector, RunConfig, SensitivitySpec, get_preset,
@@ -108,6 +113,32 @@ class TestRunConfig:
             assert err.startswith("error: route 1 marginal cost"), err
             assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(sensitivity_kind="uniform", sensitivity_high=5e-324),
+         "metric sums"),
+        (dict(sensitivity_mean=1e308), "metric sums"),
+        (dict(sensitivity_mean=1e-320, d0_1=1e-10), "metric sums"),
+        (dict(k_init_high=1e308), r"k_init must satisfy .* 2\*\*53"),
+        (dict(k_ref_high=2.0**53), r"k_ref_init must satisfy .* 2\*\*53"),
+        (dict(max_price=1), "max_price must be >= 2"),
+        (dict(price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0, alpha=0.0),
+         "price_mode = design: target flow"),
+    ])
+    def test_validate_rejects_what_a_command_fails_on(self, changes,
+                                                       message):
+        # each used to validate, then end a command in a ZeroDivisionError
+        # traceback, in a strict-JSON error naming no field after the run,
+        # or (max_price, design) in an error of design-prices or run
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**changes).validate()
+
+    def test_negative_zero_karma_bound_runs(self, tmp_path):
+        # U[0, -0.0] used to end run in numpy's "high - low < 0"
+        path = tmp_path / "zero.ini"
+        path.write_text("[scenario]\nk_init_high = -0.0\n")
+        assert main(["run", "--config", str(path), "--days", "3",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_unreadable_config_named(self, tmp_path, capsys):
         # a directory used to end in an IsADirectoryError traceback, and a
@@ -339,6 +370,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "(10, -14)" in out
 
+    @pytest.mark.parametrize("ini, reason", [
+        ("[model]\nd0_1 = 5.0\nd0_2 = 1.0\nalpha = 0.0\n",
+         "target flow [0.0, 0.95] has a non-positive"),
+        ("[scenario]\nhorizon = 1\n",
+         "prices (14, -20) violate the feasibility band"),
+    ])
+    def test_design_prices_without_a_design(self, ini, reason, tmp_path,
+                                            capsys):
+        # a fixed-price config validates, so design-prices reports that no
+        # design exists instead of failing
+        path = tmp_path / "c.ini"
+        path.write_text(ini)
+        assert main(["design-prices", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"integer prices (max_price 20): none ({reason}")
+        assert out.count("\n") == 1, out
+
     @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6"])
     def test_design_prices_prints_the_run_prices(self, preset, capsys):
         # design-prices and a designed run share one pipeline
@@ -454,3 +502,62 @@ def test_public_surface_is_pinned():
     missing = [n for n in names if not hasattr(karma_routing, n)]
     assert missing == []
     assert set(names) == PUBLIC_NAMES
+
+
+# RunConfig fields for `test_every_config_that_validates_runs`: a float is
+# anything a float can hold, an edge value, or one near its default; the
+# prices, max_price, horizon and n_agents stay small, so no draw builds a
+# chain of millions of cells or a population of millions of agents
+BASE = RunConfig(n_agents=20, days=3)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-320, 1e-308, 1e-300, 1e300, 1e308,
+               math.inf, -math.inf, math.nan, -1.0]
+FIELD_VALUES = {
+    f.name: st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                      st.floats(0.0, 4.0 * getattr(BASE, f.name) + 1.0))
+    for f in fields(RunConfig) if f.type == "float"}
+FIELD_VALUES.update(
+    horizon=st.integers(-1, 12), n_agents=st.integers(-1, 40),
+    seed=st.integers(-1, 2**64), p1=st.integers(-1, 30),
+    r2=st.integers(-1, 30), max_price=st.integers(-1, 30),
+    sensitivity_kind=st.sampled_from(["exponential", "uniform", "bogus"]),
+    societal_cost=st.sampled_from(["discomfort", "flow", "bogus"]),
+    price_mode=st.sampled_from(["fixed", "design", "bogus"]))
+
+
+@st.composite
+def run_configs(draw):
+    """A base config with up to six fields replaced by drawn values."""
+    base = draw(st.sampled_from([
+        BASE, replace(BASE, price_mode=PRICE_DESIGN),
+        replace(BASE, sensitivity_kind="uniform"),
+        replace(BASE, societal_cost="flow", p_home=0.0)]))
+    names = draw(st.sets(st.sampled_from(sorted(FIELD_VALUES)), max_size=6))
+    return replace(base, **{n: draw(FIELD_VALUES[n]) for n in sorted(names)})
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=run_configs())
+def test_every_config_that_validates_runs(cfg):
+    # either validate() rejects the config, or every command runs it
+    try:
+        cfg.validate()
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg.to_ini(tmp / "c.ini")
+        for argv in (["run", "--out", str(tmp / "run")],
+                     ["analyze-chain", "--out", str(tmp / "chain")],
+                     ["design-prices"], ["system-optimum"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv + ["--config", str(tmp / "c.ini")])
+            assert code == 0, (argv, err.getvalue())
+        for name in ("run/summary.json", "chain/chain_summary.json"):
+            json.loads((tmp / name).read_text(encoding="utf-8"),
+                       parse_constant=reject_constant)

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 from math import floor
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
                            balanced_flow, build_chain, equilibrium_flows,
-                           stationary_distribution, thresholds,
-                           wardrop_equilibrium)
-from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
+                           get_preset, run_scenario, stationary_distribution,
+                           thresholds, wardrop_equilibrium)
+from karma_routing import simulation
+from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
 from day_rule import fast_routes
 from oracles import ARC1, ARC2, AgentState, plan_oracle
@@ -248,8 +250,31 @@ class TestWardropEquilibrium:
             k, s, traveling, thresholds(np.full(m, 100.0), p, 6), model, p,
             1.0)
         assert regime == UNCONTROLLED
-        assert n1 == np.count_nonzero(fast[:460]) == 460
+        assert n1 == np.count_nonzero(fast) == np.count_nonzero(fast[:460]) \
+            == 460
         assert d[0] - d[1] <= 1e-9
+
+    def test_uncontrolled_count_is_the_masks_on_a_rich_start(self,
+                                                            monkeypatch):
+        # n1 is returned as the split's n_fast, not recounted from the mask:
+        # on every uncontrolled day of fig3 with k(0) ~ U[2000, 4000] it
+        # still equals the mask's count
+        days = []
+
+        def spy(*args):
+            out = wardrop_equilibrium(*args)
+            fast, n1, n2, regime, _ = out
+            if regime == UNCONTROLLED:
+                assert n1 == np.count_nonzero(fast)
+                assert n2 == np.count_nonzero(args[2]) - n1
+                days.append(n1)
+            return out
+
+        monkeypatch.setattr(simulation, "wardrop_equilibrium", spy)
+        cfg = replace(get_preset("fig3"), k_init_low=2000.0,
+                      k_init_high=4000.0)
+        run_scenario(cfg.scenario(), cfg.model(), cfg.prices(), 300)
+        assert len(days) == 255  # `test_decision_digest`'s count
 
     def test_uncontrolled_equilibrium_drains_karma(self):
         # at the balanced flow the population pays more than it earns
@@ -290,6 +315,48 @@ class TestWardropEquilibrium:
             with pytest.raises(TypeError):
                 wardrop_equilibrium(*args, **knob)
         assert len(wardrop_equilibrium(*args)) == 5
+
+def split_reference(k, traveling, k_poor, n_fast):
+    """The first ``n_fast`` travelers with k >= k_poor, by index, one agent
+    at a time."""
+    fast = np.zeros(k.size, dtype=bool)
+    for i in range(k.size):
+        if n_fast and traveling[i] and k[i] >= k_poor[i]:
+            fast[i] = True
+            n_fast -= 1
+    return fast
+
+
+class TestBalancedSplit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_loop_over_agents(self, seed):
+        # non-travelers and poor agents interleave with the indifferent
+        # ones; the split cuts at 0, 1, a middle and every indifferent agent
+        rng = np.random.default_rng(seed)
+        m = 200
+        k_poor = rng.uniform(10.0, 30.0, m)
+        k = k_poor + rng.uniform(-10.0, 10.0, m)
+        at = rng.random(m) < 0.1
+        k[at] = k_poor[at]  # on the breakpoint: indifferent
+        traveling = rng.random(m) >= 0.3
+        n = int(np.count_nonzero(traveling & (k >= k_poor)))
+        assert 0 < n < m
+        for n_fast in (0, 1, 2, n // 2, n - 1, n):
+            fast = _balanced_split(k, traveling, k_poor, n_fast)
+            assert np.array_equal(
+                fast, split_reference(k, traveling, k_poor, n_fast)), n_fast
+            assert np.count_nonzero(fast) == n_fast
+
+    def test_every_agent_indifferent(self):
+        # adjacent indifferent agents: a cut one index early or late moves
+        # the count
+        m = 50
+        k, k_poor = np.full(m, 40.0), np.full(m, 40.0)  # k = k_poor exactly
+        traveling = np.ones(m, dtype=bool)
+        for n_fast in (0, 1, 17, m - 1, m):
+            fast = _balanced_split(k, traveling, k_poor, n_fast)
+            assert fast.tolist() == [True] * n_fast + [False] * (m - n_fast)
+
 
 # crossing near x1 = 0.8, a crossing at lower demand, and no crossing
 MODELS = (BPR, ArcCostModel(d0=(1.0, 1.5), kappa=(0.3, 0.7)),
