@@ -111,7 +111,7 @@ def cmd_analyze_chain(args) -> int:
     dist = stationary_distribution(chain)
     residual = float(np.abs(step_distribution(chain, dist) - dist).sum())
     flows = equilibrium_flows(chain, dist)
-    ratio = float(flows[0] / flows[1]) if flows[1] > 0 else float("nan")
+    ratio = float(flows[0] / flows[1])
     summary = {
         "prices": {"p1": prices.p1, "r2": prices.r2},
         "horizon": config.horizon,
@@ -142,15 +142,15 @@ def cmd_design_prices(args) -> int:
     config = _resolve_config(args)
     p_go = 1.0 - config.p_home
     try:
-        x_star, ratio, prices = design_prices(config.model(), p_go,
-                                              config.max_price, config.horizon)
+        x_star, rho, prices = design_prices(config.model(), p_go,
+                                            config.max_price, config.horizon)
     except (DegenerateOptimumError, InfeasibleHorizonError) as exc:
         # with fixed prices a config validates even when no design exists
         print(f"integer prices (max_price {config.max_price}): none ({exc})")
         return 0
     print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})  "
           f"(demand {p_go})")
-    print(f"conserving ratio p1/r2 = x2*/x1* = {ratio[0] / ratio[1]:.9f}")
+    print(f"conserving ratio p1/r2 = x2*/x1* = {rho:.9f}")
     print(f"integer prices (max_price {config.max_price}): "
           f"({prices.p1}, -{prices.r2})")
     print(f"feasibility band for horizon {config.horizon}: r2/p1 = "

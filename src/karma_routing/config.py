@@ -128,12 +128,10 @@ class RunConfig:
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
         check_count("days", self.days)
-        if self.p_home >= 1.0:
-            # nobody ever travels: no cost optimum, no flow ratio, no chain
-            raise ValueError(f"p_home must be < 1 for a run, got {self.p_home}")
         if self.preset is not None:
             get_preset(self.preset)
-        # the run's optimum, which also bounds its daily numbers
+        # the scenario's checks (p_home in [0, 1) among them) and the run's
+        # optimum, which also bounds its daily numbers
         run_optimum(self.scenario(), self.model(), self.days)
         # design-prices reads max_price in either price mode
         if self.max_price < 2:
@@ -175,7 +173,8 @@ class RunConfig:
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
         """The config ``path`` holds.  Its values are checked by `validate`,
-        which the CLI calls once its own flags (such as ``--days``) apply."""
+        which the CLI calls once its own flags (such as ``--days``) apply.
+        A file naming a preset must hold its value in every pinned field."""
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         try:
             with open(path, encoding="utf-8") as fh:
@@ -207,7 +206,16 @@ class RunConfig:
                 except ValueError as exc:
                     raise ValueError(f"{path}: [{section}] {key} = {raw!r} "
                                      f"is not {what}") from exc
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if config.preset is not None:
+            pinned = apply_preset(config, config.preset)
+            for name, value in asdict(config).items():
+                if value != getattr(pinned, name):
+                    raise ValueError(
+                        f"{path}: {name} = {value!r} differs from preset "
+                        f"{config.preset}'s {getattr(pinned, name)!r}; a "
+                        f"preset pins every field but seed and days")
+        return config
 
 
 # the paper's numerical study (README "Presets"); every value the three

@@ -27,10 +27,10 @@ The population-share vector P over cells evolves as P+ = A P with
 A = p_home*I + p_go*B, where B moves the slow share of cell j up by r2
 (reward) and the fast share down by p1 (toll).  A is stored as its three
 diagonals (-r2, 0, +p1), the chain's only matrix.  A is column-stochastic
-by construction; for p_home < 1, independent of p_home, its stationary
-distribution is the long-run karma distribution and the induced route
-shares split exactly as r2 : p1, which is what makes conservation prices
-optimal.
+by construction.  `build_chain` takes p_home in [0, 1) only, so someone
+travels; the stationary distribution then does not depend on p_home, it is
+the long-run karma distribution, and the induced route shares split
+exactly as r2 : p1, which is what makes conservation prices optimal.
 
 The stationary distribution is solved on the chain's cycles.  Both moves
 shift a cell's index by the same residue mod q = p1 + r2, so B carries
@@ -58,7 +58,7 @@ import numpy as np
 
 from .agent import _decaying_threshold, k_rich, k_wealthy
 from .errors import ConvergenceError
-from .network import check_count
+from .network import check_count, check_p_home
 from .pricing import PriceVector
 from .sensitivity import SensitivitySpec
 
@@ -183,10 +183,9 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
 
     A is a `DiagonalMatrix` holding the slow move, the stay and the fast
     move on its diagonals -r2, 0 and +p1, written into one (3, N) block.
-    Requires an integer horizon >= 1.
+    Requires p_home in [0, 1) and an integer horizon >= 1.
     """
-    if not 0.0 <= p_home <= 1.0:
-        raise ValueError("p_home must lie in [0, 1]")
+    check_p_home(p_home)
     check_count("horizon", horizon)
     # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
     chill = sensitivity.cdf(_cell_thresholds(p, horizon, sensitivity.s_bar))
@@ -326,11 +325,11 @@ def _product_tree_levels(chain: KarmaChain) -> np.ndarray:
 def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     """Fixed point of the dynamics: solved on the class cycles, then certified.
 
-    A = p_home*I + p_go*B, so for p_home < 1 the fixed point is that of B and
-    does not depend on p_home; p_home = 1 makes every distribution fixed and
-    raises ValueError.  Both moves of B, +r2 and -p1, shift the cell index by
-    the same residue mod q = p1 + r2, so B carries each residue class onto
-    the next one along g = gcd(p1, r2) cycles (see `_cycle_fixed_point`).
+    A = p_home*I + p_go*B with p_go > 0 (`build_chain`), so the fixed point
+    is that of B and does not depend on p_home.  Both moves of B, +r2 and
+    -p1, shift the cell index by the same residue mod q = p1 + r2, so B
+    carries each residue class onto the next one along g = gcd(p1, r2)
+    cycles (see `_cycle_fixed_point`).
     For p1 = r2 each cycle is a birth-death chain and the start vector is
     its detailed-balance product; otherwise it is the exact fixed point of
     each cycle's return map, handed to every class of the cycle by a
@@ -345,10 +344,6 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     p_home = 0, where the chain can be periodic, it has no periodic
     component.
     """
-    if chain.p_home >= 1.0:
-        raise ValueError(
-            f"p_home must be < 1 for a stationary distribution, got "
-            f"{chain.p_home}: A = I makes every distribution stationary")
     start = _cycle_fixed_point(chain)
     dist = chain.a @ start
     residual = float(np.abs(dist - start).sum())

@@ -34,6 +34,12 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_p_home(p_home) -> None:
+    """Raise ValueError unless p_home lies in [0, 1), so someone travels."""
+    if not 0.0 <= p_home < 1.0:  # written so that NaN fails
+        raise ValueError(f"p_home must lie in [0, 1), got {p_home!r}")
+
+
 @dataclass(frozen=True)
 class ArcCostModel:
     """Per-route volume-delay parameters and the societal-cost family."""
@@ -112,8 +118,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_home <= 1.0:
-            raise ValueError("p_home must lie in [0, 1]")
+        check_p_home(self.p_home)
         check_count("horizon", self.horizon)
         check_count("n_agents", self.n_agents)
         check_count("seed", self.seed, low=0)

@@ -2,9 +2,10 @@
 
 Karma is conserved in steady state only if p^T x* = 0, i.e. the toll/reward
 pair must satisfy p1 / r2 = x2* / x1*.  That fixes prices up to a common
-scale; `rationalize_prices` turns the real ratio into the integer pair the
-chain and the simulator work with, and `design_prices` runs the whole
-design from the cost model.
+scale, so the design carries one float rho = p1 / r2, which exists only
+when both routes carry flow; `rationalize_prices` turns rho into the integer
+pair the chain and the simulator work with, and `design_prices` runs the
+whole design from the cost model.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ class PriceVector:
         return 1.0 / horizon <= ratio <= horizon
 
 
-def conservation_prices(x_star) -> tuple[float, float]:
-    """Real (p1, r2) pair with p^T x* = 0, normalized so r2 = 1.
+def conservation_prices(x_star) -> float:
+    """The conserving ratio rho = p1 / r2 = x2* / x1*, so p^T x* = 0.
 
-    Unique up to scaling; raises DegenerateOptimumError unless both
-    components of x* are positive and finite (else no conserving ratio exists).
+    Raises DegenerateOptimumError unless both components of x* are positive
+    and finite (else no conserving ratio exists).
     """
     x = np.asarray(x_star, dtype=float)
     if x.shape != (2,):
@@ -58,22 +59,12 @@ def conservation_prices(x_star) -> tuple[float, float]:
             f"target flow {x.tolist()} has a non-positive or non-finite "
             "component; conserving prices need finite x* > 0 on both routes"
         )
-    return (float(x[1] / x[0]), 1.0)
+    return float(x[1] / x[0])
 
 
-def _target_ratio(ratio: tuple[float, float]) -> float:
-    """p1/r2 of a real price pair; ValueError unless positive and finite."""
-    p1, r2 = ratio
-    rho = p1 / r2 if r2 != 0 else np.nan  # a float division by 0 raises
-    if not 0 < rho < np.inf:
-        raise ValueError(
-            f"price ratio p1/r2 must be positive and finite, got {p1!r}/{r2!r}")
-    return rho
-
-
-def rationalize_prices(ratio: tuple[float, float], max_price: int,
+def rationalize_prices(rho: float, max_price: int,
                        horizon: int) -> PriceVector:
-    """Integer price pair approximating the conserving ratio.
+    """Integer price pair approximating the conserving ratio rho = p1/r2.
 
     The larger coordinate is pinned to ``max_price`` and the other is rounded
     (to at least 1); the pair is never reduced, so an even split gives
@@ -82,11 +73,14 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
     dynamics: it sets the chain's size N = (T+1)(p1+r2) and how
     finely the rich band's threshold is resolved (fig3's chain Delta-d is
     -14.230 % at (5, 7) and -14.236 % at (20, 28)).  Raises
-    InfeasibleHorizonError unless r2/p1 lies in [1/T, T] for T = horizon.
+    InfeasibleHorizonError unless r2/p1 lies in [1/T, T] for T = horizon,
+    and ValueError unless rho is positive and finite.
     """
     if max_price < 2:
         raise ValueError("max_price must be >= 2")
-    rho = _target_ratio(ratio)  # target p1/r2 = x2*/x1*
+    if not 0 < rho < np.inf:  # written so that NaN fails
+        raise ValueError(
+            f"price ratio p1/r2 must be positive and finite, got {rho!r}")
     if rho <= 1.0:
         pair = PriceVector(max(1, round(max_price * rho)), max_price)
     else:
@@ -100,10 +94,9 @@ def rationalize_prices(ratio: tuple[float, float], max_price: int,
 
 
 def design_prices(model: ArcCostModel, p_go: float, max_price: int,
-                  horizon: int) -> tuple[np.ndarray, tuple[float, float],
-                                         PriceVector]:
+                  horizon: int) -> tuple[np.ndarray, float, PriceVector]:
     """The price design: the system optimum x* of demand p_go, its conserving
-    ratio and that ratio's integer prices (`rationalize_prices`)."""
+    ratio rho = p1/r2 and its integer prices (`rationalize_prices`)."""
     x_star = system_optimum(model, p_go)
-    ratio = conservation_prices(x_star)
-    return x_star, ratio, rationalize_prices(ratio, max_price, horizon)
+    rho = conservation_prices(x_star)
+    return x_star, rho, rationalize_prices(rho, max_price, horizon)

@@ -204,12 +204,13 @@ def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
 
 
 def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
-                 cost_star: float | None = None) -> DayRecord:
+                 cost_star: float) -> DayRecord:
     """Advance the population by one day and record its metrics.
 
     The day runs the public stages in order: `thresholds` (cached on the
     population), `wardrop_equilibrium`, `settle` and `compute_metrics`, all
-    reading the day's fast-route and traveling masks over all agents.
+    reading the day's fast-route and traveling masks over all agents;
+    the cost ratio reads against the optimal cost ``cost_star`` > 0.
     """
     sc = pop.scenario
     m = sc.n_agents
@@ -224,17 +225,16 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     x = (n1 / m, n2 / m)
     delta_d, delta_s, mean_karma, cost = compute_metrics(
         fast, traveling, s, x, d, k, model, s_bar)
-    ratio = cost / cost_star if cost_star else float("nan")
     record = DayRecord(day=pop.day, x1=x[0], x2=x[1], cost=cost,
-                       cost_opt_ratio=ratio, delta_d=delta_d, delta_s=delta_s,
-                       mean_karma=mean_karma, regime=regime)
+                       cost_opt_ratio=cost / cost_star, delta_d=delta_d,
+                       delta_s=delta_s, mean_karma=mean_karma, regime=regime)
     pop.day += 1
     return record
 
 
 def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
     """The system optimum (x*, cost*) that a run of ``days`` days reads its
-    cost ratios against; (0, 0) and 0.0 when nobody travels.
+    cost ratios against; cost* > 0.
 
     Raises ValueError when a day's numbers could leave the float range:
     when cost* is so small against the model's largest cost that the tail's
@@ -255,8 +255,6 @@ def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
             f"sensitivities up to {s_hi!r} (s_bar = {sens.s_bar!r}) and "
             f"discomforts from {d_lo!r} to {d_hi!r} put a day's metric sums "
             f"over {scenario.n_agents} agents out of the float range")
-    if not scenario.p_go > 0:
-        return np.zeros(2), 0.0
     x_star = system_optimum(model, scenario.p_go)
     cost_star = model.societal_cost(x_star)
     # a convex cost on {x >= 0, x1 + x2 <= 1} peaks at (1, 0) or (0, 1),
@@ -281,8 +279,7 @@ def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
     check_count("days", days)
     pop = init_population(scenario, p)
     x_star, cost_star = run_optimum(scenario, model, days)
-    records = [simulate_day(pop, model, p, cost_star=cost_star or None)
-               for _ in range(days)]
+    records = [simulate_day(pop, model, p, cost_star) for _ in range(days)]
     hist, _ = quantize_population(pop.k, pop.k_ref, p, scenario.horizon)
     result = RunResult(records=records,
                        karma_hist=hist * scenario.n_agents,

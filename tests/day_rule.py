@@ -11,6 +11,7 @@ import numpy as np
 
 from karma_routing import init_population, quantize_population, simulate_day
 from karma_routing.agent import check_floor, fast_mask
+from karma_routing.simulation import run_optimum
 
 
 def fast_routes(k, s, th, s_bar, p):
@@ -34,8 +35,9 @@ def integer_histogram(scenario, model, p, days):
     chain's cells; the floored k stays above the floored k_inf because
     (T + 1) * r2 is an integer.
     """
+    cost_star = run_optimum(scenario, model, days)[1]
     pop = init_population(scenario, p)
     pop.k, pop.k_ref = np.floor(pop.k), np.floor(pop.k_ref)
     for _ in range(days):
-        simulate_day(pop, model, p)
+        simulate_day(pop, model, p, cost_star)
     return quantize_population(pop.k, pop.k_ref, p, scenario.horizon)[0]

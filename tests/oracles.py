@@ -52,7 +52,11 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     linear objective pushes that share to its cap when d1 < d2, to zero when
     d1 > d2.  Returns the route minimizing s*d_j + s_bar*T*d^T y_future,
     breaking exact ties toward the slow route.  Raises InfeasibleKarmaError
-    when no route admits a feasible plan (exactly k < k_inf).
+    when no route admits a feasible plan.  That is k < k_inf up to rounding:
+    at or above the library's k_inf a plan always exists, but a few ulps
+    below it the budget sum, rounded left to right, can still admit one.
+    The day never reaches that gap: every agent starts at k >= k_inf, and
+    a fast move needs k >= k_poor >= k_inf + p1.
     """
     k, k_ref = state.k, state.k_ref
     d1, d2 = float(d[0]), float(d[1])
@@ -107,9 +111,9 @@ def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
 
     Each of the g = gcd(p1, r2) sublattices of cells with equal index mod g
     never exchanges mass with the others, and one constraint row per
-    sublattice gives it mass 1/g, the library's selection rule.  Valid at
-    any p_home; the solve is unique for p_home < 1.  Intended for moderate
-    sizes (a few hundred cells).
+    sublattice gives it mass 1/g, the library's selection rule; with
+    p_home < 1, as `build_chain` requires, the solve is unique.  Intended
+    for moderate sizes (a few hundred cells).
     """
     n = chain.n_states
     g = gcd(chain.prices.p1, chain.prices.r2)

@@ -15,6 +15,7 @@ from karma_routing import (ArcCostModel, PriceVector, Scenario,
                            settle, simulate_day, stationary_distribution,
                            system_optimum, thresholds)
 from karma_routing.agent import k_inf, k_rich, k_wealthy
+from karma_routing.simulation import run_optimum
 from karma_routing.wardrop import UNCONTROLLED
 
 from day_rule import fast_routes, integer_histogram
@@ -302,9 +303,10 @@ def test_11_property_suite():
     sc = replace(cfg.scenario(), n_agents=500, seed=3)
     pop = init_population(sc, cfg.prices())
     k_inf = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * cfg.prices().r2)
+    cost_star = run_optimum(sc, cfg.model(), 200)[1]
     floor_ok = True
     for _ in range(200):
-        simulate_day(pop, cfg.model(), cfg.prices())
+        simulate_day(pop, cfg.model(), cfg.prices(), cost_star)
         floor_ok &= bool(np.all(pop.k >= k_inf - 1e-12))
     notes.append(f"karma floor {floor_ok}")
 

@@ -248,6 +248,25 @@ class TestPlanOracle:
             plan_oracle(AgentState(k_inf - 1e-6, k_ref, 1.0), (1.0, 2.0), p, t,
                         SBAR)
 
+    @settings(max_examples=500, deadline=None)
+    @given(p1=st.integers(1, 30), r2=st.integers(1, 30), t=st.integers(1, 12),
+           above=st.floats(0.0, 2.0 ** 40, exclude_min=True),
+           ulps=st.integers(-8, 8))
+    def test_plan_exists_at_the_library_floor(self, p1, r2, t, above, ulps):
+        # within 8 ulps of k_inf: karma that passes `check_floor` always has
+        # a plan (a few ulps below k_inf the oracle may find one as well)
+        p = PriceVector(p1, r2)
+        k_ref = (t + 1) * r2 + above  # k_inf = k_ref - (T+1)*r2 > 0
+        floor = float(k_inf(k_ref, p, t))
+        k = floor
+        for _ in range(abs(ulps)):
+            k = np.nextafter(k, np.inf if ulps > 0 else -np.inf)
+        try:
+            check_floor(k, floor)
+        except InfeasibleKarmaError:
+            return
+        plan_oracle(AgentState(float(k), k_ref, 1.0), (1.0, 2.0), p, t, SBAR)
+
     def test_matches_rule_on_random_instances(self):
         # compact version of the acceptance sweep: the oracle per instance,
         # the rule once per (prices, horizon) group with d1 < d2; with

@@ -273,6 +273,38 @@ class TestCli:
         for name in ("run.csv", "summary.json", "config.ini"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
 
+    def test_edited_preset_config_rejected(self, tmp_path, capsys):
+        # its summary.json would name fig3 for flows that fig3 does not give
+        path = tmp_path / "edited.ini"
+        path.write_text("[scenario]\np_home = 0.3\n[run]\npreset = fig3\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--days", "3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: p_home = 0.3 differs from "
+                              "preset fig3's 0.05"), err
+        assert not out.exists()
+        # one edited value in a preset run's own file is named
+        first = tmp_path / "first"
+        assert main(["run", "--preset", "fig3", "--days", "3",
+                     "--out", str(first)]) == 0
+        text = (first / "config.ini").read_text()
+        for old, new, name in (("r2 = 14", "r2 = 13", "r2"),
+                               ("alpha = 0.15", "alpha = 0.2", "alpha"),
+                               ("price_mode = fixed", "price_mode = design",
+                                "price_mode")):
+            path.write_text(text.replace(old, new))
+            with pytest.raises(ValueError, match=f"{path}: {name} = "):
+                RunConfig.from_ini(path)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5", "fig6"])
+    def test_preset_config_loads_with_its_own_seed_and_days(self, name,
+                                                             tmp_path):
+        cfg = replace(get_preset(name), seed=7, days=9)
+        cfg.to_ini(tmp_path / "c.ini")
+        loaded = RunConfig.from_ini(tmp_path / "c.ini")
+        assert loaded == cfg and loaded.preset == name
+
     def test_run_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from karma_routing import ArcCostModel, Scenario, SensitivitySpec, balanced_flow, system_optimum
+from karma_routing import (ArcCostModel, PriceVector, RunConfig, Scenario,
+                           SensitivitySpec, balanced_flow, build_chain,
+                           system_optimum)
 from karma_routing.network import SOCIETAL_FLOW, as_flow
 
 BPR = ArcCostModel()  # d0=(1,2), kappa=(1/2,2/3), alpha=0.15, beta=4
@@ -312,3 +314,19 @@ class TestValidation:
         sc = Scenario(p_home=0.05, horizon=6, n_agents=10, sensitivity=sens,
                       k_init=(0, 10), k_ref_init=(0, 10))
         assert sc.p_go == pytest.approx(0.95)
+
+    @pytest.mark.parametrize("p_home", [1.0, 1.5, float("nan"), -0.1])
+    def test_demand_rule(self, p_home):
+        # p_home in [0, 1): with nobody traveling there is no optimum, no
+        # conserving price and no unique chain fixed point
+        sens = SensitivitySpec.exponential(1.0)
+        with pytest.raises(ValueError, match="p_home"):
+            Scenario(p_home=p_home, horizon=6, n_agents=10, sensitivity=sens,
+                     k_init=(0, 10), k_ref_init=(0, 10))
+        with pytest.raises(ValueError, match="p_home"):
+            build_chain(PriceVector(2, 3), 3, p_home, sens)
+        with pytest.raises(ValueError, match="p_home"):
+            RunConfig(p_home=p_home).validate()
+        last = np.nextafter(1.0, 0.0)  # the largest p_home that passes
+        assert build_chain(PriceVector(2, 3), 3, last, sens).p_go > 0
+        assert RunConfig(p_home=last).validate().p_home == last

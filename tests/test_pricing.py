@@ -10,24 +10,22 @@ from karma_routing.pricing import design_prices
 
 from day_rule import fast_routes
 
-BAD_RATIOS = [(float("nan"), 1.0), (-1.0, 2.0), (1.0, 0.0),
-              (float("inf"), 1.0)]  # NaN, negative, zero r2, infinite
+BAD_RATIOS = [float("nan"), -1.0, 0.0, float("inf")]
 
 
 class TestConservationPrices:
     def test_symmetric_flow_gives_unit_ratio(self):
-        p1, r2 = conservation_prices([0.5, 0.5])
-        assert p1 == pytest.approx(1.0)
-        assert r2 == 1.0
+        assert conservation_prices([0.5, 0.5]) == 1.0
 
     def test_ratio_value(self):
-        p1, r2 = conservation_prices([0.56, 0.39])
-        assert p1 / r2 == pytest.approx(0.39 / 0.56)
+        rho = conservation_prices([0.56, 0.39])
+        assert type(rho) is float and rho == pytest.approx(0.39 / 0.56)
 
     def test_exact_conservation(self):
+        # (p1, r2) = (rho, 1) moves no karma at x
         x = np.array([0.61, 0.34])
-        p1, r2 = conservation_prices(x)
-        assert p1 * x[0] - r2 * x[1] == pytest.approx(0.0, abs=1e-15)
+        rho = conservation_prices(x)
+        assert rho * x[0] - x[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_degenerate_flow_rejected(self):
         with pytest.raises(DegenerateOptimumError):
@@ -50,7 +48,7 @@ class TestRationalizePrices:
             == PriceVector(10, 10)
 
     def test_exact_ratio_keeps_the_max_price_scale(self):
-        pv = rationalize_prices((1.0, 2.0), 10, 6)  # p1/r2 = 1/2 exactly
+        pv = rationalize_prices(0.5, 10, 6)  # p1/r2 = 1/2 exactly
         assert (pv.p1, pv.r2) == (5, 10)
 
     def test_slow_route_majority_pins_toll(self):
@@ -69,9 +67,10 @@ class TestRationalizePrices:
 
     def test_max_price_validation(self):
         with pytest.raises(ValueError):
-            rationalize_prices((1.0, 1.0), 1, 6)
+            rationalize_prices(1.0, 1, 6)
 
-    @pytest.mark.parametrize("ratio", BAD_RATIOS)
+    @pytest.mark.parametrize("ratio", BAD_RATIOS,
+                             ids=[f"ratio{i}" for i in range(len(BAD_RATIOS))])
     def test_bad_ratio_rejected(self, ratio):
         with pytest.raises(ValueError, match="p1/r2"):
             rationalize_prices(ratio, 10, 6)
@@ -79,7 +78,7 @@ class TestRationalizePrices:
     def test_horizon_validated(self):
         for horizon in (0, -1, 2.5, True):
             with pytest.raises(ValueError, match="horizon"):
-                rationalize_prices((1.0, 1.0), 10, horizon)
+                rationalize_prices(1.0, 10, horizon)
 
 
 class TestPriceVector:
@@ -115,8 +114,8 @@ class TestDesignPrices:
         # c(x) = x splits the demand exactly evenly; the ratio is exactly 1
         # and the designed prices stay (m, m)
         cfg = get_preset("fig6")
-        _, ratio, prices = design_prices(cfg.model(), 0.95, 177, 12)
-        assert ratio == (1.0, 1.0) and prices == PriceVector(177, 177)
+        _, rho, prices = design_prices(cfg.model(), 0.95, 177, 12)
+        assert rho == 1.0 and prices == PriceVector(177, 177)
 
     @pytest.mark.parametrize("p_go", [0.4, 0.8, 0.95])
     def test_flow_cost_design_keeps_max_price(self, p_go):

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from karma_routing import (ArcCostModel, DayRecord, InfeasibleKarmaError,
                            PriceVector, Scenario, SensitivitySpec,
                            compute_metrics, get_preset, init_population,
-                           run_scenario, settle, simulate_day, thresholds,
-                           wardrop_equilibrium)
+                           run_scenario, settle, simulate_day,
+                           system_optimum, thresholds, wardrop_equilibrium)
 import karma_routing
 from karma_routing import simulation
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
@@ -24,6 +24,8 @@ from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
+# cost* at the demand 0.95 of `scenario()` and fig3, whose model is BPR
+COST_STAR = BPR.societal_cost(system_optimum(BPR, 0.95))
 HOME = 0  # route code of an agent at home, beside ARC1 and ARC2
 
 
@@ -65,21 +67,11 @@ class TestInitPopulation:
 
 
 class TestSimulateDay:
-    def test_everyone_home(self):
-        sc = scenario(p_home=1.0)
-        pop = init_population(sc, PriceVector(10, 14))
-        k_before = pop.k.copy()
-        rec = simulate_day(pop, BPR, PriceVector(10, 14))
-        assert rec.x1 == 0.0 and rec.x2 == 0.0
-        assert rec.cost == 0.0
-        assert rec.delta_d is None and rec.delta_s is None
-        assert np.array_equal(pop.k, k_before)
-
     def test_wealthy_start_is_uncontrolled(self):
         # plentiful karma floods the fast route until discomforts equalize
         sc = scenario(seed=1, n_agents=1000)
         pop = init_population(sc, PriceVector(10, 14))
-        rec = simulate_day(pop, BPR, PriceVector(10, 14))
+        rec = simulate_day(pop, BPR, PriceVector(10, 14), COST_STAR)
         assert rec.regime == UNCONTROLLED
         assert rec.x1 == pytest.approx(0.80, abs=0.02)
 
@@ -87,7 +79,7 @@ class TestSimulateDay:
         sc = scenario(seed=3)
         pop = init_population(sc, PriceVector(10, 14))
         for _ in range(10):
-            rec = simulate_day(pop, BPR, PriceVector(10, 14))
+            rec = simulate_day(pop, BPR, PriceVector(10, 14), COST_STAR)
             total = rec.x1 + rec.x2
             assert 0.0 <= total <= 1.0
             assert round(total * sc.n_agents) == pytest.approx(
@@ -111,7 +103,7 @@ class TestRunScenario:
         pop = init_population(sc, p)
         k_inf = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
         for _ in range(150):
-            simulate_day(pop, BPR, p)
+            simulate_day(pop, BPR, p, COST_STAR)
             assert np.all(pop.k >= k_inf - 1e-12)
 
     def test_fast_route_always_affordable(self):
@@ -160,7 +152,7 @@ class TestRunScenario:
         uncontrolled = 0
         for _ in range(400):
             k_before = pop.k.copy()
-            rec = simulate_day(pop, cfg.model(), p)
+            rec = simulate_day(pop, cfg.model(), p, COST_STAR)
             if rec.regime != UNCONTROLLED:
                 continue
             uncontrolled += 1
@@ -179,18 +171,6 @@ class TestRunScenario:
         assert res.summary["days"] == 25
         assert res.summary["tail_days"] == 5
         assert res.karma_hist.sum() == pytest.approx(100)
-
-    def test_everyone_home_run(self):
-        # no demand: no optimum to compare against, and no day's metrics
-        res = run_scenario(scenario(p_home=1.0), BPR, PriceVector(10, 14), 4)
-        assert res.x_star.tolist() == [0.0, 0.0] and res.cost_star == 0.0
-        for rec in res.records:
-            assert rec.regime == CONTROLLED
-            assert (rec.x1, rec.x2, rec.cost) == (0.0, 0.0, 0.0)
-            assert np.isnan(rec.cost_opt_ratio)
-            assert rec.delta_d is None and rec.delta_s is None
-        assert res.summary["x_star"] == [0.0, 0.0]
-        assert res.summary["tail_mean_delta_d"] is None
 
     def test_rejects_zero_days(self):
         for days in (0, 2.5, True):
@@ -310,13 +290,14 @@ class TestDayInvariants:
     @given(run=small_runs())
     def test_ledger_balances_and_floor_holds(self, run):
         sc, model, p, days = run
+        cost_star = simulation.run_optimum(sc, model, days)[1]
         pop = init_population(sc, p)
         pop.k, pop.k_ref = np.floor(pop.k), np.floor(pop.k_ref)
         floor = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
         m = sc.n_agents
         for _ in range(days):
             k_before = pop.k.copy()
-            rec = simulate_day(pop, model, p)
+            rec = simulate_day(pop, model, p, cost_star)
             n1, n2 = round(rec.x1 * m), round(rec.x2 * m)
             # integer karma: the sums are exact, so the ledger balances exactly
             assert pop.k.sum() - k_before.sum() == p.r2 * n2 - p.p1 * n1
@@ -328,6 +309,7 @@ class TestDayInvariants:
     def test_routes_match_oracle(self, run):
         # each day's routes, read from the karma changes, against plan_oracle
         sc, model, p, days = run
+        cost_star = simulation.run_optimum(sc, model, days)[1]
         pop = init_population(sc, p)
         s_bar = sc.sensitivity.s_bar
         for _ in range(days):
@@ -335,7 +317,7 @@ class TestDayInvariants:
             draws = copy.deepcopy(pop.rng)  # simulate_day's draws, replayed
             traveling = draws.random(sc.n_agents) >= sc.p_home
             s = sc.sensitivity.sample(draws, sc.n_agents)
-            rec = simulate_day(pop, model, p)
+            rec = simulate_day(pop, model, p, cost_star)
             dk = pop.k - k_before
             route = np.select([np.abs(dk + p.p1) <= 1e-9,
                                np.abs(dk - p.r2) <= 1e-9, dk == 0.0],
@@ -352,7 +334,7 @@ class TestDayInvariants:
                     assert k_before[i] >= th.k_poor
 
 
-def day_by_hand(pop, model, p, cost_star=None):
+def day_by_hand(pop, model, p, cost_star):
     """The expected `simulate_day` record and karma from the public stages:
     the same draws, `thresholds` built fresh (so the cache is checked against
     a fresh build), `wardrop_equilibrium`, `settle` and `compute_metrics`."""
@@ -368,9 +350,8 @@ def day_by_hand(pop, model, p, cost_star=None):
     x = np.array([n1 / m, n2 / m])
     dd, ds, mk, cost = compute_metrics(fast, traveling, s, x, d, k, model,
                                        s_bar)
-    ratio = cost / cost_star if cost_star else float("nan")
-    record = DayRecord(pop.day, n1 / m, n2 / m, cost, ratio, dd, ds, mk,
-                       regime)
+    record = DayRecord(pop.day, n1 / m, n2 / m, cost, cost / cost_star, dd, ds,
+                       mk, regime)
     return record, k
 
 
@@ -407,12 +388,12 @@ class TestBreakpointCache:
         sc = scenario(k_init=(0.0, 5.0), k_ref_init=(150.0, 200.0))
         p = PriceVector(10, 14)
         pop = init_population(sc, p)
-        simulate_day(pop, BPR, p)  # builds the cache
+        simulate_day(pop, BPR, p, COST_STAR)  # builds the cache
         floor = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
         pop.k = pop.k.copy()
         pop.k[7] = floor[7] - 0.5
         with pytest.raises(InfeasibleKarmaError, match="agent 7"):
-            simulate_day(pop, BPR, p)
+            simulate_day(pop, BPR, p, COST_STAR)
 
 
 # absolute bound on delta_d and delta_s against the gathered sums of
