@@ -208,7 +208,10 @@ class RunConfig:
                                      f"is not {what}") from exc
         config = cls(**kwargs)
         if config.preset is not None:
-            pinned = apply_preset(config, config.preset)
+            try:
+                pinned = apply_preset(config, config.preset)
+            except ValueError as exc:  # an unknown preset name
+                raise ValueError(f"{path}: {exc}") from exc
             for name, value in asdict(config).items():
                 if value != getattr(pinned, name):
                     raise ValueError(

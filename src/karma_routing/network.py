@@ -22,8 +22,8 @@ SOCIETAL_DISCOMFORT = "discomfort"  # c(x) = d(x): cost is the sum of user costs
 SOCIETAL_FLOW = "flow"              # c(x) = x:    cost is quadratic in flow
 
 _FLOW_SLACK = 1e-9  # rounding allowed outside [0, 1] on a flow component
-# |h| at which a crossing stops: tight, so the floored fast count of a
-# balanced day keeps d1 <= d2 + 1e-9
+# |h| at which a crossing stops; it sets the last bits of x* and of the
+# balanced flow
 _CROSSING_TOL = 1e-9
 
 
@@ -200,10 +200,12 @@ def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     """Split of p_go where both routes have equal discomfort, or None.
 
     `_crossing` on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing
-    for monotone costs, to |d1 - d2| <= 1e-9.  It is the split every
-    uncontrolled day lands on (see `wardrop`).  Returns None when h keeps
-    one sign over the whole range (no crossing).  h reads the volume-delay
-    kernel that the day's equilibrium and `discomfort` read.
+    for monotone costs, to |d1 - d2| <= 1e-9.  An uncontrolled day lands on
+    this split in whole agents, but counts them exactly by an integer
+    search on the same kernel rather than from this float (see `wardrop`).
+    Returns None when h keeps one sign over the whole range (no crossing).
+    h reads the volume-delay kernel that the day's equilibrium and
+    `discomfort` read.
     """
     d1, d2 = model._volume_delay()
     x1 = _crossing(lambda t: d1(t) - d2(p_go - t), p_go)

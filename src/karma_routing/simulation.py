@@ -18,7 +18,7 @@ from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, check_count, system_optimum
 from .pricing import PriceVector
 from .sensitivity import UNIFORM
-from .wardrop import UNCONTROLLED, wardrop_equilibrium
+from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
 
 TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
 # bound on an exponential sensitivity in means: numpy's draws stay below 45
@@ -75,7 +75,12 @@ class DayRecord:
 
 @dataclass
 class RunResult:
-    """Per-day records plus the run's terminal karma histogram and context."""
+    """Per-day records plus the run's terminal karma histogram and context.
+
+    ``n_clamped_init`` counts the agents whose k(0) was raised to the
+    feasibility floor, ``n_clamped_final`` those whose final karma lies
+    outside the chain's range and sits in a boundary cell of ``karma_hist``.
+    """
 
     records: list[DayRecord]
     karma_hist: np.ndarray              # counts per karma-deviation cell
@@ -84,6 +89,7 @@ class RunResult:
     prices: PriceVector
     scenario: Scenario
     n_clamped_init: int = 0
+    n_clamped_final: int = 0
     summary: dict = field(default_factory=dict)
 
     def tail_records(self) -> list[DayRecord]:
@@ -102,6 +108,7 @@ class RunResult:
             "seed": self.scenario.seed,
             "n_agents": self.scenario.n_agents,
             "n_clamped_init": self.n_clamped_init,
+            "n_clamped_final": self.n_clamped_final,
             "tail_mean_flows": [float(np.mean([r.x1 for r in tail])),
                                 float(np.mean([r.x2 for r in tail]))],
             "tail_mean_cost": float(np.mean([r.cost for r in tail])),
@@ -112,6 +119,8 @@ class RunResult:
             "final_mean_karma": self.records[-1].mean_karma,
             "uncontrolled_days": sum(r.regime == UNCONTROLLED
                                      for r in self.records),
+            "first_controlled_day": next((r.day for r in self.records
+                                          if r.regime == CONTROLLED), None),
         }
         return self.summary
 
@@ -280,11 +289,13 @@ def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
     pop = init_population(scenario, p)
     x_star, cost_star = run_optimum(scenario, model, days)
     records = [simulate_day(pop, model, p, cost_star) for _ in range(days)]
-    hist, _ = quantize_population(pop.k, pop.k_ref, p, scenario.horizon)
+    hist, n_clamped = quantize_population(pop.k, pop.k_ref, p,
+                                          scenario.horizon)
     result = RunResult(records=records,
                        karma_hist=hist * scenario.n_agents,
                        x_star=x_star, cost_star=cost_star, prices=p,
                        scenario=scenario,
-                       n_clamped_init=pop.n_clamped_init)
+                       n_clamped_init=pop.n_clamped_init,
+                       n_clamped_final=n_clamped)
     result.compute_summary()
     return result

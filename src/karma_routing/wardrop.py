@@ -7,11 +7,13 @@ iteration:
 1. One sweep of the d1 < d2 rule over the travelers.  If d1 < d2 still holds
    at the resulting flows, they reproduce themselves: the day is
    ``CONTROLLED``.
-2. Otherwise the equilibrium sits at the balanced flow (equal discomforts),
-   realized by splitting the indifferent travelers with a fixed priority by
-   agent index: the day is ``UNCONTROLLED``.  The split is always feasible,
-   because the travelers the d1 < d2 rule sent fast are a subset of the
-   indifferent ones and already overload the fast route.
+2. Otherwise the equilibrium sits at the balanced flow (equal discomforts)
+   in whole agents: the fast count is the largest one, at most the sweep's,
+   with d1 <= d2, found by bisection on the integer count (d1 - d2 rises
+   with it).  It is realized by splitting the indifferent travelers with a
+   fixed priority by agent index: the day is ``UNCONTROLLED``.  The split
+   is always feasible, because the travelers the d1 < d2 rule sent fast are
+   a subset of the indifferent ones and already overload the fast route.
 3. If no balanced flow exists (d1 >= d2 even with an empty fast route),
    every traveler takes the slow route, which is ``CONTROLLED``.
 
@@ -19,15 +21,15 @@ Selection rule: a population can admit both a controlled and a balanced-flow
 equilibrium.  The controlled one is chosen whenever it exists, so the result
 depends only on today's population, never on an initial guess.
 
-Split rule: at the balanced flow every indifferent traveler (k >= k_poor)
-is equally well off on either route, so any split of them is an
-equilibrium.  The rule is a fixed priority by agent index: the
-lowest-index indifferent travelers go fast.  Agents are drawn i.i.d., so
-the priority is a fixed random one, and the same agents pay p1 on every
-uncontrolled day until they fall below k_poor.  That sets how long a
-karma-rich transient lasts: ``fig3`` at M = 1000, seed 0, k(0) ~
-U[2000, 4000] has 255 uncontrolled days in 500 under this rule and 383
-under a daily lottery.  A lottery would be a declared output change and
+Split rule: at the balanced count every indifferent traveler (k >= k_poor)
+is as well off on either route as whole agents allow (d1 <= d2 there, and
+d1 >= d2 one fast traveler later), so any split of them is an equilibrium.
+The rule is a fixed priority by agent index: the lowest-index indifferent
+travelers go fast.  Agents are drawn i.i.d., so the priority is a fixed
+random one, and the same agents pay p1 on every uncontrolled day until they
+fall below k_poor.  That sets how long a karma-rich transient lasts:
+``fig3`` at M = 1000, seed 0, k(0) ~ U[2000, 4000] has 255 uncontrolled
+days in 500 under this rule and 383 under a daily lottery.  A lottery would be a declared output change and
 would need an RNG stream of its own.
 
 `wardrop_equilibrium` computes it as one pass of boolean masks over all
@@ -37,12 +39,10 @@ agents, read against per-agent breakpoints built beforehand by
 
 from __future__ import annotations
 
-from math import floor
-
 import numpy as np
 
 from .agent import Thresholds, check_floor, fast_mask
-from .network import ArcCostModel, balanced_flow
+from .network import ArcCostModel
 from .pricing import PriceVector
 
 CONTROLLED = "controlled"      # best-response fixed point with d1 < d2
@@ -79,8 +79,9 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     ``th`` holds their breakpoints, ``thresholds(k_ref, p, T)``.  Returns
     (fast, n1, n2, regime, d): the fast-route mask, the fast and slow counts,
     the regime, and the float pair d = d(n1 / M, n2 / M).  On an
-    uncontrolled day n1 is the balanced split's ``n_fast`` by construction,
-    and on the no-crossing day it is 0; neither recounts the mask.  Raises
+    uncontrolled day n1 is the largest count up to the sweep's with
+    d[0] <= d[1], which the balanced split takes as its ``n_fast``; on the
+    no-crossing day it is 0.  Neither recounts the mask.  Raises
     InfeasibleKarmaError if an agent is below its feasibility floor.
     """
     check_floor(k, th.k_inf)
@@ -93,16 +94,20 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     if n_travel == 0 or d[0] < d[1]:
         return fast, n1, n_travel - n1, CONTROLLED, d
 
-    x_bal = balanced_flow(model, n_travel / m)
-    if x_bal is None:
+    if d1(0.0) >= d2(n_travel / m):
         # d1 >= d2 even on an empty fast route: the slow route dominates
         fast, n1, regime = np.zeros(m, dtype=bool), 0, CONTROLLED
     else:
-        regime = UNCONTROLLED
-        # the count rounds down so the fast route never ends up the more
-        # congested one, and stays within the sweep's n1, which overloads it
-        # already: the bisection may stop just past the true crossing
-        n1 = min(floor(float(x_bal[0]) * m + 1e-9), n1)
+        # the largest count in [0, n1] with d1 <= d2; d1 - d2 rises with
+        # the count, 0 keeps d1 < d2 and the sweep's n1 has d1 >= d2
+        lo, hi = 0, n1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if d1(mid / m) <= d2((n_travel - mid) / m):
+                lo = mid
+            else:
+                hi = mid - 1
+        n1, regime = lo, UNCONTROLLED
         fast = _balanced_split(k, traveling, th.k_poor, n1)
     d = (d1(n1 / m), d2((n_travel - n1) / m))
     return fast, n1, n_travel - n1, regime, d

@@ -11,7 +11,9 @@ none of its algorithm:
 - `stationary_distribution_dense` solves (A - I)P = 0 densely on that A,
   against the class-cycle solve of `stationary_distribution`;
 - `day_metrics_oracle` sums the day's metrics over the gathered travelers,
-  against the per-route sums of `compute_metrics`.
+  against the per-route sums of `compute_metrics`;
+- `balanced_count_oracle` scans every fast count of an uncontrolled day,
+  against the integer bisection of `wardrop_equilibrium`.
 """
 
 from __future__ import annotations
@@ -151,3 +153,14 @@ def day_metrics_oracle(fast, traveling, s, x, d, k, model, s_bar):
     delta_d = float(d_taken.sum() / weight)
     delta_s = float(s_dev.sum() / (k.size * s_bar))
     return delta_d, delta_s, mean_karma, cost
+
+
+def balanced_count_oracle(model, m: int, n_travel: int, n_sweep: int) -> int:
+    """The largest fast count n in [0, n_sweep] with d1(n / m) <= d2((n_travel
+    - n) / m) under ``model``, by a scan of every n; -1 if none has it."""
+    best = -1
+    for n in range(n_sweep + 1):
+        d = model.discomfort([n / m, (n_travel - n) / m])
+        if d[0] <= d[1]:
+            best = n
+    return best

@@ -297,6 +297,19 @@ class TestCli:
             with pytest.raises(ValueError, match=f"{path}: {name} = "):
                 RunConfig.from_ini(path)
 
+    def test_unknown_preset_in_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "fig7.ini"
+        path.write_text("[run]\npreset = fig7\n")
+        with pytest.raises(ValueError) as err:
+            RunConfig.from_ini(path)
+        assert str(err.value).startswith(f"{path}: unknown preset 'fig7'; "
+                                         "available: fig3, fig5, fig6")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: unknown preset 'fig7'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["fig3", "fig5", "fig6"])
     def test_preset_config_loads_with_its_own_seed_and_days(self, name,
                                                              tmp_path):

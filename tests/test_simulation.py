@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from karma_routing import (ArcCostModel, DayRecord, InfeasibleKarmaError,
                            PriceVector, Scenario, SensitivitySpec,
                            compute_metrics, get_preset, init_population,
-                           run_scenario, settle, simulate_day,
-                           system_optimum, thresholds, wardrop_equilibrium)
+                           quantize_population, run_scenario, settle,
+                           simulate_day, system_optimum, thresholds,
+                           wardrop_equilibrium)
 import karma_routing
 from karma_routing import simulation
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
@@ -149,10 +150,11 @@ class TestRunScenario:
         p = cfg.prices()
         pop = init_population(cfg.scenario(), p)
         k_poor = pop.breakpoints(p).k_poor
-        uncontrolled = 0
+        uncontrolled, regimes = 0, []
         for _ in range(400):
             k_before = pop.k.copy()
             rec = simulate_day(pop, cfg.model(), p, COST_STAR)
+            regimes.append(rec.regime)
             if rec.regime != UNCONTROLLED:
                 continue
             uncontrolled += 1
@@ -162,6 +164,29 @@ class TestRunScenario:
             assert fast.size and indifferent_slow.size
             assert fast.max() < indifferent_slow.min()
         assert uncontrolled >= 200
+        # the run's summary names the first day whose regime is controlled
+        res = run_scenario(cfg.scenario(), cfg.model(), p, 400)
+        assert [r.regime for r in res.records] == regimes
+        first = res.summary["first_controlled_day"]
+        assert 0 < first == regimes.index(CONTROLLED)
+        assert set(regimes[:first]) == {UNCONTROLLED}
+
+    def test_rich_start_summary(self):
+        # 20 days of a rich start: no day is controlled, and the final
+        # histogram clamps the agents whose karma has not drained into the
+        # chain's range; the clamp count is the one of the final population
+        cfg = replace(get_preset("fig3"), n_agents=300, k_init_low=2000.0,
+                      k_init_high=4000.0)
+        p = cfg.prices()
+        res = run_scenario(cfg.scenario(), cfg.model(), p, 20)
+        assert {r.regime for r in res.records} == {UNCONTROLLED}
+        assert res.summary["first_controlled_day"] is None
+        pop = init_population(cfg.scenario(), p)
+        for _ in range(20):
+            simulate_day(pop, cfg.model(), p, res.cost_star)
+        clamped = quantize_population(pop.k, pop.k_ref, p, cfg.horizon)[1]
+        assert res.n_clamped_final == res.summary["n_clamped_final"] \
+            == clamped > 0
 
     def test_day_count_and_summary(self):
         sc = scenario(n_agents=100)

@@ -14,7 +14,8 @@ from karma_routing import simulation
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
 from day_rule import fast_routes
-from oracles import ARC1, ARC2, AgentState, plan_oracle
+from oracles import (ARC1, ARC2, AgentState, balanced_count_oracle,
+                     plan_oracle)
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec.exponential(1.0)
@@ -114,8 +115,9 @@ class TestWardropEquilibrium:
 
     @pytest.mark.parametrize("p_home", [0.0, 0.05, 0.2])
     def test_floored_balanced_count_brackets_the_crossing(self, p_home):
-        # d1 <= d2 at the floored fast count, d1 >= d2 one agent later, both
-        # from the volume-delay kernel that gives the day's d
+        # d1 <= d2 at the fast count, d1 > d2 one agent later, both from the
+        # volume-delay kernel that gives the day's d; on generic data the
+        # count is also the float balanced flow floored to whole agents
         m = 10_000
         rng = np.random.default_rng(12)
         k, k_ref = population(rng, m, 2000.0, 4000.0)
@@ -127,10 +129,10 @@ class TestWardropEquilibrium:
         n_travel = n + n_slow
         assert [type(v) for v in d] == [float, float]
         assert list(d) == BPR.discomfort([n / m, n_slow / m]).tolist()
-        assert d[0] <= d[1] + 1e-9
+        assert d[0] <= d[1]
         if n + 1 <= n_travel:
             d_next = BPR.discomfort([(n + 1) / m, (n_slow - 1) / m])
-            assert d_next[0] >= d_next[1] - 1e-9
+            assert d_next[0] > d_next[1]
         assert n == floor(balanced_flow(BPR, n_travel / m)[0] * m + 1e-9)
 
     def test_all_poor_immediate(self):
@@ -185,7 +187,7 @@ class TestWardropEquilibrium:
             traveling = rng.random(m) >= 0.05
             _, x, _ = solve(k, k_ref, s, traveling)
             d = BPR.discomfort(x)
-            assert d[0] <= d[1] + 1e-6
+            assert d[0] <= d[1]
 
     def test_equals_one_sweep_when_it_keeps_d1_less(self):
         # controlled days are exactly one d1 < d2 sweep; the others are not
@@ -236,23 +238,42 @@ class TestWardropEquilibrium:
         assert np.all(fast[:n_fast])
         assert not np.any(fast[n_fast:])
 
-    def test_balanced_count_capped_at_the_sweep(self):
-        # a nearly flat model: the bisection stops at |d1 - d2| <= 1e-9 on a
-        # share of 0.46, right of the true crossing at 0.45, while the
-        # sweep sends only the 460 karma-rich travelers fast
-        model = ArcCostModel(d0=(1.0, 1.0 - 2e-10), kappa=(0.5, 0.5),
-                             alpha=1e-9, beta=1.0)
+    # a nearly flat model whose d1 - d2 crosses 0 exactly at a share of
+    # 0.45, where d1 = d2 to the bit; d1 - d2 is 4.0e-12 one agent later
+    FLAT = ArcCostModel(d0=(1.0, 1.0 - 2e-10), kappa=(0.5, 0.5), alpha=1e-9,
+                        beta=1.0)
+
+    def flat_day(self, n_rich):
+        """The day of 1000 travelers under FLAT whose first ``n_rich`` are
+        wealthy (fast in the sweep) and the rest poor (slow)."""
         p, m = PriceVector(10, 14), 1000
-        k = np.where(np.arange(m) < 460, 1000.0, 20.0)
+        k = np.where(np.arange(m) < n_rich, 1000.0, 20.0)
         s = np.random.default_rng(0).exponential(1.0, m)
         traveling = np.ones(m, dtype=bool)
-        fast, n1, _, regime, d = wardrop_equilibrium(
-            k, s, traveling, thresholds(np.full(m, 100.0), p, 6), model, p,
-            1.0)
+        return wardrop_equilibrium(
+            k, s, traveling, thresholds(np.full(m, 100.0), p, 6), self.FLAT,
+            p, 1.0)
+
+    def test_balanced_count_capped_at_the_sweep(self):
+        # the sweep sends the 460 karma-rich travelers fast; the day keeps
+        # the first 450 of them, where d1 = d2, and not 451, where d1 > d2
+        fast, n1, _, regime, d = self.flat_day(460)
         assert regime == UNCONTROLLED
-        assert n1 == np.count_nonzero(fast) == np.count_nonzero(fast[:460]) \
-            == 460
-        assert d[0] - d[1] <= 1e-9
+        assert n1 == np.count_nonzero(fast) == np.count_nonzero(fast[:450]) \
+            == 450
+        assert d[0] <= d[1]
+        d1, d2 = self.FLAT._volume_delay()
+        assert d1(451 / 1000) > d2(549 / 1000)
+
+    def test_balanced_count_keeps_the_whole_sweep_at_a_tie(self):
+        # the sweep sends exactly 450 travelers fast, where d1 = d2 to the
+        # bit: d1 < d2 fails, so the day is uncontrolled, and the count,
+        # capped at the sweep's, keeps all 450
+        fast, n1, _, regime, d = self.flat_day(450)
+        assert d[0] == d[1]
+        assert regime == UNCONTROLLED
+        assert n1 == np.count_nonzero(fast) == np.count_nonzero(fast[:450]) \
+            == 450
 
     def test_uncontrolled_count_is_the_masks_on_a_rich_start(self,
                                                             monkeypatch):
@@ -396,7 +417,7 @@ class TestEquilibriumProperties:
         x = np.array([n1, n2]) / m
         d = model.discomfort(x)
         assert np.array_equal(d_eq, d)
-        assert x[0] == 0.0 or d[0] <= d[1] + 1e-9
+        assert x[0] == 0.0 or d[0] <= d[1]
 
         # regime: controlled exactly when the d1 < d2 sweep keeps d1 < d2,
         # or when no balanced flow exists (the sweep's order comes from BPR)
@@ -418,3 +439,62 @@ class TestEquilibriumProperties:
                 # equal discomforts: any feasible route is optimal, and the
                 # fast route is feasible exactly from k_poor up
                 assert k[i] >= thresholds(k_ref[i], p, horizon).k_poor
+
+
+@st.composite
+def rich_days(draw):
+    """A day whose travelers are mostly karma-rich, under a random model.
+
+    A drawn share of the agents holds thousands of karma, the rest at most
+    200, so the d1 < d2 sweep sends many or all travelers fast and most
+    days are uncontrolled; the model draws d0, kappa, alpha and beta.
+    """
+    p = PriceVector(draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    horizon = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 400))
+    p_home = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    rich_share = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    # route 1 is the cheaper one when empty, as on the presets
+    d0_1 = draw(st.floats(0.2, 2.0))
+    model = ArcCostModel(d0=(d0_1, d0_1 * draw(st.floats(1.0, 3.0))),
+                         kappa=(draw(st.floats(0.1, 1.0)),
+                                draw(st.floats(0.1, 1.0))),
+                         alpha=draw(st.floats(0.0, 1.0)),
+                         beta=draw(st.floats(1.0, 6.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_ref = rng.uniform(0.0, 100.0, m)
+    k = np.where(rng.random(m) < rich_share, rng.uniform(2000.0, 4000.0, m),
+                 rng.uniform(0.0, 200.0, m))
+    k = np.maximum(k, np.maximum(0.0, k_ref - (horizon + 1) * p.r2))
+    s = rng.exponential(1.0, m)
+    traveling = rng.random(m) >= p_home
+    return k, k_ref, s, traveling, model, p, horizon
+
+
+class TestBalancedCount:
+    @settings(max_examples=150, deadline=None)
+    @given(day=rich_days())
+    def test_uncontrolled_count_matches_a_linear_scan(self, day):
+        # on every day that fails the sweep: uncontrolled with the oracle's
+        # count, or all slow when d1 >= d2 even on an empty fast route
+        k, k_ref, s, traveling, model, p, horizon = day
+        m = k.size
+        th = thresholds(k_ref, p, horizon)
+        n_sweep = int(np.count_nonzero(fast_routes(k, s, th, 1.0, p)
+                                       & traveling))
+        n_travel = int(np.count_nonzero(traveling))
+        fast, n1, n2, regime, d = wardrop_equilibrium(
+            k, s, traveling, th, model, p, 1.0)
+        d_sweep = model.discomfort([n_sweep / m, (n_travel - n_sweep) / m])
+        if n_travel == 0 or d_sweep[0] < d_sweep[1]:
+            assert regime == CONTROLLED and n1 == n_sweep
+            return
+        if regime == UNCONTROLLED:
+            assert n1 == np.count_nonzero(fast) \
+                == balanced_count_oracle(model, m, n_travel, n_sweep)
+            assert d[0] <= d[1]
+        else:
+            # d1 >= d2 on an empty fast route (equal constant costs too)
+            assert n1 == 0 and not fast.any()
+            assert d[0] >= d[1]
+        assert n1 + n2 == n_travel
