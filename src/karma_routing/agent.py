@@ -48,39 +48,18 @@ def k_inf(k_ref, p: PriceVector, horizon: int):
 def k_poor(k_ref, p: PriceVector, horizon: int):
     """Below it the agent must take the slow route (toll or reference binds).
 
-    The least float k >= p1 at which the budget constraint
-    k - k_ref - p1 + T*r2 >= 0 holds, evaluated left to right as the
-    enumeration oracle in `tests/oracles.py` does.  Karma that moves in
-    integer steps from k_inf lands on this boundary exactly, and the closed
-    form k_ref + p1 - T*r2 can miss it by rounding.  Where it does, the
-    boundary is found by bisection over the floats within 4 ulps (at the
-    operands' scale) of the closed form; the constraint's own rounding error
-    is below 2 of them.
+    The least float at or above max(p1, k_ref + p1 - T*r2), the exact
+    boundary of the toll and of the budget constraint
+    k - k_ref - p1 + T*r2 >= 0.  A float below 2**53 minus an integer no
+    larger than it is exact, so with the integer shift = p1 - T*r2 the sum
+    k_ref + shift is exact above p1 unless shift > 0.  Then it can round
+    down, which the exact k - shift < k_ref detects, and the boundary is
+    one ulp up.
     """
-    k_ref = np.asarray(k_ref, dtype=float)
-    toll = float(p.p1)
-
-    def affordable(k, ref):
-        return k - ref - p.p1 + horizon * p.r2 >= 0
-
-    k = np.maximum(toll, k_ref + (p.p1 - horizon * p.r2)).reshape(-1)
-    ref = k_ref.reshape(-1)
-    below = np.nextafter(k, -np.inf)
-    off = np.flatnonzero(~affordable(k, ref)
-                         | ((below >= toll) & affordable(below, ref)))
-    if off.size:
-        ref = ref[off]
-        ulps = 4 * np.spacing(ref + 2 * p.p1 + horizon * p.r2)
-        # positive floats order like their int64 bit patterns
-        lo = np.maximum(toll, k[off] - ulps).view(np.int64)
-        hi = (k[off] + ulps).view(np.int64)
-        while np.any(lo < hi):
-            mid = lo + (hi - lo) // 2
-            ok = affordable(mid.view(float), ref)
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid + 1)
-        k[off] = hi.view(float)
-    return k.reshape(k_ref.shape)[()]
+    shift = p.p1 - horizon * p.r2
+    k = np.asarray(k_ref, dtype=float) + shift
+    k = np.where(k - shift < k_ref, np.nextafter(k, np.inf), k)
+    return np.maximum(p.p1, k)[()]
 
 
 def k_rich(k_ref, p: PriceVector, horizon: int):
@@ -96,15 +75,16 @@ def k_wealthy(k_ref, p: PriceVector, horizon: int):
 def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
     """The four karma breakpoints for a given reference level and prices.
 
-    Raises ValueError unless horizon is an integer >= 1, or if any k_ref is
-    negative, infinite or NaN: below a zero reference the rule could send an
-    agent fast that cannot pay p1, and an infinite one has no breakpoints.
+    Raises ValueError unless horizon is an integer >= 1 and every k_ref lies
+    in [0, 2**53): below zero the rule could send an agent fast that cannot
+    pay p1, and from 2**53 on `k_poor` is not exact.
     """
     check_count("horizon", horizon)
     ref = np.asarray(k_ref, dtype=float)
-    bad = ~((ref >= 0) & (ref < np.inf))
+    bad = ~((ref >= 0) & (ref < 2.0 ** 53))
     if bad.any():
-        raise ValueError(f"k_ref must be finite and >= 0, got {ref[bad][0]}")
+        raise ValueError(
+            f"k_ref must be finite, >= 0 and < 2**53, got {ref[bad][0]}")
     return Thresholds(
         k_inf=k_inf(k_ref, p, horizon),
         k_poor=k_poor(k_ref, p, horizon),

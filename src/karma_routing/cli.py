@@ -51,6 +51,8 @@ def _resolve_config(args) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
+    if overrides.get("max_price", config.max_price) != config.max_price:
+        overrides["preset"] = None  # a preset pins max_price
     if overrides:
         config = replace(config, **overrides)
     return config.validate()

@@ -128,8 +128,7 @@ class RunConfig:
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
         check_count("days", self.days)
-        if self.preset is not None:
-            get_preset(self.preset)
+        self._check_preset()
         # the scenario's checks (p_home in [0, 1) among them) and the run's
         # optimum, which also bounds its daily numbers
         run_optimum(self.scenario(), self.model(), self.days)
@@ -145,6 +144,17 @@ class RunConfig:
                 # a run needs the designed prices to exist
                 raise ValueError(f"price_mode = design: {exc}") from exc
         return self
+
+    def _check_preset(self) -> None:
+        """A config named for a preset holds its value in every pinned field."""
+        if self.preset is None:
+            return
+        pinned = asdict(apply_preset(self, self.preset))
+        for name, value in asdict(self).items():
+            if value != pinned[name]:
+                raise ValueError(f"{name} = {value!r} differs from preset "
+                                 f"{self.preset}'s {pinned[name]!r}; a preset "
+                                 "pins every field but seed and days")
 
     # -- INI round-trip ----------------------------------------------------
 
@@ -173,8 +183,8 @@ class RunConfig:
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
         """The config ``path`` holds.  Its values are checked by `validate`,
-        which the CLI calls once its own flags (such as ``--days``) apply.
-        A file naming a preset must hold its value in every pinned field."""
+        which the CLI calls once its own flags (such as ``--days``) apply;
+        `validate`'s preset rule is checked here too, naming the file."""
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         try:
             with open(path, encoding="utf-8") as fh:
@@ -207,17 +217,10 @@ class RunConfig:
                     raise ValueError(f"{path}: [{section}] {key} = {raw!r} "
                                      f"is not {what}") from exc
         config = cls(**kwargs)
-        if config.preset is not None:
-            try:
-                pinned = apply_preset(config, config.preset)
-            except ValueError as exc:  # an unknown preset name
-                raise ValueError(f"{path}: {exc}") from exc
-            for name, value in asdict(config).items():
-                if value != getattr(pinned, name):
-                    raise ValueError(
-                        f"{path}: {name} = {value!r} differs from preset "
-                        f"{config.preset}'s {getattr(pinned, name)!r}; a "
-                        f"preset pins every field but seed and days")
+        try:
+            config._check_preset()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         return config
 
 

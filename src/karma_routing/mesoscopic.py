@@ -149,8 +149,8 @@ def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
     where cell i holds karma i.
 
     The edges are Python ints: k_rich and k_wealthy from `agent` at that
-    level, and k_poor = max(p1, k_ref + p1 - T*r2) = p1, exact in integers
-    (`agent.k_poor`'s float-boundary search has nothing to find there).
+    level, and k_poor = max(p1, k_ref + p1 - T*r2) = p1, the value
+    `agent.k_poor` gives there.
     """
     ref = horizon * p.r2
     edges = [int(e) for e in (0, p.p1, k_rich(ref, p, horizon),

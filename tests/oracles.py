@@ -19,7 +19,7 @@ none of its algorithm:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import fsum, gcd
 
 import numpy as np
 
@@ -52,13 +52,12 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     For each affordable route j, the karma budget caps the planned future
     share of the fast route at (k - k_ref - p_j + T*r2) / (T*(p1+r2)); the
     linear objective pushes that share to its cap when d1 < d2, to zero when
-    d1 > d2.  Returns the route minimizing s*d_j + s_bar*T*d^T y_future,
-    breaking exact ties toward the slow route.  Raises InfeasibleKarmaError
-    when no route admits a feasible plan.  That is k < k_inf up to rounding:
-    at or above the library's k_inf a plan always exists, but a few ulps
-    below it the budget sum, rounded left to right, can still admit one.
-    The day never reaches that gap: every agent starts at k >= k_inf, and
-    a fast move needs k >= k_poor >= k_inf + p1.
+    d1 > d2.  The budget sum is taken by `math.fsum`, correctly rounded, so
+    its sign is exact: a route is affordable exactly where the real
+    constraint holds.  Returns the route minimizing
+    s*d_j + s_bar*T*d^T y_future, breaking exact ties toward the slow route.
+    Raises InfeasibleKarmaError when no route admits a feasible plan, which
+    is exactly k < k_inf.
     """
     k, k_ref = state.k, state.k_ref
     d1, d2 = float(d[0]), float(d[1])
@@ -70,7 +69,7 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     for choice, p_today, d_today in ((ARC2, -r2, d2), (ARC1, p1, d1)):
         if p_today > k or k < 0:
             continue  # cannot afford today's toll
-        cap = (k - k_ref - p_today + t * r2) / denom
+        cap = fsum((k, -k_ref, -p_today, t * r2)) / denom
         if cap < 0:
             continue  # even an all-slow future cannot restore the reference
         if d1 > d2:

@@ -2,6 +2,7 @@ import inspect
 import warnings
 from collections import defaultdict
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from karma_routing import (InfeasibleKarmaError, PriceVector, settle,
 from karma_routing.agent import (Thresholds, check_floor, fast_mask, k_inf,
                                  k_rich, k_wealthy)
 
+from conftest import examples
 from day_rule import fast_routes
 from oracles import ARC1, ARC2, AgentState, plan_oracle
 
@@ -63,22 +65,41 @@ class TestThresholds:
         assert plan_oracle(state, d, p, 1, SBAR).choice == ARC1
         assert fast_routes(k_ref, state.s, th, SBAR, p)
 
-    def test_poor_breakpoint_is_least_affordable_karma(self):
-        # k_ref just above T*r2 puts k_poor near p1, where k - k_ref rounds
-        # to the coarser grid of k_ref; scalar and per-agent results agree
+    def test_poor_breakpoint_is_the_exact_boundary(self):
+        # k_poor is the least float at or above max(p1, k_ref + p1 - T*r2)
+        # over the reals, and the rule as the day runs it agrees with the
+        # oracle there and one float below.  k_ref just above T*r2 puts
+        # k_poor near p1; every third group has p1 > T*r2, where the float
+        # sum k_ref + p1 - T*r2 can round below the boundary
         rng = np.random.default_rng(5)
-        for p, t in ((PriceVector(1, 30), 10), (PriceVector(10, 14), 6),
-                     (PriceVector(19, 20), 11)):
-            k_ref = np.concatenate([t * p.r2 + rng.uniform(0, 3, 40),
-                                    rng.uniform(0, 500, 40)])
-            k_poor = thresholds(k_ref, p, t).k_poor
-            below = np.nextafter(k_poor, -np.inf)
-
-            def affordable(k):
-                return k - k_ref - p.p1 + t * p.r2 >= 0
-            assert np.all(affordable(k_poor) & (k_poor >= p.p1))
-            assert not np.any(affordable(below) & (below >= p.p1))
-            assert [thresholds(r, p, t).k_poor for r in k_ref] == list(k_poor)
+        checked = 0
+        for group in range(100):
+            t = int(rng.integers(1, 13))
+            if group % 3:
+                p = PriceVector(int(rng.integers(1, 31)),
+                                int(rng.integers(1, 31)))
+            else:
+                t = min(t, 3)
+                r2 = int(rng.integers(1, 6))
+                p = PriceVector(int(rng.integers(t * r2 + 1, t * r2 + 41)), r2)
+            k_ref = np.concatenate([t * p.r2 + rng.uniform(0, 3, 5),
+                                    rng.uniform(0, 1e3, 5)])
+            th = thresholds(k_ref, p, t)
+            below = np.nextafter(th.k_poor, -np.inf)
+            for ref, k, under in zip(k_ref, th.k_poor, below):
+                bound = max(Fraction(p.p1), Fraction(ref) + p.p1 - t * p.r2)
+                assert Fraction(under) < bound <= Fraction(k), (p, t, ref)
+            assert [thresholds(r, p, t).k_poor for r in k_ref] == list(th.k_poor)
+            # s = 4 s_bar exceeds every threshold, so only the budget decides
+            for k, fast in ((th.k_poor, True), (below, False)):
+                rule = fast_routes(k, 4 * SBAR, th, SBAR, p)
+                plans = [plan_oracle(AgentState(float(a), float(ref), 4 * SBAR),
+                                     (1.0, 2.0), p, t, SBAR).choice
+                         for a, ref in zip(k, k_ref)]
+                assert rule.tolist() == [fast] * k.size
+                assert plans == [ARC1 if fast else ARC2] * k.size, (p, t)
+            checked += k_ref.size
+        assert checked == 1000
 
 
 class TestBestResponse:
@@ -151,6 +172,15 @@ class TestBestResponse:
                 thresholds(np.inf, P_FIG3, 6)
             with pytest.raises(ValueError, match="finite"):
                 thresholds([50.0, np.inf], P_FIG3, 6)
+
+    def test_reference_from_2_53_rejected(self):
+        # from 2**53 on floats are 2 apart and k_poor is no longer exact
+        thresholds(np.nextafter(2.0 ** 53, 0), P_FIG3, 6)
+        for k_ref in (2.0 ** 53, 2.0 ** 60, 1e300):
+            with pytest.raises(ValueError, match="k_ref .*finite"):
+                thresholds(k_ref, P_FIG3, 6)
+            with pytest.raises(ValueError, match="k_ref .*finite"):
+                thresholds([50.0, k_ref], P_FIG3, 6)
 
 
 def neighbours(v):
@@ -248,24 +278,28 @@ class TestPlanOracle:
             plan_oracle(AgentState(k_inf - 1e-6, k_ref, 1.0), (1.0, 2.0), p, t,
                         SBAR)
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     @given(p1=st.integers(1, 30), r2=st.integers(1, 30), t=st.integers(1, 12),
            above=st.floats(0.0, 2.0 ** 40, exclude_min=True),
            ulps=st.integers(-8, 8))
     def test_plan_exists_at_the_library_floor(self, p1, r2, t, above, ulps):
-        # within 8 ulps of k_inf: karma that passes `check_floor` always has
-        # a plan (a few ulps below k_inf the oracle may find one as well)
+        # within 8 ulps of k_inf the oracle finds a plan exactly when the
+        # karma passes `check_floor`, at k >= k_inf
         p = PriceVector(p1, r2)
         k_ref = (t + 1) * r2 + above  # k_inf = k_ref - (T+1)*r2 > 0
         floor = float(k_inf(k_ref, p, t))
         k = floor
         for _ in range(abs(ulps)):
             k = np.nextafter(k, np.inf if ulps > 0 else -np.inf)
-        try:
+        state = AgentState(float(k), k_ref, 1.0)
+        if k >= floor:
             check_floor(k, floor)
-        except InfeasibleKarmaError:
-            return
-        plan_oracle(AgentState(float(k), k_ref, 1.0), (1.0, 2.0), p, t, SBAR)
+            plan_oracle(state, (1.0, 2.0), p, t, SBAR)
+        else:
+            with pytest.raises(InfeasibleKarmaError):
+                check_floor(k, floor)
+            with pytest.raises(InfeasibleKarmaError):
+                plan_oracle(state, (1.0, 2.0), p, t, SBAR)
 
     def test_matches_rule_on_random_instances(self):
         # compact version of the acceptance sweep: the oracle per instance,
@@ -323,7 +357,7 @@ class TestSettle:
     def test_stay_unchanged(self):
         assert self.settle_one(False, False) == 50.0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(data=st.data(), n=st.integers(1, 50), p1=st.integers(1, 200),
            r2=st.integers(1, 200))
     def test_matches_route_reference(self, data, n, p1, r2):

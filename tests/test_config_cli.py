@@ -19,6 +19,8 @@ from karma_routing import (PriceVector, RunConfig, SensitivitySpec, get_preset,
 from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN, apply_preset
 
+from conftest import examples
+
 
 class TestRunConfig:
     def test_ini_roundtrip_identical(self, tmp_path):
@@ -296,6 +298,22 @@ class TestCli:
             path.write_text(text.replace(old, new))
             with pytest.raises(ValueError, match=f"{path}: {name} = "):
                 RunConfig.from_ini(path)
+
+    def test_edited_preset_rejected_by_validate(self, tmp_path, capsys):
+        # validate() used to pass it, and a run named fig3 in its summary,
+        # while from_ini refused the config.ini that to_ini wrote for it
+        cfg = replace(get_preset("fig3"), p_home=0.3)
+        with pytest.raises(ValueError, match="^p_home = 0.3 differs from "
+                                             "preset fig3's 0.05"):
+            cfg.validate()
+        cfg.to_ini(tmp_path / "c.ini")
+        with pytest.raises(ValueError, match="p_home = 0.3 differs"):
+            RunConfig.from_ini(tmp_path / "c.ini")
+        replace(cfg, preset=None).validate()
+        # --max-price changes a pinned field, so the run drops the name
+        assert main(["design-prices", "--preset", "fig3",
+                     "--max-price", "177"]) == 0
+        assert "(124, -177)" in capsys.readouterr().out
 
     def test_unknown_preset_in_config_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "fig7.ini"
@@ -584,7 +602,7 @@ def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(cfg=run_configs())
 def test_every_config_that_validates_runs(cfg):
     # either validate() rejects the config, or every command runs it

@@ -14,6 +14,7 @@ from karma_routing import mesoscopic
 from karma_routing.mesoscopic import (DiagonalMatrix, save_distribution_csv,
                                       save_matrix_coo)
 
+from conftest import examples
 from day_rule import integer_histogram
 from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
                      plan_oracle, stationary_distribution_dense)
@@ -70,7 +71,7 @@ class TestBuildChain:
             assert np.abs(dense(ch).sum(axis=0) - 1.0).max() <= 1e-12
             assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(p1=st.integers(1, 16), r2=st.integers(1, 16), t=st.integers(1, 8),
            ph=st.floats(0.0, 1.0, exclude_max=True))
     def test_columns_sum_to_one_random(self, p1, r2, t, ph):
@@ -424,7 +425,7 @@ class TestStationary:
         for j in range(g):
             assert pe[j::g].sum() == pytest.approx(1 / g, abs=1e-12)
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=examples(12), deadline=None)
     # p1 = r2 takes the closed form, every other pair the product tree
     @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2),
            t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),

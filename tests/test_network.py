@@ -9,6 +9,8 @@ from karma_routing import (ArcCostModel, PriceVector, RunConfig, Scenario,
                            system_optimum)
 from karma_routing.network import SOCIETAL_FLOW, as_flow
 
+from conftest import examples
+
 BPR = ArcCostModel()  # d0=(1,2), kappa=(1/2,2/3), alpha=0.15, beta=4
 
 PARAM = st.floats(1.0, 6.0)
@@ -157,7 +159,7 @@ class TestSystemOptimum:
         with pytest.raises(ValueError):
             system_optimum(BPR, 0.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(model=MODELS, flow=st.booleans(),
            p_go=st.floats(0.0, 1.0, exclude_min=True))
     def test_marginal_costs_cross_at_the_optimum(self, model, flow, p_go):
@@ -195,7 +197,7 @@ class TestBalancedFlow:
         m = ArcCostModel(d0=(10.0, 1.0), alpha=0.0)
         assert balanced_flow(m, 0.95) is None
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(model=MODELS, p_go=st.floats(0.0, 1.0, exclude_min=True))
     def test_crossing_balances_the_discomforts(self, model, p_go):
         # the bisection's split, checked with the public discomfort pair

@@ -21,6 +21,7 @@ import karma_routing
 from karma_routing import simulation
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
+from conftest import examples
 from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
 
 BPR = ArcCostModel()
@@ -311,7 +312,7 @@ def small_runs(draw):
 
 
 class TestDayInvariants:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(run=small_runs())
     def test_ledger_balances_and_floor_holds(self, run):
         sc, model, p, days = run
@@ -329,7 +330,7 @@ class TestDayInvariants:
             assert set(np.unique(pop.k - k_before)) <= {-p.p1, 0, p.r2}
             assert np.all(pop.k >= floor)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(run=small_runs())
     def test_routes_match_oracle(self, run):
         # each day's routes, read from the karma changes, against plan_oracle
@@ -456,7 +457,7 @@ class TestMetrics:
     def test_presets_match_gathered_oracle(self, case, days):
         assert run_checking_metrics(lambda: preset_run(case, days)) == days
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(run=small_runs())
     def test_small_runs_match_gathered_oracle(self, run):
         sc, model, p, days = run

@@ -13,6 +13,7 @@ from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
 from karma_routing import simulation
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
+from conftest import examples
 from day_rule import fast_routes
 from oracles import (ARC1, ARC2, AgentState, balanced_count_oracle,
                      plan_oracle)
@@ -402,7 +403,7 @@ def day_inputs(draw):
 
 
 class TestEquilibriumProperties:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(day=day_inputs())
     def test_equilibrium_properties(self, day):
         k, k_ref, s, traveling, model, p, horizon = day
@@ -472,7 +473,7 @@ def rich_days(draw):
 
 
 class TestBalancedCount:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(day=rich_days())
     def test_uncontrolled_count_matches_a_linear_scan(self, day):
         # on every day that fails the sweep: uncontrolled with the oracle's
