@@ -102,12 +102,13 @@ def check_floor(k: np.ndarray, floor) -> None:
     """Raise InfeasibleKarmaError naming the first agent below its floor.
 
     ``k`` is one agent's karma (a scalar) or an array of them; ``floor``
-    broadcasts against it.  `np.less` keeps the comparison an array, also
-    for two Python floats.
+    broadcasts against it.  The test is k >= floor, so a NaN karma fails it
+    too; an infinite one passes.  `np.greater_equal` keeps the comparison an
+    array, also for two Python floats.
     """
-    below = np.less(k, floor)
-    if below.any():
-        bad = int(np.argmax(below))
+    ok = np.greater_equal(k, floor)
+    if not ok.all():
+        bad = int(np.argmin(ok))
         k, floor = np.broadcast_arrays(k, floor)
         raise InfeasibleKarmaError(
             f"agent {bad}: karma {k.flat[bad]} below feasibility floor "
@@ -123,8 +124,8 @@ def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
     below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which decays
     linearly to zero at k_wealthy.  Ties (s equal to its threshold) go to
     the slow route.  ``th`` holds precomputed breakpoints (scalars or
-    per-agent arrays); k_inf is not read (see `check_floor`), and k and s
-    are not checked for finiteness: a NaN karma goes slow.
+    per-agent arrays); k_inf is not read (see `check_floor`, which also
+    rejects a NaN karma), and s is not checked for finiteness.
 
     The threshold is split by band rather than selected per agent: each
     agent's comparison is taken in both bands and the rich mask keeps one,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PRESETS, PRICE_DESIGN, RunConfig, apply_preset
+from .config import PRESETS, RunConfig, apply_preset
 from .errors import (DegenerateOptimumError, InfeasibleHorizonError,
                      KarmaRoutingError)
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
@@ -47,23 +47,13 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "preset", None):
         config = apply_preset(config, args.preset)
     overrides = {}
-    for key in ("days", "seed", "max_price"):
+    for key in ("days", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if overrides.get("max_price", config.max_price) != config.max_price:
-        overrides["preset"] = None  # a preset pins max_price
     if overrides:
         config = replace(config, **overrides)
     return config.validate()
-
-
-def _prices(args, config: RunConfig):
-    """The config's prices; only designed prices read --max-price."""
-    if args.max_price is not None and config.price_mode != PRICE_DESIGN:
-        raise ValueError(f"--max-price needs price_mode = design, not "
-                         f"{config.price_mode}")
-    return config.prices()
 
 
 def _out_dir(args) -> Path:
@@ -79,7 +69,7 @@ def _strict_json(summary: dict) -> str:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
-    prices = _prices(args, config)
+    prices = config.prices()
     log.info("running %d days, M=%d, seed=%d, prices=(%d, -%d)",
              config.days, config.n_agents, config.seed, prices.p1, prices.r2)
     result = run_scenario(config.scenario(), config.model(), prices,
@@ -107,7 +97,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze_chain(args) -> int:
     config = _resolve_config(args)
-    prices = _prices(args, config)
+    prices = config.prices()
     chain = build_chain(prices, config.horizon, config.p_home,
                         config.sensitivity())
     dist = stationary_distribution(chain)
@@ -164,7 +154,7 @@ def cmd_design_prices(args) -> int:
 def cmd_system_optimum(args) -> int:
     config = _resolve_config(args)
     model = config.model()
-    p_go = args.p_go if args.p_go is not None else 1.0 - config.p_home
+    p_go = 1.0 - config.p_home
     x_star = system_optimum(model, p_go)
     cost = model.societal_cost(x_star)
     print(f"demand: {p_go}")
@@ -187,17 +177,11 @@ def cmd_system_optimum(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
-                max_price: bool = True):
-    """--preset and --config, plus --seed and --max-price where they are read."""
+def _add_common(parser: argparse.ArgumentParser):
+    """--preset and --config, which every subcommand reads."""
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="built-in scenario preset")
     parser.add_argument("--config", help="INI config file")
-    if seed:
-        parser.add_argument("--seed", type=int, help="RNG seed override")
-    if max_price:
-        parser.add_argument("--max-price", dest="max_price", type=int,
-                            help="price rounding scale for designed prices")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,9 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate the repeated game")
-    _add_common(p_run, seed=True)
+    _add_common(p_run)
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--days", type=int, help="number of simulated days")
+    p_run.add_argument("--seed", type=int, help="RNG seed override")
     p_run.set_defaults(func=cmd_run)
 
     p_chain = sub.add_parser("analyze-chain",
@@ -226,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prices.set_defaults(func=cmd_design_prices)
 
     p_opt = sub.add_parser("system-optimum", help="optimal demand split")
-    _add_common(p_opt, max_price=False)
-    p_opt.add_argument("--p-go", dest="p_go", type=float,
-                       help="total travel demand (defaults to 1 - p_home)")
+    _add_common(p_opt)
     p_opt.set_defaults(func=cmd_system_optimum)
     return parser
 

@@ -133,8 +133,7 @@ class RunConfig:
         # optimum, which also bounds its daily numbers
         run_optimum(self.scenario(), self.model(), self.days)
         # design-prices reads max_price in either price mode
-        if self.max_price < 2:
-            raise ValueError("max_price must be >= 2")
+        check_count("max_price", self.max_price, low=2)
         if self.price_mode == PRICE_FIXED:
             PriceVector(self.p1, self.r2)
         else:

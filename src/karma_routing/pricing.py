@@ -10,7 +10,6 @@ whole design from the cost model.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,8 @@ class PriceVector:
     r2: int
 
     def __post_init__(self):
-        for v in (self.p1, self.r2):
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"prices must be integers, got {v!r}")
-        if self.p1 < 1 or self.r2 < 1:
-            raise ValueError("p1 and r2 must be >= 1")
+        check_count("p1", self.p1)
+        check_count("r2", self.r2)
 
     @property
     def total(self) -> int:
@@ -74,10 +70,10 @@ def rationalize_prices(rho: float, max_price: int,
     finely the rich band's threshold is resolved (fig3's chain Delta-d is
     -14.230 % at (5, 7) and -14.236 % at (20, 28)).  Raises
     InfeasibleHorizonError unless r2/p1 lies in [1/T, T] for T = horizon,
-    and ValueError unless rho is positive and finite.
+    and ValueError unless max_price is an integer >= 2 and rho is positive
+    and finite.
     """
-    if max_price < 2:
-        raise ValueError("max_price must be >= 2")
+    check_count("max_price", max_price, low=2)
     if not 0 < rho < np.inf:  # written so that NaN fails
         raise ValueError(
             f"price ratio p1/r2 must be positive and finite, got {rho!r}")

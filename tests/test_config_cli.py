@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import karma_routing
 from karma_routing import (PriceVector, RunConfig, SensitivitySpec, get_preset,
@@ -92,8 +92,11 @@ class TestRunConfig:
             RunConfig(societal_cost="bogus").validate()
         with pytest.raises(ValueError, match="unknown preset 'fig7'"):
             RunConfig(preset="fig7").validate()
-        with pytest.raises(ValueError, match="max_price must be >= 2"):
-            RunConfig(price_mode=PRICE_DESIGN, max_price=1).validate()
+        for max_price in (1, 20.0):
+            with pytest.raises(ValueError,
+                               match="max_price must be an integer >= 2"):
+                RunConfig(price_mode=PRICE_DESIGN,
+                          max_price=max_price).validate()
 
     @pytest.mark.parametrize("field, value", [("beta", 2000.0),
                                               ("kappa_1", 1e-300),
@@ -123,7 +126,7 @@ class TestRunConfig:
         (dict(sensitivity_mean=1e-320, d0_1=1e-10), "metric sums"),
         (dict(k_init_high=1e308), r"k_init must satisfy .* 2\*\*53"),
         (dict(k_ref_high=2.0**53), r"k_ref_init must satisfy .* 2\*\*53"),
-        (dict(max_price=1), "max_price must be >= 2"),
+        (dict(max_price=1), "max_price must be an integer >= 2"),
         (dict(price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0, alpha=0.0),
          "price_mode = design: target flow"),
     ])
@@ -310,9 +313,10 @@ class TestCli:
         with pytest.raises(ValueError, match="p_home = 0.3 differs"):
             RunConfig.from_ini(tmp_path / "c.ini")
         replace(cfg, preset=None).validate()
-        # --max-price changes a pinned field, so the run drops the name
-        assert main(["design-prices", "--preset", "fig3",
-                     "--max-price", "177"]) == 0
+        # an edited max_price runs from a config that names no preset
+        path = tmp_path / "fig3-177.ini"
+        path.write_text("[pricing]\nmax_price = 177\n")
+        assert main(["design-prices", "--config", str(path)]) == 0
         assert "(124, -177)" in capsys.readouterr().out
 
     def test_unknown_preset_in_config_names_the_file(self, tmp_path, capsys):
@@ -451,13 +455,14 @@ class TestCli:
         assert out.count("\n") == 1, out
 
     @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6"])
-    def test_design_prices_prints_the_run_prices(self, preset, capsys):
+    def test_design_prices_prints_the_run_prices(self, preset, tmp_path,
+                                                 capsys):
         # design-prices and a designed run share one pipeline
-        cfg = replace(get_preset(preset), price_mode=PRICE_DESIGN,
-                      max_price=177)
-        prices = cfg.prices()
-        assert main(["design-prices", "--preset", preset,
-                     "--max-price", "177"]) == 0
+        cfg = replace(get_preset(preset), preset=None, max_price=177)
+        prices = replace(cfg, price_mode=PRICE_DESIGN).prices()
+        cfg.to_ini(tmp_path / "c.ini")
+        assert main(["design-prices", "--config",
+                     str(tmp_path / "c.ini")]) == 0
         assert (f"integer prices (max_price 177): ({prices.p1}, -{prices.r2})"
                 in capsys.readouterr().out)
 
@@ -466,9 +471,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.5595" in out or "0.56" in out
 
-    def test_system_optimum_tiny_demand(self, capsys):
+    def test_system_optimum_tiny_demand(self, tmp_path, capsys):
         # a tiny demand is a corner: all of it on route 1
-        assert main(["system-optimum", "--preset", "fig3", "--p-go", "1e-8"]) == 0
+        path = tmp_path / "tiny.ini"
+        path.write_text("[scenario]\np_home = 0.99999999\n")
+        assert main(["system-optimum", "--config", str(path)]) == 0
         assert "system optimum: (0.000000, 0.000000)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("d0, verdict", [
@@ -492,6 +499,11 @@ class TestCli:
         ["analyze-chain", "--preset", "fig3", "--tol", "1e-12"],
         ["system-optimum", "--preset", "fig3", "--max-price", "3"],
         ["analyze-chain", "--preset", "fig3", "--seed", "1"],
+        # a preset pins max_price and p_home; a config file sets them
+        ["run", "--preset", "fig3", "--max-price", "50"],
+        ["analyze-chain", "--preset", "fig3", "--max-price", "50"],
+        ["design-prices", "--preset", "fig3", "--max-price", "177"],
+        ["system-optimum", "--preset", "fig3", "--p-go", "1e-8"],
     ])
     def test_unread_flags_rejected(self, argv):
         # each subcommand takes only the flags it reads
@@ -500,18 +512,12 @@ class TestCli:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["run", "analyze-chain"])
-    def test_max_price_needs_designed_prices(self, command, tmp_path, capsys):
-        # fixed prices never read max_price; the flag used to be ignored
+    def test_design_config_sets_max_price(self, command, tmp_path):
         out = tmp_path / "o"
-        code = main([command, "--preset", "fig3", "--max-price", "50",
-                     "--out", str(out)])
-        assert code == 1
-        assert "--max-price" in capsys.readouterr().err
-        assert not out.exists()
         path = tmp_path / "design.ini"
-        path.write_text("[pricing]\nprice_mode = design\n[run]\ndays = 3\n")
-        assert main([command, "--config", str(path), "--max-price", "50",
-                     "--out", str(out)]) == 0
+        path.write_text("[pricing]\nprice_mode = design\nmax_price = 50\n"
+                        "[run]\ndays = 3\n")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
         summary = "summary.json" if command == "run" else "chain_summary.json"
         # (14, 20) at the default max_price = 20
         assert json.loads((out / summary).read_text())["prices"] == {
@@ -604,6 +610,18 @@ def reject_constant(name):
 
 @settings(max_examples=examples(150), deadline=None)
 @given(cfg=run_configs())
+# six faults that this property and longer runs of it found, each of which
+# used to validate and then end a command in an error; the flat model is
+# pinned in both price modes, so design-prices also runs its "none" path
+@example(cfg=replace(BASE, sensitivity_kind="uniform",
+                     sensitivity_high=5e-324))
+@example(cfg=replace(BASE, sensitivity_mean=1e308))
+@example(cfg=replace(BASE, k_init_high=1e308))
+@example(cfg=replace(BASE, k_init_high=-0.0))
+@example(cfg=replace(BASE, max_price=1))
+@example(cfg=replace(BASE, price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0,
+                     alpha=0.0))
+@example(cfg=replace(BASE, d0_1=5.0, d0_2=1.0, alpha=0.0))
 def test_every_config_that_validates_runs(cfg):
     # either validate() rejects the config, or every command runs it
     try:

@@ -237,6 +237,9 @@ class TestValidation:
                 ArcCostModel(beta=beta)
         with pytest.raises(ValueError):
             ArcCostModel(societal_cost_kind="mystery")
+        for pairs in (dict(d0=(1.0,)), dict(kappa=(0.5, 0.5, 0.5))):
+            with pytest.raises(ValueError, match="must be pairs"):
+                ArcCostModel(**pairs)
 
     def test_overflowing_model_names_its_route(self):
         # (x / kappa)**beta overflows a float at x = 1 (an OverflowError),

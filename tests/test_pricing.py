@@ -36,6 +36,9 @@ class TestConservationPrices:
                     [float("inf"), 0.5]):
             with pytest.raises(DegenerateOptimumError):
                 conservation_prices(bad)
+        for bad in ([0.5], [0.3, 0.3, 0.3], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match="x_star must be a pair"):
+                conservation_prices(bad)
 
 
 class TestRationalizePrices:
@@ -66,8 +69,11 @@ class TestRationalizePrices:
         assert pv.feasible_for_horizon(9)
 
     def test_max_price_validation(self):
-        with pytest.raises(ValueError):
-            rationalize_prices(1.0, 1, 6)
+        # a float max_price is rejected by name, not later as a price
+        for max_price in (1, 20.0, True):
+            with pytest.raises(ValueError,
+                               match="max_price must be an integer >= 2"):
+                rationalize_prices(1.0, max_price, 6)
 
     @pytest.mark.parametrize("ratio", BAD_RATIOS,
                              ids=[f"ratio{i}" for i in range(len(BAD_RATIOS))])
@@ -90,10 +96,12 @@ class TestPriceVector:
         with pytest.raises(ValueError):
             PriceVector(2.5, 5)
         # an integral float or a bool is not an integer price
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="p1 must be an integer >= 1"):
             PriceVector(2.0, 3)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="p1 must be an integer >= 1"):
             PriceVector(True, 5)
+        with pytest.raises(ValueError, match="r2 must be an integer >= 1"):
+            PriceVector(3, 0)
         assert PriceVector(np.int64(3), 5).total == 8
 
     def test_accessors(self):

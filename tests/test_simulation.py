@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, DayRecord, InfeasibleKarmaError,
-                           PriceVector, Scenario, SensitivitySpec,
+                           PriceVector, RunConfig, Scenario, SensitivitySpec,
                            compute_metrics, get_preset, init_population,
                            quantize_population, run_scenario, settle,
                            simulate_day, system_optimum, thresholds,
                            wardrop_equilibrium)
 import karma_routing
 from karma_routing import simulation
+from karma_routing.cli import main
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 from conftest import examples
@@ -421,6 +423,16 @@ class TestBreakpointCache:
         with pytest.raises(InfeasibleKarmaError, match="agent 7"):
             simulate_day(pop, BPR, p, COST_STAR)
 
+    def test_nan_karma_raises(self):
+        # a NaN karma used to pass the floor check, go slow and turn the
+        # day's mean karma into NaN
+        p = PriceVector(10, 14)
+        pop = init_population(scenario(seed=24), p)
+        pop.k = pop.k.copy()
+        pop.k[5] = np.nan
+        with pytest.raises(InfeasibleKarmaError, match="agent 5: karma nan"):
+            simulate_day(pop, BPR, p, COST_STAR)
+
 
 # absolute bound on delta_d and delta_s against the gathered sums of
 # `day_metrics_oracle`; the largest difference measured over the presets'
@@ -463,6 +475,22 @@ class TestMetrics:
         sc, model, p, days = run
         assert run_checking_metrics(
             lambda: run_scenario(sc, model, p, days)) == days
+
+    def test_nobody_travels(self, tmp_path):
+        # one agent at p_home = 0.9 stays home on each of the 10 days
+        cfg = RunConfig(n_agents=1, p_home=0.9, days=10, seed=3)
+        runs = []
+        assert run_checking_metrics(lambda: runs.append(run_scenario(
+            cfg.scenario(), cfg.model(), cfg.prices(), cfg.days))) == 10
+        assert all(rec.x1 == rec.x2 == 0.0 and rec.delta_d is None
+                   for rec in runs[0].records)
+        assert runs[0].summary["tail_mean_delta_d"] is None
+        cfg.to_ini(tmp_path / "c.ini")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tmp_path / "c.ini"),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tail_mean_delta_d"] is None
 
     def test_uniform_sensitivity_zeroes_deviations(self):
         fast = np.array([True, False, True, False])
