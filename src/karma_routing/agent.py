@@ -94,8 +94,18 @@ def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
 
 
 def _decaying_threshold(k, k_wealthy, s_bar: float, p: PriceVector):
-    """The rich band's threshold: decays linearly from s_bar to 0 at k_wealthy."""
-    return s_bar * (k_wealthy - k) / p.total
+    """The rich band's threshold: decays linearly from s_bar to 0 at k_wealthy.
+
+    s_bar * (k_wealthy - k) / (p1 + r2), computed in place in one float
+    array (integer karma is taken as float); the product commutes, and at
+    s_bar = 1 it is the difference itself, so the bits are those of the
+    expression.
+    """
+    theta = np.subtract(k_wealthy, k, dtype=float)
+    if s_bar != 1.0:
+        theta *= s_bar
+    theta /= p.total
+    return theta
 
 
 def check_floor(k: np.ndarray, floor) -> None:
@@ -103,11 +113,12 @@ def check_floor(k: np.ndarray, floor) -> None:
 
     ``k`` is one agent's karma (a scalar) or an array of them; ``floor``
     broadcasts against it.  The test is k >= floor, so a NaN karma fails it
-    too; an infinite one passes.  `np.greater_equal` keeps the comparison an
-    array, also for two Python floats.
+    too; an infinite one passes.  `np.greater_equal` keeps the comparison a
+    numpy value, also for two Python floats, and `np.logical_and.reduce`
+    is ``ok.all()`` without its method wrapper.
     """
     ok = np.greater_equal(k, floor)
-    if not ok.all():
+    if not np.logical_and.reduce(ok, axis=None):
         bad = int(np.argmin(ok))
         k, floor = np.broadcast_arrays(k, floor)
         raise InfeasibleKarmaError(

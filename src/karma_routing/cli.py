@@ -173,7 +173,11 @@ def cmd_system_optimum(args) -> int:
             print(f"balanced flow: none (route {route} dominates: d1 {sign} "
                   "d2 over the whole range)")
     else:
+        # selfish routing: what the balanced flow costs against the optimum
+        cost_bal = model.societal_cost(x_bal)
         print(f"balanced flow: ({x_bal[0]:.6f}, {x_bal[1]:.6f})")
+        print(f"balanced societal cost: {cost_bal:.9f} "
+              f"({cost_bal / cost:.4f} x optimal)")
     return 0
 
 

@@ -235,7 +235,9 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     `chill` and down by p with `rush`.  Detailed balance gives its fixed
     point in closed form, pi_{j+1} / pi_j = chill_j / rush_{j+1}: a
     cumulative product down the (2(T+1), p) grid of cells, taken as a
-    cumulative sum of logs so that it cannot overflow.
+    cumulative sum of logs so that it cannot overflow.  A row j + 1 > 0
+    with rush 0 (a poor edge above p1, as for an agent with k_ref < T*r2)
+    sends no mass down, so the rows below it hold none.
 
     Otherwise the return map S_{L-1}...S_0 is the top of a pairwise product
     tree (`_product_tree_levels`), whose fixed point is the start vector of
@@ -259,9 +261,18 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
         # in logs, since the product grows like (chill/rush)^(2T) and would
         # overflow for long horizons; a chill of 0 gives a log of -inf and
         # zero mass above it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.log(chill[:-1] / rush[1:])
+        # rows above the first with rush 0 (see above): their steps are
+        # zeroed, and the rows below the last of them emptied
+        stuck = rush[1:] == 0.0
+        has_stuck = stuck.any()
+        if has_stuck:
+            steps[stuck] = 0.0
         grid = np.zeros_like(chill)
-        with np.errstate(divide="ignore"):
-            np.cumsum(np.log(chill[:-1] / rush[1:]), axis=0, out=grid[1:])
+        np.cumsum(steps, axis=0, out=grid[1:])
+        if has_stuck:
+            grid[:-1][np.logical_or.accumulate(stuck[::-1])[::-1]] = -np.inf
         grid -= grid.max(axis=0)
         by_level = np.exp(grid, out=grid).reshape(levels, q)
     else:

@@ -12,7 +12,7 @@ d1 = d2, and the system optimum where the marginal costs are equal.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,13 +91,25 @@ class ArcCostModel:
         """(d1, d2), each route's d(x) on one Python float x >= 0 (a negative
         base gives a complex power): the only volume-delay code.  With
         ``marginal``, the marginal costs d + x * d', which take the same form
-        with alpha * (1 + beta) in place of alpha."""
-        b = self.beta
-        a = self.alpha * (1 + b) if marginal else self.alpha
+        with alpha * (1 + beta) in place of alpha.
 
-        def route(d0, kappa):
-            return lambda x: d0 * (1 + a * (x / kappa) ** b)
-        return tuple(map(route, self.d0, self.kappa))
+        Each pair is built on its first use and kept in the instance's
+        __dict__, which the fields, __eq__, __hash__ and, through
+        __getstate__, pickle and copy leave out."""
+        key = "_marginal_delay" if marginal else "_delay"
+        pair = self.__dict__.get(key)
+        if pair is None:
+            b = self.beta
+            a = self.alpha * (1 + b) if marginal else self.alpha
+
+            def route(d0, kappa):
+                return lambda x: d0 * (1 + a * (x / kappa) ** b)
+            pair = self.__dict__[key] = tuple(map(route, self.d0, self.kappa))
+        return pair
+
+    def __getstate__(self):
+        """The fields alone: pickle cannot store the cached closures."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def _cost(self, x, d) -> float:
         """c(x)^T x from the float pairs x and d = d(x)."""

@@ -61,8 +61,10 @@ class SensitivitySpec:
         """``size`` i.i.d. draws; the same stream and values as
         ``rng.exponential(mean, size)`` or ``rng.uniform(low, high, size)``."""
         if self.kind == EXPONENTIAL:
-            # exponential(mean) is mean * standard_exponential, value for value
+            # exponential(mean) is mean * standard_exponential, value for
+            # value; at the unit mean that product is the draw itself
             s = rng.standard_exponential(size)
-            s *= self.mean
+            if self.mean != 1.0:
+                s *= self.mean
             return s
         return rng.uniform(self.low, self.high, size)

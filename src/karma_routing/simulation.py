@@ -53,8 +53,10 @@ class Population:
         """Per-agent breakpoints at prices p, built once and then cached."""
         horizon = self.scenario.horizon
         cached = self._breakpoints
-        if (cached is None or cached[0] != p or cached[1] != horizon
-                or cached[2] is not self.k_ref):
+        # the day passes the same PriceVector each time: identity settles
+        # the test before the dataclass __eq__ does
+        if (cached is None or (cached[0] is not p and cached[0] != p)
+                or cached[1] != horizon or cached[2] is not self.k_ref):
             th = thresholds(np.asarray(self.k_ref, dtype=float), p, horizon)
             cached = self._breakpoints = (p, horizon, self.k_ref, th)
         return cached[3]
@@ -192,19 +194,20 @@ def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
                   / (s_bar (d1 n1 + d2 n2)),
         delta_s = (S - s_bar (n1 + n2)) / (M s_bar).
 
-    S1 and S are masked products summed by numpy's pairwise ``sum``, so the
-    last bits do not depend on the BLAS build.
+    S1 and S are masked products summed by numpy's pairwise summation, so
+    the last bits do not depend on the BLAS build.  Each sum is
+    ``np.add.reduce``, the reduction that ``ndarray.sum`` wraps.
     """
     cost = model._cost(x, d)
     # the bits of k.mean(), without the cost of numpy's wrapper around it
-    mean_karma = float(k.sum()) / k.size
+    mean_karma = float(np.add.reduce(k, axis=None)) / k.size
     n_travel = int(np.count_nonzero(traveling))
     if not n_travel:
         return None, None, mean_karma, cost
     n1 = int(np.count_nonzero(fast))
     n2 = n_travel - n1
-    s1 = float((s * fast).sum())
-    s_all = float((s * traveling).sum())
+    s1 = float(np.add.reduce(s * fast, axis=None))
+    s_all = float(np.add.reduce(s * traveling, axis=None))
     d1, d2 = d
     delta_d = ((d1 * (s1 - s_bar * n1) + d2 * (s_all - s1 - s_bar * n2))
                / (s_bar * (d1 * n1 + d2 * n2)))
@@ -223,9 +226,10 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     """
     sc = pop.scenario
     m = sc.n_agents
-    traveling = pop.rng.random(m) >= sc.p_home
-    s = sc.sensitivity.sample(pop.rng, m)  # draws for all agents; travelers use theirs
-    s_bar = sc.sensitivity.s_bar
+    rng, sens = pop.rng, sc.sensitivity
+    traveling = rng.random(m) >= sc.p_home
+    s = sens.sample(rng, m)  # draws for all agents; travelers use theirs
+    s_bar = sens.s_bar
 
     fast, n1, n2, regime, d = wardrop_equilibrium(
         pop.k, s, traveling, pop.breakpoints(p), model, p, s_bar)

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import karma_routing
-from karma_routing import (PriceVector, RunConfig, SensitivitySpec, get_preset,
-                           mesoscopic)
+from karma_routing import (PriceVector, RunConfig, SensitivitySpec,
+                           balanced_flow, get_preset, mesoscopic)
 from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN, apply_preset
+from karma_routing.simulation import run_optimum
 
 from conftest import examples
 
@@ -470,6 +471,22 @@ class TestCli:
         assert main(["system-optimum", "--preset", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "0.5595" in out or "0.56" in out
+
+    @pytest.mark.parametrize("preset, ratio", [
+        ("fig3", "1.2792"), ("fig5", "1.2540"), ("fig6", "1.4785")])
+    def test_system_optimum_prices_selfish_routing(self, preset, ratio,
+                                                   capsys):
+        # the abstract's first claim: the balanced (selfish) flow costs more
+        # than the optimum, by the ratio of societal costs over cost*
+        assert main(["system-optimum", "--preset", preset]) == 0
+        out = capsys.readouterr().out
+        assert f"({ratio} x optimal)" in out
+        cfg = get_preset(preset)
+        model, p_go = cfg.model(), 1.0 - cfg.p_home
+        cost_star = run_optimum(cfg.scenario(), model, cfg.days)[1]
+        selfish = model.societal_cost(balanced_flow(model, p_go))
+        assert f"balanced societal cost: {selfish:.9f} " in out
+        assert f"{selfish / cost_star:.4f}" == ratio
 
     def test_system_optimum_tiny_demand(self, tmp_path, capsys):
         # a tiny demand is a corner: all of it on route 1

@@ -28,6 +28,17 @@ def columns(a, n):
     return np.column_stack([a @ e for e in np.eye(n)])
 
 
+def with_poor_edge(ch, edge: int):
+    """``ch`` with cells [0, edge) poor, as for an agent type whose k_ref is
+    below T*r2: chill 1 there and A rebuilt from the new rule, as
+    `build_chain` writes it."""
+    chill = ch.chill_prob.copy()
+    chill[:edge] = 1.0
+    data = np.stack([ch.p_go * chill, np.full(chill.size, ch.p_home),
+                     ch.p_go * (1.0 - chill)])
+    return replace(ch, chill_prob=chill, a=DiagonalMatrix(data, ch.a.offsets))
+
+
 class TestBuildChain:
     def test_dimension_and_bands(self):
         # widths p1, (T-1)(p1+r2), p1+r2 and r2, whichever price is larger
@@ -478,6 +489,33 @@ class TestStationary:
         tree = mesoscopic._product_tree_levels(ch)
         tree = (tree / (2 * tree.sum(axis=0))).ravel()
         assert np.abs(pe - tree).sum() <= 1e-12
+
+    @pytest.mark.parametrize("sens", [EXP, SensitivitySpec.uniform(0.5, 2.5)],
+                             ids=["exp1", "unif0.5-2.5"])
+    @pytest.mark.parametrize("t", [1, 6])
+    @pytest.mark.parametrize("edge", ["p1", "2p1", "3p1+2"])
+    @pytest.mark.parametrize("p", [(5, 5), (5, 7)], ids="{0[0]}:{0[1]}".format)
+    def test_poor_edge_above_p1(self, p, edge, t, sens):
+        # rows above the first that never pay give the closed form (5:5) a
+        # step of log(1/0); the product tree (5:7) is the control.  A poor
+        # edge in the top r2 cells moves mass off the lattice, for the
+        # library and the oracle alike
+        p1, r2 = p
+        e = {"p1": p1, "2p1": 2 * p1, "3p1+2": 3 * p1 + 2}[edge]
+        ch = with_poor_edge(build_chain(PriceVector(p1, r2), t, 0.05, sens), e)
+        if e > ch.n_states - r2:
+            for solve in (stationary_distribution,
+                          stationary_distribution_dense):
+                with pytest.raises(ValueError, match="lattice"):
+                    solve(ch)
+            return
+        pe = stationary_distribution(ch)
+        assert np.abs(pe - stationary_distribution_dense(ch)).sum() <= 1e-12
+        by_class = pe.reshape(t + 1, p1 + r2).sum(axis=0)
+        assert np.abs(by_class - 1 / (p1 + r2)).max() <= 1e-12
+        if p1 == r2:
+            # no mass below the last row that never pays
+            assert not pe[:e - p1].any()
 
     @pytest.mark.parametrize("p", [(10, 14), (10, 10)],
                              ids="{0[0]}:{0[1]}".format)
