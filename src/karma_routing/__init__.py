@@ -7,7 +7,7 @@ populations.
 """
 
 from .agent import Thresholds, settle, thresholds
-from .config import PRESETS, RunConfig, apply_preset, get_preset
+from .config import PRESETS, RunConfig, get_preset
 from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
                      KarmaRoutingError)
@@ -29,8 +29,8 @@ __all__ = [
     "DayRecord", "DegenerateOptimumError", "InfeasibleHorizonError",
     "InfeasibleKarmaError", "KarmaChain", "KarmaRoutingError", "Population",
     "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
-    "SensitivitySpec", "Thresholds", "apply_preset", "as_flow",
-    "balanced_flow", "build_chain", "compute_metrics", "conservation_prices",
+    "SensitivitySpec", "Thresholds", "as_flow", "balanced_flow",
+    "build_chain", "compute_metrics", "conservation_prices",
     "equilibrium_flows", "get_preset", "init_population", "karma_cell",
     "quantize_population", "rationalize_prices", "run_scenario", "settle",
     "simulate_day", "stationary_distribution", "step_distribution",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PRESETS, RunConfig, apply_preset
+from .config import PRESETS, RunConfig, get_preset
 from .errors import (DegenerateOptimumError, InfeasibleHorizonError,
                      KarmaRoutingError)
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
@@ -37,23 +37,20 @@ log = logging.getLogger("karma_routing")
 
 
 def _resolve_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
+    """The config file, the preset, or the defaults; then --days and --seed."""
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             print(f"error: config file not found: {path}", file=sys.stderr)
             raise SystemExit(2)
         config = RunConfig.from_ini(path)
-    if getattr(args, "preset", None):
-        config = apply_preset(config, args.preset)
-    overrides = {}
-    for key in ("days", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config.validate()
+    elif args.preset:
+        config = get_preset(args.preset)
+    else:
+        config = RunConfig()
+    overrides = {key: value for key in ("days", "seed")
+                 if (value := getattr(args, key, None)) is not None}
+    return replace(config, **overrides).validate()
 
 
 def _out_dir(args) -> Path:
@@ -182,10 +179,11 @@ def cmd_system_optimum(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    """--preset and --config, which every subcommand reads."""
-    parser.add_argument("--preset", choices=sorted(PRESETS),
+    """--preset or --config, one of which every subcommand may read."""
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(PRESETS),
                         help="built-in scenario preset")
-    parser.add_argument("--config", help="INI config file")
+    source.add_argument("--config", help="INI config file")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -134,21 +134,20 @@ class RunConfig:
         run_optimum(self.scenario(), self.model(), self.days)
         # design-prices reads max_price in either price mode
         check_count("max_price", self.max_price, low=2)
-        if self.price_mode == PRICE_FIXED:
-            PriceVector(self.p1, self.r2)
-        else:
-            try:
-                self.prices()
-            except KarmaRoutingError as exc:
-                # a run needs the designed prices to exist
-                raise ValueError(f"price_mode = design: {exc}") from exc
+        try:
+            self.prices()
+        except KarmaRoutingError as exc:
+            # a run needs the designed prices to exist; fixed prices raise
+            # ValueError alone
+            raise ValueError(f"price_mode = design: {exc}") from exc
         return self
 
     def _check_preset(self) -> None:
         """A config named for a preset holds its value in every pinned field."""
         if self.preset is None:
             return
-        pinned = asdict(apply_preset(self, self.preset))
+        pinned = asdict(replace(get_preset(self.preset), seed=self.seed,
+                                days=self.days))
         for name, value in asdict(self).items():
             if value != pinned[name]:
                 raise ValueError(f"{name} = {value!r} differs from preset "
@@ -248,8 +247,3 @@ def get_preset(name: str) -> RunConfig:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-
-
-def apply_preset(config: RunConfig, name: str) -> RunConfig:
-    """Preset ``name`` with the run's own ``seed`` and ``days`` of ``config``."""
-    return replace(get_preset(name), seed=config.seed, days=config.days)

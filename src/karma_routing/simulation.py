@@ -174,21 +174,22 @@ def init_population(scenario: Scenario, prices: PriceVector) -> Population:
                       n_clamped_init=n_clamped)
 
 
-def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
+def compute_metrics(fast, traveling, s, n1, n2, d, k, model: ArcCostModel,
                     s_bar: float):
     """Per-day metrics: (delta_d, delta_s, mean_karma, cost).
 
     ``fast`` and ``traveling`` are the day's route masks over all agents
-    (``fast`` a subset of ``traveling``), ``s`` their sensitivities, ``x``
-    and ``d`` = d(x) float pairs, and ``k`` the karma after settlement.
+    (``fast`` a subset of ``traveling``), ``s`` their sensitivities, ``n1``
+    and ``n2`` the counts of the two routes' travelers, ``d`` = d(x) at the
+    flows x = (n1 / M, n2 / M), and ``k`` the karma after settlement.
     delta_d compares the realized sensitivity-weighted discomfort against a
     sensitivity-unaware random assignment to the same flows,
     sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji over travelers; delta_s is
     the relative deviation of the travelers' mean sensitivity,
     sum_i (s_i - s_bar) / (M s_bar).  Both are None on days nobody travels.
 
-    Both come from per-route sums: with n_j the count of route j's travelers
-    and S_j the sum of their sensitivities (S = S1 + S2),
+    Both come from per-route sums: with S_j the sum of route j's travelers'
+    sensitivities (S = S1 + S2),
 
         delta_d = (d1 (S1 - s_bar n1) + d2 (S2 - s_bar n2))
                   / (s_bar (d1 n1 + d2 n2)),
@@ -198,20 +199,19 @@ def compute_metrics(fast, traveling, s, x, d, k, model: ArcCostModel,
     the last bits do not depend on the BLAS build.  Each sum is
     ``np.add.reduce``, the reduction that ``ndarray.sum`` wraps.
     """
-    cost = model._cost(x, d)
+    m = k.size
+    cost = model._cost((n1 / m, n2 / m), d)
     # the bits of k.mean(), without the cost of numpy's wrapper around it
-    mean_karma = float(np.add.reduce(k, axis=None)) / k.size
-    n_travel = int(np.count_nonzero(traveling))
+    mean_karma = float(np.add.reduce(k, axis=None)) / m
+    n_travel = n1 + n2
     if not n_travel:
         return None, None, mean_karma, cost
-    n1 = int(np.count_nonzero(fast))
-    n2 = n_travel - n1
     s1 = float(np.add.reduce(s * fast, axis=None))
     s_all = float(np.add.reduce(s * traveling, axis=None))
     d1, d2 = d
     delta_d = ((d1 * (s1 - s_bar * n1) + d2 * (s_all - s1 - s_bar * n2))
                / (s_bar * (d1 * n1 + d2 * n2)))
-    delta_s = (s_all - s_bar * n_travel) / (k.size * s_bar)
+    delta_s = (s_all - s_bar * n_travel) / (m * s_bar)
     return delta_d, delta_s, mean_karma, cost
 
 
@@ -235,10 +235,9 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
         pop.k, s, traveling, pop.breakpoints(p), model, p, s_bar)
     pop.k = k = settle(pop.k, fast, traveling, p)
 
-    x = (n1 / m, n2 / m)
     delta_d, delta_s, mean_karma, cost = compute_metrics(
-        fast, traveling, s, x, d, k, model, s_bar)
-    record = DayRecord(day=pop.day, x1=x[0], x2=x[1], cost=cost,
+        fast, traveling, s, n1, n2, d, k, model, s_bar)
+    record = DayRecord(day=pop.day, x1=n1 / m, x2=n2 / m, cost=cost,
                        cost_opt_ratio=cost / cost_star, delta_d=delta_d,
                        delta_s=delta_s, mean_karma=mean_karma, regime=regime)
     pop.day += 1

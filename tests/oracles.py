@@ -127,16 +127,21 @@ def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
     return dist / dist.sum()
 
 
-def day_metrics_oracle(fast, traveling, s, x, d, k, model, s_bar):
+def day_metrics_oracle(fast, traveling, s, n1, n2, d, k, model, s_bar):
     """(delta_d, delta_s, mean_karma, cost) summed traveler by traveler.
 
     Gathers each traveler's sensitivity and looks its discomfort up in the
     (d2, d1) table with its fast flag as the index, then sums the
-    per-traveler terms.  Takes `compute_metrics`' arguments; delta_d and
-    delta_s are None on days nobody travels.  The cost is c(x)^T x from the
-    two societal-cost formulas, c(x) = d(x) or c(x) = x.
+    per-traveler terms.  Takes `compute_metrics`' arguments and asserts
+    that the route counts ``n1``, ``n2`` are the masks' own; delta_d and
+    delta_s are None on days nobody travels.  The cost is c(x)^T x at the
+    flows x = (n1 / M, n2 / M) from the two societal-cost formulas,
+    c(x) = d(x) or c(x) = x.
     """
-    x1, x2 = x
+    fast_count = int(np.count_nonzero(fast))
+    assert (n1, n2) == (fast_count,
+                        int(np.count_nonzero(traveling)) - fast_count)
+    x1, x2 = n1 / k.size, n2 / k.size
     if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
         cost = float(d[0] * x1 + d[1] * x2)  # c(x) = d(x)
     else:

@@ -361,14 +361,27 @@ class TestSettle:
     @given(data=st.data(), n=st.integers(1, 50), p1=st.integers(1, 200),
            r2=st.integers(1, 200))
     def test_matches_route_reference(self, data, n, p1, r2):
-        # any finite karma, on or off the integer lattice
+        # any finite karma, on or off the integer lattice, as a float or an
+        # integer array, with and without travelers; and one agent's karma
+        # as a 0-d array, a numpy scalar and a Python float, with the masks
+        # as Python bools
+        p = PriceVector(p1, r2)
         k = data.draw(arrays(np.float64, n, elements=st.floats(
             min_value=0.0, allow_nan=False, allow_infinity=False)))
+        k_int = data.draw(arrays(np.int64, n, elements=st.integers(0, 2**40)))
         traveling = data.draw(arrays(np.bool_, n))
         fast = data.draw(arrays(np.bool_, n)) & traveling
-        ref = np.where(fast, k - p1, np.where(traveling, k + r2, k))
-        assert np.array_equal(settle(k, fast, traveling, PriceVector(p1, r2)),
-                              ref)
+        nobody = np.zeros(n, dtype=bool)
+        cases = [(kk, go, trav) for kk in (k, k_int)
+                 for go, trav in ((fast, traveling), (nobody, nobody))]
+        cases += [(kk, bool(fast[0]), bool(traveling[0]))
+                  for kk in (np.array(k[0]), k[0], float(k[0]))]
+        for kk, go, trav in cases:
+            ref = np.where(go, kk - p1, np.where(trav, kk + r2, kk))
+            got = settle(kk, go, trav, p)
+            assert np.asarray(got).dtype == np.float64
+            assert np.shape(got) == ref.shape
+            assert np.array_equal(got, ref)
 
 
 class TestInvariance:

@@ -17,7 +17,7 @@ import karma_routing
 from karma_routing import (PriceVector, RunConfig, SensitivitySpec,
                            balanced_flow, get_preset, mesoscopic)
 from karma_routing.cli import _strict_json, main
-from karma_routing.config import PRICE_DESIGN, apply_preset
+from karma_routing.config import PRICE_DESIGN
 from karma_routing.simulation import run_optimum
 
 from conftest import examples
@@ -209,24 +209,6 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             get_preset("fig7")
-
-    def test_preset_overrides_config_fields(self):
-        cfg = RunConfig(p_home=0.4, p1=3, r2=5, days=77, seed=123)
-        merged = apply_preset(cfg, "fig3")
-        assert merged.p_home == 0.05
-        assert (merged.p1, merged.r2) == (10, 14)
-        # non-preset runtime knobs survive
-        assert merged.days == 77
-        assert merged.seed == 123
-
-    def test_preset_pins_every_field_but_seed_and_days(self):
-        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_low=0.5,
-                        sensitivity_high=2.5, n_agents=5, days=9, seed=3)
-        merged = apply_preset(cfg, "fig3")
-        assert (merged.sensitivity_kind, merged.sensitivity_low,
-                merged.sensitivity_high) == ("exponential", 0.0, 2.0)
-        assert merged == replace(get_preset("fig3"), days=9, seed=3)
-        assert merged.preset == "fig3"
 
 
 # the CLI with scipy blocked: any import of it raises ImportError
@@ -521,6 +503,11 @@ class TestCli:
         ["analyze-chain", "--preset", "fig3", "--max-price", "50"],
         ["design-prices", "--preset", "fig3", "--max-price", "177"],
         ["system-optimum", "--preset", "fig3", "--p-go", "1e-8"],
+        # a run's settings come from a preset or a file, never both
+        ["run", "--preset", "fig3", "--config", "x.ini"],
+        ["analyze-chain", "--preset", "fig3", "--config", "x.ini"],
+        ["design-prices", "--preset", "fig3", "--config", "x.ini"],
+        ["system-optimum", "--preset", "fig3", "--config", "x.ini"],
     ])
     def test_unread_flags_rejected(self, argv):
         # each subcommand takes only the flags it reads
@@ -573,8 +560,8 @@ PUBLIC_NAMES = {
     "DayRecord", "DegenerateOptimumError", "InfeasibleHorizonError",
     "InfeasibleKarmaError", "KarmaChain", "KarmaRoutingError", "Population",
     "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
-    "SensitivitySpec", "Thresholds", "apply_preset", "as_flow",
-    "balanced_flow", "build_chain", "compute_metrics", "conservation_prices",
+    "SensitivitySpec", "Thresholds", "as_flow", "balanced_flow",
+    "build_chain", "compute_metrics", "conservation_prices",
     "equilibrium_flows", "get_preset", "init_population", "karma_cell",
     "quantize_population", "rationalize_prices", "run_scenario", "settle",
     "simulate_day", "stationary_distribution", "step_distribution",

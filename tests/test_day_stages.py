@@ -3,10 +3,10 @@
 `fast_mask` computes the decaying threshold in place (skipping the product
 at s_bar = 1), `check_floor` and `compute_metrics` reduce with ufuncs, and
 `ArcCostModel` keeps its volume-delay closures.  Each reference below is the
-direct numpy expression that the stage was written from; `settle_ref` pins
-`settle`, the account update every other stage feeds.  The stages must
+direct numpy expression that the stage was written from.  The stages must
 return the same bits on every input: karma exactly on a breakpoint and one
-ulp either side, s = 0, nobody traveling, 0-d and integer input.
+ulp either side, s = 0, nobody traveling, 0-d and integer input.  `settle`
+is checked against its per-route reference in `test_agent.py`.
 """
 
 import copy
@@ -18,19 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, InfeasibleKarmaError, PriceVector,
-                           RunConfig, compute_metrics, run_scenario, settle,
+                           RunConfig, compute_metrics, run_scenario,
                            thresholds)
 from karma_routing.agent import check_floor, fast_mask
 from karma_routing.network import SOCIETAL_DISCOMFORT, SOCIETAL_FLOW
 
 from conftest import examples
-
-
-def settle_ref(k, fast, traveling, p):
-    delta = traveling * float(p.r2)
-    delta -= fast * float(p.total)
-    delta += k
-    return delta
 
 
 def fast_mask_ref(k, s, traveling, th, s_bar, p):
@@ -48,14 +41,12 @@ def floor_holds_ref(k, floor):
     return bool(np.greater_equal(k, floor).all())
 
 
-def compute_metrics_ref(fast, traveling, s, x, d, k, model, s_bar):
-    cost = model._cost(x, d)
+def compute_metrics_ref(fast, traveling, s, n1, n2, d, k, model, s_bar):
+    cost = model._cost((n1 / k.size, n2 / k.size), d)
     mean_karma = float(k.sum()) / k.size
-    n_travel = int(np.count_nonzero(traveling))
+    n_travel = n1 + n2
     if not n_travel:
         return None, None, mean_karma, cost
-    n1 = int(np.count_nonzero(fast))
-    n2 = n_travel - n1
     s1 = float((s * fast).sum())
     s_all = float((s * traveling).sum())
     d1, d2 = d
@@ -120,14 +111,10 @@ def days(draw):
 class TestAgentStages:
     @settings(max_examples=examples(120), deadline=None)
     @given(day=days())
-    def test_fast_mask_and_settle_match_reference(self, day):
+    def test_fast_mask_and_floor_match_reference(self, day):
         p, t, s_bar, _, th, k, s, traveling = day
         fast = fast_mask(k, s, traveling, th, s_bar, p)
         assert same_bits(fast, fast_mask_ref(k, s, traveling, th, s_bar, p))
-        for mask in (traveling, np.zeros_like(traveling)):  # or nobody
-            go = fast & mask
-            assert same_bits(settle(k, go, mask, p),
-                             settle_ref(k, go, mask, p))
         check_floor(k, th.k_inf)
         assert floor_holds_ref(k, th.k_inf)
         below = np.nextafter(th.k_inf, -np.inf)
@@ -149,8 +136,6 @@ class TestAgentStages:
             want = fast_mask_ref(kk, ss, trav, one, s_bar, p)
             assert got == want and got.shape == ()
             assert got == fast_mask(k, s, traveling, th, s_bar, p)[0]
-            assert same_bits(settle(kk, got, trav, p),
-                             settle_ref(kk, want, trav, p))
             check_floor(kk, one.k_inf)
 
     @settings(max_examples=examples(40), deadline=None)
@@ -163,8 +148,6 @@ class TestAgentStages:
                        np.ceil(th.k_inf).astype(np.int64))
         fast = fast_mask(k, s, traveling, th, s_bar, p)
         assert same_bits(fast, fast_mask_ref(k, s, traveling, th, s_bar, p))
-        assert same_bits(settle(k, fast, traveling, p),
-                         settle_ref(k, fast, traveling, p))
         check_floor(k, th.k_inf)
 
     def test_floor_on_scalars(self):
@@ -178,19 +161,21 @@ class TestAgentStages:
 
 class TestMetricsStage:
     @settings(max_examples=examples(60), deadline=None)
-    @given(day=days(), x1=st.floats(0.0, 1.0),
+    @given(day=days(),
            kind=st.sampled_from([SOCIETAL_DISCOMFORT, SOCIETAL_FLOW]),
            integer=st.booleans())
-    def test_matches_reference(self, day, x1, kind, integer):
+    def test_matches_reference(self, day, kind, integer):
         p, t, s_bar, _, th, k, s, traveling = day
         model = ArcCostModel(societal_cost_kind=kind)
-        x = (x1, 1.0 - x1)
-        d = tuple(model.discomfort(x).tolist())
         fast = fast_mask(k, s, traveling, th, s_bar, p)
         if integer:
             k = np.floor(k).astype(np.int64)
         for mask in (traveling, np.zeros_like(traveling)):  # or nobody
-            args = (fast & mask, mask, s, x, d, k, model, s_bar)
+            # the route counts of the day's masks, as the day passes them
+            n1 = int(np.count_nonzero(fast & mask))
+            n2 = int(np.count_nonzero(mask)) - n1
+            d = tuple(model.discomfort((n1 / k.size, n2 / k.size)).tolist())
+            args = (fast & mask, mask, s, n1, n2, d, k, model, s_bar)
             assert (float_bits(compute_metrics(*args))
                     == float_bits(compute_metrics_ref(*args)))
 
@@ -201,7 +186,8 @@ class TestMetricsStage:
             for fast, traveling in ((True, True), (False, True),
                                     (False, False)):
                 args = (np.bool_(fast), np.bool_(traveling), np.float64(0.3),
-                        (1.0, 0.0), d, k, model, 1.0)
+                        int(fast), int(traveling and not fast), d, k, model,
+                        1.0)
                 assert (float_bits(compute_metrics(*args))
                         == float_bits(compute_metrics_ref(*args)))
 

@@ -55,9 +55,10 @@ class TestInitPopulation:
         assert np.all(pop.k == 80.0)
         assert np.all(pop.k_ref == 30.0)
 
-    def test_integer_lattice_option(self):
-        # the integer-lattice set-up floors k and k_ref after the draws; the
-        # floored k stays above the floored k_inf, clamped agents included
+    def test_floored_population_stays_feasible(self):
+        # flooring k and k_ref after the draws puts the agents on the chain's
+        # integer lattice; the floored k stays above the floored k_inf,
+        # clamped agents included
         sc = scenario(k_init=(0.0, 60.0), k_ref_init=(100.0, 200.0))
         p = PriceVector(10, 14)
         pop = init_population(sc, p)
@@ -375,9 +376,8 @@ def day_by_hand(pop, model, p, cost_star):
     fast, n1, n2, regime, d = wardrop_equilibrium(pop.k, s, traveling, th,
                                                   model, p, s_bar)
     k = settle(pop.k, fast, traveling, p)
-    x = np.array([n1 / m, n2 / m])
-    dd, ds, mk, cost = compute_metrics(fast, traveling, s, x, d, k, model,
-                                       s_bar)
+    dd, ds, mk, cost = compute_metrics(fast, traveling, s, n1, n2, d, k,
+                                       model, s_bar)
     record = DayRecord(pop.day, n1 / m, n2 / m, cost, cost / cost_star, dd, ds,
                        mk, regime)
     return record, k
@@ -498,7 +498,7 @@ class TestMetrics:
         s = np.full(4, 1.0)
         k = np.full(4, 10.0)
         x = np.array([0.5, 0.25])
-        dd, ds, mk, cost = compute_metrics(fast, traveling, s, x,
+        dd, ds, mk, cost = compute_metrics(fast, traveling, s, 2, 1,
                                            BPR.discomfort(x), k, BPR, 1.0)
         assert dd == 0.0 and ds == 0.0
         assert mk == 10.0
@@ -510,8 +510,8 @@ class TestMetrics:
         s = np.array([2.0, 0.5])
         x = np.array([0.5, 0.5])
         d = BPR.discomfort(x)
-        dd, ds, _, _ = compute_metrics(fast, np.ones(2, dtype=bool), s, x, d,
-                                       np.zeros(2), BPR, 1.0)
+        dd, ds, _, _ = compute_metrics(fast, np.ones(2, dtype=bool), s, 1, 1,
+                                       d, np.zeros(2), BPR, 1.0)
         expect_dd = ((2 - 1) * d[0] + (0.5 - 1) * d[1]) / (d[0] + d[1])
         assert dd == pytest.approx(expect_dd)
         assert ds == pytest.approx((1.0 - 0.5) / 2.0)
@@ -528,8 +528,9 @@ class TestMetrics:
         d_all = BPR.discomfort(x)
         d = d_all[route - 1]
         travelers = [2.0, 0.5, 1.25]
-        dd, ds, mk, cost = compute_metrics(fast, traveling, s, x, d_all,
-                                           np.arange(4.0), BPR, s_bar)
+        n1 = 3 if route == ARC1 else 0
+        dd, ds, mk, cost = compute_metrics(fast, traveling, s, n1, 3 - n1,
+                                           d_all, np.arange(4.0), BPR, s_bar)
         expect_dd = (sum((v - s_bar) * d for v in travelers)
                      / sum(s_bar * d for v in travelers))
         assert dd == pytest.approx(expect_dd, rel=1e-12)
@@ -541,7 +542,7 @@ class TestMetrics:
     def test_no_travelers_absent_metrics(self):
         nobody = np.zeros(3, dtype=bool)
         x = np.zeros(2)
-        dd, ds, _, cost = compute_metrics(nobody, nobody, np.ones(3), x,
+        dd, ds, _, cost = compute_metrics(nobody, nobody, np.ones(3), 0, 0,
                                           BPR.discomfort(x), np.ones(3), BPR,
                                           1.0)
         assert dd is None and ds is None and cost == 0.0
