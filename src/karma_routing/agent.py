@@ -2,15 +2,16 @@
 
 A traveling agent weighs today's discomfort (scaled by today's sensitivity s)
 against the average discomfort of the remaining T days of the horizon (scaled
-by the mean sensitivity s_bar), subject to ending the horizon no poorer than
-its karma reference.  On a d1 < d2 day the optimal rule is one threshold in
-karma: the agent takes the fast route iff s > theta(k), where theta is +inf
-below k_poor, s_bar up to k_rich, decays linearly to 0 at k_wealthy and is
--inf from there.  On a d1 > d2 day the slow route dominates, and on a
-d1 = d2 day any route is optimal; `wardrop` settles those days without the
-rule.  `thresholds` builds the four breakpoints once per k_ref,
-`check_floor` guards the feasibility floor, `fast_mask` applies the rule and
-`settle` is the one account update.  The tests check them against
+by the mean sensitivity), subject to ending the horizon no poorer than its
+karma reference.  Sensitivities are in units of their mean
+(`sensitivity.SensitivitySpec.sample`), so the mean is 1.  On a d1 < d2 day
+the optimal rule is one threshold in karma: the agent takes the fast route
+iff s > theta(k), where theta is +inf below k_poor, 1 up to k_rich, decays
+linearly to 0 at k_wealthy and is -inf from there.  On a d1 > d2 day the
+slow route dominates, and on a d1 = d2 day any route is optimal; `wardrop`
+settles those days without the rule.  `thresholds` builds the four
+breakpoints once per k_ref, `check_floor` guards the feasibility floor,
+`fast_mask` applies the rule and `settle` is the one account update.  The tests check them against
 `tests/oracles.py`, which solves the underlying two-stage program by direct
 enumeration.
 """
@@ -63,7 +64,7 @@ def k_poor(k_ref, p: PriceVector, horizon: int):
 
 
 def k_rich(k_ref, p: PriceVector, horizon: int):
-    """Above it the urgency threshold decays from s_bar toward zero."""
+    """Above it the urgency threshold decays from 1 toward zero."""
     return k_ref + horizon * p.p1 - p.r2
 
 
@@ -93,17 +94,13 @@ def thresholds(k_ref, p: PriceVector, horizon: int) -> Thresholds:
     )
 
 
-def _decaying_threshold(k, k_wealthy, s_bar: float, p: PriceVector):
-    """The rich band's threshold: decays linearly from s_bar to 0 at k_wealthy.
+def _decaying_threshold(k, k_wealthy, p: PriceVector):
+    """The rich band's threshold: decays linearly from 1 to 0 at k_wealthy.
 
-    s_bar * (k_wealthy - k) / (p1 + r2), computed in place in one float
-    array (integer karma is taken as float); the product commutes, and at
-    s_bar = 1 it is the difference itself, so the bits are those of the
-    expression.
+    (k_wealthy - k) / (p1 + r2), computed in place in one float array
+    (integer karma is taken as float).
     """
     theta = np.subtract(k_wealthy, k, dtype=float)
-    if s_bar != 1.0:
-        theta *= s_bar
     theta /= p.total
     return theta
 
@@ -127,25 +124,25 @@ def check_floor(k: np.ndarray, floor) -> None:
         )
 
 
-def fast_mask(k, s, traveling, th: Thresholds, s_bar: float, p: PriceVector):
+def fast_mask(k, s, traveling, th: Thresholds, p: PriceVector):
     """The d1 < d2 rule as a mask: which agents take the fast route.
 
     A traveler goes fast at or above k_wealthy, and between k_poor and
-    k_wealthy when its sensitivity s exceeds its urgency threshold: s_bar
-    below k_rich, then s_bar * (k_wealthy - k) / (p1 + r2), which decays
-    linearly to zero at k_wealthy.  Ties (s equal to its threshold) go to
-    the slow route.  ``th`` holds precomputed breakpoints (scalars or
-    per-agent arrays); k_inf is not read (see `check_floor`, which also
-    rejects a NaN karma), and s is not checked for finiteness.
+    k_wealthy when its sensitivity s (in units of the mean) exceeds its
+    urgency threshold: 1 below k_rich, then (k_wealthy - k) / (p1 + r2),
+    which decays linearly to zero at k_wealthy.  Ties (s equal to its
+    threshold) go to the slow route.  ``th`` holds precomputed breakpoints
+    (scalars or per-agent arrays); k_inf is not read (see `check_floor`,
+    which also rejects a NaN karma), and s is not checked for finiteness.
 
     The threshold is split by band rather than selected per agent: each
     agent's comparison is taken in both bands and the rich mask keeps one,
     so there is no per-element branch.
     """
     rich = k >= th.k_rich
-    go = s > _decaying_threshold(k, th.k_wealthy, s_bar, p)
+    go = s > _decaying_threshold(k, th.k_wealthy, p)
     go &= rich
-    go |= np.greater(s > s_bar, rich)  # s > s_bar and not rich
+    go |= np.greater(s > 1.0, rich)  # s > 1 and not rich
     go &= k >= th.k_poor
     go |= k >= th.k_wealthy
     go &= traveling

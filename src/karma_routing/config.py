@@ -12,7 +12,6 @@ The file format is plain key/value sections readable by `configparser`:
     k_ref_low = 0.0
     k_ref_high = 100.0
     sensitivity_kind = exponential
-    sensitivity_mean = 1.0
     # sensitivity_low / sensitivity_high for the uniform kind
 
     [model]
@@ -74,7 +73,6 @@ class RunConfig:
     k_ref_low: float = 0.0
     k_ref_high: float = 100.0
     sensitivity_kind: str = EXPONENTIAL
-    sensitivity_mean: float = 1.0
     sensitivity_low: float = 0.0
     sensitivity_high: float = 2.0
     # model
@@ -98,7 +96,7 @@ class RunConfig:
 
     def sensitivity(self) -> SensitivitySpec:
         if self.sensitivity_kind == EXPONENTIAL:
-            return SensitivitySpec.exponential(self.sensitivity_mean)
+            return SensitivitySpec.exponential()
         return SensitivitySpec.uniform(self.sensitivity_low, self.sensitivity_high)
 
     def scenario(self) -> Scenario:
@@ -159,8 +157,8 @@ class RunConfig:
     _SECTIONS = {
         "scenario": ["p_home", "horizon", "n_agents", "seed",
                      "k_init_low", "k_init_high", "k_ref_low", "k_ref_high",
-                     "sensitivity_kind", "sensitivity_mean",
-                     "sensitivity_low", "sensitivity_high"],
+                     "sensitivity_kind", "sensitivity_low",
+                     "sensitivity_high"],
         "model": ["d0_1", "d0_2", "kappa_1", "kappa_2", "alpha", "beta",
                   "societal_cost"],
         "pricing": ["price_mode", "p1", "r2", "max_price"],

@@ -14,11 +14,11 @@ the rule's breakpoints on that level.  There they are integers: `agent`'s
 max(p1, k_ref + p1 - T*r2) = p1 on that level.  A traveler in cell i takes
 the fast route iff its sensitivity s exceeds the cell's threshold theta_i
 (`KarmaChain.theta`), so its probability of the slow route is F(theta_i),
-with F the sensitivity CDF:
+with F the sensitivity CDF in units of the mean:
 
     poor     [0, k_poor)            theta = +inf (always slow)
-    ok       [k_poor, k_rich)       theta = s_bar
-    rich     [k_rich, k_wealthy)    theta = s_bar * (k_wealthy - i) / (p1 + r2)
+    ok       [k_poor, k_rich)       theta = 1
+    rich     [k_rich, k_wealthy)    theta = (k_wealthy - i) / (p1 + r2)
     wealthy  [k_wealthy, N)         theta = -inf (always fast)
 
 with widths p1, (T-1)*(p1+r2), p1+r2 and r2.
@@ -131,9 +131,9 @@ class KarmaChain:
     @property
     def theta(self) -> np.ndarray:
         """Per-cell urgency threshold: a traveler in cell i goes fast iff
-        s > theta[i], so chill_prob is the sensitivity CDF at theta."""
-        return _cell_thresholds(self.prices, self.horizon,
-                                self.sensitivity.s_bar)
+        s > theta[i] (s in units of its mean), so chill_prob is the
+        sensitivity CDF at theta."""
+        return _cell_thresholds(self.prices, self.horizon)
 
     def band_slices(self) -> dict[str, slice]:
         """0-based cell ranges of the poor/ok/rich/wealthy bands."""
@@ -160,14 +160,14 @@ def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
             zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
 
 
-def _cell_thresholds(p: PriceVector, horizon: int, s_bar: float) -> np.ndarray:
+def _cell_thresholds(p: PriceVector, horizon: int) -> np.ndarray:
     """The rule's threshold theta at each cell's karma, band by band."""
     poor, ok, rich, wealthy = _band_slices(p, horizon).values()
     theta = np.full(wealthy.stop, -np.inf)  # wealthy cells always go fast
     theta[poor] = np.inf                    # poor cells cannot pay the toll
-    theta[ok] = s_bar
+    theta[ok] = 1.0
     theta[rich] = _decaying_threshold(np.arange(rich.start, rich.stop),
-                                      wealthy.start, s_bar, p)
+                                      wealthy.start, p)
     return theta
 
 
@@ -188,7 +188,7 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     check_p_home(p_home)
     check_count("horizon", horizon)
     # P(slow | travel) per cell: the agent rule at karma i, which cell i holds
-    chill = sensitivity.cdf(_cell_thresholds(p, horizon, sensitivity.s_bar))
+    chill = sensitivity.cdf(_cell_thresholds(p, horizon))
 
     # column j of a diagonal holds the probability of leaving cell j by that
     # move; ascending offsets make A @ v add each row's terms in column

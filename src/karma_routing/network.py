@@ -21,7 +21,6 @@ from .sensitivity import SensitivitySpec
 SOCIETAL_DISCOMFORT = "discomfort"  # c(x) = d(x): cost is the sum of user costs
 SOCIETAL_FLOW = "flow"              # c(x) = x:    cost is quadratic in flow
 
-_FLOW_SLACK = 1e-9  # rounding allowed outside [0, 1] on a flow component
 # |h| at which a crossing stops; it sets the last bits of x* and of the
 # balanced flow
 _CROSSING_TOL = 1e-9
@@ -77,15 +76,17 @@ class ArcCostModel:
                     f"beta = {self.beta}")
 
     def discomfort(self, x) -> np.ndarray:
-        """d(x) as a float64 pair; a flow in `as_flow`'s slack below 0 is 0."""
+        """d(x) as a float64 pair, for a flow pair x that `as_flow` accepts."""
         d1, d2 = self._volume_delay()
-        x1, x2 = np.maximum(as_flow(x), 0.0).tolist()
+        x1, x2 = as_flow(x).tolist()
         return np.array([d1(x1), d2(x2)])
 
     def societal_cost(self, x) -> float:
-        """Aggregate societal cost c(x)^T x, reading x as `discomfort` does."""
-        x = np.maximum(as_flow(x), 0.0).tolist()
-        return self._cost(x, self.discomfort(x).tolist())
+        """Aggregate societal cost c(x)^T x, reading x as `discomfort` does;
+        x is validated once."""
+        d1, d2 = self._volume_delay()
+        x1, x2 = as_flow(x).tolist()
+        return self._cost((x1, x2), (d1(x1), d2(x2)))
 
     def _volume_delay(self, marginal: bool = False):
         """(d1, d2), each route's d(x) on one Python float x >= 0 (a negative
@@ -154,7 +155,7 @@ def as_flow(x) -> np.ndarray:
     if x.shape != (2,):
         raise ValueError("flow must be a pair (x1, x2)")
     # written so that NaN fails the check
-    if not np.all((x >= -_FLOW_SLACK) & (x <= 1.0 + _FLOW_SLACK)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"flow components must lie in [0, 1], got {x}")
     return x
 

@@ -1,10 +1,12 @@
-"""Daily urgency-weight distributions.
+"""Daily urgency-weight distributions, in units of their mean.
 
-Each traveler draws an i.i.d. sensitivity ``s`` every day; the decision rule
-compares ``s`` against thresholds expressed in units of the population mean
-``s_bar``, and the mesoscopic chain needs exact CDF values at those
-thresholds.  Two families are supported: exponential on [0, inf) and uniform
-on [low, high].
+Each traveler draws an i.i.d. sensitivity ``s`` every day.  The decision
+rule weighs today's discomfort, scaled by s, against the rest of the
+horizon, scaled by the population mean; so every decision and every
+reported number depends on s only through s over its mean.  `sample`
+therefore returns s in units of the mean, so the mean is 1, and the
+mesoscopic chain reads `cdf` at thresholds in the same unit.  Two families
+are supported: exponential on [0, inf) and uniform on [low, high].
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ class SensitivitySpec:
     """Descriptor of the common sensitivity distribution."""
 
     kind: str = EXPONENTIAL
-    mean: float = 1.0
     low: float = 0.0
     high: float = 2.0
 
@@ -30,41 +31,39 @@ class SensitivitySpec:
         if self.kind not in (EXPONENTIAL, UNIFORM):
             raise ValueError(f"unknown sensitivity kind: {self.kind!r}")
         # chained comparisons, so NaN fails each of them
-        if self.kind == EXPONENTIAL and not 0 < self.mean < np.inf:
-            raise ValueError("exponential sensitivity needs a finite mean > 0")
-        if self.kind == UNIFORM and not 0 <= self.low < self.high < np.inf:
-            raise ValueError("uniform sensitivity needs 0 <= low < high < inf")
+        if self.kind == UNIFORM and not (0 <= self.low < self.high < np.inf
+                                         and 0 < self._mean()):
+            raise ValueError("uniform sensitivity needs 0 <= low < high < inf "
+                             "and a mean (low + high) / 2 > 0")
 
     @classmethod
-    def exponential(cls, mean: float = 1.0) -> "SensitivitySpec":
-        return cls(kind=EXPONENTIAL, mean=mean)
+    def exponential(cls) -> "SensitivitySpec":
+        return cls(kind=EXPONENTIAL)
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "SensitivitySpec":
         return cls(kind=UNIFORM, low=low, high=high)
 
-    @property
-    def s_bar(self) -> float:
-        """Population-mean sensitivity."""
-        if self.kind == EXPONENTIAL:
-            return self.mean
-        return 0.5 * (self.low + self.high)
+    def _mean(self) -> float:
+        """The uniform mean; halving first cannot overflow, and where
+        0.5 * (low + high) is finite it has the same bits."""
+        return 0.5 * self.low + 0.5 * self.high
 
     def cdf(self, value):
-        """P(s < value); exact, vectorized.  cdf(0) is 0 for both families."""
+        """P(s < value), s in units of the mean; exact, vectorized.  cdf(0)
+        is 0 for both families."""
         v = np.asarray(value, dtype=float)
         if self.kind == EXPONENTIAL:
-            return -np.expm1(-np.maximum(v, 0.0) / self.mean)
-        return np.clip((v - self.low) / (self.high - self.low), 0.0, 1.0)
+            return -np.expm1(-np.maximum(v, 0.0))
+        return np.clip((v * self._mean() - self.low) / (self.high - self.low),
+                       0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` i.i.d. draws; the same stream and values as
-        ``rng.exponential(mean, size)`` or ``rng.uniform(low, high, size)``."""
+        """``size`` i.i.d. draws in units of the mean: the same stream as
+        ``rng.standard_exponential(size)``, or ``rng.uniform(low, high,
+        size)`` divided by its mean."""
         if self.kind == EXPONENTIAL:
-            # exponential(mean) is mean * standard_exponential, value for
-            # value; at the unit mean that product is the draw itself
-            s = rng.standard_exponential(size)
-            if self.mean != 1.0:
-                s *= self.mean
-            return s
-        return rng.uniform(self.low, self.high, size)
+            return rng.standard_exponential(size)
+        s = rng.uniform(self.low, self.high, size)
+        s /= self._mean()
+        return s

@@ -174,26 +174,24 @@ def init_population(scenario: Scenario, prices: PriceVector) -> Population:
                       n_clamped_init=n_clamped)
 
 
-def compute_metrics(fast, traveling, s, n1, n2, d, k, model: ArcCostModel,
-                    s_bar: float):
+def compute_metrics(fast, traveling, s, n1, n2, d, k, model: ArcCostModel):
     """Per-day metrics: (delta_d, delta_s, mean_karma, cost).
 
     ``fast`` and ``traveling`` are the day's route masks over all agents
-    (``fast`` a subset of ``traveling``), ``s`` their sensitivities, ``n1``
-    and ``n2`` the counts of the two routes' travelers, ``d`` = d(x) at the
-    flows x = (n1 / M, n2 / M), and ``k`` the karma after settlement.
-    delta_d compares the realized sensitivity-weighted discomfort against a
-    sensitivity-unaware random assignment to the same flows,
-    sum_i (s_i - s_bar) d_ji / sum_i s_bar d_ji over travelers; delta_s is
-    the relative deviation of the travelers' mean sensitivity,
-    sum_i (s_i - s_bar) / (M s_bar).  Both are None on days nobody travels.
+    (``fast`` a subset of ``traveling``), ``s`` their sensitivities in units
+    of the mean, ``n1`` and ``n2`` the counts of the two routes' travelers,
+    ``d`` = d(x) at the flows x = (n1 / M, n2 / M), and ``k`` the karma
+    after settlement.  delta_d compares the realized sensitivity-weighted
+    discomfort against a sensitivity-unaware random assignment to the same
+    flows, sum_i (s_i - 1) d_ji / sum_i d_ji over travelers; delta_s is the
+    relative deviation of the travelers' mean sensitivity,
+    sum_i (s_i - 1) / M.  Both are None on days nobody travels.
 
     Both come from per-route sums: with S_j the sum of route j's travelers'
     sensitivities (S = S1 + S2),
 
-        delta_d = (d1 (S1 - s_bar n1) + d2 (S2 - s_bar n2))
-                  / (s_bar (d1 n1 + d2 n2)),
-        delta_s = (S - s_bar (n1 + n2)) / (M s_bar).
+        delta_d = (d1 (S1 - n1) + d2 (S2 - n2)) / (d1 n1 + d2 n2),
+        delta_s = (S - (n1 + n2)) / M.
 
     S1 and S are masked products summed by numpy's pairwise summation, so
     the last bits do not depend on the BLAS build.  Each sum is
@@ -209,9 +207,9 @@ def compute_metrics(fast, traveling, s, n1, n2, d, k, model: ArcCostModel,
     s1 = float(np.add.reduce(s * fast, axis=None))
     s_all = float(np.add.reduce(s * traveling, axis=None))
     d1, d2 = d
-    delta_d = ((d1 * (s1 - s_bar * n1) + d2 * (s_all - s1 - s_bar * n2))
-               / (s_bar * (d1 * n1 + d2 * n2)))
-    delta_s = (s_all - s_bar * n_travel) / (m * s_bar)
+    delta_d = ((d1 * (s1 - n1) + d2 * (s_all - s1 - n2))
+               / (d1 * n1 + d2 * n2))
+    delta_s = (s_all - n_travel) / m
     return delta_d, delta_s, mean_karma, cost
 
 
@@ -229,14 +227,13 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     rng, sens = pop.rng, sc.sensitivity
     traveling = rng.random(m) >= sc.p_home
     s = sens.sample(rng, m)  # draws for all agents; travelers use theirs
-    s_bar = sens.s_bar
 
     fast, n1, n2, regime, d = wardrop_equilibrium(
-        pop.k, s, traveling, pop.breakpoints(p), model, p, s_bar)
+        pop.k, s, traveling, pop.breakpoints(p), model, p)
     pop.k = k = settle(pop.k, fast, traveling, p)
 
     delta_d, delta_s, mean_karma, cost = compute_metrics(
-        fast, traveling, s, n1, n2, d, k, model, s_bar)
+        fast, traveling, s, n1, n2, d, k, model)
     record = DayRecord(day=pop.day, x1=n1 / m, x2=n2 / m, cost=cost,
                        cost_opt_ratio=cost / cost_star, delta_d=delta_d,
                        delta_s=delta_s, mean_karma=mean_karma, regime=regime)
@@ -252,21 +249,19 @@ def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
     when cost* is so small against the model's largest cost that the tail's
     sum of daily cost ratios would not be finite (a d0 near the float
     range's bottom), or when `compute_metrics`' sums over the agents could
-    overflow, or its delta_d denominator underflow to 0, at the scenario's
-    sensitivity scale.
+    overflow.  Its delta_d denominator is at least min(d0) > 0 on a day
+    anyone travels.
     """
     d1, d2 = model._volume_delay()
-    d_lo, d_hi = min(model.d0), max(d1(1.0), d2(1.0))
-    sens = scenario.sensitivity
-    s_hi = sens.high if sens.kind == UNIFORM else _EXP_DRAW_BOUND * sens.mean
-    # numerator terms reach d_hi * M * s_hi; the denominator is at least
-    # s_bar * d_lo on a day anyone travels
-    if not (2 * scenario.n_agents * s_hi * max(1.0, d_hi) < np.inf
-            and sens.s_bar * d_lo > 0):
+    d_hi = max(d1(1.0), d2(1.0))
+    # a draw in units of the mean: a uniform one is at most high / mean <= 2
+    s_hi = 2.0 if scenario.sensitivity.kind == UNIFORM else _EXP_DRAW_BOUND
+    # numerator terms reach d_hi * M * s_hi
+    if not 2 * scenario.n_agents * s_hi * max(1.0, d_hi) < np.inf:
         raise ValueError(
-            f"sensitivities up to {s_hi!r} (s_bar = {sens.s_bar!r}) and "
-            f"discomforts from {d_lo!r} to {d_hi!r} put a day's metric sums "
-            f"over {scenario.n_agents} agents out of the float range")
+            f"sensitivities up to {s_hi!r} times their mean and discomforts "
+            f"up to {d_hi!r} put a day's metric sums over "
+            f"{scenario.n_agents} agents out of the float range")
     x_star = system_optimum(model, scenario.p_go)
     cost_star = model.societal_cost(x_star)
     # a convex cost on {x >= 0, x1 + x2 <= 1} peaks at (1, 0) or (0, 1),

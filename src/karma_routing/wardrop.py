@@ -68,15 +68,15 @@ def _balanced_split(k, traveling, k_poor, n_fast: int) -> np.ndarray:
 
 
 def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
-                        th: Thresholds, model: ArcCostModel, p: PriceVector,
-                        s_bar: float
+                        th: Thresholds, model: ArcCostModel, p: PriceVector
                         ) -> tuple[np.ndarray, int, int, str, tuple]:
     """The day's equilibrium as one pass of masks over all agents.
 
     Controlled whenever a d1 < d2 equilibrium exists, otherwise the balanced
     flow of today's realized demand (see the module docstring).  ``k`` and
-    ``s`` are float arrays and ``traveling`` a bool mask over all agents;
-    ``th`` holds their breakpoints, ``thresholds(k_ref, p, T)``.  Returns
+    ``s`` (in units of its mean) are float arrays and ``traveling`` a bool
+    mask over all agents; ``th`` holds their breakpoints,
+    ``thresholds(k_ref, p, T)``.  Returns
     (fast, n1, n2, regime, d): the fast-route mask, the fast and slow counts,
     the regime, and the float pair d = d(n1 / M, n2 / M).  On an
     uncontrolled day n1 is the largest count up to the sweep's with
@@ -87,7 +87,7 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     check_floor(k, th.k_inf)
     m = k.size
     n_travel = int(np.count_nonzero(traveling))
-    fast = fast_mask(k, s, traveling, th, s_bar, p)
+    fast = fast_mask(k, s, traveling, th, p)
     n1 = int(np.count_nonzero(fast))
     d1, d2 = model._volume_delay()
     d = (d1(n1 / m), d2((n_travel - n1) / m))

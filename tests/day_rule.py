@@ -14,8 +14,9 @@ from karma_routing.agent import check_floor, fast_mask
 from karma_routing.simulation import run_optimum
 
 
-def fast_routes(k, s, th, s_bar, p):
-    """Fast-route mask of travelers with karma k and sensitivity s.
+def fast_routes(k, s, th, p):
+    """Fast-route mask of travelers with karma k and sensitivity s (in
+    units of the mean).
 
     ``th`` is `thresholds` of the agents' k_ref (scalars or per-agent
     arrays), built once by the caller.  Raises InfeasibleKarmaError naming
@@ -23,7 +24,7 @@ def fast_routes(k, s, th, s_bar, p):
     """
     k = np.asarray(k, dtype=float)
     check_floor(k, th.k_inf)
-    return fast_mask(k, np.asarray(s, dtype=float), True, th, s_bar, p)
+    return fast_mask(k, np.asarray(s, dtype=float), True, th, p)
 
 
 def integer_histogram(scenario, model, p, days):

@@ -56,6 +56,8 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     its sign is exact: a route is affordable exactly where the real
     constraint holds.  Returns the route minimizing
     s*d_j + s_bar*T*d^T y_future, breaking exact ties toward the slow route.
+    ``state.s`` and ``s_bar`` may be in any common unit; the library's rule
+    takes s in units of the mean, where s_bar = 1.
     Raises InfeasibleKarmaError when no route admits a feasible plan, which
     is exactly k < k_inf.
     """
@@ -127,10 +129,13 @@ def stationary_distribution_dense(chain: KarmaChain) -> np.ndarray:
     return dist / dist.sum()
 
 
-def day_metrics_oracle(fast, traveling, s, n1, n2, d, k, model, s_bar):
+def day_metrics_oracle(fast, traveling, s, n1, n2, d, k, model,
+                       s_bar: float = 1.0):
     """(delta_d, delta_s, mean_karma, cost) summed traveler by traveler.
 
-    Gathers each traveler's sensitivity and looks its discomfort up in the
+    ``s`` is in any unit and ``s_bar`` is its mean in that unit (1 for the
+    library's draws, which are in units of their mean).  Gathers each
+    traveler's sensitivity and looks its discomfort up in the
     (d2, d1) table with its fast flag as the index, then sums the
     per-traveler terms.  Takes `compute_metrics`' arguments and asserts
     that the route counts ``n1``, ``n2`` are the masks' own; delta_d and

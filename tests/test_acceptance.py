@@ -22,7 +22,7 @@ from day_rule import fast_routes, integer_histogram
 from oracles import (ARC1, ARC2, AgentState, plan_oracle,
                      stationary_distribution_dense)
 
-EXP = SensitivitySpec.exponential(1.0)
+EXP = SensitivitySpec.exponential()
 BPR = ArcCostModel()
 
 
@@ -58,7 +58,7 @@ def test_01_best_response_oracle_equivalence():
                                      2 * horizon * p.r2 + 50))
         wealthy = k_wealthy(k_ref, p, horizon)
         k = rng.uniform(k_inf(k_ref, p, horizon), wealthy + 2 * p.total)
-        s = rng.exponential(1.0, n)
+        s = rng.standard_exponential(n)
         order_of = np.digitize(rng.random(n), (0.4, 0.7))
         base = rng.uniform(0.5, 2.0, n)
         gap = rng.uniform(0.05, 2.0, n)
@@ -69,7 +69,7 @@ def test_01_best_response_oracle_equivalence():
         thr = np.where(k >= k_rich(k_ref, p, horizon),
                        (wealthy - k) / p.total, 1.0)
         while (at := (order_of == 0) & (np.abs(s - thr) < 1e-9)).any():
-            s[at] = rng.exponential(1.0, int(np.count_nonzero(at)))
+            s[at] = rng.standard_exponential(int(np.count_nonzero(at)))
         plan = np.array([
             plan_oracle(AgentState(*row[:3]), row[3:], p, horizon, 1.0).choice
             for row in zip(k.tolist(), k_ref.tolist(), s.tolist(),
@@ -90,7 +90,7 @@ def test_01_best_response_oracle_equivalence():
             if not at.any():
                 continue
             if order == "d1<d2":
-                fast = fast_routes(k, s, th, 1.0, p)[at]
+                fast = fast_routes(k, s, th, p)[at]
                 bad = np.where(fast, ARC1, ARC2) != plan[at]
             elif order == "d1>d2":
                 bad = plan[at] != ARC2  # the slow route dominates
@@ -292,8 +292,8 @@ def test_11_property_suite():
         # through the day's steps on the breakpoints built above
         walk = np.array([k, above])
         for step in range(250):
-            s = float(rng.exponential(1.0))
-            walk = settle(walk, fast_routes(walk, s, th, 1.0, p), True, p)
+            s = float(rng.standard_exponential())
+            walk = settle(walk, fast_routes(walk, s, th, p), True, p)
             ok_band &= th.k_inf <= walk[0] < hi
         ok_band &= th.k_inf <= walk[1] < hi  # absorbed from above by now
     notes.append(f"band invariance {ok_band}")

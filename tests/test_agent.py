@@ -20,7 +20,7 @@ from day_rule import fast_routes
 from oracles import ARC1, ARC2, AgentState, plan_oracle
 
 P_FIG3 = PriceVector(10, 14)
-SBAR = 1.0
+SBAR = 1.0  # the mean sensitivity, in the unit the rule reads s in
 
 
 class TestThresholds:
@@ -63,7 +63,7 @@ class TestThresholds:
         d = [1.06144, 2.19683]
         state = AgentState(k_ref, k_ref, 1.2858477775042385)
         assert plan_oracle(state, d, p, 1, SBAR).choice == ARC1
-        assert fast_routes(k_ref, state.s, th, SBAR, p)
+        assert fast_routes(k_ref, state.s, th, p)
 
     def test_poor_breakpoint_is_the_exact_boundary(self):
         # k_poor is the least float at or above max(p1, k_ref + p1 - T*r2)
@@ -90,9 +90,9 @@ class TestThresholds:
                 bound = max(Fraction(p.p1), Fraction(ref) + p.p1 - t * p.r2)
                 assert Fraction(under) < bound <= Fraction(k), (p, t, ref)
             assert [thresholds(r, p, t).k_poor for r in k_ref] == list(th.k_poor)
-            # s = 4 s_bar exceeds every threshold, so only the budget decides
+            # s = 4 means exceeds every threshold, so only the budget decides
             for k, fast in ((th.k_poor, True), (below, False)):
-                rule = fast_routes(k, 4 * SBAR, th, SBAR, p)
+                rule = fast_routes(k, 4 * SBAR, th, p)
                 plans = [plan_oracle(AgentState(float(a), float(ref), 4 * SBAR),
                                      (1.0, 2.0), p, t, SBAR).choice
                          for a, ref in zip(k, k_ref)]
@@ -108,7 +108,7 @@ class TestBestResponse:
         """The rule's routes, as a list, for karma k and sensitivity s."""
         k, s = np.broadcast_arrays(np.atleast_1d(k).astype(float), s)
         th = thresholds(np.full(k.shape, k_ref), P_FIG3, 6)
-        return np.where(fast_routes(k, s, th, SBAR, P_FIG3), ARC1,
+        return np.where(fast_routes(k, s, th, P_FIG3), ARC1,
                         ARC2).tolist()
 
     def test_poor_band_forced_slow(self):
@@ -136,7 +136,7 @@ class TestBestResponse:
     def test_rule_never_sees_discomfort_values(self):
         # the decision is independent of discomfort magnitudes by signature
         params = list(inspect.signature(fast_mask).parameters)
-        assert params == ["k", "s", "traveling", "th", "s_bar", "p"]
+        assert params == ["k", "s", "traveling", "th", "p"]
 
     def test_batch_raises_on_infeasible(self):
         # the scalar call is one agent, 0-d, below its floor of 102
@@ -192,19 +192,18 @@ def neighbours(v):
 class TestBandEdges:
     """`fast_mask` against the threshold selected per agent, at the edges.
 
-    The reference selects each agent's threshold: s against s_bar below
-    k_rich and against the decaying threshold from k_rich on.
+    The reference selects each agent's threshold: s against 1 (the mean)
+    below k_rich and against the decaying threshold from k_rich on.
     Off-lattice references make the decaying threshold at k_rich differ from
-    s_bar in its last bits, so either comparison taken on the wrong side of
+    1 in its last bits, so either comparison taken on the wrong side of
     k_rich, or a tie sent fast, shows as a mismatch.
     """
 
-    S_BAR = 1.3
     K_REFS = (0.0, 37.3, 101.77, 0.1)
 
     @staticmethod
-    def reference(k, s, th, s_bar, p):
-        thr = np.where(k < th.k_rich, s_bar, s_bar * (th.k_wealthy - k) / p.total)
+    def reference(k, s, th, p):
+        thr = np.where(k < th.k_rich, 1.0, (th.k_wealthy - k) / p.total)
         return (k >= th.k_wealthy) | ((k >= th.k_poor) & (s > thr))
 
     def edge_points(self, p, t):
@@ -216,9 +215,9 @@ class TestBandEdges:
         th = thresholds(k_ref, p, t)
         k = neighbours([th.k_poor, th.k_rich, th.k_wealthy])
         k = k.reshape(9, k_ref.size)
-        tail = self.S_BAR * (th.k_wealthy - k) / p.total
+        tail = (th.k_wealthy - k) / p.total
         s = np.stack([neighbours(np.broadcast_to(v, k.shape))
-                      for v in (0.0, self.S_BAR, tail)])
+                      for v in (0.0, 1.0, tail)])
         s = s.reshape(9, *k.shape)  # (s edge, k edge, k_ref)
         k, s, *th = np.broadcast_arrays(k, s, *astuple(th))
         return k.ravel(), s.ravel(), Thresholds(*(v.ravel() for v in th))
@@ -231,8 +230,8 @@ class TestBandEdges:
             for r2 in range(1, 21):
                 p = PriceVector(p1, r2)
                 k, s, th = self.edge_points(p, t)
-                ref = self.reference(k, s, th, self.S_BAR, p)
-                mask = fast_mask(k, s, True, th, self.S_BAR, p)
+                ref = self.reference(k, s, th, p)
+                mask = fast_mask(k, s, True, th, p)
                 mismatches += np.count_nonzero(mask != ref)
                 checked += k.size
         assert checked == 400 * len(self.K_REFS) * 81
@@ -316,7 +315,7 @@ class TestPlanOracle:
             k_ref = rng.uniform(0, 2 * t * p.r2)
             wealthy = k_wealthy(k_ref, p, t)
             k = rng.uniform(k_inf(k_ref, p, t), wealthy + 2 * p.total)
-            s = rng.exponential(SBAR)
+            s = rng.standard_exponential()
             u = rng.random()
             if u < 0.4:
                 d = (1.0, 2.0)
@@ -335,7 +334,7 @@ class TestPlanOracle:
         for (p, t, less), rows in groups.items():
             k, k_ref, s, expected = np.array(rows).T
             if less:
-                fast = fast_routes(k, s, thresholds(k_ref, p, t), SBAR, p)
+                fast = fast_routes(k, s, thresholds(k_ref, p, t), p)
                 rule = np.where(fast, ARC1, ARC2)
             else:
                 rule = np.full(k.shape, ARC2)
@@ -392,7 +391,7 @@ class TestInvariance:
         k = np.array([k0])
         path = [k0]
         for s in seq:
-            k = settle(k, fast_routes(k, s, th, SBAR, p), True, p)
+            k = settle(k, fast_routes(k, s, th, p), True, p)
             path.append(k[0])
         return np.array(path), th
 
@@ -406,7 +405,8 @@ class TestInvariance:
             k_ref = float(rng.uniform(0, 60))
             th = thresholds(k_ref, p, t)
             k0 = float(rng.uniform(th.k_inf, th.k_wealthy + p.r2))
-            path, th = self.walk(k0, k_ref, p, t, rng.exponential(1.0, 300))
+            path, th = self.walk(k0, k_ref, p, t,
+                                 rng.standard_exponential(300))
             assert np.all(path >= th.k_inf)
             assert np.all(path < th.k_wealthy + p.r2)
 
@@ -417,7 +417,7 @@ class TestInvariance:
         k_ref = 30.0
         th = thresholds(k_ref, p, t)
         k0 = th.k_wealthy + p.r2 + 200.0
-        path, _ = self.walk(k0, k_ref, p, t, rng.exponential(1.0, 300))
+        path, _ = self.walk(k0, k_ref, p, t, rng.standard_exponential(300))
         entered = np.flatnonzero(path < th.k_wealthy + p.r2)
         assert entered.size > 0
         # every step above the band pays the toll, so entry is within a bound
@@ -431,8 +431,33 @@ class TestInvariance:
             k_ref = rng.uniform(0, 100)
             th = thresholds(k_ref, P_FIG3, 6)
             k = rng.uniform(th.k_inf, th.k_wealthy + 30)
-            s = rng.exponential(1.0)
+            s = rng.standard_exponential()
             state = AgentState(k, k_ref, s)
             base = plan_oracle(state, (1.0, 2.0), P_FIG3, 6, SBAR).choice
             scaled = plan_oracle(state, (10.0, 20.0), P_FIG3, 6, SBAR).choice
             assert base == scaled
+
+    @pytest.mark.parametrize("scale", [0.3, 1.7, 1024.0])
+    def test_urgency_unit_has_no_effect_via_oracle(self, scale):
+        # the rule reads s in units of the mean: the oracle's plan for a
+        # population of mean c, with today's sensitivity c*s, is the rule's
+        # route for s; s is drawn off the rule's ties, where c*s and c*theta
+        # can round to the same side
+        rng = np.random.default_rng(24)
+        checked = 0
+        while checked < 2000:
+            p = PriceVector(int(rng.integers(1, 31)), int(rng.integers(1, 31)))
+            t = int(rng.integers(1, 13))
+            k_ref = float(rng.uniform(0, 2 * t * p.r2))
+            th = thresholds(k_ref, p, t)
+            k = float(rng.uniform(th.k_inf, th.k_wealthy + 2 * p.total))
+            s = float(rng.standard_exponential())
+            thr = (th.k_wealthy - k) / p.total if k >= th.k_rich else 1.0
+            if abs(s - thr) < 1e-9:
+                continue
+            d1 = float(rng.uniform(0.1, 5.0))
+            d = (d1, d1 + float(rng.uniform(1e-3, 5.0)))
+            plan = plan_oracle(AgentState(k, k_ref, scale * s), d, p, t, scale)
+            rule = fast_routes(k, s, th, p)
+            assert (plan.choice == ARC1) == bool(rule), (p, t, k_ref, k, s)
+            checked += 1

@@ -53,6 +53,12 @@ class TestRunConfig:
         path.write_text("p_home = 0.5\n[scenario]\n")
         with pytest.raises(ValueError, match="no section headers"):
             RunConfig.from_ini(path)
+        # sensitivities are drawn in units of their mean, which has no key
+        path.write_text("[scenario]\nsensitivity_mean = 1.0\n")
+        with pytest.raises(ValueError, match=r"unknown key 'sensitivity_mean'"
+                           r".*sensitivity_kind, sensitivity_low, "
+                           r"sensitivity_high$"):
+            RunConfig.from_ini(path)
         path.write_text("[scenario]\nhorizon = 2.5\n")
         with pytest.raises(ValueError) as err:
             RunConfig.from_ini(path)
@@ -121,21 +127,25 @@ class TestRunConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("changes, message", [
-        (dict(sensitivity_kind="uniform", sensitivity_high=5e-324),
-         "metric sums"),
-        (dict(sensitivity_mean=1e308), "metric sums"),
-        (dict(sensitivity_mean=1e-320, d0_1=1e-10), "metric sums"),
+        # discomforts whose sums over the agents overflow, at the largest
+        # exponential and uniform draws (1024 and 2 times the mean)
+        (dict(d0_1=1e305), "metric sums"),
+        (dict(sensitivity_kind="uniform", d0_2=1e306), "metric sums"),
+        (dict(d0_1=1e300, n_agents=10**9), "metric sums"),
         (dict(k_init_high=1e308), r"k_init must satisfy .* 2\*\*53"),
         (dict(k_ref_high=2.0**53), r"k_ref_init must satisfy .* 2\*\*53"),
         (dict(max_price=1), "max_price must be an integer >= 2"),
         (dict(price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0, alpha=0.0),
          "price_mode = design: target flow"),
+        (dict(sensitivity_kind="uniform", sensitivity_high=5e-324),
+         "uniform sensitivity needs .* mean"),
     ])
     def test_validate_rejects_what_a_command_fails_on(self, changes,
                                                        message):
-        # each used to validate, then end a command in a ZeroDivisionError
-        # traceback, in a strict-JSON error naming no field after the run,
-        # or (max_price, design) in an error of design-prices or run
+        # without its check each would validate, then end a command in a
+        # ZeroDivisionError traceback, in a strict-JSON error naming no
+        # field after the run, or (max_price, design) in an error of
+        # design-prices or run
         with pytest.raises(ValueError, match=message):
             RunConfig(**changes).validate()
 
@@ -163,11 +173,11 @@ class TestRunConfig:
             assert not out.exists()
 
     def test_uniform_sensitivity(self):
-        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_mean=7.0,
-                        sensitivity_low=0.5, sensitivity_high=2.5)
+        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_low=0.5,
+                        sensitivity_high=2.5)
         spec = cfg.sensitivity()
         assert spec == SensitivitySpec.uniform(0.5, 2.5)
-        assert spec.s_bar == 1.5
+        assert spec.cdf(1.0) == 0.5  # the mean 1.5 is the unit
         assert cfg.scenario().sensitivity == spec
 
     def test_designed_prices_from_model(self):
@@ -614,18 +624,21 @@ def reject_constant(name):
 
 @settings(max_examples=examples(150), deadline=None)
 @given(cfg=run_configs())
-# six faults that this property and longer runs of it found, each of which
+# five faults that this property and longer runs of it found, each of which
 # used to validate and then end a command in an error; the flat model is
 # pinned in both price modes, so design-prices also runs its "none" path
 @example(cfg=replace(BASE, sensitivity_kind="uniform",
                      sensitivity_high=5e-324))
-@example(cfg=replace(BASE, sensitivity_mean=1e308))
 @example(cfg=replace(BASE, k_init_high=1e308))
 @example(cfg=replace(BASE, k_init_high=-0.0))
 @example(cfg=replace(BASE, max_price=1))
 @example(cfg=replace(BASE, price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0,
                      alpha=0.0))
 @example(cfg=replace(BASE, d0_1=5.0, d0_2=1.0, alpha=0.0))
+# a support at the top of the float range validates, since its draws are
+# taken in units of its mean, so every command must run it
+@example(cfg=replace(BASE, sensitivity_kind="uniform", sensitivity_low=1e308,
+                     sensitivity_high=1.7e308))
 def test_every_config_that_validates_runs(cfg):
     # either validate() rejects the config, or every command runs it
     try:

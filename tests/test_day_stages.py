@@ -1,7 +1,7 @@
 """The day's stages, bit for bit, against the plain expressions they replace.
 
-`fast_mask` computes the decaying threshold in place (skipping the product
-at s_bar = 1), `check_floor` and `compute_metrics` reduce with ufuncs, and
+`fast_mask` computes the decaying threshold in place, `check_floor` and
+`compute_metrics` reduce with ufuncs, and
 `ArcCostModel` keeps its volume-delay closures.  Each reference below is the
 direct numpy expression that the stage was written from.  The stages must
 return the same bits on every input: karma exactly on a breakpoint and one
@@ -26,11 +26,11 @@ from karma_routing.network import SOCIETAL_DISCOMFORT, SOCIETAL_FLOW
 from conftest import examples
 
 
-def fast_mask_ref(k, s, traveling, th, s_bar, p):
+def fast_mask_ref(k, s, traveling, th, p):
     rich = k >= th.k_rich
-    go = s > s_bar * (th.k_wealthy - k) / p.total
+    go = s > (th.k_wealthy - k) / p.total
     go &= rich
-    go |= np.greater(s > s_bar, rich)  # s > s_bar and not rich
+    go |= np.greater(s > 1.0, rich)  # s > 1 and not rich
     go &= k >= th.k_poor
     go |= k >= th.k_wealthy
     go &= traveling
@@ -41,7 +41,7 @@ def floor_holds_ref(k, floor):
     return bool(np.greater_equal(k, floor).all())
 
 
-def compute_metrics_ref(fast, traveling, s, n1, n2, d, k, model, s_bar):
+def compute_metrics_ref(fast, traveling, s, n1, n2, d, k, model):
     cost = model._cost((n1 / k.size, n2 / k.size), d)
     mean_karma = float(k.sum()) / k.size
     n_travel = n1 + n2
@@ -50,9 +50,9 @@ def compute_metrics_ref(fast, traveling, s, n1, n2, d, k, model, s_bar):
     s1 = float((s * fast).sum())
     s_all = float((s * traveling).sum())
     d1, d2 = d
-    delta_d = ((d1 * (s1 - s_bar * n1) + d2 * (s_all - s1 - s_bar * n2))
-               / (s_bar * (d1 * n1 + d2 * n2)))
-    delta_s = (s_all - s_bar * n_travel) / (k.size * s_bar)
+    delta_d = ((d1 * (s1 - n1) + d2 * (s_all - s1 - n2))
+               / (d1 * n1 + d2 * n2))
+    delta_s = (s_all - n_travel) / k.size
     return delta_d, delta_s, mean_karma, cost
 
 
@@ -72,14 +72,13 @@ def days(draw):
     """One day's agents: prices, horizon, breakpoints, karma, draws, masks.
 
     Each agent's karma is one of its breakpoints, one ulp either side of
-    one, or a float between its floor and past k_wealthy; its sensitivity
-    is 0, a float in [0, 8 s_bar], or s_bar or its own decaying threshold
-    (if not negative), each exactly or one ulp either side.
+    one, or a float between its floor and past k_wealthy; its sensitivity,
+    in units of the mean, is 0, a float in [0, 8], or 1 or its own decaying
+    threshold (if not negative), each exactly or one ulp either side.
     """
     p = PriceVector(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
     t = draw(st.integers(1, 12))
     n = draw(st.integers(1, 40))
-    s_bar = draw(st.sampled_from([1.0, 0.7, 2.5]))
     k_ref = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n,
                                    max_size=n)))
     th = thresholds(k_ref, p, t)
@@ -94,10 +93,10 @@ def days(draw):
     free = th.k_inf + u * (th.k_wealthy + 2 * p.total - th.k_inf)
     on_edge = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     k = np.where(on_edge, k, free)
-    decaying = s_bar * (th.k_wealthy - k) / p.total
-    s_free = np.array(draw(st.lists(st.floats(0.0, 8 * s_bar), min_size=n,
+    decaying = (th.k_wealthy - k) / p.total
+    s_free = np.array(draw(st.lists(st.floats(0.0, 8.0), min_size=n,
                                     max_size=n)))
-    ties = [np.full(n, s_bar), np.maximum(decaying, 0.0)]
+    ties = [np.full(n, 1.0), np.maximum(decaying, 0.0)]
     choices = [np.zeros(n), s_free] + [
         np.nextafter(v, to) for v in ties for to in (-np.inf, v, np.inf)]
     kind = draw(st.lists(st.integers(0, len(choices) - 1), min_size=n,
@@ -105,16 +104,16 @@ def days(draw):
     s = np.choose(kind, choices)
     traveling = np.array(draw(st.lists(st.booleans(), min_size=n,
                                        max_size=n)))
-    return p, t, s_bar, k_ref, th, k, s, traveling
+    return p, t, k_ref, th, k, s, traveling
 
 
 class TestAgentStages:
     @settings(max_examples=examples(120), deadline=None)
     @given(day=days())
     def test_fast_mask_and_floor_match_reference(self, day):
-        p, t, s_bar, _, th, k, s, traveling = day
-        fast = fast_mask(k, s, traveling, th, s_bar, p)
-        assert same_bits(fast, fast_mask_ref(k, s, traveling, th, s_bar, p))
+        p, t, _, th, k, s, traveling = day
+        fast = fast_mask(k, s, traveling, th, p)
+        assert same_bits(fast, fast_mask_ref(k, s, traveling, th, p))
         check_floor(k, th.k_inf)
         assert floor_holds_ref(k, th.k_inf)
         below = np.nextafter(th.k_inf, -np.inf)
@@ -127,27 +126,27 @@ class TestAgentStages:
     def test_one_agent_at_a_time(self, day):
         # 0-d arrays, numpy scalars and Python floats, with scalar
         # breakpoints and traveling as a Python bool
-        p, t, s_bar, k_ref, th, k, s, traveling = day
+        p, t, k_ref, th, k, s, traveling = day
         one = thresholds(float(k_ref[0]), p, t)
         trav = bool(traveling[0])
         for kk, ss in ((np.array(k[0]), np.array(s[0])), (k[0], s[0]),
                        (float(k[0]), float(s[0]))):
-            got = fast_mask(kk, ss, trav, one, s_bar, p)
-            want = fast_mask_ref(kk, ss, trav, one, s_bar, p)
+            got = fast_mask(kk, ss, trav, one, p)
+            want = fast_mask_ref(kk, ss, trav, one, p)
             assert got == want and got.shape == ()
-            assert got == fast_mask(k, s, traveling, th, s_bar, p)[0]
+            assert got == fast_mask(k, s, traveling, th, p)[0]
             check_floor(kk, one.k_inf)
 
     @settings(max_examples=examples(40), deadline=None)
     @given(day=days())
     def test_integer_karma(self, day):
         # karma and k_ref on the integer lattice, as integer arrays
-        p, t, s_bar, k_ref, th, k, s, traveling = day
+        p, t, k_ref, th, k, s, traveling = day
         th = thresholds(np.floor(k_ref).astype(np.int64), p, t)
         k = np.maximum(np.floor(k).astype(np.int64),
                        np.ceil(th.k_inf).astype(np.int64))
-        fast = fast_mask(k, s, traveling, th, s_bar, p)
-        assert same_bits(fast, fast_mask_ref(k, s, traveling, th, s_bar, p))
+        fast = fast_mask(k, s, traveling, th, p)
+        assert same_bits(fast, fast_mask_ref(k, s, traveling, th, p))
         check_floor(k, th.k_inf)
 
     def test_floor_on_scalars(self):
@@ -165,9 +164,9 @@ class TestMetricsStage:
            kind=st.sampled_from([SOCIETAL_DISCOMFORT, SOCIETAL_FLOW]),
            integer=st.booleans())
     def test_matches_reference(self, day, kind, integer):
-        p, t, s_bar, _, th, k, s, traveling = day
+        p, t, _, th, k, s, traveling = day
         model = ArcCostModel(societal_cost_kind=kind)
-        fast = fast_mask(k, s, traveling, th, s_bar, p)
+        fast = fast_mask(k, s, traveling, th, p)
         if integer:
             k = np.floor(k).astype(np.int64)
         for mask in (traveling, np.zeros_like(traveling)):  # or nobody
@@ -175,7 +174,7 @@ class TestMetricsStage:
             n1 = int(np.count_nonzero(fast & mask))
             n2 = int(np.count_nonzero(mask)) - n1
             d = tuple(model.discomfort((n1 / k.size, n2 / k.size)).tolist())
-            args = (fast & mask, mask, s, n1, n2, d, k, model, s_bar)
+            args = (fast & mask, mask, s, n1, n2, d, k, model)
             assert (float_bits(compute_metrics(*args))
                     == float_bits(compute_metrics_ref(*args)))
 
@@ -186,8 +185,7 @@ class TestMetricsStage:
             for fast, traveling in ((True, True), (False, True),
                                     (False, False)):
                 args = (np.bool_(fast), np.bool_(traveling), np.float64(0.3),
-                        int(fast), int(traveling and not fast), d, k, model,
-                        1.0)
+                        int(fast), int(traveling and not fast), d, k, model)
                 assert (float_bits(compute_metrics(*args))
                         == float_bits(compute_metrics_ref(*args)))
 

@@ -19,7 +19,7 @@ from day_rule import integer_histogram
 from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
                      plan_oracle, stationary_distribution_dense)
 
-EXP = SensitivitySpec.exponential(1.0)
+EXP = SensitivitySpec.exponential()
 
 
 def columns(a, n):
@@ -67,7 +67,7 @@ class TestBuildChain:
         assert np.all(ch.rush_prob[bands["poor"]] == 0.0)
         assert np.allclose(ch.chill_prob[bands["ok"]], f_mean)
         assert np.all(ch.chill_prob[bands["wealthy"]] == 0.0)
-        # rich band: threshold decays linearly from s_bar to 0 toward the top
+        # rich band: threshold decays linearly from 1 to 0 toward the top
         rich = np.arange(bands["rich"].start, bands["rich"].stop)
         gap = t * p.total + p.p1 - rich  # karma distance to the wealthy line
         assert np.allclose(ch.chill_prob[rich], EXP.cdf(gap / p.total))
@@ -113,8 +113,7 @@ class TestBuildChain:
     def test_diagonals_match_stacked_form(self):
         # bit for bit against the three rows stacked from temporaries
         rng = np.random.default_rng(7)
-        sens = [EXP, SensitivitySpec.exponential(0.3),
-                SensitivitySpec.uniform(0.5, 2.5)]
+        sens = [EXP, SensitivitySpec.uniform(0.5, 2.5)]
         for _ in range(40):
             p = PriceVector(int(rng.integers(1, 25)), int(rng.integers(1, 49)))
             t = int(rng.integers(1, 13))
@@ -209,22 +208,21 @@ class TestDiagonalMatrix:
 
 
 def selected_chill(p, horizon, sens):
-    """P(slow | travel) per cell with the threshold selected per cell: s_bar
-    below k_rich and the decaying threshold from there, then the poor and
-    wealthy bands forced."""
+    """P(slow | travel) per cell with the threshold selected per cell: 1 (the
+    mean) below k_rich and the decaying threshold from there, then the poor
+    and wealthy bands forced."""
     th = thresholds(horizon * p.r2, p, horizon)
     cell = np.arange((horizon + 1) * p.total)
-    decaying = sens.s_bar * (th.k_wealthy - cell) / p.total
-    chill = sens.cdf(np.where(cell < th.k_rich, sens.s_bar, decaying))
+    decaying = (th.k_wealthy - cell) / p.total
+    chill = sens.cdf(np.where(cell < th.k_rich, 1.0, decaying))
     chill[cell < th.k_poor] = 1.0
     chill[cell >= th.k_wealthy] = 0.0
     return chill
 
 
-@pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
-                                  SensitivitySpec.exponential(0.3),
+@pytest.mark.parametrize("sens", [SensitivitySpec.exponential(),
                                   SensitivitySpec.uniform(0.5, 2.5)],
-                         ids=["exp1", "exp0.3", "uni"])
+                         ids=["exp1", "uni"])
 def test_chill_prob_band_by_band_matches_selection(sens):
     # bit for bit, on every price pair up to 20 and T up to 8; the
     # chain's theta is exact on the poor, ok and wealthy bands, and its CDF
@@ -239,7 +237,7 @@ def test_chill_prob_band_by_band_matches_selection(sens):
                 assert got.tobytes() == selected_chill(p, t, sens).tobytes()
                 theta, bands = ch.theta, ch.band_slices()
                 assert np.all(theta[bands["poor"]] == np.inf)
-                assert np.all(theta[bands["ok"]] == sens.s_bar)
+                assert np.all(theta[bands["ok"]] == 1.0)
                 assert np.all(theta[bands["wealthy"]] == -np.inf)
                 assert sens.cdf(theta).tobytes() == got.tobytes()
                 checked += 1
@@ -264,9 +262,13 @@ def oracle_switch(karma, p, horizon, s_bar, hi, steps=36):
 
 
 class TestChainMatchesOracle:
-    @pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
-                                      SensitivitySpec.exponential(1.7),
-                                      SensitivitySpec.uniform(0.5, 2.5)],
+    # the oracle weighs s against a mean of `scale`; the chain reads s in
+    # units of the mean, so its switch is the oracle's over the scale.
+    # uniform(0.5, 2.5) has the mean 1.5 in the unit of its bounds
+    @pytest.mark.parametrize("sens, scale",
+                             [(SensitivitySpec.exponential(), 1.0),
+                              (SensitivitySpec.exponential(), 1.7),
+                              (SensitivitySpec.uniform(0.5, 2.5), 1.5)],
                              ids=["exp1", "exp1.7", "uni"])
     @pytest.mark.parametrize("p, t", [(PriceVector(2, 3), 3),
                                       (PriceVector(10, 14), 6),
@@ -276,12 +278,12 @@ class TestChainMatchesOracle:
                                       (PriceVector(14, 7), 6)],
                              ids=["2-3-T3", "10-14-T6", "1-1-T1", "3-7-T4",
                                   "3-2-T3", "14-7-T6"])
-    def test_chill_prob_is_cdf_of_oracle_switch(self, sens, p, t):
+    def test_chill_prob_is_cdf_of_oracle_switch(self, sens, scale, p, t):
         # cell i of the chain holds karma i on the reference level T*r2
         ch = build_chain(p, t, 0.05, sens)
-        hi = 4.0 * sens.s_bar  # above every threshold of the rule
-        switch = np.array([oracle_switch(i, p, t, sens.s_bar, hi)
-                           for i in range(ch.n_states)])
+        hi = 4.0 * scale  # above every threshold of the rule
+        switch = np.array([oracle_switch(i, p, t, scale, hi)
+                           for i in range(ch.n_states)]) / scale
         assert np.abs(ch.chill_prob - sens.cdf(switch)).max() <= 1e-9
         assert np.array_equal(ch.rush_prob, 1.0 - ch.chill_prob)
         # the rich band's theta is the oracle's switch itself
@@ -387,7 +389,7 @@ class TestStationary:
             pe = stationary_distribution(ch)
             assert np.abs(ch.a @ pe - pe).sum() <= 1e-10
 
-    @pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
+    @pytest.mark.parametrize("sens", [SensitivitySpec.exponential(),
                                       SensitivitySpec.uniform(0.5, 2.5)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("t", [1, 3, 6], ids="T{}".format)
@@ -669,25 +671,32 @@ def test_sensitivity_cdf_edges():
     assert uni.cdf(0.0) == 0.0
     assert uni.cdf(1.0) == 0.5
     assert uni.cdf(5.0) == 1.0
-    assert uni.s_bar == 1.0
+    # in units of the mean: uniform(0.5, 2.5) has the mean 1.5
+    uni = SensitivitySpec.uniform(0.5, 2.5)
+    assert uni.cdf(1.0) == 0.5
+    assert uni.cdf(1 / 3) == 0.0 and uni.cdf(2.0) == 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 10_000])
-@pytest.mark.parametrize("sens", [SensitivitySpec.exponential(1.0),
-                                  SensitivitySpec.exponential(1.3),
-                                  SensitivitySpec.exponential(0.7),
-                                  SensitivitySpec.uniform(0.5, 2.5)],
+@pytest.mark.parametrize("sens, scale",
+                         [(SensitivitySpec.exponential(), 1.0),
+                          (SensitivitySpec.exponential(), 1.3),
+                          (SensitivitySpec.exponential(), 0.7),
+                          (SensitivitySpec.uniform(0.5, 2.5), 1.5)],
                          ids=["exp1.0", "exp1.3", "exp0.7", "uni0.5-2.5"])
-def test_sensitivity_sample_stream(sens, n):
-    # the draws and the generator's state after them are numpy's own:
-    # exponential(mean, n) or uniform(low, high, n), bit for bit
+def test_sensitivity_sample_stream(sens, scale, n):
+    # the draws are numpy's own stream in units of the mean, bit for bit,
+    # and leave the generator where numpy's leave it: exponential(c, n) is
+    # c times the unit draws, value for value, so a population of mean c
+    # loses nothing when drawn in units of its mean; uniform(low, high, n)
+    # is divided by its mean 1.5
     for seed in (0, 12345):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = sens.sample(rng, n)
         if sens.kind == "exponential":
-            expect = ref.exponential(sens.mean, n)
+            got, expect = scale * draws, ref.exponential(scale, n)
         else:
-            expect = ref.uniform(sens.low, sens.high, n)
-        assert draws.dtype == expect.dtype and draws.shape == (n,)
-        assert draws.tobytes() == expect.tobytes()
+            got, expect = draws, ref.uniform(sens.low, sens.high, n) / scale
+        assert draws.dtype == np.float64 and draws.shape == (n,)
+        assert got.tobytes() == expect.tobytes()
         assert rng.random() == ref.random()

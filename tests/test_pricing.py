@@ -144,16 +144,15 @@ class TestScalingInvariance:
                 k_ref = rng.uniform(0, 40)
                 th = thresholds(k_ref, base, horizon)
                 k = rng.uniform(th.k_inf, th.k_wealthy + 2 * base.total)
-                rows.append((k, k_ref, rng.exponential(1.0)))
+                rows.append((k, k_ref, rng.standard_exponential()))
             k, k_ref, s = np.array(rows).T
-            a = fast_routes(k, s, thresholds(k_ref, base, horizon), 1.0,
-                            base)
+            a = fast_routes(k, s, thresholds(k_ref, base, horizon), base)
             b = fast_routes(k * lam, s, thresholds(k_ref * lam, scaled,
-                                                   horizon), 1.0, scaled)
+                                                   horizon), scaled)
             assert np.array_equal(a, b)
 
     def test_chain_flows_invariant_under_common_scale(self):
-        sens = SensitivitySpec.exponential(1.0)
+        sens = SensitivitySpec.exponential()
         base = build_chain(PriceVector(1, 2), 3, 0.1, sens)
         scaled = build_chain(PriceVector(3, 6), 3, 0.1, sens)
         fb = equilibrium_flows(base, stationary_distribution(base))

@@ -27,7 +27,7 @@ from conftest import examples
 from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
 
 BPR = ArcCostModel()
-EXP = SensitivitySpec.exponential(1.0)
+EXP = SensitivitySpec.exponential()
 # cost* at the demand 0.95 of `scenario()` and fig3, whose model is BPR
 COST_STAR = BPR.societal_cost(system_optimum(BPR, 0.95))
 HOME = 0  # route code of an agent at home, beside ARC1 and ARC2
@@ -120,7 +120,7 @@ class TestRunScenario:
         for _ in range(80):
             stay = rng.random(sc.n_agents) < sc.p_home
             s = EXP.sample(rng, sc.n_agents)
-            fast = wardrop_equilibrium(pop.k, s, ~stay, th, BPR, p, 1.0)[0]
+            fast = wardrop_equilibrium(pop.k, s, ~stay, th, BPR, p)[0]
             assert np.all(pop.k[fast] >= p.p1)
             pop.k = np.where(fast, pop.k - p.p1,
                              np.where(~stay, pop.k + p.r2, pop.k))
@@ -340,7 +340,6 @@ class TestDayInvariants:
         sc, model, p, days = run
         cost_star = simulation.run_optimum(sc, model, days)[1]
         pop = init_population(sc, p)
-        s_bar = sc.sensitivity.s_bar
         for _ in range(days):
             k_before = pop.k.copy()
             draws = copy.deepcopy(pop.rng)  # simulate_day's draws, replayed
@@ -357,7 +356,7 @@ class TestDayInvariants:
                 state = AgentState(k_before[i], pop.k_ref[i], s[i])
                 if rec.regime == CONTROLLED:
                     assert plan_oracle(state, d, p, sc.horizon,
-                                       s_bar).choice == route[i]
+                                       1.0).choice == route[i]
                 elif route[i] == ARC1:
                     th = thresholds(pop.k_ref[i], p, sc.horizon)
                     assert k_before[i] >= th.k_poor
@@ -368,16 +367,16 @@ def day_by_hand(pop, model, p, cost_star):
     the same draws, `thresholds` built fresh (so the cache is checked against
     a fresh build), `wardrop_equilibrium`, `settle` and `compute_metrics`."""
     sc = pop.scenario
-    m, s_bar = sc.n_agents, sc.sensitivity.s_bar
+    m = sc.n_agents
     draws = copy.deepcopy(pop.rng)
     traveling = draws.random(m) >= sc.p_home
     s = sc.sensitivity.sample(draws, m)
     th = thresholds(pop.k_ref, p, sc.horizon)
     fast, n1, n2, regime, d = wardrop_equilibrium(pop.k, s, traveling, th,
-                                                  model, p, s_bar)
+                                                  model, p)
     k = settle(pop.k, fast, traveling, p)
     dd, ds, mk, cost = compute_metrics(fast, traveling, s, n1, n2, d, k,
-                                       model, s_bar)
+                                       model)
     record = DayRecord(pop.day, n1 / m, n2 / m, cost, cost / cost_star, dd, ds,
                        mk, regime)
     return record, k
@@ -492,6 +491,31 @@ class TestMetrics:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tail_mean_delta_d"] is None
 
+    @pytest.mark.parametrize("scale", [0.3, 1.7, 1024.0])
+    def test_urgency_unit_has_no_effect_via_oracle(self, scale):
+        # delta_d and delta_s are ratios in which the mean cancels: summed
+        # for a population of mean c, with sensitivities c*s, they are
+        # `compute_metrics` on s, which is in units of the mean
+        rng = np.random.default_rng(25)
+        for m in (1, 7, 1000):
+            for _ in range(20):
+                traveling = rng.random(m) >= 0.05
+                fast = traveling & (rng.random(m) < 0.5)
+                s = rng.standard_exponential(m)
+                k = rng.uniform(0.0, 500.0, m)
+                n1 = int(np.count_nonzero(fast))
+                n2 = int(np.count_nonzero(traveling)) - n1
+                d = tuple(BPR.discomfort((n1 / m, n2 / m)).tolist())
+                got = compute_metrics(fast, traveling, s, n1, n2, d, k, BPR)
+                want = day_metrics_oracle(fast, traveling, scale * s, n1, n2,
+                                          d, k, BPR, scale)
+                assert got[2:] == want[2:]
+                if want[0] is None:
+                    assert got[:2] == (None, None)
+                    continue
+                assert abs(got[0] - want[0]) <= METRICS_TOL, (got, want)
+                assert abs(got[1] - want[1]) <= METRICS_TOL, (got, want)
+
     def test_uniform_sensitivity_zeroes_deviations(self):
         fast = np.array([True, False, True, False])
         traveling = np.array([True, True, True, False])
@@ -499,7 +523,7 @@ class TestMetrics:
         k = np.full(4, 10.0)
         x = np.array([0.5, 0.25])
         dd, ds, mk, cost = compute_metrics(fast, traveling, s, 2, 1,
-                                           BPR.discomfort(x), k, BPR, 1.0)
+                                           BPR.discomfort(x), k, BPR)
         assert dd == 0.0 and ds == 0.0
         assert mk == 10.0
         assert cost == pytest.approx(BPR.societal_cost([0.5, 0.25]))
@@ -511,7 +535,7 @@ class TestMetrics:
         x = np.array([0.5, 0.5])
         d = BPR.discomfort(x)
         dd, ds, _, _ = compute_metrics(fast, np.ones(2, dtype=bool), s, 1, 1,
-                                       d, np.zeros(2), BPR, 1.0)
+                                       d, np.zeros(2), BPR)
         expect_dd = ((2 - 1) * d[0] + (0.5 - 1) * d[1]) / (d[0] + d[1])
         assert dd == pytest.approx(expect_dd)
         assert ds == pytest.approx((1.0 - 0.5) / 2.0)
@@ -523,19 +547,18 @@ class TestMetrics:
         traveling = np.array([True, True, False, True])
         fast = traveling & (route == ARC1)
         s = np.array([2.0, 0.5, 9.0, 1.25])
-        s_bar = 1.1
         x = np.array([0.75, 0.0] if route == ARC1 else [0.0, 0.75])
         d_all = BPR.discomfort(x)
         d = d_all[route - 1]
         travelers = [2.0, 0.5, 1.25]
         n1 = 3 if route == ARC1 else 0
         dd, ds, mk, cost = compute_metrics(fast, traveling, s, n1, 3 - n1,
-                                           d_all, np.arange(4.0), BPR, s_bar)
-        expect_dd = (sum((v - s_bar) * d for v in travelers)
-                     / sum(s_bar * d for v in travelers))
+                                           d_all, np.arange(4.0), BPR)
+        expect_dd = (sum((v - 1.0) * d for v in travelers)
+                     / sum(d for v in travelers))
         assert dd == pytest.approx(expect_dd, rel=1e-12)
-        assert ds == pytest.approx(sum(v - s_bar for v in travelers)
-                                   / (4 * s_bar), rel=1e-12)
+        assert ds == pytest.approx(sum(v - 1.0 for v in travelers) / 4,
+                                   rel=1e-12)
         assert mk == 1.5
         assert cost == pytest.approx(0.75 * d, rel=1e-12)
 
@@ -543,8 +566,7 @@ class TestMetrics:
         nobody = np.zeros(3, dtype=bool)
         x = np.zeros(2)
         dd, ds, _, cost = compute_metrics(nobody, nobody, np.ones(3), 0, 0,
-                                          BPR.discomfort(x), np.ones(3), BPR,
-                                          1.0)
+                                          BPR.discomfort(x), np.ones(3), BPR)
         assert dd is None and ds is None and cost == 0.0
 
 

@@ -19,7 +19,7 @@ from oracles import (ARC1, ARC2, AgentState, balanced_count_oracle,
                      plan_oracle)
 
 BPR = ArcCostModel()
-EXP = SensitivitySpec.exponential(1.0)
+EXP = SensitivitySpec.exponential()
 P = PriceVector(10, 14)
 T = 6
 D1_LESS_FLOWS = [0.5, 0.5]  # assumed flows at which BPR has d1 < d2
@@ -40,8 +40,7 @@ def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
     """
     d = BPR.discomfort(x_assumed)
     if d[0] < d[1]:
-        fast = traveling & fast_routes(k, s, thresholds(k_ref, p, horizon),
-                                       1.0, p)
+        fast = traveling & fast_routes(k, s, thresholds(k_ref, p, horizon), p)
     else:
         fast = np.zeros(np.shape(k), dtype=bool)
     n1 = np.count_nonzero(fast)
@@ -52,7 +51,7 @@ def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
 def solve(k, k_ref, s, traveling, model=BPR, p=P, horizon=T):
     """The day's equilibrium from k_ref's breakpoints: (fast, flows, regime)."""
     fast, n1, n2, regime, _ = wardrop_equilibrium(
-        k, s, traveling, thresholds(k_ref, p, horizon), model, p, 1.0)
+        k, s, traveling, thresholds(k_ref, p, horizon), model, p)
     return fast, np.array([n1, n2]) / k.size, regime
 
 
@@ -64,7 +63,7 @@ class TestSweep:
         rng = np.random.default_rng(1)
         k_ref = np.full(m, 90.0)  # k_poor = max(10, 90 + 10 - 84) = 16
         k = np.full(m, 12.0)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = rng.random(m) < 0.95
         x, fast = sweep(k, k_ref, s, traveling, [0.3, 0.65])
         assert x[0] == 0.0
@@ -76,7 +75,7 @@ class TestSweep:
         rng = np.random.default_rng(2)
         k_ref = np.full(m, 50.0)
         k = np.full(m, 500.0)  # far above k_wealthy = 120
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
         x, fast = sweep(k, k_ref, s, traveling, [0.3, 0.65])
         assert x[0] == pytest.approx(1.0)
@@ -92,7 +91,7 @@ class TestSweep:
         k_ref = 200.0
         cells = rng.choice(chain.n_states, size=m, p=pe)
         k = k_ref + chain.deviation_of_cell(cells).astype(float)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = rng.random(m) >= 0.05
         x_e = equilibrium_flows(chain, pe)
         x, _ = sweep(k, np.full(m, k_ref), s, traveling, x_e)
@@ -104,7 +103,7 @@ class TestWardropEquilibrium:
         m = 1000
         rng = np.random.default_rng(4)
         k, k_ref = population(rng, m, 300.0, 500.0)  # everyone wealthy
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = rng.random(m) >= 0.05
         _, x, regime = solve(k, k_ref, s, traveling)
         assert regime == UNCONTROLLED
@@ -122,10 +121,10 @@ class TestWardropEquilibrium:
         m = 10_000
         rng = np.random.default_rng(12)
         k, k_ref = population(rng, m, 2000.0, 4000.0)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = rng.random(m) >= p_home
         _, n, n_slow, regime, d = wardrop_equilibrium(
-            k, s, traveling, thresholds(k_ref, P, T), BPR, P, 1.0)
+            k, s, traveling, thresholds(k_ref, P, T), BPR, P)
         assert regime == UNCONTROLLED
         n_travel = n + n_slow
         assert [type(v) for v in d] == [float, float]
@@ -141,7 +140,7 @@ class TestWardropEquilibrium:
         m = 500
         k_ref = np.full(m, 90.0)
         k = np.full(m, 12.0)
-        s = np.random.default_rng(5).exponential(1.0, m)
+        s = np.random.default_rng(5).standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
         fast, x, regime = solve(k, k_ref, s, traveling)
         assert regime == CONTROLLED
@@ -159,7 +158,7 @@ class TestWardropEquilibrium:
         k_ref = 200.0
         cells = rng.choice(chain.n_states, size=m, p=pe)
         k = k_ref + chain.deviation_of_cell(cells).astype(float)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = rng.random(m) >= 0.05
         _, x, regime = solve(k, np.full(m, k_ref), s, traveling)
         assert regime == CONTROLLED
@@ -170,7 +169,7 @@ class TestWardropEquilibrium:
         m = 2000
         rng = np.random.default_rng(7)
         k, k_ref = population(rng, m, 0.0, 200.0)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = rng.random(m) >= 0.05
         fast, x, regime = solve(k, k_ref, s, traveling)
         assert regime == CONTROLLED
@@ -184,7 +183,7 @@ class TestWardropEquilibrium:
         for lo, hi in [(0.0, 80.0), (0.0, 200.0), (200.0, 500.0)]:
             m = 1500
             k, k_ref = population(rng, m, lo, hi)
-            s = rng.exponential(1.0, m)
+            s = rng.standard_exponential(m)
             traveling = rng.random(m) >= 0.05
             _, x, _ = solve(k, k_ref, s, traveling)
             d = BPR.discomfort(x)
@@ -197,7 +196,7 @@ class TestWardropEquilibrium:
         for lo, hi in [(0.0, 120.0), (100.0, 500.0)]:
             m = 1000
             k, k_ref = population(rng, m, lo, hi)
-            s = rng.exponential(1.0, m)
+            s = rng.standard_exponential(m)
             traveling = rng.random(m) >= 0.05
             fast, x, regime = solve(k, k_ref, s, traveling)
             x_sweep, fast_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
@@ -212,13 +211,13 @@ class TestWardropEquilibrium:
 
     def test_controlled_selected_whenever_it_exists(self):
         # k = 80 sits in the middle band, so the d1 < d2 rule sends fast the
-        # travelers with s > s_bar: that split keeps d1 < d2, a controlled
+        # travelers with s > 1: that split keeps d1 < d2, a controlled
         # equilibrium.  The balanced flow (0.803, 0.197) is an equilibrium
         # too (every traveler is above k_poor), but is not selected.
         m = 1000
         k = np.full(m, 80.0)
         k_ref = np.full(m, 50.0)
-        s = np.random.default_rng(0).exponential(1.0, m)
+        s = np.random.default_rng(0).standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
         _, x, regime = solve(k, k_ref, s, traveling)
         assert regime == CONTROLLED
@@ -230,7 +229,7 @@ class TestWardropEquilibrium:
         rng = np.random.default_rng(10)
         k = np.full(m, 400.0)
         k_ref = np.full(m, 50.0)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
         fast, _, regime = solve(k, k_ref, s, traveling)
         assert regime == UNCONTROLLED
@@ -249,11 +248,10 @@ class TestWardropEquilibrium:
         wealthy (fast in the sweep) and the rest poor (slow)."""
         p, m = PriceVector(10, 14), 1000
         k = np.where(np.arange(m) < n_rich, 1000.0, 20.0)
-        s = np.random.default_rng(0).exponential(1.0, m)
+        s = np.random.default_rng(0).standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
         return wardrop_equilibrium(
-            k, s, traveling, thresholds(np.full(m, 100.0), p, 6), self.FLAT,
-            p, 1.0)
+            k, s, traveling, thresholds(np.full(m, 100.0), p, 6), self.FLAT, p)
 
     def test_balanced_count_capped_at_the_sweep(self):
         # the sweep sends the 460 karma-rich travelers fast; the day keeps
@@ -318,7 +316,7 @@ class TestWardropEquilibrium:
         flipped = ArcCostModel(d0=(5.0, 1.0), alpha=0.0)
         rng = np.random.default_rng(11)
         k, k_ref = population(rng, m, 0.0, 300.0)
-        s = rng.exponential(1.0, m)
+        s = rng.standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
         _, x, regime = solve(k, k_ref, s, traveling, model=flipped)
         assert x[1] == pytest.approx(1.0)
@@ -327,11 +325,10 @@ class TestWardropEquilibrium:
     def test_solver_knobs_rejected(self):
         # the closed form has no warm start, tolerance, budget or damping
         params = inspect.signature(wardrop_equilibrium).parameters
-        assert list(params) == ["k", "s", "traveling", "th", "model", "p",
-                                "s_bar"]
+        assert list(params) == ["k", "s", "traveling", "th", "model", "p"]
         m = 4
         args = (np.full(m, 50.0), np.ones(m), np.ones(m, dtype=bool),
-                thresholds(np.full(m, 50.0), P, T), BPR, P, 1.0)
+                thresholds(np.full(m, 50.0), P, T), BPR, P)
         for knob in (dict(x_init=[0.5, 0.5]), dict(tol=1e-9),
                      dict(max_iter=50), dict(damping=0.5)):
             with pytest.raises(TypeError):
@@ -397,7 +394,7 @@ def day_inputs(draw):
     k_ref = rng.uniform(0.0, 100.0, m)
     k = np.maximum(rng.uniform(0.0, k_high, m),
                    np.maximum(0.0, k_ref - (horizon + 1) * p.r2))
-    s = rng.exponential(1.0, m)
+    s = rng.standard_exponential(m)
     traveling = rng.random(m) >= p_home
     return k, k_ref, s, traveling, draw(st.sampled_from(MODELS)), p, horizon
 
@@ -409,7 +406,7 @@ class TestEquilibriumProperties:
         k, k_ref, s, traveling, model, p, horizon = day
         m = k.size
         fast, n1, n2, regime, d_eq = wardrop_equilibrium(
-            k, s, traveling, thresholds(k_ref, p, horizon), model, p, 1.0)
+            k, s, traveling, thresholds(k_ref, p, horizon), model, p)
         # the counts are the mask's, and only travelers travel
         assert n1 == np.count_nonzero(fast)
         assert n2 == np.count_nonzero(traveling & ~fast)
@@ -467,7 +464,7 @@ def rich_days(draw):
     k = np.where(rng.random(m) < rich_share, rng.uniform(2000.0, 4000.0, m),
                  rng.uniform(0.0, 200.0, m))
     k = np.maximum(k, np.maximum(0.0, k_ref - (horizon + 1) * p.r2))
-    s = rng.exponential(1.0, m)
+    s = rng.standard_exponential(m)
     traveling = rng.random(m) >= p_home
     return k, k_ref, s, traveling, model, p, horizon
 
@@ -481,11 +478,11 @@ class TestBalancedCount:
         k, k_ref, s, traveling, model, p, horizon = day
         m = k.size
         th = thresholds(k_ref, p, horizon)
-        n_sweep = int(np.count_nonzero(fast_routes(k, s, th, 1.0, p)
+        n_sweep = int(np.count_nonzero(fast_routes(k, s, th, p)
                                        & traveling))
         n_travel = int(np.count_nonzero(traveling))
         fast, n1, n2, regime, d = wardrop_equilibrium(
-            k, s, traveling, th, model, p, 1.0)
+            k, s, traveling, th, model, p)
         d_sweep = model.discomfort([n_sweep / m, (n_travel - n_sweep) / m])
         if n_travel == 0 or d_sweep[0] < d_sweep[1]:
             assert regime == CONTROLLED and n1 == n_sweep
