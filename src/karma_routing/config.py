@@ -37,7 +37,10 @@ The presets `fig3`, `fig5`, `fig6` pin every field but the run's seed and days.
 
 Floats are written with `repr` so a written file reloads to identical values.
 A `;` starts a comment, also after a value.  An unknown section or key is an
-error, so a misspelled name cannot silently leave its default in place.
+error, so a misspelled name cannot silently leave its default in place; and
+`validate` rejects a value other than the default in a key that the
+config's own mode never reads (p1 and r2 under price_mode = design,
+sensitivity_low and sensitivity_high under the exponential kind).
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ from .simulation import run_optimum
 
 PRICE_FIXED = "fixed"
 PRICE_DESIGN = "design"
+# fields that a mode never reads: (mode field, its value) -> their names
+_UNREAD = {("price_mode", PRICE_DESIGN): ("p1", "r2"),
+           ("sensitivity_kind", EXPONENTIAL): ("sensitivity_low",
+                                               "sensitivity_high")}
 # INI value parser and its name in errors, by the field's annotation
 _PARSERS = {"float": (float, "a float"), "int": (int, "an int")}
 
@@ -122,11 +129,13 @@ class RunConfig:
                              self.horizon)[2]
 
     def validate(self) -> "RunConfig":
-        """Instantiate every derived object so bad values fail early."""
+        """Instantiate every derived object so bad values fail early, and
+        reject a set value that the config's mode never reads."""
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
         check_count("days", self.days)
         self._check_preset()
+        self._check_unread()
         # the scenario's checks (p_home in [0, 1) among them) and the run's
         # optimum, which also bounds its daily numbers
         run_optimum(self.scenario(), self.model(), self.days)
@@ -151,6 +160,20 @@ class RunConfig:
                 raise ValueError(f"{name} = {value!r} differs from preset "
                                  f"{self.preset}'s {pinned[name]!r}; a preset "
                                  "pins every field but seed and days")
+
+    def _check_unread(self) -> None:
+        """A field that the config's own mode never reads keeps its default,
+        so that a value set there is not silently ignored."""
+        for (mode, value), names in _UNREAD.items():
+            if getattr(self, mode) != value:
+                continue
+            for name in names:
+                default = self.__dataclass_fields__[name].default
+                if getattr(self, name) != default:
+                    raise ValueError(
+                        f"{name} = {getattr(self, name)!r} is not read under "
+                        f"{mode} = {value}; leave it at its default "
+                        f"{default!r}")
 
     # -- INI round-trip ----------------------------------------------------
 

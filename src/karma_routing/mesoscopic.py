@@ -51,6 +51,7 @@ periodic component at p_home = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,20 +78,25 @@ class DiagonalMatrix:
 
     data: np.ndarray  # (len(offsets), n)
     offsets: tuple[int, ...]
+    # (k, columns, rows) of diagonal k's in-range entries, sliced once
+    _spans: tuple = field(init=False, repr=False, compare=False)
 
-    def _spans(self):
-        """(in-range entries, their columns, their rows) of each diagonal."""
+    def __post_init__(self):
         n = self.data.shape[1]
-        for diagonal, offset in zip(self.data, self.offsets):
-            lo = max(offset, 0)
-            hi = max(lo, min(n + offset, n))
-            yield diagonal[lo:hi], slice(lo, hi), slice(lo - offset, hi - offset)
+        spans = []
+        for k, offset in enumerate(self.offsets):
+            lo, width = max(offset, 0), max(n - abs(offset), 0)
+            spans.append((k, slice(lo, lo + width),
+                          slice(lo - offset, lo - offset + width)))
+        object.__setattr__(self, "_spans", tuple(spans))
 
     def __matmul__(self, v) -> np.ndarray:
-        # each row adds its terms diagonal by diagonal, starting from zero
-        out = np.zeros(self.data.shape[1])
-        for entries, cols, rows in self._spans():
-            out[rows] += entries * v[cols]
+        # column j of every diagonal multiplies v[j], so one product serves
+        # them all; each row adds its terms diagonal by diagonal, from zero
+        terms = self.data * v
+        out = np.zeros(terms.shape[1])
+        for k, cols, rows in self._spans:
+            out[rows] += terms[k, cols]
         return out
 
     def sum(self, axis: int = 0) -> np.ndarray:
@@ -98,8 +104,8 @@ class DiagonalMatrix:
         if axis != 0:
             raise ValueError("DiagonalMatrix sums its columns only (axis=0)")
         out = np.zeros(self.data.shape[1])
-        for entries, cols, _ in self._spans():
-            out[cols] += entries
+        for k, cols, _ in self._spans:
+            out[cols] += self.data[k, cols]
         return out
 
 
@@ -144,30 +150,36 @@ class KarmaChain:
         return np.asarray(i) - self.horizon * self.prices.r2
 
 
-def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
-    """Bands between the breakpoints on the reference level k_ref = T*r2,
-    where cell i holds karma i.
+def _band_edges(p: PriceVector, horizon: int) -> list[int]:
+    """The band edges [0, k_poor, k_rich, k_wealthy, N]: the rule's
+    breakpoints on the reference level k_ref = T*r2, where cell i holds
+    karma i.
 
     The edges are Python ints: k_rich and k_wealthy from `agent` at that
     level, and k_poor = max(p1, k_ref + p1 - T*r2) = p1, the value
     `agent.k_poor` gives there.
     """
     ref = horizon * p.r2
-    edges = [int(e) for e in (0, p.p1, k_rich(ref, p, horizon),
-                              k_wealthy(ref, p, horizon),
-                              (horizon + 1) * p.total)]
+    return [0, p.p1, int(k_rich(ref, p, horizon)),
+            int(k_wealthy(ref, p, horizon)), (horizon + 1) * p.total]
+
+
+def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
+    """Bands between the breakpoints of `_band_edges`."""
+    edges = _band_edges(p, horizon)
     return {band: slice(lo, hi) for band, lo, hi in
             zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
 
 
 def _cell_thresholds(p: PriceVector, horizon: int) -> np.ndarray:
     """The rule's threshold theta at each cell's karma, band by band."""
-    poor, ok, rich, wealthy = _band_slices(p, horizon).values()
-    theta = np.full(wealthy.stop, -np.inf)  # wealthy cells always go fast
-    theta[poor] = np.inf                    # poor cells cannot pay the toll
-    theta[ok] = 1.0
-    theta[rich] = _decaying_threshold(np.arange(rich.start, rich.stop),
-                                      wealthy.start, p)
+    _, ok, rich, wealthy, n = _band_edges(p, horizon)
+    theta = np.empty(n)
+    theta[:ok] = np.inf         # poor cells cannot pay the toll
+    theta[ok:rich] = 1.0
+    theta[rich:wealthy] = _decaying_threshold(
+        np.arange(rich, wealthy, dtype=float), wealthy, p)
+    theta[wealthy:] = -np.inf   # wealthy cells always go fast
     return theta
 
 
@@ -208,8 +220,8 @@ def _check_distribution(chain: KarmaChain, dist) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (chain.n_states,):
         raise ValueError(f"distribution must have length {chain.n_states}")
-    # written so that NaN fails both checks
-    if not np.all(dist >= -1e-12):
+    # written so that NaN fails both checks: min and sum return NaN
+    if not dist.min() >= -1e-12:
         raise ValueError("distribution has negative or NaN mass")
     if not abs(dist.sum() - 1.0) <= 1e-9:
         raise ValueError("distribution must sum to 1")
@@ -252,32 +264,34 @@ def _cycle_fixed_point(chain: KarmaChain) -> np.ndarray:
     q = p1 + r2
     levels = chain.horizon + 1
     chill = chain.chill_prob
-    # poor cells never pay and wealthy cells never earn, so no mass leaves
-    if chill[-r2:].any() or (chill[:p1] != 1.0).any():
+    # poor cells never pay and wealthy cells never earn, so no mass leaves;
+    # NaN counts as nonzero and differs from 1
+    if np.count_nonzero(chill[-r2:]) or np.count_nonzero(chill[:p1] != 1.0):
         raise ValueError(_LEAK)
     if p1 == r2:
         chill = chill.reshape(2 * levels, p1)
-        rush = 1.0 - chill
+        rush = 1.0 - chill[1:]  # of the rows above the first
         # in logs, since the product grows like (chill/rush)^(2T) and would
         # overflow for long horizons; a chill of 0 gives a log of -inf and
         # zero mass above it
         with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.log(chill[:-1] / rush[1:])
+            steps = np.log(chill[:-1] / rush)
         # rows above the first with rush 0 (see above): their steps are
         # zeroed, and the rows below the last of them emptied
-        stuck = rush[1:] == 0.0
-        has_stuck = stuck.any()
+        has_stuck = np.count_nonzero(rush) < rush.size
         if has_stuck:
+            stuck = rush == 0.0
             steps[stuck] = 0.0
-        grid = np.zeros_like(chill)
-        np.cumsum(steps, axis=0, out=grid[1:])
+        grid = np.zeros(chill.shape)
+        steps.cumsum(axis=0, out=grid[1:])
         if has_stuck:
             grid[:-1][np.logical_or.accumulate(stuck[::-1])[::-1]] = -np.inf
         grid -= grid.max(axis=0)
         by_level = np.exp(grid, out=grid).reshape(levels, q)
     else:
         by_level = _product_tree_levels(chain)
-    return (by_level / (q * by_level.sum(axis=0))).ravel()
+    by_level /= q * by_level.sum(axis=0)
+    return by_level.ravel()
 
 
 def _product_tree_levels(chain: KarmaChain) -> np.ndarray:
@@ -291,46 +305,67 @@ def _product_tree_levels(chain: KarmaChain) -> np.ndarray:
     child where its left sibling's product takes that vector, so the bottom
     holds the start vector of every class after L - 1 matrix-vector
     products.
+
+    The bits of the result are fixed by the batched `np.matmul` calls on
+    C-contiguous (T+1, T+1) nodes and the `np.linalg.solve`; the caller's
+    column sums scale it.  The rest is written for few numpy calls and
+    pinned bit for bit by tests/test_chain_stages.py: the tree lives in one
+    buffer, level after level; the steps are written in class order, where
+    slices (classes below p1 stay, the others climb) replace masks, into
+    rows that the upper levels use later, and taken into cycle order; and
+    node j of tree level l starts at class j * 2**l, so the start vectors
+    share one stack in which a left child's row is its parent's.
     """
     p1, r2 = chain.prices.p1, chain.prices.r2
     q, g = p1 + r2, math.gcd(p1, r2)
+    cycle = q // g
     levels = chain.horizon + 1
-    classes = (np.arange(g)[:, None] + r2 * np.arange(q // g)) % q  # (g, L)
-    climbs = classes + r2 >= q
-    chill = chain.chill_prob.reshape(levels, q).T[classes]  # (g, L, levels)
+    # step j of cycle c is class (c + j*r2) mod q, which climbs iff >= p1
+    classes = (np.arange(0, cycle * r2, r2)[:, None] + np.arange(g)) % q
+    sizes = [cycle]  # nodes per tree level, bottom first
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    bases = [0, *itertools.accumulate(sizes)]
+    # one node more than the tree, so that rows [L, 2L) always exist
+    nodes = np.empty((bases[-1] + 1, g, levels, levels))
+    # S_c holds chill on its diagonal -w and rush on its diagonal 1 - w;
+    # written in class order where the upper levels will go, then taken
+    # into cycle order as the bottom level
+    steps = nodes[cycle:2 * cycle].reshape(q, levels * levels)
+    steps.fill(0.0)
+    chill = chain.chill_prob.reshape(levels, q).T  # (q, T+1)
     rush = 1.0 - chill
-    # S_c holds chill on its diagonal -w and rush on its diagonal 1 - w
-    w = climbs[..., None]
-    flat = np.zeros(classes.shape + (levels * levels,))
-    flat[..., ::levels + 1] = np.where(w, rush, chill)
-    flat[..., levels::levels + 1] = np.where(w, chill, 0.0)[..., :-1]
-    flat[..., 1::levels + 1] = np.where(w, 0.0, rush)[..., 1:]
+    steps[:p1, ::levels + 1] = chill[:p1]         # w = 0 below class p1
+    steps[:p1, 1::levels + 1] = rush[:p1, 1:]
+    steps[p1:, ::levels + 1] = rush[p1:]          # w = 1 from class p1 on
+    steps[p1:, levels::levels + 1] = chill[p1:, :-1]
+    # every index is in range; the default mode would copy `out` first
+    np.take(steps, classes, axis=0, mode="wrap",
+            out=nodes[:cycle].reshape(cycle, g, levels * levels))
     # up-sweep: each node is the product of the steps it spans, last first
-    tree = [flat.reshape(classes.shape + (levels, levels))]
-    while tree[-1].shape[1] > 1:
-        below = tree[-1]
-        n = below.shape[1]
-        up = np.empty((g, (n + 1) // 2, levels, levels))
-        np.matmul(below[:, 1::2], below[:, :n - 1:2], out=up[:, :n // 2])
+    for n, lo, hi in zip(sizes[:-1], bases, bases[1:]):
+        np.matmul(nodes[lo + 1:hi:2], nodes[lo:hi - 1:2],
+                  out=nodes[hi:hi + n // 2])
         if n % 2:
-            up[:, -1] = below[:, -1]
-        tree.append(up)
-    # stationary vector of the return map: (C - I) x = 0 with sum(x) = 1
-    system = tree.pop()[:, 0] - np.eye(levels)
+            nodes[hi + n // 2] = nodes[hi - 1]
+    # stationary vector of the return map: (C - I) x = 0 with sum(x) = 1,
+    # set up in place of the top, which the down-sweep does not read
+    system = nodes[bases[-1] - 1]
+    system.reshape(g, levels * levels)[:, ::levels + 1] -= 1.0
     system[:, -1, :] = 1.0
     rhs = np.zeros((g, levels, 1))
     rhs[:, -1] = 1.0
-    start = np.linalg.solve(system, rhs)[:, None]  # (g, 1, levels, 1)
-    # down-sweep: each node's start vector is that of the first class it spans
-    for below in reversed(tree):
-        n = below.shape[1]
-        down = np.empty((g, n, levels, 1))
-        down[:, 0::2] = start
-        np.matmul(below[:, :n - 1:2], start[:, :n // 2], out=down[:, 1::2])
-        start = down
+    start = np.empty((cycle, g, levels, 1))
+    start[0] = np.linalg.solve(system, rhs)
+    # down-sweep: a right child's row of `start` is its left sibling's
+    # product with its parent's row
+    for level in range(len(sizes) - 2, -1, -1):
+        n, lo, span = sizes[level], bases[level], 1 << level
+        np.matmul(nodes[lo:lo + n - 1:2], start[:(n - 1) * span:2 * span],
+                  out=start[span::2 * span])
     by_level = np.empty((levels, q))
     by_level[:, classes] = start[..., 0].transpose(2, 0, 1)
-    return np.maximum(by_level, 0.0)
+    return np.maximum(by_level, 0.0, out=by_level)
 
 
 def stationary_distribution(chain: KarmaChain) -> np.ndarray:
@@ -373,8 +408,9 @@ def equilibrium_flows(chain: KarmaChain, dist) -> np.ndarray:
     are the masses that A's off-diagonals carry.
     """
     dist = _check_distribution(chain, dist)
-    return chain.p_go * np.array([chain.rush_prob @ dist,
-                                  chain.chill_prob @ dist])
+    chill, p_go = chain.chill_prob, chain.p_go
+    return np.array([p_go * float((1.0 - chill) @ dist),
+                     p_go * float(chill @ dist)])
 
 
 def quantize_population(k, k_ref, p: PriceVector,
@@ -395,8 +431,9 @@ def quantize_population(k, k_ref, p: PriceVector,
 
 def save_matrix_coo(chain: KarmaChain, path) -> None:
     """Write A's nonzero entries as 'row column value' lines (1-based)."""
+    a = chain.a
     spans = [(np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop),
-              entries) for entries, cols, rows in chain.a._spans()]
+              a.data[k, cols]) for k, cols, rows in a._spans]
     row, col, val = map(np.concatenate, zip(*spans))
     order = np.lexsort((col, row))
     with open(path, "w", encoding="utf-8") as fh:

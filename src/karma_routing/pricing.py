@@ -10,6 +10,7 @@ whole design from the cost model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +51,14 @@ def conservation_prices(x_star) -> float:
     x = np.asarray(x_star, dtype=float)
     if x.shape != (2,):
         raise ValueError("x_star must be a pair")
-    if not np.all((x > 0.0) & (x < np.inf)):
+    # Python floats: a two-element numpy mask costs ten times as much
+    x1, x2 = x.tolist()
+    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):  # NaN fails
         raise DegenerateOptimumError(
-            f"target flow {x.tolist()} has a non-positive or non-finite "
+            f"target flow {[x1, x2]} has a non-positive or non-finite "
             "component; conserving prices need finite x* > 0 on both routes"
         )
-    return float(x[1] / x[0])
+    return x2 / x1
 
 
 def rationalize_prices(rho: float, max_price: int,

@@ -1,0 +1,241 @@
+"""The chain design's stages, bit for bit, against the plain expressions
+they replace.
+
+`conservation_prices` compares Python floats, `check_count` tests a plain
+int by its type, `DiagonalMatrix` slices its diagonals once and multiplies
+them in one product, `equilibrium_flows` scales the two dot products as
+floats, and the stationary solve keeps its product tree in one buffer and
+builds its steps in class order.  Each reference below is the direct numpy
+expression that the stage was written from; the tree's is the
+three-np.where step build with one array per level.  The stages must
+return the same bits on every chain: both solver paths, g = gcd(p1, r2)
+above 1, trees that carry a node up through every level but the last
+pair, the uniform law, and closed forms with rows that never pay.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from karma_routing import (PriceVector, SensitivitySpec, build_chain,
+                           conservation_prices, equilibrium_flows,
+                           stationary_distribution)
+from karma_routing import mesoscopic
+from karma_routing.agent import _decaying_threshold
+from karma_routing.mesoscopic import DiagonalMatrix
+from karma_routing.network import check_count
+
+from conftest import examples
+from test_mesoscopic import with_poor_edge
+
+EXP = SensitivitySpec.exponential()
+LAWS = [EXP, SensitivitySpec.uniform(0.5, 2.5),
+        SensitivitySpec.uniform(0.0, 2.0)]
+
+
+def same_bits(got, want):
+    """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def matmul_ref(a: DiagonalMatrix, v) -> np.ndarray:
+    """Row i adds its moves diagonal by diagonal, from 0.0: the entry of
+    column i + offset times v there, where that column exists."""
+    n = a.data.shape[1]
+    out = np.empty(n)
+    for i in range(n):
+        total = 0.0
+        for k, offset in enumerate(a.offsets):
+            j = i + offset
+            if 0 <= j < n:
+                total += float(a.data[k, j]) * float(v[j])
+        out[i] = total
+    return out
+
+
+def column_sums_ref(a: DiagonalMatrix) -> np.ndarray:
+    n = a.data.shape[1]
+    out = np.empty(n)
+    for j in range(n):
+        total = 0.0
+        for k, offset in enumerate(a.offsets):
+            if 0 <= j - offset < n:
+                total += float(a.data[k, j])
+        out[j] = total
+    return out
+
+
+def cell_thresholds_ref(p, t):
+    poor, ok, rich, wealthy = mesoscopic._band_slices(p, t).values()
+    theta = np.full(wealthy.stop, -np.inf)
+    theta[poor] = np.inf
+    theta[ok] = 1.0
+    theta[rich] = _decaying_threshold(np.arange(rich.start, rich.stop),
+                                      wealthy.start, p)
+    return theta
+
+
+def product_tree_levels_ref(chain):
+    """The tree as one array per level: steps from three np.where, a fresh
+    product array per level, and the start vectors interleaved level by
+    level."""
+    p1, r2 = chain.prices.p1, chain.prices.r2
+    q, g = p1 + r2, math.gcd(p1, r2)
+    levels = chain.horizon + 1
+    classes = (np.arange(g)[:, None] + r2 * np.arange(q // g)) % q
+    climbs = classes + r2 >= q
+    chill = chain.chill_prob.reshape(levels, q).T[classes]
+    rush = 1.0 - chill
+    w = climbs[..., None]
+    flat = np.zeros(classes.shape + (levels * levels,))
+    flat[..., ::levels + 1] = np.where(w, rush, chill)
+    flat[..., levels::levels + 1] = np.where(w, chill, 0.0)[..., :-1]
+    flat[..., 1::levels + 1] = np.where(w, 0.0, rush)[..., 1:]
+    tree = [flat.reshape(classes.shape + (levels, levels))]
+    while tree[-1].shape[1] > 1:
+        below = tree[-1]
+        n = below.shape[1]
+        up = np.empty((g, (n + 1) // 2, levels, levels))
+        np.matmul(below[:, 1::2], below[:, :n - 1:2], out=up[:, :n // 2])
+        if n % 2:
+            up[:, -1] = below[:, -1]
+        tree.append(up)
+    system = tree.pop()[:, 0] - np.eye(levels)
+    system[:, -1, :] = 1.0
+    rhs = np.zeros((g, levels, 1))
+    rhs[:, -1] = 1.0
+    start = np.linalg.solve(system, rhs)[:, None]
+    for below in reversed(tree):
+        n = below.shape[1]
+        down = np.empty((g, n, levels, 1))
+        down[:, 0::2] = start
+        np.matmul(below[:, :n - 1:2], start[:, :n // 2], out=down[:, 1::2])
+        start = down
+    by_level = np.empty((levels, q))
+    by_level[:, classes] = start[..., 0].transpose(2, 0, 1)
+    return np.maximum(by_level, 0.0)
+
+
+def cycle_fixed_point_ref(chain):
+    p1, r2 = chain.prices.p1, chain.prices.r2
+    q, levels = p1 + r2, chain.horizon + 1
+    if p1 != r2:
+        by_level = product_tree_levels_ref(chain)
+    else:
+        chill = chain.chill_prob.reshape(2 * levels, p1)
+        rush = 1.0 - chill
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.log(chill[:-1] / rush[1:])
+        stuck = rush[1:] == 0.0
+        steps[stuck] = 0.0
+        grid = np.zeros_like(chill)
+        np.cumsum(steps, axis=0, out=grid[1:])
+        grid[:-1][np.logical_or.accumulate(stuck[::-1])[::-1]] = -np.inf
+        grid -= grid.max(axis=0)
+        by_level = np.exp(grid, out=grid).reshape(levels, q)
+    return (by_level / (q * by_level.sum(axis=0))).ravel()
+
+
+@st.composite
+def chains(draw):
+    """A chain of either solver path; one in three has p1 = r2."""
+    p1 = draw(st.integers(1, 60))
+    r2 = p1 if draw(st.integers(0, 2)) == 0 else draw(st.integers(1, 60))
+    return build_chain(PriceVector(p1, r2), draw(st.integers(1, 12)),
+                       draw(st.sampled_from([0.0, 0.05, 0.5])),
+                       draw(st.sampled_from(LAWS)))
+
+
+class TestChainSolve:
+    @settings(max_examples=examples(80), deadline=None)
+    @given(ch=chains())
+    # cycle lengths L = 7, 15, 31 carry a node up from the bottom level,
+    # also with g = 2 and 3; L = 17, 33 (2**k + 1) carry one up through
+    # every level but the last pair, the most odd levels a tree can have;
+    # L = 5 with g = 20 at T = 12; and (1, 1), L = 2, on the tree itself
+    @example(ch=build_chain(PriceVector(3, 4), 3, 0.05, EXP))
+    @example(ch=build_chain(PriceVector(14, 16), 6, 0.0, EXP))
+    @example(ch=build_chain(PriceVector(45, 48), 4, 0.05, LAWS[1]))
+    @example(ch=build_chain(PriceVector(8, 9), 12, 0.05, EXP))
+    @example(ch=build_chain(PriceVector(16, 17), 2, 0.5, LAWS[2]))
+    @example(ch=build_chain(PriceVector(1, 1), 1, 0.05, EXP))
+    @example(ch=build_chain(PriceVector(40, 60), 12, 0.05, EXP))
+    def test_solve_matches_reference(self, ch):
+        tree = mesoscopic._product_tree_levels(ch)
+        assert same_bits(tree, product_tree_levels_ref(ch))
+        start = mesoscopic._cycle_fixed_point(ch)
+        assert same_bits(start, cycle_fixed_point_ref(ch))
+        dist = stationary_distribution(ch)
+        assert same_bits(dist, matmul_ref(ch.a, start))
+
+    @pytest.mark.parametrize("sens", LAWS[:2], ids=["exp", "unif0.5-2.5"])
+    @pytest.mark.parametrize("edge", [2, 3, 7])
+    @pytest.mark.parametrize("p", [(5, 5), (5, 7)], ids="{0[0]}:{0[1]}".format)
+    def test_rows_that_never_pay(self, p, edge, sens):
+        # a poor edge above p1 gives the closed form steps of log(1/0)
+        ch = with_poor_edge(build_chain(PriceVector(*p), 6, 0.05, sens),
+                            edge * p[0])
+        assert same_bits(mesoscopic._cycle_fixed_point(ch),
+                         cycle_fixed_point_ref(ch))
+
+
+class TestChainProducts:
+    @settings(max_examples=examples(60), deadline=None)
+    @given(ch=chains(), seed=st.integers(0, 2**32 - 1))
+    def test_matrix_products_match_reference(self, ch, seed):
+        # any vector: signed values, signed zeros and exact zeros, whose
+        # sum from 0.0 differs in sign from a sum from the first term
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(ch.n_states)
+        v[rng.random(ch.n_states) < 0.3] = -0.0
+        v[rng.random(ch.n_states) < 0.1] = 0.0
+        assert same_bits(ch.a @ v, matmul_ref(ch.a, v))
+        assert same_bits(ch.a.sum(axis=0), column_sums_ref(ch.a))
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 13])
+    def test_offsets_off_the_matrix(self, n):
+        # diagonals wholly or partly off the matrix, in any order
+        offsets = (n, -2, 0, 3, -n - 1)
+        rng = np.random.default_rng(n)
+        m = DiagonalMatrix(rng.standard_normal((len(offsets), n)), offsets)
+        v = rng.standard_normal(n)
+        assert same_bits(m @ v, matmul_ref(m, v))
+        assert same_bits(m.sum(axis=0), column_sums_ref(m))
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(ch=chains())
+    def test_flows_and_thresholds_match_reference(self, ch):
+        dist = stationary_distribution(ch)
+        chill = ch.chill_prob
+        want = ch.p_go * np.array([(1.0 - chill) @ dist, chill @ dist])
+        assert same_bits(equilibrium_flows(ch, dist), want)
+        assert same_bits(mesoscopic._cell_thresholds(ch.prices, ch.horizon),
+                         cell_thresholds_ref(ch.prices, ch.horizon))
+
+
+class TestPricingStages:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(x=st.lists(st.floats(5e-324, 1.0), min_size=2, max_size=2))
+    def test_ratio_matches_reference(self, x):
+        # a tiny x1 overflows the ratio to inf, which rationalize_prices
+        # rejects; numpy's division warns on the way, Python's does not
+        rho = conservation_prices(x)
+        with np.errstate(over="ignore"):
+            want = float(np.asarray(x)[1] / np.asarray(x)[0])
+        assert type(rho) is float and float.hex(rho) == float.hex(want)
+
+    @pytest.mark.parametrize("value", [1, 7, 2**70, np.int64(3), np.int32(2),
+                                       np.uint8(1)])
+    def test_count_accepts_integers(self, value):
+        check_count("n", value)
+
+    @pytest.mark.parametrize("value", [0, -1, True, False, np.bool_(True),
+                                       2.0, 1.5, "3", None, np.float64(2.0),
+                                       np.int64(0)])
+    def test_count_rejects_the_rest(self, value):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            check_count("n", value)

@@ -149,6 +149,38 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=message):
             RunConfig(**changes).validate()
 
+    @pytest.mark.parametrize("ini, field", [
+        ("[pricing]\nprice_mode = design\np1 = 3\nr2 = 5\n", "p1 = 3"),
+        ("[pricing]\nprice_mode = design\nr2 = 5\n", "r2 = 5"),
+        ("[scenario]\nsensitivity_low = 0.7\n", "sensitivity_low = 0.7"),
+        ("[scenario]\nsensitivity_high = 3.0\n", "sensitivity_high = 3.0"),
+        ("[scenario]\nsensitivity_low = nan\n", "sensitivity_low = nan"),
+    ], ids=["design-p1", "design-r2", "exp-low", "exp-high", "exp-nan"])
+    def test_unread_field_rejected(self, ini, field, tmp_path, capsys):
+        # a value that the config's own mode never reads used to be
+        # accepted: a design run with p1 = 3 ran at (14, -20) and wrote
+        # p1 = 3 into its config.ini
+        path = tmp_path / "unread.ini"
+        path.write_text(ini)
+        with pytest.raises(ValueError, match=f"^{field} is not read under"):
+            RunConfig.from_ini(path).validate()
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--days", "3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} is not read under"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("changes", [
+        dict(price_mode=PRICE_DESIGN, p1=10, r2=14),
+        dict(sensitivity_low=-0.0, sensitivity_high=2.0),
+        dict(p1=3, r2=5, sensitivity_kind="uniform", sensitivity_low=0.7,
+             sensitivity_high=3.0),
+    ], ids=["design-defaults", "exp-defaults", "fixed-uniform"])
+    def test_read_or_default_fields_accepted(self, changes):
+        # each field holds its default or is read by its mode
+        RunConfig(**changes).validate()
+
     def test_negative_zero_karma_bound_runs(self, tmp_path):
         # U[0, -0.0] used to end run in numpy's "high - low < 0"
         path = tmp_path / "zero.ini"

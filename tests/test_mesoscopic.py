@@ -443,8 +443,9 @@ class TestStationary:
     @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2),
            t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),
            sens=st.sampled_from([EXP, SensitivitySpec.uniform(0.5, 2.5)]))
-    # cycle lengths L = 7, 15, 31 make every level of the product tree odd,
-    # and L = 17, 33 carry one node up through every level
+    # cycle lengths L = 7, 15, 31 carry a node up from the bottom level,
+    # and L = 17, 33 carry one up through every level but the last pair
+    # (the level below the top always holds two nodes)
     @example(p=[3, 4], t=3, ph=0.05, sens=EXP)
     @example(p=[7, 8], t=2, ph=0.05, sens=EXP)
     @example(p=[15, 16], t=4, ph=0.05, sens=EXP)

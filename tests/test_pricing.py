@@ -32,8 +32,10 @@ class TestConservationPrices:
             conservation_prices([0.95, 0.0])
         with pytest.raises(DegenerateOptimumError):
             conservation_prices([0.0, 0.95])
+        # the mask is Python comparisons, so NaN, negatives and -inf fail
         for bad in ([float("nan"), 0.5], [0.5, float("nan")],
-                    [float("inf"), 0.5]):
+                    [float("inf"), 0.5], [-0.5, 0.5], [0.5, -float("inf")],
+                    [-0.0, 0.5]):
             with pytest.raises(DegenerateOptimumError):
                 conservation_prices(bad)
         for bad in ([0.5], [0.3, 0.3, 0.3], [[0.5, 0.5]]):
