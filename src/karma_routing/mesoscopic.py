@@ -183,9 +183,23 @@ def _cell_thresholds(p: PriceVector, horizon: int) -> np.ndarray:
     return theta
 
 
+def _floor_deviation(k, k_ref):
+    """floor(k - k_ref) in float64, the deviation at the left edge of the
+    karma's cell: the one cell map of `karma_cell` and
+    `quantize_population`.  An array result is a new one, floored in
+    place."""
+    dev = np.subtract(k, k_ref, dtype=float)
+    return np.floor(dev, out=dev if dev.ndim else None)
+
+
 def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
-    """0-based cell index of karma deviations (floor to the cell's left edge)."""
-    dev = np.floor(np.asarray(k, dtype=float) - np.asarray(k_ref, dtype=float))
+    """0-based cell index of karma deviations (floor to the cell's left edge).
+
+    Raises ValueError on a non-finite deviation, which has no cell.
+    """
+    dev = _floor_deviation(k, k_ref)
+    if not np.isfinite(dev).all():
+        raise ValueError("karma deviation k - k_ref must be finite")
     return (dev + horizon * p.r2).astype(int)
 
 
@@ -418,15 +432,27 @@ def quantize_population(k, k_ref, p: PriceVector,
     """Normalized histogram of karma deviations over the chain's cells.
 
     Agents whose deviation falls outside the chain's invariant range are
-    clamped to the nearest boundary cell; the count of clamped agents is
-    returned alongside the distribution.
+    clamped to the nearest boundary cell, +inf and -inf among them; the
+    count of clamped agents is returned alongside the distribution.  A NaN
+    deviation raises ValueError naming the first such agent.
     """
     n = (horizon + 1) * p.total
-    idx = karma_cell(k, k_ref, p, horizon)
-    clamped = int(np.count_nonzero((idx < 0) | (idx >= n)))
-    idx = np.clip(idx, 0, n - 1)
-    hist = np.bincount(idx, minlength=n).astype(float)
-    return hist / hist.sum(), clamped
+    shift = horizon * p.r2
+    # the clamp works on the floored deviations, whose range [lo, hi] maps
+    # onto cells [0, n), so an index is cast once and only from that range
+    lo, hi = float(-shift), float(n - 1 - shift)
+    dev = _floor_deviation(k, k_ref)
+    below = np.count_nonzero(dev < lo)
+    above = np.count_nonzero(dev > hi)
+    if below + np.count_nonzero(dev >= lo) != dev.size:  # only NaN fails both
+        agent = int(np.flatnonzero(np.isnan(dev))[0])
+        raise ValueError(f"agent {agent} has a NaN karma deviation k - k_ref")
+    np.maximum(dev, lo, out=dev)
+    np.minimum(dev, hi, out=dev)
+    idx = dev.astype(np.intp)
+    idx += shift
+    hist = np.bincount(idx, minlength=n)
+    return hist / hist.sum(), int(below + above)
 
 
 def save_matrix_coo(chain: KarmaChain, path) -> None:

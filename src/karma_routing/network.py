@@ -160,8 +160,9 @@ def as_flow(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("flow must be a pair (x1, x2)")
-    # written so that NaN fails the check
-    if not np.all((x >= 0.0) & (x <= 1.0)):
+    # Python floats: a two-element numpy mask costs several times as much
+    x1, x2 = x.tolist()
+    if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):  # NaN fails
         raise ValueError(f"flow components must lie in [0, 1], got {x}")
     return x
 

@@ -11,6 +11,12 @@ three-np.where step build with one array per level.  The stages must
 return the same bits on every chain: both solver paths, g = gcd(p1, r2)
 above 1, trees that carry a node up through every level but the last
 pair, the uniform law, and closed forms with rows that never pay.
+
+The population's set-up and read-out stages are pinned the same way:
+`as_flow` compares Python floats where its reference takes a numpy mask,
+and `quantize_population` clamps the floored deviations as floats and
+casts once, where its reference casts every deviation to a cell and clips
+the integers.
 """
 
 import math
@@ -19,8 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from karma_routing import (PriceVector, SensitivitySpec, build_chain,
-                           conservation_prices, equilibrium_flows,
+from karma_routing import (PriceVector, SensitivitySpec, as_flow,
+                           build_chain, conservation_prices,
+                           equilibrium_flows, karma_cell, quantize_population,
                            stationary_distribution)
 from karma_routing import mesoscopic
 from karma_routing.agent import _decaying_threshold
@@ -140,6 +147,40 @@ def cycle_fixed_point_ref(chain):
     return (by_level / (q * by_level.sum(axis=0))).ravel()
 
 
+def karma_cell_ref(k, k_ref, p, t):
+    dev = np.floor(np.asarray(k, dtype=float) - np.asarray(k_ref, dtype=float))
+    return (dev + t * p.r2).astype(int)
+
+
+def quantize_population_ref(k, k_ref, p, t):
+    n = (t + 1) * p.total
+    idx = karma_cell_ref(k, k_ref, p, t)
+    clamped = int(np.count_nonzero((idx < 0) | (idx >= n)))
+    hist = np.bincount(np.clip(idx, 0, n - 1), minlength=n).astype(float)
+    return hist / hist.sum(), clamped
+
+
+def as_flow_ref(x):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError("flow must be a pair (x1, x2)")
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"flow components must lie in [0, 1], got {x}")
+    return x
+
+
+def population(seed, p, t, m, cells):
+    """m agents on whole reference levels, each with its karma in a cell
+    drawn from `cells` (0-based indices, on or off the chain): on the
+    cell's left edge, one ulp below it (so in the cell before) or inside."""
+    rng = np.random.default_rng(seed)
+    k_ref = np.floor(rng.uniform(0.0, 1000.0, m))
+    k = k_ref + (rng.integers(cells.start, cells.stop, m) - t * p.r2)
+    where = rng.integers(0, 3, m)
+    k = np.where(where == 1, np.nextafter(k, -np.inf), k)
+    return np.where(where == 2, k + rng.random(m), k), k_ref
+
+
 @st.composite
 def chains(draw):
     """A chain of either solver path; one in three has p1 = r2."""
@@ -239,3 +280,66 @@ class TestPricingStages:
     def test_count_rejects_the_rest(self, value):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             check_count("n", value)
+
+
+def outcome(check, x):
+    """("ok", dtype, shape and bytes of the result) or ("error", message)."""
+    try:
+        got = check(x)
+    except ValueError as err:
+        return "error", str(err)
+    return "ok", got.dtype, got.shape, got.tobytes()
+
+
+def read_out_matches_reference(k, k_ref, p, t):
+    hist, clamped = quantize_population(k, k_ref, p, t)
+    want_hist, want_clamped = quantize_population_ref(k, k_ref, p, t)
+    assert same_bits(hist, want_hist)
+    assert type(clamped) is int and clamped == want_clamped
+    assert same_bits(karma_cell(k, k_ref, p, t), karma_cell_ref(k, k_ref, p, t))
+    return clamped
+
+
+class TestPopulationStages:
+    @settings(max_examples=examples(150), deadline=None)
+    @given(p1=st.integers(1, 40), r2=st.integers(1, 40), t=st.integers(1, 12),
+           m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+    def test_histogram_matches_reference(self, p1, r2, t, m, seed):
+        p = PriceVector(p1, r2)
+        n = (t + 1) * p.total
+        k, k_ref = population(seed, p, t, m, range(-n, 2 * n))
+        read_out_matches_reference(k, k_ref, p, t)
+
+    # every agent above the top cell, below the bottom one or next to an
+    # end of the chain; one agent; a toll above T*r2; T = 1
+    @pytest.mark.parametrize("p, t, m, cells, clamped", [
+        ((10, 14), 6, 200, range(169, 400), 200),
+        ((10, 14), 6, 200, range(-300, 0), 200),
+        ((10, 14), 6, 200, range(-1, 1), None),
+        ((10, 14), 6, 200, range(167, 169), None),
+        ((10, 14), 6, 1, range(0, 168), None),
+        ((40, 1), 6, 100, range(-50, 350), None),
+        ((5, 5), 1, 100, range(-5, 25), None),
+    ])
+    def test_chain_ends_match_reference(self, p, t, m, cells, clamped):
+        p = PriceVector(*p)
+        for seed in range(5):
+            k, k_ref = population(seed, p, t, m, cells)
+            got = read_out_matches_reference(k, k_ref, p, t)
+            assert clamped is None or got == clamped
+
+    def test_scalar_cell_matches_reference(self):
+        p = PriceVector(2, 3)
+        for k in (100.0, 99.5, np.nextafter(100.0, 0.0), -3.0):
+            assert same_bits(karma_cell(k, 100.0, p, 3),
+                             karma_cell_ref(k, 100.0, p, 3))
+
+    def test_flow_check_matches_reference(self):
+        values = [-0.0, 0.0, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),
+                  -5e-324, -1.0, math.nan, math.inf, -math.inf]
+        pairs = [pair for x1 in values for x2 in values
+                 for pair in ([x1, x2], (x1, x2), np.array([x1, x2]))]
+        shapes = [[0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]], [[0.5], [0.5]], 0.5,
+                  [], np.zeros((2, 1)), (math.nan,)]
+        for x in pairs + shapes:
+            assert outcome(as_flow, x) == outcome(as_flow_ref, x), x

@@ -635,6 +635,35 @@ class TestQuantize:
         assert clamped == 2
         assert hist[0] == 0.5 and hist[-1] == 0.5
 
+    def test_karma_off_the_chain(self):
+        # +inf and 1e300 lie above the top cell, -inf below the bottom one;
+        # check_floor lets infinite karma through, so a day loop can reach
+        # this
+        p, t = PriceVector(10, 14), 6
+        k_ref = np.full(5, 200.0)
+        k = np.array([np.inf, 1e300, -np.inf, 200.0, 1e300])
+        hist, clamped = quantize_population(k, k_ref, p, t)
+        assert clamped == 4
+        assert hist.tolist() == [0.2] + [0.0] * (t * p.r2 - 1) + [0.2] \
+            + [0.0] * ((t + 1) * p.total - t * p.r2 - 2) + [0.6]
+
+    def test_nan_deviation_rejected(self):
+        p = PriceVector(10, 14)
+        k_ref = [100.0, 100.0, 100.0, np.nan]
+        with pytest.raises(ValueError, match="agent 2 has a NaN"):
+            quantize_population([1e300, -np.inf, np.nan, 100.0], k_ref, p, 6)
+        with pytest.raises(ValueError, match="agent 3 has a NaN"):
+            quantize_population([100.0] * 4, k_ref, p, 6)
+        # inf - inf is NaN too; numpy warns on the subtraction itself
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="agent 0 has a NaN"):
+            quantize_population([np.inf], [np.inf], p, 6)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                karma_cell(bad, 100.0, p, 6)
+            with pytest.raises(ValueError, match="must be finite"):
+                karma_cell([100.0, bad], [100.0, 100.0], p, 6)
+
     @given(dev=st.integers(-9, 10))
     def test_cell_index_map(self, dev):
         # i = (k - k_ref) + T*r2 with integer deviations, 0-based

@@ -49,6 +49,16 @@ class TestInitPopulation:
         assert pop.n_clamped_init > 0
         assert np.all(pop.k >= k_inf)
 
+    def test_agent_on_its_floor_is_not_clamped(self):
+        # k(0) = 0 sits exactly on the floor max(0, k_ref - (T+1)*r2) = 0 of
+        # every agent with k_ref <= (T+1)*r2: only those above it are raised
+        cfg = replace(get_preset("fig3"), k_init_low=0.0, k_init_high=0.0)
+        sc, p = cfg.scenario(), cfg.prices()
+        pop = init_population(sc, p)
+        assert (sc.n_agents, sc.seed) == (1000, 0)
+        above = np.count_nonzero(pop.k_ref > (sc.horizon + 1) * p.r2)
+        assert pop.n_clamped_init == above == 22
+
     def test_degenerate_range_identical_agents(self):
         sc = scenario(k_init=(80.0, 80.0), k_ref_init=(30.0, 30.0))
         pop = init_population(sc, PriceVector(10, 14))
