@@ -143,7 +143,9 @@ class KarmaChain:
 
     def band_slices(self) -> dict[str, slice]:
         """0-based cell ranges of the poor/ok/rich/wealthy bands."""
-        return _band_slices(self.prices, self.horizon)
+        edges = _band_edges(self.prices, self.horizon)
+        return {band: slice(lo, hi) for band, lo, hi in
+                zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
 
     def deviation_of_cell(self, i) -> np.ndarray:
         """Karma deviation k - k_ref at the left edge of 0-based cell i."""
@@ -162,13 +164,6 @@ def _band_edges(p: PriceVector, horizon: int) -> list[int]:
     ref = horizon * p.r2
     return [0, p.p1, int(k_rich(ref, p, horizon)),
             int(k_wealthy(ref, p, horizon)), (horizon + 1) * p.total]
-
-
-def _band_slices(p: PriceVector, horizon: int) -> dict[str, slice]:
-    """Bands between the breakpoints of `_band_edges`."""
-    edges = _band_edges(p, horizon)
-    return {band: slice(lo, hi) for band, lo, hi in
-            zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
 
 
 def _cell_thresholds(p: PriceVector, horizon: int) -> np.ndarray:
@@ -195,12 +190,17 @@ def _floor_deviation(k, k_ref):
 def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
     """0-based cell index of karma deviations (floor to the cell's left edge).
 
-    Raises ValueError on a non-finite deviation, which has no cell.
+    Raises ValueError naming the first deviation that has no cell: a
+    non-finite one, or one whose cell lies past the int64 range.
     """
     dev = _floor_deviation(k, k_ref)
-    if not np.isfinite(dev).all():
-        raise ValueError("karma deviation k - k_ref must be finite")
-    return (dev + horizon * p.r2).astype(int)
+    cell = dev + horizon * p.r2
+    ok = (cell >= -2.0 ** 63) & (cell < 2.0 ** 63)  # NaN fails both
+    if not ok.all():
+        raise ValueError(
+            "karma deviation k - k_ref must be finite, with its cell in the "
+            f"int64 range, got {float(np.extract(~ok, dev)[0])!r}")
+    return cell.astype(int)
 
 
 def build_chain(p: PriceVector, horizon: int, p_home: float,

@@ -5,7 +5,7 @@ Flows are expressed as fractions of the whole population per day, so a full
 daily assignment satisfies ``x1 + x2 = demand`` with demand <= 1.  Route
 discomfort follows the standard volume-delay form
 ``d_j(x) = d0_j * (1 + alpha * (x / kappa_j)**beta)``.  Both splits are one
-bisection on a monotone crossing (`_crossing`): the balanced flow where
+bisection over a route pair (`_crossing`): the balanced flow where
 d1 = d2, and the system optimum where the marginal costs are equal.
 """
 
@@ -21,8 +21,8 @@ from .sensitivity import SensitivitySpec
 SOCIETAL_DISCOMFORT = "discomfort"  # c(x) = d(x): cost is the sum of user costs
 SOCIETAL_FLOW = "flow"              # c(x) = x:    cost is quadratic in flow
 
-# |h| at which a crossing stops; it sets the last bits of x* and of the
-# balanced flow
+# |f1 - f2| at which a crossing stops; it sets the last bits of x* and of
+# the balanced flow
 _CROSSING_TOL = 1e-9
 
 
@@ -167,24 +167,29 @@ def as_flow(x) -> np.ndarray:
     return x
 
 
-def _crossing(h, p_go: float) -> float | None:
-    """x1 in [0, p_go] where the non-decreasing h(x1) changes sign, or None.
+def _flow_marginal_cost(x: float) -> float:
+    """Either route's marginal cost in the flow family c(x) = x."""
+    return 2.0 * x
 
-    Bisection; stops once |h| <= 1e-9 at the midpoint (or the bracket is
-    1e-14 wide).  Returns None when h keeps one sign over the whole range:
-    h(p_go) < 0, or h(0) >= 0, which includes h = 0 throughout.
+
+def _crossing(f1, f2, p_go: float) -> float | None:
+    """x1 in [0, p_go] where f1(x1) - f2(p_go - x1) changes sign, or None.
+
+    Bisection on the gap, which must be non-decreasing, to |gap| <= 1e-9 at
+    the midpoint or a bracket 1e-14 wide.  None when the gap keeps one
+    sign: f1(p_go) < f2(0), or f1(0) >= f2(p_go), which includes 0 throughout.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    lo, hi = 0.0, p_go
-    if h(hi) < 0.0 or h(lo) >= 0.0:
+    if f1(p_go) - f2(0.0) < 0.0 or f1(0.0) - f2(p_go) >= 0.0:
         return None
+    lo, hi = 0.0, p_go
     mid = 0.5 * (lo + hi)
-    h_mid = h(mid)
-    while abs(h_mid) > _CROSSING_TOL and hi - lo > 1e-14:
-        lo, hi = (mid, hi) if h_mid < 0.0 else (lo, mid)
+    gap = f1(mid) - f2(p_go - mid)
+    while abs(gap) > _CROSSING_TOL and hi - lo > 1e-14:
+        lo, hi = (mid, hi) if gap < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
+        gap = f1(mid) - f2(p_go - mid)
     return mid
 
 
@@ -196,37 +201,31 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     under marginal costs.  For the discomfort family mc_j(x) =
     d0_j * (1 + alpha * (1 + beta) * (x / kappa_j)**beta), the volume-delay
     form with alpha * (1 + beta); for the flow family mc_j(x) = 2x, so the
-    split is exactly even.  `_crossing` bisects h(x1) = mc1(x1) -
-    mc2(p_go - x1).  With no crossing the optimum is a corner: all demand
-    on route 1 when h(p_go) < 0, else all on route 2 (h(0) >= 0, which
-    includes an exact tie such as equal constant costs).  The returned pair
-    conserves demand exactly by construction.
+    split is exactly even.  `_crossing` searches the route pair (mc1, mc2).
+    With no crossing the optimum is a corner: all demand on route 1 when
+    mc1(p_go) < mc2(0), else all on route 2 (mc1(0) >= mc2(p_go), which
+    includes an exact tie such as equal constant costs).  The returned
+    pair conserves demand exactly by construction.
     """
     if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
         mc1, mc2 = model._volume_delay(marginal=True)
     else:
-        mc1 = mc2 = lambda x: 2.0 * x
-
-    def h(x1):
-        return mc1(x1) - mc2(p_go - x1)
-
-    x1 = _crossing(h, p_go)
+        mc1 = mc2 = _flow_marginal_cost
+    x1 = _crossing(mc1, mc2, p_go)
     if x1 is None:
-        x1 = p_go if h(p_go) < 0.0 else 0.0
+        x1 = p_go if mc1(p_go) - mc2(0.0) < 0.0 else 0.0
     return np.array([x1, p_go - x1])
 
 
 def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     """Split of p_go where both routes have equal discomfort, or None.
 
-    `_crossing` on h(x1) = d1(x1) - d2(p_go - x1), which is non-decreasing
-    for monotone costs, to |d1 - d2| <= 1e-9.  An uncontrolled day lands on
-    this split in whole agents, but counts them exactly by an integer
-    search on the same kernel rather than from this float (see `wardrop`).
-    Returns None when h keeps one sign over the whole range (no crossing).
-    h reads the volume-delay kernel that the day's equilibrium and
-    `discomfort` read.
+    `_crossing` on the route pair (d1, d2), the volume-delay kernel that the
+    day's equilibrium and `discomfort` read, to |d1 - d2| <= 1e-9.  An
+    uncontrolled day lands on this split in whole agents, but counts them
+    exactly by an integer search on the same kernel rather than from this
+    float (see `wardrop`).  Returns None when the gap keeps one sign over
+    the whole range (no crossing).
     """
-    d1, d2 = model._volume_delay()
-    x1 = _crossing(lambda t: d1(t) - d2(p_go - t), p_go)
+    x1 = _crossing(*model._volume_delay(), p_go)
     return None if x1 is None else np.array([x1, p_go - x1])

@@ -17,22 +17,29 @@ The population's set-up and read-out stages are pinned the same way:
 and `quantize_population` clamps the floored deviations as floats and
 casts once, where its reference casts every deviation to a cell and clips
 the integers.
+
+`system_optimum` and `balanced_flow` hand `network._crossing` their route
+pair, which evaluates f1(x1) - f2(p_go - x1) itself; the reference wraps
+the pair in one closure h and bisects h.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from karma_routing import (PriceVector, SensitivitySpec, as_flow,
-                           build_chain, conservation_prices,
-                           equilibrium_flows, karma_cell, quantize_population,
-                           stationary_distribution)
+from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
+                           as_flow, balanced_flow, build_chain,
+                           conservation_prices, equilibrium_flows, karma_cell,
+                           quantize_population, stationary_distribution,
+                           system_optimum)
 from karma_routing import mesoscopic
 from karma_routing.agent import _decaying_threshold
 from karma_routing.mesoscopic import DiagonalMatrix
-from karma_routing.network import check_count
+from karma_routing.network import (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW,
+                                   check_count)
 
 from conftest import examples
 from test_mesoscopic import with_poor_edge
@@ -77,12 +84,12 @@ def column_sums_ref(a: DiagonalMatrix) -> np.ndarray:
 
 
 def cell_thresholds_ref(p, t):
-    poor, ok, rich, wealthy = mesoscopic._band_slices(p, t).values()
-    theta = np.full(wealthy.stop, -np.inf)
-    theta[poor] = np.inf
-    theta[ok] = 1.0
-    theta[rich] = _decaying_threshold(np.arange(rich.start, rich.stop),
-                                      wealthy.start, p)
+    _, ok, rich, wealthy, n = mesoscopic._band_edges(p, t)
+    theta = np.full(n, -np.inf)
+    theta[:ok] = np.inf
+    theta[ok:rich] = 1.0
+    theta[rich:wealthy] = _decaying_threshold(np.arange(rich, wealthy),
+                                              wealthy, p)
     return theta
 
 
@@ -167,6 +174,57 @@ def as_flow_ref(x):
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"flow components must lie in [0, 1], got {x}")
     return x
+
+
+def crossing_ref(h, p_go):
+    """The bisection of one closure h(x1) over [0, p_go], or None."""
+    lo, hi = 0.0, p_go
+    if h(hi) < 0.0 or h(lo) >= 0.0:
+        return None
+    mid = 0.5 * (lo + hi)
+    h_mid = h(mid)
+    while abs(h_mid) > 1e-9 and hi - lo > 1e-14:
+        lo, hi = (mid, hi) if h_mid < 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+    return mid
+
+
+def system_optimum_ref(model, p_go):
+    if model.societal_cost_kind == SOCIETAL_FLOW:
+        mc1 = mc2 = lambda x: 2.0 * x
+    else:
+        mc1, mc2 = model._volume_delay(marginal=True)
+
+    def h(x1):
+        return mc1(x1) - mc2(p_go - x1)
+
+    x1 = crossing_ref(h, p_go)
+    if x1 is None:
+        x1 = p_go if h(p_go) < 0.0 else 0.0
+    return np.array([x1, p_go - x1])
+
+
+def balanced_flow_ref(model, p_go):
+    d1, d2 = model._volume_delay()
+    x1 = crossing_ref(lambda t: d1(t) - d2(p_go - t), p_go)
+    return None if x1 is None else np.array([x1, p_go - x1])
+
+
+@st.composite
+def cost_models(draw):
+    """Either cost family; one in three has alpha = 0 (constant costs),
+    and one in three of those equal free-flow costs, a tie everywhere.
+    beta up to 40 makes some crossings too steep for the 1e-9 stop."""
+    param = st.floats(0.25, 6.0)
+    d0 = (draw(param), draw(param))
+    alpha = draw(st.sampled_from([0.0, 0.15]) | st.floats(0.0, 6.0))
+    if alpha == 0.0 and draw(st.integers(0, 2)) == 0:
+        d0 = (d0[0], d0[0])
+    return ArcCostModel(d0=d0, kappa=(draw(param), draw(param)), alpha=alpha,
+                        beta=draw(st.floats(1.0, 40.0)),
+                        societal_cost_kind=draw(st.sampled_from(
+                            [SOCIETAL_DISCOMFORT, SOCIETAL_FLOW])))
 
 
 def population(seed, p, t, m, cells):
@@ -256,6 +314,38 @@ class TestChainProducts:
         assert same_bits(equilibrium_flows(ch, dist), want)
         assert same_bits(mesoscopic._cell_thresholds(ch.prices, ch.horizon),
                          cell_thresholds_ref(ch.prices, ch.horizon))
+
+
+FLAT = ArcCostModel(d0=(2.0, 2.0), alpha=0.0)
+
+
+class TestCrossing:
+    @settings(max_examples=examples(300), deadline=None)
+    @given(model=cost_models(),
+           p_go=st.sampled_from([1.0, 1e-8])
+           | st.floats(0.0, 1.0, exclude_min=True))
+    # equal constant costs tie everywhere, in both families; all demand on
+    # route 1 (d0 = (1, 10), and the default model at 1e-8) or on route 2
+    # (d0 = (10, 1)); marginal costs that cross exactly at x1 = p_go; costs
+    # steep enough that the bracket width stops the search; the default
+    # model and the flow family inside
+    @example(model=FLAT, p_go=0.95)
+    @example(model=replace(FLAT, societal_cost_kind=SOCIETAL_FLOW), p_go=1.0)
+    @example(model=ArcCostModel(d0=(1.0, 10.0), alpha=0.0), p_go=1.0)
+    @example(model=ArcCostModel(d0=(10.0, 1.0), alpha=0.0), p_go=0.3)
+    @example(model=ArcCostModel(d0=(1.0, 2.0), kappa=(1.0, 1.0), alpha=0.5,
+                                beta=1.0), p_go=1.0)
+    @example(model=ArcCostModel(d0=(1.0, 1.0), kappa=(0.25, 0.5), beta=40.0),
+             p_go=1.0)
+    @example(model=ArcCostModel(), p_go=1e-8)
+    @example(model=ArcCostModel(), p_go=1.0)
+    @example(model=ArcCostModel(societal_cost_kind=SOCIETAL_FLOW), p_go=1e-8)
+    def test_splits_match_reference(self, model, p_go):
+        assert same_bits(system_optimum(model, p_go),
+                         system_optimum_ref(model, p_go))
+        got, want = balanced_flow(model, p_go), balanced_flow_ref(model, p_go)
+        assert (got is None) == (want is None)
+        assert got is None or same_bits(got, want)
 
 
 class TestPricingStages:

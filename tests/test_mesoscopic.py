@@ -664,6 +664,21 @@ class TestQuantize:
             with pytest.raises(ValueError, match="must be finite"):
                 karma_cell([100.0, bad], [100.0, 100.0], p, 6)
 
+    @pytest.mark.parametrize("k, k_ref, bad", [
+        (1e300, 0.0, "1e\\+300"),
+        ([100.0, 1e19], [100.0, 0.0], "1e\\+19"),
+        (-1e19, 0.0, "-1e\\+19"),
+    ], ids=["1e300", "1e19-in-a-list", "-1e19"])
+    def test_deviation_past_int64_rejected(self, k, k_ref, bad):
+        # finite, but the cell index has no int64: the cast would wrap
+        p = PriceVector(10, 14)
+        with pytest.raises(ValueError, match=f"int64 range, got {bad}$"):
+            karma_cell(k, k_ref, p, 6)
+        # inside the range the cast is exact; past 2**53 the cell is the
+        # float sum dev + T*r2, rounded (84 is below half an ulp here)
+        assert karma_cell(2.0**62, 0.0, p, 6)[()] == 2**62
+        assert karma_cell([-2.0**62], [0.0], p, 6).tolist() == [-2**62]
+
     @given(dev=st.integers(-9, 10))
     def test_cell_index_map(self, dev):
         # i = (k - k_ref) + T*r2 with integer deviations, 0-based
