@@ -139,12 +139,18 @@ def fast_mask(k, s, traveling, th: Thresholds, p: PriceVector):
     agent's comparison is taken in both bands and the rich mask keeps one,
     so there is no per-element branch.
     """
+    return _fast_mask(k, s, traveling, th, p, k >= th.k_wealthy)
+
+
+def _fast_mask(k, s, traveling, th: Thresholds, p: PriceVector, wealthy):
+    """`fast_mask` given its wealthy mask, k >= th.k_wealthy, which
+    `wardrop.wardrop_equilibrium` reads before it decides to apply the rule."""
     rich = k >= th.k_rich
     go = s > _decaying_threshold(k, th.k_wealthy, p)
     go &= rich
     go |= np.greater(s > 1.0, rich)  # s > 1 and not rich
     go &= k >= th.k_poor
-    go |= k >= th.k_wealthy
+    go |= wealthy
     go &= traveling
     return go
 

@@ -137,7 +137,7 @@ def cmd_design_prices(args) -> int:
         # with fixed prices a config validates even when no design exists
         print(f"integer prices (max_price {config.max_price}): none ({exc})")
         return 0
-    print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})  "
+    print(f"system optimum: ({x_star[0]:#.6g}, {x_star[1]:#.6g})  "
           f"(demand {p_go})")
     print(f"conserving ratio p1/r2 = x2*/x1* = {rho:.9f}")
     print(f"integer prices (max_price {config.max_price}): "
@@ -155,7 +155,7 @@ def cmd_system_optimum(args) -> int:
     x_star = system_optimum(model, p_go)
     cost = model.societal_cost(x_star)
     print(f"demand: {p_go}")
-    print(f"system optimum: ({x_star[0]:.6f}, {x_star[1]:.6f})")
+    print(f"system optimum: ({x_star[0]:#.6g}, {x_star[1]:#.6g})")
     print(f"optimal societal cost: {cost:.9f}")
     x_bal = balanced_flow(model, p_go)
     if x_bal is None:

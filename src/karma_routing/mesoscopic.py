@@ -190,17 +190,21 @@ def _floor_deviation(k, k_ref):
 def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
     """0-based cell index of karma deviations (floor to the cell's left edge).
 
-    Raises ValueError naming the first deviation that has no cell: a
-    non-finite one, or one whose cell lies past the int64 range.
+    The floored deviation is cast to int64 and T*r2 added as an integer, so
+    the cell is exact past 2**53 too.  Raises ValueError naming the first
+    deviation that has no cell: a non-finite one, or one that itself or
+    whose cell lies past the int64 range.
     """
     dev = _floor_deviation(k, k_ref)
-    cell = dev + horizon * p.r2
-    ok = (cell >= -2.0 ** 63) & (cell < 2.0 ** 63)  # NaN fails both
+    ok = (dev >= -2.0 ** 63) & (dev < 2.0 ** 63)  # NaN fails both
+    cell = np.where(ok, dev, 0.0).astype(np.int64)
+    shift = horizon * p.r2
+    ok &= cell <= np.iinfo(np.int64).max - shift
     if not ok.all():
         raise ValueError(
             "karma deviation k - k_ref must be finite, with its cell in the "
             f"int64 range, got {float(np.extract(~ok, dev)[0])!r}")
-    return cell.astype(int)
+    return cell + shift
 
 
 def build_chain(p: PriceVector, horizon: int, p_home: float,

@@ -156,7 +156,7 @@ def cycle_fixed_point_ref(chain):
 
 def karma_cell_ref(k, k_ref, p, t):
     dev = np.floor(np.asarray(k, dtype=float) - np.asarray(k_ref, dtype=float))
-    return (dev + t * p.r2).astype(int)
+    return dev.astype(np.int64) + t * p.r2
 
 
 def quantize_population_ref(k, k_ref, p, t):
@@ -423,6 +423,12 @@ class TestPopulationStages:
         for k in (100.0, 99.5, np.nextafter(100.0, 0.0), -3.0):
             assert same_bits(karma_cell(k, 100.0, p, 3),
                              karma_cell_ref(k, 100.0, p, 3))
+        # past 2**53 T*r2 = 84 is below half an ulp: added as an integer
+        p = PriceVector(10, 14)
+        for k in (2.0**62, [2.0**62, -2.0**62]):
+            assert same_bits(karma_cell(k, 0.0, p, 6),
+                             karma_cell_ref(k, 0.0, p, 6))
+        assert karma_cell_ref(2.0**62, 0.0, p, 6) == 2**62 + 84
 
     def test_flow_check_matches_reference(self):
         values = [-0.0, 0.0, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),

@@ -517,7 +517,8 @@ class TestCli:
         path = tmp_path / "tiny.ini"
         path.write_text("[scenario]\np_home = 0.99999999\n")
         assert main(["system-optimum", "--config", str(path)]) == 0
-        assert "system optimum: (0.000000, 0.000000)" in capsys.readouterr().out
+        assert ("system optimum: (1.00000e-08, 0.00000)"
+                in capsys.readouterr().out)
 
     @pytest.mark.parametrize("d0, verdict", [
         ((5.0, 1.0), "route 2 dominates: d1 >= d2"),

@@ -674,10 +674,16 @@ class TestQuantize:
         p = PriceVector(10, 14)
         with pytest.raises(ValueError, match=f"int64 range, got {bad}$"):
             karma_cell(k, k_ref, p, 6)
-        # inside the range the cast is exact; past 2**53 the cell is the
-        # float sum dev + T*r2, rounded (84 is below half an ulp here)
-        assert karma_cell(2.0**62, 0.0, p, 6)[()] == 2**62
-        assert karma_cell([-2.0**62], [0.0], p, 6).tolist() == [-2**62]
+        # inside the range the cast is exact, and T*r2 = 84 is added as an
+        # integer, also where it is below half a float ulp
+        assert karma_cell(2.0**62, 0.0, p, 6)[()] == 2**62 + 84
+        assert karma_cell([-2.0**62], [0.0], p, 6).tolist() == [-2**62 + 84]
+        # the largest float deviation below 2**63 has a cell while T*r2 is
+        # at most 1023, and none at T*r2 = 1200
+        top = float(np.nextafter(2.0**63, 0.0))
+        assert karma_cell(top, 0.0, p, 6)[()] == 2**63 - 1024 + 84
+        with pytest.raises(ValueError, match="int64 range, got 9.2"):
+            karma_cell([0.0, top], [0.0, 0.0], PriceVector(10, 200), 6)
 
     @given(dev=st.integers(-9, 10))
     def test_cell_index_map(self, dev):

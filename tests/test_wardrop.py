@@ -4,17 +4,17 @@ from math import floor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
                            balanced_flow, build_chain, equilibrium_flows,
                            get_preset, run_scenario, stationary_distribution,
                            thresholds, wardrop_equilibrium)
-from karma_routing import simulation
+from karma_routing import simulation, wardrop
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
 from conftest import examples
-from day_rule import fast_routes
+from day_rule import equilibrium_ref, fast_routes, same_day
 from oracles import (ARC1, ARC2, AgentState, balanced_count_oracle,
                      plan_oracle)
 
@@ -243,15 +243,19 @@ class TestWardropEquilibrium:
     FLAT = ArcCostModel(d0=(1.0, 1.0 - 2e-10), kappa=(0.5, 0.5), alpha=1e-9,
                         beta=1.0)
 
-    def flat_day(self, n_rich):
-        """The day of 1000 travelers under FLAT whose first ``n_rich`` are
-        wealthy (fast in the sweep) and the rest poor (slow)."""
+    def flat_inputs(self, n_rich, k_rich=1000.0):
+        """`wardrop_equilibrium`'s arguments for the day of 1000 travelers
+        under FLAT whose first ``n_rich`` hold ``k_rich`` karma, at least
+        k_wealthy = 170 (fast in the sweep), and the rest 20 (slow)."""
         p, m = PriceVector(10, 14), 1000
-        k = np.where(np.arange(m) < n_rich, 1000.0, 20.0)
+        k = np.where(np.arange(m) < n_rich, k_rich, 20.0)
         s = np.random.default_rng(0).standard_exponential(m)
         traveling = np.ones(m, dtype=bool)
-        return wardrop_equilibrium(
-            k, s, traveling, thresholds(np.full(m, 100.0), p, 6), self.FLAT, p)
+        return k, s, traveling, thresholds(np.full(m, 100.0), p, 6), \
+            self.FLAT, p
+
+    def flat_day(self, n_rich):
+        return wardrop_equilibrium(*self.flat_inputs(n_rich))
 
     def test_balanced_count_capped_at_the_sweep(self):
         # the sweep sends the 460 karma-rich travelers fast; the day keeps
@@ -273,6 +277,32 @@ class TestWardropEquilibrium:
         assert regime == UNCONTROLLED
         assert n1 == np.count_nonzero(fast) == np.count_nonzero(fast[:450]) \
             == 450
+
+    @pytest.mark.parametrize("n_rich, rule_calls", [(450, 1), (451, 0)])
+    def test_wealthy_count_at_and_past_the_balanced_count(
+            self, n_rich, rule_calls, monkeypatch):
+        # the balanced count c* is 450.  With 450 wealthy travelers d1 = d2
+        # at their count, not d1 > d2, so the rule runs; with 451, d1 > d2
+        # there and the day skips the rule.
+        # Both days keep 450 fast, as the rule-first reference does.  The
+        # wealthy sit exactly at k_wealthy, where the rule sends them fast
+        # whatever s is, also a NaN, so a NaN s gives the same day.
+        calls = []
+
+        def spy(*args):
+            calls.append(n_rich)
+            return rule(*args)
+
+        rule = wardrop._fast_mask
+        monkeypatch.setattr(wardrop, "_fast_mask", spy)
+        k, s, *rest = self.flat_inputs(n_rich, k_rich=170.0)
+        day = wardrop_equilibrium(k, s, *rest)
+        assert day[1] == 450 and day[3] == UNCONTROLLED
+        assert same_day(day, equilibrium_ref(k, s, *rest))
+        nan = np.full_like(s, np.nan)
+        assert same_day(wardrop_equilibrium(k, nan, *rest), day)
+        assert same_day(equilibrium_ref(k, nan, *rest), day)
+        assert calls == [n_rich] * (2 * rule_calls)
 
     def test_uncontrolled_count_is_the_masks_on_a_rich_start(self,
                                                             monkeypatch):
@@ -405,8 +435,11 @@ class TestEquilibriumProperties:
     def test_equilibrium_properties(self, day):
         k, k_ref, s, traveling, model, p, horizon = day
         m = k.size
-        fast, n1, n2, regime, d_eq = wardrop_equilibrium(
-            k, s, traveling, thresholds(k_ref, p, horizon), model, p)
+        args = (k, s, traveling, thresholds(k_ref, p, horizon), model, p)
+        fast, n1, n2, regime, d_eq = out = wardrop_equilibrium(*args)
+        # the rule-first reference's tuple, also where the wealthy
+        # travelers overload a route that no balanced flow exists on
+        assert same_day(out, equilibrium_ref(*args))
         # the counts are the mask's, and only travelers travel
         assert n1 == np.count_nonzero(fast)
         assert n2 == np.count_nonzero(traveling & ~fast)
@@ -474,25 +507,46 @@ class TestBalancedCount:
     @given(day=rich_days())
     def test_uncontrolled_count_matches_a_linear_scan(self, day):
         # on every day that fails the sweep: uncontrolled with the oracle's
-        # count, or all slow when d1 >= d2 even on an empty fast route
+        # count, or all slow when d1 >= d2 even on an empty fast route; on
+        # every day the rule-first reference's tuple
         k, k_ref, s, traveling, model, p, horizon = day
         m = k.size
         th = thresholds(k_ref, p, horizon)
         n_sweep = int(np.count_nonzero(fast_routes(k, s, th, p)
                                        & traveling))
         n_travel = int(np.count_nonzero(traveling))
-        fast, n1, n2, regime, d = wardrop_equilibrium(
-            k, s, traveling, th, model, p)
+        args = (k, s, traveling, th, model, p)
+        fast, n1, n2, regime, d = out = wardrop_equilibrium(*args)
+        assert same_day(out, equilibrium_ref(*args))
         d_sweep = model.discomfort([n_sweep / m, (n_travel - n_sweep) / m])
         if n_travel == 0 or d_sweep[0] < d_sweep[1]:
             assert regime == CONTROLLED and n1 == n_sweep
             return
         if regime == UNCONTROLLED:
-            assert n1 == np.count_nonzero(fast) \
-                == balanced_count_oracle(model, m, n_travel, n_sweep)
+            n_fast = balanced_count_oracle(model, m, n_travel, n_sweep)
+            assert n1 == np.count_nonzero(fast) == n_fast
+            assert np.array_equal(
+                fast, _balanced_split(k, traveling, th.k_poor, n_fast))
             assert d[0] <= d[1]
         else:
             # d1 >= d2 on an empty fast route (equal constant costs too)
             assert n1 == 0 and not fast.any()
             assert d[0] >= d[1]
         assert n1 + n2 == n_travel
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(day=rich_days())
+    def test_overloaded_day_reads_no_sensitivity(self, day):
+        # when the wealthy travelers' lower bound already has d1 > d2, a NaN
+        # in place of every sensitivity changes nothing
+        k, k_ref, s, traveling, model, p, horizon = day
+        m = k.size
+        th = thresholds(k_ref, p, horizon)
+        n_travel = int(np.count_nonzero(traveling))
+        n_lb = int(np.count_nonzero(k >= th.k_wealthy)) - (m - n_travel)
+        assume(n_lb > 0)
+        d = model.discomfort([n_lb / m, (n_travel - n_lb) / m])
+        assume(d[0] > d[1])
+        rest = (traveling, th, model, p)
+        assert same_day(wardrop_equilibrium(k, np.full(m, np.nan), *rest),
+                        wardrop_equilibrium(k, s, *rest))
