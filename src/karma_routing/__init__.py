@@ -12,8 +12,8 @@ from .errors import (ConvergenceError, DegenerateOptimumError,
                      InfeasibleHorizonError, InfeasibleKarmaError,
                      KarmaRoutingError)
 from .mesoscopic import (KarmaChain, build_chain, equilibrium_flows,
-                         karma_cell, quantize_population,
-                         stationary_distribution, step_distribution)
+                         quantize_population, stationary_distribution,
+                         step_distribution)
 from .network import (ArcCostModel, Scenario, as_flow, balanced_flow,
                       system_optimum)
 from .pricing import PriceVector, conservation_prices, rationalize_prices
@@ -31,7 +31,7 @@ __all__ = [
     "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
     "SensitivitySpec", "Thresholds", "as_flow", "balanced_flow",
     "build_chain", "compute_metrics", "conservation_prices",
-    "equilibrium_flows", "get_preset", "init_population", "karma_cell",
+    "equilibrium_flows", "get_preset", "init_population",
     "quantize_population", "rationalize_prices", "run_scenario", "settle",
     "simulate_day", "stationary_distribution", "step_distribution",
     "system_optimum", "thresholds", "wardrop_equilibrium",

@@ -29,7 +29,7 @@ from .errors import (DegenerateOptimumError, InfeasibleHorizonError,
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
                          save_matrix_coo, stationary_distribution,
                          step_distribution)
-from .network import balanced_flow, system_optimum
+from .network import _crossing, system_optimum
 from .pricing import design_prices
 from .simulation import run_scenario
 
@@ -157,20 +157,18 @@ def cmd_system_optimum(args) -> int:
     print(f"demand: {p_go}")
     print(f"system optimum: ({x_star[0]:#.6g}, {x_star[1]:#.6g})")
     print(f"optimal societal cost: {cost:.9f}")
-    x_bal = balanced_flow(model, p_go)
-    if x_bal is None:
-        # no crossing: d at both ends of [0, p_go] tells which route wins
-        d_lo = model.discomfort((0.0, p_go))
-        d_hi = model.discomfort((p_go, 0.0))
-        if d_lo[0] == d_lo[1] and d_hi[0] == d_hi[1]:
-            print("balanced flow: none (the routes tie: d1 = d2 over the "
-                  "whole range)")
-        else:
-            route, sign = (1, "<") if d_hi[0] < d_hi[1] else (2, ">=")
-            print(f"balanced flow: none (route {route} dominates: d1 {sign} "
-                  "d2 over the whole range)")
+    # the balanced-flow search reports which end check stopped it
+    x1, end = _crossing(*model._volume_delay(), p_go)
+    if end == "tie":
+        print("balanced flow: none (the routes tie: d1 = d2 over the whole "
+              "range)")
+    elif end:
+        sign = "<" if end == "route 1" else ">="
+        print(f"balanced flow: none ({end} dominates: d1 {sign} d2 over the "
+              "whole range)")
     else:
         # selfish routing: what the balanced flow costs against the optimum
+        x_bal = (x1, p_go - x1)
         cost_bal = model.societal_cost(x_bal)
         print(f"balanced flow: ({x_bal[0]:.6f}, {x_bal[1]:.6f})")
         print(f"balanced societal cost: {cost_bal:.9f} "

@@ -130,11 +130,6 @@ class KarmaChain:
         return (self.horizon + 1) * self.prices.total
 
     @property
-    def rush_prob(self) -> np.ndarray:
-        """P(fast | travel, state j)."""
-        return 1.0 - self.chill_prob
-
-    @property
     def theta(self) -> np.ndarray:
         """Per-cell urgency threshold: a traveler in cell i goes fast iff
         s > theta[i] (s in units of its mean), so chill_prob is the
@@ -179,32 +174,11 @@ def _cell_thresholds(p: PriceVector, horizon: int) -> np.ndarray:
 
 
 def _floor_deviation(k, k_ref):
-    """floor(k - k_ref) in float64, the deviation at the left edge of the
-    karma's cell: the one cell map of `karma_cell` and
-    `quantize_population`.  An array result is a new one, floored in
-    place."""
-    dev = np.subtract(k, k_ref, dtype=float)
-    return np.floor(dev, out=dev if dev.ndim else None)
-
-
-def karma_cell(k, k_ref, p: PriceVector, horizon: int) -> np.ndarray:
-    """0-based cell index of karma deviations (floor to the cell's left edge).
-
-    The floored deviation is cast to int64 and T*r2 added as an integer, so
-    the cell is exact past 2**53 too.  Raises ValueError naming the first
-    deviation that has no cell: a non-finite one, or one that itself or
-    whose cell lies past the int64 range.
-    """
-    dev = _floor_deviation(k, k_ref)
-    ok = (dev >= -2.0 ** 63) & (dev < 2.0 ** 63)  # NaN fails both
-    cell = np.where(ok, dev, 0.0).astype(np.int64)
-    shift = horizon * p.r2
-    ok &= cell <= np.iinfo(np.int64).max - shift
-    if not ok.all():
-        raise ValueError(
-            "karma deviation k - k_ref must be finite, with its cell in the "
-            f"int64 range, got {float(np.extract(~ok, dev)[0])!r}")
-    return cell + shift
+    """floor(k - k_ref) in float64 as a new 1-d array, floored in place: the
+    deviation at the left edge of each karma's cell, the cell map of
+    `quantize_population`.  Two scalars give a one-agent array."""
+    dev = np.subtract(k, k_ref, dtype=float).reshape(-1)
+    return np.floor(dev, out=dev)
 
 
 def build_chain(p: PriceVector, horizon: int, p_home: float,
@@ -421,9 +395,9 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
 def equilibrium_flows(chain: KarmaChain, dist) -> np.ndarray:
     """Population route shares induced by a karma distribution.
 
-    x1 = p_go * rush_prob . P (fast), x2 = p_go * chill_prob . P (slow);
-    the pair sums to p_go.  No move leaves the lattice of cells, so these
-    are the masses that A's off-diagonals carry.
+    x1 = p_go * (1 - chill_prob) . P (fast), x2 = p_go * chill_prob . P
+    (slow); the pair sums to p_go.  No move leaves the lattice of cells, so
+    these are the masses that A's off-diagonals carry.
     """
     dist = _check_distribution(chain, dist)
     chill, p_go = chain.chill_prob, chain.p_go

@@ -172,17 +172,24 @@ def _flow_marginal_cost(x: float) -> float:
     return 2.0 * x
 
 
-def _crossing(f1, f2, p_go: float) -> float | None:
-    """x1 in [0, p_go] where f1(x1) - f2(p_go - x1) changes sign, or None.
+def _crossing(f1, f2, p_go: float) -> tuple[float, str | None]:
+    """(x1, end): x1 in [0, p_go] where f1(x1) - f2(p_go - x1) changes sign,
+    and end None; or, where the gap keeps one sign, the corner and the end
+    check that stopped the search.
 
     Bisection on the gap, which must be non-decreasing, to |gap| <= 1e-9 at
-    the midpoint or a bracket 1e-14 wide.  None when the gap keeps one
-    sign: f1(p_go) < f2(0), or f1(0) >= f2(p_go), which includes 0 throughout.
+    the midpoint or a bracket 1e-14 wide.  The ends: (p_go, "route 1") when
+    f1(p_go) < f2(0); else (0.0, "route 2") when f1(0) >= f2(p_go), or
+    (0.0, "tie") when both end gaps are exactly 0.
     """
     if not 0.0 < p_go <= 1.0:
         raise ValueError("p_go must lie in (0, 1]")
-    if f1(p_go) - f2(0.0) < 0.0 or f1(0.0) - f2(p_go) >= 0.0:
-        return None
+    hi_gap = f1(p_go) - f2(0.0)
+    if hi_gap < 0.0:
+        return p_go, "route 1"
+    lo_gap = f1(0.0) - f2(p_go)
+    if lo_gap >= 0.0:
+        return 0.0, "tie" if lo_gap == hi_gap == 0.0 else "route 2"
     lo, hi = 0.0, p_go
     mid = 0.5 * (lo + hi)
     gap = f1(mid) - f2(p_go - mid)
@@ -190,7 +197,7 @@ def _crossing(f1, f2, p_go: float) -> float | None:
         lo, hi = (mid, hi) if gap < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
         gap = f1(mid) - f2(p_go - mid)
-    return mid
+    return mid, None
 
 
 def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
@@ -201,8 +208,8 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     under marginal costs.  For the discomfort family mc_j(x) =
     d0_j * (1 + alpha * (1 + beta) * (x / kappa_j)**beta), the volume-delay
     form with alpha * (1 + beta); for the flow family mc_j(x) = 2x, so the
-    split is exactly even.  `_crossing` searches the route pair (mc1, mc2).
-    With no crossing the optimum is a corner: all demand on route 1 when
+    split is exactly even.  `_crossing` searches the route pair (mc1, mc2),
+    and with no crossing returns the corner: all demand on route 1 when
     mc1(p_go) < mc2(0), else all on route 2 (mc1(0) >= mc2(p_go), which
     includes an exact tie such as equal constant costs).  The returned
     pair conserves demand exactly by construction.
@@ -211,9 +218,7 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
         mc1, mc2 = model._volume_delay(marginal=True)
     else:
         mc1 = mc2 = _flow_marginal_cost
-    x1 = _crossing(mc1, mc2, p_go)
-    if x1 is None:
-        x1 = p_go if mc1(p_go) - mc2(0.0) < 0.0 else 0.0
+    x1, _ = _crossing(mc1, mc2, p_go)
     return np.array([x1, p_go - x1])
 
 
@@ -227,5 +232,5 @@ def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     float (see `wardrop`).  Returns None when the gap keeps one sign over
     the whole range (no crossing).
     """
-    x1 = _crossing(*model._volume_delay(), p_go)
-    return None if x1 is None else np.array([x1, p_go - x1])
+    x1, end = _crossing(*model._volume_delay(), p_go)
+    return None if end else np.array([x1, p_go - x1])

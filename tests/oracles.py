@@ -93,15 +93,15 @@ def dense_transition_matrix(chain: KarmaChain) -> np.ndarray:
     """A as a dense array, from the chain's rule and never from `chain.a`.
 
     Column j holds p_home on the diagonal, p_go*chill_prob[j] in row j + r2
-    (slow, earns r2) and p_go*rush_prob[j] in row j - p1 (fast, pays p1);
-    a move of positive probability off the lattice raises ValueError.
+    (slow, earns r2) and p_go*(1 - chill_prob[j]) in row j - p1 (fast, pays
+    p1); a move of positive probability off the lattice raises ValueError.
     """
     p1, r2, n = chain.prices.p1, chain.prices.r2, chain.n_states
     a = np.zeros((n, n))
     for j in range(n):
         a[j, j] = chain.p_home
         for row, prob in ((j + r2, chain.chill_prob[j]),
-                          (j - p1, chain.rush_prob[j])):
+                          (j - p1, 1.0 - chain.chill_prob[j])):
             if prob > 0.0:
                 if not 0 <= row < n:
                     raise ValueError(f"cell {j} moves mass off the lattice")

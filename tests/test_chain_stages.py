@@ -32,7 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
                            as_flow, balanced_flow, build_chain,
-                           conservation_prices, equilibrium_flows, karma_cell,
+                           conservation_prices, equilibrium_flows,
                            quantize_population, stationary_distribution,
                            system_optimum)
 from karma_routing import mesoscopic
@@ -154,14 +154,10 @@ def cycle_fixed_point_ref(chain):
     return (by_level / (q * by_level.sum(axis=0))).ravel()
 
 
-def karma_cell_ref(k, k_ref, p, t):
-    dev = np.floor(np.asarray(k, dtype=float) - np.asarray(k_ref, dtype=float))
-    return dev.astype(np.int64) + t * p.r2
-
-
 def quantize_population_ref(k, k_ref, p, t):
     n = (t + 1) * p.total
-    idx = karma_cell_ref(k, k_ref, p, t)
+    dev = np.floor(np.asarray(k, dtype=float) - np.asarray(k_ref, dtype=float))
+    idx = dev.astype(np.int64) + t * p.r2
     clamped = int(np.count_nonzero((idx < 0) | (idx >= n)))
     hist = np.bincount(np.clip(idx, 0, n - 1), minlength=n).astype(float)
     return hist / hist.sum(), clamped
@@ -386,7 +382,6 @@ def read_out_matches_reference(k, k_ref, p, t):
     want_hist, want_clamped = quantize_population_ref(k, k_ref, p, t)
     assert same_bits(hist, want_hist)
     assert type(clamped) is int and clamped == want_clamped
-    assert same_bits(karma_cell(k, k_ref, p, t), karma_cell_ref(k, k_ref, p, t))
     return clamped
 
 
@@ -417,18 +412,6 @@ class TestPopulationStages:
             k, k_ref = population(seed, p, t, m, cells)
             got = read_out_matches_reference(k, k_ref, p, t)
             assert clamped is None or got == clamped
-
-    def test_scalar_cell_matches_reference(self):
-        p = PriceVector(2, 3)
-        for k in (100.0, 99.5, np.nextafter(100.0, 0.0), -3.0):
-            assert same_bits(karma_cell(k, 100.0, p, 3),
-                             karma_cell_ref(k, 100.0, p, 3))
-        # past 2**53 T*r2 = 84 is below half an ulp: added as an integer
-        p = PriceVector(10, 14)
-        for k in (2.0**62, [2.0**62, -2.0**62]):
-            assert same_bits(karma_cell(k, 0.0, p, 6),
-                             karma_cell_ref(k, 0.0, p, 6))
-        assert karma_cell_ref(2.0**62, 0.0, p, 6) == 2**62 + 84
 
     def test_flow_check_matches_reference(self):
         values = [-0.0, 0.0, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),

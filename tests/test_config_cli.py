@@ -535,6 +535,17 @@ class TestCli:
         assert (f"balanced flow: none ({verdict} over the whole range)"
                 in capsys.readouterr().out)
 
+    def test_system_optimum_touching_routes_do_not_tie(self, tmp_path,
+                                                       capsys):
+        # d1(0) = d2(1) = 2 exactly, but d1(1) = 6 > d2(0) = 1: d1 >= d2
+        # throughout with equality at one end only, which is no tie
+        path = tmp_path / "touch.ini"
+        path.write_text("[scenario]\np_home = 0.0\n[model]\nd0_1 = 2.0\n"
+                        "d0_2 = 1.0\nkappa_2 = 1.0\nalpha = 1.0\nbeta = 1.0\n")
+        assert main(["system-optimum", "--config", str(path)]) == 0
+        assert ("balanced flow: none (route 2 dominates: d1 >= d2 over the "
+                "whole range)" in capsys.readouterr().out)
+
     @pytest.mark.parametrize("argv", [
         ["design-prices", "--preset", "fig3", "--seed", "1"],
         ["design-prices", "--preset", "fig3", "--tol", "1e-6"],
@@ -605,7 +616,7 @@ PUBLIC_NAMES = {
     "PriceVector", "PRESETS", "RunConfig", "RunResult", "Scenario",
     "SensitivitySpec", "Thresholds", "as_flow", "balanced_flow",
     "build_chain", "compute_metrics", "conservation_prices",
-    "equilibrium_flows", "get_preset", "init_population", "karma_cell",
+    "equilibrium_flows", "get_preset", "init_population",
     "quantize_population", "rationalize_prices", "run_scenario", "settle",
     "simulate_day", "stationary_distribution", "step_distribution",
     "system_optimum", "thresholds", "wardrop_equilibrium",
