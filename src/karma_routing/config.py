@@ -36,10 +36,10 @@ The file format is plain key/value sections readable by `configparser`:
 The presets `fig3`, `fig5`, `fig6` pin every field but the run's seed and days.
 
 Floats are written with `repr` so a written file reloads to identical values.
-A `;` starts a comment, also after a value.  An unknown section or key is an
-error, so a misspelled name cannot silently leave its default in place; and
-`validate` rejects a value other than the default in a key that the
-config's own mode never reads (p1 and r2 under price_mode = design,
+A `;` starts a comment, also after a value.  An unknown section, key or
+sensitivity kind is an error, so a misspelling cannot run in place of the
+default; and `validate` rejects a value other than the default in a key that
+the config's own mode never reads (p1 and r2 under price_mode = design,
 sensitivity_low and sensitivity_high under the exponential kind).
 """
 
@@ -102,9 +102,8 @@ class RunConfig:
     # -- derived objects ---------------------------------------------------
 
     def sensitivity(self) -> SensitivitySpec:
-        if self.sensitivity_kind == EXPONENTIAL:
-            return SensitivitySpec.exponential()
-        return SensitivitySpec.uniform(self.sensitivity_low, self.sensitivity_high)
+        return SensitivitySpec(self.sensitivity_kind, self.sensitivity_low,
+                               self.sensitivity_high)
 
     def scenario(self) -> Scenario:
         return Scenario(

@@ -412,14 +412,18 @@ def quantize_population(k, k_ref, p: PriceVector,
     Agents whose deviation falls outside the chain's invariant range are
     clamped to the nearest boundary cell, +inf and -inf among them; the
     count of clamped agents is returned alongside the distribution.  A NaN
-    deviation raises ValueError naming the first such agent.
+    deviation raises ValueError naming the first such agent; so do a horizon
+    that is not an integer >= 1 and an empty population.
     """
+    check_count("horizon", horizon)
     n = (horizon + 1) * p.total
     shift = horizon * p.r2
     # the clamp works on the floored deviations, whose range [lo, hi] maps
     # onto cells [0, n), so an index is cast once and only from that range
     lo, hi = float(-shift), float(n - 1 - shift)
     dev = _floor_deviation(k, k_ref)
+    if not dev.size:
+        raise ValueError("the population is empty: k - k_ref holds no agent")
     below = np.count_nonzero(dev < lo)
     above = np.count_nonzero(dev > hi)
     if below + np.count_nonzero(dev >= lo) != dev.size:  # only NaN fails both

@@ -49,6 +49,11 @@ class SensitivitySpec:
         0.5 * (low + high) is finite it has the same bits."""
         return 0.5 * self.low + 0.5 * self.high
 
+    @property
+    def draw_bound(self) -> float:
+        """A draw's bound in means: uniform high/mean <= 2, numpy exponential < 45."""
+        return 2.0 if self.kind == UNIFORM else 1024.0
+
     def cdf(self, value):
         """P(s < value), s in units of the mean; exact, vectorized.  cdf(0)
         is 0 for both families."""

@@ -17,12 +17,9 @@ from .agent import Thresholds, k_inf, settle, thresholds
 from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, check_count, system_optimum
 from .pricing import PriceVector
-from .sensitivity import UNIFORM
 from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
 
 TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
-# bound on an exponential sensitivity in means: numpy's draws stay below 45
-_EXP_DRAW_BOUND = 1024.0
 
 
 def _tail_days(days: int) -> int:
@@ -249,13 +246,12 @@ def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
     when cost* is so small against the model's largest cost that the tail's
     sum of daily cost ratios would not be finite (a d0 near the float
     range's bottom), or when `compute_metrics`' sums over the agents could
-    overflow.  Its delta_d denominator is at least min(d0) > 0 on a day
-    anyone travels.
+    overflow, each draw being at most `SensitivitySpec.draw_bound` means.
+    Its delta_d denominator is at least min(d0) > 0 on a day anyone travels.
     """
     d1, d2 = model._volume_delay()
     d_hi = max(d1(1.0), d2(1.0))
-    # a draw in units of the mean: a uniform one is at most high / mean <= 2
-    s_hi = 2.0 if scenario.sensitivity.kind == UNIFORM else _EXP_DRAW_BOUND
+    s_hi = scenario.sensitivity.draw_bound
     # numerator terms reach d_hi * M * s_hi
     if not 2 * scenario.n_agents * s_hi * max(1.0, d_hi) < np.inf:
         raise ValueError(

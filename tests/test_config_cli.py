@@ -104,6 +104,9 @@ class TestRunConfig:
                                match="max_price must be an integer >= 2"):
                 RunConfig(price_mode=PRICE_DESIGN,
                           max_price=max_price).validate()
+        with pytest.raises(ValueError,
+                           match="unknown sensitivity kind: 'bogus'"):
+            RunConfig(sensitivity_kind="bogus").validate()
 
     @pytest.mark.parametrize("field, value", [("beta", 2000.0),
                                               ("kappa_1", 1e-300),
@@ -149,6 +152,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=message):
             RunConfig(**changes).validate()
 
+    def test_metric_sums_bound_by_kind(self):
+        # d0_1 = 1e302 keeps a day's sums finite at uniform draws (at most 2
+        # means), not at exponential ones (bound 1024, above numpy's 45)
+        RunConfig(sensitivity_kind="uniform", d0_1=1e302).validate()
+        with pytest.raises(ValueError, match=r"sensitivities up to 1024\.0 "):
+            RunConfig(d0_1=1e302).validate()
+
     @pytest.mark.parametrize("ini, field", [
         ("[pricing]\nprice_mode = design\np1 = 3\nr2 = 5\n", "p1 = 3"),
         ("[pricing]\nprice_mode = design\nr2 = 5\n", "r2 = 5"),
@@ -169,6 +179,19 @@ class TestRunConfig:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} is not read under"), err
+        assert not out.exists()
+
+    def test_unknown_sensitivity_kind_rejected(self, tmp_path, capsys):
+        # every kind but exponential used to draw from U[0, 2]: a run with
+        # the typo "Exponential" wrote the uniform run's run.csv
+        path = tmp_path / "typo.ini"
+        path.write_text("[scenario]\nsensitivity_kind = Exponential\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--days", "3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: unknown sensitivity kind: 'Exponential'"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("changes", [
@@ -495,6 +518,11 @@ class TestCli:
         assert main(["system-optimum", "--preset", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "0.5595" in out or "0.56" in out
+        # with neither --preset nor --config the defaults apply, which hold
+        # fig3's model and demand
+        assert main(["system-optimum"]) == 0
+        assert capsys.readouterr().out == out
+        assert "system optimum: (0.559564, 0.390436)\n" in out
 
     @pytest.mark.parametrize("preset, ratio", [
         ("fig3", "1.2792"), ("fig5", "1.2540"), ("fig6", "1.4785")])

@@ -658,6 +658,22 @@ class TestQuantize:
                 pytest.raises(ValueError, match="agent 0 has a NaN"):
             quantize_population([np.inf], [np.inf], p, 6)
 
+    @pytest.mark.parametrize("k, horizon, match", [
+        ([100.0], 0, "horizon must be an integer >= 1, got 0"),
+        ([100.0], True, "horizon .* got True"),
+        ([100.0], -1, "horizon .* got -1"),
+        ([100.0], 1.5, "horizon .* got 1.5"),
+        ([], 3, "population is empty"),
+        (np.empty(0), 3, "population is empty"),
+    ], ids=["zero", "bool", "negative", "float", "list", "array"])
+    def test_bad_horizon_or_empty_population_rejected(self, k, horizon,
+                                                      match):
+        # horizon 0 used to give a 5-cell histogram and True one of
+        # horizon 1; -1 and 1.5 failed inside numpy, and no agents gave a
+        # NaN histogram
+        with pytest.raises(ValueError, match=match):
+            quantize_population(k, k, PriceVector(2, 3), horizon)
+
     @given(dev=st.integers(-9, 10))
     def test_cell_index_map(self, dev):
         # i = (k - k_ref) + T*r2 with integer deviations, 0-based; two
