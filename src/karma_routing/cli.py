@@ -8,7 +8,7 @@ Subcommands:
     design-prices   conservation price ratio and its integer rounding
     system-optimum  optimal split of the daily demand
 
-Set KARMA_LOG_LEVEL (DEBUG/INFO/WARNING/...) to control verbosity.
+Set KARMA_LOG_LEVEL to DEBUG, INFO, WARNING (default), ERROR or CRITICAL.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def _strict_json(summary: dict) -> str:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
+    out = _out_dir(args)
     prices = config.prices()
     log.info("running %d days, M=%d, seed=%d, prices=(%d, -%d)",
              config.days, config.n_agents, config.seed, prices.p1, prices.r2)
@@ -74,7 +75,6 @@ def cmd_run(args) -> int:
     summary = dict(result.summary)
     summary["preset"] = config.preset
     text = _strict_json(summary)
-    out = _out_dir(args)
     result.write_run_csv(out / "run.csv")
     result.write_karma_hist_csv(out / "karma_hist.csv")
     config.to_ini(out / "config.ini")
@@ -94,6 +94,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze_chain(args) -> int:
     config = _resolve_config(args)
+    out = _out_dir(args)
     prices = config.prices()
     chain = build_chain(prices, config.horizon, config.p_home,
                         config.sensitivity())
@@ -114,8 +115,6 @@ def cmd_analyze_chain(args) -> int:
     }
 
     text = _strict_json(summary)
-
-    out = _out_dir(args)
     save_matrix_coo(chain, out / "a_matrix.txt")
     save_distribution_csv(chain, dist, out / "stationary.csv")
     (out / "chain_summary.json").write_text(text, encoding="utf-8")
@@ -217,10 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("KARMA_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("KARMA_LOG_LEVEL", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: KARMA_LOG_LEVEL = {level!r} is not a level; valid "
+              "levels: DEBUG, INFO, WARNING, ERROR, CRITICAL", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -229,6 +231,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     except (KarmaRoutingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an --out that cannot be made or written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

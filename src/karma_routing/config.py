@@ -39,8 +39,9 @@ Floats are written with `repr` so a written file reloads to identical values.
 A `;` starts a comment, also after a value.  An unknown section, key or
 sensitivity kind is an error, so a misspelling cannot run in place of the
 default; and `validate` rejects a value other than the default in a key that
-the config's own mode never reads (p1 and r2 under price_mode = design,
-sensitivity_low and sensitivity_high under the exponential kind).
+the config never reads: p1 and r2 under price_mode = design here, and
+sensitivity_low and sensitivity_high under the exponential kind in
+`SensitivitySpec`, which `scenario` builds.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ from .simulation import run_optimum
 
 PRICE_FIXED = "fixed"
 PRICE_DESIGN = "design"
-# fields that a mode never reads: (mode field, its value) -> their names
-_UNREAD = {("price_mode", PRICE_DESIGN): ("p1", "r2"),
-           ("sensitivity_kind", EXPONENTIAL): ("sensitivity_low",
-                                               "sensitivity_high")}
 # INI value parser and its name in errors, by the field's annotation
 _PARSERS = {"float": (float, "a float"), "int": (int, "an int")}
 
@@ -129,14 +126,18 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Instantiate every derived object so bad values fail early, and
-        reject a set value that the config's mode never reads."""
+        reject a set value that the config never reads."""
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
         check_count("days", self.days)
         self._check_preset()
-        self._check_unread()
-        # the scenario's checks (p_home in [0, 1) among them) and the run's
-        # optimum, which also bounds its daily numbers
+        for name in ("p1", "r2") if self.price_mode == PRICE_DESIGN else ():
+            if (value := getattr(self, name)) != getattr(RunConfig, name):
+                raise ValueError(f"{name} = {value!r} is not read under "
+                                 "price_mode = design; leave it at its "
+                                 f"default {getattr(RunConfig, name)!r}")
+        # the scenario's checks (p_home and the sensitivity's among them)
+        # and the run's optimum, which also bounds its daily numbers
         run_optimum(self.scenario(), self.model(), self.days)
         # design-prices reads max_price in either price mode
         check_count("max_price", self.max_price, low=2)
@@ -159,20 +160,6 @@ class RunConfig:
                 raise ValueError(f"{name} = {value!r} differs from preset "
                                  f"{self.preset}'s {pinned[name]!r}; a preset "
                                  "pins every field but seed and days")
-
-    def _check_unread(self) -> None:
-        """A field that the config's own mode never reads keeps its default,
-        so that a value set there is not silently ignored."""
-        for (mode, value), names in _UNREAD.items():
-            if getattr(self, mode) != value:
-                continue
-            for name in names:
-                default = self.__dataclass_fields__[name].default
-                if getattr(self, name) != default:
-                    raise ValueError(
-                        f"{name} = {getattr(self, name)!r} is not read under "
-                        f"{mode} = {value}; leave it at its default "
-                        f"{default!r}")
 
     # -- INI round-trip ----------------------------------------------------
 

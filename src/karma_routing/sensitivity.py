@@ -5,8 +5,8 @@ rule weighs today's discomfort, scaled by s, against the rest of the
 horizon, scaled by the population mean; so every decision and every
 reported number depends on s only through s over its mean.  `sample`
 therefore returns s in units of the mean, so the mean is 1, and the
-mesoscopic chain reads `cdf` at thresholds in the same unit.  Two families
-are supported: exponential on [0, inf) and uniform on [low, high].
+mesoscopic chain reads `cdf` at thresholds in the same unit.  The uniform
+law on [low, high] reads both bounds, the exponential on [0, inf) neither.
 """
 
 from __future__ import annotations
@@ -30,6 +30,13 @@ class SensitivitySpec:
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, UNIFORM):
             raise ValueError(f"unknown sensitivity kind: {self.kind!r}")
+        # the exponential law reads no bound: each keeps its default, not NaN
+        for name in ("low", "high") if self.kind == EXPONENTIAL else ():
+            value, default = getattr(self, name), getattr(SensitivitySpec, name)
+            if value != default:
+                raise ValueError(f"{name} = {value!r} is not read under the "
+                                 "exponential sensitivity kind; leave it at "
+                                 f"its default {default!r}")
         # chained comparisons, so NaN fails each of them
         if self.kind == UNIFORM and not (0 <= self.low < self.high < np.inf
                                          and 0 < self._mean()):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import karma_routing
 from karma_routing import (PriceVector, RunConfig, SensitivitySpec,
                            balanced_flow, get_preset, mesoscopic)
+from karma_routing import cli
 from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN
 from karma_routing.simulation import run_optimum
@@ -162,9 +163,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("ini, field", [
         ("[pricing]\nprice_mode = design\np1 = 3\nr2 = 5\n", "p1 = 3"),
         ("[pricing]\nprice_mode = design\nr2 = 5\n", "r2 = 5"),
-        ("[scenario]\nsensitivity_low = 0.7\n", "sensitivity_low = 0.7"),
-        ("[scenario]\nsensitivity_high = 3.0\n", "sensitivity_high = 3.0"),
-        ("[scenario]\nsensitivity_low = nan\n", "sensitivity_low = nan"),
+        # SensitivitySpec names its own fields, low and high
+        ("[scenario]\nsensitivity_low = 0.7\n", "low = 0.7"),
+        ("[scenario]\nsensitivity_high = 3.0\n", "high = 3.0"),
+        ("[scenario]\nsensitivity_low = nan\n", "low = nan"),
     ], ids=["design-p1", "design-r2", "exp-low", "exp-high", "exp-nan"])
     def test_unread_field_rejected(self, ini, field, tmp_path, capsys):
         # a value that the config's own mode never reads used to be
@@ -210,6 +212,34 @@ class TestRunConfig:
         path.write_text("[scenario]\nk_init_high = -0.0\n")
         assert main(["run", "--config", str(path), "--days", "3",
                      "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "analyze-chain"])
+    def test_unusable_out_named(self, command, tmp_path, capsys,
+                                monkeypatch):
+        # an --out at a file used to end in a FileExistsError traceback, and
+        # one below a file in NotADirectoryError, after all the work was done
+        def no_work(*args):
+            raise AssertionError("the work ran before --out was made")
+        monkeypatch.setattr(cli, "run_scenario", no_work)
+        monkeypatch.setattr(cli, "build_chain", no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out, why in ((blocker, "File exists"),
+                         (blocker / "sub", "Not a directory")):
+            assert main([command, "--preset", "fig3", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {out}: {why}\n", err
+        assert blocker.read_text() == ""
+
+    def test_bad_log_level_named(self, monkeypatch, capsys):
+        # it used to end in basicConfig's "Unknown level" traceback
+        monkeypatch.setenv("KARMA_LOG_LEVEL", "bogus")
+        assert main(["system-optimum", "--preset", "fig3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: KARMA_LOG_LEVEL = 'BOGUS' is not a level; valid levels: "
+            "DEBUG, INFO, WARNING, ERROR, CRITICAL\n")
 
     def test_unreadable_config_named(self, tmp_path, capsys):
         # a directory used to end in an IsADirectoryError traceback, and a

@@ -263,6 +263,19 @@ class TestValidation:
         assert np.all(top.sample(np.random.default_rng(0), 100) <= 2.0)
         assert SensitivitySpec.uniform(0.0, 1e-323).cdf(1.0) == 0.5
 
+    @pytest.mark.parametrize("low, high, field", [
+        (0.7, 2.0, "low = 0.7"), (0.0, 3.0, "high = 3.0"),
+        (float("nan"), 2.0, "low = nan"), (0.0, float("nan"), "high = nan"),
+    ], ids=["low", "high", "low-nan", "high-nan"])
+    def test_exponential_rejects_unread_bounds(self, low, high, field):
+        # the exponential law reads neither bound: (5.0, nan) used to
+        # construct and then draw Exp(1)
+        with pytest.raises(ValueError, match=f"^{field} is not read under "
+                                             "the exponential"):
+            SensitivitySpec("exponential", low, high)
+        # -0.0 equals the default 0.0
+        assert SensitivitySpec("exponential", -0.0, 2.0) == SensitivitySpec()
+
     def test_flow_validation(self):
         with pytest.raises(ValueError):
             as_flow([0.5, 1.5])
