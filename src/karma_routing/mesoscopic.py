@@ -136,12 +136,6 @@ class KarmaChain:
         sensitivity CDF at theta."""
         return _cell_thresholds(self.prices, self.horizon)
 
-    def band_slices(self) -> dict[str, slice]:
-        """0-based cell ranges of the poor/ok/rich/wealthy bands."""
-        edges = _band_edges(self.prices, self.horizon)
-        return {band: slice(lo, hi) for band, lo, hi in
-                zip(("poor", "ok", "rich", "wealthy"), edges, edges[1:])}
-
     def deviation_of_cell(self, i) -> np.ndarray:
         """Karma deviation k - k_ref at the left edge of 0-based cell i."""
         return np.asarray(i) - self.horizon * self.prices.r2

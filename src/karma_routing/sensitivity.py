@@ -43,14 +43,6 @@ class SensitivitySpec:
             raise ValueError("uniform sensitivity needs 0 <= low < high < inf "
                              "and a mean (low + high) / 2 > 0")
 
-    @classmethod
-    def exponential(cls) -> "SensitivitySpec":
-        return cls(kind=EXPONENTIAL)
-
-    @classmethod
-    def uniform(cls, low: float, high: float) -> "SensitivitySpec":
-        return cls(kind=UNIFORM, low=low, high=high)
-
     def _mean(self) -> float:
         """The uniform mean; halving first cannot overflow, and where
         0.5 * (low + high) is finite it has the same bits."""

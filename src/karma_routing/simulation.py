@@ -33,8 +33,9 @@ class Population:
 
     The per-agent breakpoints of k_ref are cached on the first `simulate_day`
     and rebuilt when that day's prices differ or ``k_ref`` is rebound to
-    another array; `init_population` makes ``k_ref`` read-only, so an
-    in-place edit raises instead of leaving the cache stale.
+    another array.  `init_population` makes ``k_ref`` read-only, and the
+    cache does the same to an array rebound to ``k_ref``, so an in-place
+    edit raises instead of leaving the cache stale.
     """
 
     scenario: Scenario
@@ -54,6 +55,7 @@ class Population:
         # the test before the dataclass __eq__ does
         if (cached is None or (cached[0] is not p and cached[0] != p)
                 or cached[1] != horizon or cached[2] is not self.k_ref):
+            self.k_ref.flags.writeable = False
             th = thresholds(np.asarray(self.k_ref, dtype=float), p, horizon)
             cached = self._breakpoints = (p, horizon, self.k_ref, th)
         return cached[3]
@@ -217,8 +219,13 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     The day runs the public stages in order: `thresholds` (cached on the
     population), `wardrop_equilibrium`, `settle` and `compute_metrics`, all
     reading the day's fast-route and traveling masks over all agents;
-    the cost ratio reads against the optimal cost ``cost_star`` > 0.
+    the cost ratio reads against the optimal cost ``cost_star``.
+
+    Raises ValueError unless 0 < cost_star < inf, so NaN too, and before the
+    day draws: a rejected call leaves ``pop`` as it was.
     """
+    if not 0.0 < cost_star < np.inf:
+        raise ValueError(f"cost_star = {cost_star!r} must be finite and > 0")
     sc = pop.scenario
     m = sc.n_agents
     rng, sens = pop.rng, sc.sensitivity

@@ -22,7 +22,7 @@ from day_rule import fast_routes, integer_histogram
 from oracles import (ARC1, ARC2, AgentState, plan_oracle,
                      stationary_distribution_dense)
 
-EXP = SensitivitySpec.exponential()
+EXP = SensitivitySpec()
 BPR = ArcCostModel()
 
 

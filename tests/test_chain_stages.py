@@ -44,9 +44,9 @@ from karma_routing.network import (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW,
 from conftest import examples
 from test_mesoscopic import with_poor_edge
 
-EXP = SensitivitySpec.exponential()
-LAWS = [EXP, SensitivitySpec.uniform(0.5, 2.5),
-        SensitivitySpec.uniform(0.0, 2.0)]
+EXP = SensitivitySpec()
+LAWS = [EXP, SensitivitySpec("uniform", 0.5, 2.5),
+        SensitivitySpec("uniform", 0.0, 2.0)]
 
 
 def same_bits(got, want):

@@ -80,6 +80,16 @@ class TestRunConfig:
         path.write_text(block)
         assert RunConfig.from_ini(path) == RunConfig()
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        flows, ratio = capsys.readouterr().out.splitlines()
+        # the example's comments: "-> [0.5542, 0.3958]" and "~1.001"
+        assert [round(float(x), 4) for x in flows.strip("[]").split()] == [
+            0.5542, 0.3958]
+        assert float(ratio) == pytest.approx(1.00113, abs=5e-5)
+
     def test_validation_failures(self):
         with pytest.raises(ValueError):
             RunConfig(price_mode="bogus").validate()
@@ -261,7 +271,7 @@ class TestRunConfig:
         cfg = RunConfig(sensitivity_kind="uniform", sensitivity_low=0.5,
                         sensitivity_high=2.5)
         spec = cfg.sensitivity()
-        assert spec == SensitivitySpec.uniform(0.5, 2.5)
+        assert spec == SensitivitySpec("uniform", 0.5, 2.5)
         assert spec.cdf(1.0) == 0.5  # the mean 1.5 is the unit
         assert cfg.scenario().sensitivity == spec
 

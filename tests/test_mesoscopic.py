@@ -19,7 +19,7 @@ from day_rule import integer_histogram
 from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
                      plan_oracle, stationary_distribution_dense)
 
-EXP = SensitivitySpec.exponential()
+EXP = SensitivitySpec()
 
 
 def columns(a, n):
@@ -46,9 +46,7 @@ class TestBuildChain:
                            (PriceVector(5, 3), 32, [5, 16, 8, 3])]:
             ch = build_chain(p, 3, 0.05, EXP)
             assert ch.n_states == n
-            bands = ch.band_slices()
-            widths = [bands[b].stop - bands[b].start
-                      for b in ("poor", "ok", "rich", "wealthy")]
+            widths = np.diff(mesoscopic._band_edges(p, 3)).tolist()
             assert widths == want
 
     def test_sparsity_pattern(self):
@@ -62,16 +60,16 @@ class TestBuildChain:
         t = 3
         ch = build_chain(p, t, 0.0, EXP)
         f_mean = EXP.cdf(1.0)  # probability of a below-mean sensitivity draw
-        bands = ch.band_slices()
-        assert np.all(ch.chill_prob[bands["poor"]] == 1.0)
-        assert np.all(1.0 - ch.chill_prob[bands["poor"]] == 0.0)
-        assert np.allclose(ch.chill_prob[bands["ok"]], f_mean)
-        assert np.all(ch.chill_prob[bands["wealthy"]] == 0.0)
+        _, ok, rich, wealthy, _ = mesoscopic._band_edges(p, t)
+        assert np.all(ch.chill_prob[:ok] == 1.0)
+        assert np.all(1.0 - ch.chill_prob[:ok] == 0.0)
+        assert np.allclose(ch.chill_prob[ok:rich], f_mean)
+        assert np.all(ch.chill_prob[wealthy:] == 0.0)
         # rich band: threshold decays linearly from 1 to 0 toward the top
-        rich = np.arange(bands["rich"].start, bands["rich"].stop)
-        gap = t * p.total + p.p1 - rich  # karma distance to the wealthy line
-        assert np.allclose(ch.chill_prob[rich], EXP.cdf(gap / p.total))
-        assert ch.chill_prob[bands["rich"]][0] == pytest.approx(f_mean)
+        cells = np.arange(rich, wealthy)
+        gap = t * p.total + p.p1 - cells  # karma distance to the wealthy line
+        assert np.allclose(ch.chill_prob[cells], EXP.cdf(gap / p.total))
+        assert ch.chill_prob[rich] == pytest.approx(f_mean)
 
     def test_columns_sum_to_one(self):
         for p, t, ph in [(PriceVector(2, 3), 3, 0.05),
@@ -90,7 +88,7 @@ class TestBuildChain:
         assert np.abs(dense(ch).sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(ch.a.sum(axis=0) - 1.0).max() <= 1e-12
 
-    def test_band_slices_match_agent_thresholds(self):
+    def test_band_edges_match_agent_thresholds(self):
         # the agent rule is the oracle of the bands: its breakpoints on the
         # reference level T*r2, including T = 1 (empty ok band), p1 = r2 and
         # p1 > r2
@@ -99,21 +97,18 @@ class TestBuildChain:
                 p = PriceVector(p1, r2)
                 for t in range(1, 13):
                     th = thresholds(t * p.r2, p, t)
-                    edges = [0, int(th.k_poor), int(th.k_rich),
-                             int(th.k_wealthy), (t + 1) * p.total]
-                    want = dict(zip(("poor", "ok", "rich", "wealthy"),
-                                    map(slice, edges, edges[1:])))
-                    bands = build_chain(p, t, 0.05, EXP).band_slices()
-                    assert bands == want, (p, t)
-                    assert all(type(e) is int for b in bands.values()
-                               for e in (b.start, b.stop))
-        ok = build_chain(PriceVector(5, 5), 1, 0.05, EXP).band_slices()["ok"]
-        assert ok == slice(5, 5)
+                    want = [0, int(th.k_poor), int(th.k_rich),
+                            int(th.k_wealthy), (t + 1) * p.total]
+                    edges = mesoscopic._band_edges(p, t)
+                    assert edges == want, (p, t)
+                    assert all(type(e) is int for e in edges)
+        _, ok, rich, _, _ = mesoscopic._band_edges(PriceVector(5, 5), 1)
+        assert ok == rich == 5
 
     def test_diagonals_match_stacked_form(self):
         # bit for bit against the three rows stacked from temporaries
         rng = np.random.default_rng(7)
-        sens = [EXP, SensitivitySpec.uniform(0.5, 2.5)]
+        sens = [EXP, SensitivitySpec("uniform", 0.5, 2.5)]
         for _ in range(40):
             p = PriceVector(int(rng.integers(1, 25)), int(rng.integers(1, 49)))
             t = int(rng.integers(1, 13))
@@ -220,8 +215,8 @@ def selected_chill(p, horizon, sens):
     return chill
 
 
-@pytest.mark.parametrize("sens", [SensitivitySpec.exponential(),
-                                  SensitivitySpec.uniform(0.5, 2.5)],
+@pytest.mark.parametrize("sens", [SensitivitySpec(),
+                                  SensitivitySpec("uniform", 0.5, 2.5)],
                          ids=["exp1", "uni"])
 def test_chill_prob_band_by_band_matches_selection(sens):
     # bit for bit, on every price pair up to 20 and T up to 8; the
@@ -235,10 +230,11 @@ def test_chill_prob_band_by_band_matches_selection(sens):
                 ch = build_chain(p, t, 0.05, sens)
                 got = ch.chill_prob
                 assert got.tobytes() == selected_chill(p, t, sens).tobytes()
-                theta, bands = ch.theta, ch.band_slices()
-                assert np.all(theta[bands["poor"]] == np.inf)
-                assert np.all(theta[bands["ok"]] == 1.0)
-                assert np.all(theta[bands["wealthy"]] == -np.inf)
+                theta = ch.theta
+                _, ok, rich, wealthy, _ = mesoscopic._band_edges(p, t)
+                assert np.all(theta[:ok] == np.inf)
+                assert np.all(theta[ok:rich] == 1.0)
+                assert np.all(theta[wealthy:] == -np.inf)
                 assert sens.cdf(theta).tobytes() == got.tobytes()
                 checked += 1
     assert checked == 400 * 8
@@ -266,9 +262,9 @@ class TestChainMatchesOracle:
     # units of the mean, so its switch is the oracle's over the scale.
     # uniform(0.5, 2.5) has the mean 1.5 in the unit of its bounds
     @pytest.mark.parametrize("sens, scale",
-                             [(SensitivitySpec.exponential(), 1.0),
-                              (SensitivitySpec.exponential(), 1.7),
-                              (SensitivitySpec.uniform(0.5, 2.5), 1.5)],
+                             [(SensitivitySpec(), 1.0),
+                              (SensitivitySpec(), 1.7),
+                              (SensitivitySpec("uniform", 0.5, 2.5), 1.5)],
                              ids=["exp1", "exp1.7", "uni"])
     @pytest.mark.parametrize("p, t", [(PriceVector(2, 3), 3),
                                       (PriceVector(10, 14), 6),
@@ -286,8 +282,9 @@ class TestChainMatchesOracle:
                            for i in range(ch.n_states)]) / scale
         assert np.abs(ch.chill_prob - sens.cdf(switch)).max() <= 1e-9
         # the rich band's theta is the oracle's switch itself
-        rich = ch.band_slices()["rich"]
-        assert np.abs(ch.theta[rich] - switch[rich]).max() <= 1e-9
+        _, _, rich, wealthy, _ = mesoscopic._band_edges(p, t)
+        assert np.abs(ch.theta[rich:wealthy]
+                      - switch[rich:wealthy]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("p, t", [(PriceVector(14, 10), 6),
@@ -388,8 +385,8 @@ class TestStationary:
             pe = stationary_distribution(ch)
             assert np.abs(ch.a @ pe - pe).sum() <= 1e-10
 
-    @pytest.mark.parametrize("sens", [SensitivitySpec.exponential(),
-                                      SensitivitySpec.uniform(0.5, 2.5)],
+    @pytest.mark.parametrize("sens", [SensitivitySpec(),
+                                      SensitivitySpec("uniform", 0.5, 2.5)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("t", [1, 3, 6], ids="T{}".format)
     @pytest.mark.parametrize("p", [(1, 1), (2, 3), (3, 7), (10, 13), (7, 19)],
@@ -441,7 +438,7 @@ class TestStationary:
     # p1 = r2 takes the closed form, every other pair the product tree
     @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2),
            t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),
-           sens=st.sampled_from([EXP, SensitivitySpec.uniform(0.5, 2.5)]))
+           sens=st.sampled_from([EXP, SensitivitySpec("uniform", 0.5, 2.5)]))
     # cycle lengths L = 7, 15, 31 carry a node up from the bottom level,
     # and L = 17, 33 carry one up through every level but the last pair
     # (the level below the top always holds two nodes)
@@ -450,7 +447,7 @@ class TestStationary:
     @example(p=[15, 16], t=4, ph=0.05, sens=EXP)
     @example(p=[8, 9], t=3, ph=0.05, sens=EXP)
     @example(p=[16, 17], t=2, ph=0.05, sens=EXP)
-    @example(p=[5, 5], t=8, ph=0.5, sens=SensitivitySpec.uniform(0.5, 2.5))
+    @example(p=[5, 5], t=8, ph=0.5, sens=SensitivitySpec("uniform", 0.5, 2.5))
     def test_product_tree_matches_dense(self, p, t, ph, sens):
         price = PriceVector(*p)
         ch = build_chain(price, t, ph, sens)
@@ -461,7 +458,8 @@ class TestStationary:
         by_class = pe.reshape(t + 1, price.total).sum(axis=0)
         assert np.abs(by_class - 1 / price.total).max() <= 1e-12
 
-    @pytest.mark.parametrize("sens", [EXP, SensitivitySpec.uniform(0.5, 2.5)],
+    @pytest.mark.parametrize("sens", [EXP,
+                                      SensitivitySpec("uniform", 0.5, 2.5)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("ph", [0.0, 0.05])
     @pytest.mark.parametrize("p, t", [(1, 6), (10, 6), (25, 6), (12, 12)],
@@ -492,7 +490,8 @@ class TestStationary:
         tree = (tree / (2 * tree.sum(axis=0))).ravel()
         assert np.abs(pe - tree).sum() <= 1e-12
 
-    @pytest.mark.parametrize("sens", [EXP, SensitivitySpec.uniform(0.5, 2.5)],
+    @pytest.mark.parametrize("sens", [EXP,
+                                      SensitivitySpec("uniform", 0.5, 2.5)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("t", [1, 6])
     @pytest.mark.parametrize("edge", ["p1", "2p1", "3p1+2"])
@@ -578,10 +577,11 @@ class TestStationary:
 
     def test_long_run_shape(self):
         # interior bulk with decaying tails at the band edges
-        ch = build_chain(PriceVector(10, 14), 6, 0.05, EXP)
+        p = PriceVector(10, 14)
+        ch = build_chain(p, 6, 0.05, EXP)
         pe = stationary_distribution(ch)
-        bands = ch.band_slices()
-        assert pe[bands["ok"]].sum() + pe[bands["rich"]].sum() > 0.7
+        _, ok, rich, wealthy, _ = mesoscopic._band_edges(p, 6)
+        assert pe[ok:rich].sum() + pe[rich:wealthy].sum() > 0.7
         assert pe[:3].sum() < 0.01 and pe[-3:].sum() < 0.05
         assert pe.max() < 0.2
 
@@ -711,22 +711,22 @@ def test_sensitivity_cdf_edges():
     assert EXP.cdf(0.0) == 0.0
     assert EXP.cdf(-1.0) == 0.0
     assert EXP.cdf(1.0) == pytest.approx(1 - np.exp(-1))
-    uni = SensitivitySpec.uniform(0.0, 2.0)
+    uni = SensitivitySpec("uniform", 0.0, 2.0)
     assert uni.cdf(0.0) == 0.0
     assert uni.cdf(1.0) == 0.5
     assert uni.cdf(5.0) == 1.0
     # in units of the mean: uniform(0.5, 2.5) has the mean 1.5
-    uni = SensitivitySpec.uniform(0.5, 2.5)
+    uni = SensitivitySpec("uniform", 0.5, 2.5)
     assert uni.cdf(1.0) == 0.5
     assert uni.cdf(1 / 3) == 0.0 and uni.cdf(2.0) == 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 10_000])
 @pytest.mark.parametrize("sens, scale",
-                         [(SensitivitySpec.exponential(), 1.0),
-                          (SensitivitySpec.exponential(), 1.3),
-                          (SensitivitySpec.exponential(), 0.7),
-                          (SensitivitySpec.uniform(0.5, 2.5), 1.5)],
+                         [(SensitivitySpec(), 1.0),
+                          (SensitivitySpec(), 1.3),
+                          (SensitivitySpec(), 0.7),
+                          (SensitivitySpec("uniform", 0.5, 2.5), 1.5)],
                          ids=["exp1.0", "exp1.3", "exp0.7", "uni0.5-2.5"])
 def test_sensitivity_sample_stream(sens, scale, n):
     # the draws are numpy's own stream in units of the mean, bit for bit,

@@ -255,13 +255,13 @@ class TestValidation:
         for low, high in ((-0.5, 1.0), (1.0, 1.0), (nan, 1.0), (0.0, nan),
                           (0.0, inf), (0.0, 5e-324)):
             with pytest.raises(ValueError, match="uniform"):
-                SensitivitySpec.uniform(low, high)
+                SensitivitySpec("uniform", low, high)
         with pytest.raises(ValueError, match="kind"):
             SensitivitySpec(kind="lognormal")
         # the mean is taken half by half, so it stays finite at the top
-        top = SensitivitySpec.uniform(1e308, 1.7e308)
+        top = SensitivitySpec("uniform", 1e308, 1.7e308)
         assert np.all(top.sample(np.random.default_rng(0), 100) <= 2.0)
-        assert SensitivitySpec.uniform(0.0, 1e-323).cdf(1.0) == 0.5
+        assert SensitivitySpec("uniform", 0.0, 1e-323).cdf(1.0) == 0.5
 
     @pytest.mark.parametrize("low, high, field", [
         (0.7, 2.0, "low = 0.7"), (0.0, 3.0, "high = 3.0"),
@@ -298,7 +298,7 @@ class TestValidation:
         assert as_flow([0.0, 1.0]).tolist() == [0.0, 1.0]
 
     def test_scenario_invariants(self):
-        sens = SensitivitySpec.exponential()
+        sens = SensitivitySpec()
         with pytest.raises(ValueError):
             Scenario(p_home=-0.1, horizon=6, n_agents=10, sensitivity=sens,
                      k_init=(0, 10), k_ref_init=(0, 10))
@@ -330,7 +330,7 @@ class TestValidation:
     def test_demand_rule(self, p_home):
         # p_home in [0, 1): with nobody traveling there is no optimum, no
         # conserving price and no unique chain fixed point
-        sens = SensitivitySpec.exponential()
+        sens = SensitivitySpec()
         with pytest.raises(ValueError, match="p_home"):
             Scenario(p_home=p_home, horizon=6, n_agents=10, sensitivity=sens,
                      k_init=(0, 10), k_ref_init=(0, 10))

@@ -154,7 +154,7 @@ class TestScalingInvariance:
             assert np.array_equal(a, b)
 
     def test_chain_flows_invariant_under_common_scale(self):
-        sens = SensitivitySpec.exponential()
+        sens = SensitivitySpec()
         base = build_chain(PriceVector(1, 2), 3, 0.1, sens)
         scaled = build_chain(PriceVector(3, 6), 3, 0.1, sens)
         fb = equilibrium_flows(base, stationary_distribution(base))

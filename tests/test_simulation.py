@@ -27,7 +27,7 @@ from conftest import examples
 from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
 
 BPR = ArcCostModel()
-EXP = SensitivitySpec.exponential()
+EXP = SensitivitySpec()
 # cost* at the demand 0.95 of `scenario()` and fig3, whose model is BPR
 COST_STAR = BPR.societal_cost(system_optimum(BPR, 0.95))
 HOME = 0  # route code of an agent at home, beside ARC1 and ARC2
@@ -99,6 +99,22 @@ class TestSimulateDay:
             assert 0.0 <= total <= 1.0
             assert round(total * sc.n_agents) == pytest.approx(
                 total * sc.n_agents, abs=1e-9)  # integer traveler count
+
+    @pytest.mark.parametrize("cost_star, error", [
+        (0.0, ValueError), (-1.0, ValueError), (float("nan"), ValueError),
+        (float("inf"), ValueError), (-float("inf"), ValueError),
+        (None, TypeError)], ids=["zero", "neg", "nan", "inf", "-inf", "none"])
+    def test_bad_cost_star_rejected_before_the_draws(self, cost_star, error):
+        # the check comes first, so the population, its day count and its
+        # random stream are left as they were
+        p = PriceVector(10, 14)
+        pop = init_population(scenario(n_agents=50), p)
+        simulate_day(pop, BPR, p, COST_STAR)
+        k, state = pop.k, pop.rng.bit_generator.state
+        with pytest.raises(error):
+            simulate_day(pop, BPR, p, cost_star)
+        assert pop.k is k and pop.day == 1
+        assert pop.rng.bit_generator.state == state
 
 
 class TestRunScenario:
@@ -313,7 +329,7 @@ def small_runs(draw):
     p = PriceVector(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     k_lo = draw(st.integers(0, 300))
     ref_lo = draw(st.integers(0, 200))
-    sens = draw(st.sampled_from([EXP, SensitivitySpec.uniform(0.5, 2.5)]))
+    sens = draw(st.sampled_from([EXP, SensitivitySpec("uniform", 0.5, 2.5)]))
     sc = Scenario(p_home=draw(st.sampled_from([0.0, 0.05, 0.5])),
                   horizon=draw(st.integers(1, 8)),
                   n_agents=draw(st.integers(1, 60)), sensitivity=sens,
@@ -420,6 +436,18 @@ class TestBreakpointCache:
         pop = init_population(scenario(seed=23), PriceVector(10, 14))
         with pytest.raises(ValueError):
             pop.k_ref[0] = 1.0
+
+    def test_rebound_k_ref_is_read_only(self):
+        # the cache freezes a rebound k_ref too, so an in-place edit cannot
+        # leave the breakpoints it holds stale
+        p = PriceVector(10, 14)
+        pop = init_population(scenario(seed=23), p)
+        pop.k_ref = 0.5 * pop.k_ref + 40.0
+        simulate_day(pop, BPR, p, COST_STAR)
+        with pytest.raises(ValueError):
+            pop.k_ref[:] = 0.0
+        want = thresholds(pop.k_ref, p, pop.scenario.horizon)
+        assert np.array_equal(pop.breakpoints(p).k_poor, want.k_poor)
 
     def test_karma_below_floor_raises(self):
         sc = scenario(k_init=(0.0, 5.0), k_ref_init=(150.0, 200.0))

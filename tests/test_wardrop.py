@@ -19,7 +19,7 @@ from oracles import (ARC1, ARC2, AgentState, balanced_count_oracle,
                      plan_oracle)
 
 BPR = ArcCostModel()
-EXP = SensitivitySpec.exponential()
+EXP = SensitivitySpec()
 P = PriceVector(10, 14)
 T = 6
 D1_LESS_FLOWS = [0.5, 0.5]  # assumed flows at which BPR has d1 < d2
