@@ -72,7 +72,7 @@ def cmd_run(args) -> int:
              config.days, config.n_agents, config.seed, prices.p1, prices.r2)
     result = run_scenario(config.scenario(), config.model(), prices,
                           config.days)
-    summary = dict(result.summary)
+    summary = result.summary
     summary["preset"] = config.preset
     text = _strict_json(summary)
     result.write_run_csv(out / "run.csv")
@@ -157,7 +157,7 @@ def cmd_system_optimum(args) -> int:
     print(f"system optimum: ({x_star[0]:#.6g}, {x_star[1]:#.6g})")
     print(f"optimal societal cost: {cost:.9f}")
     # the balanced-flow search reports which end check stopped it
-    x1, end = _crossing(*model._volume_delay(), p_go)
+    x1, end = _crossing(*model._delay, p_go)
     if end == "tie":
         print("balanced flow: none (the routes tie: d1 = d2 over the whole "
               "range)")

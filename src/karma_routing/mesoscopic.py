@@ -167,14 +167,6 @@ def _cell_thresholds(p: PriceVector, horizon: int) -> np.ndarray:
     return theta
 
 
-def _floor_deviation(k, k_ref):
-    """floor(k - k_ref) in float64 as a new 1-d array, floored in place: the
-    deviation at the left edge of each karma's cell, the cell map of
-    `quantize_population`.  Two scalars give a one-agent array."""
-    dev = np.subtract(k, k_ref, dtype=float).reshape(-1)
-    return np.floor(dev, out=dev)
-
-
 def build_chain(p: PriceVector, horizon: int, p_home: float,
                 sensitivity: SensitivitySpec) -> KarmaChain:
     """Assemble the transition matrix A for given prices and horizon.
@@ -415,7 +407,11 @@ def quantize_population(k, k_ref, p: PriceVector,
     # the clamp works on the floored deviations, whose range [lo, hi] maps
     # onto cells [0, n), so an index is cast once and only from that range
     lo, hi = float(-shift), float(n - 1 - shift)
-    dev = _floor_deviation(k, k_ref)
+    # floor(k - k_ref) in float64, a new 1-d array floored in place: the
+    # deviation at the left edge of each karma's cell; two scalars give a
+    # one-agent array
+    dev = np.subtract(k, k_ref, dtype=float).reshape(-1)
+    np.floor(dev, out=dev)
     if not dev.size:
         raise ValueError("the population is empty: k - k_ref holds no agent")
     below = np.count_nonzero(dev < lo)

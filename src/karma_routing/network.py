@@ -12,7 +12,7 @@ d1 = d2, and the system optimum where the marginal costs are equal.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +45,12 @@ def check_p_home(p_home) -> None:
         raise ValueError(f"p_home must lie in [0, 1), got {p_home!r}")
 
 
+def _route_kernel(d0: float, kappa: float, a: float, b: float):
+    """d0 * (1 + a * (x / kappa)**b) on one Python float x >= 0 (a negative
+    base gives a complex power): the only volume-delay code."""
+    return lambda x: d0 * (1 + a * (x / kappa) ** b)
+
+
 @dataclass(frozen=True)
 class ArcCostModel:
     """Per-route volume-delay parameters and the societal-cost family."""
@@ -54,6 +60,10 @@ class ArcCostModel:
     alpha: float = 0.15
     beta: float = 4.0
     societal_cost_kind: str = SOCIETAL_DISCOMFORT
+    # (d1, d2) and the marginal costs (mc1, mc2), each a route's kernel on
+    # one Python float, built once; no comparison, hash or repr reads them
+    _delay: tuple = field(init=False, repr=False, compare=False)
+    _marginal_delay: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.d0) != 2 or len(self.kappa) != 2:
@@ -67,10 +77,18 @@ class ArcCostModel:
             raise ValueError("beta must be finite and >= 1")
         if self.societal_cost_kind not in (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW):
             raise ValueError(f"unknown societal cost kind: {self.societal_cost_kind!r}")
+        # the marginal costs d + x * d' take the volume-delay form with
+        # alpha * (1 + beta) in place of alpha
+        b = self.beta
+        for name, a in (("_delay", self.alpha),
+                        ("_marginal_delay", self.alpha * (1 + b))):
+            object.__setattr__(self, name, tuple(
+                _route_kernel(d0, kappa, a, b)
+                for d0, kappa in zip(self.d0, self.kappa)))
         # the marginal cost at a full load bounds d and itself on [0, 1], so
         # one finite value there means no solver's float overflows
         for route, (d0, kappa, mc) in enumerate(
-                zip(self.d0, self.kappa, self._volume_delay(marginal=True)), 1):
+                zip(self.d0, self.kappa, self._marginal_delay), 1):
             try:
                 value = mc(1.0)
             except OverflowError:
@@ -83,40 +101,22 @@ class ArcCostModel:
 
     def discomfort(self, x) -> np.ndarray:
         """d(x) as a float64 pair, for a flow pair x that `as_flow` accepts."""
-        d1, d2 = self._volume_delay()
+        d1, d2 = self._delay
         x1, x2 = as_flow(x).tolist()
         return np.array([d1(x1), d2(x2)])
 
     def societal_cost(self, x) -> float:
         """Aggregate societal cost c(x)^T x, reading x as `discomfort` does;
         x is validated once."""
-        d1, d2 = self._volume_delay()
+        d1, d2 = self._delay
         x1, x2 = as_flow(x).tolist()
         return self._cost((x1, x2), (d1(x1), d2(x2)))
 
-    def _volume_delay(self, marginal: bool = False):
-        """(d1, d2), each route's d(x) on one Python float x >= 0 (a negative
-        base gives a complex power): the only volume-delay code.  With
-        ``marginal``, the marginal costs d + x * d', which take the same form
-        with alpha * (1 + beta) in place of alpha.
-
-        Each pair is built on its first use and kept in the instance's
-        __dict__, which the fields, __eq__, __hash__ and, through
-        __getstate__, pickle and copy leave out."""
-        key = "_marginal_delay" if marginal else "_delay"
-        pair = self.__dict__.get(key)
-        if pair is None:
-            b = self.beta
-            a = self.alpha * (1 + b) if marginal else self.alpha
-
-            def route(d0, kappa):
-                return lambda x: d0 * (1 + a * (x / kappa) ** b)
-            pair = self.__dict__[key] = tuple(map(route, self.d0, self.kappa))
-        return pair
-
-    def __getstate__(self):
-        """The fields alone: pickle cannot store the cached closures."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __reduce__(self):
+        """Pickle and copy by the fields: the copy is rebuilt through
+        __init__, so it is validated and has its own kernels."""
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in fields(self) if f.init)
 
     def _cost(self, x, d) -> float:
         """c(x)^T x from the float pairs x and d = d(x)."""
@@ -215,7 +215,7 @@ def system_optimum(model: ArcCostModel, p_go: float) -> np.ndarray:
     pair conserves demand exactly by construction.
     """
     if model.societal_cost_kind == SOCIETAL_DISCOMFORT:
-        mc1, mc2 = model._volume_delay(marginal=True)
+        mc1, mc2 = model._marginal_delay
     else:
         mc1 = mc2 = _flow_marginal_cost
     x1, _ = _crossing(mc1, mc2, p_go)
@@ -232,5 +232,5 @@ def balanced_flow(model: ArcCostModel, p_go: float) -> np.ndarray | None:
     float (see `wardrop`).  Returns None when the gap keeps one sign over
     the whole range (no crossing).
     """
-    x1, end = _crossing(*model._volume_delay(), p_go)
+    x1, end = _crossing(*model._delay, p_go)
     return None if end else np.array([x1, p_go - x1])

@@ -76,7 +76,8 @@ class DayRecord:
 
 @dataclass
 class RunResult:
-    """Per-day records plus the run's terminal karma histogram and context.
+    """Per-day records plus the run's terminal karma histogram and context;
+    ``summary`` derives the run's figures from them.
 
     ``n_clamped_init`` counts the agents whose k(0) was raised to the
     feasibility floor, ``n_clamped_final`` those whose final karma lies
@@ -91,16 +92,18 @@ class RunResult:
     scenario: Scenario
     n_clamped_init: int = 0
     n_clamped_final: int = 0
-    summary: dict = field(default_factory=dict)
 
     def tail_records(self) -> list[DayRecord]:
         return self.records[-_tail_days(len(self.records)):]
 
-    def compute_summary(self) -> dict:
+    @property
+    def summary(self) -> dict:
+        """The run's figures as a new dict, the keys of `summary.json`;
+        the tail means average the last `_tail_days` records."""
         tail = self.tail_records()
         delta_d = [r.delta_d for r in tail if r.delta_d is not None]
         delta_s = [r.delta_s for r in tail if r.delta_s is not None]
-        self.summary = {
+        return {
             "days": len(self.records),
             "tail_days": len(tail),
             "x_star": [float(v) for v in self.x_star],
@@ -123,7 +126,6 @@ class RunResult:
             "first_controlled_day": next((r.day for r in self.records
                                           if r.regime == CONTROLLED), None),
         }
-        return self.summary
 
     def write_run_csv(self, path) -> None:
         """One column per `DayRecord` field; floats by `repr`, None empty."""
@@ -256,7 +258,7 @@ def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
     overflow, each draw being at most `SensitivitySpec.draw_bound` means.
     Its delta_d denominator is at least min(d0) > 0 on a day anyone travels.
     """
-    d1, d2 = model._volume_delay()
+    d1, d2 = model._delay
     d_hi = max(d1(1.0), d2(1.0))
     s_hi = scenario.sensitivity.draw_bound
     # numerator terms reach d_hi * M * s_hi
@@ -292,11 +294,7 @@ def run_scenario(scenario: Scenario, model: ArcCostModel, p: PriceVector,
     records = [simulate_day(pop, model, p, cost_star) for _ in range(days)]
     hist, n_clamped = quantize_population(pop.k, pop.k_ref, p,
                                           scenario.horizon)
-    result = RunResult(records=records,
-                       karma_hist=hist * scenario.n_agents,
-                       x_star=x_star, cost_star=cost_star, prices=p,
-                       scenario=scenario,
-                       n_clamped_init=pop.n_clamped_init,
-                       n_clamped_final=n_clamped)
-    result.compute_summary()
-    return result
+    return RunResult(records=records, karma_hist=hist * scenario.n_agents,
+                     x_star=x_star, cost_star=cost_star, prices=p,
+                     scenario=scenario, n_clamped_init=pop.n_clamped_init,
+                     n_clamped_final=n_clamped)

@@ -24,7 +24,9 @@ iteration:
    because the travelers the d1 < d2 rule sends fast, the wealthy ones
    among them, are indifferent and already overload the fast route.
 4. If no balanced flow exists (d1 >= d2 even with an empty fast route),
-   every traveler takes the slow route, which is ``CONTROLLED``.
+   every traveler takes the slow route, which is ``CONTROLLED``.  A day
+   nobody travels is ``CONTROLLED`` by step 2 when d1(0) < d2(0) and by
+   this step otherwise.
 
 Selection rule: a population can admit both a controlled and a balanced-flow
 equilibrium.  The controlled one is chosen whenever it exists, so the result
@@ -99,7 +101,7 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
     # at most m - n_travel wealthy agents stay home, and the sweep sends
     # every wealthy traveler fast: a lower bound on its fast count
     n_lb = int(np.count_nonzero(wealthy)) - (m - n_travel)
-    d1, d2 = model._volume_delay()
+    d1, d2 = model._delay
     if n_lb > 0 and d1(n_lb / m) > d2((n_travel - n_lb) / m):
         # they alone overload the fast route: no sweep keeps d1 < d2
         n1 = n_lb
@@ -107,7 +109,7 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
         fast = _fast_mask(k, s, traveling, th, p, wealthy)
         n1 = int(np.count_nonzero(fast))
         d = (d1(n1 / m), d2((n_travel - n1) / m))
-        if n_travel == 0 or d[0] < d[1]:
+        if d[0] < d[1]:
             return fast, n1, n_travel - n1, CONTROLLED, d
 
     if d1(0.0) >= d2(n_travel / m):

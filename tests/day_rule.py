@@ -39,7 +39,7 @@ def equilibrium_ref(k, s, traveling, th, model, p):
     n_travel = int(np.count_nonzero(traveling))
     fast = fast_mask(k, s, traveling, th, p)
     n1 = int(np.count_nonzero(fast))
-    d1, d2 = model._volume_delay()
+    d1, d2 = model._delay
     d = (d1(n1 / m), d2((n_travel - n1) / m))
     if n_travel == 0 or d[0] < d[1]:
         return fast, n1, n_travel - n1, CONTROLLED, d

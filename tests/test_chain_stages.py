@@ -190,7 +190,7 @@ def system_optimum_ref(model, p_go):
     if model.societal_cost_kind == SOCIETAL_FLOW:
         mc1 = mc2 = lambda x: 2.0 * x
     else:
-        mc1, mc2 = model._volume_delay(marginal=True)
+        mc1, mc2 = model._marginal_delay
 
     def h(x1):
         return mc1(x1) - mc2(p_go - x1)
@@ -202,7 +202,7 @@ def system_optimum_ref(model, p_go):
 
 
 def balanced_flow_ref(model, p_go):
-    d1, d2 = model._volume_delay()
+    d1, d2 = model._delay
     x1 = crossing_ref(lambda t: d1(t) - d2(p_go - t), p_go)
     return None if x1 is None else np.array([x1, p_go - x1])
 

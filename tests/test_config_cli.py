@@ -326,6 +326,13 @@ assert main(["analyze-chain", "--preset", "fig3", "--out", out + "/chain"]) == 0
 assert main(["run", "--preset", "fig3", "--days", "20", "--out", out + "/run"]) == 0
 """
 
+# `RunResult.summary`'s keys in the order `run` writes them to summary.json
+SUMMARY_KEYS = [
+    "days", "tail_days", "x_star", "cost_star", "prices", "seed", "n_agents",
+    "n_clamped_init", "n_clamped_final", "tail_mean_flows", "tail_mean_cost",
+    "tail_mean_cost_opt_ratio", "tail_mean_delta_d", "tail_mean_delta_s",
+    "final_mean_karma", "uncontrolled_days", "first_controlled_day"]
+
 
 class TestCli:
     def test_runs_without_scipy(self, tmp_path):
@@ -353,6 +360,15 @@ class TestCli:
         lines = (out / "run.csv").read_text().splitlines()
         assert len(lines) == 7
         assert capsys.readouterr().out.startswith("wrote")
+
+    def test_summary_json_keys_in_order(self, tmp_path):
+        # the file's schema: the library's 17 keys, in order, then preset;
+        # changing it is a declared format change
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "fig3", "--days", "6",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == SUMMARY_KEYS + ["preset"]
 
     def test_run_replays_its_own_config(self, tmp_path):
         first, again = tmp_path / "first", tmp_path / "again"

@@ -192,23 +192,41 @@ class TestMetricsStage:
 
 class TestModelAfterARun:
     @pytest.mark.parametrize("kind", [SOCIETAL_DISCOMFORT, SOCIETAL_FLOW])
+    def test_kernels_built_at_construction(self, kind):
+        # both kernel pairs exist before any solver reads them, and a copy
+        # is rebuilt through __init__ with kernels of its own
+        a, b = 0.15, 4.0
+        model = ArcCostModel(d0=(1.0, 2.0), kappa=(0.5, 0.8), alpha=a,
+                             beta=b, societal_cost_kind=kind)
+        for name, scale in (("_delay", a), ("_marginal_delay", a * (1 + b))):
+            pair = vars(model)[name]
+            assert [f(0.4) for f in pair] == [
+                1.0 * (1 + scale * (0.4 / 0.5) ** b),
+                2.0 * (1 + scale * (0.4 / 0.8) ** b)]
+            for copied in (pickle.loads(pickle.dumps(model)),
+                           copy.deepcopy(model), copy.copy(model)):
+                assert vars(copied)[name] is not pair
+
+    @pytest.mark.parametrize("kind", [SOCIETAL_DISCOMFORT, SOCIETAL_FLOW])
     def test_equality_hash_and_round_trips(self, kind):
-        # the volume-delay closures the day builds once stay off the model's
+        # the volume-delay kernels built with the model stay off its
         # identity: equal, hashable, picklable and copyable as a plain model
         model = ArcCostModel(societal_cost_kind=kind)
         fresh = ArcCostModel(societal_cost_kind=kind)
+        kernels = model._delay, model._marginal_delay
         cfg = RunConfig(n_agents=50, days=5, societal_cost=kind)
         run_scenario(cfg.scenario(), model, cfg.prices(), cfg.days)
-        assert model._volume_delay() is model._volume_delay()
+        assert model._delay is kernels[0]
+        assert model._marginal_delay is kernels[1]
         assert model == fresh and hash(model) == hash(fresh)
         assert repr(model) == repr(fresh)
         for copied in (pickle.loads(pickle.dumps(model)),
                        copy.deepcopy(model), copy.copy(model),
                        replace(model)):
             assert copied == model and hash(copied) == hash(model)
-            for marginal in (False, True):
-                got = [f(0.3) for f in copied._volume_delay(marginal)]
-                want = [f(0.3) for f in fresh._volume_delay(marginal)]
+            for name in ("_delay", "_marginal_delay"):
+                got = [f(0.3) for f in getattr(copied, name)]
+                want = [f(0.3) for f in getattr(fresh, name)]
                 assert got == want
         assert replace(model, alpha=0.3) != model
         assert {model: 1}[fresh] == 1

@@ -92,7 +92,7 @@ class TestDiscomfort:
         # the public pair holds the day's and the solvers' values exactly
         d = model.discomfort([x1, x2])
         assert d.dtype == np.float64 and d.shape == (2,)
-        d1, d2 = model._volume_delay()
+        d1, d2 = model._delay
         assert type(d1(x1)) is float and type(d2(x2)) is float
         assert d.tolist() == [d1(x1), d2(x2)]
 

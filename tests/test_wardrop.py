@@ -265,7 +265,7 @@ class TestWardropEquilibrium:
         assert n1 == np.count_nonzero(fast) == np.count_nonzero(fast[:450]) \
             == 450
         assert d[0] <= d[1]
-        d1, d2 = self.FLAT._volume_delay()
+        d1, d2 = self.FLAT._delay
         assert d1(451 / 1000) > d2(549 / 1000)
 
     def test_balanced_count_keeps_the_whole_sweep_at_a_tie(self):
@@ -339,6 +339,21 @@ class TestWardropEquilibrium:
         assert np.allclose(x, 0.0)
         assert not fast.any()
         assert regime == CONTROLLED
+
+    def test_nobody_travels_under_a_dominant_slow_route(self):
+        # d1(0) = 5 >= d2(0) = 1: the empty sweep fails d1 < d2, and the
+        # no-crossing branch gives the day, with the same empty mask and d
+        m = 10
+        flipped = ArcCostModel(d0=(5.0, 1.0), alpha=0.0)
+        k, s = np.full(m, 50.0), np.ones(m)
+        traveling = np.zeros(m, dtype=bool)
+        args = (k, s, traveling, thresholds(np.full(m, 50.0), P, T),
+                flipped, P)
+        got = wardrop_equilibrium(*args)
+        assert got[0].dtype == bool and not got[0].any()
+        assert got[1:4] == (0, 0, CONTROLLED)
+        assert got[4] == (5.0, 1.0)
+        assert same_day(got, equilibrium_ref(*args))
 
     def test_no_crossing_model_all_slow_fixed_point(self):
         # constant d1 > d2: everyone heads slow and that is the equilibrium
