@@ -52,14 +52,15 @@ def k_poor(k_ref, p: PriceVector, horizon: int):
     The least float at or above max(p1, k_ref + p1 - T*r2), the exact
     boundary of the toll and of the budget constraint
     k - k_ref - p1 + T*r2 >= 0.  A float below 2**53 minus an integer no
-    larger than it is exact, so with the integer shift = p1 - T*r2 the sum
-    k_ref + shift is exact above p1 unless shift > 0.  Then it can round
-    down, which the exact k - shift < k_ref detects, and the boundary is
-    one ulp up.
+    larger than it is exact, so with the integer shift = p1 - T*r2 <= 0 the
+    sum k_ref + shift is exact, or negative and then below p1.  A positive
+    shift can round the sum down, which the exact k - shift < k_ref
+    detects, and the boundary is one ulp up; only then is it corrected.
     """
     shift = p.p1 - horizon * p.r2
     k = np.asarray(k_ref, dtype=float) + shift
-    k = np.where(k - shift < k_ref, np.nextafter(k, np.inf), k)
+    if shift > 0:
+        k = np.where(k - shift < k_ref, np.nextafter(k, np.inf), k)
     return np.maximum(p.p1, k)[()]
 
 

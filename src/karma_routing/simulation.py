@@ -9,7 +9,8 @@ seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -31,34 +32,30 @@ def _tail_days(days: int) -> int:
 class Population:
     """Mutable state of the simulated agents plus the day loop's bookkeeping.
 
-    The per-agent breakpoints of k_ref are cached on the first `simulate_day`
-    and rebuilt when that day's prices differ or ``k_ref`` is rebound to
-    another array.  `init_population` makes ``k_ref`` read-only, and the
-    cache does the same to an array rebound to ``k_ref``, so an in-place
-    edit raises instead of leaving the cache stale.
+    Rebinding ``k_ref`` (read-only) or ``prices`` raises, so ``breakpoints``
+    cannot go stale; `dataclasses.replace` builds another population.
     """
 
     scenario: Scenario
     k: np.ndarray
     k_ref: np.ndarray
     rng: np.random.Generator
+    prices: PriceVector
     n_clamped_init: int = 0
     day: int = 0
-    _breakpoints: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
-    def breakpoints(self, p: PriceVector) -> Thresholds:
-        """Per-agent breakpoints at prices p, built once and then cached."""
-        horizon = self.scenario.horizon
-        cached = self._breakpoints
-        # the day passes the same PriceVector each time: identity settles
-        # the test before the dataclass __eq__ does
-        if (cached is None or (cached[0] is not p and cached[0] != p)
-                or cached[1] != horizon or cached[2] is not self.k_ref):
-            self.k_ref.flags.writeable = False
-            th = thresholds(np.asarray(self.k_ref, dtype=float), p, horizon)
-            cached = self._breakpoints = (p, horizon, self.k_ref, th)
-        return cached[3]
+    def __post_init__(self):
+        self.k_ref.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        if name in ("k_ref", "prices") and name in self.__dict__:
+            raise AttributeError(f"{name} is fixed; use dataclasses.replace")
+        object.__setattr__(self, name, value)
+
+    @cached_property
+    def breakpoints(self) -> Thresholds:
+        """The agents' `thresholds` at ``prices``, built on the first read."""
+        return thresholds(self.k_ref, self.prices, self.scenario.horizon)
 
 
 @dataclass
@@ -170,9 +167,8 @@ def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
     k = np.maximum(k, floor)
-    k_ref.flags.writeable = False
     return Population(scenario=scenario, k=k, k_ref=k_ref, rng=rng,
-                      n_clamped_init=n_clamped)
+                      prices=prices, n_clamped_init=n_clamped)
 
 
 def compute_metrics(fast, traveling, s, n1, n2, d, k, model: ArcCostModel):
@@ -218,16 +214,19 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
                  cost_star: float) -> DayRecord:
     """Advance the population by one day and record its metrics.
 
-    The day runs the public stages in order: `thresholds` (cached on the
-    population), `wardrop_equilibrium`, `settle` and `compute_metrics`, all
-    reading the day's fast-route and traveling masks over all agents;
+    The day runs the public stages in order: `thresholds` (the population's
+    ``breakpoints``), `wardrop_equilibrium`, `settle` and `compute_metrics`,
+    all reading the day's fast-route and traveling masks over all agents;
     the cost ratio reads against the optimal cost ``cost_star``.
 
-    Raises ValueError unless 0 < cost_star < inf, so NaN too, and before the
-    day draws: a rejected call leaves ``pop`` as it was.
+    Raises ValueError unless 0 < cost_star < inf, so NaN too, and unless
+    ``p`` equals ``pop.prices``, both before the day draws: a rejected call
+    leaves ``pop`` as it was.
     """
     if not 0.0 < cost_star < np.inf:
         raise ValueError(f"cost_star = {cost_star!r} must be finite and > 0")
+    if p is not pop.prices and p != pop.prices:
+        raise ValueError(f"prices {p} are not the population's {pop.prices}")
     sc = pop.scenario
     m = sc.n_agents
     rng, sens = pop.rng, sc.sensitivity
@@ -235,7 +234,7 @@ def simulate_day(pop: Population, model: ArcCostModel, p: PriceVector,
     s = sens.sample(rng, m)  # draws for all agents; travelers use theirs
 
     fast, n1, n2, regime, d = wardrop_equilibrium(
-        pop.k, s, traveling, pop.breakpoints(p), model, p)
+        pop.k, s, traveling, pop.breakpoints, model, p)
     pop.k = k = settle(pop.k, fast, traveling, p)
 
     delta_d, delta_s, mean_karma, cost = compute_metrics(

@@ -45,7 +45,7 @@ would need an RNG stream of its own.
 
 `wardrop_equilibrium` computes it as at most one pass of boolean masks over
 all agents, read against per-agent breakpoints built beforehand by
-`agent.thresholds` (`simulation.simulate_day` caches them on the population).
+`agent.thresholds` (`simulation.Population.breakpoints`, built once per run).
 """
 
 from __future__ import annotations

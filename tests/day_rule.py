@@ -8,6 +8,8 @@ per set of k_ref.  `fast_routes` is those two per-day steps.
 `integer_histogram` runs the day loop on a floored population.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from karma_routing import init_population, quantize_population, simulate_day
@@ -79,7 +81,7 @@ def integer_histogram(scenario, model, p, days):
     """
     cost_star = run_optimum(scenario, model, days)[1]
     pop = init_population(scenario, p)
-    pop.k, pop.k_ref = np.floor(pop.k), np.floor(pop.k_ref)
+    pop = replace(pop, k=np.floor(pop.k), k_ref=np.floor(pop.k_ref))
     for _ in range(days):
         simulate_day(pop, model, p, cost_star)
     return quantize_population(pop.k, pop.k_ref, p, scenario.horizon)[0]

@@ -72,7 +72,7 @@ class TestThresholds:
         # k_poor near p1; every third group has p1 > T*r2, where the float
         # sum k_ref + p1 - T*r2 can round below the boundary
         rng = np.random.default_rng(5)
-        checked = 0
+        checked = rounded = 0
         for group in range(100):
             t = int(rng.integers(1, 13))
             if group % 3:
@@ -86,6 +86,12 @@ class TestThresholds:
                                     rng.uniform(0, 1e3, 5)])
             th = thresholds(k_ref, p, t)
             below = np.nextafter(th.k_poor, -np.inf)
+            shift = p.p1 - t * p.r2
+            if shift > 0:
+                # the float sums that land below the boundary, which only
+                # k_poor's one-ulp correction lifts onto it
+                rounded += sum(Fraction(a) < Fraction(ref) + shift
+                               for ref, a in zip(k_ref, k_ref + shift))
             for ref, k, under in zip(k_ref, th.k_poor, below):
                 bound = max(Fraction(p.p1), Fraction(ref) + p.p1 - t * p.r2)
                 assert Fraction(under) < bound <= Fraction(k), (p, t, ref)
@@ -100,6 +106,7 @@ class TestThresholds:
                 assert plans == [ARC1 if fast else ARC2] * k.size, (p, t)
             checked += k_ref.size
         assert checked == 1000
+        assert rounded > 0
 
 
 class TestBestResponse:

@@ -179,7 +179,7 @@ class TestRunScenario:
                       k_init_high=4000.0)
         p = cfg.prices()
         pop = init_population(cfg.scenario(), p)
-        k_poor = pop.breakpoints(p).k_poor
+        k_poor = pop.breakpoints.k_poor
         uncontrolled, regimes = 0, []
         for _ in range(400):
             k_before = pop.k.copy()
@@ -347,7 +347,7 @@ class TestDayInvariants:
         sc, model, p, days = run
         cost_star = simulation.run_optimum(sc, model, days)[1]
         pop = init_population(sc, p)
-        pop.k, pop.k_ref = np.floor(pop.k), np.floor(pop.k_ref)
+        pop = replace(pop, k=np.floor(pop.k), k_ref=np.floor(pop.k_ref))
         floor = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
         m = sc.n_agents
         for _ in range(days):
@@ -390,8 +390,9 @@ class TestDayInvariants:
 
 def day_by_hand(pop, model, p, cost_star):
     """The expected `simulate_day` record and karma from the public stages:
-    the same draws, `thresholds` built fresh (so the cache is checked against
-    a fresh build), `wardrop_equilibrium`, `settle` and `compute_metrics`."""
+    the same draws, `thresholds` built fresh (so the population's
+    breakpoints are checked against a fresh build), `wardrop_equilibrium`,
+    `settle` and `compute_metrics`."""
     sc = pop.scenario
     m = sc.n_agents
     draws = copy.deepcopy(pop.rng)
@@ -408,28 +409,43 @@ def day_by_hand(pop, model, p, cost_star):
     return record, k
 
 
+def assert_fresh_thresholds(pop):
+    """``pop.breakpoints`` equals a fresh `thresholds` of its k_ref and
+    prices, array by array."""
+    want = thresholds(pop.k_ref, pop.prices, pop.scenario.horizon)
+    for f in fields(want):
+        assert np.array_equal(getattr(pop.breakpoints, f.name),
+                              getattr(want, f.name)), f.name
+
+
 class TestBreakpointCache:
-    def run_days(self, pop, p, days, switch):
-        # each day must equal the public pieces with that day's inputs
-        for day in range(days):
-            if day == days // 2:
-                switch(pop)
-            expected, k = day_by_hand(pop, BPR, p(day), cost_star=1.5)
-            assert simulate_day(pop, BPR, p(day), cost_star=1.5) == expected
+    def run_days(self, pop, days):
+        # each day must equal the public pieces at the population's prices
+        p = pop.prices
+        for _ in range(days):
+            expected, k = day_by_hand(pop, BPR, p, cost_star=1.5)
+            assert simulate_day(pop, BPR, p, cost_star=1.5) == expected
             assert np.array_equal(pop.k, k)
 
-    def test_price_switch_mid_run(self):
-        pop = init_population(scenario(seed=21), PriceVector(10, 14))
-        self.run_days(pop, lambda day: PriceVector(10, 14) if day < 5
-                      else PriceVector(4, 30), 10, lambda pop: None)
+    def test_replace_builds_thresholds_at_the_new_prices(self):
+        p, q = PriceVector(10, 14), PriceVector(4, 30)
+        pop = init_population(scenario(seed=21), p)
+        self.run_days(pop, 5)
+        moved = replace(pop, prices=q)
+        assert moved.prices is q and pop.prices is p
+        self.run_days(moved, 5)
+        assert_fresh_thresholds(moved)
+        assert_fresh_thresholds(pop)
 
-    def test_k_ref_rebound_mid_run(self):
-        pop = init_population(scenario(seed=22), PriceVector(10, 14))
-
-        def rebind(pop):
-            # a new array with k_ref in [40, 90], whose floor stays at 0
-            pop.k_ref = 0.5 * pop.k_ref + 40.0
-        self.run_days(pop, lambda day: PriceVector(10, 14), 10, rebind)
+    def test_rebinding_k_ref_or_prices_raises(self):
+        p = PriceVector(10, 14)
+        pop = init_population(scenario(seed=22), p)
+        k_ref = pop.k_ref
+        for name, value in (("k_ref", 0.5 * k_ref + 40.0),
+                            ("prices", PriceVector(4, 30))):
+            with pytest.raises(AttributeError, match=name):
+                setattr(pop, name, value)
+        assert pop.k_ref is k_ref and pop.prices is p
 
     def test_k_ref_is_read_only(self):
         # an in-place edit would leave the cached breakpoints stale
@@ -437,23 +453,38 @@ class TestBreakpointCache:
         with pytest.raises(ValueError):
             pop.k_ref[0] = 1.0
 
-    def test_rebound_k_ref_is_read_only(self):
-        # the cache freezes a rebound k_ref too, so an in-place edit cannot
-        # leave the breakpoints it holds stale
-        p = PriceVector(10, 14)
-        pop = init_population(scenario(seed=23), p)
-        pop.k_ref = 0.5 * pop.k_ref + 40.0
-        simulate_day(pop, BPR, p, COST_STAR)
+    def test_replaced_k_ref_is_read_only(self):
+        # construction freezes a k_ref given to replace too, so an in-place
+        # edit cannot leave the breakpoints built from it stale
+        pop = init_population(scenario(seed=23), PriceVector(10, 14))
+        # a new array with k_ref in [40, 90], whose floor stays at 0
+        pop = replace(pop, k_ref=0.5 * pop.k_ref + 40.0)
+        assert not pop.k_ref.flags.writeable
+        self.run_days(pop, 5)
         with pytest.raises(ValueError):
             pop.k_ref[:] = 0.0
-        want = thresholds(pop.k_ref, p, pop.scenario.horizon)
-        assert np.array_equal(pop.breakpoints(p).k_poor, want.k_poor)
+        assert_fresh_thresholds(pop)
+
+    def test_other_prices_rejected_before_the_draws(self):
+        # like a bad cost_star: the population, its day count and its
+        # random stream are left as they were
+        p = PriceVector(10, 14)
+        pop = init_population(scenario(seed=25), p)
+        simulate_day(pop, BPR, p, COST_STAR)
+        k, state = pop.k, pop.rng.bit_generator.state
+        with pytest.raises(ValueError, match="prices"):
+            simulate_day(pop, BPR, PriceVector(4, 30), COST_STAR)
+        assert pop.k is k and pop.day == 1
+        assert pop.rng.bit_generator.state == state
+        # an equal price pair is the population's own
+        simulate_day(pop, BPR, PriceVector(10, 14), COST_STAR)
+        assert pop.day == 2
 
     def test_karma_below_floor_raises(self):
         sc = scenario(k_init=(0.0, 5.0), k_ref_init=(150.0, 200.0))
         p = PriceVector(10, 14)
         pop = init_population(sc, p)
-        simulate_day(pop, BPR, p, COST_STAR)  # builds the cache
+        simulate_day(pop, BPR, p, COST_STAR)  # builds the breakpoints
         floor = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
         pop.k = pop.k.copy()
         pop.k[7] = floor[7] - 0.5
