@@ -397,16 +397,17 @@ def quantize_population(k, k_ref, p: PriceVector,
 
     Agents whose deviation falls outside the chain's invariant range are
     clamped to the nearest boundary cell, +inf and -inf among them; the
-    count of clamped agents is returned alongside the distribution.  A NaN
-    deviation raises ValueError naming the first such agent; so do a horizon
-    that is not an integer >= 1 and an empty population.
+    count of clamped agents is returned alongside the distribution.  The
+    count comes with the histogram: the floored deviations are clamped one
+    cell beyond either end of the chain, into two sentinel cells, and
+    counted over N + 2 cells; the sentinels' counts are the clamped agents,
+    which are then folded into the end cells.  A NaN deviation raises
+    ValueError naming the first such agent; so do a horizon that is not an
+    integer >= 1 and an empty population.
     """
     check_count("horizon", horizon)
     n = (horizon + 1) * p.total
     shift = horizon * p.r2
-    # the clamp works on the floored deviations, whose range [lo, hi] maps
-    # onto cells [0, n), so an index is cast once and only from that range
-    lo, hi = float(-shift), float(n - 1 - shift)
     # floor(k - k_ref) in float64, a new 1-d array floored in place: the
     # deviation at the left edge of each karma's cell; two scalars give a
     # one-agent array
@@ -414,17 +415,21 @@ def quantize_population(k, k_ref, p: PriceVector,
     np.floor(dev, out=dev)
     if not dev.size:
         raise ValueError("the population is empty: k - k_ref holds no agent")
-    below = np.count_nonzero(dev < lo)
-    above = np.count_nonzero(dev > hi)
-    if below + np.count_nonzero(dev >= lo) != dev.size:  # only NaN fails both
-        agent = int(np.flatnonzero(np.isnan(dev))[0])
+    nan = np.isnan(dev)
+    if nan.any():
+        agent = int(nan.argmax())
         raise ValueError(f"agent {agent} has a NaN karma deviation k - k_ref")
-    np.maximum(dev, lo, out=dev)
-    np.minimum(dev, hi, out=dev)
+    # the deviations [-shift, n - 1 - shift] are the chain's cells; the one
+    # below and the one above are the sentinels, so an index is cast once
+    # and only from that range
+    np.clip(dev, -shift - 1, n - shift, out=dev)
     idx = dev.astype(np.intp)
-    idx += shift
-    hist = np.bincount(idx, minlength=n)
-    return hist / hist.sum(), int(below + above)
+    idx += shift + 1
+    hist = np.bincount(idx, minlength=n + 2)
+    clamped = int(hist[0] + hist[-1])
+    hist[1] += hist[0]
+    hist[-2] += hist[-1]
+    return hist[1:-1] / dev.size, clamped
 
 
 def save_matrix_coo(chain: KarmaChain, path) -> None:

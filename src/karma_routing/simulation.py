@@ -142,15 +142,33 @@ class RunResult:
                 writer.writerow([i + 1, int(round(count))])
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float,
+             m: int) -> np.ndarray:
+    """m draws uniform on [low, high), the bits and stream of
+    ``rng.uniform(low, high, m)``.
+
+    numpy takes u from the same stream as ``rng.random`` and returns
+    low + (high - low) * u, with the bounds as floats; the product and the
+    sum, taken here as two in-place passes over u, round the same.  A width
+    of -0.0, which `Generator.uniform` rejects, draws what its width 0.0
+    draws: low + 0.0.
+    """
+    u = rng.random(m)
+    u *= float(high) - float(low)
+    u += low
+    return u
+
+
 def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     """Draw initial reference levels and karma balances.
 
-    k_ref is drawn first, then k(0), both uniform on the scenario's ranges;
-    any k(0) below the agent's feasibility floor k_inf is clamped up to it
-    (the clamp count is kept on the returned population).  Flooring the
-    returned ``k`` and ``k_ref`` puts the agents on the quantized chain's
-    integer lattice; the floored ``k`` stays above the floored k_inf, since
-    (T + 1) * r2 is an integer.
+    k_ref is drawn first, then k(0), both uniform on the scenario's ranges
+    and both ``rng.uniform(low, high, m)`` bit for bit: one ``rng.random(m)``
+    scaled in place (`_uniform`).  Any k(0) below the agent's feasibility
+    floor k_inf is clamped up to it (the clamp count is kept on the
+    returned population).  Flooring the returned ``k`` and ``k_ref``
+    puts the agents on the quantized chain's integer lattice; the floored
+    ``k`` stays above the floored k_inf, since (T + 1) * r2 is an integer.
     """
     rng = np.random.default_rng(scenario.seed)
     m = scenario.n_agents
@@ -159,13 +177,13 @@ def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     # again; freeing one mapped block of 4m floats raises the threshold to
     # its size (mallopt(3)).  Under other allocators it is a spare allocation.
     np.empty(4 * m)
-    # high + 0.0 turns -0.0 into 0.0: numpy's uniform rejects a range whose
-    # width high - low is -0.0
-    (ref_lo, ref_hi), (k_lo, k_hi) = scenario.k_ref_init, scenario.k_init
-    k_ref = rng.uniform(ref_lo, ref_hi + 0.0, m)
-    k = rng.uniform(k_lo, k_hi + 0.0, m)
+    k_ref = _uniform(rng, *scenario.k_ref_init, m)
+    k = _uniform(rng, *scenario.k_init, m)
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
+    # a new array, not k clamped in place: with one block fewer on the heap,
+    # freeing a previous build's populations leaves more than glibc's trim
+    # threshold free at its top, and the next build faults those pages in
     k = np.maximum(k, floor)
     return Population(scenario=scenario, k=k, k_ref=k_ref, rng=rng,
                       prices=prices, n_clamped_init=n_clamped)

@@ -13,10 +13,12 @@ above 1, trees that carry a node up through every level but the last
 pair, the uniform law, and closed forms with rows that never pay.
 
 The population's set-up and read-out stages are pinned the same way:
-`as_flow` compares Python floats where its reference takes a numpy mask,
-and `quantize_population` clamps the floored deviations as floats and
-casts once, where its reference casts every deviation to a cell and clips
-the integers.
+`init_population` scales one `rng.random(m)` in place where its reference
+calls `Generator.uniform`, `as_flow` compares Python floats where its
+reference takes a numpy mask, and `quantize_population` clamps the floored
+deviations as floats into the chain and two sentinel cells and casts once,
+where its reference casts every deviation to a cell and clips the
+integers.
 
 `system_optimum` and `balanced_flow` hand `network._crossing` their route
 pair, which evaluates f1(x1) - f2(p_go - x1) itself; the reference wraps
@@ -30,13 +32,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
-                           as_flow, balanced_flow, build_chain,
-                           conservation_prices, equilibrium_flows,
+from karma_routing import (ArcCostModel, PriceVector, Scenario,
+                           SensitivitySpec, as_flow, balanced_flow,
+                           build_chain, conservation_prices,
+                           equilibrium_flows, init_population,
                            quantize_population, stationary_distribution,
                            system_optimum)
 from karma_routing import mesoscopic
-from karma_routing.agent import _decaying_threshold
+from karma_routing.agent import _decaying_threshold, k_inf
 from karma_routing.mesoscopic import DiagonalMatrix
 from karma_routing.network import (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW,
                                    check_count)
@@ -163,6 +166,23 @@ def quantize_population_ref(k, k_ref, p, t):
     return hist / hist.sum(), clamped
 
 
+def init_population_ref(scenario, prices):
+    """k_ref, k, the clamp count and the generator's state after the draws,
+    with each draw taken by `Generator.uniform`.  Its C code rounds
+    low + (high - low) * u as a product and a sum; a numpy build that
+    contracted them into one fused multiply-add would draw other bits."""
+    rng = np.random.default_rng(scenario.seed)
+    m = scenario.n_agents
+    (ref_lo, ref_hi), (k_lo, k_hi) = scenario.k_ref_init, scenario.k_init
+    # high + 0.0 turns -0.0 into 0.0: numpy's uniform rejects a range whose
+    # width high - low is -0.0
+    k_ref = rng.uniform(ref_lo, ref_hi + 0.0, m)
+    k = rng.uniform(k_lo, k_hi + 0.0, m)
+    floor = k_inf(k_ref, prices, scenario.horizon)
+    n_clamped = int(np.count_nonzero(k < floor))
+    return k_ref, np.maximum(k, floor), n_clamped, rng.bit_generator.state
+
+
 def as_flow_ref(x):
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
@@ -233,6 +253,22 @@ def population(seed, p, t, m, cells):
     where = rng.integers(0, 3, m)
     k = np.where(where == 1, np.nextafter(k, -np.inf), k)
     return np.where(where == 2, k + rng.random(m), k), k_ref
+
+
+BELOW_2_53 = math.nextafter(2.0**53, 0.0)
+
+
+@st.composite
+def init_ranges(draw):
+    """A (low, high) pair that `Scenario` accepts, with signed zeros, zero
+    widths (-0.0 among them) and bounds just below 2**53."""
+    bound = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 100.0, 2.0**52,
+                             BELOW_2_53 - 1.0, BELOW_2_53]) \
+        | st.floats(0.0, 2.0**53, exclude_max=True)
+    low = draw(bound)
+    high = low if draw(st.integers(0, 3)) == 0 else draw(bound)
+    # a stable sort keeps (0.0, -0.0), whose width is -0.0
+    return tuple(sorted((low, high)))
 
 
 @st.composite
@@ -387,6 +423,25 @@ def read_out_matches_reference(k, k_ref, p, t):
 
 class TestPopulationStages:
     @settings(max_examples=examples(150), deadline=None)
+    @given(ref=init_ranges(), k0=init_ranges(), m=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1), p1=st.integers(1, 40),
+           r2=st.integers(1, 40), t=st.integers(1, 12))
+    @example(ref=(0.0, -0.0), k0=(-0.0, -0.0), m=5, seed=0, p1=10, r2=14,
+             t=6)
+    @example(ref=(BELOW_2_53, BELOW_2_53), k0=(0.0, BELOW_2_53), m=200,
+             seed=1, p1=40, r2=40, t=12)
+    def test_draws_match_uniform(self, ref, k0, m, seed, p1, r2, t):
+        sc = Scenario(p_home=0.05, horizon=t, n_agents=m, sensitivity=EXP,
+                      k_init=k0, k_ref_init=ref, seed=seed)
+        p = PriceVector(p1, r2)
+        pop = init_population(sc, p)
+        k_ref, k, n_clamped, state = init_population_ref(sc, p)
+        assert same_bits(pop.k_ref, k_ref) and same_bits(pop.k, k)
+        assert pop.n_clamped_init == n_clamped
+        # day 0 draws from where the reference's stream stands
+        assert pop.rng.bit_generator.state == state
+
+    @settings(max_examples=examples(150), deadline=None)
     @given(p1=st.integers(1, 40), r2=st.integers(1, 40), t=st.integers(1, 12),
            m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
     def test_histogram_matches_reference(self, p1, r2, t, m, seed):
@@ -405,6 +460,7 @@ class TestPopulationStages:
         ((10, 14), 6, 1, range(0, 168), None),
         ((40, 1), 6, 100, range(-50, 350), None),
         ((5, 5), 1, 100, range(-5, 25), None),
+        ((1, 1), 1, 100, range(-3, 7), None),
     ])
     def test_chain_ends_match_reference(self, p, t, m, cells, clamped):
         p = PriceVector(*p)
@@ -412,6 +468,36 @@ class TestPopulationStages:
             k, k_ref = population(seed, p, t, m, cells)
             got = read_out_matches_reference(k, k_ref, p, t)
             assert clamped is None or got == clamped
+
+    # the smallest chain, T = 1 and p1 = r2 = 1, has N = 4 cells
+    @pytest.mark.parametrize("p, t", [((10, 14), 6), ((1, 1), 1),
+                                      ((40, 1), 6)])
+    def test_sentinel_cells_match_reference(self, p, t):
+        p = PriceVector(*p)
+        n, shift = (t + 1) * p.total, t * p.r2
+        rng = np.random.default_rng(0)
+        k_ref = np.floor(rng.uniform(0.0, 1000.0, 60))
+        # 20 agents below the chain and 40 above it, each on a cell's left
+        # edge or inside it; the split tells the ends apart
+        inside = np.where(rng.integers(0, 2, 60) == 1, rng.random(60), 0.0)
+        for ends, clamped in (([-shift - 1, n - shift], 60),
+                              ([-shift, n - 1 - shift], 0)):
+            k = k_ref + rng.permutation(np.repeat(ends, [20, 40])) + inside
+            hist = quantize_population(k, k_ref, p, t)[0]
+            assert (hist[0], hist[-1]) == (1 / 3, 2 / 3)
+            # one cell beyond either end: every agent is clamped; on the
+            # end cells: none is
+            assert read_out_matches_reference(k, k_ref, p, t) == clamped
+        # far above the chain, as k(0) ~ U[2000, 4000] puts every agent
+        k = rng.uniform(2000.0, 4000.0, 60)
+        assert read_out_matches_reference(k, k_ref / 10.0, p, t) == 60
+        assert quantize_population(k, k_ref / 10.0, p, t)[0][-1] == 1.0
+
+    def test_nan_after_infinite_agents_named(self):
+        k = [np.inf, -np.inf, 1e300, -1e300, np.nan, np.inf, np.nan]
+        with pytest.raises(ValueError, match="^agent 4 has a NaN karma "
+                                             "deviation k - k_ref$"):
+            quantize_population(k, np.zeros(7), PriceVector(1, 1), 1)
 
     def test_flow_check_matches_reference(self):
         values = [-0.0, 0.0, 5e-324, 0.5, 1.0, np.nextafter(1.0, 2.0),
