@@ -11,9 +11,17 @@ linearly to 0 at k_wealthy and is -inf from there.  On a d1 > d2 day the
 slow route dominates, and on a d1 = d2 day any route is optimal; `wardrop`
 settles those days without the rule.  `thresholds` builds the four
 breakpoints once per k_ref, `check_floor` guards the feasibility floor,
-`fast_mask` applies the rule and `settle` is the one account update.  The tests check them against
-`tests/oracles.py`, which solves the underlying two-stage program by direct
-enumeration.
+`fast_mask` applies the rule and `settle` is the one account update.  The
+tests check them against `tests/oracles.py`, which solves the underlying
+two-stage program by direct enumeration.
+
+k_poor is the least float at or above the exact boundary of the toll and
+the budget constraint, and k_inf is exact, so at every float karma the
+toll, the budget and the floor bind exactly where they do over the reals.
+The day's stages are written for few numpy calls (the decaying threshold
+is computed in place), and tests/test_day_stages.py pins them bit for bit
+against the plain expressions, at the breakpoints, at s = 0, with nobody
+traveling and on 0-d and integer input.
 """
 
 from __future__ import annotations
@@ -42,7 +50,11 @@ class Thresholds:
 
 # The rule's breakpoints, each for a scalar or a per-agent array of k_ref.
 def k_inf(k_ref, p: PriceVector, horizon: int):
-    """Feasibility floor: below it no plan restores k_ref by the horizon's end."""
+    """Feasibility floor: below it no plan restores k_ref by the horizon's end.
+
+    Exact: k_ref below 2**53 minus the integer (T+1)*r2 is exact when it is
+    not negative, and 0 otherwise.
+    """
     return np.maximum(0.0, k_ref - (horizon + 1) * p.r2)
 
 

@@ -6,9 +6,51 @@ Subcommands:
     analyze-chain   karma-distribution chain: matrix dump, stationary
                     distribution, induced flows and the ratio check
     design-prices   conservation price ratio and its integer rounding
-    system-optimum  optimal split of the daily demand
+    system-optimum  optimal split of the daily demand, and the balanced
+                    (selfish) flow with its cost ratio to the optimum
 
-Set KARMA_LOG_LEVEL to DEBUG, INFO, WARNING (default), ERROR or CRITICAL.
+Set KARMA_LOG_LEVEL to DEBUG, INFO, WARNING (default), ERROR or CRITICAL,
+in any case.
+
+Each subcommand takes only the flags it reads, and --preset and --config
+are exclusive: a run's settings come from one preset, one config file or
+the defaults, and the flags set only the seed and the number of days.
+Every command runs `RunConfig.validate` once its flags apply, so a config
+that validates runs under every command
+(tests/test_config_cli.py::test_every_config_that_validates_runs).
+
+Exit codes (the tests named are in tests/test_config_cli.py):
+    0  success.
+    1  a KarmaRoutingError, ValueError or OSError, printed as one
+       "error: ..." line; an OSError names its path
+       (TestCli::test_analyze_chain_solves_before_writing,
+       TestCli::test_run_rejects_bad_days,
+       TestRunConfig::test_unusable_out_named).
+    2  an argparse error, such as a flag the subcommand does not read or
+       both --preset and --config (TestCli::test_unread_flags_rejected); a
+       missing --config file (TestCli::test_run_missing_config_exits_2); or
+       a KARMA_LOG_LEVEL that is not a level name
+       (TestRunConfig::test_bad_log_level_named).
+
+Order of work: `run` and `analyze-chain` make --out after the config
+validates and before any simulation or chain work, so a rejected config
+leaves no --out (TestCli::test_everyone_home_rejected) and an --out that
+cannot be a directory exits 1 at once
+(TestRunConfig::test_unusable_out_named).  Results are written only once
+every step has succeeded, the strict JSON summary included, so a later
+failure, such as a stationary solve that fails its certification, adds no
+file to --out (TestCli::test_analyze_chain_solves_before_writing).
+
+A preset run's config.ini records the preset under [run], so
+``run --config out/config.ini`` replays the run and its summary.json still
+names the preset (TestCli::test_run_replays_its_own_config).
+`design-prices` prints ``none`` and the reason, and exits 0, when a
+fixed-price config has no design: the optimum leaves a route empty or the
+rounded prices fall outside the horizon's band
+(TestCli::test_design_prices_without_a_design).  `system-optimum` prints
+``none`` for the balanced flow when the discomforts never cross, naming the
+dominant route or the tie
+(TestCli::test_system_optimum_names_the_dominant_route).
 """
 
 from __future__ import annotations
@@ -60,7 +102,8 @@ def _out_dir(args) -> Path:
 
 
 def _strict_json(summary: dict) -> str:
-    """The summary as JSON; NaN or infinity raises ValueError."""
+    """The summary as strict JSON; NaN or infinity raises ValueError, before
+    the command writes any file."""
     return json.dumps(summary, indent=2, allow_nan=False)
 
 

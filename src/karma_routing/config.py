@@ -126,7 +126,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Instantiate every derived object so bad values fail early, and
-        reject a set value that the config never reads."""
+        reject a set value that the config never reads.  max_price must be
+        an integer >= 2 in either price mode, and under price_mode = design
+        the designed prices must exist."""
         if self.price_mode not in (PRICE_FIXED, PRICE_DESIGN):
             raise ValueError(f"unknown price mode: {self.price_mode!r}")
         check_count("days", self.days)
@@ -150,7 +152,9 @@ class RunConfig:
         return self
 
     def _check_preset(self) -> None:
-        """A config named for a preset holds its value in every pinned field."""
+        """A config named for a preset holds its value in every pinned field;
+        the error names the first field that differs.  Without the preset
+        name the same values run as a plain config."""
         if self.preset is None:
             return
         pinned = asdict(replace(get_preset(self.preset), seed=self.seed,

@@ -47,6 +47,13 @@ and one step of A certifies the result.  Mass 1/q per class is the
 selection rule where the fixed point is not unique (g > 1: each of the g
 sublattices of cells with equal index mod g holds 1/g), and it leaves no
 periodic component at p_home = 0.
+
+A few calls fix the bits of the stationary distribution and the flows: the
+product tree's batched `np.matmul` and `np.linalg.solve` (for p1 = r2, the
+closed form's `log`, `cumsum` and `exp`), the column sums that scale each
+class, and the flows' two dot products.  The rest is written for few numpy
+calls, and tests/test_chain_stages.py pins it bit for bit against the
+plain expressions.
 """
 
 from __future__ import annotations
@@ -173,7 +180,8 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
 
     A is a `DiagonalMatrix` holding the slow move, the stay and the fast
     move on its diagonals -r2, 0 and +p1, written into one (3, N) block.
-    Requires p_home in [0, 1) and an integer horizon >= 1.
+    Any integer price pair works, p1 > r2 included.  Requires p_home in
+    [0, 1) and an integer horizon >= 1.
     """
     check_p_home(p_home)
     check_count("horizon", horizon)
@@ -358,9 +366,9 @@ def stationary_distribution(chain: KarmaChain) -> np.ndarray:
     its detailed-balance product; otherwise it is the exact fixed point of
     each cycle's return map, handed to every class of the cycle by a
     pairwise product tree.  One step of A certifies it: A @ start is
-    returned when it differs from the start by at most CERTIFY_TOL in L1,
-    and otherwise (also when the step gives NaN) ConvergenceError names the
-    residual.
+    returned when it differs from the start by at most CERTIFY_TOL in L1
+    (the presets' residuals are about 1e-16), and otherwise (also when the
+    step gives NaN) ConvergenceError names the residual.
 
     Selection rule: every residue class holds mass 1/q, so each of the g
     sublattices of cells with equal index mod g (which never exchange mass)

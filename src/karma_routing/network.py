@@ -7,6 +7,11 @@ discomfort follows the standard volume-delay form
 ``d_j(x) = d0_j * (1 + alpha * (x / kappa_j)**beta)``.  Both splits are one
 bisection over a route pair (`_crossing`): the balanced flow where
 d1 = d2, and the system optimum where the marginal costs are equal.
+Without a crossing the bisection reports which end check stopped it, and
+`system-optimum` prints its no-crossing verdict from that report.
+`as_flow` is the one check of a flow pair; it and `check_count` compare
+Python values, which tests/test_chain_stages.py pins against the numpy
+expressions.
 """
 
 from __future__ import annotations
@@ -53,7 +58,13 @@ def _route_kernel(d0: float, kappa: float, a: float, b: float):
 
 @dataclass(frozen=True)
 class ArcCostModel:
-    """Per-route volume-delay parameters and the societal-cost family."""
+    """Per-route volume-delay parameters and the societal-cost family.
+
+    Both pairs of route kernels, the discomforts and the marginal costs,
+    are built at construction.  A model whose marginal cost at a full load
+    (x = 1) on either route is not a finite float, such as beta = 2000 or
+    kappa_1 = 1e-300, is rejected there, so no solver's float overflows.
+    """
 
     d0: tuple[float, float] = (1.0, 2.0)
     kappa: tuple[float, float] = (0.5, 2.0 / 3.0)
@@ -156,7 +167,11 @@ class Scenario:
 
 
 def as_flow(x) -> np.ndarray:
-    """Validate and return a flow pair as a float array in [0, 1]."""
+    """Validate and return a flow pair as a float array in [0, 1].
+
+    The one check of a flow pair; `ArcCostModel.discomfort` and
+    `societal_cost` read it.  NaN fails it.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("flow must be a pair (x1, x2)")

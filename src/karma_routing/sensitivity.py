@@ -7,6 +7,8 @@ reported number depends on s only through s over its mean.  `sample`
 therefore returns s in units of the mean, so the mean is 1, and the
 mesoscopic chain reads `cdf` at thresholds in the same unit.  The uniform
 law on [low, high] reads both bounds, the exponential on [0, inf) neither.
+A uniform support whose mean (low + high) / 2 rounds to 0, such as
+[0, 5e-324], is rejected.
 """
 
 from __future__ import annotations

@@ -95,8 +95,10 @@ class RunResult:
 
     @property
     def summary(self) -> dict:
-        """The run's figures as a new dict, the keys of `summary.json`;
-        the tail means average the last `_tail_days` records."""
+        """The run's figures as a new dict, computed on each read: the keys
+        of `summary.json` but ``preset``, which the CLI adds.  The tail
+        means average the last `_tail_days` records; first_controlled_day
+        is None when no day is controlled."""
         tail = self.tail_records()
         delta_d = [r.delta_d for r in tail if r.delta_d is not None]
         delta_s = [r.delta_s for r in tail if r.delta_s is not None]
@@ -274,6 +276,9 @@ def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
     range's bottom), or when `compute_metrics`' sums over the agents could
     overflow, each draw being at most `SensitivitySpec.draw_bound` means.
     Its delta_d denominator is at least min(d0) > 0 on a day anyone travels.
+    With the other defaults, d0_1 = 1e-306 still runs 500 days and
+    d0_1 = 1e-308 is rejected, naming d0 and cost*; d0_1 = 1e305 is
+    rejected for its metric sums.
     """
     d1, d2 = model._delay
     d_hi = max(d1(1.0), d2(1.0))

@@ -31,6 +31,9 @@ iteration:
 Selection rule: a population can admit both a controlled and a balanced-flow
 equilibrium.  The controlled one is chosen whenever it exists, so the result
 depends only on today's population, never on an initial guess.
+"Controlled" describes the day's equilibrium, not its closeness to the
+system optimum x*: the rule's flows keep d1 < d2 (or the slow route
+dominates and everyone takes it), however far they sit from x*.
 
 Split rule: at the balanced count every indifferent traveler (k >= k_poor)
 is as well off on either route as whole agents allow (d1 <= d2 there, and

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -22,6 +23,35 @@ from karma_routing.config import PRICE_DESIGN
 from karma_routing.simulation import run_optimum
 
 from conftest import examples
+
+
+README = Path(__file__).parents[1] / "README.md"
+# a test id as README.md cites it: file, optional class, function
+CITATION = r"tests/(\w+\.py)::(?:(\w+)::)?(\w+)"
+
+
+def readme_block(lang: str) -> str:
+    """The body of README.md's one ```lang block; CI's bare-install step
+    extracts the ```python block by the same fences."""
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(),
+                        re.S | re.M)
+    assert len(blocks) == 1, f"README.md holds {len(blocks)} ```{lang} blocks"
+    return blocks[0]
+
+
+def cited_test_exists(filename: str, cls: str, name: str) -> bool:
+    """Whether tests/<filename> defines test ``name``, in class ``cls``
+    when given, else at module level."""
+    path = Path(__file__).parent / filename
+    if not path.is_file():
+        return False
+    scope = ast.parse(path.read_text(encoding="utf-8")).body
+    if cls:
+        scope = next((node.body for node in scope
+                      if isinstance(node, ast.ClassDef) and node.name == cls),
+                     [])
+    return any(isinstance(node, ast.FunctionDef) and node.name == name
+               for node in scope)
 
 
 class TestRunConfig:
@@ -74,21 +104,24 @@ class TestRunConfig:
         assert "unknown key 'p_hom' in [scenario]" in capsys.readouterr().err
 
     def test_readme_config_example_loads(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         path = tmp_path / "readme.ini"
-        path.write_text(block)
+        path.write_text(readme_block("ini"))
         assert RunConfig.from_ini(path) == RunConfig()
 
     def test_readme_library_example_runs(self, capsys):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
-        exec(compile(block, "README.md", "exec"), {})
+        exec(compile(readme_block("python"), "README.md", "exec"), {})
         flows, ratio = capsys.readouterr().out.splitlines()
         # the example's comments: "-> [0.5542, 0.3958]" and "~1.001"
         assert [round(float(x), 4) for x in flows.strip("[]").split()] == [
             0.5542, 0.3958]
         assert float(ratio) == pytest.approx(1.00113, abs=5e-5)
+
+    def test_readme_cited_tests_exist(self):
+        # every tests/<file>.py::[<Class>::]<name> that README.md cites
+        citations = re.findall(CITATION, README.read_text())
+        assert len(citations) >= 7
+        missing = [c for c in citations if not cited_test_exists(*c)]
+        assert missing == []
 
     def test_validation_failures(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
                            balanced_flow, build_chain, equilibrium_flows,
                            get_preset, run_scenario, stationary_distribution,
-                           thresholds, wardrop_equilibrium)
+                           system_optimum, thresholds, wardrop_equilibrium)
 from karma_routing import simulation, wardrop
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
@@ -223,6 +223,24 @@ class TestWardropEquilibrium:
         assert regime == CONTROLLED
         assert x.tolist() == pytest.approx([0.379, 0.621], abs=1e-12)
         assert balanced_flow(BPR, 1.0)[0] == pytest.approx(0.803, abs=1e-3)
+
+    def test_controlled_is_not_closeness_to_the_optimum(self):
+        # "controlled" names the day's equilibrium, not its distance from
+        # x* = (0.569, 0.431): poor travelers (k = 12 < k_poor = 16) all go
+        # slow, and rich ones (k = 111, threshold 0.375) send 70.5 % fast.
+        # Both days keep d1 < d2, so both are controlled, on either side of
+        # x* and both far from it.
+        m = 1000
+        s = np.random.default_rng(0).standard_exponential(m)
+        traveling = np.ones(m, dtype=bool)
+        assert system_optimum(BPR, 1.0)[0] == pytest.approx(0.569, abs=1e-3)
+        fast_shares = []
+        for k, k_ref in ((12.0, 90.0), (111.0, 50.0)):
+            _, x, regime = solve(np.full(m, k), np.full(m, k_ref), s,
+                                 traveling)
+            assert regime == CONTROLLED
+            fast_shares.append(x[0])
+        assert fast_shares == pytest.approx([0.0, 0.705], abs=1e-12)
 
     def test_balanced_split_is_deterministic_by_index(self):
         m = 1000
