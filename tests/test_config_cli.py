@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import karma_routing
-from karma_routing import (PriceVector, RunConfig, SensitivitySpec,
+from karma_routing import (PRESETS, PriceVector, RunConfig, SensitivitySpec,
                            balanced_flow, get_preset, mesoscopic)
 from karma_routing import cli
 from karma_routing.cli import _strict_json, main
@@ -367,6 +368,41 @@ SUMMARY_KEYS = [
     "final_mean_karma", "uncontrolled_days", "first_controlled_day"]
 
 
+def config_args(source: str, tmp_path: Path) -> list[str]:
+    """``--preset source`` for a preset's name, else ``--config`` of an INI
+    file in tmp_path that holds ``source``."""
+    if source in PRESETS:
+        return ["--preset", source]
+    path = tmp_path / "c.ini"
+    path.write_text(source)
+    return ["--config", str(path)]
+
+
+# the `run`s whose written files `test_run_files_agree` checks: name ->
+# (preset name or INI text, days, the summary values and file facts it pins)
+RUNS = {
+    "fig3": ("fig3", 20, dict(first_controlled_day=0)),
+    "fig5": ("fig5", 20, dict(first_controlled_day=0)),
+    "fig6": ("fig6", 20, dict(first_controlled_day=0)),
+    # a karma-rich population overloads the fast route: every day is
+    # uncontrolled, and every agent ends far above the chain, in its top cell
+    "rich": ("[scenario]\nk_init_low = 2000.0\nk_init_high = 4000.0\n", 20,
+             dict(uncontrolled_days=20, first_controlled_day=None,
+                  n_clamped_final=1000, top_cell=1000)),
+    # three agents who mostly stay home: at seed 0, 21 of 30 days have no
+    # traveler, each a controlled day with no delta_d
+    "few": ("[scenario]\nn_agents = 3\np_home = 0.9\n", 30,
+            dict(idle_days=21)),
+    # fixed prices outside the horizon band, p1 = 40 > T*r2 = 6: the one
+    # case where k_ref + p1 - T*r2 can round below k_poor's exact boundary
+    "toll": ("[pricing]\np1 = 40\nr2 = 1\n", 20, {}),
+    "uniform": ("[scenario]\nsensitivity_kind = uniform\n"
+                "sensitivity_low = 0.5\nsensitivity_high = 2.5\n", 20, {}),
+    # 10 000 agents, whose histogram counts used to be truncated
+    "m1e4": ("[scenario]\nn_agents = 10000\n", 5, {}),
+}
+
+
 class TestCli:
     def test_runs_without_scipy(self, tmp_path):
         src = Path(karma_routing.__file__).parents[1]
@@ -415,6 +451,28 @@ class TestCli:
         for name in ("run.csv", "summary.json", "config.ini"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
 
+    @pytest.mark.parametrize("name", RUNS)
+    def test_run_files_agree(self, name, tmp_path):
+        # the written files of one run agree with each other and its summary
+        source, days, expected = RUNS[name]
+        out = tmp_path / "out"
+        assert main(["run", *config_args(source, tmp_path), "--days", str(days),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                             parse_constant=reject_constant)
+        with open(out / "karma_hist.csv", newline="", encoding="utf-8") as fh:
+            counts = [int(row["count"]) for row in csv.DictReader(fh)]
+        with open(out / "run.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == summary["days"] == days
+        assert sum(counts) == summary["n_agents"]
+        # agents off the chain are folded into its two end cells
+        clamped = summary["n_clamped_final"]
+        assert type(clamped) is int and 0 <= clamped <= counts[0] + counts[-1]
+        facts = dict(summary, top_cell=counts[-1],
+                     idle_days=sum(row["delta_d"] == "" for row in rows))
+        assert {key: facts[key] for key in expected} == expected
+
     def test_edited_preset_config_rejected(self, tmp_path, capsys):
         # its summary.json would name fig3 for flows that fig3 does not give
         path = tmp_path / "edited.ini"
@@ -431,13 +489,16 @@ class TestCli:
         assert main(["run", "--preset", "fig3", "--days", "3",
                      "--out", str(first)]) == 0
         text = (first / "config.ini").read_text()
-        for old, new, name in (("r2 = 14", "r2 = 13", "r2"),
-                               ("alpha = 0.15", "alpha = 0.2", "alpha"),
-                               ("price_mode = fixed", "price_mode = design",
-                                "price_mode")):
+        for old, new, named in (("r2 = 14", "r2 = 13", "r2 = 13"),
+                                ("alpha = 0.15", "alpha = 0.2", "alpha = 0.2"),
+                                ("price_mode = fixed", "price_mode = design",
+                                 "price_mode = 'design'")):
             path.write_text(text.replace(old, new))
-            with pytest.raises(ValueError, match=f"{path}: {name} = "):
-                RunConfig.from_ini(path)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {named} differs from "
+                                  "preset fig3's "), err
+            assert not out.exists()
 
     def test_edited_preset_rejected_by_validate(self, tmp_path, capsys):
         # validate() used to pass it, and a run named fig3 in its summary,
@@ -489,14 +550,41 @@ class TestCli:
         assert code == 1
         assert "days" in capsys.readouterr().err
 
-    def test_analyze_chain_ratio_check(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source, prices, n_states", [
+        ("fig3", (10, 14), 168),
+        # designed at T = 12: one cycle of 338 classes, whose product tree
+        # carries odd levels up
+        ("[pricing]\nprice_mode = design\nmax_price = 199\n"
+         "[scenario]\nhorizon = 12\n", (139, 199), 4394),
+        # designed flow-cost prices at T = 12: 177 sublattices, each a
+        # birth-death chain solved in closed form
+        ("[model]\nsocietal_cost = flow\n[pricing]\nprice_mode = design\n"
+         "max_price = 177\n[scenario]\nhorizon = 12\n", (177, 177), 4602),
+        # the uniform CDF read at the thresholds +inf (poor cells) and -inf
+        # (wealthy cells)
+        ("[scenario]\nsensitivity_kind = uniform\nsensitivity_low = 0.5\n"
+         "sensitivity_high = 2.5\n", (10, 14), 168),
+        # T = 1 with p1 = r2: the ok band is empty and k_poor = k_rich
+        ("[pricing]\np1 = 5\nr2 = 5\n[scenario]\nhorizon = 1\n", (5, 5), 20),
+        # a narrow route 1: the designed toll exceeds the reward
+        ("[model]\nkappa_1 = 0.25\n[pricing]\nprice_mode = design\n"
+         "max_price = 14\n", (14, 7), 147),
+    ], ids=["fig3", "design", "flow", "uniform", "t1", "orient"])
+    def test_analyze_chain_ratio_check(self, source, prices, n_states,
+                                       tmp_path):
+        # the stationary flows split exactly r2 : p1
         out = tmp_path / "chain"
-        code = main(["analyze-chain", "--preset", "fig3", "--out", str(out)])
+        code = main(["analyze-chain", *config_args(source, tmp_path),
+                     "--out", str(out)])
         assert code == 0
-        summary = json.loads((out / "chain_summary.json").read_text())
-        assert summary["n_states"] == 168
-        assert summary["flow_ratio"] == pytest.approx(1.4, abs=1e-9)
-        assert summary["residual_l1"] <= 1e-10
+        summary = json.loads((out / "chain_summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["n_states"] == n_states
+        p1, r2 = prices
+        assert summary["prices"] == {"p1": p1, "r2": r2}
+        assert summary["flow_ratio"] == pytest.approx(r2 / p1, abs=1e-9)
+        assert summary["flow_ratio_error"] <= 1e-9
+        assert summary["residual_l1"] <= 1e-12
         assert (out / "a_matrix.txt").exists()
         assert (out / "stationary.csv").exists()
 
@@ -569,10 +657,23 @@ class TestCli:
         with pytest.raises(ValueError):
             _strict_json({"flow_ratio": float("nan")})
 
-    def test_design_prices_output(self, capsys):
-        assert main(["design-prices", "--preset", "fig3"]) == 0
-        out = capsys.readouterr().out
-        assert "(10, -14)" in out
+    @pytest.mark.parametrize("source, line", [
+        ("fig3", "integer prices (max_price 14): (10, -14)"),
+        ("fig5", "integer prices (max_price 13): (10, -13)"),
+        ("fig6", "integer prices (max_price 10): (10, -10)"),
+        # the flow-cost optimum splits exactly evenly; the pair keeps the
+        # max_price scale and is not reduced to (1, -1)
+        ("[model]\nsocietal_cost = flow\n[pricing]\nmax_price = 10\n"
+         "[scenario]\np_home = 0.6\n",
+         "integer prices (max_price 10): (10, -10)"),
+        # a narrow route 1 puts more optimal flow on route 2, so the toll
+        # exceeds the reward
+        ("[model]\nkappa_1 = 0.25\n[pricing]\nprice_mode = design\n"
+         "max_price = 14\n", "integer prices (max_price 14): (14, -7)"),
+    ], ids=["fig3", "fig5", "fig6", "even", "orient"])
+    def test_design_prices_output(self, source, line, tmp_path, capsys):
+        assert main(["design-prices", *config_args(source, tmp_path)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("ini, reason", [
         ("[model]\nd0_1 = 5.0\nd0_2 = 1.0\nalpha = 0.0\n",
@@ -606,12 +707,12 @@ class TestCli:
     def test_system_optimum_output(self, capsys):
         assert main(["system-optimum", "--preset", "fig3"]) == 0
         out = capsys.readouterr().out
-        assert "0.5595" in out or "0.56" in out
         # with neither --preset nor --config the defaults apply, which hold
         # fig3's model and demand
         assert main(["system-optimum"]) == 0
         assert capsys.readouterr().out == out
         assert "system optimum: (0.559564, 0.390436)\n" in out
+        assert "balanced societal cost: 1.900663355 (1.2792 x optimal)\n" in out
 
     @pytest.mark.parametrize("preset, ratio", [
         ("fig3", "1.2792"), ("fig5", "1.2540"), ("fig6", "1.4785")])
