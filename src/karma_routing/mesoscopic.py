@@ -411,9 +411,12 @@ def quantize_population(k, k_ref, p: PriceVector,
     counted over N + 2 cells; the sentinels' counts are the clamped agents,
     which are then folded into the end cells.  A NaN deviation raises
     ValueError naming the first such agent; so do a horizon that is not an
-    integer >= 1 and an empty population.
+    integer >= 1, an empty population, and k and k_ref of different shapes.
     """
     check_count("horizon", horizon)
+    if np.shape(k) != np.shape(k_ref):
+        raise ValueError(f"k has shape {np.shape(k)} but k_ref has shape "
+                         f"{np.shape(k_ref)}: one balance per agent")
     n = (horizon + 1) * p.total
     shift = horizon * p.r2
     # floor(k - k_ref) in float64, a new 1-d array floored in place: the

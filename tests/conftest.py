@@ -1,4 +1,4 @@
-"""Hypothesis profiles for the test suite.
+"""Hypothesis profiles for the test suite, and the bit-for-bit `same_bits`.
 
 ``tier1``, the default, derandomizes the draws and keeps no example
 database, so every run of one commit tests the same examples.  ``explore``,
@@ -10,6 +10,7 @@ way, since an explicit ``max_examples`` overrides the profile's.
 
 import os
 
+import numpy as np
 from hypothesis import settings
 
 EXPLORE_SCALE = 10
@@ -23,3 +24,10 @@ settings.load_profile(PROFILE)
 def examples(n: int) -> int:
     """A property's example count ``n`` under the loaded profile."""
     return n * EXPLORE_SCALE if PROFILE == "explore" else n
+
+
+def same_bits(got, want):
+    """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())

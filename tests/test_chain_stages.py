@@ -44,19 +44,12 @@ from karma_routing.mesoscopic import DiagonalMatrix
 from karma_routing.network import (SOCIETAL_DISCOMFORT, SOCIETAL_FLOW,
                                    check_count)
 
-from conftest import examples
+from conftest import examples, same_bits
 from test_mesoscopic import with_poor_edge
 
 EXP = SensitivitySpec()
 LAWS = [EXP, SensitivitySpec("uniform", 0.5, 2.5),
         SensitivitySpec("uniform", 0.0, 2.0)]
-
-
-def same_bits(got, want):
-    """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.shape == want.shape and got.dtype == want.dtype
-            and got.tobytes() == want.tobytes())
 
 
 def matmul_ref(a: DiagonalMatrix, v) -> np.ndarray:

@@ -135,10 +135,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="n_agents"):
             RunConfig(n_agents=2.5).validate()
         with pytest.raises(ValueError):
-            RunConfig(p_home=1.5).validate()
-        with pytest.raises(ValueError, match="p_home"):
-            RunConfig(p_home=1.0).validate()
-        with pytest.raises(ValueError):
             RunConfig(p1=0).validate()
         with pytest.raises(ValueError, match="unknown societal cost kind"):
             RunConfig(societal_cost="bogus").validate()
@@ -249,13 +245,6 @@ class TestRunConfig:
     def test_read_or_default_fields_accepted(self, changes):
         # each field holds its default or is read by its mode
         RunConfig(**changes).validate()
-
-    def test_negative_zero_karma_bound_runs(self, tmp_path):
-        # U[0, -0.0] used to end run in numpy's "high - low < 0"
-        path = tmp_path / "zero.ini"
-        path.write_text("[scenario]\nk_init_high = -0.0\n")
-        assert main(["run", "--config", str(path), "--days", "3",
-                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command", ["run", "analyze-chain"])
     def test_unusable_out_named(self, command, tmp_path, capsys,
@@ -400,6 +389,14 @@ RUNS = {
                 "sensitivity_low = 0.5\nsensitivity_high = 2.5\n", 20, {}),
     # 10 000 agents, whose histogram counts used to be truncated
     "m1e4": ("[scenario]\nn_agents = 10000\n", 5, {}),
+    "small": ("[scenario]\nn_agents = 60\nhorizon = 4\nseed = 2\n"
+              "[pricing]\np1 = 2\nr2 = 3\n", 4,
+              dict(seed=2, prices={"p1": 2, "r2": 3})),
+    # U[0, -0.0] used to end run in numpy's "high - low < 0"
+    "zero": ("[scenario]\nk_init_high = -0.0\n", 3, {}),
+    # (14, 20) at the default max_price = 20
+    "design50": ("[pricing]\nprice_mode = design\nmax_price = 50\n", 3,
+                 dict(prices={"p1": 35, "r2": 50})),
 }
 
 
@@ -415,39 +412,23 @@ class TestCli:
         assert (tmp_path / "chain" / "a_matrix.txt").exists()
         assert (tmp_path / "run" / "summary.json").exists()
 
-    def test_run_emits_files(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        code = main(["run", "--preset", "fig3", "--days", "6", "--seed", "4",
-                     "--out", str(out)])
-        assert code == 0
-        for name in ("run.csv", "karma_hist.csv", "summary.json", "config.ini"):
-            assert (out / name).exists()
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["days"] == 6
-        assert summary["prices"] == {"p1": 10, "r2": 14}
-        assert summary["preset"] == "fig3"
-        lines = (out / "run.csv").read_text().splitlines()
-        assert len(lines) == 7
-        assert capsys.readouterr().out.startswith("wrote")
-
-    def test_summary_json_keys_in_order(self, tmp_path):
-        # the file's schema: the library's 17 keys, in order, then preset;
-        # changing it is a declared format change
-        out = tmp_path / "o"
-        assert main(["run", "--preset", "fig3", "--days", "6",
-                     "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert list(summary) == SUMMARY_KEYS + ["preset"]
-
-    def test_run_replays_its_own_config(self, tmp_path):
+    def test_run_replays_its_own_config(self, tmp_path, capsys):
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["run", "--preset", "fig3", "--days", "6", "--seed", "4",
                      "--out", str(first)]) == 0
+        assert capsys.readouterr().out.startswith("wrote")
+        assert sorted(p.name for p in first.iterdir()) == [
+            "config.ini", "karma_hist.csv", "run.csv", "summary.json"]
+        # the file's schema: the library's 17 keys, in order, then preset;
+        # changing it is a declared format change
+        summary = json.loads((first / "summary.json").read_text())
+        assert list(summary) == SUMMARY_KEYS + ["preset"]
+        assert summary["days"] == 6 and summary["preset"] == "fig3"
+        assert summary["prices"] == {"p1": 10, "r2": 14}
+        assert len((first / "run.csv").read_text().splitlines()) == 7
         assert "preset = fig3" in (first / "config.ini").read_text()
         assert main(["run", "--config", str(first / "config.ini"),
                      "--out", str(again)]) == 0
-        summary = json.loads((again / "summary.json").read_text())
-        assert summary["preset"] == "fig3"
         for name in ("run.csv", "summary.json", "config.ini"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
 
@@ -569,7 +550,13 @@ class TestCli:
         # a narrow route 1: the designed toll exceeds the reward
         ("[model]\nkappa_1 = 0.25\n[pricing]\nprice_mode = design\n"
          "max_price = 14\n", (14, 7), 147),
-    ], ids=["fig3", "design", "flow", "uniform", "t1", "orient"])
+        # everyone travels: no stay-home diagonal
+        ("fig5", (10, 13), 161),
+        ("[pricing]\np1 = 2\nr2 = 3\n[scenario]\nhorizon = 3\n", (2, 3), 20),
+        # (14, 20) at the default max_price = 20
+        ("[pricing]\nprice_mode = design\nmax_price = 50\n", (35, 50), 595),
+    ], ids=["fig3", "design", "flow", "uniform", "t1", "orient", "fig5",
+            "small", "design50"])
     def test_analyze_chain_ratio_check(self, source, prices, n_states,
                                        tmp_path):
         # the stationary flows split exactly r2 : p1
@@ -577,6 +564,8 @@ class TestCli:
         code = main(["analyze-chain", *config_args(source, tmp_path),
                      "--out", str(out)])
         assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a_matrix.txt", "chain_summary.json", "stationary.csv"]
         summary = json.loads((out / "chain_summary.json").read_text(),
                              parse_constant=reject_constant)
         assert summary["n_states"] == n_states
@@ -585,19 +574,15 @@ class TestCli:
         assert summary["flow_ratio"] == pytest.approx(r2 / p1, abs=1e-9)
         assert summary["flow_ratio_error"] <= 1e-9
         assert summary["residual_l1"] <= 1e-12
-        assert (out / "a_matrix.txt").exists()
-        assert (out / "stationary.csv").exists()
-
-    def test_analyze_chain_everyone_traveling(self, tmp_path):
-        out = tmp_path / "c"
-        code = main(["analyze-chain", "--preset", "fig5", "--out", str(out)])
-        assert code == 0
-        summary = json.loads((out / "chain_summary.json").read_text())
-        assert summary["p_home"] == 0.0
-        assert summary["flow_ratio"] == pytest.approx(1.3, abs=1e-9)
-        assert summary["residual_l1"] <= 1e-12
-        assert sorted(p.name for p in out.iterdir()) == [
-            "a_matrix.txt", "chain_summary.json", "stationary.csv"]
+        p_home = (get_preset(source) if source in PRESETS
+                  else RunConfig.from_ini(tmp_path / "c.ini")).p_home
+        assert summary["p_home"] == p_home
+        assert sum(summary["flows"]) == pytest.approx(1 - p_home, abs=1e-12)
+        # the shifted diagonals: slow +r2, fast -p1, and stay-home 0
+        lines = (out / "a_matrix.txt").read_text().splitlines()
+        offsets = {int(r) - int(c) for r, c, _ in map(str.split, lines)}
+        assert offsets - {0} == {r2, -p1}
+        assert (0 in offsets) == (p_home > 0)
 
     def test_analyze_chain_solves_before_writing(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -738,31 +723,25 @@ class TestCli:
         assert ("system optimum: (1.00000e-08, 0.00000)"
                 in capsys.readouterr().out)
 
-    @pytest.mark.parametrize("d0, verdict", [
-        ((5.0, 1.0), "route 2 dominates: d1 >= d2"),
-        ((1.0, 5.0), "route 1 dominates: d1 < d2"),
-        ((2.0, 2.0), "the routes tie: d1 = d2"),
-    ], ids=["route2", "route1", "tie"])
-    def test_system_optimum_names_the_dominant_route(self, d0, verdict,
-                                                     tmp_path, capsys):
+    @pytest.mark.parametrize("ini, verdict", [
         # constant costs never cross: one route dominates, or the two tie
-        path = tmp_path / "flat.ini"
-        path.write_text(f"[model]\nd0_1 = {d0[0]}\nd0_2 = {d0[1]}\n"
-                        "alpha = 0.0\n")
-        assert main(["system-optimum", "--config", str(path)]) == 0
-        assert (f"balanced flow: none ({verdict} over the whole range)"
-                in capsys.readouterr().out)
-
-    def test_system_optimum_touching_routes_do_not_tie(self, tmp_path,
-                                                       capsys):
+        ("[model]\nd0_1 = 5.0\nd0_2 = 1.0\nalpha = 0.0\n",
+         "route 2 dominates: d1 >= d2"),
+        ("[model]\nd0_1 = 1.0\nd0_2 = 5.0\nalpha = 0.0\n",
+         "route 1 dominates: d1 < d2"),
+        ("[model]\nd0_1 = 2.0\nd0_2 = 2.0\nalpha = 0.0\n",
+         "the routes tie: d1 = d2"),
         # d1(0) = d2(1) = 2 exactly, but d1(1) = 6 > d2(0) = 1: d1 >= d2
         # throughout with equality at one end only, which is no tie
-        path = tmp_path / "touch.ini"
-        path.write_text("[scenario]\np_home = 0.0\n[model]\nd0_1 = 2.0\n"
-                        "d0_2 = 1.0\nkappa_2 = 1.0\nalpha = 1.0\nbeta = 1.0\n")
-        assert main(["system-optimum", "--config", str(path)]) == 0
-        assert ("balanced flow: none (route 2 dominates: d1 >= d2 over the "
-                "whole range)" in capsys.readouterr().out)
+        ("[scenario]\np_home = 0.0\n[model]\nd0_1 = 2.0\nd0_2 = 1.0\n"
+         "kappa_2 = 1.0\nalpha = 1.0\nbeta = 1.0\n",
+         "route 2 dominates: d1 >= d2"),
+    ], ids=["route2", "route1", "tie", "touching"])
+    def test_system_optimum_names_the_dominant_route(self, ini, verdict,
+                                                     tmp_path, capsys):
+        assert main(["system-optimum", *config_args(ini, tmp_path)]) == 0
+        assert (f"balanced flow: none ({verdict} over the whole range)"
+                in capsys.readouterr().out)
 
     @pytest.mark.parametrize("argv", [
         ["design-prices", "--preset", "fig3", "--seed", "1"],
@@ -786,44 +765,6 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("command", ["run", "analyze-chain"])
-    def test_design_config_sets_max_price(self, command, tmp_path):
-        out = tmp_path / "o"
-        path = tmp_path / "design.ini"
-        path.write_text("[pricing]\nprice_mode = design\nmax_price = 50\n"
-                        "[run]\ndays = 3\n")
-        assert main([command, "--config", str(path), "--out", str(out)]) == 0
-        summary = "summary.json" if command == "run" else "chain_summary.json"
-        # (14, 20) at the default max_price = 20
-        assert json.loads((out / summary).read_text())["prices"] == {
-            "p1": 35, "r2": 50}
-
-    def test_analyze_chain_small_matrix_structure(self, tmp_path):
-        cfg = RunConfig(p1=2, r2=3, horizon=3, p_home=0.05)
-        path = tmp_path / "small.ini"
-        cfg.to_ini(path)
-        out = tmp_path / "c"
-        assert main(["analyze-chain", "--config", str(path),
-                     "--out", str(out)]) == 0
-        summary = json.loads((out / "chain_summary.json").read_text())
-        assert summary["n_states"] == 20
-        # two shifted diagonals: slow +r2, fast -p1, plus the stay-home one
-        entries = [line.split() for line in
-                   (out / "a_matrix.txt").read_text().splitlines()]
-        offsets = {int(r) - int(c) for r, c, _ in entries}
-        assert offsets == {0, 3, -2}
-
-    def test_config_file_drives_run(self, tmp_path):
-        cfg = RunConfig(n_agents=60, days=4, seed=2, p1=2, r2=3, horizon=4)
-        path = tmp_path / "small.ini"
-        cfg.to_ini(path)
-        out = tmp_path / "o"
-        code = main(["run", "--config", str(path), "--out", str(out)])
-        assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["days"] == 4
-        assert summary["prices"] == {"p1": 2, "r2": 3}
 
 
 # the package's exports; adding or removing one means editing this set

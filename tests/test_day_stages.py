@@ -23,7 +23,7 @@ from karma_routing import (ArcCostModel, InfeasibleKarmaError, PriceVector,
 from karma_routing.agent import check_floor, fast_mask
 from karma_routing.network import SOCIETAL_DISCOMFORT, SOCIETAL_FLOW
 
-from conftest import examples
+from conftest import examples, same_bits
 
 
 def fast_mask_ref(k, s, traveling, th, p):
@@ -54,13 +54,6 @@ def compute_metrics_ref(fast, traveling, s, n1, n2, d, k, model):
                / (d1 * n1 + d2 * n2))
     delta_s = (s_all - n_travel) / k.size
     return delta_d, delta_s, mean_karma, cost
-
-
-def same_bits(got, want):
-    """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
-    got, want = np.asarray(got), np.asarray(want)
-    return (got.shape == want.shape and got.dtype == want.dtype
-            and got.tobytes() == want.tobytes())
 
 
 def float_bits(values):

@@ -128,15 +128,6 @@ class TestRunScenario:
                          PriceVector(10, 14), 60)
         assert c.records != a.records
 
-    def test_karma_floor_never_violated(self):
-        sc = scenario(n_agents=500, seed=5)
-        p = PriceVector(10, 14)
-        pop = init_population(sc, p)
-        k_inf = np.maximum(0.0, pop.k_ref - (sc.horizon + 1) * p.r2)
-        for _ in range(150):
-            simulate_day(pop, BPR, p, COST_STAR)
-            assert np.all(pop.k >= k_inf - 1e-12)
-
     def test_fast_route_always_affordable(self):
         sc = scenario(n_agents=500, seed=6)
         p = PriceVector(10, 14)
