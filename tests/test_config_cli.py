@@ -412,23 +412,41 @@ class TestCli:
         assert (tmp_path / "chain" / "a_matrix.txt").exists()
         assert (tmp_path / "run" / "summary.json").exists()
 
-    def test_run_replays_its_own_config(self, tmp_path, capsys):
+    def test_run_emits_files(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--preset", "fig3", "--days", "6", "--seed", "4",
+                     "--out", str(out)])
+        assert code == 0
+        for name in ("run.csv", "karma_hist.csv", "summary.json", "config.ini"):
+            assert (out / name).exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["days"] == 6
+        assert summary["prices"] == {"p1": 10, "r2": 14}
+        assert summary["preset"] == "fig3"
+        lines = (out / "run.csv").read_text().splitlines()
+        assert len(lines) == 7
+        assert capsys.readouterr().out.startswith("wrote")
+
+    def test_summary_json_keys_in_order(self, tmp_path):
+        # the file's schema: the library's 17 keys, in order, then preset;
+        # changing it is a declared format change
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "fig3", "--days", "6",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == SUMMARY_KEYS + ["preset"]
+
+    def test_run_replays_its_own_config(self, tmp_path):
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["run", "--preset", "fig3", "--days", "6", "--seed", "4",
                      "--out", str(first)]) == 0
-        assert capsys.readouterr().out.startswith("wrote")
         assert sorted(p.name for p in first.iterdir()) == [
             "config.ini", "karma_hist.csv", "run.csv", "summary.json"]
-        # the file's schema: the library's 17 keys, in order, then preset;
-        # changing it is a declared format change
-        summary = json.loads((first / "summary.json").read_text())
-        assert list(summary) == SUMMARY_KEYS + ["preset"]
-        assert summary["days"] == 6 and summary["preset"] == "fig3"
-        assert summary["prices"] == {"p1": 10, "r2": 14}
-        assert len((first / "run.csv").read_text().splitlines()) == 7
         assert "preset = fig3" in (first / "config.ini").read_text()
         assert main(["run", "--config", str(first / "config.ini"),
                      "--out", str(again)]) == 0
+        summary = json.loads((again / "summary.json").read_text())
+        assert summary["preset"] == "fig3"
         for name in ("run.csv", "summary.json", "config.ini"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
 

@@ -371,6 +371,13 @@ class TestStationary:
         ref = ref / ref.sum()
         assert np.allclose(pe, ref, atol=1e-10)
 
+    def test_matches_dense_solver(self):
+        for p, t in [(PriceVector(2, 3), 3), (PriceVector(10, 13), 6)]:
+            ch = build_chain(p, t, 0.05, EXP)
+            a = stationary_distribution(ch)
+            b = stationary_distribution_dense(ch)
+            assert np.abs(a - b).max() <= 1e-9
+
     @pytest.mark.parametrize("sens", [SensitivitySpec(),
                                       SensitivitySpec("uniform", 0.5, 2.5)],
                              ids=["exp1", "unif0.5-2.5"])
@@ -434,9 +441,6 @@ class TestStationary:
     @example(p=[8, 9], t=3, ph=0.05, sens=EXP)
     @example(p=[16, 17], t=2, ph=0.05, sens=EXP)
     @example(p=[5, 5], t=8, ph=0.5, sens=SensitivitySpec("uniform", 0.5, 2.5))
-    # a small chain and fig5's prices at p_home = 0.05
-    @example(p=[2, 3], t=3, ph=0.05, sens=EXP)
-    @example(p=[10, 13], t=6, ph=0.05, sens=EXP)
     def test_product_tree_matches_dense(self, p, t, ph, sens):
         price = PriceVector(*p)
         ch = build_chain(price, t, ph, sens)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, PriceVector, RunConfig, Scenario,
                            SensitivitySpec, balanced_flow, build_chain,
@@ -154,6 +154,14 @@ class TestSystemOptimum:
 
 
 class TestBalancedFlow:
+    def test_crossing_near_080(self):
+        for p_go in (0.95, 1.0):
+            x = balanced_flow(BPR, p_go)
+            assert x is not None
+            assert x[0] == pytest.approx(0.80, abs=0.01)
+            d = BPR.discomfort(x)
+            assert abs(d[0] - d[1]) <= 1e-6
+
     def test_no_crossing_returns_none(self):
         m = ArcCostModel(d0=(1.0, 10.0), alpha=0.0)
         assert balanced_flow(m, 0.95) is None
@@ -165,9 +173,6 @@ class TestBalancedFlow:
 
     @settings(max_examples=examples(200), deadline=None)
     @given(model=MODELS, p_go=st.floats(0.0, 1.0, exclude_min=True))
-    # the paper's crossing near x1 = 0.80 (acceptance 06)
-    @example(model=BPR, p_go=0.95)
-    @example(model=BPR, p_go=1.0)
     def test_crossing_balances_the_discomforts(self, model, p_go):
         # the bisection's split, checked with the public discomfort pair
         x = balanced_flow(model, p_go)
