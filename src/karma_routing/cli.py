@@ -3,8 +3,9 @@
 Subcommands:
     run             repeated-game simulation; writes run.csv, karma_hist.csv,
                     summary.json and the resolved config.ini
-    analyze-chain   karma-distribution chain: matrix dump, stationary
-                    distribution, induced flows and the ratio check
+    analyze-chain   karma-distribution chain: the stationary distribution
+                    with each cell's band, threshold and slow-route
+                    probability, the induced flows and the ratio check
     design-prices   conservation price ratio and its integer rounding
     system-optimum  optimal split of the daily demand, and the balanced
                     (selfish) flow with its cost ratio to the optimum
@@ -69,13 +70,13 @@ from .config import PRESETS, RunConfig, get_preset
 from .errors import (DegenerateOptimumError, InfeasibleHorizonError,
                      KarmaRoutingError)
 from .mesoscopic import (build_chain, equilibrium_flows, save_distribution_csv,
-                         save_matrix_coo, stationary_distribution,
-                         step_distribution)
+                         stationary_distribution, step_distribution)
 from .network import _crossing, system_optimum
 from .pricing import design_prices
 from .simulation import run_scenario
 
 log = logging.getLogger("karma_routing")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -158,11 +159,9 @@ def cmd_analyze_chain(args) -> int:
     }
 
     text = _strict_json(summary)
-    save_matrix_coo(chain, out / "a_matrix.txt")
     save_distribution_csv(chain, dist, out / "stationary.csv")
     (out / "chain_summary.json").write_text(text, encoding="utf-8")
-    print(f"wrote {out / 'a_matrix.txt'}, {out / 'stationary.csv'}, "
-          f"{out / 'chain_summary.json'}")
+    print(f"wrote {out / 'stationary.csv'}, {out / 'chain_summary.json'}")
     print(f"N = {chain.n_states}; flows = ({flows[0]:.6f}, {flows[1]:.6f}); "
           f"x1/x2 = {ratio:.9f} vs r2/p1 = {prices.r2 / prices.p1:.9f}; "
           f"residual = {residual:.2e}")
@@ -260,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     level = os.environ.get("KARMA_LOG_LEVEL", "WARNING").upper()
-    if not isinstance(logging.getLevelName(level), int):
+    if level not in LOG_LEVELS:
         print(f"error: KARMA_LOG_LEVEL = {level!r} is not a level; valid "
-              "levels: DEBUG, INFO, WARNING, ERROR, CRITICAL", file=sys.stderr)
+              f"levels: {', '.join(LOG_LEVELS)}", file=sys.stderr)
         return 2
     logging.basicConfig(level=level,
                         format="%(levelname)s %(name)s: %(message)s")

@@ -443,23 +443,19 @@ def quantize_population(k, k_ref, p: PriceVector,
     return hist[1:-1] / dev.size, clamped
 
 
-def save_matrix_coo(chain: KarmaChain, path) -> None:
-    """Write A's nonzero entries as 'row column value' lines (1-based)."""
-    a = chain.a
-    spans = [(np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop),
-              a.data[k, cols]) for k, cols, rows in a._spans]
-    row, col, val = map(np.concatenate, zip(*spans))
-    order = np.lexsort((col, row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(row[order], col[order], val[order]):
-            if v != 0:
-                fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
-
-
 def save_distribution_csv(chain: KarmaChain, dist, path) -> None:
-    """Write a cell distribution as 'index,deviation,probability' CSV."""
+    """Write a cell distribution as CSV, one row per cell: index (1-based),
+    karma_deviation, probability, band (poor, ok, rich or wealthy), theta
+    (`KarmaChain.theta`, inf and -inf included) and p_slow (`chill_prob`),
+    which with p_home is A.  Numbers are Python floats' reprs, so every
+    numpy writes the same bytes."""
     dist = _check_distribution(chain, dist)
+    edges = _band_edges(chain.prices, chain.horizon)
+    bands = np.repeat(("poor", "ok", "rich", "wealthy"), np.diff(edges))
+    rows = zip(dist.tolist(), bands.tolist(), chain.theta.tolist(),
+               chain.chill_prob.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,karma_deviation,probability\n")
-        for i, prob in enumerate(dist):
-            fh.write(f"{i + 1},{int(chain.deviation_of_cell(i))},{float(prob)!r}\n")
+        fh.write("index,karma_deviation,probability,band,theta,p_slow\n")
+        for i, (prob, band, theta, slow) in enumerate(rows):
+            fh.write(f"{i + 1},{int(chain.deviation_of_cell(i))},{prob!r},"
+                     f"{band},{theta!r},{slow!r}\n")

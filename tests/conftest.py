@@ -6,15 +6,19 @@ selected by ``HYPOTHESIS_PROFILE=explore``, draws random examples, ten times
 as many; pin what it finds as an ``@example`` of the property.  A property
 that sets its own count takes it from `examples`, which scales it the same
 way, since an explicit ``max_examples`` overrides the profile's.
+``mutate`` (tests/mutate.py) is ``tier1`` without shrinking, so a property
+that fails on a mutant costs one run.
 """
 
 import os
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 EXPLORE_SCALE = 10
 settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("mutate", derandomize=True, database=None,
+                          phases=set(Phase) - {Phase.shrink, Phase.explain})
 settings.register_profile(
     "explore", max_examples=EXPLORE_SCALE * settings.default.max_examples)
 PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")

@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,7 +24,8 @@ from karma_routing.cli import _strict_json, main
 from karma_routing.config import PRICE_DESIGN
 from karma_routing.simulation import run_optimum
 
-from conftest import examples
+from conftest import examples, same_bits
+from mutate import MUTANTS, mutated
 
 
 README = Path(__file__).parents[1] / "README.md"
@@ -123,6 +125,11 @@ class TestRunConfig:
         assert len(citations) >= 7
         missing = [c for c in citations if not cited_test_exists(*c)]
         assert missing == []
+
+    def test_mutants_match_the_source(self):
+        # `mutated` raises unless the edit's old text occurs exactly once
+        assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+        assert all(m.old != m.new and mutated(m) for m in MUTANTS)
 
     def test_validation_failures(self):
         with pytest.raises(ValueError):
@@ -264,15 +271,14 @@ class TestRunConfig:
             assert err == f"error: {out}: {why}\n", err
         assert blocker.read_text() == ""
 
-    def test_bad_log_level_named(self, monkeypatch, capsys):
-        # it used to end in basicConfig's "Unknown level" traceback
-        monkeypatch.setenv("KARMA_LOG_LEVEL", "bogus")
+    @pytest.mark.parametrize("name", ["bogus", "notset", "warn", "fatal"])
+    def test_bad_log_level_named(self, name, monkeypatch, capsys):
+        # bogus used to end in a traceback; NOTSET, WARN and FATAL passed
+        monkeypatch.setenv("KARMA_LOG_LEVEL", name)
         assert main(["system-optimum", "--preset", "fig3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: KARMA_LOG_LEVEL = 'BOGUS' is not a level; valid levels: "
-            "DEBUG, INFO, WARNING, ERROR, CRITICAL\n")
+        assert capsys.readouterr() == ("", (
+            f"error: KARMA_LOG_LEVEL = '{name.upper()}' is not a level; "
+            "valid levels: DEBUG, INFO, WARNING, ERROR, CRITICAL\n"))
 
     def test_unreadable_config_named(self, tmp_path, capsys):
         # a directory used to end in an IsADirectoryError traceback, and a
@@ -409,7 +415,7 @@ class TestCli:
                               env=env, capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "chain" / "a_matrix.txt").exists()
+        assert (tmp_path / "chain" / "stationary.csv").exists()
         assert (tmp_path / "run" / "summary.json").exists()
 
     def test_run_emits_files(self, tmp_path, capsys):
@@ -583,7 +589,7 @@ class TestCli:
                      "--out", str(out)])
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "a_matrix.txt", "chain_summary.json", "stationary.csv"]
+            "chain_summary.json", "stationary.csv"]
         summary = json.loads((out / "chain_summary.json").read_text(),
                              parse_constant=reject_constant)
         assert summary["n_states"] == n_states
@@ -592,15 +598,26 @@ class TestCli:
         assert summary["flow_ratio"] == pytest.approx(r2 / p1, abs=1e-9)
         assert summary["flow_ratio_error"] <= 1e-9
         assert summary["residual_l1"] <= 1e-12
-        p_home = (get_preset(source) if source in PRESETS
+        p_home = (cfg := get_preset(source) if source in PRESETS
                   else RunConfig.from_ini(tmp_path / "c.ini")).p_home
         assert summary["p_home"] == p_home
         assert sum(summary["flows"]) == pytest.approx(1 - p_home, abs=1e-12)
-        # the shifted diagonals: slow +r2, fast -p1, and stay-home 0
-        lines = (out / "a_matrix.txt").read_text().splitlines()
-        offsets = {int(r) - int(c) for r, c, _ in map(str.split, lines)}
-        assert offsets - {0} == {r2, -p1}
-        assert (0 in offsets) == (p_home > 0)
+        # the written files certify the chain: no move leaves the lattice,
+        # and a step from p_home and p_slow moves P by at most 1e-12 in L1
+        rows = list(csv.DictReader((out / "stationary.csv").read_text()
+                                   .splitlines()))
+        dist, slow, theta = (np.array([float(r[key]) for r in rows])
+                             for key in ("probability", "p_slow", "theta"))
+        assert dist.size == n_states
+        assert not slow[-r2:].any() and (slow[:p1] == 1.0).all()
+        step = p_home * dist
+        step[r2:] += (1 - p_home) * slow[:-r2] * dist[:-r2]
+        step[:-p1] += (1 - p_home) * (1.0 - slow[p1:]) * dist[p1:]
+        assert np.abs(step - dist).sum() <= 1e-12
+        band = np.array([r["band"] for r in rows])
+        assert np.array_equal(band == "poor", theta == np.inf)
+        assert np.array_equal(band == "wealthy", theta == -np.inf)
+        assert same_bits(slow, cfg.sensitivity().cdf(theta))
 
     def test_analyze_chain_solves_before_writing(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -613,7 +630,7 @@ class TestCli:
         code = main(["analyze-chain", "--preset", "fig3", "--out", str(out)])
         assert code == 1
         assert "not certified" in capsys.readouterr().err
-        assert not (out / "a_matrix.txt").exists()
+        assert not (out / "stationary.csv").exists()
         assert stale.read_text() == '{"stale": true}'
 
     @pytest.mark.parametrize("command", ["run", "analyze-chain"])

@@ -1,3 +1,4 @@
+import csv
 import re
 from dataclasses import replace
 
@@ -11,10 +12,9 @@ from karma_routing import (ArcCostModel, ConvergenceError, PriceVector,
                            stationary_distribution, step_distribution,
                            thresholds)
 from karma_routing import mesoscopic
-from karma_routing.mesoscopic import (DiagonalMatrix, save_distribution_csv,
-                                      save_matrix_coo)
+from karma_routing.mesoscopic import DiagonalMatrix, save_distribution_csv
 
-from conftest import examples
+from conftest import examples, same_bits
 from day_rule import integer_histogram
 from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
                      plan_oracle, stationary_distribution_dense)
@@ -136,7 +136,7 @@ class TestBuildChain:
     @pytest.mark.parametrize("p", [(2, 3), (10, 14), (78, 78)])
     @pytest.mark.parametrize("t", [1, 6])
     @pytest.mark.parametrize("ph", [0.0, 0.05])
-    def test_matrices_match_loop_construction(self, p, t, ph, tmp_path):
+    def test_matrices_match_loop_construction(self, p, t, ph):
         ch = build_chain(PriceVector(*p), t, ph, EXP)
         n = ch.n_states
         a = dense(ch)
@@ -156,19 +156,10 @@ class TestBuildChain:
         expect = np.array([(np.triu(a, 1) @ v).sum(), (np.tril(a, -1) @ v).sum()])
         assert np.abs(equilibrium_flows(ch, v) - expect).max() <= 1e-15
 
-        # one line per positive entry in (row, column) order; at p_home = 0
-        # there is no diagonal line although the diagonal is stored
-        path = tmp_path / "a.txt"
-        save_matrix_coo(ch, path)
-        written = [line.split() for line in path.read_text().splitlines()]
-        assert [(int(r) - 1, int(c) - 1) for r, c, _ in written] == list(zip(rows, cols))
-        assert all(float(val) > 0.0 for _, _, val in written)
-        assert any(r == c for r, c, _ in written) == (ph > 0.0)
-
 
 class TestDiagonalMatrix:
     @pytest.mark.parametrize("n", [1, 2, 6, 13])
-    def test_entries_off_the_matrix_are_ignored(self, n, tmp_path):
+    def test_entries_off_the_matrix_are_ignored(self, n):
         # every slot is nonzero but one, so each diagonal holds entries whose
         # row falls off the matrix; offsets -(n+1) and n hold none in range,
         # and for n <= 3 neither do -2 and 3
@@ -185,15 +176,6 @@ class TestDiagonalMatrix:
             sums += d.sum(axis=0)
         assert np.array_equal(m @ v, product)
         assert np.array_equal(m.sum(axis=0), sums)
-
-        # the dump writes the nonzero in-range entries in (row, column)
-        # order; it reads nothing of the chain but its matrix
-        ref = sum(diagonals)
-        chain = replace(build_chain(PriceVector(1, 1), 1, 0.0, EXP), a=m)
-        path = tmp_path / "a.txt"
-        save_matrix_coo(chain, path)
-        assert path.read_text().splitlines() == [
-            f"{r + 1} {c + 1} {float(ref[r, c])!r}" for r, c in zip(*np.nonzero(ref))]
 
     def test_sums_columns_only(self):
         m = build_chain(PriceVector(2, 3), 3, 0.05, EXP).a
@@ -681,24 +663,21 @@ class TestQuantize:
 
 class TestDumps:
     def test_matrix_and_distribution_files(self, tmp_path):
+        # the file states the rule: bands of widths p1, (T-1)(p1+r2), p1+r2
+        # and r2, theta, P and a p_slow that rebuilds A, all bit for bit
         ch = build_chain(PriceVector(2, 3), 3, 0.05, EXP)
         pe = stationary_distribution(ch)
-        mpath = tmp_path / "a.txt"
-        save_matrix_coo(ch, mpath)
-        rows = [line.split() for line in mpath.read_text().splitlines()]
-        assert len(rows) == np.count_nonzero(dense(ch) > 0)
-        rebuilt = np.zeros((ch.n_states, ch.n_states))
-        for r, c, v in rows:
-            rebuilt[int(r) - 1, int(c) - 1] = float(v)
-        assert np.allclose(rebuilt, dense(ch))
-
-        dpath = tmp_path / "pe.csv"
-        save_distribution_csv(ch, pe, dpath)
-        lines = dpath.read_text().splitlines()
-        assert lines[0] == "index,karma_deviation,probability"
-        assert len(lines) == ch.n_states + 1
-        probs = np.array([float(line.split(",")[2]) for line in lines[1:]])
-        assert np.allclose(probs, pe)
+        path = tmp_path / "pe.csv"
+        save_distribution_csv(ch, pe, path)
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert ",".join(rows[0]) == (
+            "index,karma_deviation,probability,band,theta,p_slow")
+        assert [r["band"] for r in rows] == (
+            ["poor"] * 2 + ["ok"] * 10 + ["rich"] * 5 + ["wealthy"] * 3)
+        theta, probs, chill = (np.array([float(r[key]) for r in rows])
+                               for key in ("theta", "probability", "p_slow"))
+        assert same_bits(theta, ch.theta) and same_bits(probs, pe)
+        assert same_bits(dense(replace(ch, chill_prob=chill)), dense(ch))
 
 
 def test_sensitivity_cdf_edges():
