@@ -18,7 +18,7 @@ from hypothesis import Phase, settings
 EXPLORE_SCALE = 10
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("mutate", derandomize=True, database=None,
-                          phases=set(Phase) - {Phase.shrink, Phase.explain})
+                          phases=set(Phase) - {Phase.shrink})
 settings.register_profile(
     "explore", max_examples=EXPLORE_SCALE * settings.default.max_examples)
 PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")

@@ -9,11 +9,11 @@ so that a failing property costs one run.  It prints the kill matrix as
 JSON, each mutant's name -> the ids of the tests that failed on it, and
 exits 1 if a mutant survives (no test fails on it):
 
-    python tests/mutate.py [NAME ...] > kill_matrix.json
+    python tests/mutate.py > kill_matrix.json
 
-Names pick mutants; with none, all run.  Progress and wall times go to
-stderr.  Pytest does not collect this file; the tier-1 test `DRIFT` checks
-at every commit that each ``old`` still occurs exactly once.
+Progress and wall times go to stderr.  Pytest does not collect this file;
+the tier-1 test `DRIFT` checks at every commit that each ``old`` still
+occurs exactly once.
 """
 
 from __future__ import annotations
@@ -104,12 +104,8 @@ def failing_tests(copy: Path) -> list[str]:
                   or case.find("error") is not None)
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    texts = [mutated(m) for m in chosen]  # every edit applies, or none runs
+def main() -> int:
+    texts = [mutated(m) for m in MUTANTS]  # every edit applies, or none runs
     start = time.perf_counter()
     matrix = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,7 +114,7 @@ def main(names: list[str]) -> int:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
         if failed := failing_tests(copy):
             raise SystemExit(f"tier-1 fails unmutated: {failed}")
-        for mutant, text in zip(chosen, texts):
+        for mutant, text in zip(MUTANTS, texts):
             target = copy / mutant.file
             original = target.read_text(encoding="utf-8")
             target.write_text(text, encoding="utf-8")
@@ -137,4 +133,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
