@@ -3,8 +3,8 @@ the quantized chain's integer lattice.
 
 `wardrop_equilibrium` checks each agent against its feasibility floor and
 then takes the rule's mask, from breakpoints that `thresholds` built once
-per set of k_ref.  `fast_routes` is those two per-day steps.
-`equilibrium_ref` is the day's equilibrium with the rule always applied.
+per set of k_ref.  `fast_routes` is those two per-day steps.  `same_day`
+compares two days' (fast, n1, n2, regime, d) tuples.
 `integer_histogram` runs the day loop on a floored population.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 from karma_routing import init_population, quantize_population, simulate_day
 from karma_routing.agent import check_floor, fast_mask
 from karma_routing.simulation import run_optimum
-from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
 
 def fast_routes(k, s, th, p):
@@ -29,36 +28,6 @@ def fast_routes(k, s, th, p):
     k = np.asarray(k, dtype=float)
     check_floor(k, th.k_inf)
     return fast_mask(k, np.asarray(s, dtype=float), True, th, p)
-
-
-def equilibrium_ref(k, s, traveling, th, model, p):
-    """`wardrop_equilibrium` without its lower-bound test: one sweep of the
-    rule, then, if it fails d1 < d2, all slow when d1 >= d2 on an empty
-    fast route, else the bisection on [0, the sweep's count] and the
-    balanced split.  The same arguments and result tuple."""
-    check_floor(k, th.k_inf)
-    m = k.size
-    n_travel = int(np.count_nonzero(traveling))
-    fast = fast_mask(k, s, traveling, th, p)
-    n1 = int(np.count_nonzero(fast))
-    d1, d2 = model._delay
-    d = (d1(n1 / m), d2((n_travel - n1) / m))
-    if n_travel == 0 or d[0] < d[1]:
-        return fast, n1, n_travel - n1, CONTROLLED, d
-    if d1(0.0) >= d2(n_travel / m):
-        fast, n1, regime = np.zeros(m, dtype=bool), 0, CONTROLLED
-    else:
-        lo, hi = 0, n1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if d1(mid / m) <= d2((n_travel - mid) / m):
-                lo = mid
-            else:
-                hi = mid - 1
-        n1, regime = lo, UNCONTROLLED
-        fast = _balanced_split(k, traveling, th.k_poor, n1)
-    d = (d1(n1 / m), d2((n_travel - n1) / m))
-    return fast, n1, n_travel - n1, regime, d
 
 
 def same_day(got, want):

@@ -59,6 +59,10 @@ MUTANTS = (
            "fast * float(p.total)", "fast * float(p.total + 1)"),
     Mutant("count-bisection-strict", WARDROP,
            "if d1(mid / m) <= d2(", "if d1(mid / m) < d2("),
+    Mutant("n-lb-plus-one", WARDROP,
+           "- (m - n_travel)", "- (m - n_travel) + 1"),
+    Mutant("n-lb-minus-one", WARDROP,
+           "- (m - n_travel)", "- (m - n_travel) - 1"),
     Mutant("balanced-split-one-later", WARDROP,
            "fast[idx[n_fast]:]", "fast[idx[n_fast] + 1:]"),
     Mutant("delta-s-over-m-minus-1", SIM,

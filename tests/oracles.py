@@ -4,8 +4,8 @@ Each solves the same problem as the library by a direct method that shares
 none of its algorithm:
 
 - `plan_oracle` enumerates an agent's two-stage plan, against the
-  closed-form threshold rule (`thresholds` and `fast_mask`) and the chain's
-  per-cell threshold theta;
+  closed-form threshold rule (`thresholds` and `fast_mask`) off its ulp
+  edges and the chain's per-cell threshold theta;
 - `dense_transition_matrix` lays the chain's rule out cell by cell as a
   dense A, against the diagonals `build_chain` stores;
 - `stationary_distribution_dense` solves (A - I)P = 0 densely on that A,
@@ -13,17 +13,23 @@ none of its algorithm:
 - `day_metrics_oracle` sums the day's metrics over the gathered travelers,
   against the per-route sums of `compute_metrics`;
 - `balanced_count_oracle` scans every fast count of an uncontrolled day,
-  against the integer bisection of `wardrop_equilibrium`.
+  for `equilibrium_oracle`, where the library bisects;
+- `equilibrium_oracle` builds the day by its definition from the two
+  above, against `wardrop_equilibrium`.
+
+They read the library only through its public names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import fsum, gcd
 
 import numpy as np
 
-from karma_routing import InfeasibleKarmaError, KarmaChain, PriceVector
+from karma_routing import (CONTROLLED, UNCONTROLLED, InfeasibleKarmaError,
+                           KarmaChain, PriceVector)
 from karma_routing.network import SOCIETAL_DISCOMFORT
 
 # `plan_oracle`'s route codes
@@ -43,6 +49,13 @@ class PlanOutcome:
     choice: int
     future_split: tuple[float, float]  # planned average split over the horizon
     objective: float
+    fast_feasible: bool  # some plan takes the fast route today: k >= k_poor
+
+
+def _plan(s, s_bar, t, d1, d2, d_today, cap):
+    """(y1, objective) of a route, y1 capped at ``cap``; float or Fraction."""
+    y1 = 0 if d1 > d2 else min(1, cap)  # the cap binds for d1 <= d2
+    return y1, s * d_today + s_bar * t * (d1 * y1 + d2 * (1 - y1))
 
 
 def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
@@ -54,39 +67,53 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     linear objective pushes that share to its cap when d1 < d2, to zero when
     d1 > d2.  The budget sum is taken by `math.fsum`, correctly rounded, so
     its sign is exact: a route is affordable exactly where the real
-    constraint holds.  Returns the route minimizing
-    s*d_j + s_bar*T*d^T y_future, breaking exact ties toward the slow route.
-    ``state.s`` and ``s_bar`` may be in any common unit; the library's rule
-    takes s in units of the mean, where s_bar = 1.
+    constraint holds, the fast one exactly from k_poor up
+    (``fast_feasible``).  Returns the route minimizing
+    s*d_j + s_bar*T*d^T y_future, breaking exact ties toward the slow route;
+    objectives within 2**-40 of their scale are compared again exactly, in
+    Fractions.  ``state.s`` and ``s_bar`` may be in any common unit; the
+    library's rule takes s in units of the mean, where s_bar = 1.
     Raises InfeasibleKarmaError when no route admits a feasible plan, which
     is exactly k < k_inf.
+
+    The float rule `fast_mask` differs from this plan at ulp edges: from
+    k_wealthy on at s = 0 (an exact tie, sent fast) and at a tiny s, in the
+    rich band where its rounded threshold crosses s, and at s = -5e-324.
+    So tests/test_day_stages.py pins the mask, and the floor beside it,
+    against their float expressions (`fast_mask_ref`, `floor_holds_ref`).
     """
     k, k_ref = state.k, state.k_ref
     d1, d2 = float(d[0]), float(d[1])
     t, p1, r2 = horizon, p.p1, p.r2
     denom = t * p.total
 
-    best = None
-    # slow route first so exact objective ties resolve to it
+    routes = {}
     for choice, p_today, d_today in ((ARC2, -r2, d2), (ARC1, p1, d1)):
         if p_today > k or k < 0:
             continue  # cannot afford today's toll
-        cap = fsum((k, -k_ref, -p_today, t * r2)) / denom
+        budget = (k, -k_ref, -p_today, t * r2)
+        cap = fsum(budget) / denom
         if cap < 0:
             continue  # even an all-slow future cannot restore the reference
-        if d1 > d2:
-            y1 = 0.0
-        else:
-            y1 = min(1.0, cap)  # binding cap is optimal for d1 <= d2
-        objective = state.s * d_today + s_bar * t * (d1 * y1 + d2 * (1.0 - y1))
-        candidate = PlanOutcome(choice, (y1, 1.0 - y1), objective)
-        if best is None or objective < best.objective:
-            best = candidate
-    if best is None:
+        routes[choice] = (budget, d_today,
+                          *_plan(state.s, s_bar, t, d1, d2, d_today, cap))
+    if not routes:
         raise InfeasibleKarmaError(
             f"karma {k} admits no feasible plan (below k_inf for reference {k_ref})"
         )
-    return best
+    choice = ARC2  # affordable whenever ARC1 is; takes exact ties (d1 = d2)
+    if ARC1 in routes and d1 != d2:
+        fast, slow = routes[ARC1][3], routes[ARC2][3]
+        scale = (abs(state.s) + abs(s_bar) * t) * (abs(d1) + abs(d2))
+        if abs(fast - slow) <= 2.0 ** -40 * scale:
+            # within rounding of a tie: compare over the reals
+            fast, slow = (_plan(*map(Fraction, (state.s, s_bar, t, d1, d2, e)),
+                                sum(map(Fraction, b)) / denom)[1]
+                          for b, e, *_ in (routes[ARC1], routes[ARC2]))
+        choice = ARC1 if fast < slow else ARC2
+    _, _, y1, objective = routes[choice]
+    return PlanOutcome(choice, (float(y1), 1.0 - y1), objective,
+                       ARC1 in routes)
 
 
 def dense_transition_matrix(chain: KarmaChain) -> np.ndarray:
@@ -173,3 +200,40 @@ def balanced_count_oracle(model, m: int, n_travel: int, n_sweep: int) -> int:
         if d[0] <= d[1]:
             best = n
     return best
+
+
+def equilibrium_oracle(k, s, traveling, k_ref, model, p: PriceVector,
+                       horizon: int):
+    """`wardrop_equilibrium`'s tuple (fast, n1, n2, regime, d) by the day's
+    definition, from k_ref in place of the breakpoints:
+
+    1. Each agent's `plan_oracle` at d = (1, 2), since the route depends
+       only on the sign of d1 - d2 (an agent below its floor raises).  If
+       the travelers' routes keep d1 < d2, the day is controlled.
+    2. Else, if d1 >= d2 on an empty fast route, all go slow: controlled.
+    3. Else the lowest-index travelers with a feasible fast route take
+       `balanced_count_oracle`'s count up to step 1's: uncontrolled.
+
+    d is ``model.discomfort`` at the counts, and s in units of its mean.
+    """
+    m, n_travel = k.size, int(np.count_nonzero(traveling))
+    plans = [plan_oracle(AgentState(*agent), (1.0, 2.0), p, horizon, 1.0)
+             for agent in zip(k.tolist(), np.broadcast_to(k_ref, m).tolist(),
+                              s.tolist())]
+    # each traveler's route on a d1 < d2 day, and if its fast one is feasible
+    fast, feasible = traveling & np.array(
+        [(plan.choice == ARC1, plan.fast_feasible) for plan in plans]).T
+
+    def day(fast, regime):
+        n1 = int(np.count_nonzero(fast))
+        d = model.discomfort([n1 / m, (n_travel - n1) / m])
+        return fast, n1, n_travel - n1, regime, tuple(d.tolist())
+
+    out = day(fast, CONTROLLED)
+    if out[4][0] < out[4][1]:
+        return out
+    d_empty = model.discomfort([0.0, n_travel / m])
+    if d_empty[0] >= d_empty[1]:
+        return day(np.zeros(m, dtype=bool), CONTROLLED)
+    n1 = balanced_count_oracle(model, m, n_travel, out[1])
+    return day(feasible & (np.cumsum(feasible) <= n1), UNCONTROLLED)

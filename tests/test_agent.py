@@ -100,10 +100,11 @@ class TestThresholds:
             for k, fast in ((th.k_poor, True), (below, False)):
                 rule = fast_routes(k, 4 * SBAR, th, p)
                 plans = [plan_oracle(AgentState(float(a), float(ref), 4 * SBAR),
-                                     (1.0, 2.0), p, t, SBAR).choice
+                                     (1.0, 2.0), p, t, SBAR)
                          for a, ref in zip(k, k_ref)]
                 assert rule.tolist() == [fast] * k.size
-                assert plans == [ARC1 if fast else ARC2] * k.size, (p, t)
+                assert [(plan.choice, plan.fast_feasible) for plan in plans] \
+                    == [(ARC1 if fast else ARC2, fast)] * k.size, (p, t)
             checked += k_ref.size
         assert checked == 1000
         assert rounded > 0
@@ -273,6 +274,21 @@ class TestPlanOracle:
         out = plan_oracle(AgentState(60.0, 50.0, 2.0), (1.7, 1.7), P_FIG3, 6,
                           SBAR)
         assert out.choice == ARC2  # ties resolve to the slow route
+
+    @pytest.mark.parametrize("p1, r2, t, k_ref, k, route", [
+        (27, 10, 5, 2.0, 127.00000000000001, ARC1),  # rich band
+        (1, 29, 9, 974.7549445010461, 874.332912686133, ARC2)])  # middle
+    def test_near_tie_decided_exactly(self, p1, r2, t, k_ref, k, route):
+        # s one ulp below 1, within rounding of the threshold: the plan and
+        # the rule agree with the threshold over the reals
+        p, s = PriceVector(p1, r2), 0.9999999999999999
+        th = thresholds(k_ref, p, t)
+        theta = ((Fraction(k_ref) + (t + 1) * p1 - Fraction(k)) / p.total
+                 if k >= th.k_rich else 1)
+        fast = route == ARC1
+        assert (Fraction(s) > theta) == fast == bool(fast_routes(k, s, th, p))
+        assert plan_oracle(AgentState(k, k_ref, s), (1.0, 2.0), p, t,
+                           SBAR).choice == route
 
     def test_infeasible_exactly_below_k_inf(self):
         p = PriceVector(3, 2)

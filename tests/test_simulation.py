@@ -24,7 +24,7 @@ from karma_routing.cli import main
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED
 
 from conftest import examples
-from oracles import ARC1, ARC2, AgentState, day_metrics_oracle, plan_oracle
+from oracles import ARC1, ARC2, day_metrics_oracle, equilibrium_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec()
@@ -353,7 +353,8 @@ class TestDayInvariants:
     @settings(max_examples=examples(60), deadline=None)
     @given(run=small_runs())
     def test_routes_match_oracle(self, run):
-        # each day's routes, read from the karma changes, against plan_oracle
+        # each day's routes, read from the karma changes, and its regime
+        # against the day's definition
         sc, model, p, days = run
         cost_star = simulation.run_optimum(sc, model, days)[1]
         pop = init_population(sc, p)
@@ -368,15 +369,10 @@ class TestDayInvariants:
                                np.abs(dk - p.r2) <= 1e-9, dk == 0.0],
                               [ARC1, ARC2, HOME], default=-1)
             assert np.array_equal(route != HOME, traveling)
-            d = model.discomfort([rec.x1, rec.x2])
-            for i in np.flatnonzero(traveling):
-                state = AgentState(k_before[i], pop.k_ref[i], s[i])
-                if rec.regime == CONTROLLED:
-                    assert plan_oracle(state, d, p, sc.horizon,
-                                       1.0).choice == route[i]
-                elif route[i] == ARC1:
-                    th = thresholds(pop.k_ref[i], p, sc.horizon)
-                    assert k_before[i] >= th.k_poor
+            fast, _, _, regime, _ = equilibrium_oracle(
+                k_before, s, traveling, pop.k_ref, model, p, sc.horizon)
+            assert np.array_equal(route == ARC1, fast)
+            assert rec.regime == regime
 
 
 def day_by_hand(pop, model, p, cost_star):

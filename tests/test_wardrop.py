@@ -4,7 +4,7 @@ from math import floor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
                            balanced_flow, build_chain, equilibrium_flows,
@@ -14,15 +14,13 @@ from karma_routing import simulation, wardrop
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
 from conftest import examples
-from day_rule import equilibrium_ref, fast_routes, same_day
-from oracles import (ARC1, ARC2, AgentState, balanced_count_oracle,
-                     plan_oracle)
+from day_rule import fast_routes, same_day
+from oracles import equilibrium_oracle
 
 BPR = ArcCostModel()
 EXP = SensitivitySpec()
 P = PriceVector(10, 14)
 T = 6
-D1_LESS_FLOWS = [0.5, 0.5]  # assumed flows at which BPR has d1 < d2
 
 
 def population(rng, m, k_low, k_high, ref_low=0.0, ref_high=100.0):
@@ -32,7 +30,7 @@ def population(rng, m, k_low, k_high, ref_low=0.0, ref_high=100.0):
     return k, k_ref
 
 
-def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
+def sweep(k, k_ref, s, traveling, x_assumed):
     """One best-response sweep against assumed flows: (flows, fast mask).
 
     With d1 < d2 at ``x_assumed`` (under BPR) every traveler takes the
@@ -40,7 +38,7 @@ def sweep(k, k_ref, s, traveling, x_assumed, p=P, horizon=T):
     """
     d = BPR.discomfort(x_assumed)
     if d[0] < d[1]:
-        fast = traveling & fast_routes(k, s, thresholds(k_ref, p, horizon), p)
+        fast = traveling & fast_routes(k, s, thresholds(k_ref, P, T), P)
     else:
         fast = np.zeros(np.shape(k), dtype=bool)
     n1 = np.count_nonzero(fast)
@@ -136,7 +134,7 @@ class TestWardropEquilibrium:
         assert n == floor(balanced_flow(BPR, n_travel / m)[0] * m + 1e-9)
 
     def test_all_poor_immediate(self):
-        # the result is the single d1 < d2 sweep itself
+        # the result is the single d1 < d2 sweep itself: nobody goes fast
         m = 500
         k_ref = np.full(m, 90.0)
         k = np.full(m, 12.0)
@@ -144,11 +142,7 @@ class TestWardropEquilibrium:
         traveling = np.ones(m, dtype=bool)
         fast, x, regime = solve(k, k_ref, s, traveling)
         assert regime == CONTROLLED
-        assert x[0] == 0.0
-        assert x[1] == 1.0
-        x_sweep, fast_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
-        assert np.array_equal(x, x_sweep)
-        assert np.array_equal(fast, fast_sweep)
+        assert x.tolist() == [0.0, 1.0] and not fast.any()
 
     def test_stationary_population_reaches_chain_flows(self):
         chain = build_chain(P, T, 0.05, EXP)
@@ -190,7 +184,7 @@ class TestWardropEquilibrium:
             assert d[0] <= d[1]
 
     def test_equals_one_sweep_when_it_keeps_d1_less(self):
-        # controlled days are exactly one d1 < d2 sweep; the others are not
+        # the day's definition, whose controlled days are one d1 < d2 sweep
         rng = np.random.default_rng(9)
         regimes = set()
         for lo, hi in [(0.0, 120.0), (100.0, 500.0)]:
@@ -198,15 +192,11 @@ class TestWardropEquilibrium:
             k, k_ref = population(rng, m, lo, hi)
             s = rng.standard_exponential(m)
             traveling = rng.random(m) >= 0.05
-            fast, x, regime = solve(k, k_ref, s, traveling)
-            x_sweep, fast_sweep = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS)
-            d = BPR.discomfort(x_sweep)
-            kept = d[0] < d[1]
-            assert (regime == CONTROLLED) == kept
-            if kept:
-                assert np.array_equal(x, x_sweep)
-                assert np.array_equal(fast, fast_sweep)
-            regimes.add(regime)
+            out = wardrop_equilibrium(k, s, traveling, thresholds(k_ref, P, T),
+                                      BPR, P)
+            assert same_day(out, equilibrium_oracle(k, s, traveling, k_ref,
+                                                    BPR, P, T))
+            regimes.add(out[3])
         assert regimes == {CONTROLLED, UNCONTROLLED}
 
     def test_controlled_selected_whenever_it_exists(self):
@@ -302,7 +292,7 @@ class TestWardropEquilibrium:
         # the balanced count c* is 450.  With 450 wealthy travelers d1 = d2
         # at their count, not d1 > d2, so the rule runs; with 451, d1 > d2
         # there and the day skips the rule.
-        # Both days keep 450 fast, as the rule-first reference does.  The
+        # Both days keep 450 fast, as the day's definition does.  The
         # wealthy sit exactly at k_wealthy, where the rule sends them fast
         # whatever s is, also a NaN, so a NaN s gives the same day.
         calls = []
@@ -316,10 +306,10 @@ class TestWardropEquilibrium:
         k, s, *rest = self.flat_inputs(n_rich, k_rich=170.0)
         day = wardrop_equilibrium(k, s, *rest)
         assert day[1] == 450 and day[3] == UNCONTROLLED
-        assert same_day(day, equilibrium_ref(k, s, *rest))
+        assert same_day(day, equilibrium_oracle(k, s, rest[0], 100.0,
+                                                self.FLAT, P, T))
         nan = np.full_like(s, np.nan)
         assert same_day(wardrop_equilibrium(k, nan, *rest), day)
-        assert same_day(equilibrium_ref(k, nan, *rest), day)
         assert calls == [n_rich] * (2 * rule_calls)
 
     def test_uncontrolled_count_is_the_masks_on_a_rich_start(self,
@@ -371,7 +361,8 @@ class TestWardropEquilibrium:
         assert got[0].dtype == bool and not got[0].any()
         assert got[1:4] == (0, 0, CONTROLLED)
         assert got[4] == (5.0, 1.0)
-        assert same_day(got, equilibrium_ref(*args))
+        assert same_day(got, equilibrium_oracle(k, s, traveling, 50.0,
+                                                flipped, P, T))
 
     def test_no_crossing_model_all_slow_fixed_point(self):
         # constant d1 > d2: everyone heads slow and that is the equilibrium
@@ -466,43 +457,14 @@ class TestEquilibriumProperties:
     @settings(max_examples=examples(80), deadline=None)
     @given(day=day_inputs())
     def test_equilibrium_properties(self, day):
+        # the day's definition, also where the wealthy travelers overload a
+        # route no balanced flow exists on; it counts the mask, sends only
+        # travelers and keeps d1 <= d2 when the fast route is used
         k, k_ref, s, traveling, model, p, horizon = day
-        m = k.size
-        args = (k, s, traveling, thresholds(k_ref, p, horizon), model, p)
-        fast, n1, n2, regime, d_eq = out = wardrop_equilibrium(*args)
-        # the rule-first reference's tuple, also where the wealthy
-        # travelers overload a route that no balanced flow exists on
-        assert same_day(out, equilibrium_ref(*args))
-        # the counts are the mask's, and only travelers travel
-        assert n1 == np.count_nonzero(fast)
-        assert n2 == np.count_nonzero(traveling & ~fast)
-        assert not np.any(fast & ~traveling)
-        # the fast route, when used, is never the worse one
-        x = np.array([n1, n2]) / m
-        d = model.discomfort(x)
-        assert np.array_equal(d_eq, d)
-        assert x[0] == 0.0 or d[0] <= d[1]
-
-        # regime: controlled exactly when the d1 < d2 sweep keeps d1 < d2,
-        # or when no balanced flow exists (the sweep's order comes from BPR)
-        x_sweep, _ = sweep(k, k_ref, s, traveling, D1_LESS_FLOWS, p, horizon)
-        d = model.discomfort(x_sweep)
-        kept = d[0] < d[1]
-        demand = traveling.sum() / m
-        crossing = demand > 0 and balanced_flow(model, demand) is not None
-        assert (regime == CONTROLLED) == (kept or not crossing)
-
-        # no traveler strictly improves by switching route
-        for i in np.flatnonzero(traveling):
-            state = AgentState(k[i], k_ref[i], s[i])
-            if regime == CONTROLLED:
-                # the two-stage plan at today's discomforts picks the route
-                assert plan_oracle(state, d, p, horizon, 1.0).choice \
-                    == (ARC1 if fast[i] else ARC2)
-            elif fast[i]:
-                # equal discomforts: any feasible route is optimal, and the
-                # fast route is feasible exactly from k_poor up
-                assert k[i] >= thresholds(k_ref[i], p, horizon).k_poor
+        out = wardrop_equilibrium(k, s, traveling,
+                                  thresholds(k_ref, p, horizon), model, p)
+        assert same_day(out, equilibrium_oracle(k, s, traveling, k_ref, model,
+                                                p, horizon))
 
 
 @st.composite
@@ -538,34 +500,19 @@ def rich_days(draw):
 class TestBalancedCount:
     @settings(max_examples=examples(150), deadline=None)
     @given(day=rich_days())
+    # 190 wealthy of 400 under FLAT: the count, 180, sits on d1 = d2
+    @example(day=(np.repeat([1000.0, 20.0], [190, 210]), np.full(400, 100.0),
+                  np.ones(400), np.ones(400, dtype=bool),
+                  TestWardropEquilibrium.FLAT, P, T))
     def test_uncontrolled_count_matches_a_linear_scan(self, day):
-        # on every day that fails the sweep: uncontrolled with the oracle's
-        # count, or all slow when d1 >= d2 even on an empty fast route; on
-        # every day the rule-first reference's tuple
+        # mostly uncontrolled days, whose count the oracle finds by a scan
+        # of every count up to the sweep's, and days on which d1 >= d2 even
+        # on an empty fast route
         k, k_ref, s, traveling, model, p, horizon = day
-        m = k.size
-        th = thresholds(k_ref, p, horizon)
-        n_sweep = int(np.count_nonzero(fast_routes(k, s, th, p)
-                                       & traveling))
-        n_travel = int(np.count_nonzero(traveling))
-        args = (k, s, traveling, th, model, p)
-        fast, n1, n2, regime, d = out = wardrop_equilibrium(*args)
-        assert same_day(out, equilibrium_ref(*args))
-        d_sweep = model.discomfort([n_sweep / m, (n_travel - n_sweep) / m])
-        if n_travel == 0 or d_sweep[0] < d_sweep[1]:
-            assert regime == CONTROLLED and n1 == n_sweep
-            return
-        if regime == UNCONTROLLED:
-            n_fast = balanced_count_oracle(model, m, n_travel, n_sweep)
-            assert n1 == np.count_nonzero(fast) == n_fast
-            assert np.array_equal(
-                fast, _balanced_split(k, traveling, th.k_poor, n_fast))
-            assert d[0] <= d[1]
-        else:
-            # d1 >= d2 on an empty fast route (equal constant costs too)
-            assert n1 == 0 and not fast.any()
-            assert d[0] >= d[1]
-        assert n1 + n2 == n_travel
+        out = wardrop_equilibrium(k, s, traveling,
+                                  thresholds(k_ref, p, horizon), model, p)
+        assert same_day(out, equilibrium_oracle(k, s, traveling, k_ref, model,
+                                                p, horizon))
 
     @settings(max_examples=examples(100), deadline=None)
     @given(day=rich_days())
@@ -581,5 +528,8 @@ class TestBalancedCount:
         d = model.discomfort([n_lb / m, (n_travel - n_lb) / m])
         assume(d[0] > d[1])
         rest = (traveling, th, model, p)
+        day = wardrop_equilibrium(k, s, *rest)
+        assert same_day(day, equilibrium_oracle(k, s, traveling, k_ref, model,
+                                                p, horizon))
         assert same_day(wardrop_equilibrium(k, np.full(m, np.nan), *rest),
-                        wardrop_equilibrium(k, s, *rest))
+                        day)
