@@ -144,9 +144,12 @@ def fast_mask(k, s, traveling, th: Thresholds, p: PriceVector):
     k_wealthy when its sensitivity s (in units of the mean) exceeds its
     urgency threshold: 1 below k_rich, then (k_wealthy - k) / (p1 + r2),
     which decays linearly to zero at k_wealthy.  Ties (s equal to its
-    threshold) go to the slow route.  ``th`` holds precomputed breakpoints
-    (scalars or per-agent arrays); k_inf is not read (see `check_floor`,
-    which also rejects a NaN karma), and s is not checked for finiteness.
+    threshold) go to the slow route, with one exception: from k_wealthy on
+    a traveler goes fast even at s = 0, where the two-stage plan is
+    indifferent (`test_wealthy_forced_fast` in tests/test_agent.py).
+    ``th`` holds precomputed breakpoints (scalars or per-agent arrays);
+    k_inf is not read (see `check_floor`, which also rejects a NaN karma),
+    and s is not checked for finiteness.
 
     The threshold is split by band rather than selected per agent: each
     agent's comparison is taken in both bands and the rich mask keeps one,

@@ -80,8 +80,8 @@ _LEAK = "chain moves mass off its lattice of cells"
 @dataclass(frozen=True)
 class DiagonalMatrix:
     """Square matrix held as its diagonals, in the DIA layout: data[k, j] is
-    the entry in column j, row j - offsets[k]; an entry whose row falls off
-    the matrix is ignored."""
+    the entry in column j, row j - offsets[k]; every offset lies in (-n, n),
+    and an entry whose row falls off the matrix is ignored."""
 
     data: np.ndarray  # (len(offsets), n)
     offsets: tuple[int, ...]
@@ -92,7 +92,7 @@ class DiagonalMatrix:
         n = self.data.shape[1]
         spans = []
         for k, offset in enumerate(self.offsets):
-            lo, width = max(offset, 0), max(n - abs(offset), 0)
+            lo, width = max(offset, 0), n - abs(offset)
             spans.append((k, slice(lo, lo + width),
                           slice(lo - offset, lo - offset + width)))
         object.__setattr__(self, "_spans", tuple(spans))
@@ -118,13 +118,14 @@ class DiagonalMatrix:
 
 @dataclass(frozen=True)
 class KarmaChain:
-    """Transition structure of the quantized karma dynamics; `a` is A as a
-    `DiagonalMatrix` on its diagonals (-r2, 0, +p1)."""
+    """Transition structure of the quantized karma dynamics.  `chill_prob`
+    is the chain's rule, through which alone the sensitivity law enters;
+    `a` is A, built from that rule and p_home, as a `DiagonalMatrix` on its
+    diagonals (-r2, 0, +p1)."""
 
     prices: PriceVector
     horizon: int
     p_home: float
-    sensitivity: SensitivitySpec
     chill_prob: np.ndarray = field(repr=False)  # P(slow | travel, state j)
     a: DiagonalMatrix = field(repr=False)
 
@@ -199,7 +200,7 @@ def build_chain(p: PriceVector, horizon: int, p_home: float,
     data[2] *= p_go
     a = DiagonalMatrix(data, (-p.r2, 0, p.p1))
     return KarmaChain(prices=p, horizon=horizon, p_home=p_home,
-                      sensitivity=sensitivity, chill_prob=chill, a=a)
+                      chill_prob=chill, a=a)
 
 
 def _check_distribution(chain: KarmaChain, dist) -> np.ndarray:

@@ -75,6 +75,21 @@ MUTANTS = (
            "chain.chill_prob.tolist()", "(1.0 - chain.chill_prob).tolist()"),
     Mutant("csv-theta-from-neighbour", MESO,
            "chain.theta.tolist()", "np.roll(chain.theta, 1).tolist()"),
+    Mutant("day-wealthy-edge-strict", WARDROP,
+           "wealthy = k >= th.k_wealthy", "wealthy = k > th.k_wealthy"),
+    Mutant("chain-stay-as-go", MESO,
+           "data[1] = p_home", "data[1] = p_go"),
+    Mutant("chain-slow-fast-swapped", MESO,
+           "(-p.r2, 0, p.p1)", "(p.p1, 0, -p.r2)"),
+    Mutant("band-poor-edge-minus-one", MESO,
+           "return [0, p.p1, ", "return [0, p.p1 - 1, "),
+    Mutant("dia-span-one-short", MESO,
+           "n - abs(offset)", "n - abs(offset) - 1"),
+    Mutant("leak-check-skips-top-cell", MESO,
+           "count_nonzero(chill[-r2:])", "count_nonzero(chill[-r2:-1])"),
+    Mutant("leak-check-skips-bottom-cell", MESO,
+           "count_nonzero(chill[:p1] != 1.0)",
+           "count_nonzero(chill[1:p1] != 1.0)"),
 )
 
 

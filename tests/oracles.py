@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd
+from math import fsum, gcd, inf
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
     Fractions.  ``state.s`` and ``s_bar`` may be in any common unit; the
     library's rule takes s in units of the mean, where s_bar = 1.
     Raises InfeasibleKarmaError when no route admits a feasible plan, which
-    is exactly k < k_inf.
+    is exactly k < k_inf, and for a NaN karma, as `check_floor` does.
 
     The float rule `fast_mask` differs from this plan at ulp edges: from
     k_wealthy on at s = 0 (an exact tie, sent fast) and at a tiny s, in the
@@ -89,11 +89,12 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
 
     routes = {}
     for choice, p_today, d_today in ((ARC2, -r2, d2), (ARC1, p1, d1)):
-        if p_today > k or k < 0:
+        # written so that a NaN karma fails, as it fails `check_floor`
+        if not (p_today <= k and k >= 0):
             continue  # cannot afford today's toll
         budget = (k, -k_ref, -p_today, t * r2)
         cap = fsum(budget) / denom
-        if cap < 0:
+        if not cap >= 0:
             continue  # even an all-slow future cannot restore the reference
         routes[choice] = (budget, d_today,
                           *_plan(state.s, s_bar, t, d1, d2, d_today, cap))
@@ -108,7 +109,8 @@ def plan_oracle(state: AgentState, d, p: PriceVector, horizon: int,
         if abs(fast - slow) <= 2.0 ** -40 * scale:
             # within rounding of a tie: compare over the reals
             fast, slow = (_plan(*map(Fraction, (state.s, s_bar, t, d1, d2, e)),
-                                sum(map(Fraction, b)) / denom)[1]
+                                sum(map(Fraction, b)) / denom if k < inf
+                                else 1)[1]  # min(1, cap) at k = inf
                           for b, e, *_ in (routes[ARC1], routes[ARC2]))
         choice = ARC1 if fast < slow else ARC2
     _, _, y1, objective = routes[choice]

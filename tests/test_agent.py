@@ -130,7 +130,11 @@ class TestBestResponse:
         assert self.rule(110.0, [0.3, 0.5]) == [ARC2, ARC1]
 
     def test_wealthy_forced_fast(self):
-        assert self.rule(130.0, 0.001) == [ARC1]
+        # even at s = 0, where the plan is indifferent and the oracle goes
+        # slow: the one exception to ties going slow
+        assert self.rule(130.0, [0.0, 0.001]) == [ARC1, ARC1]
+        assert plan_oracle(AgentState(130.0, 50.0, 0.0), (1.0, 2.0), P_FIG3,
+                           6, SBAR).choice == ARC2
 
     def test_tie_goes_slow(self):
         assert self.rule(50.0, SBAR) == [ARC2]
@@ -299,6 +303,17 @@ class TestPlanOracle:
         with pytest.raises(InfeasibleKarmaError):
             plan_oracle(AgentState(k_inf - 1e-6, k_ref, 1.0), (1.0, 2.0), p, t,
                         SBAR)
+
+    def test_non_finite_karma(self):
+        # a NaN karma fails every guard, as it fails `check_floor`; an
+        # infinite one affords both routes, which tie exactly at s = 0
+        with pytest.raises(InfeasibleKarmaError):
+            plan_oracle(AgentState(np.nan, 50.0, 1.0), (1.0, 2.0), P_FIG3, 6,
+                        SBAR)
+        for s, route in ((1.0, ARC1), (0.0, ARC2)):
+            out = plan_oracle(AgentState(np.inf, 50.0, s), (1.0, 2.0), P_FIG3,
+                              6, SBAR)
+            assert (out.choice, out.fast_feasible) == (route, True)
 
     @settings(max_examples=examples(500), deadline=None)
     @given(p1=st.integers(1, 30), r2=st.integers(1, 30), t=st.integers(1, 12),

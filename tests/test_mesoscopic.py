@@ -1,3 +1,7 @@
+"""The quantized karma chain against its oracles: A, whose three moves per
+cell are stay, slow (+r2) and fast (-p1), against `dense_transition_matrix`
+bit for bit; its rule against the agent's; its solve against the dense one.
+"""
 import csv
 import re
 from dataclasses import replace
@@ -48,28 +52,6 @@ class TestBuildChain:
             assert ch.n_states == n
             widths = np.diff(mesoscopic._band_edges(p, 3)).tolist()
             assert widths == want
-
-    def test_sparsity_pattern(self):
-        # mass moves only up by r2 (slow) or down by p1 (fast)
-        ch = build_chain(PriceVector(2, 3), 3, 0.0, EXP)
-        rows, cols = np.nonzero(columns(ch.a, ch.n_states))
-        assert set(rows - cols) == {ch.prices.r2, -ch.prices.p1}
-
-    def test_entry_values_by_band(self):
-        p = PriceVector(2, 3)
-        t = 3
-        ch = build_chain(p, t, 0.0, EXP)
-        f_mean = EXP.cdf(1.0)  # probability of a below-mean sensitivity draw
-        _, ok, rich, wealthy, _ = mesoscopic._band_edges(p, t)
-        assert np.all(ch.chill_prob[:ok] == 1.0)
-        assert np.all(1.0 - ch.chill_prob[:ok] == 0.0)
-        assert np.allclose(ch.chill_prob[ok:rich], f_mean)
-        assert np.all(ch.chill_prob[wealthy:] == 0.0)
-        # rich band: threshold decays linearly from 1 to 0 toward the top
-        cells = np.arange(rich, wealthy)
-        gap = t * p.total + p.p1 - cells  # karma distance to the wealthy line
-        assert np.allclose(ch.chill_prob[cells], EXP.cdf(gap / p.total))
-        assert ch.chill_prob[rich] == pytest.approx(f_mean)
 
     def test_columns_sum_to_one(self):
         for p, t, ph in [(PriceVector(2, 3), 3, 0.05),
@@ -134,7 +116,7 @@ class TestBuildChain:
         assert build_chain(PriceVector(2, 3), np.int64(3), 0.05, EXP).n_states == 20
 
     @pytest.mark.parametrize("p", [(2, 3), (10, 14), (78, 78)])
-    @pytest.mark.parametrize("t", [1, 6])
+    @pytest.mark.parametrize("t", [1, 3, 6])
     @pytest.mark.parametrize("ph", [0.0, 0.05])
     def test_matrices_match_loop_construction(self, p, t, ph):
         ch = build_chain(PriceVector(*p), t, ph, EXP)
@@ -158,25 +140,6 @@ class TestBuildChain:
 
 
 class TestDiagonalMatrix:
-    @pytest.mark.parametrize("n", [1, 2, 6, 13])
-    def test_entries_off_the_matrix_are_ignored(self, n):
-        # every slot is nonzero but one, so each diagonal holds entries whose
-        # row falls off the matrix; offsets -(n+1) and n hold none in range,
-        # and for n <= 3 neither do -2 and 3
-        offsets = (-n - 1, -2, 0, 3, n)
-        data = np.random.default_rng(n).random((len(offsets), n)) + 0.5
-        data[2, n // 2] = 0.0
-        m = DiagonalMatrix(data, offsets)
-        # np.eye(n, k) holds row j - k of column j and drops the others
-        diagonals = [np.eye(n, k=off) * d for d, off in zip(data, offsets)]
-        v = np.random.default_rng(n + 1).random(n)
-        product, sums = np.zeros(n), np.zeros(n)
-        for d in diagonals:  # diagonal by diagonal, from zero
-            product += d @ v
-            sums += d.sum(axis=0)
-        assert np.array_equal(m @ v, product)
-        assert np.array_equal(m.sum(axis=0), sums)
-
     def test_sums_columns_only(self):
         m = build_chain(PriceVector(2, 3), 3, 0.05, EXP).a
         for axis in (1, -1, None):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from karma_routing import (ArcCostModel, PriceVector, SensitivitySpec,
-                           balanced_flow, build_chain, equilibrium_flows,
-                           get_preset, run_scenario, stationary_distribution,
-                           system_optimum, thresholds, wardrop_equilibrium)
+from karma_routing import (ArcCostModel, InfeasibleKarmaError, PriceVector,
+                           SensitivitySpec, balanced_flow, build_chain,
+                           equilibrium_flows, get_preset, run_scenario,
+                           stationary_distribution, system_optimum,
+                           thresholds, wardrop_equilibrium)
 from karma_routing import simulation, wardrop
 from karma_routing.wardrop import CONTROLLED, UNCONTROLLED, _balanced_split
 
@@ -363,6 +364,15 @@ class TestWardropEquilibrium:
         assert got[4] == (5.0, 1.0)
         assert same_day(got, equilibrium_oracle(k, s, traveling, 50.0,
                                                 flipped, P, T))
+
+    def test_nan_karma_raises_on_both_sides(self):
+        # one NaN karma among feasible agents: the day and its oracle raise
+        k, ones = np.full(10, 50.0), np.ones(10)
+        k[3] = np.nan
+        with pytest.raises(InfeasibleKarmaError, match="agent 3"):
+            solve(k, 50.0 * ones, ones, ones > 0)
+        with pytest.raises(InfeasibleKarmaError):
+            equilibrium_oracle(k, ones, ones > 0, 50.0, BPR, P, T)
 
     def test_no_crossing_model_all_slow_fixed_point(self):
         # constant d1 > d2: everyone heads slow and that is the equilibrium
