@@ -12,7 +12,7 @@ The file format is plain key/value sections readable by `configparser`:
     k_ref_low = 0.0
     k_ref_high = 100.0
     sensitivity_kind = exponential
-    # sensitivity_low / sensitivity_high for the uniform kind
+    # sensitivity_spread for the uniform kind, U[1 - spread, 1 + spread]
 
     [model]
     d0_1 = 1.0
@@ -40,8 +40,10 @@ A `;` starts a comment, also after a value.  An unknown section, key or
 sensitivity kind is an error, so a misspelling cannot run in place of the
 default; and `validate` rejects a value other than the default in a key that
 the config never reads: p1 and r2 under price_mode = design here, and
-sensitivity_low and sensitivity_high under the exponential kind in
-`SensitivitySpec`, which `scenario` builds.
+sensitivity_spread under the exponential kind in `SensitivitySpec`, which
+`scenario` builds.  The uniform law is drawn in units of its mean, so a
+support [low, high] in any other unit is sensitivity_spread = (high - low) /
+(high + low); its draws reach 1 + spread <= 2 means.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ class RunConfig:
     k_ref_low: float = 0.0
     k_ref_high: float = 100.0
     sensitivity_kind: str = EXPONENTIAL
-    sensitivity_low: float = 0.0
-    sensitivity_high: float = 2.0
+    sensitivity_spread: float = 1.0
     # model
     d0_1: float = 1.0
     d0_2: float = 2.0
@@ -99,8 +100,7 @@ class RunConfig:
     # -- derived objects ---------------------------------------------------
 
     def sensitivity(self) -> SensitivitySpec:
-        return SensitivitySpec(self.sensitivity_kind, self.sensitivity_low,
-                               self.sensitivity_high)
+        return SensitivitySpec(self.sensitivity_kind, self.sensitivity_spread)
 
     def scenario(self) -> Scenario:
         return Scenario(
@@ -170,8 +170,7 @@ class RunConfig:
     _SECTIONS = {
         "scenario": ["p_home", "horizon", "n_agents", "seed",
                      "k_init_low", "k_init_high", "k_ref_low", "k_ref_high",
-                     "sensitivity_kind", "sensitivity_low",
-                     "sensitivity_high"],
+                     "sensitivity_kind", "sensitivity_spread"],
         "model": ["d0_1", "d0_2", "kappa_1", "kappa_2", "alpha", "beta",
                   "societal_cost"],
         "pricing": ["price_mode", "p1", "r2", "max_price"],

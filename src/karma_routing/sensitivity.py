@@ -6,9 +6,9 @@ horizon, scaled by the population mean; so every decision and every
 reported number depends on s only through s over its mean.  `sample`
 therefore returns s in units of the mean, so the mean is 1, and the
 mesoscopic chain reads `cdf` at thresholds in the same unit.  The uniform
-law on [low, high] reads both bounds, the exponential on [0, inf) neither.
-A uniform support whose mean (low + high) / 2 rounds to 0, such as
-[0, 5e-324], is rejected.
+law is U[1 - spread, 1 + spread] with 0 < spread <= 1, and the exponential
+law on [0, inf) reads no spread.  A spread too small to widen [1, 1] in
+floats, such as 5e-324, is rejected.
 """
 
 from __future__ import annotations
@@ -26,33 +26,26 @@ class SensitivitySpec:
     """Descriptor of the common sensitivity distribution."""
 
     kind: str = EXPONENTIAL
-    low: float = 0.0
-    high: float = 2.0
+    spread: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, UNIFORM):
             raise ValueError(f"unknown sensitivity kind: {self.kind!r}")
-        # the exponential law reads no bound: each keeps its default, not NaN
-        for name in ("low", "high") if self.kind == EXPONENTIAL else ():
-            value, default = getattr(self, name), getattr(SensitivitySpec, name)
-            if value != default:
-                raise ValueError(f"{name} = {value!r} is not read under the "
-                                 "exponential sensitivity kind; leave it at "
-                                 f"its default {default!r}")
-        # chained comparisons, so NaN fails each of them
-        if self.kind == UNIFORM and not (0 <= self.low < self.high < np.inf
-                                         and 0 < self._mean()):
-            raise ValueError("uniform sensitivity needs 0 <= low < high < inf "
-                             "and a mean (low + high) / 2 > 0")
-
-    def _mean(self) -> float:
-        """The uniform mean; halving first cannot overflow, and where
-        0.5 * (low + high) is finite it has the same bits."""
-        return 0.5 * self.low + 0.5 * self.high
+        # the exponential law reads no spread: it keeps its default, not NaN
+        if self.kind == EXPONENTIAL and self.spread != SensitivitySpec.spread:
+            raise ValueError(f"spread = {self.spread!r} is not read under the "
+                             "exponential sensitivity kind; leave it at its "
+                             f"default {SensitivitySpec.spread!r}")
+        # a chained comparison, so NaN fails it
+        if self.kind == UNIFORM and not (0.0 <= 1.0 - self.spread
+                                         < 1.0 + self.spread):
+            raise ValueError("uniform sensitivity needs 0 <= 1 - spread < "
+                             f"1 + spread, not spread = {self.spread!r}")
 
     @property
     def draw_bound(self) -> float:
-        """A draw's bound in means: uniform high/mean <= 2, numpy exponential < 45."""
+        """A draw's bound in means: uniform 1 + spread <= 2, numpy
+        exponential < 45."""
         return 2.0 if self.kind == UNIFORM else 1024.0
 
     def cdf(self, value):
@@ -61,15 +54,13 @@ class SensitivitySpec:
         v = np.asarray(value, dtype=float)
         if self.kind == EXPONENTIAL:
             return -np.expm1(-np.maximum(v, 0.0))
-        return np.clip((v * self._mean() - self.low) / (self.high - self.low),
-                       0.0, 1.0)
+        lo, hi = 1.0 - self.spread, 1.0 + self.spread
+        return np.clip((v - lo) / (hi - lo), 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` i.i.d. draws in units of the mean: the same stream as
-        ``rng.standard_exponential(size)``, or ``rng.uniform(low, high,
-        size)`` divided by its mean."""
+        ``rng.standard_exponential(size)``, or ``rng.uniform(1 - spread,
+        1 + spread, size)``."""
         if self.kind == EXPONENTIAL:
             return rng.standard_exponential(size)
-        s = rng.uniform(self.low, self.high, size)
-        s /= self._mean()
-        return s
+        return rng.uniform(1.0 - self.spread, 1.0 + self.spread, size)

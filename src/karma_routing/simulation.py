@@ -283,7 +283,8 @@ def run_optimum(scenario: Scenario, model: ArcCostModel, days: int):
     when cost* is so small against the model's largest cost that the tail's
     sum of daily cost ratios would not be finite (a d0 near the float
     range's bottom), or when `compute_metrics`' sums over the agents could
-    overflow, each draw being at most `SensitivitySpec.draw_bound` means.
+    overflow, each draw being at most `SensitivitySpec.draw_bound` means
+    (1 + spread <= 2 for the uniform law).
     Its delta_d denominator is at least min(d0) > 0 on a day anyone travels.
     With the other defaults, d0_1 = 1e-306 still runs 500 days and
     d0_1 = 1e-308 is rejected, naming d0 and cost*; d0_1 = 1e305 is

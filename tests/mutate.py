@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 SRC = "src/karma_routing/"
 AGENT, MESO = SRC + "agent.py", SRC + "mesoscopic.py"
 SIM, WARDROP = SRC + "simulation.py", SRC + "wardrop.py"
+SENS, CLI = SRC + "sensitivity.py", SRC + "cli.py"
 MUTANTS = (
     Mutant("fast-poor-edge-strict", AGENT,
            "go &= k >= th.k_poor", "go &= k > th.k_poor"),
@@ -97,6 +98,23 @@ MUTANTS = (
     Mutant("leak-check-skips-bottom-cell", MESO,
            "count_nonzero(chill[:p1] != 1.0)",
            "count_nonzero(chill[1:p1] != 1.0)"),
+    # each uniform mutant is exact at spread 1, U[0, 2], so only a law of
+    # spread < 1 kills it
+    Mutant("uniform-cdf-low-at-zero", SENS, "(v - lo) /", "(v - 0.0) /"),
+    Mutant("uniform-cdf-width-to-two", SENS, "/ (hi - lo)", "/ (2.0 - lo)"),
+    Mutant("uniform-sample-on-zero-two", SENS,
+           "rng.uniform(1.0 - self.spread, 1.0 + self.spread, size)",
+           "rng.uniform(0.0, 2.0, size)"),
+    Mutant("exp-cdf-unclamped", SENS,
+           "-np.expm1(-np.maximum(v, 0.0))", "-np.expm1(-v)"),
+    Mutant("uniform-draw-bound-low", SENS,
+           "return 2.0 if self.kind == UNIFORM",
+           "return 1.5 if self.kind == UNIFORM"),
+    Mutant("metric-sums-bound-halved", SIM,
+           "if not 2 * scenario.n_agents * s_hi",
+           "if not scenario.n_agents * s_hi"),
+    Mutant("main-guard-drops-status", CLI,
+           "    sys.exit(main())", "    main()"),
 )
 
 

@@ -49,8 +49,9 @@ from conftest import examples, same_bits
 from test_mesoscopic import with_poor_edge
 
 EXP = SensitivitySpec()
-LAWS = [EXP, SensitivitySpec("uniform", 0.5, 2.5),
-        SensitivitySpec("uniform", 0.0, 2.0)]
+# "unif0.5-2.5" in test ids: U[0.5, 2.5] over its mean 1.5, spread 2/3
+LAWS = [EXP, SensitivitySpec("uniform", 2 / 3),
+        SensitivitySpec("uniform", 1.0)]
 
 
 def matmul_ref(a: DiagonalMatrix, v) -> np.ndarray:

@@ -61,6 +61,7 @@ class TestRunConfig:
     def test_ini_roundtrip_identical(self, tmp_path):
         cfg = RunConfig(p_home=0.07, horizon=5, n_agents=321, seed=9,
                         k_init_low=1.25, k_init_high=431.5,
+                        sensitivity_kind="uniform", sensitivity_spread=0.3,
                         kappa_2=2.0 / 3.0, alpha=0.15,
                         price_mode=PRICE_DESIGN, max_price=17, days=42)
         path = tmp_path / "cfg.ini"
@@ -72,7 +73,7 @@ class TestRunConfig:
         again.to_ini(path2)
         assert RunConfig.from_ini(path2) == again
 
-    def test_unknown_section_or_key_rejected(self, tmp_path):
+    def test_unknown_section_or_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.ini"
         path.write_text("[scenario]\np_hom = 0.5\n")
         with pytest.raises(ValueError, match=r"'p_hom'.*valid keys: p_home"):
@@ -87,12 +88,17 @@ class TestRunConfig:
         path.write_text("p_home = 0.5\n[scenario]\n")
         with pytest.raises(ValueError, match="no section headers"):
             RunConfig.from_ini(path)
-        # sensitivities are drawn in units of their mean, which has no key
-        path.write_text("[scenario]\nsensitivity_mean = 1.0\n")
-        with pytest.raises(ValueError, match=r"unknown key 'sensitivity_mean'"
-                           r".*sensitivity_kind, sensitivity_low, "
-                           r"sensitivity_high$"):
-            RunConfig.from_ini(path)
+        # sensitivities are drawn in units of their mean, which has no key,
+        # and a uniform law is set by its spread alone, not by its bounds
+        for old in ("mean", "low", "high"):
+            path.write_text(f"[scenario]\nsensitivity_{old} = 1.0\n")
+            message = (f"unknown key 'sensitivity_{old}' in \\[scenario\\]; "
+                       "valid keys: .*, sensitivity_kind, sensitivity_spread$")
+            with pytest.raises(ValueError, match=message):
+                RunConfig.from_ini(path)
+            assert main(["system-optimum", "--config", str(path)]) == 1
+            assert re.match(f"error: {re.escape(str(path))}: {message}",
+                            capsys.readouterr().err)
         path.write_text("[scenario]\nhorizon = 2.5\n")
         with pytest.raises(ValueError) as err:
             RunConfig.from_ini(path)
@@ -188,8 +194,10 @@ class TestRunConfig:
         (dict(max_price=1), "max_price must be an integer >= 2"),
         (dict(price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0, alpha=0.0),
          "price_mode = design: target flow"),
-        (dict(sensitivity_kind="uniform", sensitivity_high=5e-324),
-         "uniform sensitivity needs .* mean"),
+        (dict(sensitivity_kind="uniform", sensitivity_spread=5e-324),
+         "uniform sensitivity needs 0 <= 1 - spread < 1 \\+ spread"),
+        # at the uniform draw bound, 2 * M * 2 * d(1) overflows
+        (dict(sensitivity_kind="uniform", d0_2=3e304), "metric sums"),
     ])
     def test_validate_rejects_what_a_command_fails_on(self, changes,
                                                        message):
@@ -210,11 +218,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("ini, field", [
         ("[pricing]\nprice_mode = design\np1 = 3\nr2 = 5\n", "p1 = 3"),
         ("[pricing]\nprice_mode = design\nr2 = 5\n", "r2 = 5"),
-        # SensitivitySpec names its own fields, low and high
-        ("[scenario]\nsensitivity_low = 0.7\n", "low = 0.7"),
-        ("[scenario]\nsensitivity_high = 3.0\n", "high = 3.0"),
-        ("[scenario]\nsensitivity_low = nan\n", "low = nan"),
-    ], ids=["design-p1", "design-r2", "exp-low", "exp-high", "exp-nan"])
+        # SensitivitySpec names its own field, spread
+        ("[scenario]\nsensitivity_spread = 0.7\n", "spread = 0.7"),
+        ("[scenario]\nsensitivity_spread = nan\n", "spread = nan"),
+    ], ids=["design-p1", "design-r2", "exp-spread", "exp-nan"])
     def test_unread_field_rejected(self, ini, field, tmp_path, capsys):
         # a value that the config's own mode never reads used to be
         # accepted: a design run with p1 = 3 ran at (14, -20) and wrote
@@ -245,9 +252,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("changes", [
         dict(price_mode=PRICE_DESIGN, p1=10, r2=14),
-        dict(sensitivity_low=-0.0, sensitivity_high=2.0),
-        dict(p1=3, r2=5, sensitivity_kind="uniform", sensitivity_low=0.7,
-             sensitivity_high=3.0),
+        dict(sensitivity_spread=1.0),
+        dict(p1=3, r2=5, sensitivity_kind="uniform", sensitivity_spread=0.6),
     ], ids=["design-defaults", "exp-defaults", "fixed-uniform"])
     def test_read_or_default_fields_accepted(self, changes):
         # each field holds its default or is read by its mode
@@ -297,11 +303,10 @@ class TestRunConfig:
             assert not out.exists()
 
     def test_uniform_sensitivity(self):
-        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_low=0.5,
-                        sensitivity_high=2.5)
+        cfg = RunConfig(sensitivity_kind="uniform", sensitivity_spread=0.5)
         spec = cfg.sensitivity()
-        assert spec == SensitivitySpec("uniform", 0.5, 2.5)
-        assert spec.cdf(1.0) == 0.5  # the mean 1.5 is the unit
+        assert spec == SensitivitySpec("uniform", 0.5)
+        assert spec.cdf(1.0) == 0.5  # the mean is the unit
         assert cfg.scenario().sensitivity == spec
 
     def test_designed_prices_from_model(self):
@@ -347,12 +352,24 @@ class TestPresets:
 
 # the CLI with scipy blocked: any import of it raises ImportError
 NO_SCIPY_RUN = """
-import sys
+import runpy, sys
 sys.modules["scipy"] = None
-from karma_routing.cli import main
 out = sys.argv[1]
-assert main(["analyze-chain", "--preset", "fig3", "--out", out + "/chain"]) == 0
-assert main(["run", "--preset", "fig3", "--days", "20", "--out", out + "/run"]) == 0
+# `python -m karma_routing.cli ...`: the process exits with main's status
+for status, argv in [
+        (0, ["analyze-chain", "--preset", "fig3", "--out", out + "/chain"]),
+        (0, ["run", "--preset", "fig3", "--days", "20", "--out", out + "/run"]),
+        (0, ["system-optimum", "--preset", "fig3"]),
+        (1, ["run", "--preset", "fig3", "--days", "0", "--out", out + "/d0"]),
+        (2, ["system-optimum", "--config", out + "/missing.ini"]),
+        (2, ["system-optimum", "--preset", "fig3", "--config", "x.ini"])]:
+    sys.argv = ["karma_routing.cli", *argv]
+    try:
+        runpy.run_module("karma_routing.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == status, (argv, exc.code)
+    else:
+        raise AssertionError(f"{argv} did not exit")
 """
 
 # `RunResult.summary`'s keys in the order `run` writes them to summary.json
@@ -392,7 +409,7 @@ RUNS = {
     # case where k_ref + p1 - T*r2 can round below k_poor's exact boundary
     "toll": ("[pricing]\np1 = 40\nr2 = 1\n", 20, {}),
     "uniform": ("[scenario]\nsensitivity_kind = uniform\n"
-                "sensitivity_low = 0.5\nsensitivity_high = 2.5\n", 20, {}),
+                f"sensitivity_spread = {2 / 3!r}\n", 20, {}),
     # 10 000 agents, whose histogram counts used to be truncated
     "m1e4": ("[scenario]\nn_agents = 10000\n", 5, {}),
     "small": ("[scenario]\nn_agents = 60\nhorizon = 4\nseed = 2\n"
@@ -411,7 +428,9 @@ class TestCli:
         src = Path(karma_routing.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+        # a cast or overflow warning fails the run, as in CI's bare install
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-c", NO_SCIPY_RUN, str(tmp_path)],
                               env=env, capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -567,8 +586,8 @@ class TestCli:
          "max_price = 177\n[scenario]\nhorizon = 12\n", (177, 177), 4602),
         # the uniform CDF read at the thresholds +inf (poor cells) and -inf
         # (wealthy cells)
-        ("[scenario]\nsensitivity_kind = uniform\nsensitivity_low = 0.5\n"
-         "sensitivity_high = 2.5\n", (10, 14), 168),
+        ("[scenario]\nsensitivity_kind = uniform\n"
+         f"sensitivity_spread = {2 / 3!r}\n", (10, 14), 168),
         # T = 1 with p1 = r2: the ok band is empty and k_poor = k_rich
         ("[pricing]\np1 = 5\nr2 = 5\n[scenario]\nhorizon = 1\n", (5, 5), 20),
         # a narrow route 1: the designed toll exceeds the reward
@@ -866,17 +885,13 @@ def reject_constant(name):
 # used to validate and then end a command in an error; the flat model is
 # pinned in both price modes, so design-prices also runs its "none" path
 @example(cfg=replace(BASE, sensitivity_kind="uniform",
-                     sensitivity_high=5e-324))
+                     sensitivity_spread=5e-324))
 @example(cfg=replace(BASE, k_init_high=1e308))
 @example(cfg=replace(BASE, k_init_high=-0.0))
 @example(cfg=replace(BASE, max_price=1))
 @example(cfg=replace(BASE, price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0,
                      alpha=0.0))
 @example(cfg=replace(BASE, d0_1=5.0, d0_2=1.0, alpha=0.0))
-# a support at the top of the float range validates, since its draws are
-# taken in units of its mean, so every command must run it
-@example(cfg=replace(BASE, sensitivity_kind="uniform", sensitivity_low=1e308,
-                     sensitivity_high=1.7e308))
 def test_every_config_that_validates_runs(cfg):
     # either validate() rejects the config, or every command runs it
     try:

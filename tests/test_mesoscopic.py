@@ -24,6 +24,8 @@ from oracles import (ARC1, AgentState, dense_transition_matrix as dense,
                      plan_oracle, stationary_distribution_dense)
 
 EXP = SensitivitySpec()
+# the test ids "uni0.5-2.5" and "unif0.5-2.5" name U[0.5, 2.5] over its mean
+# 1.5, which is SensitivitySpec("uniform", 2 / 3)
 
 
 def columns(a, n):
@@ -90,7 +92,7 @@ class TestBuildChain:
     def test_diagonals_match_stacked_form(self):
         # bit for bit against the three rows stacked from temporaries
         rng = np.random.default_rng(7)
-        sens = [EXP, SensitivitySpec("uniform", 0.5, 2.5)]
+        sens = [EXP, SensitivitySpec("uniform", 2 / 3)]
         for _ in range(40):
             p = PriceVector(int(rng.integers(1, 25)), int(rng.integers(1, 49)))
             t = int(rng.integers(1, 13))
@@ -161,7 +163,7 @@ def selected_chill(p, horizon, sens):
 
 
 @pytest.mark.parametrize("sens", [SensitivitySpec(),
-                                  SensitivitySpec("uniform", 0.5, 2.5)],
+                                  SensitivitySpec("uniform", 2 / 3)],
                          ids=["exp1", "uni"])
 def test_chill_prob_band_by_band_matches_selection(sens):
     # bit for bit, on every price pair up to 20 and T up to 8; the
@@ -204,12 +206,11 @@ def oracle_switch(karma, p, horizon, s_bar, hi, steps=36):
 
 class TestChainMatchesOracle:
     # the oracle weighs s against a mean of `scale`; the chain reads s in
-    # units of the mean, so its switch is the oracle's over the scale.
-    # uniform(0.5, 2.5) has the mean 1.5 in the unit of its bounds
+    # units of the mean, so its switch is the oracle's over the scale
     @pytest.mark.parametrize("sens, scale",
                              [(SensitivitySpec(), 1.0),
                               (SensitivitySpec(), 1.7),
-                              (SensitivitySpec("uniform", 0.5, 2.5), 1.5)],
+                              (SensitivitySpec("uniform", 2 / 3), 1.0)],
                              ids=["exp1", "exp1.7", "uni"])
     @pytest.mark.parametrize("p, t", [(PriceVector(2, 3), 3),
                                       (PriceVector(10, 14), 6),
@@ -324,7 +325,7 @@ class TestStationary:
             assert np.abs(a - b).max() <= 1e-9
 
     @pytest.mark.parametrize("sens", [SensitivitySpec(),
-                                      SensitivitySpec("uniform", 0.5, 2.5)],
+                                      SensitivitySpec("uniform", 2 / 3)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("t", [1, 3, 6], ids="T{}".format)
     @pytest.mark.parametrize("p", [(1, 1), (2, 3), (3, 7), (10, 13), (7, 19)],
@@ -376,7 +377,7 @@ class TestStationary:
     # p1 = r2 takes the closed form, every other pair the product tree
     @given(p=st.lists(st.integers(1, 40), min_size=2, max_size=2),
            t=st.integers(1, 8), ph=st.sampled_from([0.0, 0.05, 0.5]),
-           sens=st.sampled_from([EXP, SensitivitySpec("uniform", 0.5, 2.5)]))
+           sens=st.sampled_from([EXP, SensitivitySpec("uniform", 2 / 3)]))
     # cycle lengths L = 7, 15, 31 carry a node up from the bottom level,
     # and L = 17, 33 carry one up through every level but the last pair
     # (the level below the top always holds two nodes)
@@ -385,7 +386,7 @@ class TestStationary:
     @example(p=[15, 16], t=4, ph=0.05, sens=EXP)
     @example(p=[8, 9], t=3, ph=0.05, sens=EXP)
     @example(p=[16, 17], t=2, ph=0.05, sens=EXP)
-    @example(p=[5, 5], t=8, ph=0.5, sens=SensitivitySpec("uniform", 0.5, 2.5))
+    @example(p=[5, 5], t=8, ph=0.5, sens=SensitivitySpec("uniform", 2 / 3))
     def test_product_tree_matches_dense(self, p, t, ph, sens):
         price = PriceVector(*p)
         ch = build_chain(price, t, ph, sens)
@@ -397,7 +398,7 @@ class TestStationary:
         assert np.abs(by_class - 1 / price.total).max() <= 1e-12
 
     @pytest.mark.parametrize("sens", [EXP,
-                                      SensitivitySpec("uniform", 0.5, 2.5)],
+                                      SensitivitySpec("uniform", 2 / 3)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("ph", [0.0, 0.05])
     @pytest.mark.parametrize("p, t", [(1, 6), (10, 6), (25, 6), (12, 12)],
@@ -429,7 +430,7 @@ class TestStationary:
         assert np.abs(pe - tree).sum() <= 1e-12
 
     @pytest.mark.parametrize("sens", [EXP,
-                                      SensitivitySpec("uniform", 0.5, 2.5)],
+                                      SensitivitySpec("uniform", 2 / 3)],
                              ids=["exp1", "unif0.5-2.5"])
     @pytest.mark.parametrize("t", [1, 6])
     @pytest.mark.parametrize("edge", ["p1", "2p1", "3p1+2"])
@@ -647,14 +648,14 @@ def test_sensitivity_cdf_edges():
     assert EXP.cdf(0.0) == 0.0
     assert EXP.cdf(-1.0) == 0.0
     assert EXP.cdf(1.0) == pytest.approx(1 - np.exp(-1))
-    uni = SensitivitySpec("uniform", 0.0, 2.0)
+    uni = SensitivitySpec("uniform", 1.0)
     assert uni.cdf(0.0) == 0.0
     assert uni.cdf(1.0) == 0.5
     assert uni.cdf(5.0) == 1.0
-    # in units of the mean: uniform(0.5, 2.5) has the mean 1.5
-    uni = SensitivitySpec("uniform", 0.5, 2.5)
-    assert uni.cdf(1.0) == 0.5
-    assert uni.cdf(1 / 3) == 0.0 and uni.cdf(2.0) == 1.0
+    # U[0.5, 1.5]: the support's edges and a quarter of it, exactly
+    uni = SensitivitySpec("uniform", 0.5)
+    assert uni.cdf(1.0) == 0.5 and uni.cdf(0.75) == 0.25
+    assert uni.cdf(0.5) == 0.0 and uni.cdf(1.5) == 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 10_000])
@@ -662,21 +663,23 @@ def test_sensitivity_cdf_edges():
                          [(SensitivitySpec(), 1.0),
                           (SensitivitySpec(), 1.3),
                           (SensitivitySpec(), 0.7),
-                          (SensitivitySpec("uniform", 0.5, 2.5), 1.5)],
+                          (SensitivitySpec("uniform", 2 / 3), 1.0)],
                          ids=["exp1.0", "exp1.3", "exp0.7", "uni0.5-2.5"])
 def test_sensitivity_sample_stream(sens, scale, n):
     # the draws are numpy's own stream in units of the mean, bit for bit,
     # and leave the generator where numpy's leave it: exponential(c, n) is
     # c times the unit draws, value for value, so a population of mean c
-    # loses nothing when drawn in units of its mean; uniform(low, high, n)
-    # is divided by its mean 1.5
+    # loses nothing when drawn in units of its mean; the uniform law is
+    # uniform(1 - spread, 1 + spread, n) itself (U[0.5, 2.5] over its mean
+    # 1.5 is spread 2/3)
     for seed in (0, 12345):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = sens.sample(rng, n)
         if sens.kind == "exponential":
             got, expect = scale * draws, ref.exponential(scale, n)
         else:
-            got, expect = draws, ref.uniform(sens.low, sens.high, n) / scale
+            got, expect = draws, ref.uniform(1 - sens.spread,
+                                             1 + sens.spread, n)
         assert draws.dtype == np.float64 and draws.shape == (n,)
         assert got.tobytes() == expect.tobytes()
         assert rng.random() == ref.random()

@@ -241,30 +241,28 @@ class TestValidation:
 
     def test_sensitivity_invariants(self):
         nan, inf = float("nan"), float("inf")
-        # (0, 5e-324) has the mean 0, which no draw can be divided by
-        for low, high in ((-0.5, 1.0), (1.0, 1.0), (nan, 1.0), (0.0, nan),
-                          (0.0, inf), (0.0, 5e-324)):
+        # 5e-324 is too small to widen [1, 1] in floats, and a spread above
+        # 1 puts the support below 0
+        for spread in (-0.5, 0.0, -0.0, 1.5, nan, inf, -inf, 5e-324):
             with pytest.raises(ValueError, match="uniform"):
-                SensitivitySpec("uniform", low, high)
+                SensitivitySpec("uniform", spread)
         with pytest.raises(ValueError, match="kind"):
             SensitivitySpec(kind="lognormal")
-        # the mean is taken half by half, so it stays finite at the top
-        top = SensitivitySpec("uniform", 1e308, 1.7e308)
-        assert np.all(top.sample(np.random.default_rng(0), 100) <= 2.0)
-        assert SensitivitySpec("uniform", 0.0, 1e-323).cdf(1.0) == 0.5
+        # the widest law reaches 0 and 2 means, the draw bound
+        widest = SensitivitySpec("uniform", 1.0)
+        draws = widest.sample(np.random.default_rng(0), 100)
+        assert np.all((0.0 <= draws) & (draws <= widest.draw_bound))
 
-    @pytest.mark.parametrize("low, high, field", [
-        (0.7, 2.0, "low = 0.7"), (0.0, 3.0, "high = 3.0"),
-        (float("nan"), 2.0, "low = nan"), (0.0, float("nan"), "high = nan"),
-    ], ids=["low", "high", "low-nan", "high-nan"])
-    def test_exponential_rejects_unread_bounds(self, low, high, field):
-        # the exponential law reads neither bound: (5.0, nan) used to
+    @pytest.mark.parametrize("spread, field", [
+        (0.5, "spread = 0.5"), (float("nan"), "spread = nan"),
+    ], ids=["half", "nan"])
+    def test_exponential_rejects_unread_spread(self, spread, field):
+        # the exponential law reads no spread: (5.0, nan) as bounds used to
         # construct and then draw Exp(1)
         with pytest.raises(ValueError, match=f"^{field} is not read under "
                                              "the exponential"):
-            SensitivitySpec("exponential", low, high)
-        # -0.0 equals the default 0.0
-        assert SensitivitySpec("exponential", -0.0, 2.0) == SensitivitySpec()
+            SensitivitySpec("exponential", spread)
+        assert SensitivitySpec("exponential", 1.0) == SensitivitySpec()
 
     def test_flow_validation(self):
         with pytest.raises(ValueError):

@@ -320,7 +320,7 @@ def small_runs(draw):
     p = PriceVector(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     k_lo = draw(st.integers(0, 300))
     ref_lo = draw(st.integers(0, 200))
-    sens = draw(st.sampled_from([EXP, SensitivitySpec("uniform", 0.5, 2.5)]))
+    sens = draw(st.sampled_from([EXP, SensitivitySpec("uniform", 2 / 3)]))
     sc = Scenario(p_home=draw(st.sampled_from([0.0, 0.05, 0.5])),
                   horizon=draw(st.integers(1, 8)),
                   n_agents=draw(st.integers(1, 60)), sensitivity=sens,
