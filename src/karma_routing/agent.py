@@ -11,9 +11,10 @@ linearly to 0 at k_wealthy and is -inf from there.  On a d1 > d2 day the
 slow route dominates, and on a d1 = d2 day any route is optimal; `wardrop`
 settles those days without the rule.  `thresholds` builds the four
 breakpoints once per k_ref, `check_floor` guards the feasibility floor,
-`fast_mask` applies the rule and `settle` is the one account update.  The
-tests check them against `tests/oracles.py`, which solves the underlying
-two-stage program by direct enumeration.
+`fast_mask`, the one rule function, applies the rule for the day and for
+the tests, and `settle` is the one account update.  The tests check them
+against `tests/oracles.py`, which solves the underlying two-stage program
+by direct enumeration.
 
 k_poor is the least float at or above the exact boundary of the toll and
 the budget constraint, and k_inf is exact, so at every float karma the
@@ -139,16 +140,17 @@ def check_floor(k: np.ndarray, floor) -> None:
         )
 
 
-def fast_mask(k, s, traveling, th: Thresholds, p: PriceVector):
+def fast_mask(k, s, traveling, th: Thresholds, p: PriceVector, wealthy):
     """The d1 < d2 rule as a mask: which agents take the fast route.
 
-    A traveler goes fast at or above k_wealthy, and between k_poor and
+    A traveler goes fast when it is wealthy, and between k_poor and
     k_wealthy when its sensitivity s (in units of the mean) exceeds its
     urgency threshold: 1 below k_rich, then (k_wealthy - k) / (p1 + r2),
     which decays linearly to zero at k_wealthy.  Ties (s equal to its
-    threshold) go to the slow route, with one exception: from k_wealthy on
-    a traveler goes fast even at s = 0, where the two-stage plan is
-    indifferent (`test_wealthy_forced_fast` in tests/test_agent.py).
+    threshold) go to the slow route, except that a wealthy traveler goes
+    fast even at s = 0, where the two-stage plan is indifferent.  The caller
+    builds ``wealthy``, the mask k >= th.k_wealthy: the day's
+    `wardrop.wardrop_equilibrium` counts it before it applies the rule.
     ``th`` holds precomputed breakpoints (scalars or per-agent arrays);
     k_inf is not read (see `check_floor`, which also rejects a NaN karma),
     and s is not checked for finiteness.
@@ -157,12 +159,6 @@ def fast_mask(k, s, traveling, th: Thresholds, p: PriceVector):
     agent's comparison is taken in both bands and the rich mask keeps one,
     so there is no per-element branch.
     """
-    return _fast_mask(k, s, traveling, th, p, k >= th.k_wealthy)
-
-
-def _fast_mask(k, s, traveling, th: Thresholds, p: PriceVector, wealthy):
-    """`fast_mask` given its wealthy mask, k >= th.k_wealthy, which
-    `wardrop.wardrop_equilibrium` reads before it decides to apply the rule."""
     rich = k >= th.k_rich
     go = s > _decaying_threshold(k, th.k_wealthy, p)
     go &= rich

@@ -6,9 +6,11 @@ horizon, scaled by the population mean; so every decision and every
 reported number depends on s only through s over its mean.  `sample`
 therefore returns s in units of the mean, so the mean is 1, and the
 mesoscopic chain reads `cdf` at thresholds in the same unit.  The uniform
-law is U[1 - spread, 1 + spread] with 0 < spread <= 1, and the exponential
-law on [0, inf) reads no spread.  A spread too small to widen [1, 1] in
-floats, such as 5e-324, is rejected.
+law is U[1 - spread, 1 + spread] with 1e-12 <= spread <= 1, drawn by
+`draw_uniform`, the one uniform draw, which also draws the set-up's karma.
+Below the floor 1e-12 the draws fall on a grid of a few floats near 1 and
+no longer follow `cdf` (at 1e-15, 200 000 draws sit 0.05 from it).  The
+exponential law on [0, inf) reads no spread.
 """
 
 from __future__ import annotations
@@ -19,6 +21,23 @@ import numpy as np
 
 EXPONENTIAL = "exponential"
 UNIFORM = "uniform"
+
+
+def draw_uniform(rng: np.random.Generator, low: float, high: float,
+                 size: int) -> np.ndarray:
+    """``size`` draws uniform on [low, high), the bits and the stream
+    position of numpy's ``Generator.uniform`` over the same bounds.
+
+    numpy takes u from the same stream as ``rng.random`` and returns
+    low + (high - low) * u, with the bounds as floats; the product and the
+    sum, taken here as two in-place passes over u, round the same.  A width
+    of -0.0, which `Generator.uniform` rejects, draws what its width 0.0
+    draws: low + 0.0.
+    """
+    u = rng.random(size)
+    u *= float(high) - float(low)
+    u += low
+    return u
 
 
 @dataclass(frozen=True)
@@ -37,10 +56,9 @@ class SensitivitySpec:
                              "exponential sensitivity kind; leave it at its "
                              f"default {SensitivitySpec.spread!r}")
         # a chained comparison, so NaN fails it
-        if self.kind == UNIFORM and not (0.0 <= 1.0 - self.spread
-                                         < 1.0 + self.spread):
-            raise ValueError("uniform sensitivity needs 0 <= 1 - spread < "
-                             f"1 + spread, not spread = {self.spread!r}")
+        if self.kind == UNIFORM and not 1e-12 <= self.spread <= 1.0:
+            raise ValueError("uniform sensitivity needs 1e-12 <= spread <= 1,"
+                             f" not spread = {self.spread!r}")
 
     @property
     def draw_bound(self) -> float:
@@ -59,8 +77,8 @@ class SensitivitySpec:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` i.i.d. draws in units of the mean: the same stream as
-        ``rng.standard_exponential(size)``, or ``rng.uniform(1 - spread,
-        1 + spread, size)``."""
+        ``rng.standard_exponential(size)``, or `draw_uniform` on
+        [1 - spread, 1 + spread)."""
         if self.kind == EXPONENTIAL:
             return rng.standard_exponential(size)
-        return rng.uniform(1.0 - self.spread, 1.0 + self.spread, size)
+        return draw_uniform(rng, 1.0 - self.spread, 1.0 + self.spread, size)

@@ -3,7 +3,8 @@
 Each day: stay-home flags and sensitivities are drawn up front in agent-index
 order, the daily route equilibrium is computed, karma accounts are settled,
 and per-day metrics are recorded.  Runs are deterministic given the scenario
-seed.
+seed.  The day applies the one rule function, `agent.fast_mask`, and the
+karma and uniform urgency draws share `sensitivity.draw_uniform`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .agent import Thresholds, k_inf, settle, thresholds
 from .mesoscopic import quantize_population
 from .network import ArcCostModel, Scenario, check_count, system_optimum
 from .pricing import PriceVector
+from .sensitivity import draw_uniform
 from .wardrop import CONTROLLED, UNCONTROLLED, wardrop_equilibrium
 
 TAIL_FRACTION = 0.2  # share of the last days that the summary averages over
@@ -145,33 +147,16 @@ class RunResult:
                 writer.writerow([i + 1, int(round(count))])
 
 
-def _uniform(rng: np.random.Generator, low: float, high: float,
-             m: int) -> np.ndarray:
-    """m draws uniform on [low, high), the bits and stream of
-    ``rng.uniform(low, high, m)``.
-
-    numpy takes u from the same stream as ``rng.random`` and returns
-    low + (high - low) * u, with the bounds as floats; the product and the
-    sum, taken here as two in-place passes over u, round the same.  A width
-    of -0.0, which `Generator.uniform` rejects, draws what its width 0.0
-    draws: low + 0.0.
-    """
-    u = rng.random(m)
-    u *= float(high) - float(low)
-    u += low
-    return u
-
-
 def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     """Draw initial reference levels and karma balances.
 
     k_ref is drawn first, then k(0), both uniform on the scenario's ranges
-    and both ``rng.uniform(low, high, m)`` bit for bit: one ``rng.random(m)``
-    scaled in place (`_uniform`).  Any k(0) below the agent's feasibility
-    floor k_inf is clamped up to it (the clamp count is kept on the
-    returned population).  Flooring the returned ``k`` and ``k_ref``
-    puts the agents on the quantized chain's integer lattice; the floored
-    ``k`` stays above the floored k_inf, since (T + 1) * r2 is an integer.
+    by `sensitivity.draw_uniform`, the draw the uniform urgency law takes
+    too.  Any k(0) below the agent's feasibility floor k_inf is clamped up
+    to it (the clamp count is kept on the returned population).  Flooring
+    the returned ``k`` and ``k_ref`` puts the agents on the quantized
+    chain's integer lattice; the floored ``k`` stays above the floored
+    k_inf, since (T + 1) * r2 is an integer.
     """
     rng = np.random.default_rng(scenario.seed)
     m = scenario.n_agents
@@ -180,8 +165,8 @@ def init_population(scenario: Scenario, prices: PriceVector) -> Population:
     # again; freeing one mapped block of 4m floats raises the threshold to
     # its size (mallopt(3)).  Under other allocators it is a spare allocation.
     np.empty(4 * m)
-    k_ref = _uniform(rng, *scenario.k_ref_init, m)
-    k = _uniform(rng, *scenario.k_init, m)
+    k_ref = draw_uniform(rng, *scenario.k_ref_init, m)
+    k = draw_uniform(rng, *scenario.k_init, m)
     floor = k_inf(k_ref, prices, scenario.horizon)
     n_clamped = int(np.count_nonzero(k < floor))
     # a new array, not k clamped in place: with one block fewer on the heap,

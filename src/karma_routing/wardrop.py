@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agent import Thresholds, _fast_mask, check_floor
+from .agent import Thresholds, check_floor, fast_mask
 from .network import ArcCostModel
 from .pricing import PriceVector
 
@@ -109,7 +109,7 @@ def wardrop_equilibrium(k: np.ndarray, s: np.ndarray, traveling: np.ndarray,
         # they alone overload the fast route: no sweep keeps d1 < d2
         n1 = n_lb
     else:
-        fast = _fast_mask(k, s, traveling, th, p, wealthy)
+        fast = fast_mask(k, s, traveling, th, p, wealthy)
         n1 = int(np.count_nonzero(fast))
         d = (d1(n1 / m), d2((n_travel - n1) / m))
         if d[0] < d[1]:

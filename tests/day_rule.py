@@ -2,8 +2,9 @@
 the quantized chain's integer lattice.
 
 `wardrop_equilibrium` checks each agent against its feasibility floor and
-then takes the rule's mask, from breakpoints that `thresholds` built once
-per set of k_ref.  `fast_routes` is those two per-day steps.  `same_day`
+then takes the rule's mask, `fast_mask` with its wealthy mask, from
+breakpoints that `thresholds` built once per set of k_ref.  `fast_routes`
+is those two per-day steps, on the same rule function.  `same_day`
 compares two days' (fast, n1, n2, regime, d) tuples.
 `integer_histogram` runs the day loop on a floored population.
 """
@@ -27,7 +28,8 @@ def fast_routes(k, s, th, p):
     """
     k = np.asarray(k, dtype=float)
     check_floor(k, th.k_inf)
-    return fast_mask(k, np.asarray(s, dtype=float), True, th, p)
+    return fast_mask(k, np.asarray(s, dtype=float), True, th, p,
+                     k >= th.k_wealthy)
 
 
 def same_day(got, want):

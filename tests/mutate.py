@@ -49,11 +49,10 @@ SRC = "src/karma_routing/"
 AGENT, MESO = SRC + "agent.py", SRC + "mesoscopic.py"
 SIM, WARDROP = SRC + "simulation.py", SRC + "wardrop.py"
 SENS, CLI = SRC + "sensitivity.py", SRC + "cli.py"
+NETWORK, PRICING = SRC + "network.py", SRC + "pricing.py"
 MUTANTS = (
     Mutant("fast-poor-edge-strict", AGENT,
            "go &= k >= th.k_poor", "go &= k > th.k_poor"),
-    Mutant("fast-wealthy-edge-strict", AGENT,
-           "p, k >= th.k_wealthy)", "p, k > th.k_wealthy)"),
     Mutant("k-rich-plus-one", AGENT,
            "horizon * p.p1 - p.r2", "horizon * p.p1 - p.r2 + 1"),
     Mutant("settle-toll-plus-one", AGENT,
@@ -103,8 +102,13 @@ MUTANTS = (
     Mutant("uniform-cdf-low-at-zero", SENS, "(v - lo) /", "(v - 0.0) /"),
     Mutant("uniform-cdf-width-to-two", SENS, "/ (hi - lo)", "/ (2.0 - lo)"),
     Mutant("uniform-sample-on-zero-two", SENS,
-           "rng.uniform(1.0 - self.spread, 1.0 + self.spread, size)",
-           "rng.uniform(0.0, 2.0, size)"),
+           "draw_uniform(rng, 1.0 - self.spread, 1.0 + self.spread, size)",
+           "draw_uniform(rng, 0.0, 2.0, size)"),
+    Mutant("uniform-passes-swapped", SENS,
+           "u *= float(high) - float(low)\n    u += low",
+           "u += low\n    u *= float(high) - float(low)"),
+    Mutant("uniform-spread-floor-lowered", SENS,
+           "not 1e-12 <= self.spread", "not 1e-16 <= self.spread"),
     Mutant("exp-cdf-unclamped", SENS,
            "-np.expm1(-np.maximum(v, 0.0))", "-np.expm1(-v)"),
     Mutant("uniform-draw-bound-low", SENS,
@@ -115,6 +119,33 @@ MUTANTS = (
            "if not scenario.n_agents * s_hi"),
     Mutant("main-guard-drops-status", CLI,
            "    sys.exit(main())", "    main()"),
+    # the optimum and the prices.  Left out as equivalent: the constant of
+    # `_flow_marginal_cost`, since any positive one keeps the even split,
+    # and `rho <= 1.0` made strict, since at rho = 1 both branches give
+    # (max_price, max_price)
+    Mutant("crossing-route1-end-inclusive", NETWORK,
+           "if hi_gap < 0.0:", "if hi_gap <= 0.0:"),
+    Mutant("crossing-route2-end-strict", NETWORK,
+           "if lo_gap >= 0.0:", "if lo_gap > 0.0:"),
+    Mutant("crossing-bisects-wrong-side", NETWORK,
+           "(mid, hi) if gap < 0.0 else (lo, mid)",
+           "(lo, mid) if gap < 0.0 else (mid, hi)"),
+    Mutant("marginal-cost-drops-one", NETWORK,
+           "self.alpha * (1 + b)", "self.alpha * b"),
+    Mutant("conservation-ratio-inverted", PRICING,
+           "return x2 / x1", "return x1 / x2"),
+    Mutant("rationalize-truncates", PRICING,
+           "round(max_price * rho)", "int(max_price * rho)"),
+    Mutant("rationalize-pins-the-other-coordinate", PRICING,
+           "if rho <= 1.0:", "if rho > 1.0:"),
+    Mutant("rationalize-toll-floor-dropped", PRICING,
+           "max(1, round(max_price * rho))", "round(max_price * rho)"),
+    Mutant("rationalize-reward-floor-dropped", PRICING,
+           "max(1, round(max_price / rho))", "round(max_price / rho)"),
+    Mutant("horizon-band-low-edge-strict", PRICING,
+           "1.0 / horizon <= ratio", "1.0 / horizon < ratio"),
+    Mutant("horizon-band-high-edge-strict", PRICING,
+           "ratio <= horizon", "ratio < horizon"),
 )
 
 

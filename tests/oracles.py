@@ -4,8 +4,9 @@ Each solves the same problem as the library by a direct method that shares
 none of its algorithm:
 
 - `plan_oracle` enumerates an agent's two-stage plan, against the
-  closed-form threshold rule (`thresholds` and `fast_mask`) off its ulp
-  edges and the chain's per-cell threshold theta;
+  closed-form threshold rule off its ulp edges (`thresholds` and
+  `fast_mask`, the one rule function, which the day runs) and the chain's
+  per-cell threshold theta;
 - `dense_transition_matrix` lays the chain's rule out cell by cell as a
   dense A, against the diagonals `build_chain` stores;
 - `stationary_distribution_dense` solves (A - I)P = 0 densely on that A,
@@ -17,7 +18,9 @@ none of its algorithm:
 - `equilibrium_oracle` builds the day by its definition from the two
   above, against `wardrop_equilibrium`.
 
-They read the library only through its public names.
+They read the library only through its public names.  The urgency draws,
+exponential or through `draw_uniform`, the one uniform draw, have the law's
+own `cdf` as their oracle (tests/test_mesoscopic.py's DKW bound).
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ class TestBestResponse:
     def test_rule_never_sees_discomfort_values(self):
         # the decision is independent of discomfort magnitudes by signature
         params = list(inspect.signature(fast_mask).parameters)
-        assert params == ["k", "s", "traveling", "th", "p"]
+        assert params == ["k", "s", "traveling", "th", "p", "wealthy"]
 
     def test_batch_raises_on_infeasible(self):
         # the scalar call is one agent, 0-d, below its floor of 102
@@ -243,7 +243,7 @@ class TestBandEdges:
                 p = PriceVector(p1, r2)
                 k, s, th = self.edge_points(p, t)
                 ref = self.reference(k, s, th, p)
-                mask = fast_mask(k, s, True, th, p)
+                mask = fast_mask(k, s, True, th, p, k >= th.k_wealthy)
                 mismatches += np.count_nonzero(mask != ref)
                 checked += k.size
         assert checked == 400 * len(self.K_REFS) * 81

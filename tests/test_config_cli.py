@@ -195,7 +195,7 @@ class TestRunConfig:
         (dict(price_mode=PRICE_DESIGN, d0_1=5.0, d0_2=1.0, alpha=0.0),
          "price_mode = design: target flow"),
         (dict(sensitivity_kind="uniform", sensitivity_spread=5e-324),
-         "uniform sensitivity needs 0 <= 1 - spread < 1 \\+ spread"),
+         "uniform sensitivity needs 1e-12 <= spread <= 1"),
         # at the uniform draw bound, 2 * M * 2 * d(1) overflows
         (dict(sensitivity_kind="uniform", d0_2=3e304), "metric sums"),
     ])

@@ -119,9 +119,9 @@ def days(draw):
 class TestAgentStages:
     @settings(max_examples=examples(120), deadline=None)
     @given(day=days())
-    def test_fast_mask_and_floor_match_reference(self, day):
+    def test_rule_mask_and_floor_match_reference(self, day):
         p, t, _, th, k, s, traveling = day
-        fast = fast_mask(k, s, traveling, th, p)
+        fast = fast_mask(k, s, traveling, th, p, k >= th.k_wealthy)
         assert same_bits(fast, fast_mask_ref(k, s, traveling, th, p))
         check_floor(k, th.k_inf)
         assert floor_holds_ref(k, th.k_inf)
@@ -143,10 +143,11 @@ class TestAgentStages:
         trav = bool(traveling[0])
         for kk, ss in ((np.array(k[0]), np.array(s[0])), (k[0], s[0]),
                        (float(k[0]), float(s[0]))):
-            got = fast_mask(kk, ss, trav, one, p)
+            got = fast_mask(kk, ss, trav, one, p, kk >= one.k_wealthy)
             want = fast_mask_ref(kk, ss, trav, one, p)
             assert got == want and got.shape == ()
-            assert got == fast_mask(k, s, traveling, th, p)[0]
+            assert got == fast_mask(k, s, traveling, th, p,
+                                    k >= th.k_wealthy)[0]
             check_floor(kk, one.k_inf)
             for go in (got, bool(got)):
                 assert same_bits(leaves_inputs(settle, kk, go, trav, p),
@@ -160,7 +161,7 @@ class TestAgentStages:
         th = thresholds(np.floor(k_ref).astype(np.int64), p, t)
         k = np.maximum(np.floor(k).astype(np.int64),
                        np.ceil(th.k_inf).astype(np.int64))
-        fast = fast_mask(k, s, traveling, th, p)
+        fast = fast_mask(k, s, traveling, th, p, k >= th.k_wealthy)
         assert same_bits(fast, fast_mask_ref(k, s, traveling, th, p))
         check_floor(k, th.k_inf)
         assert same_bits(leaves_inputs(settle, k, fast, traveling, p),
@@ -183,7 +184,7 @@ class TestMetricsStage:
     def test_matches_reference(self, day, kind, integer):
         p, t, _, th, k, s, traveling = day
         model = ArcCostModel(societal_cost_kind=kind)
-        fast = fast_mask(k, s, traveling, th, p)
+        fast = fast_mask(k, s, traveling, th, p, k >= th.k_wealthy)
         if integer:
             k = np.floor(k).astype(np.int64)
         for mask in (traveling, np.zeros_like(traveling)):  # or nobody

@@ -241,11 +241,15 @@ class TestValidation:
 
     def test_sensitivity_invariants(self):
         nan, inf = float("nan"), float("inf")
-        # 5e-324 is too small to widen [1, 1] in floats, and a spread above
-        # 1 puts the support below 0
-        for spread in (-0.5, 0.0, -0.0, 1.5, nan, inf, -inf, 5e-324):
+        # below the floor 1e-12 the draws leave the law `cdf` describes
+        # (test_mesoscopic.py::test_urgency_law_matches_its_draws), 5e-324
+        # does not even widen [1, 1] in floats, and a spread above 1 puts
+        # the support below 0
+        for spread in (-0.5, 0.0, -0.0, 1.5, nan, inf, -inf, 5e-324, 1e-15,
+                       np.nextafter(1e-12, 0.0), np.nextafter(1.0, 2.0)):
             with pytest.raises(ValueError, match="uniform"):
                 SensitivitySpec("uniform", spread)
+        SensitivitySpec("uniform", 1e-12)  # the floor itself is valid
         with pytest.raises(ValueError, match="kind"):
             SensitivitySpec(kind="lognormal")
         # the widest law reaches 0 and 2 means, the draw bound

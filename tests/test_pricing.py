@@ -63,6 +63,12 @@ class TestRationalizePrices:
         pv = rationalize_prices(conservation_prices([0.35, 0.6]), 12, 6)
         assert pv.p1 == 12 and pv.r2 == 7
 
+    def test_smaller_price_is_at_least_one(self):
+        # max_price * rho and max_price / rho round to 0; the smaller price
+        # stays 1, and r2/p1 = 2 or 1/2 lies inside the band
+        assert rationalize_prices(0.2, 2, 6) == PriceVector(1, 2)
+        assert rationalize_prices(5.0, 2, 6) == PriceVector(2, 1)
+
     def test_infeasible_horizon_band(self):
         # a 9:1 split needs r2/p1 = 9 > T for any short horizon
         with pytest.raises(InfeasibleHorizonError):
@@ -113,7 +119,10 @@ class TestPriceVector:
     def test_horizon_band(self):
         assert PriceVector(10, 14).feasible_for_horizon(6)
         assert not PriceVector(1, 10).feasible_for_horizon(6)
+        # both edges of [1/T, T] belong to the band
         assert PriceVector(1, 10).feasible_for_horizon(10)
+        assert PriceVector(10, 1).feasible_for_horizon(10)
+        assert not PriceVector(11, 1).feasible_for_horizon(10)
         for horizon in (0, -1, 2.5, True):
             with pytest.raises(ValueError, match="horizon"):
                 PriceVector(10, 14).feasible_for_horizon(horizon)

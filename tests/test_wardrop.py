@@ -233,6 +233,26 @@ class TestWardropEquilibrium:
             fast_shares.append(x[0])
         assert fast_shares == pytest.approx([0.0, 0.705], abs=1e-12)
 
+    def test_wealthy_go_fast_at_zero_urgency(self):
+        # README's one exception to "ties go slow", through the day's own
+        # wealthy mask: 100 travelers exactly at k_wealthy = 50 + 7 * 10 =
+        # 120 with s = 0 go fast, where the plan is indifferent and the
+        # oracle's tie goes slow; 100 one ulp below it at s = 0 face a
+        # positive threshold and go slow.  The rest sit below k_poor = 10.
+        m = 1000
+        k = np.full(m, 5.0)
+        k[:100] = 120.0
+        k[100:200] = np.nextafter(120.0, 0.0)
+        k_ref = np.full(m, 50.0)
+        s = np.where(np.arange(m) < 200, 0.0, 2.0)
+        traveling = np.ones(m, dtype=bool)
+        fast, x, regime = solve(k, k_ref, s, traveling)
+        assert regime == CONTROLLED
+        assert np.array_equal(np.flatnonzero(fast), np.arange(100))
+        assert x.tolist() == [0.1, 0.9]
+        oracle = equilibrium_oracle(k, s, traveling, k_ref, BPR, P, T)
+        assert oracle[1] == 0 and oracle[3] == CONTROLLED
+
     def test_balanced_split_is_deterministic_by_index(self):
         m = 1000
         rng = np.random.default_rng(10)
@@ -302,8 +322,8 @@ class TestWardropEquilibrium:
             calls.append(n_rich)
             return rule(*args)
 
-        rule = wardrop._fast_mask
-        monkeypatch.setattr(wardrop, "_fast_mask", spy)
+        rule = wardrop.fast_mask
+        monkeypatch.setattr(wardrop, "fast_mask", spy)
         k, s, *rest = self.flat_inputs(n_rich, k_rich=170.0)
         day = wardrop_equilibrium(k, s, *rest)
         assert day[1] == 450 and day[3] == UNCONTROLLED
